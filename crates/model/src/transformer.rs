@@ -4,10 +4,10 @@
 use crate::attention::attend_into;
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
-use crate::scratch::{ForwardScratch, ScoreBuffer};
+use crate::scratch::{ForwardScratch, HeadScratch, ScoreBuffer};
 use crate::weights::ModelWeights;
 use veda_tensor::norm::rmsnorm_into;
-use veda_tensor::ops::{gemv_inner_into, gemv_outer_into};
+use veda_tensor::ops::{gemm_inner_into, gemv_inner_into, gemv_outer_into};
 use veda_tensor::softmax::log_softmax;
 
 /// Result of one full forward step (all layers).
@@ -281,8 +281,10 @@ impl TransformerModel {
     /// [`ForwardScratch::logits`] holds the next-token logits and
     /// [`ForwardScratch::scores`] the step's attention observations.
     ///
-    /// Bit-identical to [`TransformerModel::forward_in`]: every in-place
-    /// kernel preserves the f32 summation order of its allocating twin.
+    /// This is [`TransformerModel::forward_body`] followed by the LM head
+    /// of this one sequence. Bit-identical to
+    /// [`TransformerModel::forward_in`]: every in-place kernel preserves
+    /// the f32 summation order of its allocating twin.
     ///
     /// # Panics
     ///
@@ -295,12 +297,39 @@ impl TransformerModel {
         position: usize,
         scratch: &mut ForwardScratch,
     ) {
+        self.forward_body(state, token, position, scratch);
+        self.lm_head(scratch);
+    }
+
+    /// The forward pass without the LM head: embedding, every layer
+    /// (appending the token's K/V rows to `state`) and the final norm.
+    /// [`ForwardScratch::scores`] holds the step's attention observations
+    /// afterwards and [`ForwardScratch::logits`] is **empty** until a head
+    /// runs over this body's output — [`TransformerModel::lm_head_batch`],
+    /// which serves any number of sequences from one stream of the
+    /// embedding. A prompt token that is not the last of its prompt, or a
+    /// sequence's final token, needs no head at all: nothing reads its
+    /// logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary or the state's layer
+    /// count disagrees with the model.
+    pub fn forward_body(
+        &self,
+        state: &mut SequenceState,
+        token: usize,
+        position: usize,
+        scratch: &mut ForwardScratch,
+    ) {
         assert!(token < self.config.vocab_size, "token {token} outside vocabulary");
         if state.caches.is_empty() {
             // Allow `SequenceState::default()` to be used directly.
             *state = self.new_state();
         }
         assert_eq!(state.n_layers(), self.config.n_layers, "sequence state layer count mismatch");
+        // Whatever logits the scratch held belong to an earlier token.
+        scratch.logits.clear();
         scratch.hidden.clear();
         scratch.hidden.extend_from_slice(self.weights.embed(token));
         scratch.scores.begin_step(self.config.n_heads);
@@ -329,9 +358,42 @@ impl TransformerModel {
             }
         }
 
+        // The head's input stays in `normed` until the next body.
         rmsnorm_into(&scratch.hidden, &self.weights.final_norm, self.eps, &mut scratch.normed);
-        // Tied LM head: logits = E · x.
+    }
+
+    /// The tied LM head (`logits = E · x`) of one sequence fresh from
+    /// [`TransformerModel::forward_body`], filling
+    /// [`ForwardScratch::logits`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scratch has not been through a forward pass of this
+    /// model.
+    pub fn lm_head(&self, scratch: &mut ForwardScratch) {
         gemv_inner_into(&scratch.normed, &self.weights.embedding, &mut scratch.logits);
+    }
+
+    /// [`TransformerModel::lm_head`] of every sequence in `scratches` as
+    /// **one** batched inner-product GEMM: the embedding streams once for
+    /// all of them, and each scratch's logits are bit-identical to its
+    /// own `lm_head` call's. Allocation-free once `head` is warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scratch has not been through a forward pass of this
+    /// model.
+    pub fn lm_head_batch(&self, scratches: &mut [&mut ForwardScratch], head: &mut HeadScratch) {
+        head.inputs.clear();
+        for scratch in scratches.iter() {
+            assert_eq!(scratch.normed.len(), self.config.d_model, "lm_head_batch before a forward pass");
+            head.inputs.extend_from_slice(&scratch.normed);
+        }
+        gemm_inner_into(&head.inputs, &self.weights.embedding, &mut head.pack, &mut head.logits);
+        for (scratch, logits) in scratches.iter_mut().zip(head.logits.chunks_exact(self.config.vocab_size)) {
+            scratch.logits.clear();
+            scratch.logits.extend_from_slice(logits);
+        }
     }
 
     /// Prefills a prompt (GEMM realized as successive GEMVs, as VEDA does),

@@ -25,6 +25,18 @@
 //! engine-level equivalence suites will catch it, but the contract lives
 //! here.
 //!
+//! The rule that makes a kernel both fast and exact: **parallelise across
+//! independent outputs, never inside one reduction.** A sum's terms are
+//! added in one fixed order by one accumulator; speed comes from advancing
+//! many such sums side by side — other matrix rows, other sequences of the
+//! batch — in registers, SIMD lanes or threads. [`ops::gemm_inner_into`]
+//! is the model: 4 matrix rows × up to 8 input rows per tile, every one of
+//! the 32 accumulators running [`ops::dot`]'s k-order sum from
+//! `Sum for f32`'s identity, pinned bit for bit against `dot` in
+//! `tests/properties.rs`. Splitting one dot product into partial sums
+//! (the usual SIMD reduction) would be faster still and is exactly what
+//! this crate does not do.
+//!
 //! ## Example
 //!
 //! ```

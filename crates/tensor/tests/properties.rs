@@ -13,6 +13,83 @@ fn vec_f32(len: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Val
     proptest::collection::vec(finite_f32(), len)
 }
 
+/// Asserts `gemm_inner_into` of the `(S, k)` rows `xs` against `m` equals
+/// per-row `ops::dot` bit for bit. Two NaNs count as equal whatever their
+/// payloads: which operand's payload an f32 add or multiply propagates is
+/// the compiler's choice of operand order, not a property of the sum.
+fn assert_gemm_matches_dot(xs: &[f32], m: &Matrix, pack: &mut Vec<f32>, out: &mut Vec<f32>) {
+    ops::gemm_inner_into(xs, m, pack, out);
+    let want: Vec<f32> =
+        xs.chunks_exact(m.cols()).flat_map(|x| m.iter_rows().map(move |row| ops::dot(x, row))).collect();
+    assert_eq!(out.len(), want.len());
+    for (i, (got, want)) in out.iter().zip(&want).enumerate() {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "output {i} of {} input row(s) x {} matrix row(s): {got:?} vs dot {want:?}",
+            xs.len() / m.cols(),
+            m.rows(),
+        );
+    }
+}
+
+#[test]
+fn gemm_inner_keeps_dot_bits_on_signed_zero_nan_and_infinity() {
+    // Each special value alone in an otherwise zero row, and whole rows of
+    // it, against matrix rows that hold specials themselves; 6 matrix rows
+    // leave a 2-row tail after the tile, 5 input rows pad the 8-lane pack.
+    let specials = [-0.0f32, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.25];
+    let k = 7;
+    let mut rows: Vec<Vec<f32>> = specials.iter().map(|&v| vec![v; k]).collect();
+    for (j, &v) in specials.iter().enumerate() {
+        let mut row = vec![0.0; k];
+        row[j] = v;
+        rows.push(row);
+    }
+    let m = Matrix::from_vec(6, k, rows[..6].concat()).unwrap();
+    let (mut pack, mut out) = (Vec::new(), Vec::new());
+    for group in rows.chunks(5) {
+        assert_gemm_matches_dot(&group.concat(), &m, &mut pack, &mut out);
+    }
+    // `Sum for f32` starts from its identity, so an all-negative-zero
+    // reduction stays negative zero in every lane width.
+    for s in 1..=9 {
+        ops::gemm_inner_into(
+            &vec![-0.0; s * k],
+            &Matrix::from_vec(5, k, vec![0.0; 5 * k]).unwrap(),
+            &mut pack,
+            &mut out,
+        );
+        assert!(out.iter().all(|v| v.to_bits() == ops::dot(&[-0.0; 7], &[0.0; 7]).to_bits()));
+    }
+}
+
+#[test]
+fn gemm_inner_reuses_capacity_and_handles_empty_shapes() {
+    let m = Matrix::from_vec(9, 3, (0..27).map(|i| i as f32 * 0.25 - 3.0).collect()).unwrap();
+    let xs: Vec<f32> = (0..8 * 3).map(|i| 1.0 - i as f32 * 0.125).collect();
+    let (mut pack, mut out) = (Vec::new(), vec![7.0; 2]); // stale content must be overwritten
+    assert_gemm_matches_dot(&xs, &m, &mut pack, &mut out);
+    let caps = (pack.capacity(), out.capacity());
+    for s in [8, 1, 5, 8] {
+        assert_gemm_matches_dot(&xs[..s * 3], &m, &mut pack, &mut out);
+    }
+    assert_eq!((pack.capacity(), out.capacity()), caps, "warm buffers must not reallocate");
+
+    // The single-row entry point is the same kernel and never packs.
+    ops::gemv_inner_into(&xs[..3], &m, &mut out);
+    let want: Vec<f32> = m.iter_rows().map(|row| ops::dot(&xs[..3], row)).collect();
+    assert_eq!(out, want);
+    assert_eq!(ops::gemv_inner(&xs[..3], &m), want);
+
+    // No input rows, no matrix rows, no columns: empty outputs, no panic.
+    ops::gemm_inner_into(&[], &m, &mut pack, &mut out);
+    assert!(out.is_empty());
+    ops::gemm_inner_into(&xs[..6], &Matrix::zeros(0, 3), &mut pack, &mut out);
+    assert!(out.is_empty());
+    ops::gemm_inner_into(&[], &Matrix::zeros(4, 0), &mut pack, &mut out);
+    assert!(out.is_empty());
+}
+
 proptest! {
     #[test]
     fn softmax_is_a_distribution(xs in vec_f32(1..64)) {
@@ -77,6 +154,21 @@ proptest! {
         let inner = ops::gemv_inner(&q, &m);
         let outer = ops::gemv_outer(&q, &m.transposed());
         prop_assert!(ops::max_abs_diff(&inner, &outer) < 1e-3);
+    }
+
+    #[test]
+    fn gemm_inner_is_bit_identical_to_per_row_dot(
+        s in 1usize..10,
+        rows in 0usize..23,
+        cols in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        // Every lane width (1, 2, 4, 8 and a second pass for the ninth
+        // input row) against row counts on both sides of the 4-row tile.
+        let mut rng = veda_tensor::rng::seeded(seed);
+        let m = Matrix::from_vec(rows, cols, veda_tensor::rng::normal_vec(&mut rng, rows * cols, 1.0)).unwrap();
+        let xs = veda_tensor::rng::normal_vec(&mut rng, s * cols, 1.0);
+        assert_gemm_matches_dot(&xs, &m, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
