@@ -4,6 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use veda_model::attention::attend;
+use veda_model::weights::ModelWeights;
+use veda_model::{LayerKvCache, ModelConfig};
 use veda_tensor::{ops, softmax, Matrix, OnlineSoftmax};
 
 fn bench_gemv(c: &mut Criterion) {
@@ -21,7 +24,40 @@ fn bench_gemv(c: &mut Criterion) {
             b.iter(|| ops::gemv_outer(black_box(&s), black_box(&m)))
         });
     }
+    // The FFN up-projection of `small`: a wide output, four rows per pass.
+    let mut rng = veda_tensor::rng::seeded(4);
+    let w = Matrix::from_vec(256, 1024, veda_tensor::rng::normal_vec(&mut rng, 256 * 1024, 1.0)).unwrap();
+    let x = veda_tensor::rng::normal_vec(&mut rng, 256, 1.0);
+    let mut y = Vec::new();
+    group.bench_function("outer_into_256x1024", |b| {
+        b.iter(|| ops::gemv_outer_into(black_box(&x), black_box(&w), &mut y))
+    });
     group.finish();
+}
+
+/// One layer's attention step of the `long_context` geometry (d 64, H 4)
+/// over 1 024 resident rows: QKV, RoPE, per-head `q × Kᵀ` → softmax →
+/// `s' × V`, and `W_O`. The appended row is evicted again so every
+/// iteration sees the same cache.
+fn bench_attend(c: &mut Criterion) {
+    let config = ModelConfig { d_model: 64, n_heads: 4, ffn_hidden: 128, ..ModelConfig::tiny() };
+    let weights = ModelWeights::synthetic(&config);
+    let mut rng = veda_tensor::rng::seeded(5);
+    let mut cache = LayerKvCache::new();
+    cache.reserve(1025, config.d_model);
+    for position in 0..1023 {
+        let k = veda_tensor::rng::normal_vec(&mut rng, config.d_model, 1.0);
+        let v = veda_tensor::rng::normal_vec(&mut rng, config.d_model, 1.0);
+        cache.append(position, &k, &v);
+    }
+    let x = weights.embed(1).to_vec();
+    c.bench_function("attend_d64_h4_l1024", |b| {
+        b.iter(|| {
+            let out = attend(black_box(&x), 1023, &mut cache, &weights.layers[0], &config);
+            cache.evict(1023);
+            out
+        })
+    });
 }
 
 fn bench_softmax(c: &mut Criterion) {
@@ -47,5 +83,5 @@ fn bench_fp16(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_gemv, bench_softmax, bench_fp16);
+criterion_group!(benches, bench_gemv, bench_attend, bench_softmax, bench_fp16);
 criterion_main!(benches);

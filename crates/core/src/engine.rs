@@ -1995,9 +1995,18 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_model() {
+        let rejected =
+            |bad| matches!(EngineBuilder::new().model(bad).build(), Err(BuildError::InvalidModel(_)));
         let mut bad = ModelConfig::tiny();
         bad.n_heads = 5;
-        assert!(matches!(EngineBuilder::new().model(bad).build(), Err(BuildError::InvalidModel(_))));
+        assert!(rejected(bad));
+        // Both used to build and then panic inside the first `submit`.
+        let mut odd_head = ModelConfig::tiny();
+        (odd_head.d_model, odd_head.n_heads) = (6, 2);
+        assert!(rejected(odd_head));
+        let mut no_ffn = ModelConfig::tiny();
+        no_ffn.ffn_hidden = 0;
+        assert!(rejected(no_ffn));
     }
 
     #[test]

@@ -60,9 +60,20 @@ fn full_forward_reference(model: &TransformerModel, request: &Request) -> (Vec<u
     (generated, evictions, state.cache_len())
 }
 
+/// `tiny` with two heads of 16 channels instead of four of 8: a head spans
+/// one 16-column tile of the `s' × V` kernel, and the small fixed budgets
+/// below hold its caches at lengths on every side of the 4-row score tile.
+fn wide_head() -> ModelConfig {
+    ModelConfig { n_heads: 2, ..ModelConfig::tiny() }
+}
+
 fn tiny_engine(threads: usize, chunk: usize) -> Engine {
+    engine(ModelConfig::tiny(), threads, chunk)
+}
+
+fn engine(model: ModelConfig, threads: usize, chunk: usize) -> Engine {
     EngineBuilder::new()
-        .model(ModelConfig::tiny())
+        .model(model)
         .decode_threads(threads)
         .prefill_chunk(chunk)
         .build()
@@ -77,9 +88,11 @@ proptest! {
         chunk_sel in 0usize..4,
         policy_idx in 0usize..6,
         budget_sel in 0usize..3,
+        wide in 0usize..2,
         seed in 0u64..1000,
     ) {
-        let model = TransformerModel::new(ModelConfig::tiny());
+        let config = if wide == 1 { wide_head() } else { ModelConfig::tiny() };
+        let model = TransformerModel::new(config.clone());
         let chunk = [1, 5, 32, usize::MAX][chunk_sel];
         let requests: Vec<Request> = (0..sessions as u64)
             .map(|i| {
@@ -98,7 +111,7 @@ proptest! {
             })
             .collect();
 
-        let mut engine = tiny_engine(threads, chunk);
+        let mut engine = engine(config, threads, chunk);
         let ids: Vec<Session> =
             requests.iter().map(|r| engine.submit(r.clone()).expect("valid request")).collect();
         let report = engine.run_to_completion();

@@ -2,17 +2,18 @@
 //! GEMV interpretations VEDA maps to hardware.
 //!
 //! One decode step per call: the query row attends over all resident cache
-//! entries (`q × Kᵀ` via [`veda_tensor::ops::gemv_inner`] over `(l, d)` rows)
-//! and aggregates values (`s' × V` via [`veda_tensor::ops::gemv_outer`]).
+//! entries (`q × Kᵀ` via [`veda_tensor::ops::gemv_inner_span_into`] over one
+//! head's columns of the `(l, d)` rows) and aggregates values (`s' × V` via
+//! [`veda_tensor::ops::gemv_outer_span_into`]).
 //! The per-head post-softmax score vectors are returned so eviction policies
 //! and the voting engine can observe them.
 
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
-use crate::rope::apply_rope;
+use crate::rope::apply_rope_table;
 use crate::scratch::ForwardScratch;
 use crate::weights::LayerWeights;
-use veda_tensor::ops::{dot, gemv_outer_into};
+use veda_tensor::ops::{self, gemv_inner_span_into, gemv_outer_into, gemv_outer_span_into};
 use veda_tensor::softmax::softmax_in_place;
 
 /// Result of one attention step.
@@ -47,35 +48,24 @@ pub(crate) fn attend_into(
     gemv_outer_into(&scratch.normed, &w.wk, &mut scratch.k);
     gemv_outer_into(&scratch.normed, &w.wv, &mut scratch.v);
 
-    // RoPE per head on q and k.
-    for h in 0..config.n_heads {
-        apply_rope(&mut scratch.q[h * dh..(h + 1) * dh], position, config.rope_theta);
-        apply_rope(&mut scratch.k[h * dh..(h + 1) * dh], position, config.rope_theta);
-    }
+    // RoPE on every head of q and k, from the step's one table.
+    apply_rope_table(&mut scratch.q, &scratch.rope);
+    apply_rope_table(&mut scratch.k, &scratch.rope);
 
     cache.append(position, &scratch.k, &scratch.v);
-    let l = cache.len();
     let scale = 1.0 / (dh as f32).sqrt();
 
     scratch.concat.clear();
     scratch.concat.resize(d, 0.0);
-    for h in 0..config.n_heads {
-        let span = h * dh..(h + 1) * dh;
-        let qh = &scratch.q[span.clone()];
+    let heads = scratch.q.chunks_exact(dh).zip(scratch.concat.chunks_exact_mut(dh));
+    for (h, (qh, out)) in heads.enumerate() {
         // q × Kᵀ: inner product over the (l, d) key rows — l is temporal.
-        let mark = scratch.scores.mark();
-        for row in 0..l {
-            scratch.scores.push(dot(qh, &cache.keys().row(row)[span.clone()]) * scale);
-        }
-        softmax_in_place(scratch.scores.segment_mut(mark));
+        let scores = scratch.scores.push_head(cache.len());
+        gemv_inner_span_into(qh, cache.keys(), h * dh, scores);
+        ops::scale(scale, scores);
+        softmax_in_place(scores);
         // s' × V: outer product over the (l, d) value rows — l is temporal.
-        let out = &mut scratch.concat[span.clone()];
-        for (row, &sv) in scratch.scores.segment(mark).iter().enumerate() {
-            let vrow = &cache.values().row(row)[span.clone()];
-            for (a, &vv) in out.iter_mut().zip(vrow) {
-                *a += sv * vv;
-            }
-        }
+        gemv_outer_span_into(scores, cache.values(), h * dh, out);
     }
     scratch.scores.seal_layer();
 
@@ -98,7 +88,7 @@ pub fn attend(
 ) -> AttentionOutput {
     let mut scratch = ForwardScratch::new();
     scratch.normed.extend_from_slice(x);
-    scratch.scores.begin_step(config.n_heads);
+    scratch.begin_step(config, position);
     attend_into(position, cache, w, config, &mut scratch);
     let head_scores = scratch.scores.layer(0).heads().map(<[f32]>::to_vec).collect();
     AttentionOutput { output: std::mem::take(&mut scratch.attn_out), head_scores }

@@ -123,11 +123,17 @@ impl ModelConfig {
     ///
     /// Returns a human-readable message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.d_model == 0 || self.n_heads == 0 || self.n_layers == 0 {
+        if self.d_model == 0 || self.n_heads == 0 || self.n_layers == 0 || self.ffn_hidden == 0 {
             return Err("dimensions must be positive".into());
         }
         if !self.d_model.is_multiple_of(self.n_heads) {
             return Err(format!("n_heads {} must divide d_model {}", self.n_heads, self.d_model));
+        }
+        if !self.head_dim().is_multiple_of(2) {
+            return Err(format!(
+                "head dimension {} must be even (RoPE rotates channel pairs)",
+                self.head_dim()
+            ));
         }
         if self.vocab_size < 2 {
             return Err("vocabulary must have at least 2 tokens".into());
@@ -177,6 +183,18 @@ mod tests {
         assert!(c.validate().is_err());
         c = ModelConfig::tiny();
         c.d_model = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn odd_head_dim_and_empty_ffn_are_rejected() {
+        let mut c = ModelConfig::tiny();
+        (c.d_model, c.n_heads) = (6, 2);
+        assert!(c.validate().unwrap_err().contains("even"));
+        c.n_heads = 3;
+        assert!(c.validate().is_ok(), "head dimension 2 is the smallest RoPE can rotate");
+        c = ModelConfig::tiny();
+        c.ffn_hidden = 0;
         assert!(c.validate().is_err());
     }
 

@@ -6,6 +6,20 @@
 //! natural recency structure — one of the ingredients the synthetic model
 //! uses to reproduce realistic attention-score distributions.
 
+/// The `(sin, cos)` of channel pair `pair`'s rotation angle at `position`
+/// for a head of `head_dim` channels.
+fn rotation(pair: usize, head_dim: usize, position: usize, theta: f32) -> (f32, f32) {
+    let freq = theta.powf(-2.0 * pair as f32 / head_dim as f32);
+    let angle = position as f32 * freq;
+    angle.sin_cos()
+}
+
+/// Rotates one even/odd channel pair.
+fn rotate(pair: &mut [f32; 2], (sin, cos): (f32, f32)) {
+    let [a, b] = *pair;
+    *pair = [a * cos - b * sin, a * sin + b * cos];
+}
+
 /// Applies RoPE in place to a head vector `x` of even length at `position`.
 ///
 /// # Panics
@@ -13,15 +27,44 @@
 /// Panics if `x.len()` is odd.
 pub fn apply_rope(x: &mut [f32], position: usize, theta: f32) {
     assert!(x.len().is_multiple_of(2), "RoPE requires an even head dimension, got {}", x.len());
-    let half = x.len() / 2;
-    for i in 0..half {
-        let freq = theta.powf(-2.0 * i as f32 / x.len() as f32);
-        let angle = position as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = x[2 * i];
-        let b = x[2 * i + 1];
-        x[2 * i] = a * cos - b * sin;
-        x[2 * i + 1] = a * sin + b * cos;
+    let head_dim = x.len();
+    for (i, pair) in x.as_chunks_mut().0.iter_mut().enumerate() {
+        rotate(pair, rotation(i, head_dim, position, theta));
+    }
+}
+
+/// Fills `table` with the `head_dim / 2` rotations of `position` — the
+/// `powf` and `sin_cos` every head of every layer would otherwise repeat
+/// for the same token. Reuses the allocation.
+///
+/// # Panics
+///
+/// Panics if `head_dim` is odd.
+pub(crate) fn rope_table_into(head_dim: usize, position: usize, theta: f32, table: &mut Vec<(f32, f32)>) {
+    assert!(head_dim.is_multiple_of(2), "RoPE requires an even head dimension, got {head_dim}");
+    table.clear();
+    table.extend((0..head_dim / 2).map(|i| rotation(i, head_dim, position, theta)));
+}
+
+/// Applies the rotations of a [`rope_table_into`] table in place to every
+/// head of `x` (consecutive spans of `2 * table.len()` channels), each
+/// bit-identical to [`apply_rope`] on that head.
+///
+/// # Panics
+///
+/// Panics if the table is empty or `x.len()` is not a whole number of
+/// heads.
+pub(crate) fn apply_rope_table(x: &mut [f32], table: &[(f32, f32)]) {
+    assert!(
+        !table.is_empty() && x.len().is_multiple_of(2 * table.len()),
+        "RoPE table of {} pairs vs {} channels",
+        table.len(),
+        x.len()
+    );
+    for head in x.as_chunks_mut().0.chunks_exact_mut(table.len()) {
+        for (pair, &rotation) in head.iter_mut().zip(table) {
+            rotate(pair, rotation);
+        }
     }
 }
 
@@ -77,6 +120,55 @@ mod tests {
             far += dot(&base, &roped(&x, 200, 10000.0));
         }
         assert!(near > far, "near {near} vs far {far}");
+    }
+
+    /// The loop `apply_rope` ran before the table existed, kept as the
+    /// reference both paths must match bit for bit.
+    fn historical_rope(x: &mut [f32], position: usize, theta: f32) {
+        let half = x.len() / 2;
+        for i in 0..half {
+            let freq = theta.powf(-2.0 * i as f32 / x.len() as f32);
+            let angle = position as f32 * freq;
+            let (sin, cos) = angle.sin_cos();
+            let a = x[2 * i];
+            let b = x[2 * i + 1];
+            x[2 * i] = a * cos - b * sin;
+            x[2 * i + 1] = a * sin + b * cos;
+        }
+    }
+
+    #[test]
+    fn table_and_per_head_paths_keep_the_historical_bits() {
+        let mut rng = veda_tensor::rng::seeded(9);
+        let mut table = Vec::new();
+        for head_dim in [2, 8, 16, 32, 128] {
+            for position in [0, 1, 17, 4095] {
+                let x = veda_tensor::rng::normal_vec(&mut rng, 3 * head_dim, 1.0);
+                let mut want = x.clone();
+                for head in want.chunks_exact_mut(head_dim) {
+                    historical_rope(head, position, 10000.0);
+                }
+                let mut per_head = x.clone();
+                for head in per_head.chunks_exact_mut(head_dim) {
+                    apply_rope(head, position, 10000.0);
+                }
+                let mut tabled = x;
+                rope_table_into(head_dim, position, 10000.0, &mut table);
+                assert_eq!(table.len(), head_dim / 2);
+                apply_rope_table(&mut tabled, &table);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&per_head), bits(&want), "apply_rope, d_h {head_dim} at {position}");
+                assert_eq!(bits(&tabled), bits(&want), "table, d_h {head_dim} at {position}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "RoPE table of 2 pairs vs 6 channels")]
+    fn table_rejects_a_partial_head() {
+        let mut table = Vec::new();
+        rope_table_into(4, 1, 10000.0, &mut table);
+        apply_rope_table(&mut [0.0; 6], &table);
     }
 
     #[test]

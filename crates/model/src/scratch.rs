@@ -16,6 +16,7 @@
 //! buffer for all layers and heads of the step, exposed to eviction
 //! policies as borrowed [`ScoreView`]s instead of nested vectors.
 
+use crate::rope::rope_table_into;
 use veda_eviction::ScoreView;
 
 /// Flat per-step attention-score storage: every layer's head-major score
@@ -67,24 +68,12 @@ impl ScoreBuffer {
         self.n_heads = n_heads;
     }
 
-    /// Current write position (start of the segment about to be written).
-    pub(crate) fn mark(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Appends one raw score.
-    pub(crate) fn push(&mut self, score: f32) {
-        self.data.push(score);
-    }
-
-    /// The mutable segment from `mark` to the end (for in-place softmax).
-    pub(crate) fn segment_mut(&mut self, mark: usize) -> &mut [f32] {
-        &mut self.data[mark..]
-    }
-
-    /// The segment from `mark` to the end.
-    pub(crate) fn segment(&self, mark: usize) -> &[f32] {
-        &self.data[mark..]
+    /// Appends one head's segment of `len` scores to the current layer
+    /// and returns it for the kernels to fill and normalize in place.
+    pub(crate) fn push_head(&mut self, len: usize) -> &mut [f32] {
+        let mark = self.data.len();
+        self.data.resize(mark + len, 0.0);
+        self.data.split_at_mut(mark).1
     }
 
     /// Closes the current layer's segment.
@@ -126,6 +115,9 @@ pub struct ForwardScratch {
     pub(crate) logits: Vec<f32>,
     /// All attention-score observations of the step.
     pub(crate) scores: ScoreBuffer,
+    /// The RoPE rotations of the step's position, `head_dim / 2` pairs
+    /// shared by every head of `q` and `k` in every layer.
+    pub(crate) rope: Vec<(f32, f32)>,
 }
 
 impl ForwardScratch {
@@ -157,7 +149,15 @@ impl ForwardScratch {
                 ends: Vec::with_capacity(config.n_layers),
                 n_heads: config.n_heads,
             },
+            rope: Vec::with_capacity(config.head_dim() / 2),
         }
+    }
+
+    /// Resets the per-token state for one token at `position`: empties the
+    /// score buffer and computes the position's RoPE table.
+    pub(crate) fn begin_step(&mut self, config: &crate::config::ModelConfig, position: usize) {
+        self.scores.begin_step(config.n_heads);
+        rope_table_into(config.head_dim(), position, config.rope_theta, &mut self.rope);
     }
 
     /// Next-token logits of the most recent forward pass — empty when
@@ -202,13 +202,11 @@ mod tests {
     fn score_buffer_tracks_layer_segments() {
         let mut b = ScoreBuffer::new();
         b.begin_step(2);
-        for s in [0.25, 0.75, 0.5, 0.5] {
-            b.push(s);
-        }
+        b.push_head(2).copy_from_slice(&[0.25, 0.75]);
+        b.push_head(2).copy_from_slice(&[0.5, 0.5]);
         b.seal_layer();
-        for s in [1.0, 0.0] {
-            b.push(s);
-        }
+        b.push_head(1).copy_from_slice(&[1.0]);
+        b.push_head(1).copy_from_slice(&[0.0]);
         b.seal_layer();
         assert_eq!(b.n_layers(), 2);
         let l0 = b.layer(0);

@@ -332,7 +332,7 @@ impl TransformerModel {
         scratch.logits.clear();
         scratch.hidden.clear();
         scratch.hidden.extend_from_slice(self.weights.embed(token));
-        scratch.scores.begin_step(self.config.n_heads);
+        scratch.begin_step(&self.config, position);
 
         for (li, cache) in state.caches.iter_mut().enumerate() {
             let w = &self.weights.layers[li];

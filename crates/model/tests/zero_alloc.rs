@@ -89,10 +89,14 @@ fn steady_state_decode_performs_zero_heap_allocations() {
     // Warm-up: fill the caches to the budget and let every scratch buffer
     // — the batch head's included — reach its working capacity.
     let mut solo = Sequence::new(&model);
+    // A scratch that grows every buffer, the RoPE table included, on first
+    // use instead of being pre-sized by `for_config`.
+    let mut lazy = Sequence { scratch: ForwardScratch::new(), ..Sequence::new(&model) };
     let mut batch = [Sequence::new(&model), Sequence::new(&model), Sequence::new(&model)];
     let mut head = HeadScratch::new();
     for _ in 0..BUDGET + 4 {
         solo.step(&model, whole);
+        lazy.step(&model, whole);
         let [a, b, c] = &mut batch;
         for seq in [&mut *a, &mut *b, &mut *c] {
             seq.step(&model, body);
@@ -104,9 +108,16 @@ fn steady_state_decode_performs_zero_heap_allocations() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..64 {
         solo.step(&model, whole);
+        lazy.step(&model, whole);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "steady-state decode allocated {} time(s) over 64 tokens", after - before);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state decode allocated {} time(s) over 2 x 64 tokens",
+        after - before
+    );
+    assert_eq!(lazy.scratch.logits(), solo.scratch.logits(), "a lazily grown scratch is the same scratch");
 
     // The same for the split path: three bodies, one batched head, and a
     // last round in which only one of the three wants logits.

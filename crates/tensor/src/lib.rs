@@ -37,6 +37,19 @@
 //! (the usual SIMD reduction) would be faster still and is exactly what
 //! this crate does not do.
 //!
+//! The outer-product corollary: **block the reduction index only in
+//! ascending order through one accumulator per output.** An outer product
+//! adds row `i`'s contribution to every output; the outputs are the
+//! independent sums, so they may sit in registers while several rows — or
+//! all of them — are added, as long as each output still receives rows
+//! `0, 1, 2, …` in that order through a single running sum.
+//! [`ops::gemv_outer_into`] consumes 4 rows per pass over a wide output
+//! (`v = out[j]; v += s0·r0[j]; …; v += s3·r3[j]; out[j] = v`);
+//! [`ops::gemv_outer_span_into`] keeps a narrow tile of outputs resident
+//! across every row. Both are pinned bit for bit against one
+//! [`ops::axpy`] per row. Summing a block of rows first and adding the
+//! block's total to the output is the reordering this rule forbids.
+//!
 //! ## Example
 //!
 //! ```

@@ -14,10 +14,14 @@
 //! Both produce bit-identical results up to f32 summation order; property
 //! tests in this module check they agree within tolerance.
 //!
-//! Every inner product in this crate — one query or a batch of them — runs
-//! through one tiled kernel, [`gemm_inner_into`], which keeps [`dot`]'s
-//! exact k-order sum for every output element (see the crate docs'
-//! summation-order section).
+//! Every inner product in this crate — one query or a batch of them, whole
+//! rows ([`gemm_inner_into`]) or one head's column span of them
+//! ([`gemv_inner_span_into`]) — runs through one register tile, which keeps
+//! [`dot`]'s exact k-order sum for every output element. Every outer
+//! product keeps its outputs in registers while the rows stream past:
+//! [`gemv_outer_into`] four rows per pass over a wide output,
+//! [`gemv_outer_span_into`] all rows per narrow tile of one (see the crate
+//! docs' summation-order section).
 
 use crate::matrix::Matrix;
 
@@ -115,11 +119,8 @@ pub fn gemv_inner(q: &[f32], m: &Matrix) -> Vec<f32> {
 /// assert_eq!(gemv_outer(&[0.25, 0.75], &v), vec![0.25, 0.75]);
 /// ```
 pub fn gemv_outer(s: &[f32], m: &Matrix) -> Vec<f32> {
-    assert_eq!(s.len(), m.rows(), "gemv_outer: s length {} vs matrix rows {}", s.len(), m.rows());
-    let mut out = vec![0.0; m.cols()];
-    for (i, &si) in s.iter().enumerate() {
-        axpy(si, m.row(i), &mut out);
-    }
+    let mut out = Vec::new();
+    gemv_outer_into(s, m, &mut out);
     out
 }
 
@@ -219,19 +220,53 @@ fn inner_lanes<const L: usize>(xt: &[[f32; L]], m: &Matrix, out: &mut [f32]) {
         std::array::from_fn(|_| out_rows.next().map(|row| row.chunks_mut(INNER_TILE_ROWS)));
     let mut rows = m.iter_rows().peekable();
     while rows.peek().is_some() {
-        // The last tile of a row count that is not a multiple of the tile
-        // repeats its final row; the repeats' results are never stored.
-        let mut last: &[f32] = &[];
-        let tile: [&[f32]; INNER_TILE_ROWS] = std::array::from_fn(|_| {
-            last = rows.next().unwrap_or(last);
-            last
-        });
-        let acc = inner_tile(xt, tile);
+        let acc = inner_tile(xt, next_tile(&mut rows));
         for (lane, cursor) in cursors.iter_mut().enumerate() {
             let Some(dst) = cursor.as_mut().and_then(Iterator::next) else { continue };
             for (d, row_acc) in dst.iter_mut().zip(&acc) {
                 *d = row_acc[lane];
             }
+        }
+    }
+}
+
+/// The next [`INNER_TILE_ROWS`] of `rows`. The last tile of a row count
+/// that is not a multiple of the tile repeats its final row; the repeats'
+/// results are never stored.
+fn next_tile<'a>(rows: &mut impl Iterator<Item = &'a [f32]>) -> [&'a [f32]; INNER_TILE_ROWS] {
+    let mut last: &[f32] = &[];
+    std::array::from_fn(|_| {
+        last = rows.next().unwrap_or(last);
+        last
+    })
+}
+
+/// Inner-product GEMV against one **column span** of the rows of `m`:
+/// `out[i] = q · m.row(i)[col..col + q.len()]`, written into a pre-sized
+/// `out` of `m.rows()` elements. With `m = K` in `(l, d)` format and the
+/// span one head's columns this is that head's `q × Kᵀ`: the sequence
+/// length streams past [`INNER_TILE_ROWS`] accumulators at a time, each
+/// **bit-identical** to [`dot`] of `q` and its row's span.
+///
+/// # Panics
+///
+/// Panics if the span exceeds the matrix width or `out.len() != m.rows()`.
+///
+/// ```
+/// use veda_tensor::{Matrix, ops::gemv_inner_span_into};
+/// let k = Matrix::from_rows(&[&[9.0, 1.0, 0.0], &[9.0, 0.5, 0.5]]);
+/// let mut s = [0.0; 2];
+/// gemv_inner_span_into(&[2.0, 4.0], &k, 1, &mut s);
+/// assert_eq!(s, [2.0, 3.0]);
+/// ```
+pub fn gemv_inner_span_into(q: &[f32], m: &Matrix, col: usize, out: &mut [f32]) {
+    assert!(col + q.len() <= m.cols(), "gemv_inner: span {col}+{} vs matrix cols {}", q.len(), m.cols());
+    assert_eq!(out.len(), m.rows(), "gemv_inner: out length {} vs matrix rows {}", out.len(), m.rows());
+    let mut spans = m.iter_rows().map(|row| row.split_at(col).1.split_at(q.len()).0);
+    let q = q.as_chunks::<1>().0;
+    for dst in out.chunks_mut(INNER_TILE_ROWS) {
+        for (d, [acc]) in dst.iter_mut().zip(inner_tile(q, next_tile(&mut spans))) {
+            *d = acc;
         }
     }
 }
@@ -258,20 +293,105 @@ fn inner_tile<const L: usize>(
     acc
 }
 
+/// Input rows one pass of [`gemv_outer_into`] over the output consumes.
+const OUTER_BLOCK_ROWS: usize = 4;
+
 /// In-place variant of [`gemv_outer`]: accumulates `Σ_i s[i] · m.row(i)`
-/// into `out`, reusing its allocation. Bit-identical to [`gemv_outer`] —
-/// rows are accumulated in the same order.
+/// into `out`, reusing its allocation. Every output is the sum
+/// `(((0 + s[0]·m[0][j]) + s[1]·m[1][j]) + …)` in ascending `i` — the order
+/// of one [`axpy`] per row — but [`OUTER_BLOCK_ROWS`] rows are consumed per
+/// pass over `out`, so each output is loaded and stored once per block
+/// and carries its running sum through a register in between.
 ///
 /// # Panics
 ///
 /// Panics if `s.len() != m.rows()`.
 pub fn gemv_outer_into(s: &[f32], m: &Matrix, out: &mut Vec<f32>) {
     assert_eq!(s.len(), m.rows(), "gemv_outer: s length {} vs matrix rows {}", s.len(), m.rows());
+    let cols = m.cols();
     out.clear();
-    out.resize(m.cols(), 0.0);
-    for (i, &si) in s.iter().enumerate() {
-        axpy(si, m.row(i), out);
+    out.resize(cols, 0.0);
+    if cols == 0 {
+        return;
     }
+    let (blocks, rest) = s.as_chunks::<OUTER_BLOCK_ROWS>();
+    let mut row_blocks = m.as_slice().chunks_exact(OUTER_BLOCK_ROWS * cols);
+    for (&[s0, s1, s2, s3], block) in blocks.iter().zip(&mut row_blocks) {
+        let (r0, block) = block.split_at(cols);
+        let (r1, block) = block.split_at(cols);
+        let (r2, r3) = block.split_at(cols);
+        for ((((o, &e0), &e1), &e2), &e3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            let mut acc = *o;
+            acc += s0 * e0;
+            acc += s1 * e1;
+            acc += s2 * e2;
+            acc += s3 * e3;
+            *o = acc;
+        }
+    }
+    for (&si, row) in rest.iter().zip(row_blocks.remainder().chunks_exact(cols)) {
+        axpy(si, row, out);
+    }
+}
+
+/// Outer-product GEMV into one **column span** of the rows of `m`:
+/// `out[j] = Σ_i s[i] · m.row(i)[col + j]`. With `m = V` in `(l, d)` format
+/// and the span one head's columns this is that head's `s' × V`: the span
+/// is cut into power-of-two register tiles, widest first, and each tile
+/// stays in registers while **all** rows stream past it — rows added in
+/// ascending order from `+0.0`, so every output is bit-identical to one
+/// [`axpy`] per row into a zeroed `out`.
+///
+/// # Panics
+///
+/// Panics if `s.len() != m.rows()` or the span exceeds the matrix width.
+///
+/// ```
+/// use veda_tensor::{Matrix, ops::gemv_outer_span_into};
+/// let v = Matrix::from_rows(&[&[9.0, 1.0, 0.0], &[9.0, 0.0, 1.0]]);
+/// let mut o = [7.0; 2];
+/// gemv_outer_span_into(&[0.25, 0.75], &v, 1, &mut o);
+/// assert_eq!(o, [0.25, 0.75]);
+/// ```
+pub fn gemv_outer_span_into(s: &[f32], m: &Matrix, col: usize, out: &mut [f32]) {
+    assert_eq!(s.len(), m.rows(), "gemv_outer: s length {} vs matrix rows {}", s.len(), m.rows());
+    assert!(col + out.len() <= m.cols(), "gemv_outer: span {col}+{} vs matrix cols {}", out.len(), m.cols());
+    let mut col = col;
+    let out = outer_tiles::<32>(s, m, &mut col, out);
+    let out = outer_tiles::<16>(s, m, &mut col, out);
+    let out = outer_tiles::<8>(s, m, &mut col, out);
+    let out = outer_tiles::<4>(s, m, &mut col, out);
+    let out = outer_tiles::<2>(s, m, &mut col, out);
+    outer_tiles::<1>(s, m, &mut col, out);
+}
+
+/// Fills every whole `W`-column tile of `out` with `Σ_i s[i] · m.row(i)`
+/// over the columns from `*col` on, advancing `*col` past them, and
+/// returns the columns of `out` left over. The `W` accumulators are
+/// independent, which is all the parallelism the kernel has: each waits
+/// on its own previous row's add, so a tile must be wide enough (16
+/// columns, 4 SSE registers, measured) to keep the adder busy meanwhile.
+fn outer_tiles<'o, const W: usize>(
+    s: &[f32],
+    m: &Matrix,
+    col: &mut usize,
+    out: &'o mut [f32],
+) -> &'o mut [f32] {
+    let (tiles, rest) = out.as_chunks_mut::<W>();
+    for tile in tiles {
+        // Every row holds the whole span (checked by the caller), so
+        // `map_while` never stops early.
+        let spans = m.iter_rows().map_while(|row| row.split_at(*col).1.first_chunk::<W>());
+        let mut acc = [0.0f32; W];
+        for (&si, span) in s.iter().zip(spans) {
+            for (a, &e) in acc.iter_mut().zip(span) {
+                *a += si * e;
+            }
+        }
+        *tile = acc;
+        *col += W;
+    }
+    rest
 }
 
 /// Maximum absolute difference between two equal-length slices.
@@ -326,6 +446,11 @@ mod tests {
         assert_eq!(out, m.iter_rows().map(|row| dot(&q, row)).collect::<Vec<_>>());
         assert_eq!(out, gemv_inner(&q, &m));
         gemv_outer_into(&q, &m, &mut out);
+        let mut want = vec![0.0; 3];
+        for (&qi, row) in q.iter().zip(m.iter_rows()) {
+            axpy(qi, row, &mut want);
+        }
+        assert_eq!(out, want);
         assert_eq!(out, gemv_outer(&q, &m));
         // Reuse without reallocation once capacity is warm.
         let cap = out.capacity();

@@ -13,23 +13,127 @@ fn vec_f32(len: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Val
     proptest::collection::vec(finite_f32(), len)
 }
 
+/// Asserts two result vectors are equal bit for bit. Two NaNs count as
+/// equal whatever their payloads: which operand's payload an f32 add or
+/// multiply propagates is the compiler's choice of operand order, not a
+/// property of the sum.
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{what}: output {i} is {got:?}, reference {want:?}",
+        );
+    }
+}
+
 /// Asserts `gemm_inner_into` of the `(S, k)` rows `xs` against `m` equals
-/// per-row `ops::dot` bit for bit. Two NaNs count as equal whatever their
-/// payloads: which operand's payload an f32 add or multiply propagates is
-/// the compiler's choice of operand order, not a property of the sum.
+/// per-row `ops::dot` bit for bit.
 fn assert_gemm_matches_dot(xs: &[f32], m: &Matrix, pack: &mut Vec<f32>, out: &mut Vec<f32>) {
     ops::gemm_inner_into(xs, m, pack, out);
     let want: Vec<f32> =
         xs.chunks_exact(m.cols()).flat_map(|x| m.iter_rows().map(move |row| ops::dot(x, row))).collect();
-    assert_eq!(out.len(), want.len());
-    for (i, (got, want)) in out.iter().zip(&want).enumerate() {
-        assert!(
-            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-            "output {i} of {} input row(s) x {} matrix row(s): {got:?} vs dot {want:?}",
-            xs.len() / m.cols(),
-            m.rows(),
-        );
+    assert_same_bits(
+        out,
+        &want,
+        &format!("{} input row(s) x {} matrix row(s)", xs.len() / m.cols(), m.rows()),
+    );
+}
+
+/// Asserts the two span kernels on columns `col..col + width` of `m` equal
+/// references built from `ops::dot` and `ops::axpy` alone: one `dot` per
+/// row, and one `axpy` per row, in ascending order, into zeros.
+fn assert_span_kernels_match_dot_and_axpy(q: &[f32], s: &[f32], m: &Matrix, col: usize) {
+    let width = q.len();
+    let what = format!("{} rows, columns {col}..{} of {}", m.rows(), col + width, m.cols());
+    let mut scores = vec![7.0; m.rows()]; // stale content must be overwritten
+    ops::gemv_inner_span_into(q, m, col, &mut scores);
+    let want: Vec<f32> = (0..m.rows()).map(|row| ops::dot(q, &m.row(row)[col..col + width])).collect();
+    assert_same_bits(&scores, &want, &format!("inner span, {what}"));
+
+    let mut out = vec![7.0; width];
+    ops::gemv_outer_span_into(s, m, col, &mut out);
+    let mut want = vec![0.0; width];
+    for (&si, row) in s.iter().zip(m.iter_rows()) {
+        ops::axpy(si, &row[col..col + width], &mut want);
     }
+    assert_same_bits(&out, &want, &format!("outer span, {what}"));
+}
+
+/// Asserts `gemv_outer_into` (and its allocating wrapper) equals one
+/// `ops::axpy` per matrix row, in ascending order, into zeros.
+fn assert_gemv_outer_matches_axpy(s: &[f32], m: &Matrix, out: &mut Vec<f32>) {
+    ops::gemv_outer_into(s, m, out);
+    let mut want = vec![0.0; m.cols()];
+    for (&si, row) in s.iter().zip(m.iter_rows()) {
+        ops::axpy(si, row, &mut want);
+    }
+    assert_same_bits(out, &want, &format!("gemv_outer_into {}x{}", m.rows(), m.cols()));
+    assert_same_bits(&ops::gemv_outer(s, m), &want, "gemv_outer");
+}
+
+const SPECIALS: [f32; 7] = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.25];
+
+/// `len` normal draws; with `specials: Some(phase)` every fifth element
+/// (offset by `phase`) is replaced by the next of [`SPECIALS`].
+fn draw(rng: &mut rand::rngs::StdRng, len: usize, specials: Option<usize>) -> Vec<f32> {
+    let mut xs = veda_tensor::rng::normal_vec(rng, len, 1.0);
+    if let Some(phase) = specials {
+        for (i, x) in xs.iter_mut().enumerate().skip(phase % 5).step_by(5) {
+            *x = SPECIALS[i % SPECIALS.len()];
+        }
+    }
+    xs
+}
+
+#[test]
+fn span_kernels_keep_dot_and_axpy_bits_over_every_tile_remainder() {
+    // Head widths on both sides of every power-of-two column tile, row
+    // counts on both sides of the 4-row tile plus one long stream, every
+    // head of 1..=3; the second pass sprinkles ±0.0 / NaN / ±∞ everywhere.
+    let mut rng = veda_tensor::rng::seeded(17);
+    for specials in [false, true] {
+        for width in [2usize, 6, 8, 10, 16, 24, 32] {
+            for heads in 1..=3 {
+                for l in (0..=13).chain([1003]) {
+                    let mut draw = |len, phase| draw(&mut rng, len, specials.then_some(phase));
+                    let m = Matrix::from_vec(l, heads * width, draw(l * heads * width, l)).unwrap();
+                    let (q, s) = (draw(width, 1), draw(l, 2));
+                    for head in 0..heads {
+                        assert_span_kernels_match_dot_and_axpy(&q, &s, &m, head * width);
+                    }
+                }
+            }
+        }
+    }
+    // An all-negative-zero reduction stays what `dot` makes of it, and an
+    // empty span of a zero-column matrix is `dot` of nothing.
+    let zeros = Matrix::from_vec(5, 8, vec![0.0; 40]).unwrap();
+    assert_span_kernels_match_dot_and_axpy(&[-0.0; 8], &[-0.0; 5], &zeros, 0);
+    assert_span_kernels_match_dot_and_axpy(&[], &[1.0; 4], &Matrix::zeros(4, 0), 0);
+}
+
+#[test]
+fn gemv_outer_keeps_axpy_bits_over_every_row_block_remainder() {
+    let mut rng = veda_tensor::rng::seeded(23);
+    let mut out = vec![7.0; 3]; // stale content must be overwritten
+    for specials in [false, true] {
+        for rows in 0..=11 {
+            for cols in [0usize, 1, 2, 5, 33] {
+                let mut draw = |len, phase| draw(&mut rng, len, specials.then_some(phase));
+                let m = Matrix::from_vec(rows, cols, draw(rows * cols, rows)).unwrap();
+                assert_gemv_outer_matches_axpy(&draw(rows, 1), &m, &mut out);
+            }
+        }
+    }
+    // `+0.0 + -0.0·x` keeps the sign the zeroed accumulator started with.
+    assert_gemv_outer_matches_axpy(&[-0.0; 6], &Matrix::from_vec(6, 3, vec![1.0; 18]).unwrap(), &mut out);
+    // Reuse without reallocation once capacity is warm.
+    let m = Matrix::from_vec(7, 33, draw(&mut rng, 7 * 33, None)).unwrap();
+    assert_gemv_outer_matches_axpy(&[0.5; 7], &m, &mut out);
+    let cap = out.capacity();
+    assert_gemv_outer_matches_axpy(&[0.25; 7], &m, &mut out);
+    assert_eq!(out.capacity(), cap, "warm buffer must not reallocate");
 }
 
 #[test]
@@ -37,10 +141,9 @@ fn gemm_inner_keeps_dot_bits_on_signed_zero_nan_and_infinity() {
     // Each special value alone in an otherwise zero row, and whole rows of
     // it, against matrix rows that hold specials themselves; 6 matrix rows
     // leave a 2-row tail after the tile, 5 input rows pad the 8-lane pack.
-    let specials = [-0.0f32, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.25];
     let k = 7;
-    let mut rows: Vec<Vec<f32>> = specials.iter().map(|&v| vec![v; k]).collect();
-    for (j, &v) in specials.iter().enumerate() {
+    let mut rows: Vec<Vec<f32>> = SPECIALS.iter().map(|&v| vec![v; k]).collect();
+    for (j, &v) in SPECIALS.iter().enumerate() {
         let mut row = vec![0.0; k];
         row[j] = v;
         rows.push(row);
@@ -169,6 +272,35 @@ proptest! {
         let m = Matrix::from_vec(rows, cols, veda_tensor::rng::normal_vec(&mut rng, rows * cols, 1.0)).unwrap();
         let xs = veda_tensor::rng::normal_vec(&mut rng, s * cols, 1.0);
         assert_gemm_matches_dot(&xs, &m, &mut Vec::new(), &mut Vec::new());
+    }
+
+    #[test]
+    fn span_kernels_are_bit_identical_to_dot_and_axpy(
+        rows in 0usize..40,
+        before in 0usize..9,
+        width in 0usize..70,
+        after in 0usize..9,
+        seed in 0u64..1000,
+    ) {
+        // Any span of any matrix, odd widths and offsets included.
+        let mut rng = veda_tensor::rng::seeded(seed);
+        let cols = before + width + after;
+        let m = Matrix::from_vec(rows, cols, veda_tensor::rng::normal_vec(&mut rng, rows * cols, 1.0)).unwrap();
+        let q = veda_tensor::rng::normal_vec(&mut rng, width, 1.0);
+        let s = veda_tensor::rng::normal_vec(&mut rng, rows, 1.0);
+        assert_span_kernels_match_dot_and_axpy(&q, &s, &m, before);
+    }
+
+    #[test]
+    fn gemv_outer_is_bit_identical_to_per_row_axpy(
+        rows in 0usize..40,
+        cols in 0usize..70,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = veda_tensor::rng::seeded(seed);
+        let m = Matrix::from_vec(rows, cols, veda_tensor::rng::normal_vec(&mut rng, rows * cols, 1.0)).unwrap();
+        let s = veda_tensor::rng::normal_vec(&mut rng, rows, 1.0);
+        assert_gemv_outer_matches_axpy(&s, &m, &mut Vec::new());
     }
 
     #[test]
