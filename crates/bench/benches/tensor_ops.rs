@@ -35,6 +35,33 @@ fn bench_gemv(c: &mut Criterion) {
     group.finish();
 }
 
+/// `gemm_outer_into` of 1, 8 and 32 input rows over a *walk* of 16
+/// distinct 256 x 1024 matrices (16 MiB, the layer weights of `small`):
+/// each iteration streams every matrix once from memory, as one tick's
+/// forward pass does, so sharing a weight stream across input rows shows
+/// as ns per input row falling with the row count. A single hot matrix
+/// would sit in L2 and hide exactly that. Printed times are per walk.
+fn bench_gemm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm");
+    let mut rng = veda_tensor::rng::seeded(6);
+    let (k, n) = (256, 1024);
+    let walk: Vec<Matrix> = (0..16)
+        .map(|_| Matrix::from_vec(k, n, veda_tensor::rng::normal_vec(&mut rng, k * n, 1.0)).unwrap())
+        .collect();
+    for rows in [1usize, 8, 32] {
+        let xs = veda_tensor::rng::normal_vec(&mut rng, rows * k, 1.0);
+        let mut out = Vec::new();
+        group.bench_function(format!("outer_{rows}x{k}x{n}"), |b| {
+            b.iter(|| {
+                for w in &walk {
+                    ops::gemm_outer_into(black_box(&xs), rows, black_box(w), &mut out);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 /// One layer's attention step of the `long_context` geometry (d 64, H 4)
 /// over 1 024 resident rows: QKV, RoPE, per-head `q × Kᵀ` → softmax →
 /// `s' × V`, and `W_O`. The appended row is evicted again so every
@@ -83,5 +110,5 @@ fn bench_fp16(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_gemv, bench_attend, bench_softmax, bench_fp16);
+criterion_group!(benches, bench_gemv, bench_gemm, bench_attend, bench_softmax, bench_fp16);
 criterion_main!(benches);

@@ -39,14 +39,18 @@
 //! With [`EngineBuilder::decode_threads`] the per-session work of a tick
 //! (decode steps *and* prefill chunks) fans out across scoped worker
 //! threads in contiguous slices balanced by planned tokens —
-//! order-preserving and byte-identical to the serial schedule — while
-//! each session's forward pass runs through its own reusable
-//! [`ForwardScratch`], so steady-state decode performs zero per-token
-//! heap allocations. A session's step is the forward pass *without* the
-//! LM head; each worker ends its slice with one batched head over the
-//! sessions whose logits the next tick reads, so logits are computed
-//! where `DecodeScheduler::mixed_batch` charges `lm_rows` and nowhere
-//! else.
+//! order-preserving and byte-identical to the serial schedule. A worker
+//! runs its whole slice as **one** batched forward pass
+//! ([`TransformerModel::forward_batch`]): every decode row and every row
+//! of every chunk goes through the layers together, so the host streams
+//! the layer weights once per worker per tick — what
+//! `DecodeScheduler::mixed_batch` charges the accelerator — and each
+//! session's policies observe its rows' attention scores as they stream
+//! out. The pass is the forward *without* the LM head; each worker ends
+//! its slice with one batched head over the sessions whose logits the
+//! next tick reads, so logits are computed where `mixed_batch` charges
+//! `lm_rows` and nowhere else. All of it runs through per-worker buffers
+//! that are reused tick after tick.
 //!
 //! Per-request accounting stays single-sequence and decode-only: each
 //! finished session yields the exact [`SimulationReport`] the legacy
@@ -77,9 +81,12 @@ use veda_accel::arch::{ArchConfig, DataflowVariant};
 use veda_accel::attention::decode_attention_cycles;
 use veda_accel::schedule::{DecodeScheduler, LlamaShape, PrefillChunk};
 use veda_cost::EnergyModel;
-use veda_eviction::{EvictionPolicy, PolicyKind};
+use veda_eviction::{EvictionPolicy, PolicyKind, ScoreView};
 use veda_mem::HbmConfig;
-use veda_model::{ForwardScratch, HeadScratch, ModelConfig, SequenceState, TransformerModel};
+use veda_model::{
+    BatchScratch, ForwardScratch, HeadScratch, ModelConfig, RowRun, ScoreBuffer, SequenceState,
+    TransformerModel,
+};
 use veda_telemetry::{TraceEventKind, Tracer};
 
 use crate::error::BuildError;
@@ -87,7 +94,6 @@ use crate::prefix::{
     PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixPin, PrefixTransfer, PrefixTransferKind,
 };
 use crate::simulator::SimulationReport;
-use veda_model::ScoreBuffer;
 
 /// KV cache budget of one request.
 ///
@@ -675,7 +681,8 @@ impl EngineBuilder {
             prefix_cache: self.prefix_cache.map(PrefixCache::new),
             prefix_transfers: Vec::new(),
             solo_cycles_by_len: BTreeMap::new(),
-            head_scratch: Vec::new(),
+            scratch: WorkerScratch::default(),
+            worker_scratch: Vec::new(),
             active: Vec::new(),
             paused: Vec::new(),
             finished: Vec::new(),
@@ -694,8 +701,9 @@ impl EngineBuilder {
 }
 
 /// State of one in-flight session. Everything a decode worker touches
-/// during the fan-out lives here (or is a shared `&` borrow), so sessions
-/// advance in parallel without synchronization.
+/// during the fan-out lives here, in the worker's own [`WorkerScratch`]
+/// or behind a shared `&` borrow, so slices advance in parallel without
+/// synchronization.
 struct ActiveSession {
     id: Session,
     policy_kind: PolicyKind,
@@ -703,9 +711,10 @@ struct ActiveSession {
     resident_cap: usize,
     policies: Vec<Box<dyn EvictionPolicy>>,
     state: SequenceState,
-    /// Reusable forward-pass buffers. While the session has a next token
-    /// to decode, `scratch.logits()` holds the logits it is argmaxed from
-    /// (the slice's batched LM head fills them in); otherwise it is empty.
+    /// What the session keeps between forward passes: the input of its LM
+    /// head and its logits. While the session has a next token to decode,
+    /// `scratch.logits()` holds the logits it is argmaxed from (the
+    /// slice's batched LM head fills them in); otherwise it is empty.
     scratch: ForwardScratch,
     /// Reusable per-layer eviction victim list (original slot indices).
     victims: Vec<usize>,
@@ -755,41 +764,14 @@ impl ActiveSession {
     }
 }
 
-/// Consumes the next `tokens` prompt tokens of `session`: forward pass
-/// per token, policies observe the attention scores, **no eviction**
-/// (Fig. 3's reserved + voting stages). Shared by instant prefill at
-/// [`Engine::submit`] and chunked prefill inside [`Engine::step`], so the
-/// two paths are op-for-op identical. No LM head runs here: a prompt
-/// token's logits are read only after the last one, and that head is the
-/// caller's (batched with the rest of its slice inside a tick).
-fn run_prefill(model: &TransformerModel, session: &mut ActiveSession, tokens: usize) {
-    for i in session.prefilled..session.prefilled + tokens {
-        let token = session.prompt[i];
-        let position = session.position;
-        let ActiveSession { state, scratch, policies, .. } = session;
-        model.forward_body(state, token, position, scratch);
-        for (layer, policy) in policies.iter_mut().enumerate() {
-            policy.on_append();
-            policy.observe(scratch.scores().layer(layer));
-        }
-        if let Some(obs) = session.prefix_obs.as_mut() {
-            // This prompt is a prefix-cache insertion candidate: record
-            // the token's observation stream for later replay.
-            obs.push(session.scratch.scores().clone());
-        }
-        session.position += 1;
-    }
-    session.prefilled += tokens;
-}
-
 /// Replays a prefix-cache hit into a freshly built session: the first
 /// `matched` recorded observation streams are fed to the policy stack in
-/// exactly the order [`run_prefill`] would have produced them — per token,
-/// every layer appends then observes — so the policies' internal state
+/// exactly the order prefill would have produced them — each layer's policy
+/// appends then observes, token by token — so the policies' internal state
 /// (H2O score sums, vote counts, windows) is bit-identical to having run
 /// the shared span's forward passes, which were skipped.
 fn replay_observations(session: &mut ActiveSession, observations: &[ScoreBuffer], matched: usize) {
-    for step in &observations[..matched] {
+    for step in observations.iter().take(matched) {
         for (layer, policy) in session.policies.iter_mut().enumerate() {
             policy.on_append();
             policy.observe(step.layer(layer));
@@ -813,7 +795,7 @@ enum Plan {
 }
 
 impl Plan {
-    /// Forward passes the plan costs its worker.
+    /// Rows the plan adds to its worker's batched forward pass.
     fn tokens(self) -> usize {
         match self {
             Plan::Decode { .. } => 1,
@@ -848,10 +830,18 @@ fn split_by_tokens(plans: &[Plan], workers: usize) -> Vec<usize> {
     lens
 }
 
+/// The buffers one worker's slice of a tick runs through: the activations
+/// of its batched forward pass and the workspace of its batched LM head.
+#[derive(Default)]
+struct WorkerScratch {
+    rows: BatchScratch,
+    head: HeadScratch,
+}
+
 /// Shared read-only context of one decode tick, borrowed by every worker
 /// during the fan-out. Everything here is `&`-shared (`TransformerModel`
 /// is `Sync`; the cycle and energy models are pure); all mutation happens
-/// inside each worker's own [`ActiveSession`].
+/// inside each worker's own [`ActiveSession`]s and [`WorkerScratch`].
 struct StepContext<'a> {
     model: &'a TransformerModel,
     arch: &'a ArchConfig,
@@ -861,130 +851,183 @@ struct StepContext<'a> {
 }
 
 impl StepContext<'_> {
-    /// Executes one worker's slice of the tick in session order, then
-    /// runs the LM head **once** for every session of the slice whose
-    /// logits will be read — the ones that decode a token next tick:
-    /// decode rows that did not just finish and chunks that completed a
-    /// prompt with tokens to generate. These are the scheduler's
-    /// `lm_rows`, minus the rows that finished.
+    /// Executes one worker's slice of the tick — or, from
+    /// [`Engine::submit`], the instant prefill of one new session:
+    ///
+    /// 1. every session's plan [begins](Self::begin): decode rows pick
+    ///    their token and book its cost;
+    /// 2. **one** batched forward pass carries every row of the slice —
+    ///    each decode session's one, each prefill chunk's several —
+    ///    through the layers together, so the layer weights stream from
+    ///    memory once for the slice, as the cycle model's mixed batch
+    ///    charges them; each session's policies observe its rows' scores
+    ///    as they stream out. A [`Plan::Wait`] session contributes no
+    ///    rows and is not touched;
+    /// 3. every session's plan [completes](Self::complete): decode rows
+    ///    evict down to their budget, chunks advance their prompt;
+    /// 4. the LM head runs **once** for every session of the slice whose
+    ///    logits will be read — the ones that decode a token next tick:
+    ///    decode rows that did not just finish and chunks that completed a
+    ///    prompt with tokens to generate. These are the scheduler's
+    ///    `lm_rows`, minus the rows that finished.
     fn run_slice(
         &self,
         sessions: &mut [ActiveSession],
         plans: &[Plan],
-        head: &mut HeadScratch,
+        worker: &mut WorkerScratch,
     ) -> Vec<Option<TokenEvent>> {
-        let outcomes: Vec<_> =
-            sessions.iter_mut().zip(plans).map(|(session, &plan)| self.execute(session, plan)).collect();
+        let mut outcomes: Vec<_> =
+            sessions.iter_mut().zip(plans).map(|(session, &plan)| self.begin(session, plan)).collect();
+
+        let n_layers = self.model.config().n_layers;
+        let mut runs = Vec::with_capacity(sessions.len());
+        for (session, event) in sessions.iter_mut().zip(&outcomes) {
+            let ActiveSession { state, scratch, policies, prefix_obs, prompt, prefilled, .. } = session;
+            let tokens = match event {
+                None => continue,
+                Some(TokenEvent::Generated { token, .. }) => std::slice::from_ref(token),
+                Some(TokenEvent::PrefillProgress { tokens, .. }) => {
+                    prompt.split_at(*prefilled).1.split_at(*tokens).0
+                }
+            };
+            // A prompt that is a prefix-cache insertion candidate records
+            // each token's observation stream for later replay: one
+            // buffer per token, opened at its final size when the token's
+            // first layer streams out and filled layer by layer.
+            let mut recording = prefix_obs.as_mut();
+            let recorded = recording.as_ref().map_or(0, |obs| obs.len());
+            let observe = move |row: usize, layer: usize, scores: ScoreView<'_>| {
+                let policy = &mut policies[layer];
+                policy.on_append();
+                policy.observe(scores);
+                if let Some(obs) = recording.as_mut() {
+                    if layer == 0 {
+                        obs.push(ScoreBuffer::with_capacity(n_layers, scores.n_heads(), scores.len()));
+                    }
+                    obs[recorded + row].push_layer(scores);
+                }
+            };
+            runs.push(RowRun::new(state, tokens, session.position, scratch, observe));
+        }
+        self.model.forward_batch(&mut runs, &mut worker.rows);
+
+        for (session, outcome) in sessions.iter_mut().zip(&mut outcomes) {
+            if let Some(event) = outcome {
+                self.complete(session, event);
+            }
+        }
         let mut readers: Vec<&mut ForwardScratch> = sessions
             .iter_mut()
             .zip(&outcomes)
             .filter(|(session, event)| session.is_decoding() && event.as_ref().is_some_and(|e| !e.finished()))
             .map(|(session, _)| &mut session.scratch)
             .collect();
-        self.model.lm_head_batch(&mut readers, head);
+        self.model.lm_head_batch(&mut readers, &mut worker.head);
         outcomes
     }
 
-    /// Executes one session's tick plan, returning its event (`None` for
-    /// [`Plan::Wait`]).
-    fn execute(&self, session: &mut ActiveSession, plan: Plan) -> Option<TokenEvent> {
+    /// Opens one session's tick plan before the slice's forward pass and
+    /// returns its event (`None` for [`Plan::Wait`]), whose post-forward
+    /// fields [`StepContext::complete`] fills in. A decode row picks its
+    /// token — greedy argmax over the previous step's logits — and books
+    /// its single-sequence cost from the pre-resolved `solo_cycles`; a
+    /// prefill chunk needs nothing before its rows run.
+    fn begin(&self, session: &mut ActiveSession, plan: Plan) -> Option<TokenEvent> {
         match plan {
             Plan::Wait => None,
-            Plan::Decode { l_before, solo_cycles } => Some(self.advance(session, l_before, solo_cycles)),
-            Plan::Prefill { tokens } => Some(self.prefill(session, tokens)),
-        }
-    }
-
-    /// Consumes one prefill chunk (observe-only forward passes — see
-    /// [`run_prefill`]) and reports the session's prefill progress.
-    fn prefill(&self, session: &mut ActiveSession, tokens: usize) -> TokenEvent {
-        run_prefill(self.model, session, tokens);
-        let remaining = session.prompt.len() - session.prefilled;
-        TokenEvent::PrefillProgress {
-            session: session.id,
-            tokens,
-            remaining,
-            cache_len: session.state.cache_len(),
-            finished: remaining == 0 && session.max_new_tokens == 0,
-        }
-    }
-
-    /// Advances one session by one token: greedy argmax over the previous
-    /// step's logits, single-sequence cost accounting (from the
-    /// pre-resolved `solo_cycles`), forward pass (body only — see
-    /// [`StepContext::run_slice`] for the head) through the session's
-    /// scratch, then per-layer observe + evict down to the budget.
-    fn advance(&self, session: &mut ActiveSession, l_before: usize, solo_cycles: u64) -> TokenEvent {
-        // Every body empties the logits and only a head over that body
-        // refills them, so logits that exist belong to the session's
-        // immediately preceding forward pass.
-        debug_assert!(
-            !session.scratch.logits().is_empty(),
-            "{} decodes without a head over its last forward pass",
-            session.id
-        );
-        // Greedy next token from the logits of the previous step.
-        let token = veda_tensor::stats::argmax(session.scratch.logits()).expect("non-empty logits");
-        session.generated.push(token);
-
-        let attention_cycles = decode_attention_cycles(self.arch, self.variant, l_before);
-        session.attention_cycles.push(attention_cycles);
-        session.total_cycles += solo_cycles;
-        let solo_bytes = self.shape.weight_bytes_per_token() + self.shape.kv_bytes_per_token(l_before);
-        session.total_energy_mj += self.energy.token_energy_mj(solo_cycles, solo_bytes);
-
-        // Feed the token through the model; policies observe the flat
-        // score views and evict down to the session's budget.
-        let position = session.position;
-        let resident_cap = session.resident_cap;
-        let ActiveSession { state, scratch, policies, victims, .. } = session;
-        self.model.forward_body(state, token, position, scratch);
-        let mut evictions = 0;
-        for (layer, policy) in policies.iter_mut().enumerate() {
-            policy.on_append();
-            policy.observe(scratch.scores().layer(layer));
-
-            // Victims are selected one at a time (each selection sees the
-            // policy's compacted state, exactly as the serial protocol
-            // demands) but the KV rows are removed in a single stable
-            // compaction pass per layer. `victims` collects the selected
-            // slots mapped back to the original pre-eviction index space,
-            // kept sorted ascending.
-            victims.clear();
-            let mut len = state.caches()[layer].len();
-            while len > resident_cap {
-                let Some(slot) = policy.select_victim(len) else {
-                    break;
-                };
-                policy.on_evict(slot);
-                let mut original = slot;
-                let mut insert_at = 0;
-                for &prior in victims.iter() {
-                    if prior <= original {
-                        original += 1;
-                        insert_at += 1;
-                    } else {
-                        break;
-                    }
-                }
-                victims.insert(insert_at, original);
-                len -= 1;
-                evictions += 1;
+            Plan::Prefill { tokens } => {
+                let remaining = session.prompt.len() - session.prefilled - tokens;
+                Some(TokenEvent::PrefillProgress {
+                    session: session.id,
+                    tokens,
+                    remaining,
+                    cache_len: 0,
+                    finished: remaining == 0 && session.max_new_tokens == 0,
+                })
             }
-            state.evict_many(layer, victims);
-        }
-        session.position += 1;
-        session.evictions += evictions;
+            Plan::Decode { l_before, solo_cycles } => {
+                // Every forward pass empties the logits and only a head
+                // over it refills them, so logits that exist belong to the
+                // session's immediately preceding forward pass.
+                debug_assert!(
+                    !session.scratch.logits().is_empty(),
+                    "{} decodes without a head over its last forward pass",
+                    session.id
+                );
+                let token = veda_tensor::stats::argmax(session.scratch.logits()).expect("non-empty logits");
+                session.generated.push(token);
 
-        let finished =
-            session.generated.len() >= session.max_new_tokens || session.stop_tokens.contains(&token);
-        TokenEvent::Generated {
-            session: session.id,
-            token,
-            attention_cycles,
-            evictions,
-            cache_len: session.state.cache_len(),
-            finished,
+                let attention_cycles = decode_attention_cycles(self.arch, self.variant, l_before);
+                session.attention_cycles.push(attention_cycles);
+                session.total_cycles += solo_cycles;
+                let solo_bytes =
+                    self.shape.weight_bytes_per_token() + self.shape.kv_bytes_per_token(l_before);
+                session.total_energy_mj += self.energy.token_energy_mj(solo_cycles, solo_bytes);
+
+                let finished =
+                    session.generated.len() >= session.max_new_tokens || session.stop_tokens.contains(&token);
+                Some(TokenEvent::Generated {
+                    session: session.id,
+                    token,
+                    attention_cycles,
+                    evictions: 0,
+                    cache_len: 0,
+                    finished,
+                })
+            }
+        }
+    }
+
+    /// Closes one session's tick plan after the slice's forward pass, in
+    /// which its policies observed every row. A prefill chunk only
+    /// advances its prompt — prefill observes without evicting (Fig. 3's
+    /// reserved + voting stages), instantly at submit or chunk by chunk on
+    /// the clock alike. A decode row evicts down to the session's budget,
+    /// layer by layer.
+    fn complete(&self, session: &mut ActiveSession, event: &mut TokenEvent) {
+        match event {
+            TokenEvent::PrefillProgress { tokens, cache_len, .. } => {
+                session.position += *tokens;
+                session.prefilled += *tokens;
+                *cache_len = session.state.cache_len();
+            }
+            TokenEvent::Generated { evictions, cache_len, .. } => {
+                let ActiveSession { state, policies, victims, resident_cap, .. } = session;
+                for (layer, policy) in policies.iter_mut().enumerate() {
+                    // Victims are selected one at a time (each selection
+                    // sees the policy's compacted state, exactly as the
+                    // serial protocol demands) but the KV rows are removed
+                    // in a single stable compaction pass per layer.
+                    // `victims` collects the selected slots mapped back to
+                    // the original pre-eviction index space, kept sorted
+                    // ascending.
+                    victims.clear();
+                    let mut len = state.caches()[layer].len();
+                    while len > *resident_cap {
+                        let Some(slot) = policy.select_victim(len) else {
+                            break;
+                        };
+                        policy.on_evict(slot);
+                        let mut original = slot;
+                        let mut insert_at = 0;
+                        for &prior in victims.iter() {
+                            if prior <= original {
+                                original += 1;
+                                insert_at += 1;
+                            } else {
+                                break;
+                            }
+                        }
+                        victims.insert(insert_at, original);
+                        len -= 1;
+                        *evictions += 1;
+                    }
+                    state.evict_many(layer, victims);
+                }
+                session.position += 1;
+                session.evictions += *evictions;
+                *cache_len = session.state.cache_len();
+            }
         }
     }
 }
@@ -1061,8 +1104,12 @@ pub struct Engine {
     /// share a handful of lengths in steady state). Ordered so iteration
     /// (should any future reader walk it) can never depend on hash seed.
     solo_cycles_by_len: BTreeMap<usize, u64>,
-    /// LM-head workspaces, one per worker slice a tick has used so far.
-    head_scratch: Vec<HeadScratch>,
+    /// Buffers of the work done on the calling thread: a tick's first
+    /// slice and instant prefill at submit.
+    scratch: WorkerScratch,
+    /// Buffers of the spawned workers, one per further slice a tick has
+    /// used so far.
+    worker_scratch: Vec<WorkerScratch>,
     active: Vec<ActiveSession>,
     paused: Vec<ActiveSession>,
     finished: Vec<RequestOutcome>,
@@ -1532,7 +1579,9 @@ impl Engine {
             resident_cap,
             policies: (0..self.model.config().n_layers).map(|_| request.policy.build()).collect(),
             state: self.model.new_state(),
-            scratch: self.model.new_scratch(reserve_tokens),
+            // The session streams its observations to its policies: no
+            // score buffer to pre-size.
+            scratch: self.model.new_scratch(0),
             victims: Vec::new(),
             prompt: request.prompt,
             prefilled: 0,
@@ -1584,9 +1633,13 @@ impl Engine {
 
         if self.prefill_chunk == usize::MAX {
             // Instant prefill: consume the whole prompt now, off the
-            // clock (the pre-chunking compatibility path).
+            // clock (the pre-chunking compatibility path), as a one-session
+            // slice of one chunk — which also runs the head the first
+            // decode tick reads.
             let tokens = session.prompt.len() - session.prefilled;
-            run_prefill(&self.model, &mut session, tokens);
+            let Engine { model, arch, energy, variant, scheduler, scratch, .. } = self;
+            let ctx = StepContext { model, arch, energy, variant: *variant, shape: *scheduler.shape() };
+            ctx.run_slice(std::slice::from_mut(&mut session), &[Plan::Prefill { tokens }], scratch);
             self.harvest_prefix(&mut session);
             if tokens > 0 {
                 self.trace(
@@ -1598,7 +1651,6 @@ impl Engine {
                 self.retire(session);
                 return Ok(id);
             }
-            self.model.lm_head(&mut session.scratch);
         }
         self.active.push(session);
         Ok(id)
@@ -1658,17 +1710,18 @@ impl Engine {
     /// [`TokenEvent`]s plus the tick's batched cost. A no-op returning an
     /// empty tick when nothing is active.
     ///
-    /// With [`EngineBuilder::decode_threads`] > 1 the per-session work
-    /// (greedy argmax → forward pass → observe/evict for decode; the
-    /// observe-only chunk forward passes for prefill) fans out across a
-    /// `std::thread::scope` of workers, each finishing its slice with one
-    /// batched LM head over the sessions that decode next tick (the only
-    /// logits anything reads). All shared accounting — the
-    /// per-session tick plan, the mixed-batch cost and the per-length
-    /// solo-cost memo — is resolved on the coordinator *before* the
-    /// fan-out, so workers touch only their own session and the token
-    /// streams are byte-identical to the serial schedule for any thread
-    /// count.
+    /// The sessions are dealt to workers in contiguous slices; a worker
+    /// runs its slice as: decode rows pick their token (greedy argmax) →
+    /// one batched forward pass over every row of the slice, policies
+    /// observing as the scores stream out → decode rows evict, chunks
+    /// advance → one batched LM head over the sessions that decode next
+    /// tick (the only logits anything reads). With
+    /// [`EngineBuilder::decode_threads`] > 1 the slices fan out across a
+    /// `std::thread::scope`. All shared accounting — the per-session tick
+    /// plan, the mixed-batch cost and the per-length solo-cost memo — is
+    /// resolved on the coordinator *before* the fan-out, so workers touch
+    /// only their own sessions and the token streams are byte-identical to
+    /// the serial schedule for any thread count.
     pub fn step(&mut self) -> EngineTick {
         if self.active.is_empty() {
             return EngineTick::default();
@@ -1730,32 +1783,34 @@ impl Engine {
         // Split field borrows instead of moving `active` out: a panic in a
         // downstream policy or model step must not vanish every in-flight
         // session (same guarantee class as `TransformerModel::forward_token`).
-        let Engine { active, model, arch, energy, variant, decode_threads, head_scratch, .. } = self;
+        let Engine { active, model, arch, energy, variant, decode_threads, scratch, worker_scratch, .. } =
+            self;
         let ctx = StepContext { model, arch, energy, variant: *variant, shape };
         // Order-preserving fan-out: contiguous slices of the session list
         // balanced by planned tokens, the first on this thread and one
         // scoped worker for each of the rest; outcomes are concatenated in
         // slice order, so the tick's event order matches the serial path.
         let lens = split_by_tokens(&plans, (*decode_threads).min(active.len()).max(1));
-        if head_scratch.len() < lens.len() {
-            head_scratch.resize_with(lens.len(), HeadScratch::new);
+        if worker_scratch.len() + 1 < lens.len() {
+            worker_scratch.resize_with(lens.len() - 1, WorkerScratch::default);
         }
         let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(active.len());
         std::thread::scope(|scope| {
             let (mut sessions, mut plans) = (active.as_mut_slice(), plans.as_slice());
-            let mut slices = lens.iter().zip(head_scratch.iter_mut()).map(|(&len, head)| {
+            let scratches = std::iter::once(scratch).chain(worker_scratch.iter_mut());
+            let mut slices = lens.iter().zip(scratches).map(|(&len, scratch)| {
                 let (slice, rest) = std::mem::take(&mut sessions).split_at_mut(len);
                 let (slice_plans, rest_plans) = plans.split_at(len);
                 (sessions, plans) = (rest, rest_plans);
-                (slice, slice_plans, head)
+                (slice, slice_plans, scratch)
             });
             let first = slices.next();
             let ctx = &ctx;
             let handles: Vec<_> = slices
-                .map(|(slice, plans, head)| scope.spawn(move || ctx.run_slice(slice, plans, head)))
+                .map(|(slice, plans, scratch)| scope.spawn(move || ctx.run_slice(slice, plans, scratch)))
                 .collect();
-            if let Some((slice, plans, head)) = first {
-                outcomes.extend(ctx.run_slice(slice, plans, head));
+            if let Some((slice, plans, scratch)) = first {
+                outcomes.extend(ctx.run_slice(slice, plans, scratch));
             }
             for handle in handles {
                 outcomes.extend(handle.join().expect("decode worker panicked"));
@@ -2601,6 +2656,38 @@ mod tests {
             12 * per_token,
             "only the cold prompt is inserted — hit prompts add no entry"
         );
+    }
+
+    #[test]
+    fn layer_major_recording_equals_the_per_token_recording() {
+        // A cold prompt's observation stream is assembled layer by layer
+        // while its rows run the layers together — instantly at submit
+        // (40 rows: across the forward pass's internal block), one row per
+        // tick, in chunks that leave a remainder, and in one chunk beside a
+        // decode row. Whatever the grouping, the cached entry must hold
+        // what a forward pass per token would have cloned.
+        let prompt: Vec<usize> = (0..40).map(|i| (i * 7 + 3) % 60 + 1).collect();
+        let model = TransformerModel::new(ModelConfig::tiny());
+        let (mut state, mut scratch) = (model.new_state(), model.new_scratch(prompt.len()));
+        let per_token: Vec<ScoreBuffer> = prompt
+            .iter()
+            .enumerate()
+            .map(|(position, &token)| {
+                model.forward_with_scratch(&mut state, token, position, &mut scratch);
+                scratch.scores().clone()
+            })
+            .collect();
+        for chunk in [0, 1, 7, 64] {
+            let mut engine = prefix_engine(chunk);
+            engine.submit(Request::new([5, 6, 7], 50)).unwrap();
+            engine.submit(Request::new(prompt.clone(), 2)).unwrap();
+            engine.run_to_completion();
+            let cache = engine.prefix_cache.as_mut().expect("enabled");
+            let probe: Vec<usize> = prompt.iter().copied().chain([1]).collect();
+            let hit = cache.lookup(&probe).expect("the prompt was inserted");
+            assert_eq!(hit.matched, prompt.len());
+            assert_eq!(hit.observations, per_token, "chunk {chunk}");
+        }
     }
 
     #[test]

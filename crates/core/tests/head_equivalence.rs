@@ -8,10 +8,13 @@
 //! * across `decode_threads` on a tick mix skewed enough that the
 //!   token-weighted worker split differs from an even one;
 //! * across pause → extract → adopt in the middle of a prompt, when the
-//!   travelling session holds no logits at all.
+//!   travelling session holds no logits at all;
+//! * through the prefix cache: observations recorded layer-major out of
+//!   the batched prefill, replayed into a later hit's policies, must leave
+//!   that hit on the same reference.
 
 use proptest::prelude::*;
-use veda::{Budget, Engine, EngineBuilder, EngineReport, EngineTick, Request, Session};
+use veda::{Budget, Engine, EngineBuilder, EngineReport, EngineTick, PrefixCacheConfig, Request, Session};
 use veda_eviction::PolicyKind;
 use veda_model::{ModelConfig, TransformerModel};
 use veda_tensor::stats::argmax;
@@ -203,6 +206,62 @@ fn migration_in_the_middle_of_a_prompt_keeps_stream_and_report() {
                 reference,
                 "{policy}: a mid-prompt migration (adopter chunk {adopter_chunk}) changed the request"
             );
+        }
+    }
+}
+
+#[test]
+fn recorded_prefix_observations_replay_onto_the_full_forward_reference() {
+    // A cold prompt records one score buffer per token while its rows
+    // stream layer-major through the batched prefill (one row per tick,
+    // several, a whole 27-token prompt in one 32-row chunk, or instantly
+    // at submit). A later prompt that shares 20 tokens skips them: its
+    // policies are fed the recording instead, so a wrong or misplaced
+    // layer in it would change what they evict — and the hit's stream.
+    let model = TransformerModel::new(ModelConfig::tiny());
+    let shared = prompt(20, 3);
+    let with_suffix = |len: usize, seed: u64| [shared.clone(), prompt(len, seed)].concat();
+    for threads in [1, 2] {
+        for chunk in [1, 5, 32, usize::MAX] {
+            for policy in PolicyKind::ALL {
+                let mut engine = EngineBuilder::new()
+                    .model(ModelConfig::tiny())
+                    .decode_threads(threads)
+                    .prefill_chunk(chunk)
+                    .prefix_cache(PrefixCacheConfig { min_match_tokens: 4, ..PrefixCacheConfig::default() })
+                    .build()
+                    .expect("valid config");
+                let request = |suffix, seed| {
+                    Request::new(with_suffix(suffix, seed), 9).policy(policy).budget(Budget::Fixed(8))
+                };
+                // The recorder, beside a decoding neighbour (its own prompt
+                // too short to cache) so its chunks share worker slices
+                // with decode rows.
+                let neighbour = engine.submit(Request::new(prompt(3, 9), 30)).expect("valid request");
+                let cold = engine.submit(request(7, 11)).expect("valid request");
+                while engine.is_active(cold) {
+                    engine.step();
+                }
+                assert_eq!(
+                    engine.prefix_cache_stats().insertions,
+                    1,
+                    "the cold prompt must have been recorded"
+                );
+                let hit = engine.submit(request(5, 12)).expect("valid request");
+                assert_eq!(engine.prefix_cache_stats().shared_tokens, 20, "the second prompt must hit");
+                let report = engine.run_to_completion();
+                for (session, (suffix, seed)) in [(cold, (7, 11)), (hit, (5, 12))] {
+                    let got =
+                        &report.requests.iter().find(|r| r.session == session).expect("finished").report;
+                    let (generated, evictions, final_cache_len) =
+                        full_forward_reference(&model, &request(suffix, seed));
+                    let what = format!("{policy}, chunk {chunk}, {threads} thread(s)");
+                    assert_eq!(got.generated, generated, "tokens: {what}");
+                    assert_eq!(got.evictions, evictions, "evictions: {what}");
+                    assert_eq!(got.final_cache_len, final_cache_len, "cache length: {what}");
+                }
+                assert!(report.requests.iter().any(|r| r.session == neighbour));
+            }
         }
     }
 }

@@ -1,18 +1,18 @@
 //! Multi-head attention with a pluggable KV cache, computed with the two
 //! GEMV interpretations VEDA maps to hardware.
 //!
-//! One decode step per call: the query row attends over all resident cache
-//! entries (`q × Kᵀ` via [`veda_tensor::ops::gemv_inner_span_into`] over one
-//! head's columns of the `(l, d)` rows) and aggregates values (`s' × V` via
-//! [`veda_tensor::ops::gemv_outer_span_into`]).
-//! The per-head post-softmax score vectors are returned so eviction policies
-//! and the voting engine can observe them.
+//! One row per call: the query attends over all resident cache entries
+//! (`q × Kᵀ` via [`veda_tensor::ops::gemv_inner_span_into`] over one head's
+//! columns of the `(l, d)` rows) and aggregates values (`s' × V` via
+//! [`veda_tensor::ops::gemv_outer_span_into`]). The per-head post-softmax
+//! score vectors are left for eviction policies and the voting engine to
+//! observe.
 
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
-use crate::rope::apply_rope_table;
-use crate::scratch::ForwardScratch;
+use crate::rope::{apply_rope_table, rope_table_extend};
 use crate::weights::LayerWeights;
+use veda_eviction::ScoreView;
 use veda_tensor::ops::{self, gemv_inner_span_into, gemv_outer_into, gemv_outer_span_into};
 use veda_tensor::softmax::softmax_in_place;
 
@@ -26,54 +26,47 @@ pub struct AttentionOutput {
     pub head_scores: Vec<Vec<f32>>,
 }
 
-/// Runs one attention step for a single layer through reusable scratch
-/// buffers: reads the RMS-normed hidden state from `scratch.normed`,
-/// leaves the `W_O`-projected output in `scratch.attn_out` and appends the
-/// layer's head-major score block to `scratch.scores` (the segment is
-/// sealed here). Allocation-free once the scratch capacity is warm, and
-/// bit-identical to the historical allocating kernel.
-pub(crate) fn attend_into(
+/// The attention of one row between its `W_Q/W_K/W_V` and `W_O`
+/// projections: rotates every head of `q` and `k` by the row's `rope`
+/// table, appends `k`/`v` to `cache` — so the row attends to itself and to
+/// every row appended before it, and a later row of the same sequence to
+/// this one: causality needs no mask — then per head `q × Kᵀ` → softmax →
+/// `s' × V` into that head's columns of `concat`. `scores` is left holding
+/// the row's head-major `n_heads × cache.len()` score block.
+/// Allocation-free once `scores` is warm.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend_row(
     position: usize,
+    rope: &[(f32, f32)],
+    q: &mut [f32],
+    k: &mut [f32],
+    v: &[f32],
     cache: &mut LayerKvCache,
-    w: &LayerWeights,
-    config: &ModelConfig,
-    scratch: &mut ForwardScratch,
+    scores: &mut Vec<f32>,
+    concat: &mut [f32],
 ) {
-    let d = config.d_model;
-    let dh = config.head_dim();
-    assert_eq!(scratch.normed.len(), d, "hidden state width mismatch");
+    apply_rope_table(q, rope);
+    apply_rope_table(k, rope);
+    cache.append(position, k, v);
 
-    // QKV generation (Step 1 of Fig. 1): x·W via the outer-product view.
-    gemv_outer_into(&scratch.normed, &w.wq, &mut scratch.q);
-    gemv_outer_into(&scratch.normed, &w.wk, &mut scratch.k);
-    gemv_outer_into(&scratch.normed, &w.wv, &mut scratch.v);
-
-    // RoPE on every head of q and k, from the step's one table.
-    apply_rope_table(&mut scratch.q, &scratch.rope);
-    apply_rope_table(&mut scratch.k, &scratch.rope);
-
-    cache.append(position, &scratch.k, &scratch.v);
+    let dh = 2 * rope.len();
     let scale = 1.0 / (dh as f32).sqrt();
-
-    scratch.concat.clear();
-    scratch.concat.resize(d, 0.0);
-    let heads = scratch.q.chunks_exact(dh).zip(scratch.concat.chunks_exact_mut(dh));
-    for (h, (qh, out)) in heads.enumerate() {
+    scores.clear();
+    scores.resize(q.len() / dh * cache.len(), 0.0);
+    let heads = q.chunks_exact(dh).zip(concat.chunks_exact_mut(dh)).zip(scores.chunks_exact_mut(cache.len()));
+    for (h, ((qh, out), scores)) in heads.enumerate() {
         // q × Kᵀ: inner product over the (l, d) key rows — l is temporal.
-        let scores = scratch.scores.push_head(cache.len());
         gemv_inner_span_into(qh, cache.keys(), h * dh, scores);
         ops::scale(scale, scores);
         softmax_in_place(scores);
         // s' × V: outer product over the (l, d) value rows — l is temporal.
         gemv_outer_span_into(scores, cache.values(), h * dh, out);
     }
-    scratch.scores.seal_layer();
-
-    gemv_outer_into(&scratch.concat, &w.wo, &mut scratch.attn_out);
 }
 
-/// Runs one attention step for a single layer (allocating convenience
-/// wrapper over the crate-internal `attend_into` scratch kernel).
+/// Runs one attention step for a single layer: `W_Q/W_K/W_V`, the
+/// crate-internal `attend_row` the batched forward pass runs per row, and
+/// `W_O` (allocating convenience wrapper).
 ///
 /// `x` is the RMS-normed hidden state of the current token, `position` its
 /// absolute index. The token's K/V vectors are appended to `cache` before
@@ -86,12 +79,19 @@ pub fn attend(
     w: &LayerWeights,
     config: &ModelConfig,
 ) -> AttentionOutput {
-    let mut scratch = ForwardScratch::new();
-    scratch.normed.extend_from_slice(x);
-    scratch.begin_step(config, position);
-    attend_into(position, cache, w, config, &mut scratch);
-    let head_scores = scratch.scores.layer(0).heads().map(<[f32]>::to_vec).collect();
-    AttentionOutput { output: std::mem::take(&mut scratch.attn_out), head_scores }
+    // QKV generation (Step 1 of Fig. 1): x·W via the outer-product view.
+    let (mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
+    gemv_outer_into(x, &w.wq, &mut q);
+    gemv_outer_into(x, &w.wk, &mut k);
+    gemv_outer_into(x, &w.wv, &mut v);
+    let mut rope = Vec::new();
+    rope_table_extend(config.head_dim(), position, config.rope_theta, &mut rope);
+    let (mut scores, mut concat) = (Vec::new(), vec![0.0; config.d_model]);
+    attend_row(position, &rope, &mut q, &mut k, &v, cache, &mut scores, &mut concat);
+    let mut output = Vec::new();
+    gemv_outer_into(&concat, &w.wo, &mut output);
+    let head_scores = ScoreView::new(&scores, config.n_heads).heads().map(<[f32]>::to_vec).collect();
+    AttentionOutput { output, head_scores }
 }
 
 #[cfg(test)]

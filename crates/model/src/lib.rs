@@ -54,6 +54,6 @@ pub use eval::{evaluate_policy_perplexity, PerplexityReport};
 pub use induction::{InductionConfig, InductionLm};
 pub use kvcache::LayerKvCache;
 pub use sampling::Sampler;
-pub use scratch::{ForwardScratch, HeadScratch, ScoreBuffer};
+pub use scratch::{BatchScratch, ForwardScratch, HeadScratch, ScoreBuffer};
 pub use trace::{AttentionTrace, SyntheticTraceConfig};
-pub use transformer::{SequenceState, StepOutput, TransformerModel};
+pub use transformer::{RowRun, SequenceState, StepOutput, TransformerModel, FORWARD_BLOCK_ROWS};

@@ -33,20 +33,19 @@ pub fn apply_rope(x: &mut [f32], position: usize, theta: f32) {
     }
 }
 
-/// Fills `table` with the `head_dim / 2` rotations of `position` — the
+/// Appends to `table` the `head_dim / 2` rotations of `position` — the
 /// `powf` and `sin_cos` every head of every layer would otherwise repeat
-/// for the same token. Reuses the allocation.
+/// for the same token. A batch keeps one such table per row, end to end.
 ///
 /// # Panics
 ///
 /// Panics if `head_dim` is odd.
-pub(crate) fn rope_table_into(head_dim: usize, position: usize, theta: f32, table: &mut Vec<(f32, f32)>) {
+pub(crate) fn rope_table_extend(head_dim: usize, position: usize, theta: f32, table: &mut Vec<(f32, f32)>) {
     assert!(head_dim.is_multiple_of(2), "RoPE requires an even head dimension, got {head_dim}");
-    table.clear();
     table.extend((0..head_dim / 2).map(|i| rotation(i, head_dim, position, theta)));
 }
 
-/// Applies the rotations of a [`rope_table_into`] table in place to every
+/// Applies the rotations of a [`rope_table_extend`] table in place to every
 /// head of `x` (consecutive spans of `2 * table.len()` channels), each
 /// bit-identical to [`apply_rope`] on that head.
 ///
@@ -153,7 +152,8 @@ mod tests {
                     apply_rope(head, position, 10000.0);
                 }
                 let mut tabled = x;
-                rope_table_into(head_dim, position, 10000.0, &mut table);
+                table.clear();
+                rope_table_extend(head_dim, position, 10000.0, &mut table);
                 assert_eq!(table.len(), head_dim / 2);
                 apply_rope_table(&mut tabled, &table);
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -167,7 +167,7 @@ mod tests {
     #[should_panic(expected = "RoPE table of 2 pairs vs 6 channels")]
     fn table_rejects_a_partial_head() {
         let mut table = Vec::new();
-        rope_table_into(4, 1, 10000.0, &mut table);
+        rope_table_extend(4, 1, 10000.0, &mut table);
         apply_rope_table(&mut [0.0; 6], &table);
     }
 

@@ -1,22 +1,24 @@
-//! Reusable per-sequence forward-pass scratch: the zero-allocation decode
-//! hot path.
+//! Reusable forward-pass scratch: the zero-allocation decode hot path.
 //!
 //! One token through [`crate::TransformerModel::forward_in`] historically
 //! allocated ~10 fresh `Vec`s per layer (q/k/v, per-head score vectors,
 //! softmax copies, gate/up/hidden/down, plus the nested
-//! `Vec<Vec<Vec<f32>>>` score tensor of the step output). A
-//! [`ForwardScratch`] owns all of those buffers once per sequence;
-//! [`crate::TransformerModel::forward_with_scratch`] threads them through
-//! every kernel so steady-state decode performs **zero per-token heap
-//! allocations** (pinned by a counting-allocator test) while producing
-//! bit-identical results — every in-place kernel keeps the f32 summation
-//! order of its allocating twin.
+//! `Vec<Vec<Vec<f32>>>` score tensor of the step output). The forward pass
+//! now runs any number of rows at once through a [`BatchScratch`] — one
+//! per worker thread, every activation a row-major block — and a
+//! [`ForwardScratch`] owns what one *sequence* keeps between calls: the
+//! input of its LM head, its logits, and (for the one-row API) one
+//! `BatchScratch` and the step's observations. Steady state performs
+//! **zero per-token heap allocations** (pinned by a counting-allocator
+//! test) while producing bit-identical results — every in-place kernel
+//! keeps the f32 summation order of its allocating twin.
 //!
-//! Attention-score observations land in a [`ScoreBuffer`]: one flat
-//! buffer for all layers and heads of the step, exposed to eviction
-//! policies as borrowed [`ScoreView`]s instead of nested vectors.
+//! Attention-score observations are *streamed*: the batched forward hands
+//! each (row, layer) score block to its caller as a borrowed [`ScoreView`]
+//! the moment that row's attention finishes, out of one reused buffer. A
+//! caller that wants a token's observations kept builds a [`ScoreBuffer`]
+//! from the views — one flat buffer for all layers and heads of the step.
 
-use crate::rope::rope_table_into;
 use veda_eviction::ScoreView;
 
 /// Flat per-step attention-score storage: every layer's head-major score
@@ -61,63 +63,113 @@ impl ScoreBuffer {
         ScoreView::new(&self.data[start..self.ends[l]], self.n_heads)
     }
 
-    /// Resets the buffer for a new step, retaining capacity.
-    pub(crate) fn begin_step(&mut self, n_heads: usize) {
+    /// An empty buffer with room for `n_layers` layers of `n_heads × len`
+    /// scores each, so a step whose layers all see `len` resident rows is
+    /// recorded at exactly its final size.
+    pub fn with_capacity(n_layers: usize, n_heads: usize, len: usize) -> Self {
+        Self {
+            data: Vec::with_capacity(n_layers * n_heads * len),
+            ends: Vec::with_capacity(n_layers),
+            n_heads,
+        }
+    }
+
+    /// Appends `scores` as the next layer's segment.
+    pub fn push_layer(&mut self, scores: ScoreView<'_>) {
+        self.n_heads = scores.n_heads();
+        self.data.extend_from_slice(scores.as_flat());
+        self.ends.push(self.data.len());
+    }
+
+    /// Empties the buffer for a new step, retaining capacity.
+    pub(crate) fn clear(&mut self) {
         self.data.clear();
         self.ends.clear();
-        self.n_heads = n_heads;
-    }
-
-    /// Appends one head's segment of `len` scores to the current layer
-    /// and returns it for the kernels to fill and normalize in place.
-    pub(crate) fn push_head(&mut self, len: usize) -> &mut [f32] {
-        let mark = self.data.len();
-        self.data.resize(mark + len, 0.0);
-        self.data.split_at_mut(mark).1
-    }
-
-    /// Closes the current layer's segment.
-    pub(crate) fn seal_layer(&mut self) {
-        self.ends.push(self.data.len());
     }
 }
 
-/// Reusable buffers for one sequence's forward pass (see the
+/// Reusable activations of [`crate::TransformerModel::forward_batch`]:
+/// every buffer is a row-major block with one row per token of the batch
+/// (at most [`crate::transformer::FORWARD_BLOCK_ROWS`] at a time). One per
+/// thread that runs forward passes; contents between calls are
+/// meaningless.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    /// Residual-stream hidden states, `d_model` per row.
+    pub(crate) hidden: Vec<f32>,
+    /// Pre-norm outputs feeding attention / the FFN.
+    pub(crate) normed: Vec<f32>,
+    /// Query projections (RoPE applied in place).
+    pub(crate) q: Vec<f32>,
+    /// Key projections (RoPE applied in place).
+    pub(crate) k: Vec<f32>,
+    /// Value projections.
+    pub(crate) v: Vec<f32>,
+    /// Concatenated per-head attention outputs.
+    pub(crate) concat: Vec<f32>,
+    /// The residual update in flight: attention after `W_O`, then the FFN
+    /// down projection.
+    pub(crate) delta: Vec<f32>,
+    /// FFN gate activations, `ffn_hidden` per row.
+    pub(crate) gate: Vec<f32>,
+    /// FFN up projections, `ffn_hidden` per row.
+    pub(crate) up: Vec<f32>,
+    /// The head-major `n_heads × l` score block of the one row whose
+    /// attention is in flight — observations stream out of here.
+    pub(crate) scores: Vec<f32>,
+    /// One RoPE table (`head_dim / 2` rotations) per row, shared by every
+    /// head of `q` and `k` in every layer.
+    pub(crate) rope: Vec<(f32, f32)>,
+    /// Per run of the batch: rows already forwarded, rows in the block in
+    /// flight.
+    pub(crate) spans: Vec<(usize, usize)>,
+}
+
+impl BatchScratch {
+    /// Creates an empty scratch; every forward pass sizes the buffers for
+    /// its own row count before it starts.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Makes room for `rows` rows of `config`'s geometry at exactly that
+    /// size, so no buffer grows (by doubling) in the middle of a pass.
+    pub(crate) fn reserve(&mut self, config: &crate::config::ModelConfig, rows: usize) {
+        fn fit<T>(buf: &mut Vec<T>, len: usize) {
+            buf.clear();
+            buf.reserve_exact(len);
+        }
+        let Self { hidden, normed, q, k, v, concat, delta, gate, up, rope, .. } = self;
+        for buf in [hidden, normed, q, k, v, concat, delta] {
+            fit(buf, rows * config.d_model);
+        }
+        for buf in [gate, up] {
+            fit(buf, rows * config.ffn_hidden);
+        }
+        fit(rope, rows * config.head_dim() / 2);
+    }
+}
+
+/// What one sequence keeps across forward passes (see the
 /// [module docs](self)). Create one per decoding session — via
-/// [`crate::TransformerModel::new_scratch`] to pre-size every buffer for
-/// the model geometry — and pass it to every
-/// [`crate::TransformerModel::forward_with_scratch`] call; after the call
-/// the next-token [`ForwardScratch::logits`] and the step's
-/// [`ForwardScratch::scores`] remain readable until the next call.
+/// [`crate::TransformerModel::new_scratch`] to pre-size it for the model
+/// geometry — and pass it to every forward call of that sequence; after
+/// the call the next-token [`ForwardScratch::logits`] and (from the
+/// one-row API) the step's [`ForwardScratch::scores`] remain readable
+/// until the next call.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
-    /// Residual-stream hidden state, length `d_model`.
-    pub(crate) hidden: Vec<f32>,
-    /// Pre-norm output feeding attention / FFN / the LM head.
+    /// Activations of the one-row API
+    /// ([`crate::TransformerModel::forward_body`]); a sequence that only
+    /// ever rides in a batch never sizes them.
+    pub(crate) rows: BatchScratch,
+    /// Final-norm output of the sequence's newest row: the input of its
+    /// LM head, length `d_model`.
     pub(crate) normed: Vec<f32>,
-    /// Query projection, length `d_model`.
-    pub(crate) q: Vec<f32>,
-    /// Key projection, length `d_model`.
-    pub(crate) k: Vec<f32>,
-    /// Value projection, length `d_model`.
-    pub(crate) v: Vec<f32>,
-    /// Concatenated per-head attention outputs, length `d_model`.
-    pub(crate) concat: Vec<f32>,
-    /// Attention output after `W_O`, length `d_model`.
-    pub(crate) attn_out: Vec<f32>,
-    /// FFN gate activation, length `ffn_hidden`.
-    pub(crate) gate: Vec<f32>,
-    /// FFN up projection, length `ffn_hidden`.
-    pub(crate) up: Vec<f32>,
-    /// FFN down projection, length `d_model`.
-    pub(crate) down: Vec<f32>,
     /// Next-token logits, length `vocab_size`.
     pub(crate) logits: Vec<f32>,
-    /// All attention-score observations of the step.
+    /// All attention-score observations of the one-row API's last step.
     pub(crate) scores: ScoreBuffer,
-    /// The RoPE rotations of the step's position, `head_dim / 2` pairs
-    /// shared by every head of `q` and `k` in every layer.
-    pub(crate) rope: Vec<(f32, f32)>,
 }
 
 impl ForwardScratch {
@@ -127,37 +179,17 @@ impl ForwardScratch {
         Self::default()
     }
 
-    /// Creates a scratch pre-sized for a model geometry, so even the
-    /// first forward pass allocates only inside the KV cache. `seq_hint`
-    /// pre-sizes the score buffer for an expected resident cache length.
+    /// Creates a scratch whose per-sequence outputs are pre-sized for a
+    /// model geometry. `seq_hint` pre-sizes the score buffer for an
+    /// expected resident cache length (0 for a sequence that streams its
+    /// observations instead of reading [`ForwardScratch::scores`]).
     pub fn for_config(config: &crate::config::ModelConfig, seq_hint: usize) -> Self {
-        let d = config.d_model;
         Self {
-            hidden: Vec::with_capacity(d),
-            normed: Vec::with_capacity(d),
-            q: Vec::with_capacity(d),
-            k: Vec::with_capacity(d),
-            v: Vec::with_capacity(d),
-            concat: Vec::with_capacity(d),
-            attn_out: Vec::with_capacity(d),
-            gate: Vec::with_capacity(config.ffn_hidden),
-            up: Vec::with_capacity(config.ffn_hidden),
-            down: Vec::with_capacity(d),
+            rows: BatchScratch::new(),
+            normed: Vec::with_capacity(config.d_model),
             logits: Vec::with_capacity(config.vocab_size),
-            scores: ScoreBuffer {
-                data: Vec::with_capacity(config.n_layers * config.n_heads * seq_hint),
-                ends: Vec::with_capacity(config.n_layers),
-                n_heads: config.n_heads,
-            },
-            rope: Vec::with_capacity(config.head_dim() / 2),
+            scores: ScoreBuffer::with_capacity(config.n_layers, config.n_heads, seq_hint),
         }
-    }
-
-    /// Resets the per-token state for one token at `position`: empties the
-    /// score buffer and computes the position's RoPE table.
-    pub(crate) fn begin_step(&mut self, config: &crate::config::ModelConfig, position: usize) {
-        self.scores.begin_step(config.n_heads);
-        rope_table_into(config.head_dim(), position, config.rope_theta, &mut self.rope);
     }
 
     /// Next-token logits of the most recent forward pass — empty when
@@ -167,7 +199,14 @@ impl ForwardScratch {
         &self.logits
     }
 
-    /// Attention-score observations of the most recent forward pass.
+    /// Final-norm output of the newest row forwarded through this scratch
+    /// — what its LM head reads.
+    pub fn head_input(&self) -> &[f32] {
+        &self.normed
+    }
+
+    /// Attention-score observations of the most recent one-row forward
+    /// pass ([`crate::TransformerModel::forward_body`] and its wrappers).
     pub fn scores(&self) -> &ScoreBuffer {
         &self.scores
     }
@@ -201,13 +240,8 @@ mod tests {
     #[test]
     fn score_buffer_tracks_layer_segments() {
         let mut b = ScoreBuffer::new();
-        b.begin_step(2);
-        b.push_head(2).copy_from_slice(&[0.25, 0.75]);
-        b.push_head(2).copy_from_slice(&[0.5, 0.5]);
-        b.seal_layer();
-        b.push_head(1).copy_from_slice(&[1.0]);
-        b.push_head(1).copy_from_slice(&[0.0]);
-        b.seal_layer();
+        b.push_layer(ScoreView::new(&[0.25, 0.75, 0.5, 0.5], 2));
+        b.push_layer(ScoreView::new(&[1.0, 0.0], 2));
         assert_eq!(b.n_layers(), 2);
         let l0 = b.layer(0);
         assert_eq!(l0.len(), 2);
@@ -218,7 +252,7 @@ mod tests {
         assert_eq!(l1.head(0), &[1.0]);
         assert_eq!(l1.head(1), &[0.0]);
         // A new step resets the segments.
-        b.begin_step(2);
+        b.clear();
         assert_eq!(b.n_layers(), 0);
     }
 

@@ -1,14 +1,23 @@
 //! The decoder-only transformer: prefill + autoregressive decode with
 //! per-layer KV caches and eviction hooks.
 
-use crate::attention::attend_into;
+use crate::attention::attend_row;
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
-use crate::scratch::{ForwardScratch, HeadScratch, ScoreBuffer};
+use crate::rope::rope_table_extend;
+use crate::scratch::{BatchScratch, ForwardScratch, HeadScratch, ScoreBuffer};
 use crate::weights::ModelWeights;
-use veda_tensor::norm::rmsnorm_into;
-use veda_tensor::ops::{gemm_inner_into, gemv_inner_into, gemv_outer_into};
+use veda_eviction::ScoreView;
+use veda_tensor::norm::{rmsnorm_extend, rmsnorm_into};
+use veda_tensor::ops::{gemm_inner_into, gemm_outer_into, gemv_inner_into};
 use veda_tensor::softmax::log_softmax;
+
+/// Rows [`TransformerModel::forward_batch`] carries through the layers at
+/// a time. Past a few dozen rows a weight block is already read from L1
+/// for all but the first of them, so a larger block only buys larger
+/// activations: a longer batch (an instant prefill of a long prompt) goes
+/// block by block, with identical results for any blocking.
+pub const FORWARD_BLOCK_ROWS: usize = 32;
 
 /// Result of one full forward step (all layers).
 #[derive(Debug, Clone)]
@@ -151,6 +160,39 @@ impl SequenceState {
     }
 }
 
+/// The consecutive rows one sequence contributes to a
+/// [`TransformerModel::forward_batch`]: a decode step is a run of one
+/// token, a prefill chunk a run of several.
+pub struct RowRun<'a, F> {
+    state: &'a mut SequenceState,
+    tokens: &'a [usize],
+    position: usize,
+    head_input: &'a mut Vec<f32>,
+    logits: &'a mut Vec<f32>,
+    observe: F,
+}
+
+impl<'a, F: FnMut(usize, usize, ScoreView<'_>)> RowRun<'a, F> {
+    /// `tokens` of the sequence `state` holds, the first at absolute
+    /// `position`. The forward pass appends their K/V rows to `state`,
+    /// leaves the input of the last one's LM head in `scratch` (emptying
+    /// its logits, as [`TransformerModel::forward_body`] does) and calls
+    /// `observe(row, layer, scores)` with row `row`'s post-softmax
+    /// attention scores over layer `layer`'s resident rows as soon as that
+    /// attention finishes — per layer in row order, layers ascending. The
+    /// view is only valid during the call.
+    pub fn new(
+        state: &'a mut SequenceState,
+        tokens: &'a [usize],
+        position: usize,
+        scratch: &'a mut ForwardScratch,
+        observe: F,
+    ) -> Self {
+        let ForwardScratch { normed, logits, .. } = scratch;
+        Self { state, tokens, position, head_input: normed, logits, observe }
+    }
+}
+
 /// A runnable decoder-only transformer with synthetic structured weights.
 ///
 /// The struct owns the *shared* substrate (config + weights) plus one
@@ -242,11 +284,18 @@ impl TransformerModel {
         // Validate before the take below: a panic must not leave the
         // built-in state swapped out (a recovered caller would silently
         // continue on an empty cache).
-        assert!(token < self.config.vocab_size, "token {token} outside vocabulary");
+        self.assert_in_vocabulary(&[token]);
         let mut state = std::mem::take(&mut self.state);
         let out = self.forward_in(&mut state, token, position);
         self.state = state;
         out
+    }
+
+    /// Panics on the first of `tokens` outside the vocabulary.
+    fn assert_in_vocabulary(&self, tokens: &[usize]) {
+        if let Some(token) = tokens.iter().find(|&&t| t >= self.config.vocab_size) {
+            panic!("token {token} outside vocabulary");
+        }
     }
 
     /// Creates a [`ForwardScratch`] pre-sized for this model's geometry
@@ -302,7 +351,8 @@ impl TransformerModel {
     }
 
     /// The forward pass without the LM head: embedding, every layer
-    /// (appending the token's K/V rows to `state`) and the final norm.
+    /// (appending the token's K/V rows to `state`) and the final norm —
+    /// the one-row call of [`TransformerModel::forward_batch`].
     /// [`ForwardScratch::scores`] holds the step's attention observations
     /// afterwards and [`ForwardScratch::logits`] is **empty** until a head
     /// runs over this body's output — [`TransformerModel::lm_head_batch`],
@@ -322,44 +372,146 @@ impl TransformerModel {
         position: usize,
         scratch: &mut ForwardScratch,
     ) {
-        assert!(token < self.config.vocab_size, "token {token} outside vocabulary");
-        if state.caches.is_empty() {
-            // Allow `SequenceState::default()` to be used directly.
-            *state = self.new_state();
-        }
-        assert_eq!(state.n_layers(), self.config.n_layers, "sequence state layer count mismatch");
-        // Whatever logits the scratch held belong to an earlier token.
-        scratch.logits.clear();
-        scratch.hidden.clear();
-        scratch.hidden.extend_from_slice(self.weights.embed(token));
-        scratch.begin_step(&self.config, position);
+        let ForwardScratch { rows, normed, logits, scores } = scratch;
+        scores.clear();
+        let observe = |_row, _layer, view: ScoreView<'_>| scores.push_layer(view);
+        let run = RowRun { state, tokens: &[token], position, head_input: normed, logits, observe };
+        self.forward_batch(&mut [run], rows);
+    }
 
-        for (li, cache) in state.caches.iter_mut().enumerate() {
-            let w = &self.weights.layers[li];
-            // Attention block with pre-norm residual.
-            rmsnorm_into(&scratch.hidden, &w.attn_norm, self.eps, &mut scratch.normed);
-            attend_into(position, cache, w, &self.config, scratch);
-            for (xi, oi) in scratch.hidden.iter_mut().zip(&scratch.attn_out) {
-                *xi += oi;
+    /// The forward pass (no LM head) of every row of `runs` at once,
+    /// **layer-major**: per layer, every row is normed, `W_Q/W_K/W_V` are
+    /// one [`gemm_outer_into`] each over all rows, then row by row — in
+    /// run order, and within a run in token order — RoPE, the K/V append
+    /// and the per-head attention over that row's own sequence (a chunk's
+    /// row sees the rows before it because they were appended just before
+    /// it), each row's scores streamed to its run's observer; then one
+    /// GEMM each for `W_O`, gate, up and down. A layer's weights are thus
+    /// streamed from memory once per [`FORWARD_BLOCK_ROWS`] rows instead
+    /// of once per row, and every row is bit-identical to its own
+    /// [`TransformerModel::forward_body`]: rows never meet in a reduction.
+    ///
+    /// Only a run's last row goes through the final norm (no other row can
+    /// feed a head). Allocation-free once `rows` and the runs' buffers are
+    /// warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is outside the vocabulary or a state's layer
+    /// count disagrees with the model.
+    pub fn forward_batch<F: FnMut(usize, usize, ScoreView<'_>)>(
+        &self,
+        runs: &mut [RowRun<'_, F>],
+        rows: &mut BatchScratch,
+    ) {
+        // Validate everything before any state is touched.
+        for run in runs.iter_mut() {
+            self.assert_in_vocabulary(run.tokens);
+            if run.state.caches.is_empty() {
+                // Allow `SequenceState::default()` to be used directly.
+                *run.state = self.new_state();
             }
+            assert_eq!(run.state.n_layers(), self.config.n_layers, "sequence state layer count mismatch");
+            // Whatever logits the run held belong to an earlier token.
+            run.logits.clear();
+        }
+        let total: usize = runs.iter().map(|run| run.tokens.len()).sum();
+        rows.reserve(&self.config, total.min(FORWARD_BLOCK_ROWS));
+        rows.spans.clear();
+        rows.spans.resize(runs.len(), (0, 0));
+        loop {
+            // Deal the next block: each run in order takes what is left of
+            // the block, resuming where its previous span ended.
+            let mut room = FORWARD_BLOCK_ROWS;
+            for (run, (done, len)) in runs.iter().zip(rows.spans.iter_mut()) {
+                *done += *len;
+                *len = (run.tokens.len() - *done).min(room);
+                room -= *len;
+            }
+            if room == FORWARD_BLOCK_ROWS {
+                return;
+            }
+            self.forward_block(runs, rows);
+        }
+    }
+
+    /// One block of [`TransformerModel::forward_batch`]: the rows
+    /// `rows.spans` deals each run, through every layer.
+    fn forward_block<F: FnMut(usize, usize, ScoreView<'_>)>(
+        &self,
+        runs: &mut [RowRun<'_, F>],
+        rows: &mut BatchScratch,
+    ) {
+        let config = &self.config;
+        let (d, dh) = (config.d_model, config.head_dim());
+        let BatchScratch { hidden, normed, q, k, v, concat, delta, gate, up, scores, rope, spans } = rows;
+        let norm_rows = |x: &[f32], gain: &[f32], out: &mut Vec<f32>| {
+            out.clear();
+            for row in x.chunks_exact(d) {
+                rmsnorm_extend(row, gain, self.eps, out);
+            }
+        };
+        let add_rows = |x: &mut [f32], update: &[f32]| {
+            for (xi, ui) in x.iter_mut().zip(update) {
+                *xi += ui;
+            }
+        };
+
+        hidden.clear();
+        rope.clear();
+        for (run, &(done, len)) in runs.iter().zip(spans.iter()) {
+            for (row, &token) in run.tokens.iter().enumerate().skip(done).take(len) {
+                hidden.extend_from_slice(self.weights.embed(token));
+                rope_table_extend(dh, run.position + row, config.rope_theta, rope);
+            }
+        }
+        let n = hidden.len() / d;
+
+        for (li, w) in self.weights.layers.iter().enumerate() {
+            // Attention block with pre-norm residual. QKV generation
+            // (Step 1 of Fig. 1): X·W via the outer-product view.
+            norm_rows(hidden, &w.attn_norm, normed);
+            gemm_outer_into(normed, n, &w.wq, q);
+            gemm_outer_into(normed, n, &w.wk, k);
+            gemm_outer_into(normed, n, &w.wv, v);
+            concat.resize(n * d, 0.0);
+            let mut block_rows = q
+                .chunks_exact_mut(d)
+                .zip(k.chunks_exact_mut(d))
+                .zip(v.chunks_exact(d))
+                .zip(concat.chunks_exact_mut(d))
+                .zip(rope.chunks_exact(dh / 2));
+            for (run, &(done, len)) in runs.iter_mut().zip(spans.iter()) {
+                let cache = &mut run.state.caches[li];
+                for (row, ((((q, k), v), out), rope)) in (done..done + len).zip(&mut block_rows) {
+                    attend_row(run.position + row, rope, q, k, v, cache, scores, out);
+                    (run.observe)(row, li, ScoreView::new(scores, config.n_heads));
+                }
+            }
+            gemm_outer_into(concat, n, &w.wo, delta);
+            add_rows(hidden, delta);
 
             // FFN block with pre-norm residual (Step 4 of Fig. 1).
-            rmsnorm_into(&scratch.hidden, &w.ffn_norm, self.eps, &mut scratch.normed);
-            gemv_outer_into(&scratch.normed, &w.w1, &mut scratch.gate);
-            self.config.activation.apply_slice(&mut scratch.gate);
-            gemv_outer_into(&scratch.normed, &w.w3, &mut scratch.up);
+            norm_rows(hidden, &w.ffn_norm, normed);
+            gemm_outer_into(normed, n, &w.w1, gate);
+            config.activation.apply_slice(gate);
+            gemm_outer_into(normed, n, &w.w3, up);
             // Hadamard gate ∘ up, in place in the gate buffer.
-            for (g, &u) in scratch.gate.iter_mut().zip(&scratch.up) {
+            for (g, &u) in gate.iter_mut().zip(up.iter()) {
                 *g *= u;
             }
-            gemv_outer_into(&scratch.gate, &w.w2, &mut scratch.down);
-            for (xi, di) in scratch.hidden.iter_mut().zip(&scratch.down) {
-                *xi += di;
-            }
+            gemm_outer_into(gate, n, &w.w2, delta);
+            add_rows(hidden, delta);
         }
 
-        // The head's input stays in `normed` until the next body.
-        rmsnorm_into(&scratch.hidden, &self.weights.final_norm, self.eps, &mut scratch.normed);
+        // A run whose last row is in this block leaves its head's input.
+        let mut hidden_rows = hidden.chunks_exact(d);
+        for (run, &(done, len)) in runs.iter_mut().zip(spans.iter()) {
+            let last = hidden_rows.by_ref().take(len).last();
+            if let (Some(x), true) = (last, done + len == run.tokens.len()) {
+                rmsnorm_into(x, &self.weights.final_norm, self.eps, run.head_input);
+            }
+        }
     }
 
     /// The tied LM head (`logits = E · x`) of one sequence fresh from
@@ -396,14 +548,33 @@ impl TransformerModel {
         }
     }
 
-    /// Prefills a prompt (GEMM realized as successive GEMVs, as VEDA does),
-    /// returning the output of the final prompt token.
+    /// Prefills a prompt from position 0 of the built-in sequence as one
+    /// [`TransformerModel::forward_batch`], returning the output of the
+    /// final prompt token. The *cycle model* keeps VEDA's prefill — a GEMM
+    /// realized as successive GEMVs on the accelerator; the host simulator
+    /// batches the rows so its weights stream once per block, and produces
+    /// the same bits either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is outside the vocabulary.
     pub fn prefill(&mut self, prompt: &[usize]) -> Option<StepOutput> {
-        let mut last = None;
-        for (pos, &t) in prompt.iter().enumerate() {
-            last = Some(self.forward_token(t, pos));
-        }
-        last
+        let last = prompt.len().checked_sub(1)?;
+        // Validate before the take below, as `forward_token` does.
+        self.assert_in_vocabulary(prompt);
+        let mut state = std::mem::take(&mut self.state);
+        let (mut scratch, mut scores) = (ForwardScratch::new(), ScoreBuffer::new());
+        // Only the last row's observations are returned.
+        let observe = |row, _layer, view: ScoreView<'_>| {
+            if row == last {
+                scores.push_layer(view);
+            }
+        };
+        let run = RowRun::new(&mut state, prompt, 0, &mut scratch, observe);
+        self.forward_batch(&mut [run], &mut BatchScratch::new());
+        self.state = state;
+        self.lm_head(&mut scratch);
+        Some(StepOutput { logits: scratch.logits, scores })
     }
 
     /// Greedy generation of `n` tokens after `prompt`. Returns the

@@ -43,12 +43,23 @@
 //! independent sums, so they may sit in registers while several rows — or
 //! all of them — are added, as long as each output still receives rows
 //! `0, 1, 2, …` in that order through a single running sum.
-//! [`ops::gemv_outer_into`] consumes 4 rows per pass over a wide output
+//! [`ops::gemm_outer_into`] consumes 4 rows per pass over a wide output
 //! (`v = out[j]; v += s0·r0[j]; …; v += s3·r3[j]; out[j] = v`);
 //! [`ops::gemv_outer_span_into`] keeps a narrow tile of outputs resident
 //! across every row. Both are pinned bit for bit against one
 //! [`ops::axpy`] per row. Summing a block of rows first and adding the
 //! block's total to the output is the reordering this rule forbids.
+//!
+//! The row-batching corollary: **input rows are independent outputs
+//! too.** `X × W` for many rows of `X` is many outer products that share
+//! only their *reads* of `W`, so the loops may be swapped — per block of 4
+//! weight rows, every input row's outputs take their 4 adds before the
+//! next block is touched — without any output seeing a different sequence
+//! of adds. [`ops::gemm_outer_into`] does exactly that, which turns a
+//! weight matrix from something streamed from memory once per token into
+//! something streamed once per batch (each block read from L1 for every
+//! row after the first); [`ops::gemv_outer_into`] is its one-row call, so
+//! there is one loop body and a batch of one costs what a GEMV did.
 //!
 //! ## Example
 //!

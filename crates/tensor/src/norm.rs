@@ -71,6 +71,17 @@ pub fn rmsnorm(x: &[f32], gamma: &[f32], eps: f32) -> Vec<f32> {
 /// Panics if non-empty `gamma` length differs from `x`.
 pub fn rmsnorm_into(x: &[f32], gamma: &[f32], eps: f32, out: &mut Vec<f32>) {
     out.clear();
+    rmsnorm_extend(x, gamma, eps, out);
+}
+
+/// [`rmsnorm_into`] that **appends** to `out` instead of replacing its
+/// contents: one call per row normalizes a row-major batch into one
+/// buffer, each row bit-identical to its own [`rmsnorm`].
+///
+/// # Panics
+///
+/// Panics if non-empty `gamma` length differs from `x`.
+pub fn rmsnorm_extend(x: &[f32], gamma: &[f32], eps: f32, out: &mut Vec<f32>) {
     if x.is_empty() {
         return;
     }

@@ -19,7 +19,8 @@
 //! ([`gemv_inner_span_into`]) — runs through one register tile, which keeps
 //! [`dot`]'s exact k-order sum for every output element. Every outer
 //! product keeps its outputs in registers while the rows stream past:
-//! [`gemv_outer_into`] four rows per pass over a wide output,
+//! [`gemm_outer_into`] (and its one-row call [`gemv_outer_into`]) four
+//! matrix rows per pass over every input row's wide output,
 //! [`gemv_outer_span_into`] all rows per narrow tile of one (see the crate
 //! docs' summation-order section).
 
@@ -245,7 +246,7 @@ fn next_tile<'a>(rows: &mut impl Iterator<Item = &'a [f32]>) -> [&'a [f32]; INNE
 /// `out[i] = q · m.row(i)[col..col + q.len()]`, written into a pre-sized
 /// `out` of `m.rows()` elements. With `m = K` in `(l, d)` format and the
 /// span one head's columns this is that head's `q × Kᵀ`: the sequence
-/// length streams past [`INNER_TILE_ROWS`] accumulators at a time, each
+/// length streams past `INNER_TILE_ROWS` accumulators at a time, each
 /// **bit-identical** to [`dot`] of `q` and its row's span.
 ///
 /// # Panics
@@ -293,44 +294,88 @@ fn inner_tile<const L: usize>(
     acc
 }
 
-/// Input rows one pass of [`gemv_outer_into`] over the output consumes.
+/// Matrix rows one pass of [`gemm_outer_into`] over the outputs consumes.
 const OUTER_BLOCK_ROWS: usize = 4;
 
 /// In-place variant of [`gemv_outer`]: accumulates `Σ_i s[i] · m.row(i)`
-/// into `out`, reusing its allocation. Every output is the sum
-/// `(((0 + s[0]·m[0][j]) + s[1]·m[1][j]) + …)` in ascending `i` — the order
-/// of one [`axpy`] per row — but [`OUTER_BLOCK_ROWS`] rows are consumed per
-/// pass over `out`, so each output is loaded and stored once per block
-/// and carries its running sum through a register in between.
+/// into `out`, reusing its allocation — the one-row call of
+/// [`gemm_outer_into`], so every output is the sum
+/// `(((0 + s[0]·m[0][j]) + s[1]·m[1][j]) + …)` in ascending `i`, the order
+/// of one [`axpy`] per row.
 ///
 /// # Panics
 ///
 /// Panics if `s.len() != m.rows()`.
 pub fn gemv_outer_into(s: &[f32], m: &Matrix, out: &mut Vec<f32>) {
     assert_eq!(s.len(), m.rows(), "gemv_outer: s length {} vs matrix rows {}", s.len(), m.rows());
-    let cols = m.cols();
+    gemm_outer_into(s, 1, m, out);
+}
+
+/// Batched outer-product GEMM against the rows of `m`:
+/// `out[r·n + j] = Σ_i xs[r·k + i] · m.row(i)[j]` for the `rows` input rows
+/// packed in `xs` (`k = m.rows()`, `n = m.cols()`), i.e. `X × m` with `X`
+/// and `out` row-major. With `m` a layer's weight matrix this is a linear
+/// layer of `rows` tokens that share one stream of the weights.
+///
+/// Every output is **bit-identical** to one [`axpy`] per matrix row, in
+/// ascending `i`, into a zeroed output row: the matrix is consumed four
+/// rows at a time, and per block *every* input row's output row takes its
+/// four adds — each output loaded and stored once per block, its running
+/// sum in a register in between — before the next block is touched. The
+/// block is therefore read from memory once and from L1 for every further
+/// input row; no reduction is split or reordered, and input rows never
+/// meet.
+///
+/// The row count is explicit because an empty reduction (`k = 0`) leaves
+/// no input elements to count: it yields `rows` rows of `+0.0`, what
+/// zeroed outputs that no [`axpy`] touched hold. `out` is reused: cleared
+/// and refilled, capacity retained.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != rows * m.rows()`.
+///
+/// ```
+/// use veda_tensor::{Matrix, ops::gemm_outer_into};
+/// let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
+/// let mut out = Vec::new();
+/// gemm_outer_into(&[0.25, 0.75, 1.0, 1.0], 2, &w, &mut out);
+/// assert_eq!(out, vec![0.25, 1.5, 1.0, 2.0]);
+/// ```
+pub fn gemm_outer_into(xs: &[f32], rows: usize, m: &Matrix, out: &mut Vec<f32>) {
+    let (k, cols) = (m.rows(), m.cols());
+    assert_eq!(xs.len(), rows * k, "gemm_outer: input length {} vs {rows} rows of {k}", xs.len());
     out.clear();
-    out.resize(cols, 0.0);
-    if cols == 0 {
+    out.resize(rows * cols, 0.0);
+    if k == 0 || cols == 0 {
         return;
     }
-    let (blocks, rest) = s.as_chunks::<OUTER_BLOCK_ROWS>();
-    let mut row_blocks = m.as_slice().chunks_exact(OUTER_BLOCK_ROWS * cols);
-    for (&[s0, s1, s2, s3], block) in blocks.iter().zip(&mut row_blocks) {
+    let mut blocks = m.as_slice().chunks_exact(OUTER_BLOCK_ROWS * cols);
+    let mut done = 0;
+    for block in &mut blocks {
         let (r0, block) = block.split_at(cols);
         let (r1, block) = block.split_at(cols);
         let (r2, r3) = block.split_at(cols);
-        for ((((o, &e0), &e1), &e2), &e3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
-            let mut acc = *o;
-            acc += s0 * e0;
-            acc += s1 * e1;
-            acc += s2 * e2;
-            acc += s3 * e3;
-            *o = acc;
+        // Every input row holds `k > done + 3` elements, so `map_while`
+        // never stops early.
+        let coeffs = xs.chunks_exact(k).map_while(|x| x.split_at(done).1.first_chunk::<OUTER_BLOCK_ROWS>());
+        for (&[s0, s1, s2, s3], out_row) in coeffs.zip(out.chunks_exact_mut(cols)) {
+            for ((((o, &e0), &e1), &e2), &e3) in out_row.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                let mut acc = *o;
+                acc += s0 * e0;
+                acc += s1 * e1;
+                acc += s2 * e2;
+                acc += s3 * e3;
+                *o = acc;
+            }
         }
+        done += OUTER_BLOCK_ROWS;
     }
-    for (&si, row) in rest.iter().zip(row_blocks.remainder().chunks_exact(cols)) {
-        axpy(si, row, out);
+    let tail = blocks.remainder();
+    for (x, out_row) in xs.chunks_exact(k).zip(out.chunks_exact_mut(cols)) {
+        for (&si, row) in x.split_at(done).1.iter().zip(tail.chunks_exact(cols)) {
+            axpy(si, row, out_row);
+        }
     }
 }
 

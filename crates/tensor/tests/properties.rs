@@ -72,6 +72,21 @@ fn assert_gemv_outer_matches_axpy(s: &[f32], m: &Matrix, out: &mut Vec<f32>) {
     assert_same_bits(&ops::gemv_outer(s, m), &want, "gemv_outer");
 }
 
+/// Asserts `gemm_outer_into` of the `rows` input rows packed in `xs`
+/// equals, row by row, one `ops::axpy` per matrix row, in ascending order,
+/// into zeros.
+fn assert_gemm_outer_matches_axpy(xs: &[f32], rows: usize, m: &Matrix, out: &mut Vec<f32>) {
+    ops::gemm_outer_into(xs, rows, m, out);
+    let (k, cols) = (m.rows(), m.cols());
+    let mut want = vec![0.0; rows * cols];
+    for r in 0..rows {
+        for (&xi, row) in xs[r * k..(r + 1) * k].iter().zip(m.iter_rows()) {
+            ops::axpy(xi, row, &mut want[r * cols..(r + 1) * cols]);
+        }
+    }
+    assert_same_bits(out, &want, &format!("gemm_outer_into {rows} input row(s) x {k}x{cols}"));
+}
+
 const SPECIALS: [f32; 7] = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.25];
 
 /// `len` normal draws; with `specials: Some(phase)` every fifth element
@@ -134,6 +149,66 @@ fn gemv_outer_keeps_axpy_bits_over_every_row_block_remainder() {
     let cap = out.capacity();
     assert_gemv_outer_matches_axpy(&[0.25; 7], &m, &mut out);
     assert_eq!(out.capacity(), cap, "warm buffer must not reallocate");
+}
+
+#[test]
+fn gemm_outer_keeps_axpy_bits_over_every_row_block_remainder() {
+    // Input-row counts from none to past two 4-row groups, reductions on
+    // every remainder of the 4-row weight block (the empty one included),
+    // outputs narrower and wider than a vector; the second pass sprinkles
+    // ±0.0 / NaN / ±∞ over inputs and weights alike.
+    let mut rng = veda_tensor::rng::seeded(29);
+    let mut out = vec![7.0; 3]; // stale content must be overwritten
+    for specials in [false, true] {
+        for rows in 0..=9 {
+            for k in 0..=11 {
+                for cols in [0usize, 1, 2, 5, 33] {
+                    let mut draw = |len, phase| draw(&mut rng, len, specials.then_some(phase));
+                    let m = Matrix::from_vec(k, cols, draw(k * cols, k)).unwrap();
+                    assert_gemm_outer_matches_axpy(&draw(rows * k, rows), rows, &m, &mut out);
+                }
+            }
+        }
+    }
+    // `+0.0 + -0.0·x` keeps the sign the zeroed accumulator started with,
+    // in every input row.
+    let ones = Matrix::from_vec(6, 3, vec![1.0; 18]).unwrap();
+    assert_gemm_outer_matches_axpy(&[-0.0; 30], 5, &ones, &mut out);
+    // Reuse without reallocation once capacity is warm, fewer rows included.
+    let m = Matrix::from_vec(7, 33, draw(&mut rng, 7 * 33, None)).unwrap();
+    let xs = draw(&mut rng, 9 * 7, None);
+    assert_gemm_outer_matches_axpy(&xs, 9, &m, &mut out);
+    let cap = out.capacity();
+    for rows in [9, 1, 4, 9] {
+        assert_gemm_outer_matches_axpy(&xs[..rows * 7], rows, &m, &mut out);
+    }
+    assert_eq!(out.capacity(), cap, "warm buffer must not reallocate");
+}
+
+#[test]
+fn gemm_outer_defines_the_empty_reduction_and_the_empty_batch() {
+    let mut out = vec![7.0; 5];
+    // No weight rows: every input row is an empty sum, `+0.0` per column.
+    ops::gemm_outer_into(&[], 3, &Matrix::zeros(0, 4), &mut out);
+    assert_eq!(out.len(), 12);
+    assert!(out.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
+    // No input rows, no columns: empty outputs, no panic.
+    let m = Matrix::from_vec(5, 2, vec![1.0; 10]).unwrap();
+    ops::gemm_outer_into(&[], 0, &m, &mut out);
+    assert!(out.is_empty());
+    ops::gemm_outer_into(&[1.0; 6], 2, &Matrix::zeros(3, 0), &mut out);
+    assert!(out.is_empty());
+    ops::gemm_outer_into(&[], 0, &Matrix::zeros(0, 0), &mut out);
+    assert!(out.is_empty());
+    // The one-row entry point is the same kernel.
+    ops::gemv_outer_into(&[], &Matrix::zeros(0, 4), &mut out);
+    assert_eq!(out, [0.0; 4]);
+}
+
+#[test]
+#[should_panic(expected = "gemm_outer: input length 7 vs 2 rows of 3")]
+fn gemm_outer_rejects_a_ragged_batch() {
+    ops::gemm_outer_into(&[0.0; 7], 2, &Matrix::zeros(3, 4), &mut Vec::new());
 }
 
 #[test]
@@ -301,6 +376,19 @@ proptest! {
         let m = Matrix::from_vec(rows, cols, veda_tensor::rng::normal_vec(&mut rng, rows * cols, 1.0)).unwrap();
         let s = veda_tensor::rng::normal_vec(&mut rng, rows, 1.0);
         assert_gemv_outer_matches_axpy(&s, &m, &mut Vec::new());
+    }
+
+    #[test]
+    fn gemm_outer_is_bit_identical_to_per_row_axpy(
+        rows in 0usize..40,
+        k in 0usize..40,
+        cols in 0usize..70,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = veda_tensor::rng::seeded(seed);
+        let m = Matrix::from_vec(k, cols, veda_tensor::rng::normal_vec(&mut rng, k * cols, 1.0)).unwrap();
+        let xs = veda_tensor::rng::normal_vec(&mut rng, rows * k, 1.0);
+        assert_gemm_outer_matches_axpy(&xs, rows, &m, &mut Vec::new());
     }
 
     #[test]
