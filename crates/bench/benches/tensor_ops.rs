@@ -1,12 +1,13 @@
 //! Microbenchmarks of the tensor kernels that dominate the functional
-//! model: the two GEMV interpretations, softmax variants and FP16
-//! conversion.
+//! model: the two GEMV interpretations, a chunk's grouped `q × Kᵀ`, the
+//! attention step, softmax variants and FP16 conversion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use veda_eviction::ScoreView;
 use veda_model::attention::attend;
 use veda_model::weights::ModelWeights;
-use veda_model::{LayerKvCache, ModelConfig};
+use veda_model::{BatchScratch, LayerKvCache, ModelConfig, RowRun, TransformerModel};
 use veda_tensor::{ops, softmax, Matrix, OnlineSoftmax};
 
 fn bench_gemv(c: &mut Criterion) {
@@ -62,6 +63,43 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// One head's `q × Kᵀ` for the last 8 rows of a prefill chunk — row `r`
+/// over the leading `l - 7 + r` keys — as 8 one-lane passes over the keys
+/// and as one 8-lane pass, at the head geometries of `long_context`
+/// (l 768, d_h 16), the serving workloads' tiny model (l 48, d_h 8) and
+/// `small` (l 416, d_h 32). Same kernel, same outputs bit for bit; the
+/// difference is what sharing the pass over `K` saves.
+fn bench_qk_span(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qk");
+    let mut rng = veda_tensor::rng::seeded(8);
+    for (l, dh, heads) in [(768usize, 16usize, 4usize), (48, 8, 4), (416, 32, 8)] {
+        let d = dh * heads;
+        let keys = Matrix::from_vec(l, d, veda_tensor::rng::normal_vec(&mut rng, l * d, 1.0)).unwrap();
+        let qs: Vec<Vec<f32>> = (0..8).map(|_| veda_tensor::rng::normal_vec(&mut rng, dh, 1.0)).collect();
+        let mut outs = vec![vec![0.0f32; l]; 8];
+        let mut pack = Vec::new();
+        group.bench_function(format!("span_8x1lane_{l}x{dh}"), |b| {
+            b.iter(|| {
+                for (r, (q, out)) in qs.iter().zip(&mut outs).enumerate() {
+                    let mut lane = [(black_box(&q[..]), &mut out[..l - 7 + r])];
+                    ops::gemm_inner_span_into(&mut lane, black_box(&keys), dh, &mut pack);
+                }
+            })
+        });
+        group.bench_function(format!("span_8lanes_{l}x{dh}"), |b| {
+            b.iter(|| {
+                let mut rows = qs.iter().zip(&mut outs).enumerate();
+                let mut lanes: [(&[f32], &mut [f32]); 8] = std::array::from_fn(|_| {
+                    let (r, (q, out)) = rows.next().expect("8 lanes");
+                    (black_box(&q[..]), &mut out[..l - 7 + r])
+                });
+                ops::gemm_inner_span_into(&mut lanes, black_box(&keys), dh, &mut pack);
+            })
+        });
+    }
+    group.finish();
+}
+
 /// One layer's attention step of the `long_context` geometry (d 64, H 4)
 /// over 1 024 resident rows: QKV, RoPE, per-head `q × Kᵀ` → softmax →
 /// `s' × V`, and `W_O`. The appended row is evicted again so every
@@ -83,6 +121,35 @@ fn bench_attend(c: &mut Criterion) {
             let out = attend(black_box(&x), 1023, &mut cache, &weights.layers[0], &config);
             cache.evict(1023);
             out
+        })
+    });
+}
+
+/// The same geometry and resident length for an 8-row prefill chunk: one
+/// `forward_batch` of a one-layer model whose FFN is two units wide, so
+/// the pass is the chunk's attention step (8 rows' QKV, RoPE, appends,
+/// per-head `q × Kᵀ` of the group in one pass over the keys, 8 softmaxes
+/// and `s' × V`s per head, `W_O`) — compare with 8 × `attend_d64_h4_l1024`.
+/// The appended rows are evicted again.
+fn bench_attend_chunk(c: &mut Criterion) {
+    let config = ModelConfig { d_model: 64, n_heads: 4, n_layers: 1, ffn_hidden: 2, ..ModelConfig::tiny() };
+    let model = TransformerModel::new(config.clone());
+    let mut state = model.new_state();
+    state.reserve(1024, config.d_model);
+    let (mut scratch, mut rows) = (model.new_scratch(0), BatchScratch::new());
+    let resident: Vec<usize> = (0..1016).map(|i| i % config.vocab_size).collect();
+    let run = RowRun::new(&mut state, &resident, 0, &mut scratch, |_, _, _: ScoreView<'_>| {});
+    model.forward_batch(&mut [run], &mut rows);
+    let chunk = [1usize, 2, 3, 4, 5, 6, 7, 8];
+    let appended: Vec<usize> = (1016..1024).collect();
+    c.bench_function("attend_chunk8_d64_h4_l1024", |b| {
+        b.iter(|| {
+            let observe = |_, _, view: ScoreView<'_>| {
+                black_box(view.as_flat());
+            };
+            let run = RowRun::new(&mut state, black_box(&chunk), 1016, &mut scratch, observe);
+            model.forward_batch(&mut [run], &mut rows);
+            state.evict_many(0, &appended);
         })
     });
 }
@@ -110,5 +177,14 @@ fn bench_fp16(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_gemv, bench_gemm, bench_attend, bench_softmax, bench_fp16);
+criterion_group!(
+    benches,
+    bench_gemv,
+    bench_gemm,
+    bench_qk_span,
+    bench_attend,
+    bench_attend_chunk,
+    bench_softmax,
+    bench_fp16
+);
 criterion_main!(benches);

@@ -2062,6 +2062,10 @@ mod tests {
         let mut no_ffn = ModelConfig::tiny();
         no_ffn.ffn_hidden = 0;
         assert!(rejected(no_ffn));
+        // Used to build and then fill every RoPE table with NaN.
+        let mut no_theta = ModelConfig::tiny();
+        no_theta.rope_theta = 0.0;
+        assert!(rejected(no_theta));
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Multi-head attention with a pluggable KV cache, computed with the two
 //! GEMV interpretations VEDA maps to hardware.
 //!
-//! One row per call: the query attends over all resident cache entries
-//! (`q × Kᵀ` via [`veda_tensor::ops::gemv_inner_span_into`] over one head's
-//! columns of the `(l, d)` rows) and aggregates values (`s' × V` via
+//! One run per call: the consecutive rows one sequence contributes to a
+//! forward pass — a decode step is a run of one, a prefill chunk a run of
+//! several — are rotated and appended first (`append_rotated`), then
+//! `attend_run` scores them [`INNER_MAX_LANES`] rows at a time: per head
+//! the group's queries take **one** pass over the resident keys (`q × Kᵀ`
+//! via [`veda_tensor::ops::gemm_inner_span_into`] over that head's columns
+//! of the `(l, d)` rows, each row storing only its own causal prefix), and
+//! each row then aggregates its prefix of the values (`s' × V` via
 //! [`veda_tensor::ops::gemv_outer_span_into`]). The per-head post-softmax
-//! score vectors are left for eviction policies and the voting engine to
-//! observe.
+//! score vectors are streamed, row by row, for eviction policies and the
+//! voting engine to observe.
 
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
 use crate::rope::{apply_rope_table, rope_table_extend};
+use crate::scratch::fit;
 use crate::weights::LayerWeights;
 use veda_eviction::ScoreView;
-use veda_tensor::ops::{self, gemv_inner_span_into, gemv_outer_into, gemv_outer_span_into};
+use veda_tensor::ops::{self, gemm_inner_span_into, gemv_outer_into, gemv_outer_span_into, INNER_MAX_LANES};
 use veda_tensor::softmax::softmax_in_place;
 
 /// Result of one attention step.
@@ -26,47 +32,110 @@ pub struct AttentionOutput {
     pub head_scores: Vec<Vec<f32>>,
 }
 
-/// The attention of one row between its `W_Q/W_K/W_V` and `W_O`
-/// projections: rotates every head of `q` and `k` by the row's `rope`
-/// table, appends `k`/`v` to `cache` — so the row attends to itself and to
-/// every row appended before it, and a later row of the same sequence to
-/// this one: causality needs no mask — then per head `q × Kᵀ` → softmax →
-/// `s' × V` into that head's columns of `concat`. `scores` is left holding
-/// the row's head-major `n_heads × cache.len()` score block.
-/// Allocation-free once `scores` is warm.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attend_row(
+/// What one row does to its sequence before anything attends: rotates
+/// every head of `q` and `k` by the row's `rope` table and appends `k`/`v`
+/// to `cache` — so the row attends to itself and to every row appended
+/// before it, and a later row of the same sequence to this one.
+pub(crate) fn append_rotated(
     position: usize,
     rope: &[(f32, f32)],
     q: &mut [f32],
     k: &mut [f32],
     v: &[f32],
     cache: &mut LayerKvCache,
-    scores: &mut Vec<f32>,
-    concat: &mut [f32],
 ) {
     apply_rope_table(q, rope);
     apply_rope_table(k, rope);
     cache.append(position, k, v);
+}
 
-    let dh = 2 * rope.len();
+/// The attention of one run between its `W_Q/W_K/W_V` and `W_O`
+/// projections: `q` holds the run's rotated query rows, `cache` already
+/// ends with their K/V rows ([`append_rotated`]), so row `r` of `R` attends
+/// over the leading `cache.len() - R + r + 1` resident rows and causality
+/// needs no mask. Per group of up to [`INNER_MAX_LANES`] rows and per head
+/// the scores of the whole group come out of one pass over the keys; then
+/// per row, in row order, scale → softmax → `s' × V` into that head's
+/// columns of `concat`, and `observe(r, scores)` with the row's head-major
+/// score block. `scores` (one group's blocks back to back) and `pack` are
+/// sized here, exactly; allocation-free once they are warm.
+pub(crate) fn attend_run(
+    config: &ModelConfig,
+    q: &[f32],
+    cache: &LayerKvCache,
+    scores: &mut Vec<f32>,
+    pack: &mut Vec<f32>,
+    concat: &mut [f32],
+    mut observe: impl FnMut(usize, ScoreView<'_>),
+) {
+    let (d, dh, n_heads) = (config.d_model, config.head_dim(), config.n_heads);
+    let rows = q.len() / d;
     let scale = 1.0 / (dh as f32).sqrt();
-    scores.clear();
-    scores.resize(q.len() / dh * cache.len(), 0.0);
-    let heads = q.chunks_exact(dh).zip(concat.chunks_exact_mut(dh)).zip(scores.chunks_exact_mut(cache.len()));
-    for (h, ((qh, out), scores)) in heads.enumerate() {
-        // q × Kᵀ: inner product over the (l, d) key rows — l is temporal.
-        gemv_inner_span_into(qh, cache.keys(), h * dh, scores);
-        ops::scale(scale, scores);
-        softmax_in_place(scores);
-        // s' × V: outer product over the (l, d) value rows — l is temporal.
-        gemv_outer_span_into(scores, cache.values(), h * dh, out);
+    fit(scores, rows.min(INNER_MAX_LANES) * n_heads * cache.len());
+    // One row is its own lane-major form and is never packed.
+    fit(pack, if rows > 1 { INNER_MAX_LANES * dh } else { 0 });
+
+    // Resident rows the run's first row attends over.
+    let first_len = cache.len() + 1 - rows;
+    let groups = q.chunks(INNER_MAX_LANES * d).zip(concat.chunks_mut(INNER_MAX_LANES * d));
+    for (first, (q, concat)) in (0..).step_by(INNER_MAX_LANES).zip(groups) {
+        let (lanes, len) = (q.len() / d, first_len + first);
+        scores.clear();
+        scores.resize(n_heads * (lanes * len + lanes * (lanes - 1) / 2), 0.0);
+
+        // q × Kᵀ: inner product over the (l, d) key rows — l is temporal,
+        // and one pass serves every row of the group. Each lane holds what
+        // is left of its query row and of its score block; every head
+        // takes its span off the front of both.
+        let (mut q_rows, mut blocks) = (q.chunks_exact(d), lane_blocks(scores, n_heads, len));
+        let mut rest: [_; INNER_MAX_LANES] = std::array::from_fn(move |_| {
+            (q_rows.next().unwrap_or_default(), blocks.next().unwrap_or_default())
+        });
+        for h in 0..n_heads {
+            let mut group: [(&[f32], &mut [f32]); INNER_MAX_LANES] = Default::default();
+            for (lane, (q, (prefix, block))) in group.iter_mut().zip(rest.iter_mut().take(lanes)) {
+                *lane = (
+                    q.split_off(..dh).unwrap_or_default(),
+                    block.split_off_mut(..*prefix).unwrap_or_default(),
+                );
+            }
+            gemm_inner_span_into(group.split_at_mut(lanes).0, cache.keys(), h * dh, pack);
+        }
+
+        let blocks = lane_blocks(scores, n_heads, len).zip(concat.chunks_exact_mut(d));
+        for (row, ((prefix, block), concat)) in (first..).zip(blocks) {
+            let heads = block.chunks_exact_mut(prefix).zip(concat.chunks_exact_mut(dh));
+            for (h, (scores, out)) in heads.enumerate() {
+                ops::scale(scale, scores);
+                softmax_in_place(scores);
+                // s' × V: outer product over the (l, d) value rows — l is
+                // temporal.
+                gemv_outer_span_into(scores, cache.values(), h * dh, out);
+            }
+            observe(row, ScoreView::new(block, n_heads));
+        }
     }
 }
 
+/// Cuts `scores` into the consecutive head-major score blocks of a group
+/// whose first row attends over `len` resident rows — `n_heads × len`,
+/// `n_heads × (len + 1)`, … elements, each with its row's prefix length —
+/// until it is used up.
+fn lane_blocks(
+    mut scores: &mut [f32],
+    n_heads: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, &mut [f32])> {
+    (len..).map_while(move |prefix| {
+        let (block, rest) = std::mem::take(&mut scores).split_at_mut_checked(n_heads * prefix)?;
+        scores = rest;
+        Some((prefix, block))
+    })
+}
+
 /// Runs one attention step for a single layer: `W_Q/W_K/W_V`, the
-/// crate-internal `attend_row` the batched forward pass runs per row, and
-/// `W_O` (allocating convenience wrapper).
+/// crate-internal `attend_run` of the batched forward pass over this one
+/// row, and `W_O` (allocating convenience wrapper).
 ///
 /// `x` is the RMS-normed hidden state of the current token, `position` its
 /// absolute index. The token's K/V vectors are appended to `cache` before
@@ -86,11 +155,13 @@ pub fn attend(
     gemv_outer_into(x, &w.wv, &mut v);
     let mut rope = Vec::new();
     rope_table_extend(config.head_dim(), position, config.rope_theta, &mut rope);
-    let (mut scores, mut concat) = (Vec::new(), vec![0.0; config.d_model]);
-    attend_row(position, &rope, &mut q, &mut k, &v, cache, &mut scores, &mut concat);
+    append_rotated(position, &rope, &mut q, &mut k, &v, cache);
+    let (mut concat, mut head_scores) = (vec![0.0; config.d_model], Vec::new());
+    attend_run(config, &q, cache, &mut Vec::new(), &mut Vec::new(), &mut concat, |_, scores| {
+        head_scores = scores.heads().map(<[f32]>::to_vec).collect();
+    });
     let mut output = Vec::new();
     gemv_outer_into(&concat, &w.wo, &mut output);
-    let head_scores = ScoreView::new(&scores, config.n_heads).heads().map(<[f32]>::to_vec).collect();
     AttentionOutput { output, head_scores }
 }
 

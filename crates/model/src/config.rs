@@ -141,6 +141,9 @@ impl ModelConfig {
         if self.max_seq_len == 0 {
             return Err("max_seq_len must be positive".into());
         }
+        if !(self.rope_theta.is_finite() && self.rope_theta > 0.0) {
+            return Err(format!("rope_theta {} must be finite and positive", self.rope_theta));
+        }
         Ok(())
     }
 }
@@ -196,6 +199,16 @@ mod tests {
         c = ModelConfig::tiny();
         c.ffn_hidden = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rope_theta_that_would_fill_the_tables_with_nan_is_rejected() {
+        for theta in [0.0, -0.0, -10000.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let c = ModelConfig { rope_theta: theta, ..ModelConfig::tiny() };
+            assert!(c.validate().unwrap_err().contains("rope_theta"), "rope_theta {theta}");
+        }
+        let c = ModelConfig { rope_theta: f32::MIN_POSITIVE, ..ModelConfig::tiny() };
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -114,9 +114,14 @@ pub struct BatchScratch {
     pub(crate) gate: Vec<f32>,
     /// FFN up projections, `ffn_hidden` per row.
     pub(crate) up: Vec<f32>,
-    /// The head-major `n_heads × l` score block of the one row whose
-    /// attention is in flight — observations stream out of here.
+    /// The head-major `n_heads × l_r` score blocks, back to back, of the
+    /// group of rows (at most `veda_tensor::ops::INNER_MAX_LANES` of one
+    /// run) whose attention is in flight — observations stream out of
+    /// here.
     pub(crate) scores: Vec<f32>,
+    /// `veda_tensor::ops::gemm_inner_span_into`'s pack buffer: one head's
+    /// queries of that group, lane-interleaved.
+    pub(crate) pack: Vec<f32>,
     /// One RoPE table (`head_dim / 2` rotations) per row, shared by every
     /// head of `q` and `k` in every layer.
     pub(crate) rope: Vec<(f32, f32)>,
@@ -133,12 +138,10 @@ impl BatchScratch {
     }
 
     /// Makes room for `rows` rows of `config`'s geometry at exactly that
-    /// size, so no buffer grows (by doubling) in the middle of a pass.
+    /// size, so no buffer grows (by doubling) in the middle of a pass. The
+    /// score block and the pack buffer depend on the resident length and
+    /// are sized, as exactly, by each run's attention.
     pub(crate) fn reserve(&mut self, config: &crate::config::ModelConfig, rows: usize) {
-        fn fit<T>(buf: &mut Vec<T>, len: usize) {
-            buf.clear();
-            buf.reserve_exact(len);
-        }
         let Self { hidden, normed, q, k, v, concat, delta, gate, up, rope, .. } = self;
         for buf in [hidden, normed, q, k, v, concat, delta] {
             fit(buf, rows * config.d_model);
@@ -148,6 +151,13 @@ impl BatchScratch {
         }
         fit(rope, rows * config.head_dim() / 2);
     }
+}
+
+/// Empties `buf` and makes room for exactly `len` elements, so it neither
+/// grows by doubling nor holds more than the pass needs.
+pub(crate) fn fit<T>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    buf.reserve_exact(len);
 }
 
 /// What one sequence keeps across forward passes (see the

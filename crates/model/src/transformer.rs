@@ -1,7 +1,7 @@
 //! The decoder-only transformer: prefill + autoregressive decode with
 //! per-layer KV caches and eviction hooks.
 
-use crate::attention::attend_row;
+use crate::attention::{append_rotated, attend_run};
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
 use crate::rope::rope_table_extend;
@@ -381,12 +381,14 @@ impl TransformerModel {
 
     /// The forward pass (no LM head) of every row of `runs` at once,
     /// **layer-major**: per layer, every row is normed, `W_Q/W_K/W_V` are
-    /// one [`gemm_outer_into`] each over all rows, then row by row — in
-    /// run order, and within a run in token order — RoPE, the K/V append
-    /// and the per-head attention over that row's own sequence (a chunk's
-    /// row sees the rows before it because they were appended just before
-    /// it), each row's scores streamed to its run's observer; then one
-    /// GEMM each for `W_O`, gate, up and down. A layer's weights are thus
+    /// one [`gemm_outer_into`] each over all rows, then run by run every
+    /// row of the run is rotated and appended to its sequence and the run
+    /// attends — per head, up to 8 rows' `q × Kᵀ` in one pass over the
+    /// sequence's keys, each row over the rows resident when it was
+    /// appended (so a chunk's row sees the rows before it and none after),
+    /// then per row in token order softmax and `s' × V`, the row's scores
+    /// streamed to its run's observer; then one GEMM each for `W_O`, gate,
+    /// up and down. A layer's weights are thus
     /// streamed from memory once per [`FORWARD_BLOCK_ROWS`] rows instead
     /// of once per row, and every row is bit-identical to its own
     /// [`TransformerModel::forward_body`]: rows never meet in a reduction.
@@ -444,7 +446,8 @@ impl TransformerModel {
     ) {
         let config = &self.config;
         let (d, dh) = (config.d_model, config.head_dim());
-        let BatchScratch { hidden, normed, q, k, v, concat, delta, gate, up, scores, rope, spans } = rows;
+        let BatchScratch { hidden, normed, q, k, v, concat, delta, gate, up, scores, pack, rope, spans } =
+            rows;
         let norm_rows = |x: &[f32], gain: &[f32], out: &mut Vec<f32>| {
             out.clear();
             for row in x.chunks_exact(d) {
@@ -475,18 +478,20 @@ impl TransformerModel {
             gemm_outer_into(normed, n, &w.wk, k);
             gemm_outer_into(normed, n, &w.wv, v);
             concat.resize(n * d, 0.0);
-            let mut block_rows = q
-                .chunks_exact_mut(d)
-                .zip(k.chunks_exact_mut(d))
-                .zip(v.chunks_exact(d))
-                .zip(concat.chunks_exact_mut(d))
-                .zip(rope.chunks_exact(dh / 2));
+            let mut kv_rows = k.chunks_exact_mut(d).zip(v.chunks_exact(d)).zip(rope.chunks_exact(dh / 2));
+            let (mut q_rows, mut concat_rows) = (q.as_mut_slice(), concat.as_mut_slice());
             for (run, &(done, len)) in runs.iter_mut().zip(spans.iter()) {
-                let cache = &mut run.state.caches[li];
-                for (row, ((((q, k), v), out), rope)) in (done..done + len).zip(&mut block_rows) {
-                    attend_row(run.position + row, rope, q, k, v, cache, scores, out);
-                    (run.observe)(row, li, ScoreView::new(scores, config.n_heads));
+                let (q, out);
+                (q, q_rows) = std::mem::take(&mut q_rows).split_at_mut(len * d);
+                (out, concat_rows) = std::mem::take(&mut concat_rows).split_at_mut(len * d);
+                let RowRun { state, position, observe, .. } = run;
+                let cache = &mut state.caches[li];
+                // Every row of the run joins the sequence before any of
+                // them attends, so they can share passes over its keys.
+                for ((row, q), ((k, v), rope)) in (done..).zip(q.chunks_exact_mut(d)).zip(&mut kv_rows) {
+                    append_rotated(*position + row, rope, q, k, v, cache);
                 }
+                attend_run(config, q, cache, scores, pack, out, |row, view| observe(done + row, li, view));
             }
             gemm_outer_into(concat, n, &w.wo, delta);
             add_rows(hidden, delta);

@@ -4,8 +4,10 @@
 //! `rmsnorm_into`, `dot`, `axpy`, `softmax_in_place` and `apply_rope`
 //! only, and against itself under every grouping of the same rows: one
 //! batch, one call per sequence, one call per row. A batch longer than the
-//! internal block goes block by block, so the groupings also pin that the
-//! blocking is invisible.
+//! internal block goes block by block, and a run's rows are scored eight
+//! at a time in one pass over their keys, so the groupings and the chunk
+//! lengths also pin that neither the blocking nor the grouping is visible
+//! — in the scores, or in the order observers are called.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -59,13 +61,16 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One token through every layer the slow way, appending to `caches`.
+/// One token through every layer the slow way, appending to `caches`. The
+/// token attends over every resident row but the newest `short` — 0 for
+/// the forward pass as it is, 1 for the mutation that must be caught.
 fn reference_forward(
     cfg: &ModelConfig,
     w: &ModelWeights,
     caches: &mut [LayerKvCache],
     token: usize,
     position: usize,
+    short: usize,
 ) -> RowTrace {
     let dh = cfg.head_dim();
     let scale = 1.0 / (dh as f32).sqrt();
@@ -87,6 +92,7 @@ fn reference_forward(
             let mut s: Vec<f32> = cache
                 .keys()
                 .iter_rows()
+                .take(cache.len() - short)
                 .map(|row| dot(&q[span.clone()], &row[span.clone()]) * scale)
                 .collect();
             softmax_in_place(&mut s);
@@ -245,13 +251,25 @@ fn run_batched(model: &TransformerModel, seqs: &[Seq], grouping: Grouping) -> Sl
 
 /// The same slice, one token at a time through [`reference_forward`].
 fn run_reference(cfg: &ModelConfig, w: &ModelWeights, seqs: &[Seq]) -> SliceResult {
+    run_mutated_reference(cfg, w, seqs, None)
+}
+
+/// [`run_reference`] with row `short` (sequence, row), if any, attending
+/// over a prefix one row too short.
+fn run_mutated_reference(
+    cfg: &ModelConfig,
+    w: &ModelWeights,
+    seqs: &[Seq],
+    short: Option<(usize, usize)>,
+) -> SliceResult {
     let mut rows = BTreeMap::new();
     let (mut caches, mut logits) = (Vec::new(), Vec::new());
     for (i, seq) in seqs.iter().enumerate() {
         let mut seq_caches = seq.state.caches().to_vec();
         let mut last = Vec::new();
         for (row, &token) in seq.tokens.iter().enumerate() {
-            let trace = reference_forward(cfg, w, &mut seq_caches, token, seq.position + row);
+            let short = usize::from(short == Some((i, row)));
+            let trace = reference_forward(cfg, w, &mut seq_caches, token, seq.position + row, short);
             last = trace.head_input.clone();
             rows.insert((i, row), trace);
         }
@@ -266,19 +284,32 @@ fn run_reference(cfg: &ModelConfig, w: &ModelWeights, seqs: &[Seq]) -> SliceResu
     SliceResult { rows, caches, logits }
 }
 
-/// Asserts `got` equals `want`, treating a row whose final norm `got`
-/// never computed (it was not its run's last) as matching.
-fn assert_slice_eq(got: &SliceResult, want: &SliceResult, what: &str) {
-    assert_eq!(got.rows.len(), want.rows.len(), "{what}: row count");
+/// The first difference between `got` and `want`, treating a row whose
+/// final norm `got` never computed (it was not its run's last) as
+/// matching.
+fn slice_diff(got: &SliceResult, want: &SliceResult) -> Option<String> {
+    if got.rows.len() != want.rows.len() {
+        return Some("row count".into());
+    }
     for (key, want_row) in &want.rows {
         let got_row = &got.rows[key];
-        assert_eq!(got_row.scores, want_row.scores, "{what}: scores of row {key:?}");
-        if !got_row.head_input.is_empty() {
-            assert_eq!(got_row.head_input, want_row.head_input, "{what}: final norm of row {key:?}");
+        if got_row.scores != want_row.scores {
+            return Some(format!("scores of row {key:?}"));
+        }
+        if !got_row.head_input.is_empty() && got_row.head_input != want_row.head_input {
+            return Some(format!("final norm of row {key:?}"));
         }
     }
-    assert_eq!(got.caches, want.caches, "{what}: K/V rows and positions");
-    assert_eq!(got.logits, want.logits, "{what}: logits");
+    if got.caches != want.caches {
+        return Some("K/V rows and positions".into());
+    }
+    (got.logits != want.logits).then(|| "logits".into())
+}
+
+fn assert_slice_eq(got: &SliceResult, want: &SliceResult, what: &str) {
+    if let Some(diff) = slice_diff(got, want) {
+        panic!("{what}: {diff} differ from the reference");
+    }
 }
 
 fn tokens(rng: &mut StdRng, n: usize, vocab: usize) -> Vec<usize> {
@@ -402,6 +433,130 @@ fn consecutive_ticks_with_evictions_between_them_stay_on_the_reference() {
             }
         }
     }
+}
+
+/// Chunk lengths on both sides of the 8-row attention group and of the
+/// 32-row block.
+const CHUNK_LENGTHS: [usize; 9] = [1, 2, 7, 8, 9, 16, 17, 32, 33];
+
+/// One chunk of `len` rows on each kind of resident set a chunk can meet:
+/// a fresh state, behind a shared span seeded from a donor, and behind
+/// layers that bulk evictions left at different lengths.
+fn chunk_slice(model: &TransformerModel, rng: &mut StdRng, len: usize) -> Vec<Seq> {
+    let vocab = model.config().vocab_size;
+    let donor = lived(model, rng, 9);
+    let mut seeded = model.new_state();
+    seeded.seed_from(&donor, 7);
+    let mut evicted = lived(model, rng, 12);
+    evicted.evict_many(0, &[0, 5, 11]);
+    evicted.evict_many(2, &[3, 4]);
+    vec![
+        Seq { state: model.new_state(), tokens: tokens(rng, len, vocab), position: 0 },
+        Seq { state: seeded, tokens: tokens(rng, len, vocab), position: 7 },
+        Seq { state: evicted, tokens: tokens(rng, len, vocab), position: 12 },
+    ]
+}
+
+#[test]
+fn chunks_straddling_the_attention_group_and_the_block_stay_on_the_reference() {
+    for (head_dim, n_heads) in [(8, 4), (16, 2)] {
+        let cfg = config(head_dim, n_heads);
+        let model = TransformerModel::new(cfg.clone());
+        let weights = ModelWeights::synthetic(&cfg);
+        let mut rng = seeded(head_dim as u64 * 11 + n_heads as u64);
+        for len in CHUNK_LENGTHS {
+            let seqs = chunk_slice(&model, &mut rng, len);
+            let want = run_reference(&cfg, &weights, &seqs);
+            // Alone every chunk starts a block; in one batch the second
+            // and third start wherever the one before them ended.
+            for grouping in [Grouping::PerSequence, Grouping::OneBatch] {
+                let got = run_batched(&model, &seqs, grouping);
+                assert_slice_eq(
+                    &got,
+                    &want,
+                    &format!("head_dim {head_dim} x {n_heads}, {len} rows, {grouping:?}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_row_whose_prefix_is_one_short_is_caught() {
+    // The comparison above is only worth something if it fails for the
+    // bug the grouped kernel can have: one lane storing a prefix off by
+    // one. Mutate the reference that way, in the second group of a chunk.
+    let cfg = config(8, 4);
+    let model = TransformerModel::new(cfg.clone());
+    let weights = ModelWeights::synthetic(&cfg);
+    let seqs = chunk_slice(&model, &mut seeded(5), 17);
+    let got = run_batched(&model, &seqs, Grouping::OneBatch);
+    let (seq, row) = (1, 10);
+    let mutated = run_mutated_reference(&cfg, &weights, &seqs, Some((seq, row)));
+    // Rows are compared in (sequence, row) order, so the first difference
+    // is the mutated row itself: everything before it still matches.
+    assert_eq!(slice_diff(&got, &mutated), Some(format!("scores of row {:?}", (seq, row))));
+    assert_eq!(slice_diff(&got, &run_reference(&cfg, &weights, &seqs)), None);
+}
+
+#[test]
+fn observers_are_called_per_layer_run_by_run_with_rows_ascending() {
+    // Three runs — 9 rows behind 4 resident ones, a decode row, 33 rows on
+    // a fresh state — so the batch spans two blocks and the last run
+    // straddles them. Per block and per layer, every run's observer sees
+    // its rows of that block in ascending order before the next run's
+    // does, each view as long as the row's causal prefix.
+    let cfg = config(8, 4);
+    let model = TransformerModel::new(cfg.clone());
+    let mut rng = seeded(13);
+    let history = [4usize, 6, 0];
+    let lens = [9usize, 1, 33];
+    let mut states: Vec<SequenceState> = history.iter().map(|&h| lived(&model, &mut rng, h)).collect();
+    let chunks: Vec<Vec<usize>> = lens.iter().map(|&n| tokens(&mut rng, n, cfg.vocab_size)).collect();
+    let mut scratches: Vec<ForwardScratch> = lens.iter().map(|_| model.new_scratch(0)).collect();
+
+    let calls = RefCell::new(Vec::new());
+    let mut runs: Vec<_> = states
+        .iter_mut()
+        .zip(&chunks)
+        .zip(&mut scratches)
+        .zip(history)
+        .enumerate()
+        .map(|(run, (((state, chunk), scratch), history))| {
+            let calls = &calls;
+            RowRun::new(state, chunk, history, scratch, move |row, layer, view: ScoreView<'_>| {
+                calls.borrow_mut().push((run, row, layer, view.len()));
+            })
+        })
+        .collect();
+    model.forward_batch(&mut runs, &mut BatchScratch::new());
+    drop(runs);
+
+    let mut want = Vec::new();
+    let mut done = [0usize; 3];
+    while done != lens {
+        // Deal the block as `forward_batch` documents it: each run in
+        // order takes what is left of it.
+        let mut room = FORWARD_BLOCK_ROWS;
+        let dealt: Vec<(usize, usize)> = done
+            .iter()
+            .zip(lens)
+            .map(|(&done, len)| {
+                let take = (len - done).min(room);
+                room -= take;
+                (done, take)
+            })
+            .collect();
+        for layer in 0..cfg.n_layers {
+            for (run, &(first, take)) in dealt.iter().enumerate() {
+                want.extend((first..first + take).map(|row| (run, row, layer, history[run] + row + 1)));
+            }
+        }
+        for (done, (_, take)) in done.iter_mut().zip(dealt) {
+            *done += take;
+        }
+    }
+    assert_eq!(calls.into_inner(), want);
 }
 
 #[test]

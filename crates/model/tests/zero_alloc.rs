@@ -85,8 +85,9 @@ impl Sequence {
     }
 }
 
-/// Rows of the chunk in [`batched_tick`].
-const CHUNK: usize = 3;
+/// Rows of the chunk in [`batched_tick`]: two attention groups, the
+/// second of one row.
+const CHUNK: usize = 9;
 
 /// One engine-style tick: a decode row each for `a` and `b` and a
 /// [`CHUNK`]-row chunk for `c` through one `forward_batch`, every row's

@@ -37,6 +37,16 @@
 //! (the usual SIMD reduction) would be faster still and is exactly what
 //! this crate does not do.
 //!
+//! The causal corollary: **lanes may stop at different rows.** The
+//! consecutive rows of a prefill chunk want `q × Kᵀ` over prefixes
+//! `l0 + 1, l0 + 2, …` of the *same* key rows, so
+//! [`ops::gemm_inner_span_into`] runs them as lanes of that tile in one
+//! pass over one head's column span of the keys; a lane stores the sums
+//! of its own prefix and drops what the tile computed past it. Masking
+//! happens at the store, never inside a sum, so each stored score is
+//! still `dot` of its query and key spans; a decode row is one lane
+//! over every key row ([`ops::gemv_inner_span_into`] is that call).
+//!
 //! The outer-product corollary: **block the reduction index only in
 //! ascending order through one accumulator per output.** An outer product
 //! adds row `i`'s contribution to every output; the outputs are the

@@ -51,13 +51,46 @@ fn assert_span_kernels_match_dot_and_axpy(q: &[f32], s: &[f32], m: &Matrix, col:
     let want: Vec<f32> = (0..m.rows()).map(|row| ops::dot(q, &m.row(row)[col..col + width])).collect();
     assert_same_bits(&scores, &want, &format!("inner span, {what}"));
 
-    let mut out = vec![7.0; width];
-    ops::gemv_outer_span_into(s, m, col, &mut out);
-    let mut want = vec![0.0; width];
-    for (&si, row) in s.iter().zip(m.iter_rows()) {
-        ops::axpy(si, &row[col..col + width], &mut want);
+    // Over every row, and over a leading prefix of them (the score vector
+    // of a chunk's earlier row): one `axpy` per row of the prefix.
+    for prefix in [s.len(), s.len() / 2] {
+        let mut out = vec![7.0; width];
+        ops::gemv_outer_span_into(&s[..prefix], m, col, &mut out);
+        let mut want = vec![0.0; width];
+        for (&si, row) in s[..prefix].iter().zip(m.iter_rows()) {
+            ops::axpy(si, &row[col..col + width], &mut want);
+        }
+        assert_same_bits(&out, &want, &format!("outer span over {prefix} leading rows, {what}"));
     }
-    assert_same_bits(&out, &want, &format!("outer span, {what}"));
+}
+
+/// Asserts `gemm_inner_span_into` of the queries `qs` (one lane each, lane
+/// `i` over the leading `prefixes[i]` rows of `m`) on columns
+/// `col..col + width` equals one `ops::dot` per (lane, row) bit for bit,
+/// and leaves everything past a lane's prefix alone.
+fn assert_lane_spans_match_dot(
+    qs: &[Vec<f32>],
+    prefixes: &[usize],
+    m: &Matrix,
+    col: usize,
+    pack: &mut Vec<f32>,
+) {
+    let width = qs.first().map_or(0, Vec::len);
+    let mut outs: Vec<Vec<f32>> = prefixes.iter().map(|&l| vec![7.0; l + 2]).collect(); // stale content
+    let mut lanes: Vec<(&[f32], &mut [f32])> =
+        qs.iter().zip(&mut outs).zip(prefixes).map(|((q, out), &l)| (&q[..], &mut out[..l])).collect();
+    ops::gemm_inner_span_into(&mut lanes, m, col, pack);
+    for (lane, ((q, out), &l)) in qs.iter().zip(&outs).zip(prefixes).enumerate() {
+        let want: Vec<f32> = (0..l).map(|row| ops::dot(q, &m.row(row)[col..col + width])).collect();
+        let what = format!(
+            "lane {lane} of {prefixes:?} over {} rows, columns {col}..{} of {}",
+            m.rows(),
+            col + width,
+            m.cols()
+        );
+        assert_same_bits(&out[..l], &want, &what);
+        assert_eq!(out[l..], [7.0; 2], "{what}: wrote past its prefix");
+    }
 }
 
 /// Asserts `gemv_outer_into` (and its allocating wrapper) equals one
@@ -126,6 +159,114 @@ fn span_kernels_keep_dot_and_axpy_bits_over_every_tile_remainder() {
     let zeros = Matrix::from_vec(5, 8, vec![0.0; 40]).unwrap();
     assert_span_kernels_match_dot_and_axpy(&[-0.0; 8], &[-0.0; 5], &zeros, 0);
     assert_span_kernels_match_dot_and_axpy(&[], &[1.0; 4], &Matrix::zeros(4, 0), 0);
+}
+
+/// Per-lane prefix lengths over `rows` matrix rows for `lanes` lanes: all
+/// empty, all one, all equal at a non-multiple of the 4-row tile, all the
+/// whole matrix, the causal stagger `l0 + r + 1` ending on the last row,
+/// and a ragged mix whose longest lane is not the last.
+fn prefix_shapes(lanes: usize, rows: usize) -> Vec<Vec<usize>> {
+    let stagger: Vec<usize> = (0..lanes).map(|r| (rows + r + 1).saturating_sub(lanes)).collect();
+    let ragged: Vec<usize> = (0..lanes).map(|r| (r * 5 + 3) % (rows + 1)).collect();
+    vec![
+        vec![0; lanes],
+        vec![1.min(rows); lanes],
+        vec![rows.min(6); lanes],
+        vec![rows; lanes],
+        stagger,
+        ragged,
+    ]
+}
+
+#[test]
+fn lane_span_kernel_keeps_dot_bits_for_every_lane_count_and_causal_prefix() {
+    // Every lane count of every register tile (1, 2, 3–4, 5–8), head
+    // widths on both sides of a vector, every head of 1..=3 as the column
+    // offset, row counts on both sides of the 4-row tile plus one long
+    // stream; the second pass sprinkles ±0.0 / NaN / ±∞ everywhere.
+    let mut rng = veda_tensor::rng::seeded(31);
+    let mut pack = vec![7.0; 5]; // stale content must be overwritten
+    for specials in [false, true] {
+        for width in [2usize, 6, 8, 16, 32] {
+            for heads in 1..=3 {
+                for l in [0usize, 1, 2, 5, 8, 13, 203] {
+                    let mut draw = |len, phase| draw(&mut rng, len, specials.then_some(phase));
+                    let m = Matrix::from_vec(l, heads * width, draw(l * heads * width, l)).unwrap();
+                    for lanes in 1..=ops::INNER_MAX_LANES {
+                        let qs: Vec<Vec<f32>> = (0..lanes).map(|lane| draw(width, lane)).collect();
+                        for prefixes in prefix_shapes(lanes, l) {
+                            assert_lane_spans_match_dot(&qs, &prefixes, &m, (heads - 1) * width, &mut pack);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // An all-negative-zero reduction stays what `dot` makes of it in every
+    // lane width, an empty span of a zero-column matrix is `dot` of
+    // nothing, and no lanes is no work.
+    let zeros = Matrix::from_vec(5, 8, vec![0.0; 40]).unwrap();
+    for lanes in 1..=ops::INNER_MAX_LANES {
+        assert_lane_spans_match_dot(&vec![vec![-0.0; 8]; lanes], &vec![5; lanes], &zeros, 0, &mut pack);
+        assert_lane_spans_match_dot(
+            &vec![vec![]; lanes],
+            &vec![4; lanes],
+            &Matrix::zeros(4, 0),
+            0,
+            &mut pack,
+        );
+    }
+    assert_lane_spans_match_dot(&[], &[], &zeros, 3, &mut pack);
+    // Reuse without reallocation once the pack buffer is warm; one lane
+    // never touches it.
+    let m = Matrix::from_vec(9, 16, draw(&mut rng, 9 * 16, None)).unwrap();
+    let qs: Vec<Vec<f32>> = (0..8).map(|_| draw(&mut rng, 16, None)).collect();
+    assert_lane_spans_match_dot(&qs, &[2, 3, 4, 5, 6, 7, 8, 9], &m, 0, &mut pack);
+    let cap = pack.capacity();
+    for lanes in [8, 2, 5, 1, 8] {
+        assert_lane_spans_match_dot(&qs[..lanes], &[9, 8, 7, 6, 5, 4, 3, 2][..lanes], &m, 0, &mut pack);
+    }
+    assert_eq!(pack.capacity(), cap, "warm pack buffer must not reallocate");
+    let mut untouched = Vec::new();
+    assert_lane_spans_match_dot(&qs[..1], &[9], &m, 0, &mut untouched);
+    assert_eq!(untouched.capacity(), 0, "one lane is never packed");
+}
+
+#[test]
+#[should_panic(expected = "gemm_inner: span 5+4 vs matrix cols 8")]
+fn lane_span_kernel_rejects_a_span_past_the_matrix() {
+    ops::gemm_inner_span_into(&mut [(&[0.0; 4], &mut [0.0; 2])], &Matrix::zeros(3, 8), 5, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "gemm_inner: prefix 4 vs matrix rows 3")]
+fn lane_span_kernel_rejects_a_prefix_longer_than_the_matrix() {
+    let (mut short, mut long) = ([0.0; 3], [0.0; 4]);
+    let mut lanes = [(&[0.0; 4][..], &mut short[..]), (&[0.0; 4][..], &mut long[..])];
+    ops::gemm_inner_span_into(&mut lanes, &Matrix::zeros(3, 8), 0, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "gemm_inner: 9 lanes vs at most 8")]
+fn lane_span_kernel_rejects_more_lanes_than_the_tile_holds() {
+    let mut outs = [[0.0f32; 1]; 9];
+    let mut lanes: Vec<(&[f32], &mut [f32])> =
+        outs.iter_mut().map(|out| (&[0.0f32; 2][..], &mut out[..])).collect();
+    ops::gemm_inner_span_into(&mut lanes, &Matrix::zeros(3, 2), 0, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "gemm_inner: query length 3 vs 4")]
+fn lane_span_kernel_rejects_ragged_queries() {
+    let (mut a, mut b) = ([0.0; 1], [0.0; 1]);
+    let mut lanes = [(&[0.0; 4][..], &mut a[..]), (&[0.0; 3][..], &mut b[..])];
+    ops::gemm_inner_span_into(&mut lanes, &Matrix::zeros(3, 8), 0, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "gemv_outer: s length 4 vs matrix rows 3")]
+fn outer_span_kernel_rejects_more_scores_than_rows() {
+    ops::gemv_outer_span_into(&[0.0; 4], &Matrix::zeros(3, 8), 0, &mut [0.0; 2]);
 }
 
 #[test]
@@ -364,6 +505,24 @@ proptest! {
         let q = veda_tensor::rng::normal_vec(&mut rng, width, 1.0);
         let s = veda_tensor::rng::normal_vec(&mut rng, rows, 1.0);
         assert_span_kernels_match_dot_and_axpy(&q, &s, &m, before);
+    }
+
+    #[test]
+    fn lane_span_kernel_is_bit_identical_to_per_lane_dot(
+        lanes in 1usize..9,
+        rows in 0usize..40,
+        before in 0usize..9,
+        width in 0usize..40,
+        after in 0usize..9,
+        seed in 0u64..1000,
+    ) {
+        // Any span of any matrix, any lane count, any prefix per lane.
+        let mut rng = veda_tensor::rng::seeded(seed);
+        let cols = before + width + after;
+        let m = Matrix::from_vec(rows, cols, veda_tensor::rng::normal_vec(&mut rng, rows * cols, 1.0)).unwrap();
+        let qs: Vec<Vec<f32>> = (0..lanes).map(|_| veda_tensor::rng::normal_vec(&mut rng, width, 1.0)).collect();
+        let prefixes: Vec<usize> = (0..lanes).map(|_| rand::Rng::gen_range(&mut rng, 0..=rows)).collect();
+        assert_lane_spans_match_dot(&qs, &prefixes, &m, before, &mut Vec::new());
     }
 
     #[test]
