@@ -3,10 +3,13 @@
 //!
 //! Usage: `policy_probe [POLICY ...]` — policies by name (`h2o`,
 //! `voting`, `sliding_window`, …); defaults to h2o/voting/sliding_window.
-//! `VA`/`VB` set the voting threshold coefficients.
+//! Each is built as `veda_bench::calibrated_policy` builds it; voting also
+//! prints what its threshold did (`VoteStats`).
 fn main() {
+    use veda_bench::CALIBRATED_VOTING;
+    use veda_eviction::{EvictionPolicy, PolicyKind, VotingPolicy};
     use veda_model::*;
-    let policies: Vec<veda_eviction::PolicyKind> = std::env::args()
+    let policies: Vec<PolicyKind> = std::env::args()
         .skip(1)
         .map(|arg| {
             arg.parse().unwrap_or_else(|e| {
@@ -16,11 +19,7 @@ fn main() {
         })
         .collect();
     let policies = if policies.is_empty() {
-        vec![
-            veda_eviction::PolicyKind::H2o,
-            veda_eviction::PolicyKind::Voting,
-            veda_eviction::PolicyKind::SlidingWindow,
-        ]
+        vec![PolicyKind::H2o, PolicyKind::Voting, PolicyKind::SlidingWindow]
     } else {
         policies
     };
@@ -28,20 +27,18 @@ fn main() {
     let lm = InductionLm::new(InductionConfig::default(), &corpus);
     let n = 1200;
     let sample = corpus.sample(0, n);
-    let a: f32 = std::env::var("VA").map(|v| v.parse().unwrap()).unwrap_or(1.0);
-    let b: f32 = std::env::var("VB").map(|v| v.parse().unwrap()).unwrap_or(0.0);
+    if let Err(e) = CALIBRATED_VOTING.validate() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     for kind in policies {
-        let mut p: Box<dyn veda_eviction::EvictionPolicy> = if kind == veda_eviction::PolicyKind::Voting {
-            Box::new(veda_eviction::VotingPolicy::new(veda_eviction::VotingConfig {
-                a,
-                b,
-                reserved_len: 4,
-                per_head_votes: false,
-            }))
-        } else {
-            veda_bench::calibrated_policy(kind)
-        };
-        let (eval, residents) = lm.evaluate_sample_with_residents(&sample, 128, p.as_mut(), &corpus);
+        // Voting is held by its concrete type so its statistics can be read
+        // back; it is the policy `calibrated_policy` builds.
+        let mut voting = VotingPolicy::new(CALIBRATED_VOTING);
+        let mut other = veda_bench::calibrated_policy(kind);
+        let p: &mut dyn EvictionPolicy =
+            if kind == PolicyKind::Voting { &mut voting } else { other.as_mut() };
+        let (eval, residents) = lm.evaluate_sample_with_residents(&sample, 128, p, &corpus);
         let recent = residents.iter().filter(|&&r| r + 200 >= n).count();
         let stale = residents.iter().filter(|&&r| r + 600 < n).count();
         let entities = residents.iter().filter(|&&r| corpus.is_entity(sample[r])).count();
@@ -55,5 +52,16 @@ fn main() {
             eval.perplexity(),
             residents.iter().step_by(16).collect::<Vec<_>>()
         );
+        if kind == PolicyKind::Voting {
+            let stats = voting.stats();
+            println!(
+                "{:>16}  {CALIBRATED_VOTING:?}: rounds {}  fallback rate {:.3}  votes/round {:.1} of {:.1} votable",
+                "",
+                stats.rounds,
+                stats.fallback_rate(),
+                stats.votes_per_round(),
+                stats.votable as f64 / stats.rounds.max(1) as f64,
+            );
+        }
     }
 }

@@ -3,101 +3,33 @@
 //! Experiment drivers that regenerate every table and figure of the VEDA
 //! paper's evaluation section. Each experiment is a pure function returning
 //! structured rows, shared by the report binaries (`fig8_left`,
-//! `fig8_center`, `fig8_right`, `table1`, `table2`, `ablation_hparams`) and
-//! the Criterion benches.
+//! `fig8_center`, `fig8_right`, `table1`, `table2`, `ablation_hparams`,
+//! `calibrate_voting`) and the Criterion benches.
 //!
 //! | artifact | function | binary |
 //! |---|---|---|
 //! | Fig. 8 left (perplexity vs cache size) | [`fig8_left`] | `fig8_left` |
+//! | voting calibration + oracle bound (`docs/FIDELITY.md`) | [`Substrate::voting_sweep`], [`select_voting`] | `calibrate_voting` |
 //! | Fig. 8 center (dataflow ablation) | [`fig8_center`] | `fig8_center` |
 //! | Fig. 8 right (eviction speedup) | [`fig8_right`] | `fig8_right` |
 //! | Table I (area/power breakdown) | [`veda_cost::table1()`] | `table1` |
 //! | Table II (accelerator comparison) | [`veda_cost::table2()`] | `table2` |
-//! | hyper-parameter ablation (extension) | [`hparam_ablation`] | `ablation_hparams` |
+//! | hyper-parameter ablation (extension) | [`Substrate::voting_sweep`] | `ablation_hparams` |
 
 // Crate hygiene, enforced by veda-lint (rule crate-hygiene): no unsafe
 // code under the determinism pins, no undocumented public surface.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod quality;
+
+pub use quality::{
+    calibrated_policy, calibration_grid, fig8_left, render_quality, render_sweep, select_voting, Arm,
+    OfflineOracle, Quality, QualityPoint, QualityScale, SampleSet, Substrate, SweepPoint, CALIBRATED_VOTING,
+    CALIBRATION_CACHES,
+};
 use veda_accel::arch::{ArchConfig, DataflowVariant};
 use veda_accel::attention::{average_generation_attention_cycles, eviction_speedup};
-use veda_eviction::PolicyKind;
-use veda_model::{Corpus, CorpusConfig, InductionConfig};
-
-/// Scale of a quality experiment (trade fidelity for runtime).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityScale {
-    /// Number of corpus samples.
-    pub samples: u64,
-    /// Tokens per sample (the "maximum sequence length").
-    pub sample_len: usize,
-    /// Cache sizes to sweep.
-    pub cache_sizes: &'static [usize],
-}
-
-impl QualityScale {
-    /// Fast scale for CI / default binary runs: 8 samples × 1536 tokens.
-    pub fn quick() -> Self {
-        Self { samples: 8, sample_len: 1536, cache_sizes: &[96, 128, 256, 512, 1024] }
-    }
-
-    /// Paper scale: 1000 samples × 4096 tokens, cache 128..4096.
-    pub fn paper() -> Self {
-        Self { samples: 1000, sample_len: 4096, cache_sizes: &[128, 256, 512, 1024, 2048, 4096] }
-    }
-}
-
-/// One point of Fig. 8 (left).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityPoint {
-    /// Eviction policy.
-    pub policy: PolicyKind,
-    /// Cache budget.
-    pub cache_size: usize,
-    /// Perplexity on the synthetic corpus.
-    pub perplexity: f64,
-}
-
-/// Builds a policy with parameters calibrated to the synthetic substrate:
-/// the paper sets the voting reserved length to 32 for Llama-2's multi-token
-/// attention sink and notes that hyper-parameters are "fine-tuned through
-/// model-specific calibration"; the synthetic model has a single-position
-/// sink, so the calibrated reserved length is 4 (matching Streaming-LLM's
-/// 4-token sink for fairness).
-pub fn calibrated_policy(kind: PolicyKind) -> Box<dyn veda_eviction::EvictionPolicy> {
-    match kind {
-        PolicyKind::Voting => Box::new(veda_eviction::VotingPolicy::new(veda_eviction::VotingConfig {
-            b: 1.2,
-            reserved_len: 4,
-            ..veda_eviction::VotingConfig::default()
-        })),
-        other => other.build(),
-    }
-}
-
-/// Fig. 8 (left): language-modeling perplexity of Streaming-LLM, H2O and
-/// Voting across cache sizes.
-pub fn fig8_left(scale: QualityScale) -> Vec<QualityPoint> {
-    let corpus = Corpus::new(CorpusConfig::default());
-    let lm = veda_model::InductionLm::new(InductionConfig::default(), &corpus);
-    let mut out = Vec::new();
-    for &cache in scale.cache_sizes {
-        for policy in [PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting] {
-            let mut nll = 0.0;
-            let mut tokens = 0usize;
-            for sample_idx in 0..scale.samples {
-                let sample = corpus.sample(sample_idx, scale.sample_len);
-                let mut p = calibrated_policy(policy);
-                let eval = lm.evaluate_sample(&sample, cache, p.as_mut(), &corpus);
-                nll += eval.total_nll;
-                tokens += eval.tokens;
-            }
-            out.push(QualityPoint { policy, cache_size: cache, perplexity: (nll / tokens as f64).exp() });
-        }
-    }
-    out
-}
 
 /// One point of Fig. 8 (center).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,62 +81,6 @@ pub fn fig8_right() -> Vec<SpeedupPoint> {
                 speedup: eviction_speedup(&arch, 512, gen_len, ratio),
             });
         }
-    }
-    out
-}
-
-/// One row of the threshold hyper-parameter ablation (extension beyond the
-/// paper: sensitivity of the voting threshold `T = a·mean − b·σ`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HparamPoint {
-    /// Mean coefficient.
-    pub a: f32,
-    /// Sigma coefficient.
-    pub b: f32,
-    /// Perplexity at the probe cache size.
-    pub perplexity: f64,
-}
-
-/// Sweeps the voting threshold coefficients at a fixed cache size.
-pub fn hparam_ablation(cache_size: usize, samples: u64, sample_len: usize) -> Vec<HparamPoint> {
-    use veda_eviction::{VotingConfig, VotingPolicy};
-    let corpus = Corpus::new(CorpusConfig::default());
-    let lm_cfg = InductionConfig::default();
-    let lm = veda_model::InductionLm::new(lm_cfg, &corpus);
-    let mut out = Vec::new();
-    for &a in &[0.5f32, 0.75, 1.0, 1.25] {
-        for &b in &[0.0f32, 0.1, 0.2, 0.4] {
-            let mut nll = 0.0;
-            let mut tokens = 0usize;
-            for s in 0..samples {
-                let sample = corpus.sample(s, sample_len);
-                let mut policy = VotingPolicy::new(VotingConfig { a, b, ..VotingConfig::default() });
-                let eval = lm.evaluate_sample(&sample, cache_size, &mut policy, &corpus);
-                nll += eval.total_nll;
-                tokens += eval.tokens;
-            }
-            out.push(HparamPoint { a, b, perplexity: (nll / tokens as f64).exp() });
-        }
-    }
-    out
-}
-
-/// Renders Fig. 8 (left) rows as an aligned text table.
-pub fn render_quality(points: &[QualityPoint]) -> String {
-    let mut out = format!("{:<10} {:>12} {:>12} {:>12}\n", "Cache", "Streaming", "H2O", "Voting");
-    let mut caches: Vec<usize> = points.iter().map(|p| p.cache_size).collect();
-    caches.dedup();
-    for cache in caches {
-        let get = |k: PolicyKind| {
-            points.iter().find(|p| p.cache_size == cache && p.policy == k).map_or(f64::NAN, |p| p.perplexity)
-        };
-        out.push_str(&format!(
-            "{:<10} {:>12.3} {:>12.3} {:>12.3}\n",
-            cache,
-            get(PolicyKind::SlidingWindow),
-            get(PolicyKind::H2o),
-            get(PolicyKind::Voting)
-        ));
     }
     out
 }

@@ -65,4 +65,4 @@ pub use random::RandomPolicy;
 pub use score::{observe_heads, observe_heads_into, ScoreView};
 pub use sliding::SlidingWindowPolicy;
 pub use stats::EvictionStats;
-pub use voting::{VotingConfig, VotingPolicy};
+pub use voting::{VoteStats, VotingConfig, VotingPolicy};

@@ -68,6 +68,23 @@ impl VotingConfig {
         Self { a, b, ..Self::default() }
     }
 
+    /// Rejects coefficients under which the threshold is not the paper's
+    /// `T = a·mean − b·σ`: a non-finite `a` or `b` makes every comparison
+    /// false (each step silently becomes the minimum fallback), and a
+    /// negative one flips the sign of its term.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [("a", self.a), ("b", self.b)] {
+            if !value.is_finite() || value < 0.0 {
+                return Err(format!("voting coefficient {name} = {value} must be finite and non-negative"));
+            }
+        }
+        Ok(())
+    }
+
     /// The adaptive threshold `T = a·mean − b·σ` for one score vector.
     pub fn threshold(&self, scores: &[f32]) -> f32 {
         let mut m = veda_tensor::norm::StreamingMoments::new();
@@ -78,8 +95,53 @@ impl VotingConfig {
     }
 }
 
+/// What the vote rounds of one sequence did, so a perplexity can be read
+/// beside how often the adaptive threshold was actually in force.
+///
+/// A *round* is one score vector voted on: one per step layer-wise, one per
+/// head per step with [`VotingConfig::per_head_votes`]. Steps inside the
+/// reserved stage, and rounds whose votable span is empty, are not rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VoteStats {
+    /// Vote rounds.
+    pub rounds: u64,
+    /// Rounds that cast the single minimum-score vote because the
+    /// threshold was not positive or no votable score lay below it.
+    pub fallback_rounds: u64,
+    /// Votes cast (a vote on a saturated counter is still cast).
+    pub votes_cast: u64,
+    /// Votable slots summed over the rounds: `votes_cast / votable` is the
+    /// vote density.
+    pub votable: u64,
+}
+
+impl VoteStats {
+    /// Share of rounds that fell back to the single minimum vote; 0 before
+    /// the first round.
+    pub fn fallback_rate(&self) -> f64 {
+        self.fallback_rounds as f64 / self.rounds.max(1) as f64
+    }
+
+    /// Mean votes per round; 0 before the first round.
+    pub fn votes_per_round(&self) -> f64 {
+        self.votes_cast as f64 / self.rounds.max(1) as f64
+    }
+}
+
+impl std::ops::AddAssign for VoteStats {
+    /// Pools the rounds of two sequences.
+    fn add_assign(&mut self, other: Self) {
+        self.rounds += other.rounds;
+        self.fallback_rounds += other.fallback_rounds;
+        self.votes_cast += other.votes_cast;
+        self.votable += other.votable;
+    }
+}
+
 /// Votes cast by a single score vector under a threshold: the list of voted
-/// slots. Implements the `T ≤ 0 → vote for the minimum` fallback.
+/// slots. Implements the `T ≤ 0 → vote for the minimum` fallback. This is
+/// the allocating reference; [`VotingPolicy`] counts the same votes in
+/// place.
 pub fn votes_for(scores: &[f32], threshold: f32) -> Vec<usize> {
     if scores.is_empty() {
         return Vec::new();
@@ -109,12 +171,19 @@ pub struct VotingPolicy {
     /// Reusable head-average buffer: steady-state observation allocates
     /// nothing once its capacity is warm.
     avg_scratch: Vec<f32>,
+    stats: VoteStats,
 }
 
 impl VotingPolicy {
     /// Creates a policy with the given configuration.
     pub fn new(config: VotingConfig) -> Self {
-        Self { config, votes: Vec::new(), steps_observed: 0, avg_scratch: Vec::new() }
+        Self {
+            config,
+            votes: Vec::new(),
+            steps_observed: 0,
+            avg_scratch: Vec::new(),
+            stats: VoteStats::default(),
+        }
     }
 
     /// The active configuration.
@@ -132,23 +201,48 @@ impl VotingPolicy {
         self.steps_observed
     }
 
+    /// Vote statistics since construction or the last
+    /// [`EvictionPolicy::reset`].
+    pub fn stats(&self) -> VoteStats {
+        self.stats
+    }
+
+    /// One vote round: [`votes_for`] over the votable span, counted into
+    /// the vote buffer in place.
     fn cast_votes(&mut self, scores: &[f32]) {
         // Reserved positions take no part in voting: they can never be
         // evicted, so votes for them would be discarded — worse, the
         // minimum-score fallback would waste its single vote on a reserved
         // slot and leave the evictable region vote-free.
         let lo = self.config.reserved_len.min(scores.len());
-        let votable = &scores[lo..];
+        let (_, votable) = scores.split_at(lo);
         if votable.is_empty() {
             return;
         }
         let threshold = self.config.threshold(scores);
-        for j in votes_for(votable, threshold) {
-            let slot = lo + j;
-            if slot < self.votes.len() {
-                self.votes[slot] = self.votes[slot].saturating_add(1);
+        // The protocol keeps one counter per score; a shorter buffer just
+        // drops the votes it has no counter for.
+        let counters = self.votes.get_mut(lo..).unwrap_or_default();
+        let mut cast = 0u64;
+        if threshold > 0.0 {
+            for (count, &s) in counters.iter_mut().zip(votable) {
+                let vote = u16::from(s < threshold);
+                *count = count.saturating_add(vote);
+                cast += u64::from(vote);
             }
         }
+        if cast == 0 {
+            // Threshold non-positive (or nothing below it): vote for the
+            // minimum.
+            if let Some(count) = veda_tensor::stats::argmin(votable).and_then(|j| counters.get_mut(j)) {
+                *count = count.saturating_add(1);
+            }
+            cast = 1;
+            self.stats.fallback_rounds += 1;
+        }
+        self.stats.rounds += 1;
+        self.stats.votes_cast += cast;
+        self.stats.votable += votable.len() as u64;
     }
 }
 
@@ -206,6 +300,7 @@ impl EvictionPolicy for VotingPolicy {
     fn reset(&mut self) {
         self.votes.clear();
         self.steps_observed = 0;
+        self.stats = VoteStats::default();
     }
 
     fn tracked_len(&self) -> usize {
@@ -339,12 +434,52 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut p = VotingPolicy::new(VotingConfig::default());
+        let mut p = VotingPolicy::new(VotingConfig::with_reserved_len(0));
         p.on_append();
         p.observe(ScoreView::single(&[1.0]));
+        assert_eq!(p.stats().rounds, 1);
         p.reset();
         assert_eq!(p.tracked_len(), 0);
         assert_eq!(p.steps_observed(), 0);
+        assert_eq!(p.stats(), VoteStats::default());
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_mean_coefficient() {
+        for a in [f32::NAN, f32::INFINITY, -0.5] {
+            let err = VotingConfig::with_coefficients(a, 0.2).validate().unwrap_err();
+            assert!(err.contains("a ="), "{err}");
+        }
+        assert!(VotingConfig::default().validate().is_ok());
+        assert!(VotingConfig::with_coefficients(0.0, 0.0).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_sigma_coefficient() {
+        for b in [f32::NAN, f32::NEG_INFINITY, -1.2] {
+            let err = VotingConfig::with_coefficients(1.0, b).validate().unwrap_err();
+            assert!(err.contains("b ="), "{err}");
+        }
+    }
+
+    #[test]
+    fn stats_tell_threshold_rounds_from_fallback_rounds() {
+        let mut p =
+            VotingPolicy::new(VotingConfig { per_head_votes: true, ..VotingConfig::with_reserved_len(1) });
+        for _ in 0..4 {
+            p.on_append();
+        }
+        // Reserved stage: observed, not a round.
+        drive(&mut p, &[vec![0.9, 0.02, 0.02, 0.06]]);
+        assert_eq!(p.stats(), VoteStats::default());
+        // Head 0 votes below its threshold (slots 1–3); head 1 is uniform,
+        // so nothing lies below T = mean and it falls back to one vote.
+        drive(&mut p, &[vec![0.9, 0.02, 0.02, 0.06], vec![0.25; 4]]);
+        let stats = p.stats();
+        assert_eq!(stats, VoteStats { rounds: 2, fallback_rounds: 1, votes_cast: 3 + 1, votable: 6 });
+        assert_eq!(stats.fallback_rate(), 0.5);
+        assert_eq!(stats.votes_per_round(), 2.0);
+        assert_eq!(p.vote_counts(), &[0, 2, 1, 1]);
     }
 
     #[test]
