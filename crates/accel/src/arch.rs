@@ -230,8 +230,9 @@ impl ArchConfig {
         if self.macs() == 0 {
             return Err("PE array must have at least one MAC".into());
         }
-        if self.clock_ghz <= 0.0 {
-            return Err("clock must be positive".into());
+        // Written so NaN fails too: `NaN <= 0.0` is false.
+        if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
+            return Err(format!("clock must be finite and positive, got {} GHz", self.clock_ghz));
         }
         if self.head_dim == 0 || self.n_heads == 0 {
             return Err("attention geometry must be positive".into());
@@ -290,6 +291,26 @@ mod tests {
         let mut b = ArchConfig::veda();
         b.clock_ghz = 0.0;
         assert!(b.validate().is_err());
+    }
+
+    fn with_clock(clock_ghz: f64) -> ArchConfig {
+        ArchConfig { clock_ghz, ..ArchConfig::veda() }
+    }
+
+    #[test]
+    fn nan_clock_rejected() {
+        let err = with_clock(f64::NAN).validate().unwrap_err();
+        assert!(err.contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn infinite_clock_rejected() {
+        assert!(with_clock(f64::INFINITY).validate().is_err());
+    }
+
+    #[test]
+    fn negative_zero_clock_rejected() {
+        assert!(with_clock(-0.0).validate().is_err());
     }
 
     #[test]

@@ -153,6 +153,10 @@ impl EvictionPolicy for Tally<'_> {
         self.inner.observe(scores);
     }
 
+    fn reads_scores(&self) -> bool {
+        self.inner.reads_scores()
+    }
+
     fn select_victim(&mut self, cache_len: usize) -> Option<usize> {
         let victim = self.inner.select_victim(cache_len);
         self.non_oldest += u64::from(victim.is_some_and(|slot| slot != self.oldest));

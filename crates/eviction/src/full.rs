@@ -36,6 +36,10 @@ impl EvictionPolicy for FullCachePolicy {
 
     fn observe(&mut self, _scores: ScoreView<'_>) {}
 
+    fn reads_scores(&self) -> bool {
+        false
+    }
+
     fn select_victim(&mut self, _cache_len: usize) -> Option<usize> {
         None
     }

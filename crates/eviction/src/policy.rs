@@ -45,6 +45,13 @@ pub trait EvictionPolicy: Send {
     /// equal to the number of `on_append` calls minus evictions.
     fn observe(&mut self, scores: ScoreView<'_>);
 
+    /// Whether [`EvictionPolicy::observe`] reads its scores. `false` is a
+    /// promise that `observe` ignores its argument and has no effect, so
+    /// an owner may skip computing the scores and the call altogether.
+    fn reads_scores(&self) -> bool {
+        true
+    }
+
     /// Picks the slot to evict, given the current cache length.
     ///
     /// Returns `None` when the policy refuses to evict (e.g. the full-cache
@@ -73,6 +80,10 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
 
     fn observe(&mut self, scores: ScoreView<'_>) {
         (**self).observe(scores);
+    }
+
+    fn reads_scores(&self) -> bool {
+        (**self).reads_scores()
     }
 
     fn select_victim(&mut self, cache_len: usize) -> Option<usize> {

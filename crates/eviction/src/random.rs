@@ -47,6 +47,10 @@ impl EvictionPolicy for RandomPolicy {
 
     fn observe(&mut self, _scores: ScoreView<'_>) {}
 
+    fn reads_scores(&self) -> bool {
+        false
+    }
+
     fn select_victim(&mut self, cache_len: usize) -> Option<usize> {
         debug_assert_eq!(cache_len, self.len, "cache/policy desync");
         if cache_len <= self.sink_len {

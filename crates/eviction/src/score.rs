@@ -121,8 +121,8 @@ impl<'a> ScoreView<'a> {
 
 /// Flattens nested per-head score vectors into `buf` (reusing its
 /// allocation) and feeds them to a policy — the bridge for callers that
-/// still hold `Vec<Vec<f32>>` observations (`CacheSimulator`, the
-/// induction LM, trace tooling). Hot paths should build a flat buffer
+/// still hold `Vec<Vec<f32>>` observations (`CacheSimulator`, trace
+/// tooling). Hot paths should build a flat buffer
 /// directly and call [`crate::EvictionPolicy::observe`].
 ///
 /// # Panics

@@ -1,57 +1,8 @@
-//! Perplexity evaluation harness: policies × cache sizes over the synthetic
-//! corpus (the Fig. 8 left experiment), plus a transformer-based distortion
-//! metric.
+//! A transformer-based distortion metric for eviction policies. (Perplexity
+//! on the synthetic corpus goes through `veda_bench::Substrate::score`.)
 
-use crate::corpus::Corpus;
-use crate::induction::{InductionConfig, InductionLm};
 use crate::transformer::TransformerModel;
 use veda_eviction::PolicyKind;
-
-/// Aggregated result of evaluating one policy at one cache budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerplexityReport {
-    /// Which policy.
-    pub policy: PolicyKind,
-    /// The cache budget (number of resident kv vectors).
-    pub cache_budget: usize,
-    /// Perplexity `exp(mean NLL)` over all evaluated tokens.
-    pub perplexity: f64,
-    /// Mean negative log-likelihood.
-    pub mean_nll: f64,
-    /// Total tokens scored.
-    pub tokens: usize,
-    /// Total evictions performed.
-    pub evictions: usize,
-}
-
-/// Evaluates `policy` at `cache_budget` over `n_samples` corpus samples of
-/// `sample_len` tokens each.
-///
-/// This is the workhorse of the Fig. 8 (left) reproduction: call it for
-/// each (policy, cache size) pair.
-pub fn evaluate_policy_perplexity(
-    corpus: &Corpus,
-    lm_config: &InductionConfig,
-    policy: PolicyKind,
-    cache_budget: usize,
-    n_samples: u64,
-    sample_len: usize,
-) -> PerplexityReport {
-    let lm = InductionLm::new(lm_config.clone(), corpus);
-    let mut total_nll = 0.0f64;
-    let mut tokens = 0usize;
-    let mut evictions = 0usize;
-    for s in 0..n_samples {
-        let sample = corpus.sample(s, sample_len);
-        let mut p = policy.build();
-        let eval = lm.evaluate_sample(&sample, cache_budget, p.as_mut(), corpus);
-        total_nll += eval.total_nll;
-        tokens += eval.tokens;
-        evictions += eval.evictions;
-    }
-    let mean_nll = if tokens == 0 { f64::NAN } else { total_nll / tokens as f64 };
-    PerplexityReport { policy, cache_budget, perplexity: mean_nll.exp(), mean_nll, tokens, evictions }
-}
 
 /// Mean KL divergence (in nats) between the pruned-cache transformer's
 /// next-token distribution and the full-cache oracle, over one generated
@@ -110,47 +61,10 @@ pub fn transformer_distortion(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::corpus::CorpusConfig;
+    use crate::corpus::{Corpus, CorpusConfig};
 
     fn fast_corpus() -> Corpus {
         Corpus::new(CorpusConfig { vocab_size: 256, seed: 5, ..CorpusConfig::default() })
-    }
-
-    #[test]
-    fn report_fields_are_consistent() {
-        let corpus = fast_corpus();
-        let r =
-            evaluate_policy_perplexity(&corpus, &InductionConfig::default(), PolicyKind::Voting, 64, 2, 256);
-        assert_eq!(r.tokens, 2 * 255);
-        assert!((r.perplexity - r.mean_nll.exp()).abs() < 1e-9);
-        assert!(r.perplexity > 1.0);
-    }
-
-    #[test]
-    fn bigger_cache_is_no_worse() {
-        let corpus = fast_corpus();
-        let small = evaluate_policy_perplexity(
-            &corpus,
-            &InductionConfig::default(),
-            PolicyKind::SlidingWindow,
-            24,
-            2,
-            384,
-        );
-        let large = evaluate_policy_perplexity(
-            &corpus,
-            &InductionConfig::default(),
-            PolicyKind::SlidingWindow,
-            192,
-            2,
-            384,
-        );
-        assert!(
-            large.perplexity <= small.perplexity + 0.2,
-            "large {} small {}",
-            large.perplexity,
-            small.perplexity
-        );
     }
 
     #[test]

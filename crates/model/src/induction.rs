@@ -22,8 +22,8 @@
 //! the paper describes (heavy hitters, sinks, recency, outliers).
 
 use crate::corpus::Corpus;
-use veda_eviction::EvictionPolicy;
-use veda_tensor::softmax::softmax;
+use veda_eviction::{EvictionPolicy, ScoreView};
+use veda_tensor::softmax::softmax_in_place;
 
 /// One pseudo-head's score parameterization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,56 +229,45 @@ impl InductionLm {
         &self.config
     }
 
-    fn head_scores(
+    /// One scoring pass: every head's post-softmax attention from the
+    /// token at `current_pos` over `entries`, head-major into `scores`
+    /// (`heads × entries.len()`, the buffer reused by every pass).
+    ///
+    /// The noise is drawn as one block in head-then-entry order — the order
+    /// of one `standard_normal` call per (head, entry) — so the scores are
+    /// bit-equal to scoring each head with its own draws.
+    fn score_pass(
         &self,
         entries: &[Entry],
         current_token: usize,
         current_pos: usize,
         rng: &mut rand::rngs::StdRng,
-    ) -> Vec<Vec<f32>> {
-        self.config
-            .heads
-            .iter()
-            .map(|h| {
-                let logits: Vec<f32> = entries
-                    .iter()
-                    .map(|e| {
-                        let mut logit = 0.0;
-                        if e.key_token == current_token {
-                            logit += h.match_gain;
-                        }
-                        logit += h.salience_gain * self.salience[e.key_token];
-                        let active_topic = (current_pos / self.topic_len) % self.n_topics;
-                        let tt = self.token_topic[e.key_token];
-                        if tt == usize::MAX || tt == active_topic {
-                            logit += h.topic_gain;
-                        }
-                        let recency = (current_pos - e.position) as f32 / h.recency_tau;
-                        logit -= recency.min(self.config.recency_cap);
-                        if e.position == 0 {
-                            logit += h.sink_gain;
-                        }
-                        logit + veda_tensor::rng::standard_normal(rng) * self.config.score_noise
-                    })
-                    .collect();
-                softmax(&logits)
-            })
-            .collect()
-    }
-
-    /// Prediction-weighted combination of head scores.
-    fn predict_weighted_scores(&self, scores: &[Vec<f32>]) -> Vec<f32> {
-        let len = scores.first().map_or(0, Vec::len);
-        let mut out = vec![0.0f32; len];
-        // lint:allow(float-reduction): head-count-bounded sum in fixed config order; a kernel call would force a per-token allocation
-        let total: f32 = self.config.heads.iter().map(|h| h.predict_weight).sum();
-        for (h, head_scores) in self.config.heads.iter().zip(scores) {
-            let w = h.predict_weight / total.max(1e-9);
-            for (o, &s) in out.iter_mut().zip(head_scores) {
-                *o += w * s;
+        scores: &mut Vec<f32>,
+    ) {
+        let n = entries.len();
+        scores.resize(self.config.heads.len() * n, 0.0);
+        veda_tensor::rng::fill_standard_normal(rng, scores);
+        let active_topic = (current_pos / self.topic_len) % self.n_topics;
+        for (h, head) in self.config.heads.iter().zip(scores.chunks_exact_mut(n.max(1))) {
+            for (score, e) in head.iter_mut().zip(entries) {
+                let mut logit = 0.0;
+                if e.key_token == current_token {
+                    logit += h.match_gain;
+                }
+                logit += h.salience_gain * self.salience[e.key_token];
+                let tt = self.token_topic[e.key_token];
+                if tt == usize::MAX || tt == active_topic {
+                    logit += h.topic_gain;
+                }
+                let recency = (current_pos - e.position) as f32 / h.recency_tau;
+                logit -= recency.min(self.config.recency_cap);
+                if e.position == 0 {
+                    logit += h.sink_gain;
+                }
+                *score = logit + *score * self.config.score_noise;
             }
+            softmax_in_place(head);
         }
-        out
     }
 
     /// Probability of `target` (arriving at `target_pos`) under the
@@ -335,6 +324,13 @@ impl InductionLm {
     /// Like [`InductionLm::evaluate_sample`], additionally returning the
     /// absolute positions resident at the end (diagnostics for policy
     /// behaviour analysis).
+    ///
+    /// Each step scores the cache twice: once for the policy to observe,
+    /// then — after any eviction — once more to predict the next token.
+    /// When the policy does not read scores
+    /// ([`EvictionPolicy::reads_scores`]) the first pass only advances the
+    /// noise stream past its draws, and the last token, which has nothing to
+    /// predict, gets no second pass.
     pub fn evaluate_sample_with_residents(
         &self,
         tokens: &[usize],
@@ -345,34 +341,31 @@ impl InductionLm {
         policy.reset();
         let mut rng =
             veda_tensor::rng::seeded(self.config.noise_seed ^ (tokens.len() as u64).wrapping_mul(0x9E37));
+        let heads = &self.config.heads;
+        let reads_scores = policy.reads_scores();
+        // lint:allow(float-reduction): head-count-bounded sum in fixed config order, once per sample
+        let total: f32 = heads.iter().map(|h| h.predict_weight).sum();
+        let weights: Vec<f32> = heads.iter().map(|h| h.predict_weight / total.max(1e-9)).collect();
         let mut entries: Vec<Entry> = Vec::new();
-        let mut flat_scores: Vec<f32> = Vec::new();
+        let mut scores: Vec<f32> = Vec::new();
+        let mut weighted: Vec<f32> = Vec::new();
         let mut eval = SampleEval { total_nll: 0.0, tokens: 0, evictions: 0 };
-        // Pending prediction distribution context from the previous step.
-        let mut pending: Option<(Vec<f32>, usize)> = None; // (weighted scores, prev token)
 
         for (pos, &tok) in tokens.iter().enumerate() {
-            // Score the prediction made for this token.
-            if let Some((avg, prev)) = pending.take() {
-                // `avg` was computed over `entries` *as they were* at the end
-                // of the previous step; entries have not changed since.
-                debug_assert_eq!(avg.len(), entries.len());
-                let p = self.predict_prob(&entries, &avg, prev, pos, corpus, tok).max(1e-12);
-                eval.total_nll += -p.ln();
-                eval.tokens += 1;
-            }
             // Backfill the newest entry's value: `tok` followed it.
             if let Some(last) = entries.last_mut() {
                 if last.value_token.is_none() {
                     last.value_token = Some(tok);
                 }
             }
-            // Append the new entry and observe (flattened into the
-            // reusable buffer the policies' ScoreView borrows).
             entries.push(Entry { position: pos, key_token: tok, value_token: None });
             policy.on_append();
-            let scores = self.head_scores(&entries, tok, pos, &mut rng);
-            veda_eviction::observe_heads_into(policy, &scores, &mut flat_scores);
+            if reads_scores {
+                self.score_pass(&entries, tok, pos, &mut rng, &mut scores);
+                policy.observe(ScoreView::new(&scores, heads.len()));
+            } else {
+                veda_tensor::rng::skip_standard_normal(&mut rng, heads.len() * entries.len());
+            }
 
             // Evict if over budget.
             if entries.len() > budget {
@@ -383,10 +376,19 @@ impl InductionLm {
                 }
             }
 
-            // Stage the prediction for the next token.
-            let scores = self.head_scores(&entries, tok, pos, &mut rng);
-            let avg = self.predict_weighted_scores(&scores);
-            pending = Some((avg, tok));
+            // Predict the next token from the cache as it now stands.
+            let Some(&next) = tokens.get(pos + 1) else { break };
+            self.score_pass(&entries, tok, pos, &mut rng, &mut scores);
+            weighted.clear();
+            weighted.resize(entries.len(), 0.0);
+            for (&w, head) in weights.iter().zip(scores.chunks_exact(entries.len().max(1))) {
+                for (o, &s) in weighted.iter_mut().zip(head) {
+                    *o += w * s;
+                }
+            }
+            let p = self.predict_prob(&entries, &weighted, tok, pos + 1, corpus, next).max(1e-12);
+            eval.total_nll += -p.ln();
+            eval.tokens += 1;
         }
         (eval, entries.iter().map(|e| e.position).collect())
     }
@@ -462,14 +464,17 @@ mod tests {
             Entry { position: 2, key_token: 9, value_token: None },
         ];
         let mut rng = veda_tensor::rng::seeded(1);
-        let scores = lm.head_scores(&entries, 3, 2, &mut rng);
-        assert_eq!(scores.len(), lm.config().heads.len());
-        for s in &scores {
+        let mut flat = Vec::new();
+        lm.score_pass(&entries, 3, 2, &mut rng, &mut flat);
+        let scores = ScoreView::new(&flat, lm.config().heads.len());
+        assert_eq!(scores.len(), entries.len());
+        for s in scores.heads() {
             let sum: f32 = s.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4);
         }
         // The match head (head 0) should put most mass on the matching key.
-        assert!(scores[0][1] > scores[0][0] && scores[0][1] > scores[0][2]);
+        let first = scores.head(0);
+        assert!(first[1] > first[0] && first[1] > first[2]);
     }
 
     #[test]

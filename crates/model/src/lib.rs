@@ -50,7 +50,6 @@ pub mod weights;
 
 pub use config::ModelConfig;
 pub use corpus::{Corpus, CorpusConfig};
-pub use eval::{evaluate_policy_perplexity, PerplexityReport};
 pub use induction::{InductionConfig, InductionLm};
 pub use kvcache::LayerKvCache;
 pub use sampling::Sampler;

@@ -4,25 +4,69 @@
 //! [`rand::rngs::StdRng`], so all experiments are bit-for-bit reproducible.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Creates the workspace-standard seeded RNG.
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// The Box–Muller uniforms of one draw: `u1` (guarded against `log(0)`),
+/// then `u2` — one stream word each.
+fn box_muller_uniforms(rng: &mut StdRng) -> (f32, f32) {
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+fn box_muller(u1: f32, u2: f32) -> f32 {
+    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+}
+
 /// Samples one standard normal variate via Box–Muller (avoids a dependency
 /// on `rand_distr`).
 pub fn standard_normal(rng: &mut StdRng) -> f32 {
-    // Guard against log(0).
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// Uniform pairs drawn ahead of the transcendental pass in
+/// [`fill_standard_normal`].
+const FILL_BLOCK: usize = 64;
+
+/// Fills `out` with standard normal variates: bit-equal to calling
+/// [`standard_normal`] once per element, in order, and leaving `rng` in the
+/// same state. The uniforms of a 64-element block are drawn first, then the
+/// unchanged Box–Muller expression runs over them, so the generator's
+/// serial dependency chain no longer interleaves with `ln`/`cos`.
+pub fn fill_standard_normal(rng: &mut StdRng, out: &mut [f32]) {
+    let mut uniforms = [(0.0f32, 0.0f32); FILL_BLOCK];
+    for block in out.chunks_mut(FILL_BLOCK) {
+        for (pair, _) in uniforms.iter_mut().zip(block.iter()) {
+            *pair = box_muller_uniforms(rng);
+        }
+        for (z, &(u1, u2)) in block.iter_mut().zip(&uniforms) {
+            *z = box_muller(u1, u2);
+        }
+    }
+}
+
+/// Advances `rng` exactly as `n` calls of [`standard_normal`] would (two
+/// stream words per draw), without computing the variates.
+pub fn skip_standard_normal(rng: &mut StdRng, n: usize) {
+    for _ in 0..2 * n {
+        rng.next_u64();
+    }
 }
 
 /// Vector of i.i.d. `N(0, std²)` samples.
 pub fn normal_vec(rng: &mut StdRng, len: usize, std: f32) -> Vec<f32> {
-    (0..len).map(|_| standard_normal(rng) * std).collect()
+    let mut out = vec![0.0; len];
+    fill_standard_normal(rng, &mut out);
+    for z in &mut out {
+        *z *= std;
+    }
+    out
 }
 
 /// Vector of i.i.d. `U(lo, hi)` samples.

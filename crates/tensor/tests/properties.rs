@@ -409,7 +409,64 @@ fn gemm_inner_reuses_capacity_and_handles_empty_shapes() {
     assert!(out.is_empty());
 }
 
+/// Asserts `fill_standard_normal` over `len` elements equals `len`
+/// `standard_normal` calls bit for bit and leaves the stream where they do.
+fn assert_fill_matches_per_call(seed: u64, len: usize) {
+    let mut filled = veda_tensor::rng::seeded(seed);
+    let mut got = vec![f32::NAN; len];
+    veda_tensor::rng::fill_standard_normal(&mut filled, &mut got);
+    let mut serial = veda_tensor::rng::seeded(seed);
+    let want: Vec<f32> = (0..len).map(|_| veda_tensor::rng::standard_normal(&mut serial)).collect();
+    assert_same_bits(&got, &want, &format!("fill of {len} at seed {seed}"));
+    assert_eq!(filled, serial, "fill of {len} at seed {seed}: stream position");
+}
+
+#[test]
+fn fill_standard_normal_keeps_per_call_bits_around_the_block_size() {
+    for len in [0, 1, 63, 64, 65, 1_000] {
+        assert_fill_matches_per_call(7, len);
+    }
+}
+
+#[test]
+fn skip_standard_normal_leaves_the_stream_where_the_draws_would() {
+    for n in [0, 1, 63, 64, 65, 1_000] {
+        let mut skipped = veda_tensor::rng::seeded(11);
+        veda_tensor::rng::skip_standard_normal(&mut skipped, n);
+        let mut drawn = veda_tensor::rng::seeded(11);
+        for _ in 0..n {
+            veda_tensor::rng::standard_normal(&mut drawn);
+        }
+        let next = |rng: &mut rand::rngs::StdRng| -> Vec<f32> {
+            (0..16).map(|_| veda_tensor::rng::standard_normal(rng)).collect()
+        };
+        assert_same_bits(&next(&mut skipped), &next(&mut drawn), &format!("16 draws after skipping {n}"));
+    }
+}
+
 proptest! {
+    #[test]
+    fn fill_standard_normal_is_bit_identical_to_per_call_draws(len in 0usize..300, seed in 0u64..1000) {
+        assert_fill_matches_per_call(seed, len);
+    }
+
+    #[test]
+    fn normal_vec_is_the_per_call_loop_times_std(len in 0usize..300, std in 0.01f32..10.0, seed in 0u64..1000) {
+        let got = veda_tensor::rng::normal_vec(&mut veda_tensor::rng::seeded(seed), len, std);
+        let mut serial = veda_tensor::rng::seeded(seed);
+        let want: Vec<f32> = (0..len).map(|_| veda_tensor::rng::standard_normal(&mut serial) * std).collect();
+        assert_same_bits(&got, &want, "normal_vec");
+    }
+
+    #[test]
+    fn skip_then_draw_equals_draw_then_draw(n in 0usize..300, seed in 0u64..1000) {
+        let mut skipped = veda_tensor::rng::seeded(seed);
+        veda_tensor::rng::skip_standard_normal(&mut skipped, n);
+        let mut drawn = veda_tensor::rng::seeded(seed);
+        veda_tensor::rng::fill_standard_normal(&mut drawn, &mut vec![0.0; n]);
+        prop_assert_eq!(skipped, drawn);
+    }
+
     #[test]
     fn softmax_is_a_distribution(xs in vec_f32(1..64)) {
         let p = softmax(&xs);
