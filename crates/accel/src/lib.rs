@@ -69,4 +69,4 @@ pub use attention::decode_attention_cycles;
 pub use pipeline::AttentionPipeline;
 pub use report::CycleReport;
 pub use schedule::{DecodeScheduler, LlamaShape, PrefillChunk};
-pub use voting::VotingEngine;
+pub use voting::{VotingEngine, VotingEngineError};

@@ -35,6 +35,34 @@ impl std::fmt::Display for VoteCapacityError {
 
 impl std::error::Error for VoteCapacityError {}
 
+/// Why [`VotingEngine::try_new`] refused to build an engine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum VotingEngineError {
+    /// The vote buffer needs at least one entry.
+    ZeroCapacity,
+    /// The capacity does not fit the 12-bit eviction index register.
+    CapacityBeyondIndex {
+        /// Requested buffer entries.
+        capacity: usize,
+    },
+    /// [`VotingConfig::validate`] rejected the algorithm configuration.
+    InvalidConfig(String),
+}
+
+impl std::fmt::Display for VotingEngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::ZeroCapacity => write!(f, "vote capacity must be positive"),
+            Self::CapacityBeyondIndex { capacity } => {
+                write!(f, "eviction index register is 12 bits (max 4096 entries), got capacity {capacity}")
+            }
+            Self::InvalidConfig(msg) => write!(f, "invalid voting config: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for VotingEngineError {}
+
 /// The hardware voting engine.
 #[derive(Debug)]
 pub struct VotingEngine {
@@ -47,21 +75,41 @@ pub struct VotingEngine {
 
 impl VotingEngine {
     /// Creates an engine with `capacity` vote-buffer entries (4096 in
-    /// Table I) and the given algorithm configuration.
+    /// Table I) and the given algorithm configuration, panicking where
+    /// [`VotingEngine::try_new`] returns an error.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` or exceeds the 12-bit index range.
+    /// Panics if `capacity == 0`, `capacity` exceeds the 12-bit index
+    /// range, or `config` fails [`VotingConfig::validate`].
     pub fn new(capacity: usize, config: VotingConfig) -> Self {
-        assert!(capacity > 0, "vote capacity must be positive");
-        assert!(capacity <= 1 << 12, "eviction index register is 12 bits (max 4096 entries)");
-        Self {
+        Self::try_new(capacity, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates an engine with `capacity` vote-buffer entries and the given
+    /// algorithm configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`VotingEngineError`] if `capacity == 0`, `capacity`
+    /// exceeds the 12-bit index range (4096 entries), or `config` fails
+    /// [`VotingConfig::validate`] (a non-finite or negative coefficient
+    /// would make every round fall back to the minimum vote).
+    pub fn try_new(capacity: usize, config: VotingConfig) -> Result<Self, VotingEngineError> {
+        if capacity == 0 {
+            return Err(VotingEngineError::ZeroCapacity);
+        }
+        if capacity > 1 << 12 {
+            return Err(VotingEngineError::CapacityBeyondIndex { capacity });
+        }
+        config.validate().map_err(VotingEngineError::InvalidConfig)?;
+        Ok(Self {
             policy: VotingPolicy::new(config),
             capacity,
             score_fifo: Fifo::new(capacity),
             busy_cycles: 0,
             heads_processed: 0,
-        }
+        })
     }
 
     /// The engine with the paper's capacity and defaults.
@@ -196,6 +244,40 @@ mod tests {
     #[should_panic(expected = "12 bits")]
     fn capacity_beyond_uint12_rejected() {
         VotingEngine::new(5000, VotingConfig::default());
+    }
+
+    #[test]
+    fn try_new_rejects_zero_capacity() {
+        let err = VotingEngine::try_new(0, VotingConfig::default()).expect_err("capacity 0");
+        assert_eq!(err, VotingEngineError::ZeroCapacity);
+        assert!(err.to_string().contains("positive"));
+    }
+
+    #[test]
+    fn try_new_rejects_capacity_beyond_the_index_register() {
+        assert!(VotingEngine::try_new(1 << 12, VotingConfig::default()).is_ok());
+        let err = VotingEngine::try_new((1 << 12) + 1, VotingConfig::default()).expect_err("capacity 4097");
+        assert_eq!(err, VotingEngineError::CapacityBeyondIndex { capacity: 4097 });
+        assert!(err.to_string().contains("12 bits"));
+    }
+
+    #[test]
+    fn try_new_rejects_a_config_that_validate_rejects() {
+        for config in [
+            VotingConfig::with_coefficients(f32::NAN, 0.2),
+            VotingConfig::with_coefficients(1.0, f32::INFINITY),
+            VotingConfig::with_coefficients(-1.0, 0.2),
+        ] {
+            let err = VotingEngine::try_new(64, config).expect_err("invalid config");
+            let expected = config.validate().expect_err("validate rejects it");
+            assert_eq!(err, VotingEngineError::InvalidConfig(expected), "{config:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and non-negative")]
+    fn new_panics_on_a_nan_coefficient() {
+        VotingEngine::new(64, VotingConfig::with_coefficients(f32::NAN, 0.2));
     }
 
     #[test]

@@ -641,9 +641,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine: allocates the shared weights, shapes the
-    /// architecture to the model's attention geometry and derives the
-    /// scheduler and energy model.
+    /// Builds the engine: takes the model's weights (shared with every
+    /// live model of the same configuration, see
+    /// [`veda_model::TransformerModel`]), shapes the architecture to the
+    /// model's attention geometry and derives the scheduler and energy
+    /// model.
     ///
     /// # Errors
     ///

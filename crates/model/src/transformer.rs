@@ -1,6 +1,8 @@
 //! The decoder-only transformer: prefill + autoregressive decode with
 //! per-layer KV caches and eviction hooks.
 
+use std::sync::Arc;
+
 use crate::attention::{append_rotated, attend_run};
 use crate::config::ModelConfig;
 use crate::kvcache::LayerKvCache;
@@ -195,12 +197,18 @@ impl<'a, F: FnMut(usize, usize, ScoreView<'_>)> RowRun<'a, F> {
 
 /// A runnable decoder-only transformer with synthetic structured weights.
 ///
-/// The struct owns the *shared* substrate (config + weights) plus one
-/// built-in [`SequenceState`] so the classic single-sequence API
+/// The struct holds the config, a handle to its weights and one built-in
+/// [`SequenceState`] so the classic single-sequence API
 /// ([`TransformerModel::forward_token`], [`TransformerModel::prefill`], …)
-/// keeps working. Serving engines that decode many sequences against one
-/// set of weights allocate extra states via [`TransformerModel::new_state`]
-/// and drive them through [`TransformerModel::forward_in`].
+/// keeps working. Serving engines that decode many sequences against the
+/// model allocate extra states via [`TransformerModel::new_state`] and
+/// drive them through [`TransformerModel::forward_in`].
+///
+/// The weights are immutable and shared across models: every live model
+/// of one [`ModelConfig`] — clones, a cluster's shards, an engine beside
+/// its reference model — reads one set, synthesized by the first of them
+/// and freed with the last. Sharing is invisible in every output, since
+/// nothing can write to the weights.
 ///
 /// ```
 /// use veda_model::{ModelConfig, TransformerModel};
@@ -217,20 +225,21 @@ impl<'a, F: FnMut(usize, usize, ScoreView<'_>)> RowRun<'a, F> {
 #[derive(Debug, Clone)]
 pub struct TransformerModel {
     config: ModelConfig,
-    weights: ModelWeights,
+    weights: Arc<ModelWeights>,
     state: SequenceState,
     eps: f32,
 }
 
 impl TransformerModel {
-    /// Builds a model with synthetic structured weights for `config`.
+    /// Builds a model with synthetic structured weights for `config`,
+    /// sharing them with any live model of the same configuration.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: ModelConfig) -> Self {
         config.validate().expect("valid model config");
-        let weights = ModelWeights::synthetic(&config);
+        let weights = ModelWeights::interned(&config);
         let state = SequenceState::new(config.n_layers);
         Self { config, weights, state, eps: veda_tensor::norm::DEFAULT_EPS }
     }

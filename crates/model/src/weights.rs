@@ -17,10 +17,31 @@
 //! The result is not a language model that "knows English" — it is a
 //! substrate whose attention-score *distributions* are realistic, which is
 //! what the eviction-policy comparison consumes.
+//!
+//! Weights are a pure function of their [`ModelConfig`] and never change
+//! after synthesis, so every live [`crate::TransformerModel`] of one
+//! configuration shares one set, held by a table of weak references.
+
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::config::ModelConfig;
 use veda_tensor::rng::{normal_vec, seeded, xavier_std};
 use veda_tensor::Matrix;
+
+/// Weight sets by the configuration they were synthesized from. Entries are
+/// [`Weak`]: the table never keeps a set alive, and a set dies with the
+/// last model that holds it.
+type Table = Vec<(ModelConfig, Weak<ModelWeights>)>;
+
+/// The process's live weight sets.
+static INTERNED: Mutex<Table> = Mutex::new(Vec::new());
+
+/// Drops the dead entries of `table`, then returns the live set of
+/// `config`, if any.
+fn live(table: &mut Table, config: &ModelConfig) -> Option<Arc<ModelWeights>> {
+    table.retain(|(_, weights)| weights.strong_count() > 0);
+    table.iter().find(|(key, _)| key == config).and_then(|(_, weights)| weights.upgrade())
+}
 
 /// Weights of one transformer layer.
 #[derive(Debug, Clone)]
@@ -140,6 +161,28 @@ impl ModelWeights {
             .collect();
 
         Self { embedding, final_norm: vec![1.0; d], layers }
+    }
+
+    /// [`ModelWeights::synthetic`] for `config`, shared with every live
+    /// holder of the same configuration: only the first build of a
+    /// configuration synthesizes, until every holder has dropped it.
+    ///
+    /// The lock covers the lookup and the insert, never the synthesis, so
+    /// builds of different configurations never wait on one another. Two
+    /// racing first builds of one configuration both synthesize the same
+    /// bits, and the one that registers second adopts the first's set.
+    pub(crate) fn interned(config: &ModelConfig) -> Arc<Self> {
+        let table = || INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(weights) = live(&mut table(), config) {
+            return weights;
+        }
+        let fresh = Arc::new(Self::synthetic(config));
+        let mut table = table();
+        if let Some(weights) = live(&mut table, config) {
+            return weights;
+        }
+        table.push((config.clone(), Arc::downgrade(&fresh)));
+        fresh
     }
 
     /// Embedding row of a token.

@@ -182,8 +182,8 @@ impl Cluster {
     ///
     /// Panics on any [`ServeError`] that [`Cluster::try_new`] would
     /// return: engine count mismatch, empty cluster, non-idle engines,
-    /// mixed model geometry, bad migration thresholds, or an invalid
-    /// fault plan.
+    /// mixed model geometry, bad migration thresholds, an invalid fault
+    /// plan, or a shed watermark outside `(0, 1]`.
     pub fn new(engines: Vec<Engine>, workload: Workload, config: ClusterConfig) -> Self {
         Self::try_new(engines, workload, config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -222,6 +222,13 @@ impl Cluster {
         }
         let faults = config.faults.clone().unwrap_or_default();
         faults.plan.validate(engines.len())?;
+        if let Some(watermark) = faults.shed_watermark {
+            // NaN, 0 and negatives would all make the shed threshold 0;
+            // NaN fails both comparisons.
+            if !(watermark > 0.0 && watermark <= 1.0) {
+                return Err(ServeError::InvalidShedWatermark { watermark });
+            }
+        }
         let n = engines.len();
         let admission = AdmissionConfig {
             capacity_bytes: config.per_shard_capacity_bytes,

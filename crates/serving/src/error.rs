@@ -47,6 +47,13 @@ pub enum ServeError {
     /// (unknown shard, recovery before crash, bandwidth fraction outside
     /// `(0, 1]`). The message names the offending clause.
     InvalidFaultPlan(String),
+    /// The load-shedding watermark must be a finite fraction in `(0, 1]`
+    /// of the queue slots: NaN, zero or a negative value would shed every
+    /// arrival on the tick it is queued.
+    InvalidShedWatermark {
+        /// Configured watermark.
+        watermark: f64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -68,6 +75,9 @@ impl fmt::Display for ServeError {
                  (got cold={cold}, hot={hot})"
             ),
             ServeError::InvalidFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
+            ServeError::InvalidShedWatermark { watermark } => {
+                write!(f, "shed watermark must be a finite fraction in (0, 1] (got {watermark})")
+            }
         }
     }
 }
@@ -86,5 +96,6 @@ mod tests {
         assert!(ServeError::InvalidMigrationThresholds { cold: 0.9, hot: 0.5 }
             .to_string()
             .contains("cold=0.9"));
+        assert!(ServeError::InvalidShedWatermark { watermark: f64::NAN }.to_string().contains("got NaN"));
     }
 }

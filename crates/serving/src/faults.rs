@@ -343,6 +343,7 @@ pub struct FaultConfig {
     /// Load-shedding watermark: when total queued requests exceed this
     /// fraction of total queue slots (shards × max_queue_depth), the
     /// lowest-priority newest queued request is shed until back under.
+    /// [`crate::Cluster::try_new`] rejects a value outside `(0, 1]`.
     pub shed_watermark: Option<f64>,
 }
 

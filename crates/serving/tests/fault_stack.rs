@@ -332,6 +332,31 @@ fn try_new_returns_typed_errors() {
 }
 
 #[test]
+fn try_new_rejects_a_shed_watermark_outside_the_unit_interval() {
+    let with_watermark = |watermark: f64| ClusterConfig {
+        shards: 2,
+        faults: Some(FaultConfig { shed_watermark: Some(watermark), ..FaultConfig::default() }),
+        ..ClusterConfig::default()
+    };
+    let build = |watermark| {
+        let engines = (0..2).map(|_| engine(1)).collect();
+        Cluster::try_new(engines, workload(1, 0.5, 4), with_watermark(watermark))
+    };
+    for watermark in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.5, 1.5] {
+        match build(watermark) {
+            Err(ServeError::InvalidShedWatermark { watermark: got }) => {
+                assert_eq!(got.to_bits(), watermark.to_bits(), "the error names the value");
+            }
+            Err(other) => panic!("watermark {watermark}: wrong error {other}"),
+            Ok(_) => panic!("watermark {watermark} must be rejected"),
+        }
+    }
+    for watermark in [0.8, 1.0] {
+        assert!(build(watermark).is_ok(), "watermark {watermark} must be accepted");
+    }
+}
+
+#[test]
 fn ci_chaos_smoke() {
     // The fixed-seed scenario the CI workflow runs: crash shard 1 mid-load,
     // recover it, and demand a clean ledger afterwards.
