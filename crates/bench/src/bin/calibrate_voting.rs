@@ -11,7 +11,7 @@
 //! table and the oracle, and exits 1 unless the committed
 //! `CALIBRATED_VOTING` is the sweep's winner, is interior to the grid on
 //! `a`, and votes through its threshold (fallback rate ≤ 0.1) held out.
-use veda_bench::{Arm, Quality, SampleSet, Substrate, CALIBRATED_VOTING, CALIBRATION_CACHES};
+use veda_bench::{Arm, SampleSet, Substrate, CALIBRATED_VOTING, CALIBRATION_CACHES};
 use veda_eviction::{PolicyKind, VotingConfig};
 
 /// Highest held-out fallback rate at which the run still tests the paper's
@@ -45,24 +45,19 @@ fn main() -> Result<(), String> {
     let mut held_out_fallback = 0.0f64;
     for (label, samples) in in_sample.into_iter().chain([("held-out 1000-1007", SampleSet::HELD_OUT)]) {
         println!("\n{label}");
-        let reference = |name: &str, cache: usize, quality: Quality| {
-            println!("{name:<34} {cache:>6} {:>10.3}", quality.perplexity());
-        };
+        // Reference rows: (label, cache shown, point scored).
+        let mut rows = Vec::new();
         for cache in CALIBRATION_CACHES {
-            reference(
-                "sliding window",
-                cache,
-                substrate.score(samples, cache, Arm::Kind(PolicyKind::SlidingWindow)),
-            );
-            reference("H2O", cache, substrate.score(samples, cache, Arm::Kind(PolicyKind::H2o)));
+            rows.push(("sliding window", cache, (samples, cache, Arm::Kind(PolicyKind::SlidingWindow))));
+            rows.push(("H2O", cache, (samples, cache, Arm::Kind(PolicyKind::H2o))));
             if !check {
-                reference("offline oracle", cache, substrate.score(samples, cache, Arm::Oracle));
-                reference(
-                    "full cache",
-                    cache,
-                    substrate.score(samples, samples.len, Arm::Kind(PolicyKind::Full)),
-                );
+                rows.push(("offline oracle", cache, (samples, cache, Arm::Oracle)));
+                rows.push(("full cache", cache, (samples, samples.len, Arm::Kind(PolicyKind::Full))));
             }
+        }
+        let points: Vec<_> = rows.iter().map(|&(_, _, point)| point).collect();
+        for ((name, cache, _), quality) in rows.iter().zip(substrate.score_all(&points)) {
+            println!("{name:<34} {cache:>6} {:>10.3}", quality.perplexity());
         }
         // The winner, the paper's defaults, and the control for the winner's
         // reserved length: `a → ∞` is a sliding window with that sink.

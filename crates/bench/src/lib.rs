@@ -9,7 +9,7 @@
 //! | artifact | function | binary |
 //! |---|---|---|
 //! | Fig. 8 left (perplexity vs cache size) | [`fig8_left`] | `fig8_left` |
-//! | voting calibration + oracle bound (`docs/FIDELITY.md`) | [`Substrate::voting_sweep`], [`select_voting`] | `calibrate_voting` |
+//! | voting calibration + oracle bound (`docs/FIDELITY.md`) | [`Substrate::voting_sweep`], [`Substrate::score_all`], [`select_voting`] | `calibrate_voting` |
 //! | Fig. 8 center (dataflow ablation) | [`fig8_center`] | `fig8_center` |
 //! | Fig. 8 right (eviction speedup) | [`fig8_right`] | `fig8_right` |
 //! | Table I (area/power breakdown) | [`veda_cost::table1()`] | `table1` |

@@ -400,9 +400,39 @@ impl Substrate {
         quality.non_oldest += tally.non_oldest;
     }
 
+    /// Scores every `(samples, cache, arm)` point, in input order. The
+    /// points are independent, so the host's cores take them one at a time
+    /// from a shared counter; the result does not depend on how many cores
+    /// there are or which scored what.
+    pub fn score_all(&self, points: &[(SampleSet, usize, Arm)]) -> Vec<Quality> {
+        // Relaxed: the counter only hands out indices; results come back
+        // through `join`.
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let workers = std::thread::available_parallelism().map_or(1, usize::from).min(points.len()).max(1);
+        let mut scored: Vec<(usize, Quality)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            let Some(&(samples, cache, arm)) = points.get(index) else { return mine };
+                            mine.push((index, self.score(samples, cache, arm)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        });
+        scored.sort_by_key(|&(index, _)| index);
+        scored.into_iter().map(|(_, quality)| quality).collect()
+    }
+
     /// Scores every voting configuration of `grid` at every cache size,
-    /// in grid order. The points are independent, so they are spread over
-    /// the host's cores; the result does not depend on how many there are.
+    /// in grid order, through [`Substrate::score_all`].
     ///
     /// # Errors
     ///
@@ -416,30 +446,12 @@ impl Substrate {
         for config in grid {
             config.validate()?;
         }
-        let jobs: Vec<(VotingConfig, usize)> =
+        let pairs: Vec<(VotingConfig, usize)> =
             grid.iter().flat_map(|&config| caches.iter().map(move |&cache| (config, cache))).collect();
-        let workers = std::thread::available_parallelism().map_or(1, usize::from).min(jobs.len()).max(1);
-        let mut points: Vec<(usize, SweepPoint)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let jobs = &jobs;
-                    scope.spawn(move || {
-                        let mine = jobs.iter().enumerate().skip(worker).step_by(workers);
-                        mine.map(|(job, &(config, cache))| {
-                            let quality = self.score(samples, cache, Arm::Voting(config));
-                            (job, SweepPoint { config, cache, quality })
-                        })
-                        .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        });
-        points.sort_by_key(|&(job, _)| job);
-        Ok(points.into_iter().map(|(_, point)| point).collect())
+        let points: Vec<_> =
+            pairs.iter().map(|&(config, cache)| (samples, cache, Arm::Voting(config))).collect();
+        let scored = pairs.into_iter().zip(self.score_all(&points));
+        Ok(scored.map(|((config, cache), quality)| SweepPoint { config, cache, quality }).collect())
     }
 }
 
@@ -526,15 +538,17 @@ pub struct QualityPoint {
 /// Fig. 8 (left): language-modeling perplexity of Streaming-LLM, H2O and
 /// Voting across cache sizes.
 pub fn fig8_left(scale: QualityScale) -> Vec<QualityPoint> {
-    let substrate = Substrate::default();
-    let mut out = Vec::new();
-    for &cache in scale.cache_sizes {
-        for policy in [PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting] {
-            let quality = substrate.score(scale.sample_set(), cache, Arm::Kind(policy));
-            out.push(QualityPoint { policy, cache_size: cache, quality });
-        }
-    }
-    out
+    let points: Vec<(usize, PolicyKind)> = scale
+        .cache_sizes
+        .iter()
+        .flat_map(|&cache| {
+            [PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting].map(|p| (cache, p))
+        })
+        .collect();
+    let jobs: Vec<_> =
+        points.iter().map(|&(cache, policy)| (scale.sample_set(), cache, Arm::Kind(policy))).collect();
+    let scored = points.into_iter().zip(Substrate::default().score_all(&jobs));
+    scored.map(|((cache_size, policy), quality)| QualityPoint { policy, cache_size, quality }).collect()
 }
 
 /// Renders Fig. 8 (left) rows as an aligned text table: the three
@@ -668,6 +682,23 @@ mod tests {
             );
             assert!(p.quality.non_oldest <= p.quality.evictions);
         }
+    }
+
+    #[test]
+    fn score_all_returns_every_arm_in_input_order_equal_to_serial_scoring() {
+        let substrate = Substrate::default();
+        let one = SampleSet { count: 1, ..SMALL };
+        let points = [
+            (SMALL, 96, Arm::Kind(PolicyKind::H2o)),
+            (one, 64, Arm::Oracle),
+            (SMALL, 48, Arm::Kind(PolicyKind::SlidingWindow)),
+            (one, 512, Arm::Kind(PolicyKind::Full)),
+            (SMALL, 48, Arm::Voting(VotingConfig::default())),
+        ];
+        let serial: Vec<Quality> =
+            points.iter().map(|&(samples, cache, arm)| substrate.score(samples, cache, arm)).collect();
+        assert_eq!(substrate.score_all(&points), serial);
+        assert_eq!(substrate.score_all(&[]), Vec::new());
     }
 
     #[test]

@@ -116,18 +116,60 @@ impl Default for InductionConfig {
 }
 
 impl InductionConfig {
-    /// Validates mixture weights (must be positive and sum to ~1).
+    /// Validates the configuration: at least one head; mixture weights
+    /// finite, non-negative and summing to ~1; `score_noise` and
+    /// `recency_cap` finite and non-negative; per head a finite, positive
+    /// `recency_tau`, finite gains and a finite, non-negative
+    /// `predict_weight`, not zero on every head.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the violated constraint.
+    /// Returns a message naming the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         if self.heads.is_empty() {
             return Err("at least one head required".into());
         }
+        let non_negative = |name: &str, x: f32| {
+            if x.is_finite() && x >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{name} = {x}, expected finite and >= 0"))
+            }
+        };
+        let mixture = [
+            ("attn_weight", self.attn_weight),
+            ("bigram_weight", self.bigram_weight),
+            ("unigram_weight", self.unigram_weight),
+            ("floor_weight", self.floor_weight),
+        ];
+        for (name, weight) in mixture {
+            non_negative(name, weight)?;
+        }
         let sum = self.attn_weight + self.bigram_weight + self.unigram_weight + self.floor_weight;
         if (sum - 1.0).abs() > 1e-3 {
             return Err(format!("mixture weights sum to {sum}, expected 1"));
+        }
+        non_negative("score_noise", self.score_noise)?;
+        non_negative("recency_cap", self.recency_cap)?;
+        for (i, head) in self.heads.iter().enumerate() {
+            if !(head.recency_tau.is_finite() && head.recency_tau > 0.0) {
+                return Err(format!("head {i}: recency_tau = {}, expected finite and > 0", head.recency_tau));
+            }
+            let gains = [
+                ("match_gain", head.match_gain),
+                ("sink_gain", head.sink_gain),
+                ("salience_gain", head.salience_gain),
+                ("topic_gain", head.topic_gain),
+            ];
+            for (name, gain) in gains {
+                if !gain.is_finite() {
+                    return Err(format!("head {i}: {name} = {gain}, expected finite"));
+                }
+            }
+            non_negative(&format!("head {i}: predict_weight"), head.predict_weight)?;
+        }
+        if self.heads.iter().all(|head| head.predict_weight == 0.0) {
+            return Err("predict_weight is 0 on every head".into());
         }
         Ok(())
     }
@@ -482,5 +524,93 @@ mod tests {
         let cfg = InductionConfig { attn_weight: 0.9, ..InductionConfig::default() };
         assert!(cfg.validate().is_err());
         assert!(InductionConfig::default().validate().is_ok());
+    }
+
+    /// Validates the default configuration changed by `edit`, and checks
+    /// the error names `field`.
+    fn rejects(field: &str, edit: impl FnOnce(&mut InductionConfig)) {
+        let mut config = InductionConfig::default();
+        edit(&mut config);
+        let err = config.validate().expect_err(field);
+        assert!(err.contains(field), "{field}: {err}");
+    }
+
+    #[test]
+    fn nan_attn_weight_rejected() {
+        rejects("attn_weight", |c| c.attn_weight = f32::NAN);
+    }
+
+    #[test]
+    fn negative_bigram_weight_rejected_even_when_the_sum_is_one() {
+        rejects("bigram_weight", |c| {
+            c.attn_weight = 0.9;
+            c.bigram_weight = -0.1;
+        });
+    }
+
+    #[test]
+    fn infinite_unigram_weight_rejected() {
+        rejects("unigram_weight", |c| c.unigram_weight = f32::INFINITY);
+    }
+
+    #[test]
+    fn negative_floor_weight_rejected() {
+        rejects("floor_weight", |c| {
+            c.attn_weight = 0.9;
+            c.floor_weight = -0.1;
+        });
+    }
+
+    #[test]
+    fn nan_or_negative_score_noise_rejected() {
+        rejects("score_noise", |c| c.score_noise = f32::NAN);
+        rejects("score_noise", |c| c.score_noise = -0.2);
+    }
+
+    #[test]
+    fn nan_or_negative_recency_cap_rejected() {
+        rejects("recency_cap", |c| c.recency_cap = f32::NAN);
+        rejects("recency_cap", |c| c.recency_cap = -1.0);
+    }
+
+    #[test]
+    fn recency_tau_must_be_finite_and_positive() {
+        for tau in [0.0, -32.0, f32::NAN, f32::INFINITY] {
+            rejects("recency_tau", |c| c.heads[1].recency_tau = tau);
+        }
+    }
+
+    #[test]
+    fn non_finite_match_gain_rejected() {
+        rejects("match_gain", |c| c.heads[0].match_gain = f32::NAN);
+    }
+
+    #[test]
+    fn non_finite_sink_gain_rejected() {
+        rejects("sink_gain", |c| c.heads[2].sink_gain = f32::INFINITY);
+    }
+
+    #[test]
+    fn non_finite_salience_gain_rejected() {
+        rejects("salience_gain", |c| c.heads[1].salience_gain = f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn non_finite_topic_gain_rejected() {
+        rejects("topic_gain", |c| c.heads[0].topic_gain = f32::NAN);
+    }
+
+    #[test]
+    fn negative_predict_weight_rejected() {
+        rejects("predict_weight", |c| c.heads[2].predict_weight = -0.1);
+    }
+
+    #[test]
+    fn all_zero_predict_mix_rejected() {
+        rejects("predict_weight", |c| c.heads.iter_mut().for_each(|h| h.predict_weight = 0.0));
+        // One head carrying the whole mix is fine.
+        let mut config = InductionConfig::default();
+        config.heads.iter_mut().skip(1).for_each(|h| h.predict_weight = 0.0);
+        assert_eq!(config.validate(), Ok(()));
     }
 }

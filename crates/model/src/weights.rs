@@ -25,7 +25,7 @@
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::config::ModelConfig;
-use veda_tensor::rng::{normal_vec, seeded, xavier_std};
+use veda_tensor::rng::{fill_normal_parts, seeded, xavier_std};
 use veda_tensor::Matrix;
 
 /// Weight sets by the configuration they were synthesized from. Entries are
@@ -95,18 +95,6 @@ impl Default for StructureParams {
     }
 }
 
-fn noise_matrix(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize, std: f32) -> Matrix {
-    Matrix::from_vec(rows, cols, normal_vec(rng, rows * cols, std)).expect("sized buffer")
-}
-
-fn identity_plus_noise(rng: &mut rand::rngs::StdRng, n: usize, gain: f32, std: f32) -> Matrix {
-    let mut m = noise_matrix(rng, n, n, std);
-    for i in 0..n {
-        m[(i, i)] += gain;
-    }
-    m
-}
-
 impl ModelWeights {
     /// Generates structured synthetic weights for `config`.
     pub fn synthetic(config: &ModelConfig) -> Self {
@@ -114,51 +102,70 @@ impl ModelWeights {
     }
 
     /// Generates structured synthetic weights with explicit structure
-    /// parameters (ablation hook).
+    /// parameters (ablation hook). The model's Gaussians are one
+    /// [`fill_normal_parts`] stream, drawn on every core of the host and
+    /// bit-identical on any number of them.
     pub fn synthetic_with(config: &ModelConfig, sp: StructureParams) -> Self {
         config.validate().expect("valid model config");
-        let mut rng = seeded(config.seed);
         let d = config.d_model;
         let f = config.ffn_hidden;
         let v = config.vocab_size;
 
-        // Embeddings: unit-scale rows plus a shared "sink" direction.
-        let sink_dir = {
-            let mut u = normal_vec(&mut rng, d, 1.0);
-            let n = veda_tensor::ops::norm2(&u).max(1e-6);
-            for x in &mut u {
-                *x /= n;
-            }
-            u
-        };
-        let emb_std = 1.0 / (d as f32).sqrt();
-        let mut embedding = noise_matrix(&mut rng, v, d, emb_std);
+        let mut sink_dir = vec![0.0; d];
+        let mut embedding = Matrix::zeros(v, d);
+        let mut layers: Vec<LayerWeights> = (0..config.n_layers)
+            .map(|_| LayerWeights {
+                wq: Matrix::zeros(d, d),
+                wk: Matrix::zeros(d, d),
+                wv: Matrix::zeros(d, d),
+                wo: Matrix::zeros(d, d),
+                w1: Matrix::zeros(d, f),
+                w2: Matrix::zeros(f, d),
+                w3: Matrix::zeros(d, f),
+                attn_norm: vec![1.0; d],
+                ffn_norm: vec![1.0; d],
+            })
+            .collect();
+
+        // Every Gaussian of the model in one stream, in a fixed order: the
+        // sink direction, the embedding (unit-scale rows), then each layer's
+        // wq wk wv wo w1 w2 w3 at its Xavier scale.
+        let (attn, up, down) = (xavier_std(d, d), xavier_std(d, f), xavier_std(f, d));
+        let mut parts =
+            vec![(sink_dir.as_mut_slice(), 1.0), (embedding.as_mut_slice(), 1.0 / (d as f32).sqrt())];
+        for layer in &mut layers {
+            parts.extend([
+                (layer.wq.as_mut_slice(), attn),
+                (layer.wk.as_mut_slice(), attn),
+                (layer.wv.as_mut_slice(), attn),
+                (layer.wo.as_mut_slice(), attn),
+                (layer.w1.as_mut_slice(), up),
+                (layer.w2.as_mut_slice(), down),
+                (layer.w3.as_mut_slice(), up),
+            ]);
+        }
+        fill_normal_parts(&mut seeded(config.seed), &mut parts);
+
+        // The sink direction is unit-norm; gains are in its units, i.e.
+        // comparable to the ~unit embedding row norm.
+        let n = veda_tensor::ops::norm2(&sink_dir).max(1e-6);
+        for x in &mut sink_dir {
+            *x /= n;
+        }
         for t in 0..v {
-            // Gains are in units of the unit-norm sink direction, i.e.
-            // comparable to the ~unit embedding row norm.
             let gain = if t == 0 { sp.sink_bos } else { sp.sink_base };
-            let row = embedding.row_mut(t);
-            for (x, &u) in row.iter_mut().zip(&sink_dir) {
+            for (x, &u) in embedding.row_mut(t).iter_mut().zip(&sink_dir) {
                 *x += gain * u;
             }
         }
-
-        let layers = (0..config.n_layers)
-            .map(|_| {
-                let std = xavier_std(d, d);
-                LayerWeights {
-                    wq: identity_plus_noise(&mut rng, d, sp.match_gain, std),
-                    wk: identity_plus_noise(&mut rng, d, sp.match_gain, std),
-                    wv: noise_matrix(&mut rng, d, d, std),
-                    wo: noise_matrix(&mut rng, d, d, std),
-                    w1: noise_matrix(&mut rng, d, f, xavier_std(d, f)),
-                    w2: noise_matrix(&mut rng, f, d, xavier_std(f, d)),
-                    w3: noise_matrix(&mut rng, d, f, xavier_std(d, f)),
-                    attn_norm: vec![1.0; d],
-                    ffn_norm: vec![1.0; d],
+        // Content matching: a scaled identity in W_Q and W_K.
+        for layer in &mut layers {
+            for m in [&mut layer.wq, &mut layer.wk] {
+                for x in m.as_mut_slice().iter_mut().step_by(d + 1) {
+                    *x += sp.match_gain;
                 }
-            })
-            .collect();
+            }
+        }
 
         Self { embedding, final_norm: vec![1.0; d], layers }
     }

@@ -399,7 +399,8 @@ impl Cluster {
         // arrival, a parked retry coming ready, or a scheduled fault
         // transition (so no ShardDown/ShardUp edge is skipped over). A
         // finished run never jumps — a fault transition past the last
-        // completion would only inflate the tick count it is judged by.
+        // completion would only inflate the tick count it is judged by —
+        // and no jump passes the `max_ticks` safety valve.
         if !self.is_done() && self.shards.iter().map(Shard::in_flight).sum::<usize>() == 0 {
             let mut next: Option<u64> = None;
             for candidate in [
@@ -413,7 +414,7 @@ impl Cluster {
                 next = Some(next.map_or(candidate, |n| n.min(candidate)));
             }
             if let Some(next) = next {
-                self.now = self.now.max(next);
+                self.now = self.now.max(next.min(self.max_ticks));
             }
         }
     }
@@ -537,7 +538,7 @@ impl Cluster {
         } else {
             self.faults.retries += 1;
             self.shards[home].emit(now, work.arrival as u64, TraceEventKind::Retried { attempt });
-            let ready = now + self.faults.config.retry.backoff(attempt);
+            let ready = now.saturating_add(self.faults.config.retry.backoff(attempt));
             self.faults.retry.push_back(RetryEntry { ready, work });
         }
     }

@@ -286,6 +286,48 @@ fn deadlines_time_out_and_dead_letter() {
 }
 
 #[test]
+fn an_unbounded_backoff_parks_retries_until_the_safety_valve() {
+    // A backoff of u64::MAX ticks: the ready tick saturates instead of
+    // overflowing (or wrapping into an immediate retry), and the idle
+    // fast-forward stops at max_ticks instead of jumping to it.
+    let max_ticks = 5_000;
+    let build = || {
+        let config = ClusterConfig {
+            shards: 2,
+            max_ticks,
+            faults: Some(FaultConfig {
+                plan: FaultPlan::parse("crash@12:shard=1").expect("valid plan"),
+                retry: RetryPolicy { backoff_base: u64::MAX, ..RetryPolicy::default() },
+                ..FaultConfig::default()
+            }),
+            ..ClusterConfig::default()
+        };
+        let engines = (0..2).map(|_| engine(1)).collect();
+        Cluster::new(engines, workload(5, 2.0, 40), config)
+    };
+    let mut cluster = build();
+    while !cluster.is_done() && cluster.now() < max_ticks {
+        cluster.tick();
+        assert!(cluster.now() <= max_ticks, "the clock jumped past the safety valve");
+        assert_eq!(
+            cluster.submitted(),
+            cluster.completed()
+                + cluster.rejected()
+                + cluster.dead_lettered()
+                + cluster.shed()
+                + cluster.in_flight(),
+            "conservation broke at tick {}",
+            cluster.now()
+        );
+    }
+    assert_eq!(cluster.now(), max_ticks, "parked retries keep the run alive until the valve");
+    assert!(cluster.retries() > 0, "the crash must displace work into retries");
+    assert_eq!(cluster.in_flight() as u64, cluster.retries(), "every retry is still parked, and in flight");
+    let report = build().run();
+    assert_eq!((report.ticks, report.retries), (max_ticks, cluster.retries()));
+}
+
+#[test]
 fn watermark_sheds_under_overload() {
     // A tiny queue with a burst of arrivals and a low watermark: the
     // shedder must fire, and shed requests are terminal.

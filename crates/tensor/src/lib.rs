@@ -11,7 +11,9 @@
 //! to model the accelerator's FP16 datapath ([`fp16`]), and small statistics
 //! helpers ([`stats`]) used by the voting threshold `T(i) = a·mean − b·σ`.
 //!
-//! Everything is deterministic and seedable; no threads, no global state.
+//! Everything is deterministic and seedable, with no global state. The one
+//! place that uses threads, [`rng::fill_normal_parts`], gives the same bits
+//! on any number of them.
 //!
 //! ## The summation-order discipline
 //!
@@ -70,6 +72,15 @@
 //! something streamed once per batch (each block read from L1 for every
 //! row after the first); [`ops::gemv_outer_into`] is its one-row call, so
 //! there is one loop body and a batch of one costs what a GEMV did.
+//!
+//! The random-stream corollary: **a draw's output is a function of its
+//! stream position.** The `k`-th [`rng::standard_normal`] of a generator
+//! reads only stream words `2k` and `2k + 1`, so a long fill is many
+//! independent outputs, not one reduction. [`rng::fill_normal_parts`]
+//! cuts one across cores at element positions and starts each share from
+//! the generator advanced ([`rng::skip_standard_normal`]) to its first
+//! element's position, so a split never changes a bit; the unit tests in
+//! `rng.rs` drive every 2-way cut and 1–8 shares against per-call draws.
 //!
 //! ## Example
 //!
