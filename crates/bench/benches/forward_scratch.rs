@@ -1,10 +1,13 @@
 //! Scratch vs allocating forward path: one decode token through the
 //! transformer with a warm cache, with and without the reusable
-//! [`veda_model::ForwardScratch`] buffers.
+//! [`veda_model::ForwardScratch`] buffers — and the LM head per session
+//! count: one `dot` per vocabulary row against one `lm_head_batch` over
+//! `S` sequences, which streams the tied embedding once for all of them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use veda_model::{ModelConfig, TransformerModel};
+use veda_model::weights::ModelWeights;
+use veda_model::{HeadScratch, ModelConfig, TransformerModel};
 
 fn bench_forward_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward_token");
@@ -52,5 +55,43 @@ fn bench_forward_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_forward_paths);
+/// The `small` model's LM head: `dot_per_row` is one full head computed
+/// as one `dot` per vocabulary row; `batch/S` is one `lm_head_batch` over
+/// `S` sequences fresh from a forward body. Divide a `batch/S` mean by `S`
+/// for the cost per logits row; every row is bit-identical to the
+/// reference (`crates/core/tests/head_equivalence.rs`).
+fn bench_lm_head(c: &mut Criterion) {
+    let cfg = ModelConfig::small();
+    let model = TransformerModel::new(cfg.clone());
+    let mut group = c.benchmark_group("lm_head_small");
+
+    let weights = ModelWeights::synthetic(&cfg);
+    let x = weights.embed(1);
+    let mut logits = Vec::with_capacity(cfg.vocab_size);
+    group.bench_function("dot_per_row", |b| {
+        b.iter(|| {
+            logits.clear();
+            logits.extend(weights.embedding.iter_rows().map(|row| veda_tensor::ops::dot(x, row)));
+            black_box(logits.len())
+        })
+    });
+
+    let mut head = HeadScratch::new();
+    for sessions in [1usize, 2, 4, 8] {
+        let mut scratches: Vec<_> = (0..sessions)
+            .map(|s| {
+                let mut scratch = model.new_scratch(1);
+                model.forward_body(&mut model.new_state(), (s * 11 + 1) % cfg.vocab_size, 0, &mut scratch);
+                scratch
+            })
+            .collect();
+        let mut batch: Vec<_> = scratches.iter_mut().collect();
+        group.bench_with_input(BenchmarkId::new("batch", sessions), &sessions, |b, _| {
+            b.iter(|| model.lm_head_batch(black_box(&mut batch), &mut head))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_forward_paths, bench_lm_head);
 criterion_main!(benches);

@@ -375,14 +375,6 @@ impl TokenEvent {
             TokenEvent::Generated { finished, .. } | TokenEvent::PrefillProgress { finished, .. } => finished,
         }
     }
-
-    /// The generated token id, if this is a decode event.
-    pub fn generated_token(&self) -> Option<usize> {
-        match *self {
-            TokenEvent::Generated { token, .. } => Some(token),
-            TokenEvent::PrefillProgress { .. } => None,
-        }
-    }
 }
 
 /// Result of one [`Engine::step`] tick.

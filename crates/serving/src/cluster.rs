@@ -900,22 +900,6 @@ impl ClusterReport {
         )
     }
 
-    /// Completed requests per tick — the throughput that survives the
-    /// fault schedule (timed-out retries, dead letters and shed requests
-    /// all fall out of the numerator).
-    pub fn goodput(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.completed() as f64 / self.ticks as f64
-        }
-    }
-
-    /// Tokens generated cluster-wide.
-    pub fn generated_tokens(&self) -> u64 {
-        self.shards.iter().flat_map(|s| s.records.iter()).map(|r| r.generated_tokens as u64).sum()
-    }
-
     /// Global TTFT summary over every completed request on every shard.
     pub fn ttft(&self) -> Option<LatencySummary> {
         LatencySummary::of(

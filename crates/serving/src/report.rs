@@ -190,17 +190,6 @@ impl StageSummaries {
             migration_wait: col(|w| w.migration_wait),
         })
     }
-
-    /// `(stage name, summary)` rows in waterfall order.
-    pub fn rows(&self) -> [(&'static str, LatencySummary); 5] {
-        [
-            ("queueing", self.queueing),
-            ("prefill", self.prefill),
-            ("decode", self.decode),
-            ("swap_wait", self.swap_wait),
-            ("migration_wait", self.migration_wait),
-        ]
-    }
 }
 
 /// Aggregate result of one [`crate::Server`] run.

@@ -23,8 +23,8 @@
 //!   fall back to least-loaded. Keeps a session group's shared system
 //!   prompt resident on *one* shard instead of duplicating it N ways —
 //!   the cluster-level analogue of the engine's prefix cache, and the
-//!   policy the `BENCH_cluster.json` sweep shows beating round-robin on
-//!   shared-prefix traffic.
+//!   policy `tests/cluster_stack.rs` pins beating round-robin on
+//!   shared-prefix traffic at two to four shards.
 
 use std::fmt;
 use std::str::FromStr;

@@ -254,23 +254,25 @@ fn migration_rebalances_hot_shards_without_changing_token_streams() {
 
 #[test]
 fn prefix_affinity_beats_round_robin_on_shared_prefix_traffic() {
-    // Four prompt groups over three shards: round-robin scatters each
-    // group across every shard (each shard pays its own cold miss per
+    // Five prompt groups over two to four shards: round-robin scatters
+    // each group across every shard (each shard pays its own cold miss per
     // group), while prefix-affinity pins each group to the shard that
     // already holds its prefix — fewer cold misses, higher cluster-wide
-    // hit rate. This is the acceptance criterion BENCH_cluster.json
-    // records.
+    // hit rate. Five is coprime to every shard count: groups rotate by
+    // arrival index exactly like the round-robin cursor, so a group count
+    // that divided the shard count would hand round-robin accidental
+    // perfect affinity.
     use veda::Budget;
     let mix = RequestMix {
         shared_prefix_len: 24,
-        prefix_groups: 4,
+        prefix_groups: 5,
         prompt_len: (3, 6),
         max_new_tokens: (4, 8),
         budgets: vec![Budget::Unbounded],
         ..RequestMix::default()
     };
-    let run = |router: RouterKind| {
-        let engines: Vec<veda::Engine> = (0..3)
+    let run = |shards: usize, router: RouterKind| {
+        let engines: Vec<veda::Engine> = (0..shards)
             .map(|_| {
                 EngineBuilder::new()
                     .model(ModelConfig::tiny())
@@ -284,22 +286,24 @@ fn prefix_affinity_beats_round_robin_on_shared_prefix_traffic() {
             })
             .collect();
         let workload = Workload::poisson(19, 0.6, 40, mix.clone());
-        Cluster::new(engines, workload, cluster_config(3, router, 1 << 20, SchedKind::Fcfs)).run()
+        Cluster::new(engines, workload, cluster_config(shards, router, 1 << 20, SchedKind::Fcfs)).run()
     };
-    let rr = run(RouterKind::RoundRobin);
-    let affinity = run(RouterKind::PrefixAffinity);
-    assert_eq!(rr.completed(), 40, "ample capacity: everything completes");
-    assert_eq!(affinity.completed(), 40);
-    assert!(affinity.prefix_hits() > 0);
-    assert!(
-        affinity.prefix_hit_rate() > rr.prefix_hit_rate(),
-        "prefix affinity must beat round-robin on shared-prefix traffic: {:.2} vs {:.2}",
-        affinity.prefix_hit_rate(),
-        rr.prefix_hit_rate()
-    );
+    for shards in [2, 3, 4] {
+        let rr = run(shards, RouterKind::RoundRobin);
+        let affinity = run(shards, RouterKind::PrefixAffinity);
+        assert_eq!(rr.completed(), 40, "{shards} shards, ample capacity: everything completes");
+        assert_eq!(affinity.completed(), 40);
+        assert!(affinity.prefix_hits() > 0);
+        assert!(
+            affinity.prefix_hit_rate() > rr.prefix_hit_rate(),
+            "{shards} shards: prefix affinity must beat round-robin on shared-prefix traffic: {:.2} vs {:.2}",
+            affinity.prefix_hit_rate(),
+            rr.prefix_hit_rate()
+        );
 
-    // Routing never changes what a request generates, only where.
-    assert_eq!(completed_streams_sorted(&affinity), completed_streams_sorted(&rr));
+        // Routing never changes what a request generates, only where.
+        assert_eq!(completed_streams_sorted(&affinity), completed_streams_sorted(&rr));
+    }
 }
 
 #[test]

@@ -328,6 +328,54 @@ fn an_unbounded_backoff_parks_retries_until_the_safety_valve() {
 }
 
 #[test]
+fn each_fault_scenario_moves_its_own_signal() {
+    // One pressured 2-shard run (tight KV and preemptive tiers keep swap
+    // DMA on the host links) under four fault plans: every delta against
+    // the fault-free baseline is the fault plane's doing.
+    let run = |spec: &str| {
+        let config = ClusterConfig {
+            shards: 2,
+            per_shard_capacity_bytes: 10 << 10,
+            max_queue_depth: 12,
+            router: RouterKind::RoundRobin,
+            sched: SchedKind::Priority,
+            faults: Some(FaultConfig {
+                plan: FaultPlan::parse(spec).expect("valid plan"),
+                e2e_deadline: Some(512),
+                ..FaultConfig::default()
+            }),
+            ..ClusterConfig::default()
+        };
+        let engines = (0..2).map(|_| engine(1)).collect();
+        let report = Cluster::new(engines, workload(7, 2.5, 24), config).run();
+        let swap_cycles: u64 = report.shards.iter().map(|s| s.swap_cycles).sum();
+        (report, swap_cycles)
+    };
+    let (baseline, baseline_swap) = run("");
+    assert_eq!((baseline.retries, baseline.availability()), (0, 1.0), "the baseline is fault-free");
+    assert!(baseline_swap > 0, "the pressure point must put swap DMA on the host links");
+
+    let (recovered, _) = run("crash@8:shard=1:recover=48:drain=2");
+    assert!(recovered.retries > 0, "a crash must displace work into retries");
+    assert!(recovered.availability() < 1.0, "a crash must dent availability");
+
+    let (permanent, _) = run("crash@8:shard=1");
+    assert!(
+        permanent.availability() < recovered.availability(),
+        "a shard that never recovers costs more availability: {} vs {}",
+        permanent.availability(),
+        recovered.availability()
+    );
+
+    let (degraded, degraded_swap) = run("degrade@4-400:shard=0:bw=0.1");
+    assert_eq!((degraded.retries, degraded.availability()), (0, 1.0), "a slow link is not an outage");
+    assert!(
+        degraded_swap > baseline_swap,
+        "the same swap DMA must cost more cycles over the degraded link: {degraded_swap} vs {baseline_swap}"
+    );
+}
+
+#[test]
 fn watermark_sheds_under_overload() {
     // A tiny queue with a burst of arrivals and a low watermark: the
     // shedder must fire, and shed requests are terminal.

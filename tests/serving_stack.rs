@@ -447,6 +447,79 @@ fn shared_prefix_cache_admits_more_sessions_under_capacity_pressure() {
 }
 
 #[test]
+fn spill_tier_admits_more_than_drop_on_evict_at_equal_cache_bytes() {
+    // Prefix-cache churn under admission pressure: a byte-starved cache
+    // (6 KiB) over shared-prefix traffic that backs a 32 KiB server up.
+    // With spill on, entries evicted for room move to the host tier and
+    // later arrivals still hit them (one fill DMA, then the shared span
+    // skips on-clock prefill), so the queue turns over faster and strictly
+    // more requests are admitted than when eviction drops the entry. At
+    // 12 KiB the cache seldom needs room, and the two admit alike.
+    use veda::{Budget, PrefixCacheConfig};
+
+    let run = |cache_kb: u64, spill: bool| {
+        let engine = EngineBuilder::new()
+            .model(ModelConfig::tiny())
+            .prefill_chunk(4)
+            .prefix_cache(PrefixCacheConfig {
+                min_match_tokens: 4,
+                max_entries: 16,
+                max_bytes: cache_kb << 10,
+                ttl_ticks: 64,
+                spill,
+            })
+            .build()
+            .expect("valid config");
+        let mix = RequestMix {
+            shared_prefix_len: 16,
+            prefix_groups: 2,
+            prompt_len: (4, 7),
+            budgets: vec![Budget::Unbounded],
+            ..RequestMix::default()
+        };
+        let config = ServerConfig {
+            admission: AdmissionConfig { capacity_bytes: 32 << 10, max_queue_depth: 6 },
+            sched: SchedKind::Fcfs,
+            ..ServerConfig::default()
+        };
+        Server::new(engine, Workload::poisson(29, 0.8, 40, mix), config).run()
+    };
+
+    let dropped = run(6, false);
+    let spilled = run(6, true);
+    assert!(dropped.rejected() > 0, "the pressure point must reject (tune capacity/queue if not)");
+    assert!(
+        spilled.admitted > dropped.admitted,
+        "at equal cache bytes the spill tier must admit strictly more than drop-on-evict: {} vs {}",
+        spilled.admitted,
+        dropped.admitted
+    );
+    let (spill, drop) = (&spilled.engine.prefix, &dropped.engine.prefix);
+    assert!(spill.spills > 0 && spill.fills > 0, "the starved spill-on cache must spill and fill: {spill:?}");
+    assert_eq!(spill.evictions, 0, "spill-on caches spill instead of dropping");
+    assert!(drop.evictions > 0 && drop.spills == 0, "the spill-off cache must drop on eviction: {drop:?}");
+    assert!(spill.hit_rate() > drop.hit_rate(), "spilled entries stay hittable");
+
+    // Spilling changes which requests are admitted, never which tokens an
+    // admitted request generates.
+    let with = tokens_by_arrival(&spilled);
+    let mut compared = 0;
+    for (arrival, tokens) in &tokens_by_arrival(&dropped) {
+        if let Some(spill_run) = with.get(arrival) {
+            assert_eq!(spill_run, tokens, "arrival {arrival}: the spill tier changed a token stream");
+            compared += 1;
+        }
+    }
+    assert!(compared > 0, "some requests must complete in both runs");
+
+    let comfortable = (run(12, false), run(12, true));
+    assert_eq!(
+        comfortable.0.admitted, comfortable.1.admitted,
+        "with room to spare, spill and drop-on-evict admit the same requests"
+    );
+}
+
+#[test]
 fn report_display_shows_latency_table() {
     let text = run(ArrivalKind::Poisson, SchedKind::Srb, 3, 20 << 10).to_string();
     for needle in ["ttft", "p50", "p95", "p99", "queue depth", "preemptions", "rejected", "swap traffic"] {
