@@ -17,20 +17,37 @@
 //!   context matters;
 //! * **segment copies** (within the current topic) — long-range reuse, so
 //!   discarding mid-range context costs accuracy.
+//!
+//! The per-slice Zipf table depends only on the configuration, so
+//! [`Corpus::new`] builds it once as a [`Categorical`]; [`Corpus::sample`]
+//! carries the active topic across positions rather than dividing it out of
+//! every one.
 
 use rand::Rng;
-use veda_tensor::rng::{sample_categorical, seeded};
+use veda_tensor::rng::{seeded, Categorical};
 
 /// Parameters of the synthetic corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Vocabulary size (token 0 is reserved as BOS).
     pub vocab_size: usize,
-    /// Zipf exponent of the per-topic unigram distribution.
+    /// Zipf exponent of the per-topic unigram distribution (finite, > 0).
     pub zipf_exponent: f64,
-    /// Probability that the next token follows the topic's bigram chain.
+    /// Upper edge of the bigram band, less `copy_start_prob`. A free step
+    /// (no forced attribute, topic intro or running copy) draws `u ~ U[0, 1)`
+    /// and takes the first band it falls in: a query below `query_prob`, a
+    /// copy below `query_prob + copy_start_prob` where one can start, the
+    /// topic's bigram chain below `copy_start_prob + bigram_prob`, else a
+    /// unigram. So the chain is followed with probability
+    /// `bigram_prob − query_prob` where a copy can start (0.39 at the
+    /// defaults) and `copy_start_prob + bigram_prob − query_prob` where none
+    /// can (0.45), not with `bigram_prob` itself.
     pub bigram_prob: f64,
-    /// Probability of *starting* an in-topic copy at any step.
+    /// Width of the copy band of a free step, `[query_prob, query_prob +
+    /// copy_start_prob)`: the probability of *starting* an in-topic copy
+    /// where one can start (past the topic's first `copy_len.0 + 2` tokens
+    /// and with an earlier source). Where none can, the band falls through
+    /// to the bigram chain.
     pub copy_start_prob: f64,
     /// Copy segment length range (inclusive).
     pub copy_len: (usize, usize),
@@ -48,7 +65,9 @@ pub struct CorpusConfig {
     /// attribute — recoverable only from a resident anchor of an earlier
     /// occurrence (the long-range retrieval that recency windows lose).
     pub entities_per_topic: usize,
-    /// Per-step probability of an entity query (outside intros/copies).
+    /// Per-step probability of an entity query (outside intros/copies): the
+    /// band `[0, query_prob)` of a free step's draw, taken before the copy
+    /// and bigram bands.
     pub query_prob: f64,
     /// RNG seed.
     pub seed: u64,
@@ -72,6 +91,59 @@ impl Default for CorpusConfig {
     }
 }
 
+impl CorpusConfig {
+    /// Checks that [`Corpus::sample`] can draw from this configuration;
+    /// the error names the offending field.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `n_topics` or `topic_len` is zero, the vocabulary holds
+    /// fewer than four tokens per topic, the copy range is inverted, no
+    /// slice rank is left outside the `entities_per_topic` entity ranks,
+    /// `zipf_exponent` is not finite and > 0, or a probability is not
+    /// finite and in `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_topics == 0 {
+            return Err("topics must be non-degenerate: n_topics = 0, expected > 0".into());
+        }
+        if self.topic_len == 0 {
+            return Err("topics must be non-degenerate: topic_len = 0, expected > 0".into());
+        }
+        let min_vocab = self.n_topics.saturating_mul(4);
+        if self.vocab_size < min_vocab {
+            return Err(format!(
+                "vocabulary too small for topic count: vocab_size = {}, expected >= 4 * n_topics = {min_vocab}",
+                self.vocab_size
+            ));
+        }
+        if self.copy_len.0 > self.copy_len.1 {
+            return Err(format!("inverted copy length range: copy_len = {:?}", self.copy_len));
+        }
+        let slice_len = Corpus::slice_len(self);
+        if self.entities_per_topic >= slice_len {
+            return Err(format!(
+                "entities_per_topic = {}, expected below the slice length {slice_len} so that some rank is drawable",
+                self.entities_per_topic
+            ));
+        }
+        if !(self.zipf_exponent.is_finite() && self.zipf_exponent > 0.0) {
+            return Err(format!("zipf_exponent = {}, expected finite and > 0", self.zipf_exponent));
+        }
+        let probabilities = [
+            ("bigram_prob", self.bigram_prob),
+            ("copy_start_prob", self.copy_start_prob),
+            ("global_frac", self.global_frac),
+            ("query_prob", self.query_prob),
+        ];
+        for (name, p) in probabilities {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} = {p}, expected finite and in [0, 1]"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A deterministic structured token source.
 ///
 /// ```
@@ -89,6 +161,9 @@ pub struct Corpus {
     /// own slice, divided by the topic count (used for salience and the
     /// unigram prior).
     unigram: Vec<f32>,
+    /// Zipf weights of the drawable slice ranks (the ranks below the
+    /// entities), shared by the global slice and every topic's slice.
+    slice: Categorical,
 }
 
 impl Corpus {
@@ -96,18 +171,30 @@ impl Corpus {
     ///
     /// # Panics
     ///
-    /// Panics if the vocabulary is too small for the topic count, the copy
-    /// range is inverted, or `topic_len`/`n_topics` is zero.
+    /// Panics with [`CorpusConfig::validate`]'s message if `config` is
+    /// invalid.
     pub fn new(config: CorpusConfig) -> Self {
-        assert!(config.n_topics > 0 && config.topic_len > 0, "topics must be non-degenerate");
-        assert!(config.vocab_size >= 4 * config.n_topics, "vocabulary too small for topic count");
-        assert!(config.copy_len.0 <= config.copy_len.1, "inverted copy length range");
-        let mut unigram = vec![1e-9f32; config.vocab_size];
-        for (t, u) in unigram.iter_mut().enumerate().skip(1) {
-            let rank = Self::slice_rank(&config, t);
-            *u = (1.0 / (rank as f64).powf(config.zipf_exponent) / config.n_topics as f64) as f32;
+        match Self::build(config) {
+            Ok(corpus) => corpus,
+            Err(err) => panic!("{err}"),
         }
-        Self { config, unigram }
+    }
+
+    fn build(config: CorpusConfig) -> Result<Self, String> {
+        config.validate()?;
+        // One `powf` per slice rank; token `t >= 1` has rank
+        // `(t - 1) % slice_len + 1`, so cycling the ranks fills the vocabulary.
+        let rank_mass: Vec<f64> = (1..=Self::slice_len(&config))
+            .map(|rank| 1.0 / (rank as f64).powf(config.zipf_exponent))
+            .collect();
+        let mut unigram = vec![1e-9f32; config.vocab_size];
+        for (u, &mass) in unigram.iter_mut().skip(1).zip(rank_mass.iter().cycle()) {
+            *u = (mass / config.n_topics as f64) as f32;
+        }
+        let drawable = rank_mass.len() - config.entities_per_topic;
+        let slice = Categorical::new(rank_mass.iter().take(drawable).map(|&mass| mass as f32).collect())
+            .map_err(|err| format!("Zipf slice table: {err}"))?;
+        Ok(Self { config, unigram, slice })
     }
 
     fn slice_len(config: &CorpusConfig) -> usize {
@@ -140,7 +227,7 @@ impl Corpus {
         }
         let len = Self::slice_len(&self.config);
         let rank = Self::slice_rank(&self.config, token); // 1-based
-        rank > len - self.config.entities_per_topic.min(len)
+        rank > len - self.config.entities_per_topic
     }
 
     /// The `i`-th entity token of a topic.
@@ -159,10 +246,8 @@ impl Corpus {
     /// entity are always followed by this attribute.
     pub fn attribute(&self, topic: usize, entity_index: usize) -> usize {
         let (start, len) = self.topic_slice(topic);
-        let usable = len - self.config.entities_per_topic.min(len);
-        start
-            + (entity_index.wrapping_mul(0x9E3779B9).wrapping_add(topic.wrapping_mul(0x85EBCA6B))
-                % usable.max(1))
+        let usable = len - self.config.entities_per_topic;
+        start + (entity_index.wrapping_mul(0x9E3779B9).wrapping_add(topic.wrapping_mul(0x85EBCA6B)) % usable)
     }
 
     /// The configuration.
@@ -187,12 +272,16 @@ impl Corpus {
     /// the global slice (stable n-grams); topical tokens continue within
     /// their topic's slice (topical drift).
     pub fn successor_at(&self, token: usize, position: usize) -> usize {
+        self.successor_in(token, self.topic_at(position))
+    }
+
+    /// [`Corpus::successor_at`] with the topic already known.
+    fn successor_in(&self, token: usize, topic: usize) -> usize {
         if self.is_global(token) {
             return 1 + (token.wrapping_mul(2654435761) % self.global_len());
         }
-        let topic = self.topic_at(position);
         let (start, len) = self.topic_slice(topic);
-        let usable = (len - self.config.entities_per_topic.min(len)).max(1);
+        let usable = len - self.config.entities_per_topic;
         start + (token.wrapping_mul(2654435761).wrapping_add(topic.wrapping_mul(40503)) % usable)
     }
 
@@ -209,87 +298,79 @@ impl Corpus {
         if len == 0 {
             return out;
         }
-        // Per-slice Zipf weights are shared across topics; entity ranks
-        // (the tail of each slice) are never drawn.
-        let usable =
-            Self::slice_len(&self.config) - self.config.entities_per_topic.min(Self::slice_len(&self.config));
-        let slice_weights: Vec<f32> =
-            (0..usable).map(|i| (1.0 / ((i + 1) as f64).powf(self.config.zipf_exponent)) as f32).collect();
+        let c = &self.config;
+        let n_ent = c.entities_per_topic;
+        let slice_len = Self::slice_len(c);
         out.push(0); // BOS
+        let mut prev = 0;
+        // The active topic, the position it opened at and its slice's first
+        // token, advanced at each `topic_len` boundary.
+        let (mut topic, mut topic_start_pos, mut start) = (0, 0, 1 + slice_len);
         let mut copy: Option<(usize, usize)> = None; // (source cursor, remaining)
         let mut forced: Option<usize> = None; // pending attribute after a query
-        while out.len() < len {
-            let pos = out.len();
-            let prev = *out.last().expect("non-empty");
-            let topic = self.topic_at(pos);
-            let (start, _) = self.topic_slice(topic);
-            let topic_start_pos = pos - (pos % self.config.topic_len);
-
-            // A query's attribute always follows its entity.
-            if let Some(attr) = forced.take() {
-                out.push(attr);
-                continue;
+        for pos in 1..len {
+            if pos - topic_start_pos == c.topic_len {
+                topic = if topic + 1 == c.n_topics { 0 } else { topic + 1 };
+                topic_start_pos = pos;
+                start = 1 + slice_len + topic * slice_len;
             }
-            // Topic intro: introduce each entity with its attribute.
-            let in_topic_now = pos - topic_start_pos;
-            let n_ent = self.config.entities_per_topic;
-            if in_topic_now < 2 * n_ent && pos > 0 {
-                let i = in_topic_now / 2;
-                if in_topic_now.is_multiple_of(2) {
-                    out.push(self.entity(topic, i));
-                } else {
-                    out.push(self.attribute(topic, i));
-                }
-                copy = None;
-                continue;
-            }
-
-            // Continue an active copy first (but never across a topic edge).
-            if let Some((cursor, remaining)) = copy {
-                if remaining > 0 && cursor < pos && cursor >= topic_start_pos {
-                    out.push(out[cursor]);
-                    copy = Some((cursor + 1, remaining - 1));
-                    continue;
-                }
-                copy = None;
-            }
-            let u: f64 = rng.gen();
             let in_topic = pos - topic_start_pos;
-            if u < self.config.query_prob && n_ent > 0 {
-                // Entity query: the entity token, then (next step) its
-                // attribute.
-                let i = rng.gen_range(0..n_ent);
-                forced = Some(self.attribute(topic, i));
-                out.push(self.entity(topic, i));
-                continue;
-            }
-            if u < self.config.query_prob + self.config.copy_start_prob
-                && in_topic > self.config.copy_len.0 + 2
-            {
-                // Start copying an earlier segment of this topic. Sources
-                // are skewed toward the topic opening (documents introduce
-                // entities early and reference them throughout), so useful
-                // anchors concentrate beyond any fixed recency window.
-                let lo = topic_start_pos.max(1);
-                let hi = pos - 1;
-                if hi > lo {
-                    let skew: f64 = rng.gen::<f64>();
-                    let src = lo + ((skew * skew) * (hi - lo) as f64) as usize;
-                    let span = rng.gen_range(self.config.copy_len.0..=self.config.copy_len.1);
-                    copy = Some((src + 1, span));
-                    out.push(out[src]);
-                    continue;
+            let token = 'next: {
+                // A query's attribute always follows its entity.
+                if let Some(attr) = forced.take() {
+                    break 'next attr;
                 }
-            }
-            if u < self.config.copy_start_prob + self.config.bigram_prob {
-                out.push(self.successor_at(prev, pos));
-            } else if rng.gen::<f64>() < self.config.global_frac {
-                out.push(1 + sample_categorical(&mut rng, &slice_weights));
-            } else {
-                out.push(start + sample_categorical(&mut rng, &slice_weights));
-            }
+                // Topic intro: introduce each entity with its attribute.
+                if in_topic < 2 * n_ent {
+                    copy = None;
+                    let i = in_topic / 2;
+                    break 'next if in_topic.is_multiple_of(2) {
+                        self.entity(topic, i)
+                    } else {
+                        self.attribute(topic, i)
+                    };
+                }
+                // Continue an active copy first (but never across a topic edge).
+                if let Some((cursor, remaining)) = copy.take() {
+                    if remaining > 0 && cursor < pos && cursor >= topic_start_pos {
+                        copy = Some((cursor + 1, remaining - 1));
+                        break 'next out[cursor];
+                    }
+                }
+                let u: f64 = rng.gen();
+                if u < c.query_prob && n_ent > 0 {
+                    // Entity query: the entity token, then (next step) its
+                    // attribute.
+                    let i = rng.gen_range(0..n_ent);
+                    forced = Some(self.attribute(topic, i));
+                    break 'next self.entity(topic, i);
+                }
+                if u < c.query_prob + c.copy_start_prob && in_topic > c.copy_len.0 + 2 {
+                    // Start copying an earlier segment of this topic. Sources
+                    // are skewed toward the topic opening (documents introduce
+                    // entities early and reference them throughout), so useful
+                    // anchors concentrate beyond any fixed recency window.
+                    let lo = topic_start_pos.max(1);
+                    let hi = pos - 1;
+                    if hi > lo {
+                        let skew: f64 = rng.gen::<f64>();
+                        let src = lo + ((skew * skew) * (hi - lo) as f64) as usize;
+                        let span = rng.gen_range(c.copy_len.0..=c.copy_len.1);
+                        copy = Some((src + 1, span));
+                        break 'next out[src];
+                    }
+                }
+                if u < c.copy_start_prob + c.bigram_prob {
+                    self.successor_in(prev, topic)
+                } else if rng.gen::<f64>() < c.global_frac {
+                    1 + self.slice.sample(&mut rng)
+                } else {
+                    start + self.slice.sample(&mut rng)
+                }
+            };
+            out.push(token);
+            prev = token;
         }
-        out.truncate(len);
         out
     }
 }
@@ -399,5 +480,95 @@ mod tests {
     #[should_panic(expected = "vocabulary too small")]
     fn tiny_vocab_rejected() {
         Corpus::new(CorpusConfig { vocab_size: 16, ..CorpusConfig::default() });
+    }
+
+    /// Validates the default configuration changed by `edit`, and checks
+    /// the error names `field`.
+    fn rejects(field: &str, edit: impl FnOnce(&mut CorpusConfig)) {
+        let mut config = CorpusConfig::default();
+        edit(&mut config);
+        let err = config.validate().expect_err(field);
+        assert!(err.contains(field), "{field}: {err}");
+    }
+
+    #[test]
+    fn default_and_test_configs_are_valid() {
+        assert_eq!(CorpusConfig::default().validate(), Ok(()));
+        for topic_len in [512, 64] {
+            let config = CorpusConfig { vocab_size: 256, topic_len, seed: 5, ..CorpusConfig::default() };
+            assert_eq!(config.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn vocab_size_below_four_per_topic_rejected() {
+        rejects("vocab_size", |c| c.vocab_size = 4 * c.n_topics - 1);
+    }
+
+    #[test]
+    fn zero_topic_len_or_n_topics_rejected() {
+        rejects("topic_len", |c| c.topic_len = 0);
+        rejects("n_topics", |c| c.n_topics = 0);
+    }
+
+    #[test]
+    fn inverted_copy_len_rejected() {
+        rejects("copy_len", |c| c.copy_len = (64, 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "entities_per_topic = 16, expected below the slice length 15")]
+    fn entities_filling_the_slice_rejected_at_construction() {
+        // 63 / 4 = 15 ranks per slice, all of them entities: no drawable rank.
+        Corpus::new(CorpusConfig {
+            vocab_size: 64,
+            n_topics: 3,
+            entities_per_topic: 16,
+            ..CorpusConfig::default()
+        });
+    }
+
+    #[test]
+    fn entities_per_topic_must_leave_a_drawable_rank() {
+        rejects("entities_per_topic", |c| c.entities_per_topic = 455);
+        let mut config = CorpusConfig { entities_per_topic: 454, ..CorpusConfig::default() };
+        assert_eq!(config.validate(), Ok(()));
+        config.entities_per_topic = 0;
+        assert_eq!(config.validate(), Ok(()));
+    }
+
+    #[test]
+    fn zipf_exponent_must_be_finite_and_positive() {
+        for s in [f64::NAN, f64::INFINITY, 0.0, -1.05] {
+            rejects("zipf_exponent", |c| c.zipf_exponent = s);
+        }
+    }
+
+    #[test]
+    fn bigram_prob_must_be_a_probability() {
+        for p in [f64::NAN, -0.1, 1.5] {
+            rejects("bigram_prob", |c| c.bigram_prob = p);
+        }
+    }
+
+    #[test]
+    fn copy_start_prob_must_be_a_probability() {
+        for p in [f64::NAN, -0.1, f64::INFINITY] {
+            rejects("copy_start_prob", |c| c.copy_start_prob = p);
+        }
+    }
+
+    #[test]
+    fn global_frac_must_be_a_probability() {
+        for p in [f64::NAN, -0.1, 1.5] {
+            rejects("global_frac", |c| c.global_frac = p);
+        }
+    }
+
+    #[test]
+    fn query_prob_must_be_a_probability() {
+        for p in [f64::NAN, f64::NEG_INFINITY, 1.5] {
+            rejects("query_prob", |c| c.query_prob = p);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Error types shared by the tensor kernels.
+//! Error types shared by the tensor kernels and samplers.
 
 use std::error::Error;
 use std::fmt;
@@ -53,6 +53,47 @@ impl fmt::Display for ShapeError {
 
 impl Error for ShapeError {}
 
+/// A weight table that [`crate::rng::Categorical`] cannot draw from.
+///
+/// ```
+/// use veda_tensor::rng::Categorical;
+/// use veda_tensor::CategoricalError;
+/// assert_eq!(Categorical::new(vec![]), Err(CategoricalError::Empty));
+/// let e = Categorical::new(vec![0.5, -1.0]).unwrap_err();
+/// assert_eq!(e.to_string(), "categorical weight 1 is -1, expected finite and >= 0");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CategoricalError {
+    /// The table has no weights.
+    Empty,
+    /// A weight is negative, infinite or NaN.
+    Weight {
+        /// Index of the first offending weight.
+        index: usize,
+        /// Its value.
+        weight: f32,
+    },
+    /// The weights sum to less than `f32::MIN_POSITIVE` (zero or
+    /// subnormal), or overflow `f32` to infinity.
+    Total(f32),
+}
+
+impl fmt::Display for CategoricalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Empty => write!(f, "categorical table is empty"),
+            Self::Weight { index, weight } => {
+                write!(f, "categorical weight {index} is {weight}, expected finite and >= 0")
+            }
+            Self::Total(total) => {
+                write!(f, "categorical weights sum to {total:e}, expected finite and >= f32::MIN_POSITIVE")
+            }
+        }
+    }
+}
+
+impl Error for CategoricalError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,5 +119,14 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ShapeError>();
+        assert_send_sync::<CategoricalError>();
+    }
+
+    #[test]
+    fn categorical_errors_name_the_fault() {
+        assert_eq!(CategoricalError::Empty.to_string(), "categorical table is empty");
+        let e = CategoricalError::Weight { index: 3, weight: f32::NAN };
+        assert_eq!(e.to_string(), "categorical weight 3 is NaN, expected finite and >= 0");
+        assert!(CategoricalError::Total(0.0).to_string().contains("sum to 0e0"));
     }
 }

@@ -111,7 +111,7 @@ pub mod rng;
 pub mod softmax;
 pub mod stats;
 
-pub use error::{ShapeError, TensorResult};
+pub use error::{CategoricalError, ShapeError, TensorResult};
 pub use fp16::F16;
 pub use matrix::Matrix;
 pub use softmax::OnlineSoftmax;

@@ -10,7 +10,15 @@
 //! from the generator advanced ([`skip_standard_normal`]) to the stream
 //! position of its first element, so [`fill_normal_parts`] may cut a fill
 //! across cores anywhere and never changes a bit.
+//!
+//! A categorical draw reads one `f32` uniform in `[0, total)` and walks the
+//! weights in index order, subtracting each until the remainder falls below
+//! one. [`sample_categorical`] computes `total` (`weights.iter().sum()`) on
+//! every call; a [`Categorical`] computes it once, in the same order, when it
+//! is built. Both run the one private draw, so a table drawn through either
+//! gives the same index and leaves the generator at the same stream position.
 
+use crate::error::CategoricalError;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -170,14 +178,77 @@ pub fn xavier_std(fan_in: usize, fan_out: usize) -> f32 {
     (2.0 / (fan_in + fan_out) as f32).sqrt()
 }
 
-/// Samples an index from a discrete probability distribution.
+/// A discrete distribution over table indices, built once and drawn from
+/// many times: the normalizer that [`sample_categorical`] sums on every call
+/// is summed here at construction, in the same order.
+///
+/// ```
+/// use veda_tensor::rng::{sample_categorical, seeded, Categorical};
+/// let weights = [0.1, 0.7, 0.2];
+/// let table = Categorical::new(weights.to_vec()).unwrap();
+/// let (mut a, mut b) = (seeded(3), seeded(3));
+/// for _ in 0..100 {
+///     assert_eq!(table.sample(&mut a), sample_categorical(&mut b, &weights));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Categorical {
+    weights: Vec<f32>,
+    total: f32,
+}
+
+impl Categorical {
+    /// Builds the sampler for `weights` (unnormalized).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the table is empty, holds a negative or non-finite weight, or
+    /// sums to infinity or to less than `f32::MIN_POSITIVE` — zero, or a
+    /// subnormal total that the draw's uniform (over at least
+    /// `[0, f32::MIN_POSITIVE)`) would overshoot.
+    pub fn new(weights: Vec<f32>) -> Result<Self, CategoricalError> {
+        if weights.is_empty() {
+            return Err(CategoricalError::Empty);
+        }
+        if let Some((index, &weight)) =
+            weights.iter().enumerate().find(|(_, w)| !(w.is_finite() && **w >= 0.0))
+        {
+            return Err(CategoricalError::Weight { index, weight });
+        }
+        let total: f32 = weights.iter().sum();
+        if !(total.is_finite() && total >= f32::MIN_POSITIVE) {
+            return Err(CategoricalError::Total(total));
+        }
+        Ok(Self { weights, total })
+    }
+
+    /// Draws one index: one `f32` uniform from `rng`.
+    pub fn sample(&self, rng: &mut StdRng) -> usize {
+        draw(rng, &self.weights, self.total)
+    }
+
+    /// The normalizer: the weights summed in index order.
+    pub fn total(&self) -> f32 {
+        self.total
+    }
+}
+
+/// Samples an index from a discrete probability distribution (weights need
+/// not be normalized): a one-shot [`Categorical`] draw that sums `probs` on
+/// every call.
 ///
 /// # Panics
 ///
 /// Panics if `probs` is empty.
 pub fn sample_categorical(rng: &mut StdRng, probs: &[f32]) -> usize {
     assert!(!probs.is_empty(), "sample_categorical: empty distribution");
-    let total: f32 = probs.iter().sum();
+    draw(rng, probs, probs.iter().sum())
+}
+
+/// The categorical draw of both entry points: a uniform in `[0, total)`,
+/// then the subtract-and-compare walk over `probs` (the last index if the
+/// walk runs out).
+fn draw(rng: &mut StdRng, probs: &[f32], total: f32) -> usize {
     let mut t = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
     for (i, &p) in probs.iter().enumerate() {
         if t < p {
@@ -313,5 +384,34 @@ mod tests {
     fn categorical_handles_degenerate_distribution() {
         let mut rng = seeded(5);
         assert_eq!(sample_categorical(&mut rng, &[0.0, 0.0, 1.0]), 2);
+        let table = Categorical::new(vec![0.0, 0.0, 1.0]).unwrap();
+        assert_eq!(table.sample(&mut rng), 2);
+    }
+
+    #[test]
+    fn categorical_rejects_tables_it_cannot_draw_from() {
+        assert_eq!(Categorical::new(Vec::new()), Err(CategoricalError::Empty));
+        for bad in [-0.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            match Categorical::new(vec![1.0, 2.0, bad]) {
+                Err(CategoricalError::Weight { index: 2, weight }) => {
+                    assert!(weight.to_bits() == bad.to_bits(), "{weight} vs {bad}")
+                }
+                other => panic!("weight {bad}: {other:?}"),
+            }
+        }
+        assert_eq!(Categorical::new(vec![0.0; 4]), Err(CategoricalError::Total(0.0)));
+        assert_eq!(Categorical::new(vec![f32::MAX; 2]), Err(CategoricalError::Total(f32::INFINITY)));
+        // A subnormal total would be drawn over [0, MIN_POSITIVE) and fall
+        // off the table; subnormal weights beside a normal total are fine.
+        let subnormal = f32::from_bits(1);
+        assert_eq!(Categorical::new(vec![subnormal, 0.0]), Err(CategoricalError::Total(subnormal)));
+        assert!(Categorical::new(vec![subnormal, f32::MIN_POSITIVE]).is_ok());
+    }
+
+    #[test]
+    fn categorical_total_is_the_index_order_sum() {
+        let weights = vec![1.0e8, 1.0, -0.0, 3.5, 1.0e-3];
+        let table = Categorical::new(weights.clone()).unwrap();
+        assert_eq!(table.total().to_bits(), weights.iter().sum::<f32>().to_bits());
     }
 }

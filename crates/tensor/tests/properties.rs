@@ -444,6 +444,18 @@ fn skip_standard_normal_leaves_the_stream_where_the_draws_would() {
     }
 }
 
+/// A categorical weight drawn from `code`: a zero, a subnormal, one of two
+/// tie values, or a spread-out normal weight.
+fn categorical_weight(code: u32) -> f32 {
+    match code % 6 {
+        0 => 0.0,
+        1 => f32::from_bits(1 + code % 0x007f_ffff),
+        2 => 0.25,
+        3 => 3.0,
+        _ => (code % 1_000_000) as f32 * 1.0e-3,
+    }
+}
+
 proptest! {
     #[test]
     fn fill_standard_normal_is_bit_identical_to_per_call_draws(len in 0usize..300, seed in 0u64..1000) {
@@ -465,6 +477,30 @@ proptest! {
         let mut drawn = veda_tensor::rng::seeded(seed);
         veda_tensor::rng::fill_standard_normal(&mut drawn, &mut vec![0.0; n]);
         prop_assert_eq!(skipped, drawn);
+    }
+
+    #[test]
+    fn categorical_table_draws_like_the_one_shot_draw(
+        codes in proptest::collection::vec(0u32..u32::MAX, 1..501),
+        seed in 0u64..1000,
+    ) {
+        use veda_tensor::rng::{sample_categorical, seeded, Categorical};
+        let weights: Vec<f32> = codes.into_iter().map(categorical_weight).collect();
+        let total: f32 = weights.iter().sum();
+        match Categorical::new(weights.clone()) {
+            Ok(table) => {
+                prop_assert_eq!(table.total().to_bits(), total.to_bits());
+                let (mut built, mut one_shot) = (seeded(seed), seeded(seed));
+                for draw in 0..16 {
+                    let got = table.sample(&mut built);
+                    prop_assert_eq!(got, sample_categorical(&mut one_shot, &weights), "draw {}", draw);
+                    prop_assert!(got < weights.len());
+                    prop_assert_eq!(&built, &one_shot, "stream position after draw {}", draw);
+                }
+            }
+            // Only a table of zeros and subnormals is refused.
+            Err(err) => prop_assert!(total < f32::MIN_POSITIVE, "{} weights summing to {}: {}", weights.len(), total, err),
+        }
     }
 
     #[test]
