@@ -1,10 +1,10 @@
 //! Batched-decode benchmarks: the engine's continuous-batching tick
-//! against equivalent one-at-a-time simulations, plus the scheduler's
+//! against the same requests served one at a time, plus the scheduler's
 //! batched cycle model on the paper's Llama-2 7B shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use veda::{Budget, EngineBuilder, Request, SimulationBuilder};
+use veda::{Budget, EngineBuilder, Request};
 use veda_accel::schedule::DecodeScheduler;
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
@@ -33,18 +33,15 @@ fn bench_engine_batching(c: &mut Criterion) {
             })
         });
     }
-    // The one-at-a-time equivalent of batch=8 for comparison.
+    // The one-at-a-time equivalent of batch=8 for comparison: one fresh
+    // engine per request.
     group.bench_function("sequential_8", |b| {
         b.iter(|| {
             let mut total = 0u64;
             for request in mixed_requests(8) {
-                let mut sim = SimulationBuilder::new()
-                    .model(ModelConfig::tiny())
-                    .policy(request.policy)
-                    .budget(request.budget)
-                    .build()
-                    .unwrap();
-                total += sim.run(black_box(&request.prompt), request.max_new_tokens).total_cycles;
+                let mut engine = EngineBuilder::new().model(ModelConfig::tiny()).build().unwrap();
+                engine.submit(black_box(request)).unwrap();
+                total += engine.run_to_completion().requests[0].report.total_cycles;
             }
             total
         })

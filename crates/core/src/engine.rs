@@ -53,11 +53,11 @@
 //! that are reused tick after tick.
 //!
 //! Per-request accounting stays single-sequence and decode-only: each
-//! finished session yields the exact [`SimulationReport`] the legacy
-//! one-shot [`crate::Simulation::run`] would produce for the same prompt —
-//! the determinism invariant the integration tests pin down. Batch-level
-//! throughput, energy and on-clock prefill tokens are aggregated
-//! separately into an [`EngineReport`].
+//! finished session yields the exact [`RequestReport`] the same request
+//! would produce alone on a fresh engine — the determinism invariant the
+//! integration tests pin down. Batch-level throughput, energy and
+//! on-clock prefill tokens are aggregated separately into an
+//! [`EngineReport`].
 //!
 //! VEDA's layer-wise voting eviction protocol runs per session: each
 //! session instantiates its own per-layer policy stack via
@@ -93,7 +93,6 @@ use crate::error::BuildError;
 use crate::prefix::{
     PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixPin, PrefixTransfer, PrefixTransferKind,
 };
-use crate::simulator::SimulationReport;
 
 /// KV cache budget of one request.
 ///
@@ -202,7 +201,7 @@ pub struct Request {
 
 impl Request {
     /// A request with the workspace-default policy (voting) and budget
-    /// (ratio 0.5), matching [`crate::SimulationBuilder`] defaults.
+    /// (ratio 0.5).
     pub fn new(prompt: impl Into<Vec<usize>>, max_new_tokens: usize) -> Self {
         Self {
             prompt: prompt.into(),
@@ -414,9 +413,31 @@ pub struct RequestOutcome {
     pub policy: PolicyKind,
     /// The budget the request ran with.
     pub budget: Budget,
-    /// Per-request report, identical to what the legacy one-shot
-    /// [`crate::Simulation::run`] produces for the same prompt.
-    pub report: SimulationReport,
+    /// Per-request report, identical to what the same request produces
+    /// alone on a fresh engine.
+    pub report: RequestReport,
+}
+
+/// Result of one finished request: its prompt's prefill plus greedy
+/// generation, costed as a single sequence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RequestReport {
+    /// Greedily generated token ids.
+    pub generated: Vec<usize>,
+    /// Attention cycles of each generated token (cycle model).
+    pub attention_cycles_per_token: Vec<u64>,
+    /// Total decode cycles across generation (all components).
+    pub total_cycles: u64,
+    /// Decode throughput at the architecture clock.
+    pub tokens_per_second: f64,
+    /// Energy per generated token in millijoules (core + HBM).
+    pub energy_mj_per_token: f64,
+    /// Evictions performed across all layers.
+    pub evictions: usize,
+    /// Final KV cache length (layer 0).
+    pub final_cache_len: usize,
+    /// The budget that was enforced.
+    pub cache_budget: usize,
 }
 
 /// Aggregated result of an engine run: per-request reports plus
@@ -516,9 +537,8 @@ impl std::fmt::Display for EngineReport {
 
 /// Builder for [`Engine`].
 ///
-/// Defaults match the legacy [`crate::SimulationBuilder`]: tiny model,
-/// VEDA architecture scaled to the model's head geometry,
-/// `FlexibleElementSerial` dataflow, paper-default HBM.
+/// Defaults: tiny model, VEDA architecture scaled to the model's head
+/// geometry, `FlexibleElementSerial` dataflow, paper-default HBM.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     model: ModelConfig,
@@ -751,8 +771,7 @@ impl ActiveSession {
         self.prefilled == self.prompt.len()
     }
 
-    /// The cache length the cycle model charges for the next decode step
-    /// (mirrors the legacy `Simulation::run` clamping).
+    /// The cache length the cycle model charges for the next decode step.
     fn costed_len(&self) -> usize {
         self.state.cache_len().min(self.resident_cap.max(1)).max(1)
     }
@@ -1523,12 +1542,12 @@ impl Engine {
     }
 
     /// The finished report of `session`, if any.
-    pub fn report(&self, session: Session) -> Option<&SimulationReport> {
+    pub fn report(&self, session: Session) -> Option<&RequestReport> {
         self.finished.iter().find(|r| r.session == session).map(|r| &r.report)
     }
 
     /// Removes and returns the finished report of `session`.
-    pub fn take_report(&mut self, session: Session) -> Option<SimulationReport> {
+    pub fn take_report(&mut self, session: Session) -> Option<RequestReport> {
         let idx = self.finished.iter().position(|r| r.session == session)?;
         Some(self.finished.remove(idx).report)
     }
@@ -1725,10 +1744,10 @@ impl Engine {
         // advance one token each and are never throttled; the remaining
         // tick token budget is dealt to prefilling sessions in session
         // order, up to `prefill_chunk` each. Per-request accounting stays
-        // single-sequence so the report is identical to a lone
-        // `Simulation::run` of the same request; capped sessions share a
-        // handful of cache lengths in steady state, so the solo cost is
-        // memoized per length across ticks.
+        // single-sequence so the report is identical to the same request
+        // run alone; capped sessions share a handful of cache lengths in
+        // steady state, so the solo cost is memoized per length across
+        // ticks.
         let decode_count = self.active.iter().filter(|s| s.is_decoding()).count();
         let mut prefill_budget = self.tick_token_budget.saturating_sub(decode_count);
         let mut decode_lens: Vec<usize> = Vec::with_capacity(decode_count);
@@ -1961,7 +1980,7 @@ impl Engine {
             TraceEventKind::Finished { generated_tokens: session.generated.len() as u32 },
         );
         let seconds = session.total_cycles as f64 / (self.arch.clock_ghz * 1e9);
-        let report = SimulationReport {
+        let report = RequestReport {
             tokens_per_second: if seconds > 0.0 { session.generated.len() as f64 / seconds } else { 0.0 },
             energy_mj_per_token: if session.generated.is_empty() {
                 0.0
@@ -2170,7 +2189,8 @@ mod tests {
     fn taking_a_report_midway_keeps_aggregates_consistent() {
         // `sequential_total_cycles` must cover every session the batched
         // accumulators cover, even when its report was taken before the
-        // drain (the streaming pattern Simulation::run uses).
+        // drain (the streaming pattern of a caller that takes each
+        // report as its session finishes).
         let run = |take_midway: bool| {
             let mut engine = engine();
             let short = engine.submit(Request::new(prompt(), 2)).unwrap();

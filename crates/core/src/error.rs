@@ -1,7 +1,7 @@
 //! Structured configuration errors shared by the builders and the engine.
 
-/// Error building an [`crate::Engine`] / [`crate::Simulation`] or
-/// submitting a [`crate::Request`].
+/// Error building an [`crate::Engine`] or submitting a
+/// [`crate::Request`].
 ///
 /// Each variant carries a human-readable detail message; match on the
 /// variant to branch programmatically.

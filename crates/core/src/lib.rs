@@ -37,7 +37,7 @@
 //!    [`SessionPhase::Decoding`]; its first generated token arrives the
 //!    following tick.
 //! 4. Finished sessions free their KV state and yield a per-request
-//!    [`SimulationReport`]; [`Engine::run_to_completion`] (or
+//!    [`RequestReport`]; [`Engine::run_to_completion`] (or
 //!    [`Engine::drain_report`]) additionally aggregates batched
 //!    throughput/energy and on-clock prefill tokens into an
 //!    [`EngineReport`].
@@ -160,28 +160,6 @@
 //! assert_eq!(report.prefix.shared_tokens, 12);
 //! # Ok::<(), veda::BuildError>(())
 //! ```
-//!
-//! ## Legacy one-shot API
-//!
-//! The pre-engine entry point survives as a thin shim over a
-//! single-session engine: configure a [`Simulation`], then
-//! [`Simulation::run`] a prompt + generation and receive the same
-//! [`SimulationReport`] the engine produces per request.
-//!
-//! ```
-//! use veda::{Simulation, SimulationBuilder};
-//! use veda_eviction::PolicyKind;
-//!
-//! let mut sim = SimulationBuilder::new()
-//!     .model(veda_model::ModelConfig::tiny())
-//!     .policy(PolicyKind::Voting)
-//!     .compression_ratio(0.5)
-//!     .build()?;
-//! let report = sim.run(&[1, 5, 9, 2, 7, 3, 8, 4], 8);
-//! assert_eq!(report.generated.len(), 8);
-//! assert!(report.tokens_per_second > 0.0);
-//! # Ok::<(), veda::BuildError>(())
-//! ```
 
 // Crate hygiene, enforced by veda-lint (rule crate-hygiene): no unsafe
 // code under the determinism pins, no undocumented public surface.
@@ -191,18 +169,16 @@
 pub mod engine;
 pub mod error;
 pub mod prefix;
-pub mod simulator;
 
 pub use engine::{
     Budget, Engine, EngineBuilder, EngineReport, EngineTick, MigratedSession, Request, RequestOutcome,
-    Session, SessionPhase, TokenEvent,
+    RequestReport, Session, SessionPhase, TokenEvent,
 };
 pub use error::BuildError;
 pub use prefix::{
     PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixExpiry, PrefixPin, PrefixTransfer,
     PrefixTransferKind,
 };
-pub use simulator::{Simulation, SimulationBuilder, SimulationReport};
 
 // Re-export the workspace crates under one roof for downstream users.
 pub use veda_accel as accel;
@@ -212,3 +188,97 @@ pub use veda_mem as mem;
 pub use veda_model as model;
 pub use veda_telemetry as telemetry;
 pub use veda_tensor as tensor;
+
+/// Whole-run tests of the simulator: one request submitted to a fresh
+/// [`Engine`], stepped to completion and checked through its
+/// [`RequestReport`].
+#[cfg(test)]
+mod simulator {
+    mod tests {
+        use crate::{Budget, Engine, EngineBuilder, Request, RequestReport};
+        use veda_eviction::PolicyKind;
+        use veda_model::ModelConfig;
+
+        fn prompt() -> Vec<usize> {
+            (1..=16).collect()
+        }
+
+        fn engine() -> Engine {
+            EngineBuilder::new().model(ModelConfig::tiny()).build().expect("valid config")
+        }
+
+        /// Runs `prompt` alone on `engine` for `max_new_tokens`.
+        fn run_on(
+            engine: &mut Engine,
+            prompt: &[usize],
+            max_new_tokens: usize,
+            policy: PolicyKind,
+            budget: Budget,
+        ) -> RequestReport {
+            engine
+                .submit(Request::new(prompt.to_vec(), max_new_tokens).policy(policy).budget(budget))
+                .expect("valid request");
+            engine.run_to_completion().requests.remove(0).report
+        }
+
+        /// Runs `prompt` alone on a fresh engine.
+        fn run(prompt: &[usize], max_new_tokens: usize, policy: PolicyKind, budget: Budget) -> RequestReport {
+            run_on(&mut engine(), prompt, max_new_tokens, policy, budget)
+        }
+
+        #[test]
+        fn run_produces_tokens_and_cycles() {
+            let r = run(&prompt(), 8, PolicyKind::Voting, Budget::Ratio(0.5));
+            assert_eq!(r.generated.len(), 8);
+            assert_eq!(r.attention_cycles_per_token.len(), 8);
+            assert!(r.total_cycles > 0);
+            assert!(r.tokens_per_second > 0.0);
+            assert!(r.energy_mj_per_token > 0.0);
+        }
+
+        #[test]
+        fn cache_converges_to_budget() {
+            let r = run(&prompt(), 12, PolicyKind::SlidingWindow, Budget::Ratio(0.5));
+            assert_eq!(r.cache_budget, 8);
+            assert_eq!(r.final_cache_len, 8, "cache must be held at the budget");
+            assert!(r.evictions > 0);
+        }
+
+        #[test]
+        fn full_policy_never_evicts() {
+            let r = run(&prompt(), 4, PolicyKind::Full, Budget::Fixed(4));
+            assert_eq!(r.evictions, 0);
+            assert_eq!(r.final_cache_len, 20);
+        }
+
+        #[test]
+        fn unbounded_budget_never_evicts_either() {
+            let r = run(&prompt(), 4, PolicyKind::Voting, Budget::Unbounded);
+            assert_eq!(r.evictions, 0);
+            assert_eq!(r.final_cache_len, 20);
+        }
+
+        #[test]
+        fn eviction_speeds_up_attention() {
+            let long_prompt: Vec<usize> = (0..64).map(|i| (i * 7) % 60 + 1).collect();
+            let rf = run(&long_prompt, 16, PolicyKind::Full, Budget::Fixed(10_000));
+            let re = run(&long_prompt, 16, PolicyKind::Voting, Budget::Ratio(0.25));
+            let full_attn: u64 = rf.attention_cycles_per_token.iter().sum();
+            let evict_attn: u64 = re.attention_cycles_per_token.iter().sum();
+            assert!(evict_attn < full_attn, "evicting {evict_attn} vs full {full_attn}");
+        }
+
+        #[test]
+        fn deterministic_across_runs() {
+            let mut a = engine();
+            let mut b = engine();
+            let voting =
+                |engine: &mut Engine| run_on(engine, &prompt(), 6, PolicyKind::Voting, Budget::Ratio(0.5));
+            assert_eq!(voting(&mut a), voting(&mut b));
+            // And rerunning the same engine gives the same result.
+            let r1 = voting(&mut a);
+            let r2 = voting(&mut a);
+            assert_eq!(r1, r2);
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! it, the interference trade-off the chunk size sets, in virtual time.
 
 use proptest::prelude::*;
-use veda::{Budget, Engine, EngineBuilder, Request, SessionPhase, SimulationReport, TokenEvent};
+use veda::{Budget, Engine, EngineBuilder, Request, RequestReport, SessionPhase, TokenEvent};
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 
@@ -25,7 +25,7 @@ fn budget(selector: usize, seed: u64) -> Budget {
     }
 }
 
-fn run(mut engine: Engine, request: Request) -> SimulationReport {
+fn run(mut engine: Engine, request: Request) -> RequestReport {
     let session = engine.submit(request).expect("valid request");
     while engine.is_active(session) {
         engine.step();

@@ -8,7 +8,7 @@
 //! never which tokens a request generates.
 
 use proptest::prelude::*;
-use veda::{Budget, Engine, EngineBuilder, PrefixCacheConfig, Request, SimulationReport};
+use veda::{Budget, Engine, EngineBuilder, PrefixCacheConfig, Request, RequestReport};
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 
@@ -53,7 +53,7 @@ fn wave(
 /// per-request reports in submission order plus the engine's prefix-hit
 /// count. The schedule is identical for cached and uncached engines, so
 /// the comparison isolates the cache.
-fn run(mut engine: Engine, requests: Vec<Request>, stage1: usize) -> (Vec<SimulationReport>, u64) {
+fn run(mut engine: Engine, requests: Vec<Request>, stage1: usize) -> (Vec<RequestReport>, u64) {
     let mut sessions = Vec::with_capacity(requests.len());
     for (i, request) in requests.into_iter().enumerate() {
         if i == stage1 {

@@ -21,7 +21,7 @@
 //!   1 and 2 decode threads: all churn is resolved on the coordinator.
 
 use proptest::prelude::*;
-use veda::{Budget, Engine, EngineBuilder, PrefixCacheConfig, Request, SimulationReport};
+use veda::{Budget, Engine, EngineBuilder, PrefixCacheConfig, Request, RequestReport};
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 
@@ -70,7 +70,7 @@ fn builder(chunk: usize, threads: usize) -> EngineBuilder {
 /// finite `ttl_ticks` actually expires idle entries mid-run. The clock
 /// schedule depends only on the step schedule, which is identical for
 /// every engine the tests compare.
-fn run(mut engine: Engine, requests: Vec<Request>, stage1: usize) -> (Vec<SimulationReport>, u64) {
+fn run(mut engine: Engine, requests: Vec<Request>, stage1: usize) -> (Vec<RequestReport>, u64) {
     let mut sessions = Vec::with_capacity(requests.len());
     let mut tick = 0u64;
     for (i, request) in requests.into_iter().enumerate() {

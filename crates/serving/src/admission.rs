@@ -36,7 +36,7 @@
 //!    would push the session past a discounted reservation — so the
 //!    discount is applied only to requests that provably never evict
 //!    ([`Request::never_evicts`]: budget cap ≥ peak), and only when
-//!    budget shrinking (`ServerConfig::shrink`, which can force any
+//!    budget shrinking (`ClusterConfig::shrink`, which can force any
 //!    session to evict) is off. Every other request reserves its full
 //!    peak, exactly as without the cache.
 //!

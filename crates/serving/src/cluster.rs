@@ -2,11 +2,10 @@
 //! front door, stepped on one virtual clock.
 //!
 //! A [`Cluster`] is the multi-engine deployment of the serving stack:
-//! each [`Shard`] is a full engine + admission controller + queue (the
-//! exact machinery a standalone [`crate::Server`] runs), and the cluster
-//! adds the things that only exist *between* engines — routing,
-//! migration, and the fault plane. One [`Cluster::tick`] is one
-//! virtual-clock step:
+//! each [`Shard`] is a full engine + admission controller + queue (see
+//! its module docs for the per-shard tick), and the cluster adds the
+//! things that only exist *between* engines — routing, migration, and
+//! the fault plane. One [`Cluster::tick`] is one virtual-clock step:
 //!
 //! 0. **Fault transitions** (no-ops without a [`FaultConfig`]): scheduled
 //!    crashes fail their shard (in-flight work displaced into the retry
@@ -46,9 +45,7 @@
 //!    dead-lettered under the [`crate::RetryPolicy`].
 //!
 //! Determinism: same seed, same shard count, same policies ⇒
-//! bit-identical [`ClusterReport`]. A 1-shard cluster under round-robin
-//! routing is bit-identical to [`crate::Server`] on the same seed — the
-//! cluster plane is a strict generalization, not a fork. And a cluster
+//! bit-identical [`ClusterReport`]. And a cluster
 //! whose [`ClusterConfig::faults`] is `None` is byte-identical to one
 //! configured with the default (no-op) [`FaultConfig`] — determinism
 //! invariant #9, by construction: the fault runtime is always present
@@ -105,8 +102,9 @@ pub struct ClusterConfig {
     pub sched: SchedKind,
     /// Host-link model (each shard gets its own link).
     pub host_link: HostLinkConfig,
-    /// Optional budget-shrink pressure response, per shard (see
-    /// [`crate::ServerConfig::shrink`]).
+    /// Optional budget-shrink pressure response, per shard. `None` (the
+    /// default) leaves preemption as the only pressure response and keeps
+    /// every request's token stream identical to an uncontended run.
     pub shrink: Option<BudgetController>,
     /// Cross-shard migration; `None` (the default) disables it, leaving
     /// routing as the only load-balancing mechanism.

@@ -43,24 +43,22 @@
 //!   request's generated tokens — only when they appear. Swap latency is
 //!   serialized into the clock: a resumed session re-enters the batch
 //!   only after its swap-in transfer's cycles have elapsed.
-//! * [`Server`] — the virtual-clock loop binding the three to the
-//!   engine's mixed prefill/decode ticks, emitting per-request
-//!   submitted/admitted/first-token/finished timestamps and a
-//!   [`ServingReport`] with TTFT, queueing delay, end-to-end latency
-//!   percentiles, time-per-output-token, queue depth over time, and
-//!   preemption/rejection/swap accounting (including ticks spent waiting
-//!   on swap-ins).
-//! * [`Cluster`] — the multi-engine deployment: N [`Shard`]s (each the
-//!   full single-server stack above) behind one [`RouterPolicy`]
-//!   ([`RouterKind`]: round-robin, least-loaded, prefix-affinity) on one
-//!   virtual clock, with opt-in cross-shard session migration
-//!   ([`MigrationConfig`]) costed through both shards' host links. One
+//! * [`Cluster`] — the virtual-clock loop binding the three to the
+//!   engine's mixed prefill/decode ticks: N [`Shard`]s (each one engine
+//!   with its own admission controller, queue and host link) behind one
+//!   [`RouterPolicy`] ([`RouterKind`]: round-robin, least-loaded,
+//!   prefix-affinity) on one virtual clock, with opt-in cross-shard
+//!   session migration ([`MigrationConfig`]) costed through both shards'
+//!   host links. A single-engine deployment is a 1-shard cluster. One
 //!   shared [`Workload`] samples requests centrally in arrival order, so
-//!   routing can never perturb the RNG stream; a 1-shard round-robin
-//!   cluster is bit-identical to [`Server`]. The run yields a
-//!   [`ClusterReport`]: per-shard [`ServingReport`]s plus routing
-//!   counts, migration traffic, per-shard KV-residency series, and
-//!   global latency aggregates.
+//!   routing can never perturb the RNG stream. The run yields a
+//!   [`ClusterReport`]: per-shard [`ServingReport`]s — per-request
+//!   submitted/admitted/first-token/finished timestamps, TTFT, queueing
+//!   delay, end-to-end latency percentiles, time-per-output-token, queue
+//!   depth over time, and preemption/rejection/swap accounting
+//!   (including ticks spent waiting on swap-ins) — plus routing counts,
+//!   migration traffic, per-shard KV-residency series, and global
+//!   latency aggregates.
 //! * **Fault plane** ([`faults`]) — a deterministic, virtual-clock-driven
 //!   [`FaultPlan`] injects fail-stop shard crashes (with optional
 //!   recovery and pre-crash drain), host-link bandwidth degradation
@@ -74,10 +72,9 @@
 //!   misconfiguration surfaces as a typed [`ServeError`] through
 //!   [`Cluster::try_new`].
 //! * **Observability** ([`veda_telemetry`], re-exported here) — an
-//!   optional [`TraceSink`] ([`ServerConfig::trace`] /
-//!   [`ClusterConfig::trace`]) receives every request's typed lifecycle
-//!   [`TraceEvent`]s; [`chrome_trace_json`] renders them as a
-//!   Perfetto-loadable Chrome trace, [`ServingReport::stages`] splits
+//!   optional [`TraceSink`] ([`ClusterConfig::trace`]) receives every
+//!   request's typed lifecycle [`TraceEvent`]s; [`chrome_trace_json`]
+//!   renders them as a Perfetto-loadable Chrome trace, [`ServingReport::stages`] splits
 //!   each request's latency into a [`StageWaterfall`] (stages sum
 //!   exactly to e2e), and [`ServingReport::metrics`] folds a run into a
 //!   deterministic [`MetricsRegistry`]. Observation-only: no sink means
@@ -88,21 +85,22 @@
 //!
 //! ```
 //! use veda::EngineBuilder;
-//! use veda_serving::{
-//!     AdmissionConfig, RequestMix, SchedKind, Server, ServerConfig, Workload,
-//! };
+//! use veda_serving::{Cluster, ClusterConfig, RequestMix, SchedKind, Workload};
 //!
 //! let engine = EngineBuilder::new().model(veda_model::ModelConfig::tiny()).build()?;
 //! let workload = Workload::poisson(7, 0.5, 16, RequestMix::default());
-//! let config = ServerConfig {
+//! let config = ClusterConfig {
+//!     shards: 1,
 //!     sched: SchedKind::Priority,
-//!     admission: AdmissionConfig { capacity_bytes: 64 << 10, max_queue_depth: 32 },
-//!     ..ServerConfig::default()
+//!     per_shard_capacity_bytes: 64 << 10,
+//!     max_queue_depth: 32,
+//!     ..ClusterConfig::default()
 //! };
-//! let report = Server::new(engine, workload, config).run();
-//! assert_eq!(report.submitted, 16);
-//! assert_eq!(report.completed + report.rejected(), 16);
-//! # Ok::<(), veda::BuildError>(())
+//! let report = Cluster::try_new(vec![engine], workload, config)?.run();
+//! let shard = &report.shards[0];
+//! assert_eq!(shard.submitted, 16);
+//! assert_eq!(shard.completed + shard.rejected(), 16);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 // Crate hygiene, enforced by veda-lint (rule crate-hygiene): no unsafe
@@ -117,7 +115,6 @@ pub mod faults;
 pub mod report;
 pub mod router;
 pub mod scheduler;
-pub mod server;
 pub mod shard;
 pub mod workload;
 
@@ -133,7 +130,6 @@ pub use router::{ParseRouterKindError, RouterKind, RouterPolicy, ShardView};
 pub use scheduler::{
     ParseSchedKindError, QueuedView, RunningView, SchedKind, SchedulerPolicy, MAX_PREEMPTIONS,
 };
-pub use server::{Server, ServerConfig};
 pub use shard::Shard;
 pub use veda_telemetry::{
     chrome_trace_json, MetricsRegistry, RecordingSink, SinkHandle, StageWaterfall, TraceEvent,

@@ -192,13 +192,14 @@ impl StageSummaries {
     }
 }
 
-/// Aggregate result of one [`crate::Server`] run.
+/// Aggregate result of one shard's run (one of
+/// [`crate::ClusterReport::shards`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
-    /// Which shard produced this report: `0` for a standalone
-    /// [`crate::Server`], the shard's index within a [`crate::Cluster`]
-    /// otherwise — so multi-shard output (queue-depth series, per-shard
-    /// latency lines) stays attributable after reports are collected.
+    /// Which shard produced this report: its index within the
+    /// [`crate::Cluster`] — so multi-shard output (queue-depth series,
+    /// per-shard latency lines) stays attributable after reports are
+    /// collected.
     pub shard_id: usize,
     /// The arrival process that drove the run.
     pub arrival: ArrivalKind,

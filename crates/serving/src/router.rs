@@ -12,8 +12,8 @@
 //! Three policies ship:
 //!
 //! * [`RouterKind::RoundRobin`] — rotate through shards in arrival
-//!   order, ignoring load. The baseline, and the policy under which a
-//!   1-shard cluster is pinned bit-identical to [`crate::Server`].
+//!   order, ignoring load. The baseline, and on one shard the
+//!   single-engine deployment.
 //! * [`RouterKind::LeastLoaded`] — send each request to the shard with
 //!   the fewest reserved KV bytes (queue depth, then lowest shard index,
 //!   break ties). Balances byte pressure, blind to prefix locality.
@@ -157,8 +157,7 @@ impl RouterPolicy for RoundRobin {
         // Rotate over the *routable* shards: a down shard leaves the
         // rotation without desynchronizing the cursor, and a recovered
         // shard deterministically rejoins at its index. With every shard
-        // alive this is exactly `cursor % shards.len()` — the form the
-        // 1-shard-cluster ≡ server pin was established under.
+        // alive this is exactly `cursor % shards.len()`.
         let routable: Vec<usize> = shards.iter().filter(|v| v.health.routable()).map(|v| v.shard).collect();
         let pick = routable[self.cursor % routable.len()];
         self.cursor = self.cursor.wrapping_add(1);

@@ -2,7 +2,7 @@
 //! running session (if any) is preempted to make room for it.
 //!
 //! Policies are deliberately small, deterministic decision functions over
-//! read-only views of the queue and the running set; the [`crate::Server`]
+//! read-only views of the queue and the running set; the [`crate::Shard`]
 //! owns all state transitions (reserve/release, swap, pause/resume), so a
 //! policy bug cannot corrupt accounting. Preemptive policies bound the
 //! times any one session may be preempted ([`MAX_PREEMPTIONS`]) so a

@@ -1,19 +1,62 @@
 //! One serving shard: a full [`Engine`] + [`AdmissionController`] +
-//! queue/swap machinery, factored out of [`crate::Server`] so the same
-//! code path drives both a standalone server and every member of a
-//! [`crate::Cluster`].
+//! queue/swap machinery — one member of a [`crate::Cluster`].
 //!
 //! A shard owns everything below the arrival stream: screening, the wait
 //! queue, scheduler-driven admission, preemption and swap-in
 //! serialization over its private [`HostLink`], pressure response, and
 //! per-request record keeping. What it does *not* own is the virtual
-//! clock and the [`Workload`] — those belong to the layer above (a
-//! [`crate::Server`] with one shard, or a [`crate::Cluster`] stepping N
-//! shards on one clock), which drives the shard through the
-//! crate-internal `accept` → `begin_tick` → `step_engine` sequence
-//! each tick. Because the standalone server *is* a 1-shard cluster
-//! running this exact code, the two are bit-identical by construction —
-//! the determinism pin the cluster tests assert.
+//! clock and the [`Workload`] — those belong to the cluster, which steps
+//! every shard on one clock through the crate-internal `accept` →
+//! `begin_tick` → `step_engine` sequence. A single-engine deployment is
+//! a 1-shard cluster.
+//!
+//! ## One tick on a shard
+//!
+//! Each virtual-clock tick is aligned with one batched engine tick, and
+//! the shard's part of it runs in this order:
+//!
+//! 1. **Arrivals** routed here this tick are screened (`accept`) —
+//!    requests whose peak KV footprint can never fit are rejected
+//!    immediately, as are arrivals beyond the queue-depth limit; the rest
+//!    wait in the queue. A prompt with a known shared prefix (the
+//!    engine's prefix cache already holds a matching entry) is screened
+//!    and reserved at its *unshared* peak only — the shared span is
+//!    resident once, in the cache entry — so shared-prefix traffic admits
+//!    more concurrent sessions under the same capacity. The discount
+//!    applies only to eviction-free requests with budget shrinking off,
+//!    and the cache's own bytes are charged against admission headroom
+//!    (see the [`crate::admission`] module docs for the soundness
+//!    argument).
+//! 2. **Swap-in completion** (`begin_tick`): preempted sessions whose
+//!    host-link swap-in finished (its cycles, accumulated against the
+//!    engine's per-tick cycle counts, have elapsed) rejoin the batch.
+//!    Swap latency is *serialized into the clock*: a resumed session
+//!    re-enters the batch at least one tick after its swap-in starts,
+//!    later for large KV states or slow links.
+//! 3. **Swap-in start**: preempted sessions whose reservation fits again
+//!    re-reserve their bytes and begin their swap-in transfer.
+//! 4. **Admission**: the scheduling policy repeatedly names the next
+//!    queued candidate; each is admitted if its peak reservation fits,
+//!    after preempting victims (swap-out) if the policy offers any. The
+//!    first candidate that still does not fit blocks the queue — no
+//!    backfill, so a policy's ordering is exactly what runs. Admission
+//!    calls [`veda::Engine::submit`], which only validates, reserves KV
+//!    and enqueues the session in its `Prefilling` phase — with a finite
+//!    [`veda::EngineBuilder::prefill_chunk`] the prompt is then consumed
+//!    on the clock, so TTFT and queueing percentiles measure real
+//!    prefill work rather than a fictional instant prefill.
+//! 5. **Step** (`step_engine`): the engine advances every decoding
+//!    session one token and every prefilling session one prompt chunk;
+//!    first-token and completion ticks are recorded per request, and
+//!    completions notify closed-loop workloads.
+//! 6. Optionally, a [`BudgetController`] responds to high KV occupancy by
+//!    tightening session budgets (the opt-in alternative to preemption —
+//!    it changes generated tokens, preemption never does).
+//!
+//! Idle spans cost nothing to simulate: a tick that steps no session
+//! while swap-ins are in flight jumps the shard's cycle counter to the
+//! earliest swap-in completion, and when no shard holds work the cluster
+//! fast-forwards the clock to the next arrival.
 //!
 //! ## Migrated-in sessions and foreign records
 //!
@@ -25,7 +68,7 @@
 //! completion, preemptions) into an outbox instead of writing them
 //! directly; the cluster drains every outbox after stepping all shards,
 //! in shard order, so record state is deterministic and never torn
-//! mid-tick. A standalone server never produces foreign entries.
+//! mid-tick. A 1-shard cluster never produces foreign entries.
 
 use std::collections::VecDeque;
 
@@ -176,8 +219,8 @@ pub(crate) struct SwapInEntry {
     pub(crate) ready_at: u64,
 }
 
-/// One serving shard (see the [module docs](self)). The driving layer
-/// ([`crate::Server`] or [`crate::Cluster`]) calls, per virtual tick:
+/// One serving shard (see the [module docs](self)). The
+/// [`crate::Cluster`] calls, per virtual tick:
 /// the crate-internal `accept` for each arrival routed here, then
 /// `begin_tick` (swap-in completion/start + admission), then
 /// `step_engine` (one batched engine tick + accounting).
@@ -218,12 +261,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Creates a shard `id` over an idle engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine already has in-flight sessions.
-    pub fn new(
+    /// Creates a shard `id` over an idle engine
+    /// ([`crate::Cluster::try_new`] has already rejected busy ones).
+    pub(crate) fn new(
         id: usize,
         engine: Engine,
         admission: AdmissionConfig,
@@ -231,10 +271,6 @@ impl Shard {
         sched: SchedKind,
         shrink: Option<BudgetController>,
     ) -> Self {
-        assert!(
-            engine.active_sessions() == 0 && engine.paused_sessions() == 0,
-            "shard requires an idle engine"
-        );
         let kv_bytes_per_token = engine.kv_bytes_per_token();
         Self {
             id,
@@ -272,7 +308,7 @@ impl Shard {
     /// swap and migration waits) and engine-level events (prefill chunks,
     /// tokens, finishes) then flow into one stream, stamped with this
     /// shard's id, the virtual tick, and the cycle clock.
-    pub fn install_trace(&mut self, sink: SinkHandle) {
+    pub(crate) fn install_trace(&mut self, sink: SinkHandle) {
         self.engine.install_tracer(Tracer::new(sink.clone(), self.id as u32));
         self.trace = Some(sink);
     }
@@ -292,8 +328,7 @@ impl Shard {
         }
     }
 
-    /// This shard's index within its cluster (`0` for a standalone
-    /// server).
+    /// This shard's index within its cluster.
     pub fn id(&self) -> usize {
         self.id
     }
@@ -383,7 +418,7 @@ impl Shard {
 
     /// Screens one arrival into the queue or a rejection record.
     /// `global_arrival` is the cluster-wide arrival index (equal to the
-    /// local record index for a standalone server); `workload` is
+    /// local record index on a 1-shard cluster); `workload` is
     /// notified when a rejection disposes of a closed-loop user's
     /// request. A prompt with a known shared prefix reserves only its
     /// *unshared* peak bytes — the shared span stays resident in the
@@ -480,8 +515,8 @@ impl Shard {
     }
 
     /// The pre-step half of one tick: swap-in completions, swap-in
-    /// starts, then scheduler-driven admission (see [`crate::Server`]'s
-    /// module docs for the ordering rationale).
+    /// starts, then scheduler-driven admission (steps 2–4 of the
+    /// [module docs](self)).
     pub(crate) fn begin_tick(&mut self, now: u64) {
         // Refresh the tick the engine's tracer stamps onto its events
         // (prefill chunks, tokens, finishes) before any engine call.
@@ -1060,7 +1095,7 @@ impl Shard {
     }
 
     /// Budget-shrink pressure response (opt-in, see
-    /// [`crate::ServerConfig`]).
+    /// [`crate::ClusterConfig::shrink`]).
     fn apply_pressure(&mut self) {
         let Some(controller) = self.shrink else { return };
         let resident = self.engine.kv_bytes_active();

@@ -1,9 +1,8 @@
 //! Integration of the cluster plane (Workload → Router → Shard →
-//! Engine): the determinism pins (1-shard round-robin cluster ≡
-//! standalone server, same-seed runs bit-identical), the RNG-stream
-//! discipline (shard count never perturbs what requests *are*),
-//! migration's token-stream invariance, and the prefix-affinity payoff
-//! over round-robin on shared-prefix traffic.
+//! Engine): the determinism pin (same-seed runs bit-identical), the
+//! RNG-stream discipline (shard count never perturbs what requests
+//! *are*), migration's token-stream invariance, and the prefix-affinity
+//! payoff over round-robin on shared-prefix traffic.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +10,7 @@ use veda::{EngineBuilder, PrefixCacheConfig, Request};
 use veda_model::ModelConfig;
 use veda_serving::{
     ArrivalKind, Cluster, ClusterConfig, ClusterReport, MigrationConfig, RequestMix, RouterKind, SchedKind,
-    Server, ServerConfig, ServingReport, ServingRequest, Workload,
+    ServingReport, ServingRequest, Workload,
 };
 
 fn engine() -> veda::Engine {
@@ -75,35 +74,6 @@ fn completed_streams_sorted(report: &ClusterReport) -> Vec<Vec<usize>> {
         .collect();
     streams.sort();
     streams
-}
-
-#[test]
-fn one_shard_round_robin_cluster_is_bit_identical_to_server() {
-    for kind in [ArrivalKind::Poisson, ArrivalKind::Burst, ArrivalKind::Closed] {
-        for sched in [SchedKind::Fcfs, SchedKind::Priority] {
-            let capacity = 24 << 10;
-            let server_config = ServerConfig {
-                admission: veda_serving::AdmissionConfig { capacity_bytes: capacity, max_queue_depth: 64 },
-                sched,
-                ..ServerConfig::default()
-            };
-            let standalone = Server::new(engine(), workload(kind, 11, 18), server_config).run();
-
-            let cluster = Cluster::new(
-                engines(1),
-                workload(kind, 11, 18),
-                cluster_config(1, RouterKind::RoundRobin, capacity, sched),
-            )
-            .run();
-
-            assert_eq!(cluster.shard_count, 1);
-            assert_eq!(cluster.routed, vec![18]);
-            assert_eq!(
-                cluster.shards[0], standalone,
-                "{kind}/{sched}: a 1-shard round-robin cluster must be bit-identical to the server"
-            );
-        }
-    }
 }
 
 #[test]

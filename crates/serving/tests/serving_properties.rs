@@ -18,58 +18,62 @@
 use proptest::prelude::*;
 use veda::{EngineBuilder, PrefixCacheConfig};
 use veda_model::ModelConfig;
-use veda_serving::{AdmissionConfig, RequestMix, SchedKind, Server, ServerConfig, Workload};
+use veda_serving::{Cluster, ClusterConfig, RequestMix, SchedKind, Workload};
 
 fn check_invariants_all_ticks(seed: u64, rate: f64, sched: SchedKind, capacity_bytes: u64) {
     let engine = EngineBuilder::new().model(ModelConfig::tiny()).build().expect("valid config");
     let total = 10;
     let workload = Workload::poisson(seed, rate, total, RequestMix::default());
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes, max_queue_depth: 8 },
+    let config = ClusterConfig {
+        shards: 1,
+        per_shard_capacity_bytes: capacity_bytes,
+        max_queue_depth: 8,
         sched,
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    let mut server = Server::new(engine, workload, config);
+    let mut cluster = Cluster::new(vec![engine], workload, config);
 
     let mut ticks = 0u64;
-    while !server.is_done() {
-        server.tick();
+    while !cluster.is_done() {
+        cluster.tick();
         ticks += 1;
+        let shard = &cluster.shards()[0];
         assert!(ticks < 10_000, "run must terminate (seed {seed}, rate {rate}, {sched})");
 
         prop_assert_eq!(
-            server.submitted(),
-            server.completed() + server.rejected() + server.in_flight(),
+            shard.submitted(),
+            shard.completed() + shard.rejected() + shard.in_flight(),
             "conservation broke at tick {} (seed {}, rate {}, {})",
-            server.now(),
+            cluster.now(),
             seed,
             rate,
             sched
         );
         prop_assert!(
-            server.reserved_bytes() <= server.capacity_bytes(),
+            shard.reserved_bytes() <= shard.capacity_bytes(),
             "reserved {} exceeds capacity {} at tick {} (seed {}, {})",
-            server.reserved_bytes(),
-            server.capacity_bytes(),
-            server.now(),
+            shard.reserved_bytes(),
+            shard.capacity_bytes(),
+            cluster.now(),
             seed,
             sched
         );
         prop_assert!(
-            server.engine().kv_bytes_active() <= server.reserved_bytes(),
+            shard.engine().kv_bytes_active() <= shard.reserved_bytes(),
             "resident {} exceeds reservation {} at tick {} (seed {}, {})",
-            server.engine().kv_bytes_active(),
-            server.reserved_bytes(),
-            server.now(),
+            shard.engine().kv_bytes_active(),
+            shard.reserved_bytes(),
+            cluster.now(),
             seed,
             sched
         );
     }
-    prop_assert_eq!(server.submitted(), total, "workload must deliver every request");
-    prop_assert_eq!(server.in_flight(), 0, "drained server holds nothing");
+    let shard = &cluster.shards()[0];
+    prop_assert_eq!(shard.submitted(), total, "workload must deliver every request");
+    prop_assert_eq!(shard.in_flight(), 0, "drained shard holds nothing");
 }
 
-/// The churn-soundness property: drive a server whose engine runs a
+/// The churn-soundness property: drive a 1-shard cluster whose engine runs a
 /// deliberately starved prefix cache (tiny byte bound, short TTL,
 /// optional spill) under a shared-prefix workload, and assert on every
 /// tick that the discounted admission accounting still closes.
@@ -88,31 +92,34 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
     let total = 12;
     let mix = RequestMix { shared_prefix_len: 12, ..RequestMix::default() };
     let workload = Workload::poisson(seed, rate, total, mix);
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes, max_queue_depth: 8 },
-        ..ServerConfig::default()
+    let config = ClusterConfig {
+        shards: 1,
+        per_shard_capacity_bytes: capacity_bytes,
+        max_queue_depth: 8,
+        ..ClusterConfig::default()
     };
-    let mut server = Server::new(engine, workload, config);
+    let mut cluster = Cluster::new(vec![engine], workload, config);
 
     let mut ticks = 0u64;
-    while !server.is_done() {
-        server.tick();
+    while !cluster.is_done() {
+        cluster.tick();
         ticks += 1;
+        let shard = &cluster.shards()[0];
         assert!(ticks < 20_000, "churny run must terminate (seed {seed})");
 
         prop_assert_eq!(
-            server.submitted(),
-            server.completed() + server.rejected() + server.in_flight(),
+            shard.submitted(),
+            shard.completed() + shard.rejected() + shard.in_flight(),
             "conservation broke at tick {} (seed {})",
-            server.now(),
+            cluster.now(),
             seed
         );
         prop_assert!(
-            server.reserved_bytes() <= server.capacity_bytes(),
+            shard.reserved_bytes() <= shard.capacity_bytes(),
             "reserved {} exceeds capacity {} at tick {} (seed {})",
-            server.reserved_bytes(),
-            server.capacity_bytes(),
-            server.now(),
+            shard.reserved_bytes(),
+            shard.capacity_bytes(),
+            cluster.now(),
             seed
         );
         // The discount-soundness observable: a never-evicts request
@@ -120,22 +127,22 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
         // match between accept and submit, the session would privately
         // own more than admission reserved and this would trip.
         prop_assert!(
-            server.engine().kv_bytes_active() <= server.reserved_bytes(),
+            shard.engine().kv_bytes_active() <= shard.reserved_bytes(),
             "resident {} exceeds reservation {} at tick {} (seed {}, ttl {}, spill {})",
-            server.engine().kv_bytes_active(),
-            server.reserved_bytes(),
-            server.now(),
+            shard.engine().kv_bytes_active(),
+            shard.reserved_bytes(),
+            cluster.now(),
             seed,
             ttl,
             spill
         );
         // Entry conservation: insertions = resident (either tier) +
         // evictions + expiries; spills/fills are tier moves, net zero.
-        let stats = server.engine().prefix_cache_stats();
+        let stats = shard.engine().prefix_cache_stats();
         prop_assert!(
             stats.entries_conserved(),
             "cache entry conservation broke at tick {}: {:?} (seed {})",
-            server.now(),
+            cluster.now(),
             stats,
             seed
         );
@@ -144,18 +151,19 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
                 (stats.host_entries, stats.spills, stats.fills),
                 (0, 0, 0),
                 "spill-off cache grew a host tier at tick {} (seed {})",
-                server.now(),
+                cluster.now(),
                 seed
             );
         }
     }
-    prop_assert_eq!(server.submitted(), total, "workload must deliver every request");
-    prop_assert_eq!(server.in_flight(), 0, "drained server holds nothing");
+    let shard = &cluster.shards()[0];
+    prop_assert_eq!(shard.submitted(), total, "workload must deliver every request");
+    prop_assert_eq!(shard.in_flight(), 0, "drained shard holds nothing");
 
     // Lookup conservation: every admission performs exactly one cache
     // lookup, and expiry/spill churn must not mint or lose lookups.
-    let stats = server.engine().prefix_cache_stats();
-    let report = server.run();
+    let stats = shard.engine().prefix_cache_stats();
+    let report = cluster.run().shards.remove(0);
     prop_assert_eq!(
         stats.hits + stats.misses,
         report.admitted as u64,

@@ -6,8 +6,7 @@
 //! * **determinism invariant #8** — same seed ⇒ byte-identical Chrome
 //!   trace, regardless of decode thread count (events are emitted
 //!   coordinator-side only, never from the decode fan-out), pinned by
-//!   `trace_bytes_identical_across_thread_counts`; a 1-shard round-robin
-//!   cluster's trace is byte-identical to the standalone server's;
+//!   `trace_bytes_identical_across_thread_counts`;
 //! * **event conservation** — every submitted request produces exactly
 //!   one `Submitted` event and exactly one terminal event (`Finished` or
 //!   `Rejected`), and each completed request's waterfall stages sum
@@ -23,9 +22,8 @@ use proptest::prelude::*;
 use veda::EngineBuilder;
 use veda_model::ModelConfig;
 use veda_serving::{
-    chrome_trace_json, AdmissionConfig, Cluster, ClusterConfig, MigrationConfig, RecordingSink, RequestMix,
-    RouterKind, SchedKind, Server, ServerConfig, ServingReport, SinkHandle, TraceEvent, TraceEventKind,
-    Workload,
+    chrome_trace_json, Cluster, ClusterConfig, MigrationConfig, RecordingSink, RequestMix, RouterKind,
+    SchedKind, ServingReport, SinkHandle, TraceEvent, TraceEventKind, Workload,
 };
 
 fn engine(threads: usize) -> veda::Engine {
@@ -41,8 +39,8 @@ fn workload(seed: u64, rate: f64, requests: usize) -> Workload {
     Workload::poisson(seed, rate, requests, RequestMix::default())
 }
 
-/// Runs a standalone server, optionally recording its trace.
-fn run_server(
+/// Runs a 1-shard cluster, optionally recording its trace.
+fn run_one_shard(
     seed: u64,
     rate: f64,
     requests: usize,
@@ -57,13 +55,16 @@ fn run_server(
     } else {
         (None, None)
     };
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes: capacity_kb << 10, max_queue_depth: 16 },
+    let config = ClusterConfig {
+        shards: 1,
+        per_shard_capacity_bytes: capacity_kb << 10,
+        max_queue_depth: 16,
         sched,
         trace,
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    let report = Server::new(engine(threads), workload(seed, rate, requests), config).run();
+    let report =
+        Cluster::new(vec![engine(threads)], workload(seed, rate, requests), config).run().shards.remove(0);
     let events = recorder.map(|r| r.lock().expect("recorder lock").take_events()).unwrap_or_default();
     (report, events)
 }
@@ -97,23 +98,13 @@ fn run_cluster_trace(
 fn trace_bytes_identical_across_thread_counts() {
     // Determinism invariant #8 (pinned): the trace's bytes depend on the
     // seed and configuration, never on the decode thread count.
-    let baseline = run_server(41, 0.7, 16, 14, SchedKind::Priority, 1, true);
+    let baseline = run_one_shard(41, 0.7, 16, 14, SchedKind::Priority, 1, true);
     let trace = chrome_trace_json(&baseline.1);
     for threads in [2, 8] {
-        let other = run_server(41, 0.7, 16, 14, SchedKind::Priority, threads, true);
+        let other = run_one_shard(41, 0.7, 16, 14, SchedKind::Priority, threads, true);
         assert_eq!(baseline.0, other.0, "report differs at {threads} decode threads");
         assert_eq!(trace, chrome_trace_json(&other.1), "trace differs at {threads} decode threads");
     }
-}
-
-#[test]
-fn one_shard_cluster_trace_matches_server() {
-    // The cluster plane is a strict generalization of the server: on one
-    // shard under round-robin the whole event stream is byte-identical.
-    let (server_report, server_events) = run_server(23, 0.6, 12, 14, SchedKind::Fcfs, 1, true);
-    let (cluster_report, cluster_events) = run_cluster_trace(23, 1, 14, 1, false);
-    assert_eq!(server_report, cluster_report.shards[0]);
-    assert_eq!(chrome_trace_json(&server_events), chrome_trace_json(&cluster_events));
 }
 
 #[test]
@@ -141,7 +132,7 @@ fn chrome_export_is_valid_and_complete() {
 fn zero_completion_run_exports_cleanly() {
     // Capacity so small nothing ever fits: every request is rejected,
     // no waterfall exists, and the exporter still writes valid JSON.
-    let (report, events) = run_server(5, 0.5, 6, 0, SchedKind::Fcfs, 1, true);
+    let (report, events) = run_one_shard(5, 0.5, 6, 0, SchedKind::Fcfs, 1, true);
     assert_eq!(report.completed, 0);
     assert!(report.stages().is_none(), "no stages on a zero-completion run");
     veda_telemetry::json::validate(&chrome_trace_json(&events)).expect("valid JSON");
@@ -160,8 +151,8 @@ proptest! {
         capacity_kb in 13u64..40,
     ) {
         let sched = SchedKind::ALL[sched_index];
-        let (without, _) = run_server(seed, rate, 10, capacity_kb, sched, 1, false);
-        let (with, events) = run_server(seed, rate, 10, capacity_kb, sched, 1, true);
+        let (without, _) = run_one_shard(seed, rate, 10, capacity_kb, sched, 1, false);
+        let (with, events) = run_one_shard(seed, rate, 10, capacity_kb, sched, 1, true);
         prop_assert_eq!(&without, &with, "sink changed the report");
         prop_assert_eq!(without.to_string(), with.to_string(), "sink changed the rendered bytes");
         prop_assert!(!events.is_empty(), "a non-empty run emits events");

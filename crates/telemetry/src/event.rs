@@ -212,7 +212,7 @@ pub struct TraceEvent {
     pub tick: u64,
     /// Engine cycle clock (accumulated batched cycles) at the event.
     pub cycles: u64,
-    /// Shard the event fired on (0 for a standalone server).
+    /// Shard the event fired on (0 on a 1-shard cluster).
     pub shard: u32,
     /// Request id: the global arrival index at the serving layer, so
     /// one request keeps one id across shards, swaps, and migrations.

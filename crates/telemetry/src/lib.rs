@@ -1,6 +1,6 @@
 //! Deterministic tracing + metrics plane for the VEDA serving stack.
 //!
-//! Every layer of the stack — `Engine`, `Shard`, `Server`, `Cluster` —
+//! Every layer of the stack — `Engine`, `Shard`, `Cluster` —
 //! can emit typed [`TraceEvent`]s into an installed [`TraceSink`]. The
 //! plane is strictly observation-only:
 //!

@@ -12,7 +12,7 @@
 //! cargo run --release --example edge_assistant
 //! ```
 
-use veda::SimulationBuilder;
+use veda::{Budget, EngineBuilder, Request};
 use veda_eviction::PolicyKind;
 use veda_model::{eval::transformer_distortion, ModelConfig};
 
@@ -27,14 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "ratio", "tokens/s", "attn cycles/tok", "KL vs full"
     );
 
+    let mut engine = EngineBuilder::new().model(model.clone()).build()?;
     for policy in [PolicyKind::Full, PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting] {
         for ratio in [0.5_f64, 0.25] {
-            let mut sim = SimulationBuilder::new()
-                .model(model.clone())
-                .policy(policy)
-                .compression_ratio(ratio)
-                .build()?;
-            let report = sim.run(&document, 24);
+            engine.submit(Request::new(document.clone(), 24).policy(policy).budget(Budget::Ratio(ratio)))?;
+            let report = engine.run_to_completion().requests.remove(0).report;
             let avg_attn: u64 = report.attention_cycles_per_token.iter().sum::<u64>()
                 / report.attention_cycles_per_token.len() as u64;
             let budget = (document.len() as f64 * ratio).round() as usize;

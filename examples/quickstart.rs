@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use veda::{SimulationBuilder, SimulationReport};
+use veda::{Budget, EngineBuilder, Request, RequestReport};
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 
@@ -14,14 +14,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small but real transformer (synthetic structured weights): D=256,
     // 8 heads, 4 layers. The architecture is VEDA's 8x8x2 PE array scaled
     // to this head geometry.
-    let mut sim = SimulationBuilder::new()
-        .model(ModelConfig::small())
-        .policy(PolicyKind::Voting)
-        .compression_ratio(0.5)
-        .build()?;
+    let mut engine = EngineBuilder::new().model(ModelConfig::small()).build()?;
 
     let prompt: Vec<usize> = (1..=64).map(|i| (i * 37) % 4000 + 1).collect();
-    let report: SimulationReport = sim.run(&prompt, 32);
+    let session = engine
+        .submit(Request::new(prompt.clone(), 32).policy(PolicyKind::Voting).budget(Budget::Ratio(0.5)))?;
+    while engine.is_active(session) {
+        engine.step();
+    }
+    let report: RequestReport = engine.take_report(session).ok_or("finished session has a report")?;
 
     println!("prompt length        : {}", prompt.len());
     println!("generated tokens     : {:?}", &report.generated[..8.min(report.generated.len())]);

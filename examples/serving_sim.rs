@@ -4,24 +4,23 @@
 //! control accounts KV bytes against HBM capacity, a scheduling policy
 //! decides which queued request is admitted next (preempting and swapping
 //! sessions over the host link when it must make room), and the engine
-//! decodes every admitted session in batched ticks. The run ends with a
-//! `ServingReport`: TTFT / queueing / end-to-end latency percentiles,
-//! queue depth, preemption/rejection counts and swap traffic, next to the
-//! engine's batched throughput report.
+//! decodes every admitted session in batched ticks.
 //!
-//! With `--shards N` (N > 1) the same workload instead drives a
-//! [`veda_serving::Cluster`]: N full engines behind one routing plane
+//! The stack is a [`veda_serving::Cluster`] of `--shards N` engines
+//! (default 1) behind one routing plane
 //! (`--router round_robin|least_loaded|prefix_affinity`), stepped on one
 //! virtual clock, with opt-in cross-shard KV migration (`--migrate`).
-//! The run then ends with a `ClusterReport` (routing counts, migration
-//! traffic, global latency aggregates) plus each shard's `ServingReport`.
+//! The run ends with a `ClusterReport` (routing counts, migration
+//! traffic, global latency aggregates), then each shard's
+//! `ServingReport` (TTFT / queueing / end-to-end latency percentiles,
+//! queue depth, preemption/rejection counts and swap traffic) next to its
+//! engine's batched throughput report.
 //!
-//! The fault plane rides on the cluster path (`--fault-plan SPEC`
-//! schedules fail-stop crashes and link degradations; `--deadline-ticks`,
-//! `--shed-watermark`, `--retry-max`, `--retry-backoff` arm deadlines,
-//! load shedding and the retry policy). Any fault flag promotes a
-//! 1-shard run onto the cluster path, and the streamed ticks annotate
-//! `shard N DOWN` / `shard N UP` transitions live.
+//! The fault plane (`--fault-plan SPEC` schedules fail-stop crashes and
+//! link degradations; `--deadline-ticks`, `--shed-watermark`,
+//! `--retry-max`, `--retry-backoff` arm deadlines, load shedding and the
+//! retry policy) works at any shard count, and the streamed ticks
+//! annotate `shard N DOWN` / `shard N UP` transitions live.
 //!
 //! ```sh
 //! cargo run --release --example serving_sim -- --arrival poisson --sched fcfs --seed 7
@@ -40,9 +39,8 @@ use veda_accel::DataflowVariant;
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 use veda_serving::{
-    chrome_trace_json, AdmissionConfig, ArrivalKind, Cluster, ClusterConfig, FaultConfig, FaultPlan,
-    MigrationConfig, RecordingSink, RequestMix, RetryPolicy, RouterKind, SchedKind, Server, ServerConfig,
-    ShardHealth, SinkHandle, Workload,
+    chrome_trace_json, ArrivalKind, Cluster, ClusterConfig, FaultConfig, FaultPlan, MigrationConfig,
+    RecordingSink, RequestMix, RetryPolicy, RouterKind, SchedKind, ShardHealth, SinkHandle, Workload,
 };
 
 struct Args {
@@ -69,11 +67,11 @@ struct Args {
     /// Spill byte-pressure prefix-cache evictions to the host tier
     /// instead of dropping them.
     prefix_spill: bool,
-    /// Engines behind the routing plane; 1 runs the standalone server.
+    /// Engines behind the routing plane.
     shards: usize,
-    /// Routing policy for the multi-shard path.
+    /// Routing policy.
     router: RouterKind,
-    /// Enables cross-shard KV migration (multi-shard path only).
+    /// Enables cross-shard KV migration.
     migrate: bool,
     /// Write a Chrome-trace-event JSON (Perfetto-loadable) of every
     /// request's lifecycle to this path.
@@ -94,8 +92,7 @@ struct Args {
 }
 
 impl Args {
-    /// Whether any fault-plane flag was given (promotes a 1-shard run
-    /// onto the cluster path, where the fault plane lives).
+    /// Whether any fault-plane flag was given.
     fn faulted(&self) -> bool {
         self.fault_plan.is_some()
             || self.deadline_ticks.is_some()
@@ -197,8 +194,8 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
                      \x20                   evictions to a host-memory tier instead of dropping)\n\
                      \x20                  [--shards N] [--router round_robin|least_loaded|prefix_affinity]\n\
                      \x20                  [--migrate]\n\
-                     \x20                  (--shards > 1 runs N engines behind the routing plane;\n\
-                     \x20                   --capacity-kb is then per shard, --migrate enables\n\
+                     \x20                  (N engines, default 1, behind the routing plane;\n\
+                     \x20                   --capacity-kb is per shard, --migrate enables\n\
                      \x20                   cross-shard KV migration when a shard runs hot)\n\
                      \x20                  [--trace-out PATH]   (Chrome-trace-event JSON, one track\n\
                      \x20                   per shard — load it in Perfetto / chrome://tracing)\n\
@@ -210,8 +207,7 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
                      \x20                  [--shed-watermark F] (shed newest low-priority queued work\n\
                      \x20                   when global queue depth exceeds F of total slots)\n\
                      \x20                  [--retry-max N] [--retry-backoff T]\n\
-                     \x20                  (any fault flag runs the cluster path even at --shards 1;\n\
-                     \x20                   streamed ticks report `shard N DOWN` / `shard N UP` live)"
+                     \x20                  (streamed ticks report `shard N DOWN` / `shard N UP` live)"
                 );
                 std::process::exit(0);
             }
@@ -315,7 +311,7 @@ fn write_observability(
     Ok(())
 }
 
-/// The multi-shard path: N engines behind the routing plane on one clock.
+/// Runs N engines behind the routing plane on one clock and prints the reports.
 fn run_cluster(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let engines: Vec<veda::Engine> =
         (0..args.shards).map(|_| build_engine(args)).collect::<Result<_, _>>()?;
@@ -333,8 +329,22 @@ fn run_cluster(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         trace,
         ..ClusterConfig::default()
     };
+    let prefill_mode = if args.prefill_chunk > 0 {
+        format!("chunked prefill ({} tokens/tick)", args.prefill_chunk)
+    } else {
+        "instant prefill".to_string()
+    };
+    let prefix_mode = if args.shared_prefix > 0 {
+        format!(
+            ", {}-token shared prefixes × {} group(s) + prefix cache",
+            args.shared_prefix, args.prefix_groups
+        )
+    } else {
+        String::new()
+    };
     println!(
-        "== serving_sim: {} requests over {} shards, {} router{}{}, {} arrivals (rate {}), {} scheduler ==",
+        "== serving_sim: {} requests over {} shard(s), {} router{}{}, {} arrivals (rate {}), {} scheduler, \
+         {} dataflow, {} decode thread(s), {}{} ==",
         args.requests,
         args.shards,
         args.router,
@@ -343,6 +353,10 @@ fn run_cluster(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         args.arrival,
         args.rate,
         args.sched,
+        args.variant,
+        engines[0].decode_threads(),
+        prefill_mode,
+        prefix_mode,
     );
     println!(
         "   seed {}, per-shard KV capacity {} KiB ({} B/token => ~{} resident tokens/shard)\n",
@@ -390,90 +404,13 @@ fn run_cluster(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{}", report);
     for shard in &report.shards {
         println!("{}", shard);
+        println!("{}", shard.engine);
     }
     println!("(per-shard reports above; each request's record lives on the shard that accepted it)");
-    write_observability(args, recorder, report.metrics().to_json())?;
-    Ok(())
-}
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args()?;
-    if args.shards > 1 || args.faulted() {
-        // The fault plane lives on the cluster path; a faulted 1-shard
-        // run rides it too (bit-identical to the Server path otherwise).
-        return run_cluster(&args);
-    }
-    let engine = build_engine(&args)?;
-    let kv_per_token = engine.kv_bytes_per_token();
-    let workload = build_workload(&args);
-    let (trace, recorder) = make_sink(args.trace_out.is_some());
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes: args.capacity_kb << 10, ..AdmissionConfig::default() },
-        sched: args.sched,
-        trace,
-        ..ServerConfig::default()
-    };
-
-    let prefill_mode = if args.prefill_chunk > 0 {
-        format!("chunked prefill ({} tokens/tick)", args.prefill_chunk)
-    } else {
-        "instant prefill".to_string()
-    };
-    let prefix_mode = if args.shared_prefix > 0 {
-        format!(
-            ", {}-token shared prefixes × {} group(s) + prefix cache",
-            args.shared_prefix, args.prefix_groups
-        )
-    } else {
-        String::new()
-    };
-    println!(
-        "== serving_sim: {} requests, {} arrivals (rate {}), {} scheduler, {} dataflow, {} decode thread(s), {}{} ==",
-        args.requests,
-        args.arrival,
-        args.rate,
-        args.sched,
-        args.variant,
-        engine.decode_threads(),
-        prefill_mode,
-        prefix_mode,
-    );
-    println!(
-        "   seed {}, KV capacity {} KiB ({} B/token => ~{} resident tokens)\n",
-        args.seed,
-        args.capacity_kb,
-        kv_per_token,
-        (args.capacity_kb << 10) / kv_per_token.max(1)
-    );
-
-    // Stream the first stretch of the virtual clock, then run silently.
-    const SHOWN_TICKS: usize = 24;
-    let mut server = Server::new(engine, workload, config);
-    println!("{:<8} {:>7} {:>8} {:>8} {:>12}", "tick", "queued", "running", "paused", "kv reserved");
-    let mut shown = 0;
-    while !server.is_done() && shown < SHOWN_TICKS {
-        server.tick();
-        shown += 1;
-        println!(
-            "{:<8} {:>7} {:>8} {:>8} {:>12}",
-            server.now(),
-            server.in_flight() - server.engine().active_sessions() - server.engine().paused_sessions(),
-            server.engine().active_sessions(),
-            server.engine().paused_sessions(),
-            server.reserved_bytes(),
-        );
-    }
-    if !server.is_done() {
-        println!("…");
-    }
-    let report = server.run();
-
-    println!("\n{}", report);
-    println!("{}", report.engine);
-
-    // Prefill-vs-decode token share of the on-clock work.
-    let prefill = report.engine.prefill_tokens;
-    let decode = report.engine.total_tokens;
+    // Prefill-vs-decode token share of the on-clock work, over all shards.
+    let prefill: usize = report.shards.iter().map(|s| s.engine.prefill_tokens).sum();
+    let decode: usize = report.shards.iter().map(|s| s.engine.total_tokens).sum();
     let total = prefill + decode;
     if prefill > 0 {
         println!(
@@ -489,7 +426,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("(ticks are batched mixed prefill/decode steps of the virtual clock;");
-    println!(" per-request tok/s in the engine report are single-sequence equivalents)");
-    write_observability(&args, recorder, report.metrics().to_json())?;
+    println!(" per-request tok/s in the engine reports are single-sequence equivalents)");
+    write_observability(args, recorder, report.metrics().to_json())?;
     Ok(())
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    run_cluster(&parse_args()?)
 }

@@ -1,9 +1,9 @@
 //! Cross-crate integration of the serving engine: the determinism
 //! invariant (batched multi-session decode produces per-request reports
-//! identical to lone `Simulation::run` calls), continuous batching over
-//! a mixed request population, and the engine/legacy API equivalence.
+//! identical to each request run alone on a fresh engine) and continuous
+//! batching over a mixed request population.
 
-use veda::{Budget, EngineBuilder, Request, Simulation, SimulationBuilder};
+use veda::{Budget, EngineBuilder, Request, RequestReport};
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 
@@ -11,19 +11,17 @@ fn prompt(len: usize, salt: usize) -> Vec<usize> {
     (0..len).map(|i| (i * 11 + salt * 17) % 60 + 1).collect()
 }
 
-fn legacy(policy: PolicyKind, budget: Budget) -> Simulation {
-    SimulationBuilder::new()
-        .model(ModelConfig::tiny())
-        .policy(policy)
-        .budget(budget)
-        .build()
-        .expect("valid config")
+/// Runs `prompt` alone on a fresh engine to completion.
+fn solo(policy: PolicyKind, budget: Budget, prompt: &[usize], gen_len: usize) -> RequestReport {
+    let mut engine = EngineBuilder::new().model(ModelConfig::tiny()).build().expect("valid config");
+    engine.submit(Request::new(prompt, gen_len).policy(policy).budget(budget)).expect("valid request");
+    engine.run_to_completion().requests.remove(0).report
 }
 
 /// The acceptance-criteria invariant: an engine decoding several
 /// concurrent sessions of *different* policies and budgets must produce,
 /// for every request, a report token-for-token and cycle-for-cycle equal
-/// to running that request alone through the legacy one-shot API.
+/// to running that request alone on a fresh engine.
 #[test]
 fn batched_sessions_match_single_session_runs_exactly() {
     let cases: Vec<(PolicyKind, Budget, Vec<usize>, usize)> = vec![
@@ -55,9 +53,9 @@ fn batched_sessions_match_single_session_runs_exactly() {
             .expect("every session finished")
             .report
             .clone();
-        let solo = legacy(*policy, *budget).run(prompt, *gen_len);
-        assert_eq!(batched.generated, solo.generated, "{policy}: token stream diverged");
-        assert_eq!(batched, solo, "{policy}: full report diverged");
+        let alone = solo(*policy, *budget, prompt, *gen_len);
+        assert_eq!(batched.generated, alone.generated, "{policy}: token stream diverged");
+        assert_eq!(batched, alone, "{policy}: full report diverged");
     }
 }
 
@@ -76,8 +74,8 @@ fn continuous_batching_handles_stragglers() {
     }
     assert_eq!(batch_sizes, vec![2, 2, 1, 1, 1, 1, 1, 1, 1]);
 
-    let solo_short = legacy(PolicyKind::Voting, Budget::Ratio(0.5)).run(&prompt(16, 5), 2);
-    let solo_long = legacy(PolicyKind::Voting, Budget::Ratio(0.5)).run(&prompt(16, 6), 9);
+    let solo_short = solo(PolicyKind::Voting, Budget::Ratio(0.5), &prompt(16, 5), 2);
+    let solo_long = solo(PolicyKind::Voting, Budget::Ratio(0.5), &prompt(16, 6), 9);
     assert_eq!(engine.take_report(short).unwrap(), solo_short);
     assert_eq!(engine.take_report(long).unwrap(), solo_long);
 }
@@ -95,8 +93,8 @@ fn late_submissions_join_the_batch() {
     let report = engine.run_to_completion();
     assert_eq!(report.requests.len(), 2);
 
-    let solo_early = legacy(PolicyKind::Voting, Budget::Ratio(0.5)).run(&prompt(16, 7), 6);
-    let solo_late = legacy(PolicyKind::H2o, Budget::Ratio(0.5)).run(&prompt(16, 8), 3);
+    let solo_early = solo(PolicyKind::Voting, Budget::Ratio(0.5), &prompt(16, 7), 6);
+    let solo_late = solo(PolicyKind::H2o, Budget::Ratio(0.5), &prompt(16, 8), 3);
     let get = |s| report.requests.iter().find(|r| r.session == s).unwrap().report.clone();
     assert_eq!(get(early), solo_early, "in-flight session disturbed by late join");
     assert_eq!(get(late), solo_late, "late session diverged");

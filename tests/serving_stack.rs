@@ -8,9 +8,7 @@ use std::collections::BTreeMap;
 
 use veda::EngineBuilder;
 use veda_model::ModelConfig;
-use veda_serving::{
-    AdmissionConfig, ArrivalKind, RequestMix, SchedKind, Server, ServerConfig, ServingReport, Workload,
-};
+use veda_serving::{ArrivalKind, Cluster, ClusterConfig, RequestMix, SchedKind, ServingReport, Workload};
 
 fn engine() -> veda::Engine {
     engine_with_threads(1)
@@ -35,13 +33,19 @@ fn workload(kind: ArrivalKind, seed: u64, total: usize) -> Workload {
     }
 }
 
+/// Serves `workload` on one engine: a 1-shard round-robin cluster.
+fn serve(engine: veda::Engine, workload: Workload, config: ClusterConfig) -> ServingReport {
+    Cluster::new(vec![engine], workload, ClusterConfig { shards: 1, ..config }).run().shards.remove(0)
+}
+
 fn run(kind: ArrivalKind, sched: SchedKind, seed: u64, capacity_bytes: u64) -> ServingReport {
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes, max_queue_depth: 64 },
+    let config = ClusterConfig {
+        per_shard_capacity_bytes: capacity_bytes,
+        max_queue_depth: 64,
         sched,
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    Server::new(engine(), workload(kind, seed, 18), config).run()
+    serve(engine(), workload(kind, seed, 18), config)
 }
 
 /// Generated token streams keyed by arrival index (stable across
@@ -115,12 +119,13 @@ fn parallel_decode_is_bit_identical_to_serial() {
     // RequestMix rotates through every eviction policy, so all policy
     // stacks cross the worker threads.
     let run_with_threads = |threads: usize, kind: ArrivalKind, sched: SchedKind| {
-        let config = ServerConfig {
-            admission: AdmissionConfig { capacity_bytes: 24 << 10, max_queue_depth: 64 },
+        let config = ClusterConfig {
+            per_shard_capacity_bytes: 24 << 10,
+            max_queue_depth: 64,
             sched,
-            ..ServerConfig::default()
+            ..ClusterConfig::default()
         };
-        Server::new(engine_with_threads(threads), workload(kind, 11, 18), config).run()
+        serve(engine_with_threads(threads), workload(kind, 11, 18), config)
     };
     for kind in [ArrivalKind::Poisson, ArrivalKind::Burst] {
         for sched in [SchedKind::Fcfs, SchedKind::Srb, SchedKind::Priority] {
@@ -176,12 +181,13 @@ fn oversized_requests_are_rejected_not_wedged() {
     let mix = RequestMix::default();
     let max_est = (mix.prompt_len.1 + mix.max_new_tokens.1) as u64 * engine().kv_bytes_per_token();
     let capacity = max_est / 2;
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes: capacity, max_queue_depth: 64 },
+    let config = ClusterConfig {
+        per_shard_capacity_bytes: capacity,
+        max_queue_depth: 64,
         sched: SchedKind::Fcfs,
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    let report = Server::new(engine(), Workload::poisson(29, 0.6, 18, mix), config).run();
+    let report = serve(engine(), Workload::poisson(29, 0.6, 18, mix), config);
     assert!(report.rejected_never_fits > 0, "some requests exceed half the max footprint");
     assert_eq!(report.completed + report.rejected(), report.submitted);
     assert!(report.records.iter().all(|r| r.finished.is_some() || r.rejected.is_some()));
@@ -189,13 +195,14 @@ fn oversized_requests_are_rejected_not_wedged() {
 
 #[test]
 fn queue_depth_limit_rejects_overflow() {
-    let config = ServerConfig {
+    let config = ClusterConfig {
         // Tiny queue + tiny capacity: a burst must overflow it.
-        admission: AdmissionConfig { capacity_bytes: 13 << 10, max_queue_depth: 2 },
+        per_shard_capacity_bytes: 13 << 10,
+        max_queue_depth: 2,
         sched: SchedKind::Fcfs,
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    let report = Server::new(engine(), workload(ArrivalKind::Burst, 17, 18), config).run();
+    let report = serve(engine(), workload(ArrivalKind::Burst, 17, 18), config);
     assert!(report.rejected_queue_full > 0, "burst must overflow a depth-2 queue");
     assert_eq!(report.completed + report.rejected(), report.submitted);
 }
@@ -208,16 +215,17 @@ fn closed_loop_drains_even_when_requests_are_rejected() {
     // never-fits rejections under closed-loop arrivals.
     let mix = RequestMix::default();
     let max_est = (mix.prompt_len.1 + mix.max_new_tokens.1) as u64 * engine().kv_bytes_per_token();
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes: max_est / 2, max_queue_depth: 64 },
+    let config = ClusterConfig {
+        per_shard_capacity_bytes: max_est / 2,
+        max_queue_depth: 64,
         sched: SchedKind::Fcfs,
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    let report = Server::new(engine(), Workload::closed_loop(41, 3, 6.0, 18, mix), config).run();
+    let report = serve(engine(), Workload::closed_loop(41, 3, 6.0, 18, mix), config);
     assert_eq!(report.submitted, 18, "every closed-loop request must eventually arrive");
     assert!(report.rejected_never_fits > 0, "tiny capacity must reject some requests");
     assert_eq!(report.completed + report.rejected(), report.submitted);
-    assert!(report.ticks < ServerConfig::default().max_ticks, "run must drain, not hit the valve");
+    assert!(report.ticks < ClusterConfig::default().max_ticks, "run must drain, not hit the valve");
 }
 
 #[test]
@@ -237,7 +245,7 @@ fn invalid_trace_requests_are_rejected_cleanly() {
         (1, bad(Request::new(vec![1, 2, 3], 4).budget(Budget::Fixed(0)))), // unusable budget
         (2, mix.sample(&mut rng, 0)),               // one valid request
     ];
-    let report = Server::new(engine(), Workload::trace(arrivals), ServerConfig::default()).run();
+    let report = serve(engine(), Workload::trace(arrivals), ClusterConfig::default());
     assert_eq!(report.rejected_invalid, 4, "all malformed requests are rejected, not panicked on");
     assert_eq!(report.completed, 1, "the valid request still completes");
     assert_eq!(report.completed + report.rejected(), report.submitted);
@@ -248,13 +256,14 @@ fn budget_shrink_mode_tightens_caps_under_pressure() {
     use veda_eviction::{BudgetController, PressureConfig};
     let controller =
         BudgetController::new(PressureConfig { high_watermark: 0.5, low_watermark: 0.35, floor_tokens: 6 });
-    let config = ServerConfig {
-        admission: AdmissionConfig { capacity_bytes: 20 << 10, max_queue_depth: 64 },
+    let config = ClusterConfig {
+        per_shard_capacity_bytes: 20 << 10,
+        max_queue_depth: 64,
         sched: SchedKind::Fcfs,
         shrink: Some(controller),
-        ..ServerConfig::default()
+        ..ClusterConfig::default()
     };
-    let report = Server::new(engine(), workload(ArrivalKind::Poisson, 13, 18), config).run();
+    let report = serve(engine(), workload(ArrivalKind::Poisson, 13, 18), config);
     assert!(report.budget_shrinks > 0, "high occupancy must trigger budget shrinking");
     assert_eq!(report.completed + report.rejected(), report.submitted);
     // Shrinking is the lossy pressure response: token streams may legally
@@ -282,8 +291,8 @@ fn chunked_prefill_makes_ttft_real_and_monotone_in_prompt_length() {
             (300 * i as u64, ServingRequest { request: Request::new(prompt, 4), priority: 0 })
         })
         .collect();
-    let config = ServerConfig { sched: SchedKind::Fcfs, ..ServerConfig::default() };
-    let report = Server::new(engine, Workload::trace(arrivals), config).run();
+    let config = ClusterConfig { sched: SchedKind::Fcfs, ..ClusterConfig::default() };
+    let report = serve(engine, Workload::trace(arrivals), config);
     assert_eq!(report.completed, 3);
 
     let ttfts: Vec<u64> =
@@ -312,12 +321,13 @@ fn chunked_prefill_stack_is_bit_identical_across_threads() {
             .prefill_chunk(4)
             .build()
             .expect("valid config");
-        let config = ServerConfig {
-            admission: AdmissionConfig { capacity_bytes: 24 << 10, max_queue_depth: 64 },
+        let config = ClusterConfig {
+            per_shard_capacity_bytes: 24 << 10,
+            max_queue_depth: 64,
             sched: SchedKind::Fcfs,
-            ..ServerConfig::default()
+            ..ClusterConfig::default()
         };
-        Server::new(engine, workload(ArrivalKind::Poisson, 11, 18), config).run()
+        serve(engine, workload(ArrivalKind::Poisson, 11, 18), config)
     };
     let serial = run_chunked(1);
     assert!(serial.engine.prefill_tokens > 0, "chunked prefill must be exercised");
@@ -393,15 +403,16 @@ fn shared_prefix_cache_admits_more_sessions_under_capacity_pressure() {
             });
         }
         let engine = builder.build().expect("valid config");
-        let config = ServerConfig {
-            admission: AdmissionConfig { capacity_bytes: capacity, max_queue_depth: 3 },
+        let config = ClusterConfig {
+            per_shard_capacity_bytes: capacity,
+            max_queue_depth: 3,
             sched: SchedKind::Fcfs,
-            ..ServerConfig::default()
+            ..ClusterConfig::default()
         };
         // Rate 0.8: fast enough that tight capacity backs the queue up
         // (rejections without the cache), slow enough that arrivals after
         // the first admission see its cached prefix.
-        Server::new(engine, Workload::poisson(19, 0.8, 24, mix()), config).run()
+        serve(engine, Workload::poisson(19, 0.8, 24, mix()), config)
     };
 
     let disabled = run(false);
@@ -477,12 +488,13 @@ fn spill_tier_admits_more_than_drop_on_evict_at_equal_cache_bytes() {
             budgets: vec![Budget::Unbounded],
             ..RequestMix::default()
         };
-        let config = ServerConfig {
-            admission: AdmissionConfig { capacity_bytes: 32 << 10, max_queue_depth: 6 },
+        let config = ClusterConfig {
+            per_shard_capacity_bytes: 32 << 10,
+            max_queue_depth: 6,
             sched: SchedKind::Fcfs,
-            ..ServerConfig::default()
+            ..ClusterConfig::default()
         };
-        Server::new(engine, Workload::poisson(29, 0.8, 40, mix), config).run()
+        serve(engine, Workload::poisson(29, 0.8, 40, mix), config)
     };
 
     let dropped = run(6, false);
