@@ -10,12 +10,8 @@
 //!   per-pattern efficiency (sequential streams hit the open row; strided
 //!   "transpose-style" access pays row activation and wasted burst bytes —
 //!   the *memory access irregularity* of Section I).
-//! * [`Sram`] — an on-chip buffer with capacity accounting and access
-//!   counters used by the energy model.
 //! * [`Fifo`] — a depth-bounded FIFO with occupancy statistics, modelling
 //!   the s' FIFO of the voting engine and the SFU tile FIFO.
-//! * [`TrafficCounter`] — byte counters per traffic class (weights, KV
-//!   cache, activations, vote counts).
 //! * [`HostLink`] — a PCIe-style device↔host link for KV cache
 //!   swap-out/swap-in when a serving layer preempts sessions under HBM
 //!   capacity pressure ([`HbmConfig::capacity_bytes`]).
@@ -55,11 +51,7 @@
 pub mod fifo;
 pub mod hbm;
 pub mod hostlink;
-pub mod sram;
-pub mod traffic;
 
 pub use fifo::Fifo;
 pub use hbm::{AccessPattern, HbmConfig, HbmModel};
 pub use hostlink::{HostLink, HostLinkConfig, SwapDirection, TransferKind};
-pub use sram::Sram;
-pub use traffic::{TrafficClass, TrafficCounter};

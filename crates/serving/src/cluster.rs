@@ -19,8 +19,11 @@
 //!    requests centrally, in global arrival order, so the routing
 //!    decision can never perturb what a request *is* — only where it
 //!    runs. That is the cluster's RNG-stream discipline, pinned by the
-//!    `cluster_stack` tests. When *no* shard is routable the arrival is
-//!    registered on a deterministic home shard and parked as a retry.
+//!    `cluster_stack` tests. Every arrival gets a [`RequestRecord`] in
+//!    the cluster's record table (indexed by arrival) and a home shard,
+//!    whose report will hold the record: the chosen shard, or — when
+//!    *no* shard is routable — a deterministic one, and the arrival is
+//!    parked as a retry.
 //!    Then the overload watermark (if armed) sheds the lowest-priority
 //!    newest queued requests until the cluster is back under it.
 //! 2. **Pre-step**, per shard in index order: swap-in completions,
@@ -33,14 +36,11 @@
 //!    session lands in the target's swap-in set: it re-enters the batch
 //!    only after the transfer's cycles elapse, exactly like a preempted
 //!    session swapping back in. Migration never changes a session's
-//!    token stream (pinned), and the request's record stays on the shard
-//!    that accepted it.
+//!    token stream (pinned), nor the home shard whose report holds the
+//!    request's record.
 //! 4. **Step**, per shard in index order: one batched engine tick each,
 //!    all against the same virtual tick.
-//! 5. **Outbox drain**: record updates for migrated-in sessions are
-//!    applied to their home shards, in shard order — cross-shard state
-//!    flows through one deterministic channel, never mid-step.
-//! 6. **Deadline enforcement** (only with deadlines configured): every
+//! 5. **Deadline enforcement** (only with deadlines configured): every
 //!    attempt past its TTFT or e2e deadline is torn down and retried or
 //!    dead-lettered under the [`crate::RetryPolicy`].
 //!
@@ -59,10 +59,10 @@ use veda_telemetry::{MetricsRegistry, SinkHandle, StageWaterfall, TraceEvent, Tr
 use crate::admission::AdmissionConfig;
 use crate::error::ServeError;
 use crate::faults::{FaultConfig, FaultRuntime, LostWork, RetryEntry, ShardHealth};
-use crate::report::{LatencySummary, ServingReport, StageSummaries};
+use crate::report::{LatencySummary, RequestRecord, ServingReport, StageSummaries};
 use crate::router::{RouterKind, RouterPolicy};
 use crate::scheduler::SchedKind;
-use crate::shard::{RecordRef, SessionEntry, Shard, SwapInEntry, WaitKind};
+use crate::shard::{SessionEntry, Shard, SwapInEntry, WaitKind};
 use crate::workload::{ServingRequest, Workload};
 
 /// Opt-in cross-shard migration thresholds.
@@ -152,9 +152,13 @@ pub struct Cluster {
     migration: Option<MigrationConfig>,
     max_ticks: u64,
     now: u64,
-    /// Global arrival counter (record indices stay in arrival order
-    /// across shards).
-    arrivals: usize,
+    /// Every request's record, indexed by global arrival. Shards write
+    /// the records of the requests they host through the `&mut` slice
+    /// each step call lends them.
+    records: Vec<RequestRecord>,
+    /// The home shard of each record (the shard the request arrived on,
+    /// by arrival): [`Cluster::run`] reports each record there.
+    homes: Vec<usize>,
     /// Requests routed to each shard.
     routed: Vec<usize>,
     migrations: u64,
@@ -251,7 +255,8 @@ impl Cluster {
             migration: config.migration,
             max_ticks: config.max_ticks,
             now: 0,
-            arrivals: 0,
+            records: Vec::new(),
+            homes: Vec::new(),
             routed: vec![0; n],
             migrations: 0,
             migration_bytes: 0,
@@ -274,12 +279,12 @@ impl Cluster {
 
     /// Requests that have arrived cluster-wide so far.
     pub fn submitted(&self) -> usize {
-        self.arrivals
+        self.records.len()
     }
 
     /// Requests finished cluster-wide so far.
     pub fn completed(&self) -> usize {
-        self.shards.iter().map(Shard::completed).sum()
+        self.records.iter().filter(|r| r.finished.is_some()).count()
     }
 
     /// Requests rejected cluster-wide so far.
@@ -335,9 +340,9 @@ impl Cluster {
         self.apply_fault_transitions();
         self.drain_retries();
         for arrival in self.workload.take_arrivals(self.now) {
-            let global = self.arrivals;
-            self.arrivals += 1;
-            if self.faults.health.iter().any(|h| h.routable()) {
+            let global = self.records.len();
+            let routable = self.faults.health.iter().any(|h| h.routable());
+            let home = if routable {
                 let views: Vec<_> = self
                     .shards
                     .iter()
@@ -347,42 +352,42 @@ impl Cluster {
                 let pick = self.router.route(&views);
                 assert!(pick < self.shards.len(), "router returned an out-of-range shard");
                 assert!(self.faults.health[pick].routable(), "router picked an unroutable shard");
-                self.routed[pick] += 1;
-                self.shards[pick].accept(arrival, global, self.now, &mut self.workload);
+                pick
             } else {
                 // Every shard is down or draining: the arrival cannot be
-                // routed anywhere. Register its record on a deterministic
-                // home shard and park it as a retry attempt (bounded, so
-                // a cluster that never recovers dead-letters it).
+                // routed anywhere, so its home is a deterministic shard.
+                global % self.shards.len()
+            };
+            self.records.push(RequestRecord::new(global, arrival.priority, self.now));
+            self.homes.push(home);
+            self.shards[home].emit(
+                self.now,
+                global as u64,
+                TraceEventKind::Submitted {
+                    prompt_tokens: arrival.request.prompt.len() as u32,
+                    max_new_tokens: arrival.request.max_new_tokens as u32,
+                    priority: arrival.priority as u32,
+                },
+            );
+            if routable {
+                self.routed[home] += 1;
+                self.shards[home].accept(arrival, &mut self.records[global], self.now, &mut self.workload);
+            } else {
+                // Park it as a retry attempt (bounded, so a cluster that
+                // never recovers dead-letters it).
                 let ServingRequest { request, priority } = arrival;
-                let home = global % self.shards.len();
-                let index = self.shards[home].register_deferred(&request, priority, global, self.now);
-                self.retry_or_dead_letter(LostWork {
-                    home: (home, index),
-                    arrival: global,
-                    priority,
-                    request,
-                });
+                self.retry_or_dead_letter(LostWork { arrival: global, priority, request });
             }
         }
         self.shed_overload();
         for shard in &mut self.shards {
-            shard.begin_tick(self.now);
+            shard.begin_tick(self.now, &mut self.records, &self.homes);
         }
         if self.migration.is_some() {
             self.migrate();
         }
         for shard in &mut self.shards {
-            shard.step_engine(self.now, &mut self.workload);
-        }
-        // Drain foreign-record updates in shard order: deterministic, and
-        // record state is settled before anyone observes end-of-tick
-        // counters (the conservation invariant the proptests check).
-        for i in 0..self.shards.len() {
-            for update in self.shards[i].take_outbox() {
-                debug_assert_ne!(update.shard, i, "a shard never posts to its own outbox");
-                self.shards[update.shard].apply_record_delta(update.index, update.delta);
-            }
+            shard.step_engine(self.now, &mut self.workload, &mut self.records);
         }
         self.enforce_deadlines();
         for (i, shard) in self.shards.iter().enumerate() {
@@ -511,10 +516,10 @@ impl Cluster {
     /// disposing of the request for closed-loop workloads).
     fn retry_or_dead_letter(&mut self, work: LostWork) {
         let now = self.now;
-        let (home, index) = work.home;
+        let home = self.homes[work.arrival];
         let max_attempts = self.faults.config.retry.max_attempts;
         let (exhausted, attempt) = {
-            let record = &mut self.shards[home].records[index];
+            let record = &mut self.records[work.arrival];
             record.reset_attempt(now);
             if record.retries >= max_attempts {
                 record.dead_letter = Some(now);
@@ -561,17 +566,12 @@ impl Cluster {
                 .flat_map(|s| s.queue.iter().map(move |e| (e.priority, std::cmp::Reverse(e.arrival), s.id)))
                 .min()
                 .expect("queue depth above threshold implies a non-empty queue");
-            let entry =
-                self.shards[shard].remove_queued(arrival).expect("victim was just seen in this queue");
-            let (home, index) = match entry.record {
-                RecordRef::Local(i) => (shard, i),
-                RecordRef::Foreign { shard, index } => (shard, index),
-            };
-            let record = &mut self.shards[home].records[index];
+            self.shards[shard].remove_queued(arrival).expect("victim was just seen in this queue");
+            let record = &mut self.records[arrival];
             record.shed = Some(self.now);
             record.lost_at = None;
             self.faults.shed += 1;
-            self.shards[home].emit(self.now, arrival as u64, TraceEventKind::Shed);
+            self.shards[self.homes[arrival]].emit(self.now, arrival as u64, TraceEventKind::Shed);
             self.workload.notify_completion(self.now);
         }
     }
@@ -589,21 +589,16 @@ impl Cluster {
         let now = self.now;
         // Phase 1: scan immutably, in shard order, collecting violations.
         let mut violations: Vec<(usize, usize, &'static str)> = Vec::new();
-        for si in 0..self.shards.len() {
-            let shard = &self.shards[si];
+        for (si, shard) in self.shards.iter().enumerate() {
             let entries = shard
                 .queue
                 .iter()
-                .map(|e| (e.record, e.arrival, e.submitted))
-                .chain(shard.running.iter().map(|e| (e.record, e.arrival, e.submitted)))
-                .chain(shard.paused.iter().map(|e| (e.record, e.arrival, e.submitted)))
-                .chain(shard.swapping.iter().map(|s| (s.entry.record, s.entry.arrival, s.entry.submitted)));
-            for (record_ref, arrival, submitted) in entries {
-                let (h, idx) = match record_ref {
-                    RecordRef::Local(i) => (si, i),
-                    RecordRef::Foreign { shard, index } => (shard, index),
-                };
-                let record = &self.shards[h].records[idx];
+                .map(|e| (e.arrival, e.submitted))
+                .chain(shard.running.iter().map(|e| (e.arrival, e.submitted)))
+                .chain(shard.paused.iter().map(|e| (e.arrival, e.submitted)))
+                .chain(shard.swapping.iter().map(|s| (s.entry.arrival, s.entry.submitted)));
+            for (arrival, submitted) in entries {
+                let record = &self.records[arrival];
                 // e2e subsumes ttft: a request past both deadlines is
                 // one timeout, labeled with the stricter violation.
                 if e2e.is_some_and(|d| now >= submitted + d) && record.finished.is_none() {
@@ -618,8 +613,7 @@ impl Cluster {
             let Some(work) = self.shards[si].remove_timed_out(arrival, deadline, now) else {
                 continue;
             };
-            let (h, idx) = work.home;
-            self.shards[h].records[idx].timeouts += 1;
+            self.records[work.arrival].timeouts += 1;
             self.faults.timeouts += 1;
             self.retry_or_dead_letter(work);
         }
@@ -712,32 +706,12 @@ impl Cluster {
         let in_cycles = target.link.transfer_tagged(payload, SwapDirection::In, TransferKind::Migration);
         let session = target.engine.adopt(migrated).expect("cluster shards share one model geometry");
         target.admission.reserve(entry.full_bytes);
-        // The record stays on its home shard: local entries become
-        // foreign references, already-foreign entries keep pointing home —
-        // and a session migrating *back* to its home shard becomes local
-        // again (otherwise it would post outbox updates to itself).
-        let record = match entry.record {
-            RecordRef::Local(index) => RecordRef::Foreign { shard: src, index },
-            RecordRef::Foreign { shard, index } if shard == tgt => RecordRef::Local(index),
-            foreign @ RecordRef::Foreign { .. } => foreign,
-        };
-        debug_assert!(
-            !matches!(record, RecordRef::Foreign { shard, .. } if shard == tgt),
-            "a session never migrates to its own home shard as foreign"
-        );
         target.swapping.push(SwapInEntry {
             entry: SessionEntry {
-                record,
-                arrival: entry.arrival,
-                submitted: entry.submitted,
-                request: entry.request,
                 session,
-                priority: entry.priority,
                 est_bytes: entry.full_bytes,
-                full_bytes: entry.full_bytes,
-                preemptions: entry.preemptions,
-                cap: entry.cap,
                 wait_since: Some((WaitKind::Migration { from: src }, self.now)),
+                ..entry
             },
             ready_at: target.elapsed_cycles + in_cycles,
         });
@@ -754,8 +728,16 @@ impl Cluster {
         }
         let arrival = self.workload.kind();
         let router = self.router.kind();
-        let shards: Vec<ServingReport> =
-            self.shards.into_iter().map(|s| s.into_report(arrival, self.now)).collect();
+        let mut by_home: Vec<Vec<RequestRecord>> = vec![Vec::new(); self.shards.len()];
+        for (record, home) in self.records.into_iter().zip(self.homes) {
+            by_home[home].push(record);
+        }
+        let shards: Vec<ServingReport> = self
+            .shards
+            .into_iter()
+            .zip(by_home)
+            .map(|(s, records)| s.into_report(arrival, self.now, records))
+            .collect();
         ClusterReport {
             router,
             shard_count: shards.len(),
@@ -784,7 +766,7 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("now", &self.now)
             .field("shards", &self.shards)
-            .field("arrivals", &self.arrivals)
+            .field("arrivals", &self.records.len())
             .field("migrations", &self.migrations)
             .finish()
     }

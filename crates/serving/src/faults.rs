@@ -363,9 +363,8 @@ impl FaultConfig {
 /// re-enter admission from the prompt.
 #[derive(Debug)]
 pub(crate) struct LostWork {
-    /// `(home shard, record index)` of the request's record.
-    pub(crate) home: (usize, usize),
-    /// Global arrival index (the request's stable trace id).
+    /// Global arrival index: the request's stable trace id and its row
+    /// in the cluster's record table.
     pub(crate) arrival: usize,
     /// Priority tier.
     pub(crate) priority: u8,

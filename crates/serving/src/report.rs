@@ -12,7 +12,10 @@ use crate::workload::ArrivalKind;
 pub struct RequestRecord {
     /// Global arrival index (submission order).
     pub arrival: usize,
-    /// Engine session handle, once admitted.
+    /// Engine session handle in the engine of the shard whose report
+    /// holds this record. Set only when the request is admitted on the
+    /// shard it arrived on; a retry admitted elsewhere leaves it `None`,
+    /// and migration never updates it.
     pub session: Option<Session>,
     /// Priority tier.
     pub priority: u8,
@@ -58,6 +61,32 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
+    /// A fresh record for the request that arrived `arrival`-th, at tick
+    /// `now`.
+    pub(crate) fn new(arrival: usize, priority: u8, now: u64) -> Self {
+        Self {
+            arrival,
+            session: None,
+            priority,
+            submitted: now,
+            admitted: None,
+            first_token: None,
+            finished: None,
+            generated_tokens: 0,
+            preemptions: 0,
+            swap_wait_ticks: 0,
+            migration_wait_ticks: 0,
+            wait_before_first_ticks: 0,
+            rejected: None,
+            retries: 0,
+            timeouts: 0,
+            shed: None,
+            dead_letter: None,
+            lost_at: None,
+            recovery_wait_ticks: 0,
+        }
+    }
+
     /// Resets the run-state of a lost attempt so the record is ready for
     /// a retry: placement, admission, token progress and wait accounting
     /// all restart from scratch (a retry re-prefills from the prompt),

@@ -3,12 +3,14 @@
 //!
 //! A shard owns everything below the arrival stream: screening, the wait
 //! queue, scheduler-driven admission, preemption and swap-in
-//! serialization over its private [`HostLink`], pressure response, and
-//! per-request record keeping. What it does *not* own is the virtual
-//! clock and the [`Workload`] — those belong to the cluster, which steps
-//! every shard on one clock through the crate-internal `accept` →
-//! `begin_tick` → `step_engine` sequence. A single-engine deployment is
-//! a 1-shard cluster.
+//! serialization over its private [`HostLink`], and pressure response.
+//! What it does *not* own is the virtual clock, the [`Workload`] and the
+//! [`RequestRecord`]s — those belong to the cluster, which steps every
+//! shard on one clock through the crate-internal `accept` → `begin_tick`
+//! → `step_engine` sequence and lends each call the record table, so a
+//! shard writes the record of every request it hosts directly, wherever
+//! that request arrived. A single-engine deployment is a 1-shard
+//! cluster.
 //!
 //! ## One tick on a shard
 //!
@@ -57,18 +59,6 @@
 //! while swap-ins are in flight jumps the shard's cycle counter to the
 //! earliest swap-in completion, and when no shard holds work the cluster
 //! fast-forwards the clock to the next arrival.
-//!
-//! ## Migrated-in sessions and foreign records
-//!
-//! Cross-shard migration hands a live session to another shard while its
-//! [`RequestRecord`] stays on the shard that accepted the arrival (the
-//! *home* shard — reports stay in arrival order, attributable to the
-//! routing decision). The hosting shard tracks such sessions with a
-//! crate-internal `RecordRef::Foreign` reference and queues record updates (tokens,
-//! completion, preemptions) into an outbox instead of writing them
-//! directly; the cluster drains every outbox after stepping all shards,
-//! in shard order, so record state is deterministic and never torn
-//! mid-tick. A 1-shard cluster never produces foreign entries.
 
 use std::collections::VecDeque;
 
@@ -83,20 +73,6 @@ use crate::report::{RequestRecord, ServingReport};
 use crate::scheduler::{QueuedView, RunningView, SchedKind, SchedulerPolicy};
 use crate::workload::{ArrivalKind, ServingRequest, Workload};
 
-/// Which [`RequestRecord`] an in-flight session reports into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecordRef {
-    /// Index into this shard's own records (the common case).
-    Local(usize),
-    /// A migrated-in session: the record lives on its home shard.
-    Foreign {
-        /// The home shard's index within the cluster.
-        shard: usize,
-        /// Index into the home shard's records.
-        index: usize,
-    },
-}
-
 /// Why an admitted session spent ticks off the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WaitKind {
@@ -109,23 +85,6 @@ pub(crate) enum WaitKind {
     },
 }
 
-/// A deferred update to a foreign (home-shard) record.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RecordDelta {
-    /// One generated token at tick `now`; `finished` marks the last.
-    Token { now: u64, finished: bool },
-    /// The session was preempted on its hosting shard.
-    Preempted,
-    /// The session finished an off-device wait spanning `[from, to)`.
-    Wait { kind: WaitKind, from: u64, to: u64 },
-    /// The request was (re-)admitted on its hosting shard at tick `now`
-    /// — a retried request can land anywhere, so admission itself can
-    /// now be a cross-shard fact. The home shard stamps the record and,
-    /// if the request was recovering from a loss, folds the recovery
-    /// wait and emits the `Recovered` event.
-    Admitted { now: u64 },
-}
-
 /// Folds one completed off-device wait interval `[from, to)` into the
 /// record's stage accounting. The interval is classified against the
 /// first-token tick for the waterfall split: a wait is "before first
@@ -133,7 +92,7 @@ pub(crate) enum RecordDelta {
 /// ended (waits never straddle the first token — a session generating at
 /// tick T cannot have been paused at T, so every interval lies entirely
 /// on one side).
-pub(crate) fn apply_wait(record: &mut RequestRecord, kind: WaitKind, from: u64, to: u64) {
+fn apply_wait(record: &mut RequestRecord, kind: WaitKind, from: u64, to: u64) {
     let ticks = to.saturating_sub(from);
     match kind {
         WaitKind::Swap => record.swap_wait_ticks += ticks,
@@ -144,22 +103,12 @@ pub(crate) fn apply_wait(record: &mut RequestRecord, kind: WaitKind, from: u64, 
     }
 }
 
-/// An outbox item: apply `delta` to record `index` on shard `shard`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ForeignUpdate {
-    pub(crate) shard: usize,
-    pub(crate) index: usize,
-    pub(crate) delta: RecordDelta,
-}
-
-/// A request waiting for admission. Fresh arrivals queue on their home
-/// shard (a `Local` record); retried requests can land anywhere, so a
-/// queue entry can reference a foreign record.
+/// A request waiting for admission. Fresh arrivals queue on the shard
+/// they were routed to; retried requests can land on any shard.
 #[derive(Debug)]
 pub(crate) struct QueuedEntry {
-    pub(crate) record: RecordRef,
-    /// Global arrival index (mirrored so foreign entries need no
-    /// cross-shard lookup).
+    /// Global arrival index: the request's trace id and its row in the
+    /// cluster's record table.
     pub(crate) arrival: usize,
     /// Tick this *attempt* entered the serving plane: the original
     /// submission for a first attempt, the requeue tick for a retry.
@@ -186,9 +135,7 @@ pub(crate) struct QueuedEntry {
 /// the `swapping` set its KV state is in flight back over the host link.
 #[derive(Debug)]
 pub(crate) struct SessionEntry {
-    pub(crate) record: RecordRef,
-    /// Global arrival index (mirrored from the record so foreign entries
-    /// need no cross-shard lookup in scheduler views).
+    /// Global arrival index (see [`QueuedEntry::arrival`]).
     pub(crate) arrival: usize,
     /// This attempt's epoch tick (see [`QueuedEntry::submitted`]).
     pub(crate) submitted: u64,
@@ -199,7 +146,7 @@ pub(crate) struct SessionEntry {
     pub(crate) priority: u8,
     pub(crate) est_bytes: u64,
     pub(crate) full_bytes: u64,
-    /// Preemption count (mirrors the record for the same reason).
+    /// Preemption count (mirrors the record, for scheduler views).
     pub(crate) preemptions: u32,
     /// Current resident-token cap (tracked for budget shrinking).
     pub(crate) cap: usize,
@@ -239,11 +186,7 @@ pub struct Shard {
     pub(crate) running: Vec<SessionEntry>,
     pub(crate) paused: Vec<SessionEntry>,
     pub(crate) swapping: Vec<SwapInEntry>,
-    pub(crate) records: Vec<RequestRecord>,
     pub(crate) queue_depth: Vec<usize>,
-    /// Deferred updates to foreign (home-shard) records; drained by the
-    /// cluster after every shard has stepped.
-    pub(crate) outbox: Vec<ForeignUpdate>,
     pub(crate) admitted: usize,
     pub(crate) rejected_never_fits: usize,
     pub(crate) rejected_queue_full: usize,
@@ -285,9 +228,7 @@ impl Shard {
             running: Vec::new(),
             paused: Vec::new(),
             swapping: Vec::new(),
-            records: Vec::new(),
             queue_depth: Vec::new(),
-            outbox: Vec::new(),
             admitted: 0,
             rejected_never_fits: 0,
             rejected_queue_full: 0,
@@ -314,8 +255,8 @@ impl Shard {
     }
 
     /// Emit one shard-level event (no-op without a sink). The cluster
-    /// also calls this to stamp fault-plane events (retries, dead
-    /// letters, sheds) onto a request's home shard.
+    /// also calls this to stamp submissions and fault-plane events
+    /// (retries, dead letters, sheds) onto a request's home shard.
     pub(crate) fn emit(&self, now: u64, request: u64, kind: TraceEventKind) {
         if let Some(sink) = &self.trace {
             sink.record(TraceEvent {
@@ -338,25 +279,13 @@ impl Shard {
         &self.engine
     }
 
-    /// Requests routed to this shard so far (records kept here).
-    pub fn submitted(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Requests of this shard's records that finished (including ones
-    /// that finished on another shard after migrating away).
-    pub fn completed(&self) -> usize {
-        self.records.iter().filter(|r| r.finished.is_some()).count()
-    }
-
     /// Requests rejected by this shard so far.
     pub fn rejected(&self) -> usize {
         self.rejected_never_fits + self.rejected_queue_full + self.rejected_invalid
     }
 
     /// Sessions currently queued, prefilling/decoding, preempted, or
-    /// swapping in on this shard — including migrated-in sessions whose
-    /// records live elsewhere.
+    /// swapping in on this shard — migrated-in sessions included.
     pub fn in_flight(&self) -> usize {
         self.queue.len() + self.running.len() + self.paused.len() + self.swapping.len()
     }
@@ -416,75 +345,42 @@ impl Shard {
         self.engine.prefix_cache_bytes()
     }
 
-    /// Screens one arrival into the queue or a rejection record.
-    /// `global_arrival` is the cluster-wide arrival index (equal to the
-    /// local record index on a 1-shard cluster); `workload` is
-    /// notified when a rejection disposes of a closed-loop user's
-    /// request. A prompt with a known shared prefix reserves only its
-    /// *unshared* peak bytes — the shared span stays resident in the
-    /// engine's prefix cache — provided the discount is sound for this
-    /// request: the accept takes a [`veda::Engine::pin_prefix`] pin on
-    /// the matched entry (held until the submit lands, making the entry
-    /// immune to LRU eviction, host spill and TTL expiry — the match
-    /// cannot shrink), only requests that can never evict
-    /// ([`veda::Request::never_evicts`]) qualify (an eviction inside
-    /// the shared span would privatize it and push the session past a
-    /// discounted reservation), and budget shrinking must be off —
-    /// [`veda::Engine::tighten_budget`] can force even an
+    /// Screens one arrival into the queue or a rejection, stamped on its
+    /// freshly created `record`; `workload` is notified when a rejection
+    /// disposes of a closed-loop user's request. A prompt with a known
+    /// shared prefix reserves only its *unshared* peak bytes — the shared
+    /// span stays resident in the engine's prefix cache — provided the
+    /// discount is sound for this request: the accept takes a
+    /// [`veda::Engine::pin_prefix`] pin on the matched entry (held until
+    /// the submit lands, making the entry immune to LRU eviction, host
+    /// spill and TTL expiry — the match cannot shrink), only requests
+    /// that can never evict ([`veda::Request::never_evicts`]) qualify
+    /// (an eviction inside the shared span would privatize it and push
+    /// the session past a discounted reservation), and budget shrinking
+    /// must be off — [`veda::Engine::tighten_budget`] can force even an
     /// unbounded-budget session to evict, retroactively breaking the
     /// never-evicts promise.
     pub(crate) fn accept(
         &mut self,
         arrival: ServingRequest,
-        global_arrival: usize,
+        record: &mut RequestRecord,
         now: u64,
         workload: &mut Workload,
     ) {
         let ServingRequest { request, priority } = arrival;
-        let index = self.records.len();
-        self.emit(
-            now,
-            global_arrival as u64,
-            TraceEventKind::Submitted {
-                prompt_tokens: request.prompt.len() as u32,
-                max_new_tokens: request.max_new_tokens as u32,
-                priority: priority as u32,
-            },
-        );
+        let global_arrival = record.arrival;
         let discount_sound = request.never_evicts() && self.shrink.is_none();
         let prefix_pin = if discount_sound { self.engine.pin_prefix(&request.prompt) } else { None };
         let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
         let est_bytes =
             AdmissionController::estimate_unshared_bytes(&request, shared_tokens, self.kv_bytes_per_token);
         let full_bytes = AdmissionController::estimate_bytes(&request, self.kv_bytes_per_token);
-        let mut record = RequestRecord {
-            arrival: global_arrival,
-            session: None,
-            priority,
-            submitted: now,
-            admitted: None,
-            first_token: None,
-            finished: None,
-            generated_tokens: 0,
-            preemptions: 0,
-            swap_wait_ticks: 0,
-            migration_wait_ticks: 0,
-            wait_before_first_ticks: 0,
-            rejected: None,
-            retries: 0,
-            timeouts: 0,
-            shed: None,
-            dead_letter: None,
-            lost_at: None,
-            recovery_wait_ticks: 0,
-        };
         let screened =
             self.validate(&request).and_then(|()| self.admission.screen(est_bytes, self.queue.len()));
         match screened {
             Ok(()) => {
                 self.emit(now, global_arrival as u64, TraceEventKind::Queued);
                 self.queue.push_back(QueuedEntry {
-                    record: RecordRef::Local(index),
                     arrival: global_arrival,
                     submitted: now,
                     request,
@@ -511,28 +407,29 @@ impl Shard {
                 workload.notify_completion(now);
             }
         }
-        self.records.push(record);
     }
 
     /// The pre-step half of one tick: swap-in completions, swap-in
     /// starts, then scheduler-driven admission (steps 2–4 of the
-    /// [module docs](self)).
-    pub(crate) fn begin_tick(&mut self, now: u64) {
+    /// [module docs](self)). `records` is the cluster's table, indexed
+    /// by arrival; `homes[arrival]` is the shard each request arrived
+    /// on.
+    pub(crate) fn begin_tick(&mut self, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
         // Refresh the tick the engine's tracer stamps onto its events
         // (prefill chunks, tokens, finishes) before any engine call.
         self.engine.set_trace_now(now);
         // TTL expiry runs first so this tick's swap-ins and admissions
         // see post-expiry cache contents (and post-expiry overhead).
         self.engine.advance_prefix_clock(now);
-        self.complete_swap_ins(now);
+        self.complete_swap_ins(now, records);
         self.start_swap_ins();
-        self.admit_from_queue(now);
+        self.admit_from_queue(now, records, homes);
     }
 
     /// The step half of one tick: one batched engine tick (if any
     /// session is active), event observation, pressure response, and
     /// cycle/peak/queue-depth accounting.
-    pub(crate) fn step_engine(&mut self, now: u64, workload: &mut Workload) {
+    pub(crate) fn step_engine(&mut self, now: u64, workload: &mut Workload, records: &mut [RequestRecord]) {
         let mut stepped_cycles = 0;
         if self.engine.active_sessions() > 0 {
             let tick = self.engine.step();
@@ -543,7 +440,7 @@ impl Shard {
             self.kv_resident_peak =
                 self.kv_resident_peak.max(tick.kv_bytes_resident + self.engine.prefix_cache_bytes());
             for event in &tick.events {
-                self.observe(event, now, workload);
+                self.observe(event, now, workload, records);
             }
             // A chunked-prefill harvest may have inserted a new entry
             // under byte pressure, evicting/spilling cold ones; bill the
@@ -565,60 +462,6 @@ impl Shard {
         self.queue_depth.push(self.queue.len());
     }
 
-    /// Takes the queued foreign-record updates (cluster use).
-    pub(crate) fn take_outbox(&mut self) -> Vec<ForeignUpdate> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Applies one deferred update from another shard's outbox to a
-    /// record homed here.
-    pub(crate) fn apply_record_delta(&mut self, index: usize, delta: RecordDelta) {
-        match delta {
-            RecordDelta::Token { now, finished } => {
-                let record = &mut self.records[index];
-                record.generated_tokens += 1;
-                if record.first_token.is_none() {
-                    record.first_token = Some(now);
-                }
-                if finished {
-                    record.finished = Some(now);
-                }
-            }
-            RecordDelta::Preempted => self.records[index].preemptions += 1,
-            RecordDelta::Wait { kind, from, to } => apply_wait(&mut self.records[index], kind, from, to),
-            RecordDelta::Admitted { now } => self.note_admitted(index, now),
-        }
-    }
-
-    /// Stamps a (re-)admission onto the record homed here: sets the
-    /// admitted tick and, if the request was recovering from a loss,
-    /// folds the recovery wait and emits the `Recovered` event. Called
-    /// locally from [`Shard::admit`] and via [`RecordDelta::Admitted`]
-    /// when a retried request was admitted on another shard.
-    fn note_admitted(&mut self, index: usize, now: u64) {
-        let (arrival, recovered) = {
-            let record = &mut self.records[index];
-            record.admitted = Some(now);
-            let recovered = record.lost_at.take().map(|lost| {
-                let ticks = now.saturating_sub(lost);
-                record.recovery_wait_ticks += ticks;
-                ticks
-            });
-            (record.arrival, recovered)
-        };
-        if let Some(recovery_ticks) = recovered {
-            self.emit(now, arrival as u64, TraceEventKind::Recovered { recovery_ticks });
-        }
-    }
-
-    /// Resolves a record reference to its `(home shard, record index)`.
-    fn home(&self, record: RecordRef) -> (usize, usize) {
-        match record {
-            RecordRef::Local(index) => (self.id, index),
-            RecordRef::Foreign { shard, index } => (shard, index),
-        }
-    }
-
     /// Fail-stop: every queued request is orphaned and every admitted
     /// session is discarded — KV freed, no finished report, partial
     /// token streams lost — and the shard's admission state resets with
@@ -634,40 +477,24 @@ impl Shard {
             if let Some(pin) = entry.prefix_pin.take() {
                 self.engine.unpin_prefix(pin);
             }
-            lost.push(LostWork {
-                home: self.home(entry.record),
-                arrival: entry.arrival,
-                priority: entry.priority,
-                request: entry.request,
-            });
+            lost.push(LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request });
         }
         let running: Vec<SessionEntry> = std::mem::take(&mut self.running);
         let paused: Vec<SessionEntry> = std::mem::take(&mut self.paused);
         let swapping: Vec<SwapInEntry> = std::mem::take(&mut self.swapping);
         for entry in running.into_iter().chain(paused).chain(swapping.into_iter().map(|s| s.entry)) {
             self.engine.discard(entry.session).expect("in-flight entry tracks the engine");
-            lost.push(LostWork {
-                home: self.home(entry.record),
-                arrival: entry.arrival,
-                priority: entry.priority,
-                request: entry.request,
-            });
+            lost.push(LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request });
         }
         self.admission.reset();
         lost
     }
 
     /// Queues a retried request on this shard (the fault-plane analogue
-    /// of [`Shard::accept`]: the record already exists on its home
-    /// shard, so only screening and queueing happen here). On screening
-    /// failure the work is handed back for another retry or a dead
-    /// letter.
+    /// of [`Shard::accept`]: the record already exists, so only
+    /// screening and queueing happen here). On screening failure the
+    /// work is handed back for another retry or a dead letter.
     pub(crate) fn requeue(&mut self, work: LostWork, now: u64) -> Result<(), (RejectReason, LostWork)> {
-        let record = if work.home.0 == self.id {
-            RecordRef::Local(work.home.1)
-        } else {
-            RecordRef::Foreign { shard: work.home.0, index: work.home.1 }
-        };
         let discount_sound = work.request.never_evicts() && self.shrink.is_none();
         let prefix_pin = if discount_sound { self.engine.pin_prefix(&work.request.prompt) } else { None };
         let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
@@ -681,7 +508,6 @@ impl Shard {
             Ok(()) => {
                 self.emit(now, work.arrival as u64, TraceEventKind::Queued);
                 self.queue.push_back(QueuedEntry {
-                    record,
                     arrival: work.arrival,
                     submitted: now,
                     request: work.request,
@@ -699,51 +525,6 @@ impl Shard {
                 Err((reason, work))
             }
         }
-    }
-
-    /// Creates the record (and emits `Submitted`) for an arrival that
-    /// could not be routed anywhere — every shard down — and therefore
-    /// parks in the cluster's retry queue instead of a shard queue. This
-    /// shard becomes the request's home purely for record keeping.
-    pub(crate) fn register_deferred(
-        &mut self,
-        request: &Request,
-        priority: u8,
-        global_arrival: usize,
-        now: u64,
-    ) -> usize {
-        let index = self.records.len();
-        self.emit(
-            now,
-            global_arrival as u64,
-            TraceEventKind::Submitted {
-                prompt_tokens: request.prompt.len() as u32,
-                max_new_tokens: request.max_new_tokens as u32,
-                priority: priority as u32,
-            },
-        );
-        self.records.push(RequestRecord {
-            arrival: global_arrival,
-            session: None,
-            priority,
-            submitted: now,
-            admitted: None,
-            first_token: None,
-            finished: None,
-            generated_tokens: 0,
-            preemptions: 0,
-            swap_wait_ticks: 0,
-            migration_wait_ticks: 0,
-            wait_before_first_ticks: 0,
-            rejected: None,
-            retries: 0,
-            timeouts: 0,
-            shed: None,
-            dead_letter: None,
-            lost_at: None,
-            recovery_wait_ticks: 0,
-        });
-        index
     }
 
     /// Tears down one in-flight attempt that missed its `deadline`
@@ -764,41 +545,21 @@ impl Shard {
             if let Some(pin) = e.prefix_pin.take() {
                 self.engine.unpin_prefix(pin);
             }
-            LostWork {
-                home: self.home(e.record),
-                arrival: e.arrival,
-                priority: e.priority,
-                request: e.request,
-            }
+            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
         } else if let Some(pos) = self.running.iter().position(|e| e.arrival == arrival) {
             let e = self.running.remove(pos);
             self.engine.discard(e.session).expect("running entry tracks the engine");
             self.admission.release(e.est_bytes);
-            LostWork {
-                home: self.home(e.record),
-                arrival: e.arrival,
-                priority: e.priority,
-                request: e.request,
-            }
+            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
         } else if let Some(pos) = self.paused.iter().position(|e| e.arrival == arrival) {
             let e = self.paused.remove(pos);
             self.engine.discard(e.session).expect("paused entry tracks the engine");
-            LostWork {
-                home: self.home(e.record),
-                arrival: e.arrival,
-                priority: e.priority,
-                request: e.request,
-            }
+            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
         } else if let Some(pos) = self.swapping.iter().position(|e| e.entry.arrival == arrival) {
             let e = self.swapping.remove(pos).entry;
             self.engine.discard(e.session).expect("swapping entry tracks the engine");
             self.admission.release(e.est_bytes);
-            LostWork {
-                home: self.home(e.record),
-                arrival: e.arrival,
-                priority: e.priority,
-                request: e.request,
-            }
+            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
         } else {
             return None;
         };
@@ -824,7 +585,7 @@ impl Shard {
     /// transfer charged when the swap *started*
     /// ([`Shard::start_swap_ins`]) or when the migration landed; this is
     /// where the latency finally releases the session into the batch.
-    fn complete_swap_ins(&mut self, now: u64) {
+    fn complete_swap_ins(&mut self, now: u64, records: &mut [RequestRecord]) {
         let mut i = 0;
         while i < self.swapping.len() {
             if self.swapping[i].ready_at <= self.elapsed_cycles {
@@ -832,17 +593,9 @@ impl Shard {
                 self.engine.resume(entry.session).expect("swapping entry tracks the engine");
                 if let Some((kind, from)) = entry.wait_since.take() {
                     // The off-device wait ends here: fold `[from, now)`
-                    // into the record's stage accounting (directly for a
-                    // local record, via the outbox for a foreign one) and
-                    // emit the matching rejoin event.
-                    match entry.record {
-                        RecordRef::Local(r) => apply_wait(&mut self.records[r], kind, from, now),
-                        RecordRef::Foreign { shard, index } => self.outbox.push(ForeignUpdate {
-                            shard,
-                            index,
-                            delta: RecordDelta::Wait { kind, from, to: now },
-                        }),
-                    }
+                    // into the record's stage accounting and emit the
+                    // matching rejoin event.
+                    apply_wait(&mut records[entry.arrival], kind, from, now);
                     let wait_ticks = now.saturating_sub(from);
                     let rejoin = match kind {
                         WaitKind::Swap => TraceEventKind::SwapInComplete { wait_ticks },
@@ -913,7 +666,7 @@ impl Shard {
 
     /// Admits scheduler-ordered candidates until one does not fit (even
     /// after any preemption the policy offers).
-    fn admit_from_queue(&mut self, now: u64) {
+    fn admit_from_queue(&mut self, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
         while !self.queue.is_empty() {
             let views: Vec<QueuedView> = self.queue.iter().map(Self::queued_view).collect();
             let Some(pick) = self.policy.next_candidate(&views) else { break };
@@ -929,31 +682,26 @@ impl Shard {
             while !self.admission.would_fit(needed) {
                 let victims = self.running_views();
                 let Some(victim) = self.policy.preemption_victim(&incoming, &victims) else { break };
-                self.preempt(victim, now);
+                self.preempt(victim, now, records);
             }
             if !self.admission.would_fit(needed) {
                 break;
             }
             let entry = self.queue.remove(pick).expect("pick indexes the queue");
             self.policy.on_admitted(&incoming);
-            self.admit(entry, now);
+            self.admit(entry, now, records, homes);
         }
     }
 
     /// Pauses the running session at `index` and swaps its KV state out.
-    fn preempt(&mut self, index: usize, now: u64) {
+    fn preempt(&mut self, index: usize, now: u64, records: &mut [RequestRecord]) {
         let mut entry = self.running.remove(index);
         let bytes = self.engine.pause(entry.session).expect("running entry tracks the engine");
         self.link.transfer_tagged(bytes, SwapDirection::Out, TransferKind::Swap);
         self.admission.release(entry.est_bytes);
         entry.preemptions += 1;
         entry.wait_since = Some((WaitKind::Swap, now));
-        match entry.record {
-            RecordRef::Local(r) => self.records[r].preemptions += 1,
-            RecordRef::Foreign { shard, index } => {
-                self.outbox.push(ForeignUpdate { shard, index, delta: RecordDelta::Preempted });
-            }
-        }
+        records[entry.arrival].preemptions += 1;
         self.preemptions += 1;
         self.emit(now, entry.arrival as u64, TraceEventKind::Preempted);
         self.emit(now, entry.arrival as u64, TraceEventKind::SwapOutStart { bytes });
@@ -965,8 +713,10 @@ impl Shard {
     /// `Prefilling` phase; with a finite
     /// [`veda::EngineBuilder::prefill_chunk`] the prompt is consumed by
     /// subsequent on-clock ticks (instant prefill consumes it here,
-    /// synchronously, as the pre-chunking stack did).
-    fn admit(&mut self, mut entry: QueuedEntry, now: u64) {
+    /// synchronously, as the pre-chunking stack did). The record's
+    /// `session` handle is set only on the request's home shard, so a
+    /// report looks it up in the engine that reports it.
+    fn admit(&mut self, mut entry: QueuedEntry, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
         let request = entry.request.clone();
         let prompt_len = request.prompt.len();
         let peak_tokens = AdmissionController::peak_resident_tokens(&request);
@@ -992,20 +742,18 @@ impl Shard {
         // transfer like a swap-in instead of decoding instantly.
         let fill_cycles = self.charge_prefix_traffic();
         self.admitted += 1;
-        match entry.record {
-            RecordRef::Local(index) => {
-                self.records[index].session = Some(session);
-                self.note_admitted(index, now);
-            }
-            // A retried request admitted away from home: the home shard
-            // stamps the admission (and any recovery) via the outbox.
-            RecordRef::Foreign { shard, index } => {
-                self.outbox.push(ForeignUpdate { shard, index, delta: RecordDelta::Admitted { now } });
-            }
+        let record = &mut records[arrival];
+        record.admitted = Some(now);
+        if homes[arrival] == self.id {
+            record.session = Some(session);
+        }
+        if let Some(lost) = record.lost_at.take() {
+            let recovery_ticks = now.saturating_sub(lost);
+            record.recovery_wait_ticks += recovery_ticks;
+            self.emit(now, arrival as u64, TraceEventKind::Recovered { recovery_ticks });
         }
         debug_assert!(self.engine.is_active(session), "validated requests have max_new_tokens >= 1");
         let mut session_entry = SessionEntry {
-            record: entry.record,
             arrival,
             submitted: entry.submitted,
             request,
@@ -1053,13 +801,18 @@ impl Shard {
         fill_cycles
     }
 
-    /// Applies one session's tick event to its record (or, for a
-    /// migrated-in session, to the outbox). Prefill progress only moves
-    /// the clock (the record's first-token tick stays unset — that is
-    /// exactly what makes TTFT real under chunked prefill); generated
-    /// tokens update the record, and completions release their
+    /// Applies one session's tick event to its record. Prefill progress
+    /// only moves the clock (the record's first-token tick stays unset —
+    /// that is exactly what makes TTFT real under chunked prefill);
+    /// generated tokens update the record, and completions release their
     /// reservation and notify closed-loop workloads.
-    fn observe(&mut self, event: &TokenEvent, now: u64, workload: &mut Workload) {
+    fn observe(
+        &mut self,
+        event: &TokenEvent,
+        now: u64,
+        workload: &mut Workload,
+        records: &mut [RequestRecord],
+    ) {
         let TokenEvent::Generated { session, finished, .. } = *event else {
             return;
         };
@@ -1068,24 +821,13 @@ impl Shard {
             .iter()
             .position(|r| r.session == session)
             .expect("every stepped session has a running entry");
-        match self.running[index].record {
-            RecordRef::Local(r) => {
-                let record = &mut self.records[r];
-                record.generated_tokens += 1;
-                if record.first_token.is_none() {
-                    record.first_token = Some(now);
-                }
-                if finished {
-                    record.finished = Some(now);
-                }
-            }
-            RecordRef::Foreign { shard, index: r } => {
-                self.outbox.push(ForeignUpdate {
-                    shard,
-                    index: r,
-                    delta: RecordDelta::Token { now, finished },
-                });
-            }
+        let record = &mut records[self.running[index].arrival];
+        record.generated_tokens += 1;
+        if record.first_token.is_none() {
+            record.first_token = Some(now);
+        }
+        if finished {
+            record.finished = Some(now);
         }
         if finished {
             let entry = self.running.remove(index);
@@ -1113,8 +855,14 @@ impl Shard {
         }
     }
 
-    /// Drains the engine and assembles this shard's [`ServingReport`].
-    pub(crate) fn into_report(mut self, arrival: ArrivalKind, ticks: u64) -> ServingReport {
+    /// Drains the engine and assembles this shard's [`ServingReport`]
+    /// over `records`, the requests that arrived here, in arrival order.
+    pub(crate) fn into_report(
+        mut self,
+        arrival: ArrivalKind,
+        ticks: u64,
+        records: Vec<RequestRecord>,
+    ) -> ServingReport {
         // Safety valve: a truncated run still drains the engine so the
         // batched accounting is complete and well-formed. Requests still
         // queued release their admission pins (they will never submit).
@@ -1141,9 +889,9 @@ impl Shard {
             sched: self.policy.kind(),
             ticks,
             decode_ticks: self.decode_ticks,
-            submitted: self.records.len(),
+            submitted: records.len(),
             admitted: self.admitted,
-            completed: self.records.iter().filter(|r| r.finished.is_some()).count(),
+            completed: records.iter().filter(|r| r.finished.is_some()).count(),
             rejected_never_fits: self.rejected_never_fits,
             rejected_queue_full: self.rejected_queue_full,
             rejected_invalid: self.rejected_invalid,
@@ -1162,7 +910,7 @@ impl Shard {
             kv_resident_peak_bytes: self.kv_resident_peak,
             kv_reserved_peak_bytes: self.kv_reserved_peak,
             capacity_bytes: self.admission.config().capacity_bytes,
-            records: self.records,
+            records,
             engine,
         }
     }
@@ -1176,7 +924,6 @@ impl std::fmt::Debug for Shard {
             .field("running", &self.running.len())
             .field("paused", &self.paused.len())
             .field("swapping", &self.swapping.len())
-            .field("records", &self.records.len())
             .finish()
     }
 }

@@ -2,9 +2,7 @@
 //! seeds, shard counts, routers, schedulers and migration on/off:
 //!
 //! * conservation — at every tick, cluster-wide `submitted =
-//!   Σ per-shard (completed + rejected) + in-flight` (records and
-//!   sessions may live on different shards after a migration; the sums
-//!   still balance because outboxes drain within the tick);
+//!   completed + rejected + in-flight`, migrations included;
 //! * capacity — every shard's admission-reserved bytes stay within its
 //!   configured capacity, and its engine's resident KV bytes stay within
 //!   the reservation;

@@ -218,6 +218,19 @@ fn migration_rebalances_hot_shards_without_changing_token_streams() {
     // migration-tagged host-link traffic, not swap counters.
     assert_eq!(on.shards.iter().map(|s| s.preemptions).sum::<u64>(), 0);
 
+    // Records of migrated sessions see every token, wait and completion
+    // of the shard that finished them.
+    let records = || on.shards.iter().flat_map(|s| s.records.iter());
+    assert_eq!(
+        records().map(|r| r.generated_tokens).sum::<usize>(),
+        on.shards.iter().flat_map(|s| &s.engine.requests).map(|r| r.report.generated.len()).sum::<usize>(),
+        "every generated token reaches its request's record"
+    );
+    assert!(records().map(|r| r.migration_wait_ticks).sum::<u64>() > 0, "migration waits are recorded");
+    for r in records().filter(|r| r.finished.is_some()) {
+        assert!(r.first_token <= r.finished, "request {}: first token after finish", r.arrival);
+    }
+
     // Same-seed migration runs are bit-identical too.
     assert_eq!(on, migration_cluster(Some(migration)));
 }

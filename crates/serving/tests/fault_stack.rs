@@ -140,6 +140,29 @@ fn crash_with_recovery_completes_every_request_exactly_once() {
     if report.lost_sessions > 0 {
         assert!(report.recovery().is_some(), "lost-then-recovered requests record their recovery wait");
     }
+    // Every retried request that finished was re-admitted — wherever the
+    // retry landed — and carries its recovery wait.
+    for r in report.shards.iter().flat_map(|s| &s.records).filter(|r| r.finished.is_some() && r.retries > 0) {
+        assert!(r.admitted.is_some(), "request {}: finished retry was never admitted", r.arrival);
+        assert!(r.recovery_wait_ticks > 0, "request {}: finished retry has no recovery wait", r.arrival);
+    }
+    // `Recovered` comes from the shard that re-admitted the request, on
+    // the admission's tick — even when that is not the shard it arrived on.
+    let mut admitted_at = std::collections::BTreeMap::new();
+    for event in &events {
+        match event.kind {
+            TraceEventKind::Admitted { .. } => {
+                admitted_at.insert(event.request, (event.tick, event.shard));
+            }
+            TraceEventKind::Recovered { .. } => assert_eq!(
+                admitted_at.get(&event.request),
+                Some(&(event.tick, event.shard)),
+                "request {}: recovered away from its admission",
+                event.request
+            ),
+            _ => {}
+        }
+    }
 }
 
 /// Engine with a deliberately starved, spill-enabled prefix cache: a

@@ -41,8 +41,8 @@ fn check_invariants_all_ticks(seed: u64, rate: f64, sched: SchedKind, capacity_b
         assert!(ticks < 10_000, "run must terminate (seed {seed}, rate {rate}, {sched})");
 
         prop_assert_eq!(
-            shard.submitted(),
-            shard.completed() + shard.rejected() + shard.in_flight(),
+            cluster.submitted(),
+            cluster.completed() + cluster.rejected() + cluster.in_flight(),
             "conservation broke at tick {} (seed {}, rate {}, {})",
             cluster.now(),
             seed,
@@ -68,9 +68,8 @@ fn check_invariants_all_ticks(seed: u64, rate: f64, sched: SchedKind, capacity_b
             sched
         );
     }
-    let shard = &cluster.shards()[0];
-    prop_assert_eq!(shard.submitted(), total, "workload must deliver every request");
-    prop_assert_eq!(shard.in_flight(), 0, "drained shard holds nothing");
+    prop_assert_eq!(cluster.submitted(), total, "workload must deliver every request");
+    prop_assert_eq!(cluster.in_flight(), 0, "drained cluster holds nothing");
 }
 
 /// The churn-soundness property: drive a 1-shard cluster whose engine runs a
@@ -108,8 +107,8 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
         assert!(ticks < 20_000, "churny run must terminate (seed {seed})");
 
         prop_assert_eq!(
-            shard.submitted(),
-            shard.completed() + shard.rejected() + shard.in_flight(),
+            cluster.submitted(),
+            cluster.completed() + cluster.rejected() + cluster.in_flight(),
             "conservation broke at tick {} (seed {})",
             cluster.now(),
             seed
@@ -156,9 +155,9 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
             );
         }
     }
+    prop_assert_eq!(cluster.submitted(), total, "workload must deliver every request");
+    prop_assert_eq!(cluster.in_flight(), 0, "drained cluster holds nothing");
     let shard = &cluster.shards()[0];
-    prop_assert_eq!(shard.submitted(), total, "workload must deliver every request");
-    prop_assert_eq!(shard.in_flight(), 0, "drained shard holds nothing");
 
     // Lookup conservation: every admission performs exactly one cache
     // lookup, and expiry/spill churn must not mint or lose lookups.

@@ -125,6 +125,7 @@ pub enum TraceEventKind {
     },
     /// A previously lost request was re-admitted into an engine —
     /// recovery complete; its token stream restarts from the prompt.
+    /// Emitted by the shard that re-admitted it, on the admission's tick.
     Recovered {
         /// Ticks from the loss to this re-admission.
         recovery_ticks: u64,
