@@ -52,6 +52,17 @@
 //! `lm_rows` and nowhere else. All of it runs through per-worker buffers
 //! that are reused tick after tick.
 //!
+//! **A tick is three phases.** [`Engine::step`] is the composition of
+//! [`Engine::plan_step`] (on the calling thread: the tick plan, the batch
+//! cost and every other shared decision), [`StepWork::compute`] (the
+//! fan-out above, over sessions and buffers the work owns; it emits
+//! nothing) and [`Engine::commit_step`] (on the calling thread again:
+//! prefix harvest, trace emission, retirement and counters). A
+//! [`StepWork`] is `Send`, so a caller stepping several engines — a
+//! serving cluster — computes each on a thread of its choosing and
+//! commits the engines in a fixed order, byte-identical to stepping them
+//! one after another.
+//!
 //! Per-request accounting stays single-sequence and decode-only: each
 //! finished session yields the exact [`RequestReport`] the same request
 //! would produce alone on a fresh engine — the determinism invariant the
@@ -76,6 +87,7 @@
 //! memory pressure (the next tick evicts down to it).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use veda_accel::arch::{ArchConfig, DataflowVariant};
 use veda_accel::attention::decode_attention_cycles;
@@ -684,11 +696,14 @@ impl EngineBuilder {
         let energy = EnergyModel::for_arch(&arch);
 
         Ok(Engine {
-            model: TransformerModel::new(self.model),
-            arch,
-            variant: self.variant,
+            ctx: Arc::new(StepContext {
+                model: TransformerModel::new(self.model),
+                arch,
+                energy,
+                variant: self.variant,
+                shape,
+            }),
             scheduler,
-            energy,
             decode_threads: self.decode_threads.max(1),
             prefill_chunk: self.prefill_chunk.max(1),
             tick_token_budget: self.tick_token_budget.max(1),
@@ -851,19 +866,21 @@ struct WorkerScratch {
     head: HeadScratch,
 }
 
-/// Shared read-only context of one decode tick, borrowed by every worker
-/// during the fan-out. Everything here is `&`-shared (`TransformerModel`
-/// is `Sync`; the cycle and energy models are pure); all mutation happens
-/// inside each worker's own [`ActiveSession`]s and [`WorkerScratch`].
-struct StepContext<'a> {
-    model: &'a TransformerModel,
-    arch: &'a ArchConfig,
-    energy: &'a EnergyModel,
+/// What every slice of a tick reads and nothing writes: the model and the
+/// cost models. The engine and its in-flight [`StepWork`] share it through
+/// an `Arc`, and every worker borrows it during the fan-out
+/// (`TransformerModel` is `Sync`; the cycle and energy models are pure);
+/// all mutation happens inside each worker's own [`ActiveSession`]s and
+/// [`WorkerScratch`].
+struct StepContext {
+    model: TransformerModel,
+    arch: ArchConfig,
+    energy: EnergyModel,
     variant: DataflowVariant,
     shape: LlamaShape,
 }
 
-impl StepContext<'_> {
+impl StepContext {
     /// Executes one worker's slice of the tick — or, from
     /// [`Engine::submit`], the instant prefill of one new session:
     ///
@@ -970,7 +987,7 @@ impl StepContext<'_> {
                 let token = veda_tensor::stats::argmax(session.scratch.logits()).expect("non-empty logits");
                 session.generated.push(token);
 
-                let attention_cycles = decode_attention_cycles(self.arch, self.variant, l_before);
+                let attention_cycles = decode_attention_cycles(&self.arch, self.variant, l_before);
                 session.attention_cycles.push(attention_cycles);
                 session.total_cycles += solo_cycles;
                 let solo_bytes =
@@ -1089,13 +1106,111 @@ impl std::fmt::Debug for MigratedSession {
     }
 }
 
+/// The compute phase of one [`Engine::step`], detached from its engine
+/// ([`Engine::plan_step`] → [`StepWork::compute`] →
+/// [`Engine::commit_step`]). It owns the tick's sessions, their plans and
+/// the buffers they run through, and shares the engine's read-only model,
+/// so it can be computed on any thread. Computing it emits no trace event
+/// and touches nothing outside the work itself.
+pub struct StepWork {
+    ctx: Arc<StepContext>,
+    decode_threads: usize,
+    sessions: Vec<ActiveSession>,
+    plans: Vec<Plan>,
+    /// One outcome per session once computed (`None` for a starved one).
+    outcomes: Option<Vec<Option<TokenEvent>>>,
+    scratch: WorkerScratch,
+    worker_scratch: Vec<WorkerScratch>,
+    batch_cycles: u64,
+    batch_energy_mj: f64,
+}
+
+impl StepWork {
+    /// Rows the tick's forward passes carry: one per decoding session plus
+    /// every prompt token a chunk consumes — the host cost of computing
+    /// the work, to the first order.
+    pub fn rows(&self) -> usize {
+        self.plans.iter().map(|plan| plan.tokens()).sum()
+    }
+
+    /// Runs the tick's forward fan-out: the sessions are dealt to workers
+    /// in contiguous slices balanced by planned tokens, and a worker runs
+    /// its slice as: decode rows pick their token (greedy argmax) → one
+    /// batched forward pass over every row of the slice, policies
+    /// observing as the scores stream out → decode rows evict, chunks
+    /// advance → one batched LM head over the sessions that decode next
+    /// tick (the only logits anything reads). With
+    /// [`EngineBuilder::decode_threads`] > 1 the slices after the first
+    /// run on scoped threads. Every shared decision was resolved by
+    /// [`Engine::plan_step`], so workers touch only their own sessions and
+    /// the token streams are byte-identical to the serial schedule for any
+    /// thread count. Computing twice is a no-op.
+    pub fn compute(&mut self) {
+        if self.outcomes.is_some() {
+            return;
+        }
+        let StepWork { ctx, decode_threads, sessions, plans, scratch, worker_scratch, .. } = self;
+        let ctx: &StepContext = ctx;
+        // Order-preserving fan-out: contiguous slices of the session list
+        // balanced by planned tokens, the first on this thread and one
+        // scoped worker for each of the rest; outcomes are concatenated in
+        // slice order, so the tick's event order matches the serial path.
+        let lens = split_by_tokens(plans, (*decode_threads).min(sessions.len()).max(1));
+        if lens.len() < 2 {
+            self.outcomes = Some(ctx.run_slice(sessions, plans, scratch));
+            return;
+        }
+        if worker_scratch.len() + 1 < lens.len() {
+            worker_scratch.resize_with(lens.len() - 1, WorkerScratch::default);
+        }
+        let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(sessions.len());
+        std::thread::scope(|scope| {
+            let (mut sessions, mut plans) = (sessions.as_mut_slice(), plans.as_slice());
+            let scratches = std::iter::once(scratch).chain(worker_scratch.iter_mut());
+            let mut slices = lens.iter().zip(scratches).map(|(&len, scratch)| {
+                let (slice, rest) = std::mem::take(&mut sessions).split_at_mut(len);
+                let (slice_plans, rest_plans) = plans.split_at(len);
+                (sessions, plans) = (rest, rest_plans);
+                (slice, slice_plans, scratch)
+            });
+            let first = slices.next();
+            let handles: Vec<_> = slices
+                .map(|(slice, plans, scratch)| scope.spawn(move || ctx.run_slice(slice, plans, scratch)))
+                .collect();
+            if let Some((slice, plans, scratch)) = first {
+                outcomes.extend(ctx.run_slice(slice, plans, scratch));
+            }
+            for handle in handles {
+                outcomes.extend(handle.join().expect("decode worker panicked"));
+            }
+        });
+        self.outcomes = Some(outcomes);
+    }
+}
+
+impl std::fmt::Debug for StepWork {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StepWork")
+            .field("sessions", &self.sessions.len())
+            .field("computed", &self.outcomes.is_some())
+            .finish()
+    }
+}
+
+// Compile-time pins: the engine and its compute phase cross threads (a
+// cluster's shards step on worker threads), so a field that is not `Send`
+// fails the build here rather than the workers.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Engine>();
+    assert_send::<StepWork>();
+};
+
 /// The long-lived serving engine (see the [module docs](self)).
 pub struct Engine {
-    model: TransformerModel,
-    arch: ArchConfig,
-    variant: DataflowVariant,
+    /// The model and cost models, shared with the tick's [`StepWork`].
+    ctx: Arc<StepContext>,
     scheduler: DecodeScheduler,
-    energy: EnergyModel,
     /// Worker threads one [`Engine::step`] fans sessions across (≥ 1).
     decode_threads: usize,
     /// Prompt tokens one tick may consume per prefilling session
@@ -1147,17 +1262,17 @@ pub struct Engine {
 impl Engine {
     /// The configured architecture.
     pub fn arch(&self) -> &ArchConfig {
-        &self.arch
+        &self.ctx.arch
     }
 
     /// The dataflow variant.
     pub fn variant(&self) -> DataflowVariant {
-        self.variant
+        self.ctx.variant
     }
 
     /// The shared model configuration.
     pub fn model_config(&self) -> &ModelConfig {
-        self.model.config()
+        self.ctx.model.config()
     }
 
     /// Decode worker threads per tick (see
@@ -1244,7 +1359,7 @@ impl Engine {
     /// the unit admission controllers multiply resident-token estimates
     /// by. Consistent with [`veda_model::SequenceState::fp16_bytes`].
     pub fn kv_bytes_per_token(&self) -> u64 {
-        let cfg = self.model.config();
+        let cfg = self.ctx.model.config();
         // K and V rows of d_model FP16 values per layer.
         (cfg.n_layers as u64) * 2 * (cfg.d_model as u64) * 2
     }
@@ -1440,7 +1555,7 @@ impl Engine {
         // travelling with the session.
         self.release_seed_pin(&mut s);
         self.trace(s.trace_id, TraceEventKind::Extracted);
-        Some(MigratedSession { inner: s, config: self.model.config().clone() })
+        Some(MigratedSession { inner: s, config: self.ctx.model.config().clone() })
     }
 
     /// Adopts a session extracted from another engine
@@ -1456,7 +1571,7 @@ impl Engine {
     /// geometry differs from the source's — migrating a session between
     /// different models would decode against different weights.
     pub fn adopt(&mut self, migrated: MigratedSession) -> Result<Session, BuildError> {
-        if *self.model.config() != migrated.config {
+        if *self.ctx.model.config() != migrated.config {
             return Err(BuildError::InvalidRequest(
                 "adopt requires the source engine's model geometry".into(),
             ));
@@ -1572,7 +1687,7 @@ impl Engine {
         if request.prompt.is_empty() {
             return Err(BuildError::InvalidRequest("prompt must be non-empty".into()));
         }
-        let vocab = self.model.config().vocab_size;
+        let vocab = self.ctx.model.config().vocab_size;
         if let Some(&bad) = request.prompt.iter().find(|&&t| t >= vocab) {
             return Err(BuildError::InvalidRequest(format!(
                 "prompt token {bad} outside vocabulary of {vocab}"
@@ -1590,11 +1705,11 @@ impl Engine {
             policy_kind: request.policy,
             budget: request.budget,
             resident_cap,
-            policies: (0..self.model.config().n_layers).map(|_| request.policy.build()).collect(),
-            state: self.model.new_state(),
+            policies: (0..self.ctx.model.config().n_layers).map(|_| request.policy.build()).collect(),
+            state: self.ctx.model.new_state(),
             // The session streams its observations to its policies: no
             // score buffer to pre-size.
-            scratch: self.model.new_scratch(0),
+            scratch: self.ctx.model.new_scratch(0),
             victims: Vec::new(),
             prompt: request.prompt,
             prefilled: 0,
@@ -1610,7 +1725,7 @@ impl Engine {
             evictions: 0,
             trace_id: self.next_trace_id.take().unwrap_or(self.next_id as u64),
         };
-        session.state.reserve(reserve_tokens, self.model.config().d_model);
+        session.state.reserve(reserve_tokens, self.ctx.model.config().d_model);
         self.next_id += 1;
         let id = session.id;
 
@@ -1650,8 +1765,7 @@ impl Engine {
             // slice of one chunk — which also runs the head the first
             // decode tick reads.
             let tokens = session.prompt.len() - session.prefilled;
-            let Engine { model, arch, energy, variant, scheduler, scratch, .. } = self;
-            let ctx = StepContext { model, arch, energy, variant: *variant, shape: *scheduler.shape() };
+            let Engine { ctx, scratch, .. } = self;
             ctx.run_slice(std::slice::from_mut(&mut session), &[Plan::Prefill { tokens }], scratch);
             self.harvest_prefix(&mut session);
             if tokens > 0 {
@@ -1661,7 +1775,7 @@ impl Engine {
                 );
             }
             if session.max_new_tokens == 0 {
-                self.retire(session);
+                self.retire(&mut session);
                 return Ok(id);
             }
         }
@@ -1682,7 +1796,7 @@ impl Engine {
         // The entry owns its bytes outright: snapshot the state (a cold
         // session has no shared span, but clearing the marker keeps the
         // residency-root invariant unconditional).
-        let mut state = self.model.new_state();
+        let mut state = self.ctx.model.new_state();
         state.seed_from(&session.state, session.prompt.len());
         state.clear_shared_marker();
         cache.insert(session.prompt.clone(), state, observations);
@@ -1723,31 +1837,48 @@ impl Engine {
     /// [`TokenEvent`]s plus the tick's batched cost. A no-op returning an
     /// empty tick when nothing is active.
     ///
-    /// The sessions are dealt to workers in contiguous slices; a worker
-    /// runs its slice as: decode rows pick their token (greedy argmax) →
-    /// one batched forward pass over every row of the slice, policies
-    /// observing as the scores stream out → decode rows evict, chunks
-    /// advance → one batched LM head over the sessions that decode next
-    /// tick (the only logits anything reads). With
-    /// [`EngineBuilder::decode_threads`] > 1 the slices fan out across a
-    /// `std::thread::scope`. All shared accounting — the per-session tick
-    /// plan, the mixed-batch cost and the per-length solo-cost memo — is
-    /// resolved on the coordinator *before* the fan-out, so workers touch
-    /// only their own sessions and the token streams are byte-identical to
-    /// the serial schedule for any thread count.
+    /// A tick is three phases, and `step` is their composition:
+    /// [`Engine::plan_step`] resolves every shared decision on the calling
+    /// thread, [`StepWork::compute`] runs the forward fan-out over the
+    /// tick's sessions and emits nothing, and [`Engine::commit_step`]
+    /// harvests prefixes, emits the trace, retires finished sessions and
+    /// counts. A caller that steps several engines at once (a serving
+    /// cluster) can run each compute phase on any thread and commit the
+    /// engines in a fixed order: the result is byte-identical to calling
+    /// `step` on each in turn.
+    ///
+    /// A panic inside the compute phase hands the tick's sessions back to
+    /// the engine before it propagates, so no in-flight session vanishes.
     pub fn step(&mut self) -> EngineTick {
-        if self.active.is_empty() {
+        let Some(mut work) = self.plan_step() else {
             return EngineTick::default();
+        };
+        if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work.compute())) {
+            self.active = std::mem::take(&mut work.sessions);
+            std::panic::resume_unwind(panic);
+        }
+        self.commit_step(work)
+    }
+
+    /// The plan phase of [`Engine::step`], on the calling thread: resolves
+    /// the tick plan, the mixed-batch cost and the per-length solo-cost
+    /// memo, then lends the active sessions and the worker buffers to the
+    /// returned [`StepWork`]. `None` when nothing is active.
+    ///
+    /// Until the work is handed back to [`Engine::commit_step`] the
+    /// engine holds no active session: call nothing else on it in between.
+    pub fn plan_step(&mut self) -> Option<StepWork> {
+        if self.active.is_empty() {
+            return None;
         }
 
-        // Resolve the tick plan on the coordinator. Decode sessions
-        // advance one token each and are never throttled; the remaining
-        // tick token budget is dealt to prefilling sessions in session
-        // order, up to `prefill_chunk` each. Per-request accounting stays
-        // single-sequence so the report is identical to the same request
-        // run alone; capped sessions share a handful of cache lengths in
-        // steady state, so the solo cost is memoized per length across
-        // ticks.
+        // Decode sessions advance one token each and are never throttled;
+        // the remaining tick token budget is dealt to prefilling sessions
+        // in session order, up to `prefill_chunk` each. Per-request
+        // accounting stays single-sequence so the report is identical to
+        // the same request run alone; capped sessions share a handful of
+        // cache lengths in steady state, so the solo cost is memoized per
+        // length across ticks.
         let decode_count = self.active.iter().filter(|s| s.is_decoding()).count();
         let mut prefill_budget = self.tick_token_budget.saturating_sub(decode_count);
         let mut decode_lens: Vec<usize> = Vec::with_capacity(decode_count);
@@ -1787,66 +1918,64 @@ impl Engine {
         // Cost the mixed batch: weights stream once per tick across both
         // phases.
         let batch_report = self.scheduler.mixed_batch(&chunks, &decode_lens);
-        let shape = *self.scheduler.shape();
+        let shape = self.ctx.shape;
         let batch_bytes = shape.weight_bytes_per_token()
             + decode_lens.iter().map(|&l| shape.kv_bytes_per_token(l)).sum::<u64>()
             + chunks.iter().map(|c| shape.prefill_kv_bytes(c.start_len, c.tokens)).sum::<u64>();
-        let batch_energy_mj = self.energy.token_energy_mj(batch_report.total_cycles, batch_bytes);
+        let batch_energy_mj = self.ctx.energy.token_energy_mj(batch_report.total_cycles, batch_bytes);
 
-        // Split field borrows instead of moving `active` out: a panic in a
-        // downstream policy or model step must not vanish every in-flight
-        // session (same guarantee class as `TransformerModel::forward_token`).
-        let Engine { active, model, arch, energy, variant, decode_threads, scratch, worker_scratch, .. } =
-            self;
-        let ctx = StepContext { model, arch, energy, variant: *variant, shape };
-        // Order-preserving fan-out: contiguous slices of the session list
-        // balanced by planned tokens, the first on this thread and one
-        // scoped worker for each of the rest; outcomes are concatenated in
-        // slice order, so the tick's event order matches the serial path.
-        let lens = split_by_tokens(&plans, (*decode_threads).min(active.len()).max(1));
-        if worker_scratch.len() + 1 < lens.len() {
-            worker_scratch.resize_with(lens.len() - 1, WorkerScratch::default);
-        }
-        let mut outcomes: Vec<Option<TokenEvent>> = Vec::with_capacity(active.len());
-        std::thread::scope(|scope| {
-            let (mut sessions, mut plans) = (active.as_mut_slice(), plans.as_slice());
-            let scratches = std::iter::once(scratch).chain(worker_scratch.iter_mut());
-            let mut slices = lens.iter().zip(scratches).map(|(&len, scratch)| {
-                let (slice, rest) = std::mem::take(&mut sessions).split_at_mut(len);
-                let (slice_plans, rest_plans) = plans.split_at(len);
-                (sessions, plans) = (rest, rest_plans);
-                (slice, slice_plans, scratch)
-            });
-            let first = slices.next();
-            let ctx = &ctx;
-            let handles: Vec<_> = slices
-                .map(|(slice, plans, scratch)| scope.spawn(move || ctx.run_slice(slice, plans, scratch)))
-                .collect();
-            if let Some((slice, plans, scratch)) = first {
-                outcomes.extend(ctx.run_slice(slice, plans, scratch));
-            }
-            for handle in handles {
-                outcomes.extend(handle.join().expect("decode worker panicked"));
-            }
-        });
+        Some(StepWork {
+            ctx: Arc::clone(&self.ctx),
+            decode_threads: self.decode_threads,
+            sessions: std::mem::take(&mut self.active),
+            plans,
+            outcomes: None,
+            scratch: std::mem::take(&mut self.scratch),
+            worker_scratch: std::mem::take(&mut self.worker_scratch),
+            batch_cycles: batch_report.total_cycles,
+            batch_energy_mj,
+        })
+    }
+
+    /// The commit phase of [`Engine::step`], on the calling thread: takes
+    /// back the [`StepWork`] this engine's last [`Engine::plan_step`]
+    /// returned (computing it first if no one has), charges the tick's
+    /// batched cost, inserts completed prompts into the prefix cache,
+    /// emits the tick's trace events and retires finished sessions, all in
+    /// session order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine was given sessions between
+    /// [`Engine::plan_step`] and this call.
+    pub fn commit_step(&mut self, mut work: StepWork) -> EngineTick {
+        work.compute();
+        let StepWork {
+            mut sessions, outcomes, scratch, worker_scratch, batch_cycles, batch_energy_mj, ..
+        } = work;
+        assert!(self.active.is_empty(), "an engine takes no sessions between plan_step and commit_step");
+        self.scratch = scratch;
+        self.worker_scratch = worker_scratch;
 
         // Charge the tick's batched cost up front so the trace events
-        // emitted from the drain below carry the post-tick cycle clock
-        // (nothing in the drain reads these accumulators).
-        self.batched_cycles += batch_report.total_cycles;
+        // emitted below carry the post-tick cycle clock (nothing below
+        // reads these accumulators).
+        self.batched_cycles += batch_cycles;
         self.batched_energy_mj += batch_energy_mj;
 
-        // Retire finished sessions (frees their KV state and policies). No
-        // user code runs past this point, so draining here is panic-safe.
-        let sessions: Vec<ActiveSession> = self.active.drain(..).collect();
+        // One pass in session order: harvest, trace, retire. Finished
+        // sessions leave the list (freeing their KV state and policies);
+        // the others keep their slots, so a session's state stays where
+        // the thread that computes it last touched it. No user code runs
+        // past this point, so this pass is panic-safe.
+        let mut outcomes = outcomes.unwrap_or_default().into_iter();
         let mut events: Vec<TokenEvent> = Vec::with_capacity(sessions.len());
         let mut decode_tokens = 0;
         let mut prefill_tokens = 0;
         let mut prefill_sessions = 0;
-        for (mut session, outcome) in sessions.into_iter().zip(outcomes) {
-            let Some(event) = outcome else {
-                self.active.push(session);
-                continue;
+        sessions.retain_mut(|session| {
+            let Some(event) = outcomes.next().flatten() else {
+                return true;
             };
             match event {
                 TokenEvent::Generated { .. } => decode_tokens += 1,
@@ -1857,7 +1986,7 @@ impl Engine {
                         // The chunk completed the prompt: offer it to the
                         // prefix cache (coordinator-side, so insertion
                         // order is the deterministic session order).
-                        self.harvest_prefix(&mut session);
+                        self.harvest_prefix(session);
                     }
                 }
             }
@@ -1883,10 +2012,10 @@ impl Engine {
             events.push(event);
             if finished {
                 self.retire(session);
-            } else {
-                self.active.push(session);
             }
-        }
+            !finished
+        });
+        self.active = sessions;
 
         self.ticks += 1;
         self.tokens_emitted += decode_tokens;
@@ -1898,7 +2027,7 @@ impl Engine {
             decode_tokens,
             prefill_tokens,
             prefill_sessions,
-            batch_cycles: batch_report.total_cycles,
+            batch_cycles,
             batch_energy_mj,
             kv_bytes_resident: self.kv_bytes_active(),
             events,
@@ -1932,7 +2061,7 @@ impl Engine {
             self.paused.len()
         );
         let requests = std::mem::take(&mut self.finished);
-        let seconds = self.batched_cycles as f64 / (self.arch.clock_ghz * 1e9);
+        let seconds = self.batched_cycles as f64 / (self.ctx.arch.clock_ghz * 1e9);
         let report = EngineReport {
             ticks: self.ticks,
             total_tokens: self.tokens_emitted,
@@ -1972,14 +2101,14 @@ impl Engine {
     }
 
     /// Finalizes a session into its per-request report and frees its KV
-    /// state.
-    fn retire(&mut self, mut session: ActiveSession) {
-        self.release_seed_pin(&mut session);
+    /// state; the caller drops what is left of it.
+    fn retire(&mut self, session: &mut ActiveSession) {
+        self.release_seed_pin(session);
         self.trace(
             session.trace_id,
             TraceEventKind::Finished { generated_tokens: session.generated.len() as u32 },
         );
-        let seconds = session.total_cycles as f64 / (self.arch.clock_ghz * 1e9);
+        let seconds = session.total_cycles as f64 / (self.ctx.arch.clock_ghz * 1e9);
         let report = RequestReport {
             tokens_per_second: if seconds > 0.0 { session.generated.len() as f64 / seconds } else { 0.0 },
             energy_mj_per_token: if session.generated.is_empty() {
@@ -2008,7 +2137,7 @@ impl Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("variant", &self.variant)
+            .field("variant", &self.ctx.variant)
             .field("decode_threads", &self.decode_threads)
             .field("prefill_chunk", &self.prefill_chunk)
             .field("prefix_cache_entries", &self.prefix_cache.as_ref().map(PrefixCache::len))

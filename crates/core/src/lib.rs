@@ -172,7 +172,7 @@ pub mod prefix;
 
 pub use engine::{
     Budget, Engine, EngineBuilder, EngineReport, EngineTick, MigratedSession, Request, RequestOutcome,
-    RequestReport, Session, SessionPhase, TokenEvent,
+    RequestReport, Session, SessionPhase, StepWork, TokenEvent,
 };
 pub use error::BuildError;
 pub use prefix::{

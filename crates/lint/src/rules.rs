@@ -15,7 +15,8 @@ pub const NO_HASH_COLLECTIONS: &str = "no-hash-collections";
 pub const NO_WALL_CLOCK: &str = "no-wall-clock";
 /// Rule R3: float reductions outside the blessed kernel crate.
 pub const FLOAT_REDUCTION: &str = "float-reduction";
-/// Rule R4: trace emission inside `thread::scope` worker regions.
+/// Rule R4: trace emission inside worker thread regions (`thread::scope`,
+/// `thread::spawn`, `thread::Builder` spawns).
 pub const COORDINATOR_ONLY_TRACING: &str = "coordinator-only-tracing";
 /// Rule R5: missing crate hygiene headers.
 pub const CRATE_HYGIENE: &str = "crate-hygiene";
@@ -61,7 +62,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: COORDINATOR_ONLY_TRACING,
         invariant: "#8 trace neutrality and trace determinism",
-        rationale: "Trace events emitted inside thread::scope workers would \
+        rationale: "Trace events emitted inside worker threads (thread::scope, \
+                    thread::spawn, Builder::spawn) would \
                     interleave by scheduler whim; all emission happens on the \
                     coordinator so trace bytes are thread-invariant.",
     },
@@ -161,7 +163,7 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "static", "type", "yield", "await", "async",
 ];
 
-/// Identifiers whose appearance inside a `thread::scope` region means
+/// Identifiers whose appearance inside a worker region means
 /// trace machinery crossed into a worker.
 const TRACE_TOKENS: &[&str] = &["Tracer", "TraceSink", "TraceEvent", "SinkHandle", "RecordingSink", "tracer"];
 
@@ -266,9 +268,10 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
     }
 
     // R4 coordinator-only-tracing: non-test library code; forbidden
-    // tokens inside `thread::scope(...)` regions.
+    // tokens inside worker regions (`thread::scope(...)`,
+    // `thread::spawn(...)` and `Builder::...spawn(...)` arguments).
     if library {
-        for (start, end) in scope_regions(tokens) {
+        for (start, end) in worker_regions(tokens) {
             for (i, t) in tokens.iter().enumerate().take(end + 1).skip(start) {
                 if t.kind != TokenKind::Ident || in_test(i) {
                     continue;
@@ -282,7 +285,7 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                         path: ctx.path.clone(),
                         line: t.line,
                         message: format!(
-                            "trace token `{}` inside a thread::scope worker region: \
+                            "trace token `{}` inside a worker thread region: \
                              emission must stay on the coordinator so trace bytes are \
                              thread-invariant (invariant #8)",
                             t.text
@@ -408,26 +411,63 @@ fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     regions
 }
 
-/// Token-index ranges of `thread::scope(...)` call arguments (the worker
-/// region: closures the scope runs live in there).
-fn scope_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+/// Token-index ranges of worker regions: the arguments of a
+/// `thread::scope(...)` call (the closures the scope runs live in there),
+/// of a `thread::spawn(...)` call, and of the `.spawn(...)` that ends a
+/// `Builder::new()...` chain (`std::thread::Builder`) — everything a
+/// spawned or scoped thread runs.
+fn worker_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let is = |i: usize, text: &str| tokens.get(i).is_some_and(|t| t.is_ident(text));
+    let punct = |i: usize, c: char| tokens.get(i).is_some_and(|t| t.is_punct(c));
+    let path = |i: usize| punct(i + 1, ':') && punct(i + 2, ':');
     let mut regions = Vec::new();
     let mut i = 0usize;
-    while i + 4 < tokens.len() {
-        let is_scope_call = tokens[i].is_ident("thread")
-            && tokens[i + 1].is_punct(':')
-            && tokens[i + 2].is_punct(':')
-            && tokens[i + 3].is_ident("scope")
-            && tokens[i + 4].is_punct('(');
-        if is_scope_call {
-            let end = matching(tokens, i + 4, '(', ')').unwrap_or(tokens.len() - 1);
-            regions.push((i + 4, end));
-            i = end + 1;
+    while i < tokens.len() {
+        let open = if is(i, "thread")
+            && path(i)
+            && (is(i + 3, "scope") || is(i + 3, "spawn"))
+            && punct(i + 4, '(')
+        {
+            Some(i + 4)
+        } else if is(i, "Builder") && path(i) {
+            builder_spawn(tokens, i + 3)
         } else {
-            i += 1;
+            None
+        };
+        match open {
+            Some(open) => {
+                let end = matching(tokens, open, '(', ')').unwrap_or(tokens.len() - 1);
+                regions.push((open, end));
+                i = end + 1;
+            }
+            None => i += 1,
         }
     }
     regions
+}
+
+/// The `(` of the `.spawn(` that ends the method chain starting at
+/// `start` (the rest of a `Builder::new()...` expression), if the chain
+/// reaches one before its statement ends.
+fn builder_spawn(tokens: &[Token], start: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, t) in tokens.iter().enumerate().skip(start) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth = depth.checked_sub(1)?;
+        } else if depth == 0 && t.is_punct(';') {
+            return None;
+        } else if depth == 0 && t.is_punct('.') {
+            let mut next = tokens.iter().skip(i + 1);
+            if next.next().is_some_and(|t| t.is_ident("spawn"))
+                && next.next().is_some_and(|t| t.is_punct('('))
+            {
+                return Some(i + 2);
+            }
+        }
+    }
+    None
 }
 
 /// Index of the token matching the opener at `open_idx`.
@@ -666,6 +706,24 @@ mod tests {
         // the signature does not fire).
         let outside = "fn f(tr: &Tracer) { tr.emit(0, 0, k); }\n";
         assert!(rules_fired(outside, &lib_ctx()).is_empty());
+    }
+
+    #[test]
+    fn trace_token_in_spawned_thread_fires_r4() {
+        // A plain `thread::spawn` closure.
+        let spawn = "fn f(tr: Tracer) {\n  std::thread::spawn(move || tr.emit(0, 0, k));\n}\n";
+        assert_eq!(rules_fired(spawn, &lib_ctx()), vec![COORDINATOR_ONLY_TRACING]);
+        // The closure that ends a `thread::Builder` chain, arguments of
+        // the chain's other calls notwithstanding.
+        let builder = "fn f(sink: SinkHandle) {\n  let h = std::thread::Builder::new()\n    \
+                       .name(format!(\"w{}\", 1))\n    .spawn(move || {\n      sink.record(&ev);\n    });\n}\n";
+        let fired = rules_fired(builder, &lib_ctx());
+        assert_eq!(fired, vec![COORDINATOR_ONLY_TRACING], "{fired:?}");
+        // A worker that only computes is clean, and so is emission after
+        // the spawn statement, back on the spawning thread.
+        let clean = "fn f(tr: &Tracer, mut w: Work) {\n  let h = std::thread::Builder::new()\n    \
+                     .spawn(move || w.compute());\n  tr.emit(0, 0, k);\n}\n";
+        assert!(rules_fired(clean, &lib_ctx()).is_empty());
     }
 
     #[test]

@@ -38,18 +38,31 @@
 //!    session swapping back in. Migration never changes a session's
 //!    token stream (pinned), nor the home shard whose report holds the
 //!    request's record.
-//! 4. **Step**, per shard in index order: one batched engine tick each,
-//!    all against the same virtual tick.
+//! 4. **Step**: one batched engine tick per shard, all against the same
+//!    virtual tick, in three phases ([`veda::Engine::step`]). Every
+//!    shard's engine *plans* its tick in index order on the calling
+//!    thread; the planned [`veda::StepWork`]s — the forward passes, which
+//!    are ≈ 97 % of a tick's host time — are *computed* on the cluster's
+//!    step threads, balanced by planned rows (thread 0 is the caller);
+//!    then every shard *commits* in index order on the calling thread:
+//!    prefix harvest, trace events, retirement, record updates and
+//!    accounting. The cluster spawns `min(available
+//!    parallelism, shards) − 1` persistent workers at the first tick on
+//!    which two shards step, and joins them when it is dropped. The
+//!    compute phase emits nothing and touches only its own work, so
+//!    reports, token streams and trace bytes are the same on any number
+//!    of threads.
 //! 5. **Deadline enforcement** (only with deadlines configured): every
 //!    attempt past its TTFT or e2e deadline is torn down and retried or
 //!    dead-lettered under the [`crate::RetryPolicy`].
 //!
 //! Determinism: same seed, same shard count, same policies ⇒
-//! bit-identical [`ClusterReport`]. And a cluster
-//! whose [`ClusterConfig::faults`] is `None` is byte-identical to one
-//! configured with the default (no-op) [`FaultConfig`] — determinism
-//! invariant #9, by construction: the fault runtime is always present
-//! and every fault step no-ops identically on an empty plan.
+//! bit-identical [`ClusterReport`], whatever the host's core count. And
+//! a cluster whose [`ClusterConfig::faults`] is `None` is byte-identical
+//! to one configured with the default (no-op) [`FaultConfig`] —
+//! determinism invariant #9, by construction: the fault runtime is
+//! always present and every fault step no-ops identically on an empty
+//! plan.
 
 use veda::Engine;
 use veda_eviction::BudgetController;
@@ -63,6 +76,7 @@ use crate::report::{LatencySummary, RequestRecord, ServingReport, StageSummaries
 use crate::router::{RouterKind, RouterPolicy};
 use crate::scheduler::SchedKind;
 use crate::shard::{SessionEntry, Shard, SwapInEntry, WaitKind};
+use crate::stepping::StepPool;
 use crate::workload::{ServingRequest, Workload};
 
 /// Opt-in cross-shard migration thresholds.
@@ -173,6 +187,9 @@ pub struct Cluster {
     /// The fault plane's live state — always present; a cluster without
     /// a configured plane runs the no-op default (invariant #9).
     faults: FaultRuntime,
+    /// The threads the shards' compute phases run on (none spawned until
+    /// two shards step in one tick).
+    steppers: StepPool,
 }
 
 impl Cluster {
@@ -264,7 +281,21 @@ impl Cluster {
             reserved_series: vec![Vec::new(); n],
             trace: config.trace,
             faults: FaultRuntime::new(faults, n),
+            steppers: StepPool::default(),
         })
+    }
+
+    /// Steps the shards on `threads` threads (the caller's included)
+    /// instead of one per available core; only before the first tick.
+    #[cfg(test)]
+    pub(crate) fn set_step_threads(&mut self, threads: usize) {
+        self.steppers = StepPool::with_threads(threads);
+    }
+
+    /// Step workers spawned so far.
+    #[cfg(test)]
+    pub(crate) fn step_workers(&self) -> usize {
+        self.steppers.workers()
     }
 
     /// The current virtual-clock tick.
@@ -386,8 +417,10 @@ impl Cluster {
         if self.migration.is_some() {
             self.migrate();
         }
-        for shard in &mut self.shards {
-            shard.step_engine(self.now, &mut self.workload, &mut self.records);
+        let mut works: Vec<_> = self.shards.iter_mut().map(|shard| shard.engine.plan_step()).collect();
+        self.steppers.compute(&mut works);
+        for (shard, work) in self.shards.iter_mut().zip(works) {
+            shard.commit_step(work, self.now, &mut self.workload, &mut self.records);
         }
         self.enforce_deadlines();
         for (i, shard) in self.shards.iter().enumerate() {

@@ -116,6 +116,7 @@ pub mod report;
 pub mod router;
 pub mod scheduler;
 pub mod shard;
+mod stepping;
 pub mod workload;
 
 pub use admission::{AdmissionConfig, AdmissionController, RejectReason};

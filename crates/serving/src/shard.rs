@@ -7,7 +7,7 @@
 //! What it does *not* own is the virtual clock, the [`Workload`] and the
 //! [`RequestRecord`]s — those belong to the cluster, which steps every
 //! shard on one clock through the crate-internal `accept` → `begin_tick`
-//! → `step_engine` sequence and lends each call the record table, so a
+//! → `commit_step` sequence and lends each call the record table, so a
 //! shard writes the record of every request it hosts directly, wherever
 //! that request arrived. A single-engine deployment is a 1-shard
 //! cluster.
@@ -47,10 +47,16 @@
 //!    [`veda::EngineBuilder::prefill_chunk`] the prompt is then consumed
 //!    on the clock, so TTFT and queueing percentiles measure real
 //!    prefill work rather than a fictional instant prefill.
-//! 5. **Step** (`step_engine`): the engine advances every decoding
+//! 5. **Step** (`commit_step`): the engine advances every decoding
 //!    session one token and every prefilling session one prompt chunk;
 //!    first-token and completion ticks are recorded per request, and
-//!    completions notify closed-loop workloads.
+//!    completions notify closed-loop workloads. The step is the engine's
+//!    three phases ([`Engine::step`]): the cluster has the engine plan
+//!    its tick, computes the planned [`StepWork`] on one of its step
+//!    threads, and `commit_step` hands the work back to the engine and
+//!    does the shard's accounting — on the cluster's thread, in shard
+//!    order. A shard itself never leaves that thread; only its work
+//!    does.
 //! 6. Optionally, a [`BudgetController`] responds to high KV occupancy by
 //!    tightening session budgets (the opt-in alternative to preemption —
 //!    it changes generated tokens, preemption never does).
@@ -62,7 +68,7 @@
 
 use std::collections::VecDeque;
 
-use veda::{Engine, PrefixPin, PrefixTransferKind, Request, Session, TokenEvent};
+use veda::{Engine, PrefixPin, PrefixTransferKind, Request, Session, StepWork, TokenEvent};
 use veda_eviction::BudgetController;
 use veda_mem::{HostLink, HostLinkConfig, SwapDirection, TransferKind};
 use veda_telemetry::{SinkHandle, TraceEvent, TraceEventKind, Tracer};
@@ -169,8 +175,9 @@ pub(crate) struct SwapInEntry {
 /// One serving shard (see the [module docs](self)). The
 /// [`crate::Cluster`] calls, per virtual tick:
 /// the crate-internal `accept` for each arrival routed here, then
-/// `begin_tick` (swap-in completion/start + admission), then
-/// `step_engine` (one batched engine tick + accounting).
+/// `begin_tick` (swap-in completion/start + admission), then, once the
+/// cluster has planned and computed the engine's tick, `commit_step`
+/// (the engine's commit + accounting).
 pub struct Shard {
     pub(crate) id: usize,
     pub(crate) engine: Engine,
@@ -426,13 +433,21 @@ impl Shard {
         self.admit_from_queue(now, records, homes);
     }
 
-    /// The step half of one tick: one batched engine tick (if any
-    /// session is active), event observation, pressure response, and
-    /// cycle/peak/queue-depth accounting.
-    pub(crate) fn step_engine(&mut self, now: u64, workload: &mut Workload, records: &mut [RequestRecord]) {
+    /// The step half of one tick, after the cluster has planned this
+    /// shard's engine tick (`None` when no session was active) and
+    /// computed it: the engine commits `work`, then event observation,
+    /// pressure response, and cycle/peak/queue-depth accounting — on the
+    /// cluster's thread.
+    pub(crate) fn commit_step(
+        &mut self,
+        work: Option<StepWork>,
+        now: u64,
+        workload: &mut Workload,
+        records: &mut [RequestRecord],
+    ) {
         let mut stepped_cycles = 0;
-        if self.engine.active_sessions() > 0 {
-            let tick = self.engine.step();
+        if let Some(work) = work {
+            let tick = self.engine.commit_step(work);
             self.decode_ticks += 1;
             stepped_cycles = tick.batch_cycles;
             // Device-resident KV = session-owned bytes plus the prefix

@@ -177,6 +177,10 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 instant(&mut parts, "timed out", pid, req, ts, &format!("\"deadline\": \"{deadline}\""));
             }
             TraceEventKind::Retried { attempt } => {
+                // The lost attempt's span ends here (a timeout already
+                // closed it); the retry's `Queued` opens the next one.
+                close(&mut parts, &mut open, req, ts);
+                resume.remove(&req);
                 instant(&mut parts, "retried", pid, req, ts, &format!("\"attempt\": {attempt}"));
             }
             TraceEventKind::Shed => {
@@ -284,6 +288,33 @@ mod tests {
              \"pid\": 0, \"tid\": 7}"
         ));
         assert!(json.contains("\"finished\""));
+    }
+
+    #[test]
+    fn a_retry_closes_the_lost_attempts_span() {
+        // A crash loses the attempt mid-decode, on shard 1; the retry is
+        // stamped on the home shard 0 and re-queued there. Without the
+        // close at `Retried`, the retry's `Queued` would replace the open
+        // decode span and leave it unbalanced.
+        let events = vec![
+            ev(0, 0, 4, TraceEventKind::Queued),
+            ev(1, 1, 4, TraceEventKind::Admitted { est_bytes: 64 }),
+            ev(2, 1, 4, TraceEventKind::FirstToken),
+            ev(5, 0, 4, TraceEventKind::Retried { attempt: 1 }),
+            ev(7, 0, 4, TraceEventKind::Queued),
+            ev(8, 0, 4, TraceEventKind::Admitted { est_bytes: 64 }),
+            ev(9, 0, 4, TraceEventKind::Finished { generated_tokens: 2 }),
+        ];
+        let json = chrome_trace_json(&events);
+        crate::json::validate(&json).expect("must parse");
+        // queued, prefill, decode; then queued and prefill again.
+        assert_eq!(json.matches("\"ph\": \"B\"").count(), 5);
+        assert_eq!(json.matches("\"ph\": \"E\"").count(), 5);
+        // The lost decode span ends at the retry, on the shard it ran on.
+        assert!(json.contains(
+            "{\"name\": \"decode\", \"cat\": \"request\", \"ph\": \"E\", \"ts\": 5, \
+             \"pid\": 1, \"tid\": 4}"
+        ));
     }
 
     #[test]

@@ -262,7 +262,9 @@ impl TraceSink for RecordingSink {
 
 /// A cloneable, shareable handle to a sink. Configs hold this so one
 /// sink can observe every shard of a cluster; the `Mutex` is only a
-/// sharing formality — emission is single-threaded by construction.
+/// sharing formality — emission is single-threaded by construction: a
+/// cluster emits only from the thread that ticks it (engine commits
+/// included), and its step workers compute without emitting.
 #[derive(Clone)]
 pub struct SinkHandle(Arc<Mutex<dyn TraceSink>>);
 
