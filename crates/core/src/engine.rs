@@ -82,9 +82,8 @@
 //! resident KV bytes, [`Engine::pause`] / [`Engine::resume`] take a
 //! session out of (and back into) the batched tick without touching its
 //! KV state — a paused session's token stream continues exactly where it
-//! left off, because each session decodes greedily from its own logits —
-//! and [`Engine::tighten_budget`] shrinks a session's resident cap under
-//! memory pressure (the next tick evicts down to it).
+//! left off, because each session decodes greedily from its own logits.
+//! A session's resident cap is fixed when it is submitted.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -283,10 +282,6 @@ impl Request {
     /// prefix span privatizes it (the session then *owns* those bytes —
     /// see [`veda_model::LayerKvCache::seed_from`]), so only sessions
     /// that provably never evict can reserve less than their full peak.
-    /// Note that [`Engine::tighten_budget`] (the opt-in lossy pressure
-    /// response) can retroactively break this promise — which is why the
-    /// bundled `veda-serving` server disables the discount entirely when
-    /// budget shrinking is configured.
     pub fn never_evicts(&self) -> bool {
         self.budget.resolve(self.prompt.len()) >= self.peak_resident_tokens()
     }
@@ -1595,22 +1590,6 @@ impl Engine {
         Ok(id)
     }
 
-    /// Shrinks the resident-token cap of an in-flight session (active or
-    /// paused) to `min(current cap, max(1, new_cap))` — budget shrink
-    /// under memory pressure. The next tick the session decodes, its
-    /// policies evict down to the new cap. Returns the effective cap, or
-    /// `None` if the session is not in flight.
-    ///
-    /// Unlike [`Engine::pause`], tightening a budget *does* change the
-    /// session's subsequent token stream (evicting cache entries changes
-    /// attention), so serving layers expose it as a distinct, opt-in
-    /// pressure response.
-    pub fn tighten_budget(&mut self, session: Session, new_cap: usize) -> Option<usize> {
-        let s = self.active.iter_mut().chain(&mut self.paused).find(|s| s.id == session)?;
-        s.resident_cap = s.resident_cap.min(new_cap.max(1));
-        Some(s.resident_cap)
-    }
-
     /// Installs an observation-only trace emitter. Every lifecycle event
     /// the engine produces from here on — prefill chunks, first tokens,
     /// decode ticks, pause/resume, extract/adopt, finishes — flows into
@@ -2448,31 +2427,6 @@ mod tests {
         engine.run_to_completion();
         assert_eq!(engine.kv_bytes_active(), 0, "finished sessions free their KV state");
         assert!(engine.session_kv_bytes(s).is_none());
-    }
-
-    #[test]
-    fn tighten_budget_shrinks_resident_cap() {
-        let mut engine = engine();
-        // Sliding-window can always name a victim beyond its sink, so the
-        // shrunk cap is actually reached.
-        let request = Request::new(prompt(), 8).policy(PolicyKind::SlidingWindow).budget(Budget::Unbounded);
-        let s = engine.submit(request).unwrap();
-        assert_eq!(engine.session_remaining_tokens(s), Some(8));
-        engine.step();
-        assert_eq!(engine.session_remaining_tokens(s), Some(7));
-
-        assert_eq!(engine.tighten_budget(s, 6), Some(6));
-        assert_eq!(engine.tighten_budget(s, 10), Some(6), "tighten never raises the cap");
-        assert_eq!(engine.tighten_budget(Session(99), 4), None);
-
-        let tick = engine.step();
-        let TokenEvent::Generated { evictions, cache_len, .. } = tick.events[0] else {
-            panic!("decoding session must emit a generated token");
-        };
-        assert!(evictions > 0, "next tick evicts down to the new cap");
-        assert_eq!(cache_len, 6);
-        assert_eq!(engine.tighten_budget(s, 0), Some(1), "cap floors at one resident token");
-        engine.run_to_completion();
     }
 
     #[test]

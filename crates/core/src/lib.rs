@@ -56,9 +56,8 @@
 //! virtual clock; the engine's contribution is the session lifecycle:
 //! capacity introspection ([`Engine::kv_bytes_active`],
 //! [`Engine::kv_bytes_per_token`], [`Engine::session_phase`]),
-//! [`Engine::pause`] / [`Engine::resume`] (preemption that never changes
-//! a session's token stream), and [`Engine::tighten_budget`] (budget
-//! shrink under memory pressure).
+//! and [`Engine::pause`] / [`Engine::resume`] (preemption that never
+//! changes a session's token stream).
 //!
 //! ## Quickstart: the serving engine
 //!

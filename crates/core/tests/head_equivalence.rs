@@ -89,7 +89,7 @@ proptest! {
         sessions in 1usize..7,
         threads in 1usize..5,
         chunk_sel in 0usize..4,
-        policy_idx in 0usize..6,
+        policy_idx in 0usize..PolicyKind::ALL.len(),
         budget_sel in 0usize..3,
         wide in 0usize..2,
         seed in 0u64..1000,

@@ -41,7 +41,7 @@ proptest! {
         max_new in 0usize..12,
         chunk in 1usize..24,
         tick_budget in 1usize..32,
-        policy_idx in 0usize..6,
+        policy_idx in 0usize..PolicyKind::ALL.len(),
         budget_sel in 0usize..3,
         seed in 0u64..1000,
     ) {

@@ -90,8 +90,8 @@ proptest! {
         suffix_len in 1usize..8,
         chunk_sel in 0usize..3,
         threads in 1usize..3,
-        policy_a_idx in 0usize..6,
-        policy_b_idx in 0usize..6,
+        policy_a_idx in 0usize..PolicyKind::ALL.len(),
+        policy_b_idx in 0usize..PolicyKind::ALL.len(),
         seed in 0u64..500,
     ) {
         // chunk 0 = instant prefill; 3 / 8 = finite chunked prefill.

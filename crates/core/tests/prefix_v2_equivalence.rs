@@ -231,8 +231,8 @@ proptest! {
         suffix_len in 1usize..8,
         chunk_sel in 0usize..3,
         threads in 1usize..3,
-        policy_a_idx in 0usize..6,
-        policy_b_idx in 0usize..6,
+        policy_a_idx in 0usize..PolicyKind::ALL.len(),
+        policy_b_idx in 0usize..PolicyKind::ALL.len(),
         max_kb in 1u64..6,
         ttl in 2u64..30,
         spill_sel in 0usize..2,

@@ -11,8 +11,6 @@
 //!   al.), which the paper analyzes as suffering from item-count, criteria
 //!   and outlier bias.
 //! * [`SlidingWindowPolicy`] — Streaming-LLM style sink + recent window.
-//! * [`DecayedScorePolicy`] — an exponentially-decayed score baseline.
-//! * [`RandomPolicy`] — a deterministic pseudo-random victim baseline.
 //! * [`FullCachePolicy`] — never evicts (the accuracy oracle).
 //!
 //! All policies implement [`EvictionPolicy`] and operate on per-head
@@ -43,25 +41,19 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod decayed;
 pub mod full;
 pub mod h2o;
 pub mod manager;
 pub mod policy;
-pub mod pressure;
-pub mod random;
 pub mod score;
 pub mod sliding;
 pub mod stats;
 pub mod voting;
 
-pub use decayed::DecayedScorePolicy;
 pub use full::FullCachePolicy;
 pub use h2o::H2oPolicy;
 pub use manager::{CacheSimulator, SimulatedStep};
 pub use policy::{EvictionPolicy, ParsePolicyKindError, PolicyKind};
-pub use pressure::{BudgetController, PressureConfig};
-pub use random::RandomPolicy;
 pub use score::{observe_heads, observe_heads_into, ScoreView};
 pub use sliding::SlidingWindowPolicy;
 pub use stats::EvictionStats;

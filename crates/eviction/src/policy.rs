@@ -115,22 +115,12 @@ pub enum PolicyKind {
     H2o,
     /// VEDA voting-based eviction.
     Voting,
-    /// Exponentially decayed score baseline.
-    DecayedScore,
-    /// Deterministic pseudo-random victim baseline.
-    Random,
 }
 
 impl PolicyKind {
     /// All kinds, in presentation order.
-    pub const ALL: [PolicyKind; 6] = [
-        PolicyKind::Full,
-        PolicyKind::SlidingWindow,
-        PolicyKind::H2o,
-        PolicyKind::Voting,
-        PolicyKind::DecayedScore,
-        PolicyKind::Random,
-    ];
+    pub const ALL: [PolicyKind; 4] =
+        [PolicyKind::Full, PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting];
 
     /// Stable identifier matching [`EvictionPolicy::name`].
     pub fn as_str(self) -> &'static str {
@@ -139,8 +129,6 @@ impl PolicyKind {
             PolicyKind::SlidingWindow => "sliding_window",
             PolicyKind::H2o => "h2o",
             PolicyKind::Voting => "voting",
-            PolicyKind::DecayedScore => "decayed_score",
-            PolicyKind::Random => "random",
         }
     }
 
@@ -151,8 +139,6 @@ impl PolicyKind {
             PolicyKind::SlidingWindow => Box::new(crate::SlidingWindowPolicy::new(4)),
             PolicyKind::H2o => Box::new(crate::H2oPolicy::new()),
             PolicyKind::Voting => Box::new(crate::VotingPolicy::new(crate::VotingConfig::default())),
-            PolicyKind::DecayedScore => Box::new(crate::DecayedScorePolicy::new(0.9)),
-            PolicyKind::Random => Box::new(crate::RandomPolicy::new(0xDAC2025)),
         }
     }
 }
@@ -194,8 +180,6 @@ impl std::str::FromStr for PolicyKind {
             "slidingwindow" | "sliding" | "slide" | "streamingllm" => Ok(PolicyKind::SlidingWindow),
             "h2o" => Ok(PolicyKind::H2o),
             "voting" | "vote" | "veda" => Ok(PolicyKind::Voting),
-            "decayedscore" | "decayed" | "decay" => Ok(PolicyKind::DecayedScore),
-            "random" => Ok(PolicyKind::Random),
             _ => Err(ParsePolicyKindError(s.to_string())),
         }
     }
@@ -277,7 +261,6 @@ mod tests {
     fn from_str_accepts_aliases_and_rejects_unknown() {
         assert_eq!("VEDA".parse::<PolicyKind>().unwrap(), PolicyKind::Voting);
         assert_eq!("sliding-window".parse::<PolicyKind>().unwrap(), PolicyKind::SlidingWindow);
-        assert_eq!("Decayed".parse::<PolicyKind>().unwrap(), PolicyKind::DecayedScore);
         let err = "lru".parse::<PolicyKind>().unwrap_err();
         assert!(err.to_string().contains("lru"), "{err}");
         assert!(err.to_string().contains("voting"), "{err}");

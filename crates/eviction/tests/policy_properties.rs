@@ -119,7 +119,7 @@ fn random_scores(rng: &mut rand::rngs::StdRng, heads: usize, len: usize) -> Vec<
 proptest! {
     #[test]
     fn cache_never_exceeds_budget(
-        kind_idx in 0usize..6,
+        kind_idx in 0usize..PolicyKind::ALL.len(),
         budget in 1usize..16,
         tokens in 1usize..64,
         heads in 1usize..4,
@@ -146,7 +146,7 @@ proptest! {
 
     #[test]
     fn resident_set_is_sorted_and_unique(
-        kind_idx in 0usize..6,
+        kind_idx in 0usize..PolicyKind::ALL.len(),
         budget in 2usize..12,
         tokens in 1usize..48,
         seed in 0u64..200,
@@ -189,7 +189,7 @@ proptest! {
 
     #[test]
     fn deterministic_given_same_stream(
-        kind_idx in 0usize..6,
+        kind_idx in 0usize..PolicyKind::ALL.len(),
         budget in 1usize..10,
         tokens in 1usize..40,
         seed in 0u64..100,

@@ -108,6 +108,26 @@ impl HostLinkConfig {
         assert!(gb_per_s > 0.0 && clock_ghz > 0.0, "bandwidth and clock must be positive");
         Self { bytes_per_cycle: gb_per_s / clock_ghz, ..Self::default() }
     }
+
+    /// Rejects a link whose sustained bandwidth is not a finite positive
+    /// number: a zero, negative or non-finite `bytes_per_cycle`, or an
+    /// `efficiency` outside `(0, 1]`, would make [`HostLink::cost`]
+    /// saturate to `u64::MAX` (and overflow when the setup cycles are
+    /// added) or collapse to the setup cycles alone (NaN casts to 0).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        // Written so NaN fails too: every comparison with NaN is false.
+        if !(self.bytes_per_cycle.is_finite() && self.bytes_per_cycle > 0.0) {
+            return Err(format!("bytes_per_cycle must be finite and positive, got {}", self.bytes_per_cycle));
+        }
+        if !(self.efficiency > 0.0 && self.efficiency <= 1.0) {
+            return Err(format!("efficiency must lie in (0, 1], got {}", self.efficiency));
+        }
+        Ok(())
+    }
 }
 
 /// Stateful host-link model: accumulates traffic per transfer kind and

@@ -78,7 +78,8 @@ impl LayerKvCache {
 
     /// Removes several resident entries in one stable compaction pass —
     /// O(l·d) total instead of O(l·d) *per eviction* — used when multiple
-    /// evictions land in one tick (budget shrink). Surviving rows keep
+    /// evictions land in one tick (a prompt longer than the session's cap
+    /// is evicted down to it when its prefill ends). Surviving rows keep
     /// their order, so the result is bit-identical to calling
     /// [`LayerKvCache::evict`] per slot.
     ///

@@ -268,8 +268,6 @@ fn policies(budget: usize) -> Vec<(String, Box<dyn EvictionPolicy>)> {
         ("voting (calibrated)".into(), Box::new(VotingPolicy::new(CALIBRATED_VOTING))),
         ("voting (default)".into(), PolicyKind::Voting.build()),
         ("h2o".into(), PolicyKind::H2o.build()),
-        ("decayed".into(), PolicyKind::DecayedScore.build()),
-        ("random".into(), PolicyKind::Random.build()),
         ("full".into(), PolicyKind::Full.build()),
         ("sliding (sink 4)".into(), PolicyKind::SlidingWindow.build()),
     ];
@@ -345,7 +343,7 @@ fn the_benchmark_arms_score_the_same_bits_on_the_default_substrate() {
 #[test]
 fn reads_scores_is_false_only_for_score_free_policies() {
     for kind in PolicyKind::ALL {
-        let expected = !matches!(kind, PolicyKind::Full | PolicyKind::SlidingWindow | PolicyKind::Random);
+        let expected = !matches!(kind, PolicyKind::Full | PolicyKind::SlidingWindow);
         assert_eq!(kind.build().reads_scores(), expected, "{kind}");
         let double: Box<Box<dyn EvictionPolicy>> = Box::new(kind.build());
         assert_eq!(double.reads_scores(), expected, "{kind} through Box<Box<dyn _>>");

@@ -35,10 +35,9 @@
 //!    span deep-copies it (the session then owns those bytes), which
 //!    would push the session past a discounted reservation — so the
 //!    discount is applied only to requests that provably never evict
-//!    ([`Request::never_evicts`]: budget cap ≥ peak), and only when
-//!    budget shrinking (`ClusterConfig::shrink`, which can force any
-//!    session to evict) is off. Every other request reserves its full
-//!    peak, exactly as without the cache.
+//!    ([`Request::never_evicts`]: budget cap ≥ peak; a session's cap is
+//!    fixed at submit). Every other request reserves its full peak,
+//!    exactly as without the cache.
 //!
 //! The cache's own resident bytes are charged too: the server subtracts
 //! [`veda::Engine::prefix_cache_bytes`] from the headroom admissions

@@ -65,7 +65,6 @@
 //! plan.
 
 use veda::Engine;
-use veda_eviction::BudgetController;
 use veda_mem::{HostLinkConfig, SwapDirection, TransferKind};
 use veda_telemetry::{MetricsRegistry, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind};
 
@@ -116,10 +115,6 @@ pub struct ClusterConfig {
     pub sched: SchedKind,
     /// Host-link model (each shard gets its own link).
     pub host_link: HostLinkConfig,
-    /// Optional budget-shrink pressure response, per shard. `None` (the
-    /// default) leaves preemption as the only pressure response and keeps
-    /// every request's token stream identical to an uncontended run.
-    pub shrink: Option<BudgetController>,
     /// Cross-shard migration; `None` (the default) disables it, leaving
     /// routing as the only load-balancing mechanism.
     pub migration: Option<MigrationConfig>,
@@ -148,7 +143,6 @@ impl Default for ClusterConfig {
             router: RouterKind::RoundRobin,
             sched: SchedKind::Fcfs,
             host_link: HostLinkConfig::default(),
-            shrink: None,
             migration: None,
             max_ticks: 1_000_000,
             trace: None,
@@ -201,8 +195,8 @@ impl Cluster {
     ///
     /// Panics on any [`ServeError`] that [`Cluster::try_new`] would
     /// return: engine count mismatch, empty cluster, non-idle engines,
-    /// mixed model geometry, bad migration thresholds, an invalid fault
-    /// plan, or a shed watermark outside `(0, 1]`.
+    /// mixed model geometry, bad migration thresholds, a broken host
+    /// link, an invalid fault plan, or a shed watermark outside `(0, 1]`.
     pub fn new(engines: Vec<Engine>, workload: Workload, config: ClusterConfig) -> Self {
         Self::try_new(engines, workload, config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -239,6 +233,7 @@ impl Cluster {
                 });
             }
         }
+        config.host_link.validate().map_err(ServeError::InvalidHostLink)?;
         let faults = config.faults.clone().unwrap_or_default();
         faults.plan.validate(engines.len())?;
         if let Some(watermark) = faults.shed_watermark {
@@ -257,8 +252,7 @@ impl Cluster {
             .into_iter()
             .enumerate()
             .map(|(id, engine)| {
-                let mut shard =
-                    Shard::new(id, engine, admission, config.host_link, config.sched, config.shrink);
+                let mut shard = Shard::new(id, engine, admission, config.host_link, config.sched);
                 if let Some(sink) = &config.trace {
                     shard.install_trace(sink.clone());
                 }

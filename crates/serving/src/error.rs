@@ -54,6 +54,12 @@ pub enum ServeError {
         /// Configured watermark.
         watermark: f64,
     },
+    /// The host-link model must have a finite positive `bytes_per_cycle`
+    /// and an `efficiency` in `(0, 1]` (see
+    /// [`veda_mem::HostLinkConfig::validate`]); anything else prices a
+    /// transfer at `u64::MAX` cycles or at its setup cycles alone. The
+    /// message names the offending field.
+    InvalidHostLink(String),
 }
 
 impl fmt::Display for ServeError {
@@ -78,6 +84,7 @@ impl fmt::Display for ServeError {
             ServeError::InvalidShedWatermark { watermark } => {
                 write!(f, "shed watermark must be a finite fraction in (0, 1] (got {watermark})")
             }
+            ServeError::InvalidHostLink(msg) => write!(f, "invalid host link: {msg}"),
         }
     }
 }
@@ -97,5 +104,6 @@ mod tests {
             .to_string()
             .contains("cold=0.9"));
         assert!(ServeError::InvalidShedWatermark { watermark: f64::NAN }.to_string().contains("got NaN"));
+        assert!(ServeError::InvalidHostLink("bad field".into()).to_string().contains("bad field"));
     }
 }

@@ -273,8 +273,6 @@ pub struct ServingReport {
     /// complete (swap latency serialized into the clock): each tick, each
     /// session parked in the swap-in phase contributes one.
     pub swap_wait_ticks: u64,
-    /// Budget-shrink interventions (sessions whose caps were tightened).
-    pub budget_shrinks: u64,
     /// Queue depth sampled after each executed tick.
     pub queue_depth: Vec<usize>,
     /// Peak KV bytes resident in device memory.
@@ -413,7 +411,6 @@ impl ServingReport {
         m.counter_add("swap_in_bytes", self.swap_in_bytes);
         m.counter_add("swap_link_cycles", self.swap_cycles);
         m.counter_add("swap_wait_ticks", self.swap_wait_ticks);
-        m.counter_add("budget_shrinks", self.budget_shrinks);
         m.counter_add("requests_dead_lettered", self.dead_lettered() as u64);
         m.counter_add("requests_shed", self.shed() as u64);
         m.counter_add("request_retries", self.retries());
@@ -475,11 +472,7 @@ impl std::fmt::Display for ServingReport {
             self.rejected_queue_full,
             self.rejected_invalid
         )?;
-        writeln!(
-            f,
-            "  preemptions / resumes  : {} / {} ({} budget shrinks)",
-            self.preemptions, self.resumes, self.budget_shrinks
-        )?;
+        writeln!(f, "  preemptions / resumes  : {} / {}", self.preemptions, self.resumes)?;
         writeln!(
             f,
             "  swap traffic           : {} B out, {} B in, {} link cycles, {} wait ticks",

@@ -3,7 +3,7 @@
 //!
 //! A shard owns everything below the arrival stream: screening, the wait
 //! queue, scheduler-driven admission, preemption and swap-in
-//! serialization over its private [`HostLink`], and pressure response.
+//! serialization over its private [`HostLink`].
 //! What it does *not* own is the virtual clock, the [`Workload`] and the
 //! [`RequestRecord`]s — those belong to the cluster, which steps every
 //! shard on one clock through the crate-internal `accept` → `begin_tick`
@@ -25,10 +25,9 @@
 //!    and reserved at its *unshared* peak only — the shared span is
 //!    resident once, in the cache entry — so shared-prefix traffic admits
 //!    more concurrent sessions under the same capacity. The discount
-//!    applies only to eviction-free requests with budget shrinking off,
-//!    and the cache's own bytes are charged against admission headroom
-//!    (see the [`crate::admission`] module docs for the soundness
-//!    argument).
+//!    applies only to eviction-free requests, and the cache's own bytes
+//!    are charged against admission headroom (see the
+//!    [`crate::admission`] module docs for the soundness argument).
 //! 2. **Swap-in completion** (`begin_tick`): preempted sessions whose
 //!    host-link swap-in finished (its cycles, accumulated against the
 //!    engine's per-tick cycle counts, have elapsed) rejoin the batch.
@@ -57,9 +56,6 @@
 //!    does the shard's accounting — on the cluster's thread, in shard
 //!    order. A shard itself never leaves that thread; only its work
 //!    does.
-//! 6. Optionally, a [`BudgetController`] responds to high KV occupancy by
-//!    tightening session budgets (the opt-in alternative to preemption —
-//!    it changes generated tokens, preemption never does).
 //!
 //! Idle spans cost nothing to simulate: a tick that steps no session
 //! while swap-ins are in flight jumps the shard's cycle counter to the
@@ -69,7 +65,6 @@
 use std::collections::VecDeque;
 
 use veda::{Engine, PrefixPin, PrefixTransferKind, Request, Session, StepWork, TokenEvent};
-use veda_eviction::BudgetController;
 use veda_mem::{HostLink, HostLinkConfig, SwapDirection, TransferKind};
 use veda_telemetry::{SinkHandle, TraceEvent, TraceEventKind, Tracer};
 
@@ -154,8 +149,6 @@ pub(crate) struct SessionEntry {
     pub(crate) full_bytes: u64,
     /// Preemption count (mirrors the record, for scheduler views).
     pub(crate) preemptions: u32,
-    /// Current resident-token cap (tracked for budget shrinking).
-    pub(crate) cap: usize,
     /// When the session is off the device (paused or swapping), the wait
     /// kind and the tick the wait began; folded into the record's stage
     /// accounting when the session rejoins the batch.
@@ -184,7 +177,6 @@ pub struct Shard {
     pub(crate) admission: AdmissionController,
     pub(crate) policy: Box<dyn SchedulerPolicy>,
     pub(crate) link: HostLink,
-    pub(crate) shrink: Option<BudgetController>,
     pub(crate) kv_bytes_per_token: u64,
     /// Engine cycles elapsed so far (sum of executed tick batch cycles)
     /// — the clock swap-in completions are timed against.
@@ -201,7 +193,6 @@ pub struct Shard {
     pub(crate) preemptions: u64,
     pub(crate) resumes: u64,
     pub(crate) swap_wait_ticks: u64,
-    pub(crate) budget_shrinks: u64,
     pub(crate) decode_ticks: u64,
     pub(crate) kv_resident_peak: u64,
     pub(crate) kv_reserved_peak: u64,
@@ -219,7 +210,6 @@ impl Shard {
         admission: AdmissionConfig,
         host_link: HostLinkConfig,
         sched: SchedKind,
-        shrink: Option<BudgetController>,
     ) -> Self {
         let kv_bytes_per_token = engine.kv_bytes_per_token();
         Self {
@@ -228,7 +218,6 @@ impl Shard {
             admission: AdmissionController::new(admission),
             policy: sched.build(),
             link: HostLink::new(host_link),
-            shrink,
             kv_bytes_per_token,
             elapsed_cycles: 0,
             queue: VecDeque::new(),
@@ -243,7 +232,6 @@ impl Shard {
             preemptions: 0,
             resumes: 0,
             swap_wait_ticks: 0,
-            budget_shrinks: 0,
             decode_ticks: 0,
             kv_resident_peak: 0,
             kv_reserved_peak: 0,
@@ -363,10 +351,7 @@ impl Shard {
     /// spill and TTL expiry — the match cannot shrink), only requests
     /// that can never evict ([`veda::Request::never_evicts`]) qualify
     /// (an eviction inside the shared span would privatize it and push
-    /// the session past a discounted reservation), and budget shrinking
-    /// must be off — [`veda::Engine::tighten_budget`] can force even an
-    /// unbounded-budget session to evict, retroactively breaking the
-    /// never-evicts promise.
+    /// the session past a discounted reservation).
     pub(crate) fn accept(
         &mut self,
         arrival: ServingRequest,
@@ -376,7 +361,7 @@ impl Shard {
     ) {
         let ServingRequest { request, priority } = arrival;
         let global_arrival = record.arrival;
-        let discount_sound = request.never_evicts() && self.shrink.is_none();
+        let discount_sound = request.never_evicts();
         let prefix_pin = if discount_sound { self.engine.pin_prefix(&request.prompt) } else { None };
         let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
         let est_bytes =
@@ -435,9 +420,8 @@ impl Shard {
 
     /// The step half of one tick, after the cluster has planned this
     /// shard's engine tick (`None` when no session was active) and
-    /// computed it: the engine commits `work`, then event observation,
-    /// pressure response, and cycle/peak/queue-depth accounting — on the
-    /// cluster's thread.
+    /// computed it: the engine commits `work`, then event observation and
+    /// cycle/peak/queue-depth accounting — on the cluster's thread.
     pub(crate) fn commit_step(
         &mut self,
         work: Option<StepWork>,
@@ -462,7 +446,6 @@ impl Shard {
             // spill traffic now (harvests never generate fills, so there
             // is no latency to serialize here).
             self.charge_prefix_traffic();
-            self.apply_pressure();
         }
         self.elapsed_cycles += stepped_cycles;
         self.swap_wait_ticks += self.swapping.len() as u64;
@@ -510,7 +493,7 @@ impl Shard {
     /// screening and queueing happen here). On screening failure the
     /// work is handed back for another retry or a dead letter.
     pub(crate) fn requeue(&mut self, work: LostWork, now: u64) -> Result<(), (RejectReason, LostWork)> {
-        let discount_sound = work.request.never_evicts() && self.shrink.is_none();
+        let discount_sound = work.request.never_evicts();
         let prefix_pin = if discount_sound { self.engine.pin_prefix(&work.request.prompt) } else { None };
         let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
         let est_bytes = AdmissionController::estimate_unshared_bytes(
@@ -733,9 +716,6 @@ impl Shard {
     /// report looks it up in the engine that reports it.
     fn admit(&mut self, mut entry: QueuedEntry, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
         let request = entry.request.clone();
-        let prompt_len = request.prompt.len();
-        let peak_tokens = AdmissionController::peak_resident_tokens(&request);
-        let cap = request.budget.resolve(prompt_len).min(peak_tokens);
         let arrival = entry.arrival;
         // The engine stamps this request's global arrival index onto its
         // trace events, so the request keeps one id across shards.
@@ -777,7 +757,6 @@ impl Shard {
             est_bytes: entry.est_bytes,
             full_bytes: entry.full_bytes,
             preemptions: 0,
-            cap,
             wait_since: None,
         };
         if fill_cycles > 0 {
@@ -851,25 +830,6 @@ impl Shard {
         }
     }
 
-    /// Budget-shrink pressure response (opt-in, see
-    /// [`crate::ClusterConfig::shrink`]).
-    fn apply_pressure(&mut self) {
-        let Some(controller) = self.shrink else { return };
-        let resident = self.engine.kv_bytes_active();
-        let factor = controller.shrink_factor(resident, self.capacity_bytes());
-        if factor >= 1.0 {
-            return;
-        }
-        for entry in &mut self.running {
-            let new_cap = controller.shrunk_cap(entry.cap, factor);
-            if new_cap < entry.cap {
-                self.engine.tighten_budget(entry.session, new_cap);
-                entry.cap = new_cap;
-                self.budget_shrinks += 1;
-            }
-        }
-    }
-
     /// Drains the engine and assembles this shard's [`ServingReport`]
     /// over `records`, the requests that arrived here, in arrival order.
     pub(crate) fn into_report(
@@ -920,7 +880,6 @@ impl Shard {
             prefix_transfer_cycles: self.link.kind_total_cycles(TransferKind::PrefixSpill)
                 + self.link.kind_total_cycles(TransferKind::PrefixFill),
             swap_wait_ticks: self.swap_wait_ticks,
-            budget_shrinks: self.budget_shrinks,
             queue_depth: self.queue_depth,
             kv_resident_peak_bytes: self.kv_resident_peak,
             kv_reserved_peak_bytes: self.kv_reserved_peak,

@@ -23,6 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use veda::{EngineBuilder, PrefixCacheConfig};
+use veda_mem::HostLinkConfig;
 use veda_model::ModelConfig;
 use veda_serving::{
     chrome_trace_json, Cluster, ClusterConfig, FaultConfig, FaultPlan, MigrationConfig, RecordingSink,
@@ -467,6 +468,32 @@ fn try_new_rejects_a_shed_watermark_outside_the_unit_interval() {
     for watermark in [0.8, 1.0] {
         assert!(build(watermark).is_ok(), "watermark {watermark} must be accepted");
     }
+}
+
+#[test]
+fn try_new_rejects_a_broken_host_link() {
+    // A zero or non-finite bandwidth prices every transfer at u64::MAX
+    // cycles (overflowing once setup is added); a NaN efficiency prices
+    // it at the setup cycles alone.
+    let build = |host_link: HostLinkConfig| {
+        let engines = (0..2).map(|_| engine(1)).collect();
+        let config = ClusterConfig { host_link, ..ClusterConfig::default() };
+        Cluster::try_new(engines, workload(1, 0.5, 4), config)
+    };
+    let healthy = HostLinkConfig::default();
+    let bad_bandwidth = [0.0, -1.0, f64::NAN, f64::INFINITY]
+        .map(|bytes_per_cycle| HostLinkConfig { bytes_per_cycle, ..healthy });
+    let bad_efficiency =
+        [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY].map(|efficiency| HostLinkConfig { efficiency, ..healthy });
+    for link in bad_bandwidth.into_iter().chain(bad_efficiency) {
+        match build(link) {
+            Err(ServeError::InvalidHostLink(_)) => {}
+            Err(other) => panic!("{link:?}: wrong error {other}"),
+            Ok(_) => panic!("{link:?} must be rejected"),
+        }
+    }
+    assert!(build(healthy).is_ok(), "the default link must be accepted");
+    assert!(build(HostLinkConfig { efficiency: 1.0, ..healthy }).is_ok(), "efficiency 1 must be accepted");
 }
 
 #[test]

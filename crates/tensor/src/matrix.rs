@@ -145,8 +145,8 @@ impl Matrix {
     }
 
     /// Removes every row in `sorted_rows` in one stable compaction pass
-    /// (multi-slot KV eviction: budget shrink evicts several residents in
-    /// a single tick).
+    /// (multi-slot KV eviction: a prompt longer than its cap evicts
+    /// several residents in a single tick).
     ///
     /// Surviving rows keep their relative order, so the result is
     /// bit-identical to calling [`Matrix::remove_row`] once per index —

@@ -19,7 +19,7 @@ fn main() {
     );
 
     let budget = 48;
-    for kind in [PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting, PolicyKind::Random] {
+    for kind in [PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting] {
         let mut sim = CacheSimulator::new(kind.build(), budget);
         for (i, step) in trace.iter().enumerate() {
             sim.step_from_full_scores(i, step);

@@ -29,7 +29,6 @@ fn batched_sessions_match_single_session_runs_exactly() {
         (PolicyKind::H2o, Budget::Fixed(8), prompt(16, 1), 14),
         (PolicyKind::SlidingWindow, Budget::Ratio(0.25), prompt(32, 2), 6),
         (PolicyKind::Full, Budget::Unbounded, prompt(12, 3), 8),
-        (PolicyKind::DecayedScore, Budget::Fixed(10), prompt(20, 4), 12),
     ];
 
     let mut engine = EngineBuilder::new().model(ModelConfig::tiny()).build().expect("valid config");

@@ -252,26 +252,6 @@ fn invalid_trace_requests_are_rejected_cleanly() {
 }
 
 #[test]
-fn budget_shrink_mode_tightens_caps_under_pressure() {
-    use veda_eviction::{BudgetController, PressureConfig};
-    let controller =
-        BudgetController::new(PressureConfig { high_watermark: 0.5, low_watermark: 0.35, floor_tokens: 6 });
-    let config = ClusterConfig {
-        per_shard_capacity_bytes: 20 << 10,
-        max_queue_depth: 64,
-        sched: SchedKind::Fcfs,
-        shrink: Some(controller),
-        ..ClusterConfig::default()
-    };
-    let report = serve(engine(), workload(ArrivalKind::Poisson, 13, 18), config);
-    assert!(report.budget_shrinks > 0, "high occupancy must trigger budget shrinking");
-    assert_eq!(report.completed + report.rejected(), report.submitted);
-    // Shrinking is the lossy pressure response: token streams may legally
-    // differ from an unconstrained run, but counts still conserve.
-    assert!(report.kv_resident_peak_bytes <= report.capacity_bytes);
-}
-
-#[test]
 fn chunked_prefill_makes_ttft_real_and_monotone_in_prompt_length() {
     // Three lone requests (arrivals spaced so nothing queues or batches)
     // under FCFS with a finite prefill chunk: TTFT must be strictly
