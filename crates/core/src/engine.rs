@@ -545,12 +545,12 @@ impl std::fmt::Display for EngineReport {
 /// Builder for [`Engine`].
 ///
 /// Defaults: tiny model, VEDA architecture scaled to the model's head
-/// geometry, `FlexibleElementSerial` dataflow, paper-default HBM.
+/// geometry, `FlexibleElementSerial` dataflow. Costing always uses the
+/// paper-default HBM ([`HbmConfig::default`]).
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     model: ModelConfig,
     variant: DataflowVariant,
-    hbm: HbmConfig,
     decode_threads: usize,
     prefill_chunk: usize,
     tick_token_budget: usize,
@@ -569,7 +569,6 @@ impl EngineBuilder {
         Self {
             model: ModelConfig::tiny(),
             variant: DataflowVariant::FlexibleElementSerial,
-            hbm: HbmConfig::default(),
             decode_threads: 1,
             prefill_chunk: usize::MAX,
             tick_token_budget: usize::MAX,
@@ -586,12 +585,6 @@ impl EngineBuilder {
     /// Sets the dataflow variant.
     pub fn variant(mut self, variant: DataflowVariant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Sets the HBM configuration.
-    pub fn hbm(mut self, hbm: HbmConfig) -> Self {
-        self.hbm = hbm;
         self
     }
 
@@ -687,7 +680,7 @@ impl EngineBuilder {
             n_layers: self.model.n_layers,
             vocab_size: self.model.vocab_size,
         };
-        let scheduler = DecodeScheduler::new(arch.clone(), shape, self.hbm, self.variant);
+        let scheduler = DecodeScheduler::new(arch.clone(), shape, HbmConfig::default(), self.variant);
         let energy = EnergyModel::for_arch(&arch);
 
         Ok(Engine {
@@ -1340,8 +1333,8 @@ impl Engine {
     }
 
     /// Tokens `session` may still generate before hitting its limit
-    /// (ignores stop tokens, which can end it earlier). Scheduling
-    /// policies use this for shortest-remaining-budget ordering.
+    /// (ignores stop tokens, which can end it earlier). The priority
+    /// scheduler breaks ties between preemption victims on it.
     pub fn session_remaining_tokens(&self, session: Session) -> Option<usize> {
         self.active
             .iter()

@@ -49,10 +49,10 @@
 //! generates, only when the work lands on the clock.
 //!
 //! On top of the engine, the `veda-serving` crate runs the full serving
-//! stack — Workload (seeded arrival processes) → Admission (KV bytes
-//! accounted against HBM capacity) → Scheduler (FCFS / round-robin /
-//! shortest-remaining-budget / priority tiers, with preemption and
-//! host-link KV swap serialized into the clock) → Engine — under a
+//! stack — Workload (seeded Poisson or replayed arrivals) → Admission
+//! (KV bytes accounted against HBM capacity) → Scheduler (FCFS or
+//! priority tiers, with preemption and host-link KV swap serialized into
+//! the clock) → Engine — under a
 //! virtual clock; the engine's contribution is the session lifecycle:
 //! capacity introspection ([`Engine::kv_bytes_active`],
 //! [`Engine::kv_bytes_per_token`], [`Engine::session_phase`]),

@@ -130,7 +130,7 @@ proptest! {
 
 /// A closed loop over `requests` with `clients` in flight: every tick and
 /// the drained report.
-fn closed_loop(mut engine: Engine, requests: &[Request], clients: usize) -> (Vec<EngineTick>, EngineReport) {
+fn run_clients(mut engine: Engine, requests: &[Request], clients: usize) -> (Vec<EngineTick>, EngineReport) {
     let mut pending = requests.iter().rev().cloned().collect::<Vec<_>>();
     let mut ticks = Vec::new();
     loop {
@@ -162,13 +162,13 @@ fn skewed_prefill_decode_mix_is_identical_across_decode_threads() {
                 .budget(Budget::Ratio(0.5))
         })
         .collect();
-    let (serial_ticks, serial_report) = closed_loop(tiny_engine(1, 16), &requests, 7);
+    let (serial_ticks, serial_report) = run_clients(tiny_engine(1, 16), &requests, 7);
     assert!(
         serial_ticks.iter().any(|t| t.prefill_tokens >= 16 && t.decode_tokens >= 3),
         "the mix must put a whole chunk beside decode rows in one tick"
     );
     for threads in [2, 3, 8] {
-        let (ticks, report) = closed_loop(tiny_engine(threads, 16), &requests, 7);
+        let (ticks, report) = run_clients(tiny_engine(threads, 16), &requests, 7);
         assert_eq!(ticks, serial_ticks, "decode_threads({threads}) changed a tick");
         assert_eq!(report, serial_report, "decode_threads({threads}) changed the report");
     }

@@ -42,7 +42,6 @@ pub mod eval;
 pub mod induction;
 pub mod kvcache;
 pub mod rope;
-pub mod sampling;
 pub mod scratch;
 pub mod trace;
 pub mod transformer;
@@ -52,7 +51,6 @@ pub use config::ModelConfig;
 pub use corpus::{Corpus, CorpusConfig};
 pub use induction::{InductionConfig, InductionLm};
 pub use kvcache::LayerKvCache;
-pub use sampling::Sampler;
 pub use scratch::{BatchScratch, ForwardScratch, HeadScratch, ScoreBuffer};
 pub use trace::{AttentionTrace, SyntheticTraceConfig};
 pub use transformer::{RowRun, SequenceState, StepOutput, TransformerModel, FORWARD_BLOCK_ROWS};

@@ -594,24 +594,13 @@ impl TransformerModel {
     /// Greedy generation of `n` tokens after `prompt`. Returns the
     /// generated token ids.
     pub fn generate_greedy(&mut self, prompt: &[usize], n: usize) -> Vec<usize> {
-        let mut rng = veda_tensor::rng::seeded(0);
-        self.generate_with(prompt, n, crate::sampling::Sampler::Greedy, &mut rng)
-    }
-
-    /// Generation with an arbitrary [`crate::sampling::Sampler`].
-    pub fn generate_with(
-        &mut self,
-        prompt: &[usize],
-        n: usize,
-        sampler: crate::sampling::Sampler,
-        rng: &mut rand::rngs::StdRng,
-    ) -> Vec<usize> {
         let mut out = Vec::with_capacity(n);
         let Some(mut step) = self.prefill(prompt) else {
             return out;
         };
         for position in prompt.len()..prompt.len() + n {
-            let next = sampler.sample(&step.logits, rng);
+            let next =
+                veda_tensor::stats::argmax(&step.logits).expect("the LM head yields vocab_size logits");
             out.push(next);
             step = self.forward_token(next, position);
         }

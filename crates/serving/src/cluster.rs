@@ -13,12 +13,12 @@
 //!    scale host-link bandwidth; then parked retries whose backoff has
 //!    elapsed re-route through the healthy shards.
 //! 1. **Route + screen**: each arrival due this tick is routed by the
-//!    [`RouterPolicy`] (which sees per-shard load, health, and
+//!    [`RouterKind`] (which sees per-shard load, health, and
 //!    prefix-affinity snapshots, never the RNG) and screened by the
-//!    chosen shard's admission control. The [`crate::Workload`] samples
-//!    requests centrally, in global arrival order, so the routing
-//!    decision can never perturb what a request *is* — only where it
-//!    runs. That is the cluster's RNG-stream discipline, pinned by the
+//!    chosen shard's admission control. The [`crate::Workload`] is fixed
+//!    at construction, in global arrival order, so the routing decision
+//!    can never perturb what a request *is* — only where it runs. That
+//!    is the cluster's RNG-stream discipline, pinned by the
 //!    `cluster_stack` tests. Every arrival gets a [`RequestRecord`] in
 //!    the cluster's record table (indexed by arrival) and a home shard,
 //!    whose report will hold the record: the chosen shard, or — when
@@ -72,7 +72,7 @@ use crate::admission::AdmissionConfig;
 use crate::error::ServeError;
 use crate::faults::{FaultConfig, FaultRuntime, LostWork, RetryEntry, ShardHealth};
 use crate::report::{LatencySummary, RequestRecord, ServingReport, StageSummaries};
-use crate::router::{RouterKind, RouterPolicy};
+use crate::router::RouterKind;
 use crate::scheduler::SchedKind;
 use crate::shard::{SessionEntry, Shard, SwapInEntry, WaitKind};
 use crate::stepping::StepPool;
@@ -156,7 +156,9 @@ impl Default for ClusterConfig {
 pub struct Cluster {
     shards: Vec<Shard>,
     workload: Workload,
-    router: Box<dyn RouterPolicy>,
+    router: RouterKind,
+    /// Round-robin position: advanced once per routing decision.
+    router_cursor: usize,
     migration: Option<MigrationConfig>,
     max_ticks: u64,
     now: u64,
@@ -262,7 +264,8 @@ impl Cluster {
         Ok(Self {
             shards,
             workload,
-            router: config.router.build(),
+            router: config.router,
+            router_cursor: 0,
             migration: config.migration,
             max_ticks: config.max_ticks,
             now: 0,
@@ -374,8 +377,7 @@ impl Cluster {
                     .enumerate()
                     .map(|(i, s)| s.view(&arrival.request.prompt, self.faults.health[i]))
                     .collect();
-                let pick = self.router.route(&views);
-                assert!(pick < self.shards.len(), "router returned an out-of-range shard");
+                let pick = self.router.route(&mut self.router_cursor, &views);
                 assert!(self.faults.health[pick].routable(), "router picked an unroutable shard");
                 pick
             } else {
@@ -396,7 +398,7 @@ impl Cluster {
             );
             if routable {
                 self.routed[home] += 1;
-                self.shards[home].accept(arrival, &mut self.records[global], self.now, &mut self.workload);
+                self.shards[home].accept(arrival, &mut self.records[global], self.now);
             } else {
                 // Park it as a retry attempt (bounded, so a cluster that
                 // never recovers dead-letters it).
@@ -414,7 +416,7 @@ impl Cluster {
         let mut works: Vec<_> = self.shards.iter_mut().map(|shard| shard.engine.plan_step()).collect();
         self.steppers.compute(&mut works);
         for (shard, work) in self.shards.iter_mut().zip(works) {
-            shard.commit_step(work, self.now, &mut self.workload, &mut self.records);
+            shard.commit_step(work, self.now, &mut self.records);
         }
         self.enforce_deadlines();
         for (i, shard) in self.shards.iter().enumerate() {
@@ -528,8 +530,7 @@ impl Cluster {
             .enumerate()
             .map(|(i, s)| s.view(&work.request.prompt, self.faults.health[i]))
             .collect();
-        let pick = self.router.route(&views);
-        assert!(pick < self.shards.len(), "router returned an out-of-range shard");
+        let pick = self.router.route(&mut self.router_cursor, &views);
         assert!(self.faults.health[pick].routable(), "router picked an unroutable shard");
         self.routed[pick] += 1;
         if let Err((_reason, work)) = self.shards[pick].requeue(work, self.now) {
@@ -539,8 +540,7 @@ impl Cluster {
 
     /// The bounded-retry state machine: resets the record's attempt
     /// state, then either parks the work with its exponential backoff or
-    /// — once the retry budget is spent — dead-letters it (terminal,
-    /// disposing of the request for closed-loop workloads).
+    /// — once the retry budget is spent — dead-letters it (terminal).
     fn retry_or_dead_letter(&mut self, work: LostWork) {
         let now = self.now;
         let home = self.homes[work.arrival];
@@ -564,7 +564,6 @@ impl Cluster {
                 work.arrival as u64,
                 TraceEventKind::DeadLetter { attempts: attempt },
             );
-            self.workload.notify_completion(now);
         } else {
             self.faults.retries += 1;
             self.shards[home].emit(now, work.arrival as u64, TraceEventKind::Retried { attempt });
@@ -599,7 +598,6 @@ impl Cluster {
             record.lost_at = None;
             self.faults.shed += 1;
             self.shards[self.homes[arrival]].emit(self.now, arrival as u64, TraceEventKind::Shed);
-            self.workload.notify_completion(self.now);
         }
     }
 
@@ -754,7 +752,7 @@ impl Cluster {
             self.tick();
         }
         let arrival = self.workload.kind();
-        let router = self.router.kind();
+        let router = self.router;
         let mut by_home: Vec<Vec<RequestRecord>> = vec![Vec::new(); self.shards.len()];
         for (record, home) in self.records.into_iter().zip(self.homes) {
             by_home[home].push(record);

@@ -17,10 +17,10 @@
 //! prompt is consumed at the admission tick, as the pre-chunking stack
 //! did). The stack is:
 //!
-//! * [`Workload`] — seeded, reproducible timed arrivals: open-loop
-//!   Poisson, bursty on-off, a closed-loop N-users think-time model, and
-//!   deterministic trace replay, over a configurable [`RequestMix`] of
-//!   policies, budgets, prompt lengths and priorities.
+//! * [`Workload`] — seeded, reproducible timed arrivals, sorted and
+//!   fixed at construction: open-loop Poisson over a configurable
+//!   [`RequestMix`] of policies, budgets, prompt lengths and priorities,
+//!   or deterministic trace replay.
 //! * [`AdmissionController`] — accounts each admitted session's peak KV
 //!   bytes (from [`veda::Request::peak_resident_tokens`], the same helper
 //!   the engine's KV pre-allocation derives from) against the HBM
@@ -35,10 +35,9 @@
 //!   more concurrent sessions under the same capacity, with per-request
 //!   token streams unchanged (see the [`admission`] module docs for the
 //!   soundness argument).
-//! * [`SchedulerPolicy`] ([`SchedKind`]) — FCFS, round-robin,
-//!   shortest-remaining-budget and priority tiers decide which queued
-//!   request is admitted next, and (for the preemptive policies) which
-//!   running session is paused and swapped out over the PCIe-style
+//! * [`SchedKind`] — FCFS or priority tiers decide which queued request
+//!   is admitted next, and (priority only) which running session is
+//!   paused and swapped out over the PCIe-style
 //!   [`veda_mem::HostLink`] to make room. Preemption never changes a
 //!   request's generated tokens — only when they appear. Swap latency is
 //!   serialized into the clock: a resumed session re-enters the batch
@@ -46,12 +45,11 @@
 //! * [`Cluster`] — the virtual-clock loop binding the three to the
 //!   engine's mixed prefill/decode ticks: N [`Shard`]s (each one engine
 //!   with its own admission controller, queue and host link) behind one
-//!   [`RouterPolicy`] ([`RouterKind`]: round-robin, least-loaded,
-//!   prefix-affinity) on one virtual clock, with opt-in cross-shard
-//!   session migration ([`MigrationConfig`]) costed through both shards'
-//!   host links. A single-engine deployment is a 1-shard cluster. One
-//!   shared [`Workload`] samples requests centrally in arrival order, so
-//!   routing can never perturb the RNG stream. The run yields a
+//!   [`RouterKind`] (round-robin or prefix affinity) on one virtual
+//!   clock, with opt-in cross-shard session migration
+//!   ([`MigrationConfig`]) costed through both shards' host links. A single-engine deployment is a 1-shard cluster. One
+//!   shared [`Workload`] fixes every request before the run, so routing
+//!   can never perturb the RNG stream. The run yields a
 //!   [`ClusterReport`]: per-shard [`ServingReport`]s — per-request
 //!   submitted/admitted/first-token/finished timestamps, TTFT, queueing
 //!   delay, end-to-end latency percentiles, time-per-output-token, queue
@@ -127,10 +125,8 @@ pub use report::{LatencySummary, RequestRecord, ServingReport, StageSummaries};
 // The observability plane: re-exported so serving callers can wire a
 // sink, export Chrome traces, and read waterfalls without naming the
 // telemetry crate.
-pub use router::{ParseRouterKindError, RouterKind, RouterPolicy, ShardView};
-pub use scheduler::{
-    ParseSchedKindError, QueuedView, RunningView, SchedKind, SchedulerPolicy, MAX_PREEMPTIONS,
-};
+pub use router::{ParseRouterKindError, RouterKind};
+pub use scheduler::{ParseSchedKindError, SchedKind, MAX_PREEMPTIONS};
 pub use shard::Shard;
 pub use veda_telemetry::{
     chrome_trace_json, MetricsRegistry, RecordingSink, SinkHandle, StageWaterfall, TraceEvent,

@@ -1,72 +1,52 @@
 //! Routing policies: which shard receives each arriving request.
 //!
-//! A [`crate::Cluster`] consults its [`RouterPolicy`] once per arrival,
+//! A [`crate::Cluster`] asks its [`RouterKind`] once per arrival,
 //! *before* the request is screened — routing decides which shard's
 //! admission control, queue and prefix cache the request meets. The
-//! policy sees one [`ShardView`] per shard (load and prefix-affinity
-//! snapshots taken at the arrival's tick, in shard order) and returns a
-//! shard index; it never sees the prompt itself, so a policy cannot
-//! smuggle workload-dependent state past the determinism pins — the same
-//! seed and shard count always produce the same routing trace.
+//! policy sees one view per shard (load and prefix-affinity snapshots
+//! taken at the arrival's tick, in shard order) and returns a shard
+//! index; it never sees the prompt itself, so a policy cannot smuggle
+//! workload-dependent state past the determinism pins — the same seed
+//! and shard count always produce the same routing trace.
 //!
-//! Three policies ship:
+//! Two policies ship:
 //!
 //! * [`RouterKind::RoundRobin`] — rotate through shards in arrival
 //!   order, ignoring load. The baseline, and on one shard the
 //!   single-engine deployment.
-//! * [`RouterKind::LeastLoaded`] — send each request to the shard with
-//!   the fewest reserved KV bytes (queue depth, then lowest shard index,
-//!   break ties). Balances byte pressure, blind to prefix locality.
 //! * [`RouterKind::PrefixAffinity`] — send the request to the shard
 //!   whose prefix cache shares the longest prefix with the prompt
 //!   (lowest shard index breaks ties); when no shard knows the prefix,
-//!   fall back to least-loaded. Keeps a session group's shared system
-//!   prompt resident on *one* shard instead of duplicating it N ways —
-//!   the cluster-level analogue of the engine's prefix cache, and the
-//!   policy `tests/cluster_stack.rs` pins beating round-robin on
-//!   shared-prefix traffic at two to four shards.
+//!   send it to the shard with the fewest reserved KV bytes (queue
+//!   depth, then lowest shard index, break ties). Keeps a session
+//!   group's shared system prompt resident on *one* shard instead of
+//!   duplicating it N ways — the cluster-level analogue of the engine's
+//!   prefix cache, and the policy `tests/cluster_stack.rs` pins beating
+//!   round-robin on shared-prefix traffic at two to four shards.
 
 use std::fmt;
 use std::str::FromStr;
 
 use crate::faults::ShardHealth;
 
-/// Per-shard snapshot a [`RouterPolicy`] routes against.
+/// Per-shard snapshot a [`RouterKind`] routes against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardView {
+pub(crate) struct ShardView {
     /// The shard's index within the cluster.
-    pub shard: usize,
+    pub(crate) shard: usize,
     /// KV bytes currently reserved by the shard's admission control.
-    pub reserved_bytes: u64,
-    /// The shard's configured device KV capacity.
-    pub capacity_bytes: u64,
+    pub(crate) reserved_bytes: u64,
     /// Requests waiting in the shard's admission queue.
-    pub queue_depth: usize,
-    /// Sessions currently prefilling/decoding on the shard.
-    pub running: usize,
+    pub(crate) queue_depth: usize,
     /// Longest prefix of the arriving prompt already resident in the
     /// shard's prefix cache, in tokens (`0` when the cache is disabled
     /// or cold).
-    pub prefix_match_tokens: usize,
+    pub(crate) prefix_match_tokens: usize,
     /// The shard's health: only [`ShardHealth::routable`] shards may be
     /// picked. The cluster guarantees at least one routable view per
     /// call (arrivals with no healthy shard bypass the router entirely
     /// and park in the retry queue).
-    pub health: ShardHealth,
-}
-
-/// A routing policy: maps each arrival to a shard index.
-///
-/// Policies may keep internal state (round-robin's cursor); the cluster
-/// calls [`RouterPolicy::route`] exactly once per arrival, in global
-/// arrival order, which is what makes stateful policies deterministic.
-pub trait RouterPolicy {
-    /// Which policy this is.
-    fn kind(&self) -> RouterKind;
-
-    /// Picks the shard for the next arrival. `shards` holds one view per
-    /// shard, indexed by shard id; the returned index must be in range.
-    fn route(&mut self, shards: &[ShardView]) -> usize;
+    pub(crate) health: ShardHealth,
 }
 
 /// The routing policies shipped with the cluster plane.
@@ -75,32 +55,54 @@ pub enum RouterKind {
     /// Rotate through shards in arrival order.
     #[default]
     RoundRobin,
-    /// Fewest reserved KV bytes wins (queue depth breaks ties).
-    LeastLoaded,
-    /// Longest resident prefix match wins; least-loaded fallback.
+    /// Longest resident prefix match wins; fewest reserved KV bytes
+    /// when no shard knows the prefix.
     PrefixAffinity,
 }
 
 impl RouterKind {
     /// Every shipped routing policy, for sweeps.
-    pub const ALL: [RouterKind; 3] =
-        [RouterKind::RoundRobin, RouterKind::LeastLoaded, RouterKind::PrefixAffinity];
+    pub const ALL: [RouterKind; 2] = [RouterKind::RoundRobin, RouterKind::PrefixAffinity];
 
     /// Stable lowercase name (the `--router` flag vocabulary).
     pub fn as_str(self) -> &'static str {
         match self {
             RouterKind::RoundRobin => "round_robin",
-            RouterKind::LeastLoaded => "least_loaded",
             RouterKind::PrefixAffinity => "prefix_affinity",
         }
     }
 
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn RouterPolicy> {
+    /// Picks the shard for the next arrival. `shards` holds one view per
+    /// shard, indexed by shard id. `cursor` is the cluster's round-robin
+    /// position; the cluster routes exactly once per arrival (and per
+    /// retry), in a deterministic order, so the rotation is
+    /// deterministic too.
+    pub(crate) fn route(self, cursor: &mut usize, shards: &[ShardView]) -> usize {
         match self {
-            RouterKind::RoundRobin => Box::new(RoundRobin { cursor: 0 }),
-            RouterKind::LeastLoaded => Box::new(LeastLoaded),
-            RouterKind::PrefixAffinity => Box::new(PrefixAffinity),
+            RouterKind::RoundRobin => {
+                // Rotate over the *routable* shards: a down shard leaves
+                // the rotation without desynchronizing the cursor, and a
+                // recovered shard deterministically rejoins at its index.
+                // With every shard alive this is exactly
+                // `cursor % shards.len()`.
+                let routable: Vec<usize> =
+                    shards.iter().filter(|v| v.health.routable()).map(|v| v.shard).collect();
+                let pick = routable[*cursor % routable.len()];
+                *cursor = cursor.wrapping_add(1);
+                pick
+            }
+            RouterKind::PrefixAffinity => {
+                let routable = shards.iter().filter(|v| v.health.routable());
+                let best = routable
+                    .clone()
+                    .filter(|v| v.prefix_match_tokens > 0)
+                    // max_by_key keeps the *last* max on ties; keying the
+                    // shard index in reverse makes the winner the
+                    // lowest-indexed shard with the longest match.
+                    .max_by_key(|v| (v.prefix_match_tokens, std::cmp::Reverse(v.shard)))
+                    .or_else(|| routable.min_by_key(|v| (v.reserved_bytes, v.queue_depth, v.shard)));
+                best.expect("cluster routes only when a routable shard exists").shard
+            }
         }
     }
 }
@@ -117,7 +119,7 @@ pub struct ParseRouterKindError(String);
 
 impl fmt::Display for ParseRouterKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown router {:?} (expected one of: round_robin, least_loaded, prefix_affinity)", self.0)
+        write!(f, "unknown router {:?} (expected one of: round_robin, prefix_affinity)", self.0)
     }
 }
 
@@ -131,82 +133,8 @@ impl FromStr for RouterKind {
             s.trim().to_ascii_lowercase().chars().filter(|c| !matches!(c, '-' | '_' | ' ')).collect();
         match normalized.as_str() {
             "roundrobin" | "rr" => Ok(RouterKind::RoundRobin),
-            "leastloaded" | "load" => Ok(RouterKind::LeastLoaded),
             "prefixaffinity" | "prefix" => Ok(RouterKind::PrefixAffinity),
             _ => Err(ParseRouterKindError(s.to_string())),
-        }
-    }
-}
-
-/// Comparator key shared by the load-aware policies: fewest reserved
-/// bytes, then shallowest queue, then lowest shard index.
-fn least_loaded_key(view: &ShardView) -> (u64, usize, usize) {
-    (view.reserved_bytes, view.queue_depth, view.shard)
-}
-
-struct RoundRobin {
-    cursor: usize,
-}
-
-impl RouterPolicy for RoundRobin {
-    fn kind(&self) -> RouterKind {
-        RouterKind::RoundRobin
-    }
-
-    fn route(&mut self, shards: &[ShardView]) -> usize {
-        // Rotate over the *routable* shards: a down shard leaves the
-        // rotation without desynchronizing the cursor, and a recovered
-        // shard deterministically rejoins at its index. With every shard
-        // alive this is exactly `cursor % shards.len()`.
-        let routable: Vec<usize> = shards.iter().filter(|v| v.health.routable()).map(|v| v.shard).collect();
-        let pick = routable[self.cursor % routable.len()];
-        self.cursor = self.cursor.wrapping_add(1);
-        pick
-    }
-}
-
-struct LeastLoaded;
-
-impl RouterPolicy for LeastLoaded {
-    fn kind(&self) -> RouterKind {
-        RouterKind::LeastLoaded
-    }
-
-    fn route(&mut self, shards: &[ShardView]) -> usize {
-        shards
-            .iter()
-            .filter(|v| v.health.routable())
-            .min_by_key(|v| least_loaded_key(v))
-            .expect("cluster routes only when a routable shard exists")
-            .shard
-    }
-}
-
-struct PrefixAffinity;
-
-impl RouterPolicy for PrefixAffinity {
-    fn kind(&self) -> RouterKind {
-        RouterKind::PrefixAffinity
-    }
-
-    fn route(&mut self, shards: &[ShardView]) -> usize {
-        let best = shards
-            .iter()
-            .filter(|v| v.health.routable() && v.prefix_match_tokens > 0)
-            // max_by_key keeps the *last* max on ties; keying the shard
-            // index in reverse makes the winner the lowest-indexed shard
-            // with the longest match — deterministic and stable.
-            .max_by_key(|v| (v.prefix_match_tokens, std::cmp::Reverse(v.shard)));
-        match best {
-            Some(v) => v.shard,
-            None => {
-                shards
-                    .iter()
-                    .filter(|v| v.health.routable())
-                    .min_by_key(|v| least_loaded_key(v))
-                    .expect("cluster routes only when a routable shard exists")
-                    .shard
-            }
         }
     }
 }
@@ -219,9 +147,7 @@ mod tests {
         ShardView {
             shard,
             reserved_bytes: reserved,
-            capacity_bytes: 1 << 20,
             queue_depth: queue,
-            running: 0,
             prefix_match_tokens: prefix,
             health: ShardHealth::Alive,
         }
@@ -232,52 +158,52 @@ mod tests {
         v
     }
 
+    fn affinity(shards: &[ShardView]) -> usize {
+        RouterKind::PrefixAffinity.route(&mut 0, shards)
+    }
+
     #[test]
     fn round_robin_rotates() {
-        let mut p = RouterKind::RoundRobin.build();
+        let mut cursor = 0;
         let shards = [view(0, 0, 0, 0), view(1, 0, 0, 0), view(2, 0, 0, 0)];
-        let picks: Vec<usize> = (0..7).map(|_| p.route(&shards)).collect();
+        let picks: Vec<usize> = (0..7).map(|_| RouterKind::RoundRobin.route(&mut cursor, &shards)).collect();
         assert_eq!(picks, [0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn policies_skip_unroutable_shards() {
         // Round-robin rotates over the survivors only...
-        let mut p = RouterKind::RoundRobin.build();
+        let mut cursor = 0;
         let shards = [view(0, 0, 0, 0), down(view(1, 0, 0, 0)), view(2, 0, 0, 0)];
-        let picks: Vec<usize> = (0..4).map(|_| p.route(&shards)).collect();
+        let picks: Vec<usize> = (0..4).map(|_| RouterKind::RoundRobin.route(&mut cursor, &shards)).collect();
         assert_eq!(picks, [0, 2, 0, 2]);
         // ...and a recovered shard rejoins the rotation deterministically.
         let healthy = [view(0, 0, 0, 0), view(1, 0, 0, 0), view(2, 0, 0, 0)];
-        let picks: Vec<usize> = (0..3).map(|_| p.route(&healthy)).collect();
+        let picks: Vec<usize> = (0..3).map(|_| RouterKind::RoundRobin.route(&mut cursor, &healthy)).collect();
         assert_eq!(picks, [1, 2, 0], "cursor kept advancing across the outage");
-        // Least-loaded never picks a down shard, even the emptiest one.
-        let mut p = RouterKind::LeastLoaded.build();
-        assert_eq!(p.route(&[down(view(0, 0, 0, 0)), view(1, 999, 9, 0)]), 1);
+        // The load fallback never picks a down shard, even the emptiest.
+        assert_eq!(affinity(&[down(view(0, 0, 0, 0)), view(1, 999, 9, 0)]), 1);
         // Prefix affinity ignores a down shard's cached prefix.
-        let mut p = RouterKind::PrefixAffinity.build();
-        assert_eq!(p.route(&[down(view(0, 0, 0, 99)), view(1, 5, 0, 2)]), 1);
+        assert_eq!(affinity(&[down(view(0, 0, 0, 99)), view(1, 5, 0, 2)]), 1);
     }
 
     #[test]
-    fn least_loaded_prefers_fewest_reserved_bytes_then_queue_then_index() {
-        let mut p = RouterKind::LeastLoaded.build();
-        assert_eq!(p.route(&[view(0, 100, 0, 0), view(1, 50, 3, 0), view(2, 200, 0, 0)]), 1);
+    fn prefix_affinity_falls_back_to_fewest_reserved_bytes_then_queue_then_index() {
+        assert_eq!(affinity(&[view(0, 100, 0, 0), view(1, 50, 3, 0), view(2, 200, 0, 0)]), 1);
         // Byte tie: shallower queue wins.
-        assert_eq!(p.route(&[view(0, 100, 2, 0), view(1, 100, 1, 0)]), 1);
+        assert_eq!(affinity(&[view(0, 100, 2, 0), view(1, 100, 1, 0)]), 1);
         // Full tie: lowest shard index wins.
-        assert_eq!(p.route(&[view(0, 100, 1, 0), view(1, 100, 1, 0)]), 0);
+        assert_eq!(affinity(&[view(0, 100, 1, 0), view(1, 100, 1, 0)]), 0);
     }
 
     #[test]
     fn prefix_affinity_follows_the_longest_match() {
-        let mut p = RouterKind::PrefixAffinity.build();
         // Shard 2 knows the longest prefix, despite being the most loaded.
-        assert_eq!(p.route(&[view(0, 0, 0, 0), view(1, 10, 0, 4), view(2, 999, 9, 12)]), 2);
+        assert_eq!(affinity(&[view(0, 0, 0, 0), view(1, 10, 0, 4), view(2, 999, 9, 12)]), 2);
         // Match-length tie: lowest shard index wins.
-        assert_eq!(p.route(&[view(0, 0, 0, 8), view(1, 0, 0, 8)]), 0);
-        // No shard knows the prefix: least-loaded fallback.
-        assert_eq!(p.route(&[view(0, 100, 0, 0), view(1, 50, 0, 0)]), 1);
+        assert_eq!(affinity(&[view(0, 0, 0, 8), view(1, 0, 0, 8)]), 0);
+        // No shard knows the prefix: the load fallback.
+        assert_eq!(affinity(&[view(0, 100, 0, 0), view(1, 50, 0, 0)]), 1);
     }
 
     #[test]
@@ -286,7 +212,7 @@ mod tests {
             assert_eq!(kind.as_str().parse::<RouterKind>().unwrap(), kind);
         }
         assert_eq!("rr".parse::<RouterKind>().unwrap(), RouterKind::RoundRobin);
-        assert_eq!("Least-Loaded".parse::<RouterKind>().unwrap(), RouterKind::LeastLoaded);
+        assert_eq!("Prefix-Affinity".parse::<RouterKind>().unwrap(), RouterKind::PrefixAffinity);
         assert_eq!("prefix".parse::<RouterKind>().unwrap(), RouterKind::PrefixAffinity);
         assert!("random".parse::<RouterKind>().is_err());
     }

@@ -4,13 +4,13 @@
 //! A shard owns everything below the arrival stream: screening, the wait
 //! queue, scheduler-driven admission, preemption and swap-in
 //! serialization over its private [`HostLink`].
-//! What it does *not* own is the virtual clock, the [`Workload`] and the
-//! [`RequestRecord`]s — those belong to the cluster, which steps every
-//! shard on one clock through the crate-internal `accept` → `begin_tick`
-//! → `commit_step` sequence and lends each call the record table, so a
-//! shard writes the record of every request it hosts directly, wherever
-//! that request arrived. A single-engine deployment is a 1-shard
-//! cluster.
+//! What it does *not* own is the virtual clock, the [`crate::Workload`]
+//! and the [`RequestRecord`]s — those belong to the cluster, which steps
+//! every shard on one clock through the crate-internal `accept` →
+//! `begin_tick` → `commit_step` sequence and lends each call the record
+//! table, so a shard writes the record of every request it hosts
+//! directly, wherever that request arrived. A single-engine deployment
+//! is a 1-shard cluster.
 //!
 //! ## One tick on a shard
 //!
@@ -49,7 +49,7 @@
 //! 5. **Step** (`commit_step`): the engine advances every decoding
 //!    session one token and every prefilling session one prompt chunk;
 //!    first-token and completion ticks are recorded per request, and
-//!    completions notify closed-loop workloads. The step is the engine's
+//!    completions release their reservations. The step is the engine's
 //!    three phases ([`Engine::step`]): the cluster has the engine plan
 //!    its tick, computes the planned [`StepWork`] on one of its step
 //!    threads, and `commit_step` hands the work back to the engine and
@@ -71,8 +71,8 @@ use veda_telemetry::{SinkHandle, TraceEvent, TraceEventKind, Tracer};
 use crate::admission::{AdmissionConfig, AdmissionController, RejectReason};
 use crate::faults::LostWork;
 use crate::report::{RequestRecord, ServingReport};
-use crate::scheduler::{QueuedView, RunningView, SchedKind, SchedulerPolicy};
-use crate::workload::{ArrivalKind, ServingRequest, Workload};
+use crate::scheduler::{QueuedView, RunningView, SchedKind};
+use crate::workload::{ArrivalKind, ServingRequest};
 
 /// Why an admitted session spent ticks off the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +175,7 @@ pub struct Shard {
     pub(crate) id: usize,
     pub(crate) engine: Engine,
     pub(crate) admission: AdmissionController,
-    pub(crate) policy: Box<dyn SchedulerPolicy>,
+    pub(crate) sched: SchedKind,
     pub(crate) link: HostLink,
     pub(crate) kv_bytes_per_token: u64,
     /// Engine cycles elapsed so far (sum of executed tick batch cycles)
@@ -216,7 +216,7 @@ impl Shard {
             id,
             engine,
             admission: AdmissionController::new(admission),
-            policy: sched.build(),
+            sched,
             link: HostLink::new(host_link),
             kv_bytes_per_token,
             elapsed_cycles: 0,
@@ -310,9 +310,7 @@ impl Shard {
         crate::router::ShardView {
             shard: self.id,
             reserved_bytes: self.admission.reserved_bytes(),
-            capacity_bytes: self.admission.config().capacity_bytes,
             queue_depth: self.queue.len(),
-            running: self.running.len(),
             prefix_match_tokens: self.engine.prefix_match_len(prompt),
             health,
         }
@@ -341,24 +339,17 @@ impl Shard {
     }
 
     /// Screens one arrival into the queue or a rejection, stamped on its
-    /// freshly created `record`; `workload` is notified when a rejection
-    /// disposes of a closed-loop user's request. A prompt with a known
-    /// shared prefix reserves only its *unshared* peak bytes — the shared
-    /// span stays resident in the engine's prefix cache — provided the
-    /// discount is sound for this request: the accept takes a
+    /// freshly created `record`. A prompt with a known shared prefix
+    /// reserves only its *unshared* peak bytes — the shared span stays
+    /// resident in the engine's prefix cache — provided the discount is
+    /// sound for this request: the accept takes a
     /// [`veda::Engine::pin_prefix`] pin on the matched entry (held until
     /// the submit lands, making the entry immune to LRU eviction, host
     /// spill and TTL expiry — the match cannot shrink), only requests
     /// that can never evict ([`veda::Request::never_evicts`]) qualify
     /// (an eviction inside the shared span would privatize it and push
     /// the session past a discounted reservation).
-    pub(crate) fn accept(
-        &mut self,
-        arrival: ServingRequest,
-        record: &mut RequestRecord,
-        now: u64,
-        workload: &mut Workload,
-    ) {
+    pub(crate) fn accept(&mut self, arrival: ServingRequest, record: &mut RequestRecord, now: u64) {
         let ServingRequest { request, priority } = arrival;
         let global_arrival = record.arrival;
         let discount_sound = request.never_evicts();
@@ -393,10 +384,6 @@ impl Shard {
                     RejectReason::QueueFull => self.rejected_queue_full += 1,
                     RejectReason::Invalid => self.rejected_invalid += 1,
                 }
-                // A rejection disposes of the request: without this, a
-                // closed-loop user whose request was rejected would never
-                // submit again and the run could not drain.
-                workload.notify_completion(now);
             }
         }
     }
@@ -422,13 +409,7 @@ impl Shard {
     /// shard's engine tick (`None` when no session was active) and
     /// computed it: the engine commits `work`, then event observation and
     /// cycle/peak/queue-depth accounting — on the cluster's thread.
-    pub(crate) fn commit_step(
-        &mut self,
-        work: Option<StepWork>,
-        now: u64,
-        workload: &mut Workload,
-        records: &mut [RequestRecord],
-    ) {
+    pub(crate) fn commit_step(&mut self, work: Option<StepWork>, now: u64, records: &mut [RequestRecord]) {
         let mut stepped_cycles = 0;
         if let Some(work) = work {
             let tick = self.engine.commit_step(work);
@@ -439,7 +420,7 @@ impl Shard {
             self.kv_resident_peak =
                 self.kv_resident_peak.max(tick.kv_bytes_resident + self.engine.prefix_cache_bytes());
             for event in &tick.events {
-                self.observe(event, now, workload, records);
+                self.observe(event, now, records);
             }
             // A chunked-prefill harvest may have inserted a new entry
             // under byte pressure, evicting/spilling cold ones; bill the
@@ -641,7 +622,6 @@ impl Shard {
             // submission (it already consumed its place in line once).
             submitted: entry.submitted,
             priority: entry.priority,
-            total_tokens: entry.request.max_new_tokens,
             est_bytes: entry.est_bytes,
         }
     }
@@ -656,7 +636,6 @@ impl Shard {
                     .engine
                     .session_remaining_tokens(entry.session)
                     .expect("running entry tracks the engine"),
-                est_bytes: entry.est_bytes,
                 preemptions: entry.preemptions,
             })
             .collect()
@@ -667,7 +646,7 @@ impl Shard {
     fn admit_from_queue(&mut self, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
         while !self.queue.is_empty() {
             let views: Vec<QueuedView> = self.queue.iter().map(Self::queued_view).collect();
-            let Some(pick) = self.policy.next_candidate(&views) else { break };
+            let Some(pick) = self.sched.next_candidate(&views) else { break };
             let incoming = views[pick];
             // Admission must fit the reservation *and* the prefix cache's
             // own resident bytes inside capacity — including the bytes a
@@ -679,14 +658,13 @@ impl Shard {
             let needed = incoming.est_bytes.saturating_add(self.prefix_overhead()).saturating_add(fill_bytes);
             while !self.admission.would_fit(needed) {
                 let victims = self.running_views();
-                let Some(victim) = self.policy.preemption_victim(&incoming, &victims) else { break };
+                let Some(victim) = self.sched.preemption_victim(&incoming, &victims) else { break };
                 self.preempt(victim, now, records);
             }
             if !self.admission.would_fit(needed) {
                 break;
             }
             let entry = self.queue.remove(pick).expect("pick indexes the queue");
-            self.policy.on_admitted(&incoming);
             self.admit(entry, now, records, homes);
         }
     }
@@ -799,14 +777,8 @@ impl Shard {
     /// only moves the clock (the record's first-token tick stays unset —
     /// that is exactly what makes TTFT real under chunked prefill);
     /// generated tokens update the record, and completions release their
-    /// reservation and notify closed-loop workloads.
-    fn observe(
-        &mut self,
-        event: &TokenEvent,
-        now: u64,
-        workload: &mut Workload,
-        records: &mut [RequestRecord],
-    ) {
+    /// reservation.
+    fn observe(&mut self, event: &TokenEvent, now: u64, records: &mut [RequestRecord]) {
         let TokenEvent::Generated { session, finished, .. } = *event else {
             return;
         };
@@ -826,7 +798,6 @@ impl Shard {
         if finished {
             let entry = self.running.remove(index);
             self.admission.release(entry.est_bytes);
-            workload.notify_completion(now);
         }
     }
 
@@ -861,7 +832,7 @@ impl Shard {
         ServingReport {
             shard_id: self.id,
             arrival,
-            sched: self.policy.kind(),
+            sched: self.sched,
             ticks,
             decode_ticks: self.decode_ticks,
             submitted: records.len(),

@@ -1,13 +1,10 @@
-//! Timed request arrival generation: open-loop Poisson and bursty on-off
-//! processes, a closed-loop N-users think-time model, and deterministic
-//! trace replay — all seeded and reproducible.
+//! Timed request arrivals: a seeded open-loop Poisson process and
+//! deterministic trace replay.
 //!
-//! A [`Workload`] produces [`ServingRequest`]s stamped with virtual-clock
-//! arrival ticks. Open-loop processes precompute their whole arrival
-//! sequence at construction (arrivals do not depend on service times);
-//! the closed-loop process schedules each user's next request only when a
-//! previous one completes ([`Workload::notify_completion`]), modeling
-//! interactive users with exponential think times.
+//! A [`Workload`] is a list of [`ServingRequest`]s stamped with
+//! virtual-clock arrival ticks, sorted and fixed at construction: arrivals
+//! never depend on service times, so nothing the cluster does can change
+//! what arrives or when.
 
 use std::collections::VecDeque;
 
@@ -32,27 +29,18 @@ pub struct ServingRequest {
 pub enum ArrivalKind {
     /// Open-loop Poisson arrivals at a constant rate.
     Poisson,
-    /// Open-loop on-off (bursty) arrivals: Poisson bursts separated by
-    /// silent gaps.
-    Burst,
-    /// Closed-loop: N users alternate between waiting for their request
-    /// and thinking for an exponential time.
-    Closed,
     /// Deterministic replay of an explicit arrival trace.
     Trace,
 }
 
 impl ArrivalKind {
     /// All kinds, in presentation order.
-    pub const ALL: [ArrivalKind; 4] =
-        [ArrivalKind::Poisson, ArrivalKind::Burst, ArrivalKind::Closed, ArrivalKind::Trace];
+    pub const ALL: [ArrivalKind; 2] = [ArrivalKind::Poisson, ArrivalKind::Trace];
 
     /// Stable identifier.
     pub fn as_str(self) -> &'static str {
         match self {
             ArrivalKind::Poisson => "poisson",
-            ArrivalKind::Burst => "burst",
-            ArrivalKind::Closed => "closed",
             ArrivalKind::Trace => "trace",
         }
     }
@@ -70,7 +58,7 @@ pub struct ParseArrivalKindError(String);
 
 impl std::fmt::Display for ParseArrivalKindError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown arrival process {:?} (expected one of: poisson, burst, closed, trace)", self.0)
+        write!(f, "unknown arrival process {:?} (expected one of: poisson, trace)", self.0)
     }
 }
 
@@ -82,8 +70,6 @@ impl std::str::FromStr for ArrivalKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "poisson" | "open" => Ok(ArrivalKind::Poisson),
-            "burst" | "bursty" | "onoff" | "on-off" => Ok(ArrivalKind::Burst),
-            "closed" | "closed-loop" | "closedloop" | "users" => Ok(ArrivalKind::Closed),
             "trace" | "replay" => Ok(ArrivalKind::Trace),
             _ => Err(ParseArrivalKindError(s.to_string())),
         }
@@ -191,20 +177,13 @@ fn exp_ticks(rng: &mut StdRng, mean: f64) -> u64 {
     (-(1.0 - u).ln() * mean).round() as u64
 }
 
-/// A seeded, reproducible source of timed request arrivals (see the
+/// A seeded, reproducible list of timed request arrivals (see the
 /// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Workload {
     kind: ArrivalKind,
-    /// Future arrivals, sorted by tick.
+    /// Arrivals not yet taken, sorted by tick.
     scheduled: VecDeque<(u64, ServingRequest)>,
-    /// Closed-loop: requests not yet scheduled because their user is
-    /// still waiting or thinking.
-    unspawned: usize,
-    /// Closed-loop mean think time in ticks.
-    think_ticks: f64,
-    rng: StdRng,
-    mix: RequestMix,
     emitted: usize,
 }
 
@@ -225,71 +204,7 @@ impl Workload {
             let request = mix.sample(&mut rng, i);
             scheduled.push_back((tick, request));
         }
-        Self { kind: ArrivalKind::Poisson, scheduled, unspawned: 0, think_ticks: 0.0, rng, mix, emitted: 0 }
-    }
-
-    /// Open-loop bursty arrivals: Poisson at `rate` during `on_ticks`-long
-    /// bursts, silent for `off_ticks` between bursts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not positive or `on_ticks` is zero.
-    pub fn bursty(
-        seed: u64,
-        rate: f64,
-        on_ticks: u64,
-        off_ticks: u64,
-        total: usize,
-        mix: RequestMix,
-    ) -> Self {
-        assert!(rate > 0.0, "arrival rate must be positive");
-        assert!(on_ticks > 0, "burst length must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut scheduled = VecDeque::with_capacity(total);
-        // Arrivals are Poisson on the concatenated ON-time axis; mapping
-        // ON-time τ to wall time inserts the OFF gaps.
-        let mut on_time = 0u64;
-        for i in 0..total {
-            on_time += exp_ticks(&mut rng, 1.0 / rate);
-            let wall = (on_time / on_ticks) * (on_ticks + off_ticks) + on_time % on_ticks;
-            let request = mix.sample(&mut rng, i);
-            scheduled.push_back((wall, request));
-        }
-        Self { kind: ArrivalKind::Burst, scheduled, unspawned: 0, think_ticks: 0.0, rng, mix, emitted: 0 }
-    }
-
-    /// Closed-loop think-time model: `users` concurrent users issue
-    /// `total` requests between them. Each user submits, waits for the
-    /// request to complete, thinks for an exponential time with mean
-    /// `think_ticks`, then submits again. The server must call
-    /// [`Workload::notify_completion`] for follow-up arrivals to appear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `users` is zero or `think_ticks` is negative.
-    pub fn closed_loop(seed: u64, users: usize, think_ticks: f64, total: usize, mix: RequestMix) -> Self {
-        assert!(users > 0, "closed loop needs at least one user");
-        assert!(think_ticks >= 0.0, "think time must be non-negative");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let initial = users.min(total);
-        let mut scheduled = VecDeque::with_capacity(initial);
-        let mut tick = 0u64;
-        for i in 0..initial {
-            // Users ramp in over their think time rather than stampeding
-            // tick zero.
-            let request = mix.sample(&mut rng, i);
-            scheduled.push_back((tick, request));
-            tick += exp_ticks(&mut rng, think_ticks / users.max(1) as f64);
-        }
-        Self {
-            kind: ArrivalKind::Closed,
-            scheduled,
-            unspawned: total - initial,
-            think_ticks,
-            rng,
-            mix,
-            emitted: 0,
-        }
+        Self { kind: ArrivalKind::Poisson, scheduled, emitted: 0 }
     }
 
     /// Deterministic replay of an explicit `(tick, request)` trace.
@@ -297,15 +212,7 @@ impl Workload {
     pub fn trace(arrivals: Vec<(u64, ServingRequest)>) -> Self {
         let mut arrivals = arrivals;
         arrivals.sort_by_key(|(tick, _)| *tick);
-        Self {
-            kind: ArrivalKind::Trace,
-            scheduled: arrivals.into(),
-            unspawned: 0,
-            think_ticks: 0.0,
-            rng: StdRng::seed_from_u64(0),
-            mix: RequestMix::default(),
-            emitted: 0,
-        }
+        Self { kind: ArrivalKind::Trace, scheduled: arrivals.into(), emitted: 0 }
     }
 
     /// The arrival process family.
@@ -324,29 +231,10 @@ impl Workload {
         out
     }
 
-    /// Tells a closed-loop workload that one request was *disposed of*
-    /// at `now` — finished, rejected, dead-lettered, or shed (every
-    /// terminal state counts, or a closed-loop run could never drain):
-    /// the freed user thinks, then submits the next request. A no-op for
-    /// open-loop and trace workloads.
-    pub fn notify_completion(&mut self, now: u64) {
-        if self.kind != ArrivalKind::Closed || self.unspawned == 0 {
-            return;
-        }
-        self.unspawned -= 1;
-        let tick = now + 1 + exp_ticks(&mut self.rng, self.think_ticks);
-        let index = self.emitted + self.scheduled.len();
-        let request = self.mix.sample(&mut self.rng, index);
-        // Completions arrive in nondecreasing `now` order but think times
-        // vary, so keep the schedule sorted by insertion.
-        let at = self.scheduled.partition_point(|(t, _)| *t <= tick);
-        self.scheduled.insert(at, (tick, request));
-    }
-
     /// Whether every request this workload will ever produce has been
     /// taken.
     pub fn exhausted(&self) -> bool {
-        self.scheduled.is_empty() && self.unspawned == 0
+        self.scheduled.is_empty()
     }
 
     /// The tick of the next scheduled arrival, if any (used to
@@ -403,36 +291,6 @@ mod tests {
             w.scheduled.back().expect("non-empty").0
         };
         assert!(span(2.0) < span(0.1), "higher rate packs arrivals tighter");
-    }
-
-    #[test]
-    fn bursts_leave_silent_gaps() {
-        let mut w = Workload::bursty(11, 1.0, 10, 90, 40, RequestMix::default());
-        // Every arrival lands inside an ON window ([0, 10) mod 100).
-        for now in 0..100_000 {
-            for _ in w.take_arrivals(now) {
-                assert!(now % 100 < 10, "arrival at {now} falls in an OFF gap");
-            }
-            if w.exhausted() {
-                break;
-            }
-        }
-        assert!(w.exhausted());
-    }
-
-    #[test]
-    fn closed_loop_waits_for_completions() {
-        let mut w = Workload::closed_loop(5, 2, 4.0, 6, RequestMix::default());
-        let initial: usize = (0..1000).map(|now| w.take_arrivals(now).len()).sum();
-        assert_eq!(initial, 2, "only the initial user wave arrives without completions");
-        assert!(!w.exhausted(), "four requests still unspawned");
-
-        w.notify_completion(1000);
-        let mut follow_up = 0;
-        for now in 1000..10_000 {
-            follow_up += w.take_arrivals(now).len();
-        }
-        assert_eq!(follow_up, 1, "one completion frees exactly one user");
     }
 
     #[test]

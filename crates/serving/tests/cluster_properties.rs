@@ -83,8 +83,8 @@ proptest! {
         seed in 0u64..10_000,
         rate in 0.1f64..2.0,
         shards in 1usize..4,
-        router_index in 0usize..3,
-        sched_index in 0usize..4,
+        router_index in 0usize..RouterKind::ALL.len(),
+        sched_index in 0usize..SchedKind::ALL.len(),
         capacity_kb in 13u64..40,
         migrate_index in 0usize..2,
     ) {

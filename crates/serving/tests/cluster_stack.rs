@@ -25,8 +25,6 @@ fn workload(kind: ArrivalKind, seed: u64, total: usize) -> Workload {
     let mix = RequestMix::default();
     match kind {
         ArrivalKind::Poisson => Workload::poisson(seed, 0.6, total, mix),
-        ArrivalKind::Burst => Workload::bursty(seed, 1.2, 6, 30, total, mix),
-        ArrivalKind::Closed => Workload::closed_loop(seed, 3, 8.0, total, mix),
         ArrivalKind::Trace => {
             use rand::rngs::StdRng;
             use rand::SeedableRng;
@@ -105,7 +103,7 @@ fn shard_count_never_perturbs_the_request_stream() {
     // in global arrival order, so splitting arrivals across shards must
     // not change what any request *is* — same priorities, and identical
     // token streams for every request completed under both shard counts.
-    for kind in [ArrivalKind::Poisson, ArrivalKind::Burst] {
+    for kind in ArrivalKind::ALL {
         let run = |shards: usize| {
             Cluster::new(
                 engines(shards),
@@ -294,14 +292,14 @@ fn cluster_report_display_shows_the_cluster_plane() {
     let text = Cluster::new(
         engines(2),
         workload(ArrivalKind::Poisson, 3, 16),
-        cluster_config(2, RouterKind::LeastLoaded, 20 << 10, SchedKind::Srb),
+        cluster_config(2, RouterKind::PrefixAffinity, 20 << 10, SchedKind::Priority),
     )
     .run()
     .to_string();
     for needle in [
         "cluster report",
         "2 shards",
-        "least_loaded",
+        "prefix_affinity",
         "routed",
         "migrations",
         "shard 0",

@@ -518,7 +518,7 @@ proptest! {
     fn chaos_conservation_holds_every_tick(
         seed in 0u64..10_000,
         shards in 1usize..4,
-        router_index in 0usize..3,
+        router_index in 0usize..RouterKind::ALL.len(),
         crash_shard_raw in 0usize..4,
         crash_at in 2u64..16,
         recover_delta in 0u64..40,
@@ -527,8 +527,7 @@ proptest! {
         shed_raw in 0u64..100,
         migrate_raw in 0u8..2,
     ) {
-        let router = [RouterKind::RoundRobin, RouterKind::LeastLoaded, RouterKind::PrefixAffinity]
-            [router_index];
+        let router = RouterKind::ALL[router_index];
         // Encode the optional knobs in plain ranges (the offline proptest
         // shim has no option strategy): small raw values mean "off".
         let recover = (recover_delta >= 5).then(|| crash_at + recover_delta);

@@ -176,7 +176,7 @@ proptest! {
     fn serving_invariants_hold_every_tick(
         seed in 0u64..10_000,
         rate in 0.1f64..2.0,
-        sched_index in 0usize..4,
+        sched_index in 0usize..SchedKind::ALL.len(),
         capacity_kb in 13u64..40,
     ) {
         let sched = SchedKind::ALL[sched_index];

@@ -147,7 +147,7 @@ proptest! {
     fn sink_never_changes_the_report(
         seed in 0u64..10_000,
         rate in 0.1f64..1.5,
-        sched_index in 0usize..4,
+        sched_index in 0usize..SchedKind::ALL.len(),
         capacity_kb in 13u64..40,
     ) {
         let sched = SchedKind::ALL[sched_index];
@@ -165,7 +165,7 @@ proptest! {
     fn events_conserve_and_waterfalls_sum(
         seed in 0u64..10_000,
         rate in 0.1f64..1.5,
-        sched_index in 0usize..4,
+        sched_index in 0usize..SchedKind::ALL.len(),
         capacity_kb in 13u64..40,
         shards in 1usize..4,
     ) {

@@ -46,17 +46,6 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// Softmax of `x / temperature` (temperature > 0).
-///
-/// # Panics
-///
-/// Panics if `temperature <= 0`.
-pub fn softmax_with_temperature(x: &[f32], temperature: f32) -> Vec<f32> {
-    assert!(temperature > 0.0, "temperature must be positive, got {temperature}");
-    let scaled: Vec<f32> = x.iter().map(|&v| v / temperature).collect();
-    softmax(&scaled)
-}
-
 /// Log-softmax, used for NLL / perplexity evaluation.
 pub fn log_softmax(x: &[f32]) -> Vec<f32> {
     if x.is_empty() {
@@ -263,20 +252,5 @@ mod tests {
             let s: f32 = m.row(i).iter().sum();
             assert!((s - 1.0).abs() < 1e-6, "row {i} sums to {s}");
         }
-    }
-
-    #[test]
-    fn temperature_sharpens_and_flattens() {
-        let x = [1.0, 2.0];
-        let sharp = softmax_with_temperature(&x, 0.1);
-        let flat = softmax_with_temperature(&x, 10.0);
-        assert!(sharp[1] > 0.99);
-        assert!((flat[1] - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature must be positive")]
-    fn zero_temperature_panics() {
-        softmax_with_temperature(&[1.0], 0.0);
     }
 }

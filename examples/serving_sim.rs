@@ -1,6 +1,6 @@
 //! Serving simulation: the ROADMAP's scaling anchor. A seeded workload of
-//! timed arrivals (open-loop Poisson, bursty on-off, closed-loop users, or
-//! deterministic trace) flows through the `veda-serving` stack — admission
+//! timed arrivals (open-loop Poisson or a deterministic trace) flows
+//! through the `veda-serving` stack — admission
 //! control accounts KV bytes against HBM capacity, a scheduling policy
 //! decides which queued request is admitted next (preempting and swapping
 //! sessions over the host link when it must make room), and the engine
@@ -8,7 +8,7 @@
 //!
 //! The stack is a [`veda_serving::Cluster`] of `--shards N` engines
 //! (default 1) behind one routing plane
-//! (`--router round_robin|least_loaded|prefix_affinity`), stepped on one
+//! (`--router round_robin|prefix_affinity`), stepped on one
 //! virtual clock, with opt-in cross-shard KV migration (`--migrate`).
 //! The run ends with a `ClusterReport` (routing counts, migration
 //! traffic, global latency aggregates), then each shard's
@@ -24,10 +24,9 @@
 //!
 //! ```sh
 //! cargo run --release --example serving_sim -- --arrival poisson --sched fcfs --seed 7
-//! cargo run --release --example serving_sim -- --arrival burst --sched priority --capacity-kb 16
-//! cargo run --release --example serving_sim -- --arrival closed --sched srb --requests 24 --rate 0.8
+//! cargo run --release --example serving_sim -- --arrival trace --sched priority --capacity-kb 16
 //! cargo run --release --example serving_sim -- --shards 4 --router prefix --shared-prefix 24 --prefix-groups 3
-//! cargo run --release --example serving_sim -- --shards 2 --router load --migrate --capacity-kb 16
+//! cargo run --release --example serving_sim -- --shards 2 --migrate --capacity-kb 16
 //! cargo run --release --example serving_sim -- --shards 2 --fault-plan "crash@10:shard=1:recover=60" --requests 32
 //! cargo run --release --example serving_sim -- --shards 2 --deadline-ticks 200 --shed-watermark 0.8 --rate 2.0
 //! ```
@@ -181,8 +180,8 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
             "--retry-backoff" => parsed.retry_backoff = Some(value()?.parse()?),
             "--help" | "-h" => {
                 println!(
-                    "usage: serving_sim [--seed N] [--arrival poisson|burst|closed|trace] [--rate R]\n\
-                     \x20                  [--sched fcfs|round_robin|srb|priority] [--requests N]\n\
+                    "usage: serving_sim [--seed N] [--arrival poisson|trace] [--rate R]\n\
+                     \x20                  [--sched fcfs|priority] [--requests N]\n\
                      \x20                  [--capacity-kb KB] [--policy P] [--variant V] [--threads N]\n\
                      \x20                  [--prefill-chunk N]   (0 = instant prefill at admission)\n\
                      \x20                  [--shared-prefix LEN] [--prefix-groups N]\n\
@@ -192,7 +191,7 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
                      \x20                   that long; default: entries never expire)\n\
                      \x20                  [--prefix-spill]     (spill byte-pressure prefix-cache\n\
                      \x20                   evictions to a host-memory tier instead of dropping)\n\
-                     \x20                  [--shards N] [--router round_robin|least_loaded|prefix_affinity]\n\
+                     \x20                  [--shards N] [--router round_robin|prefix_affinity]\n\
                      \x20                  [--migrate]\n\
                      \x20                  (N engines, default 1, behind the routing plane;\n\
                      \x20                   --capacity-kb is per shard, --migrate enables\n\
@@ -240,12 +239,6 @@ fn build_workload(args: &Args) -> Workload {
     }
     match args.arrival {
         ArrivalKind::Poisson => Workload::poisson(args.seed, args.rate, args.requests, mix),
-        ArrivalKind::Burst => {
-            Workload::bursty(args.seed, args.rate.max(0.5) * 2.0, 8, 40, args.requests, mix)
-        }
-        ArrivalKind::Closed => {
-            Workload::closed_loop(args.seed, 4.max(args.requests / 6), 12.0, args.requests, mix)
-        }
         ArrivalKind::Trace => {
             // A deterministic stair-step trace: pairs of requests every
             // five ticks, built from the same seeded mix.

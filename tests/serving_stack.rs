@@ -22,8 +22,6 @@ fn workload(kind: ArrivalKind, seed: u64, total: usize) -> Workload {
     let mix = RequestMix::default();
     match kind {
         ArrivalKind::Poisson => Workload::poisson(seed, 0.6, total, mix),
-        ArrivalKind::Burst => Workload::bursty(seed, 1.2, 6, 30, total, mix),
-        ArrivalKind::Closed => Workload::closed_loop(seed, 3, 8.0, total, mix),
         ArrivalKind::Trace => {
             use rand::rngs::StdRng;
             use rand::SeedableRng;
@@ -64,8 +62,8 @@ fn tokens_by_arrival(report: &ServingReport) -> BTreeMap<usize, Vec<usize>> {
 
 #[test]
 fn every_arrival_process_times_every_scheduler_completes() {
-    for kind in [ArrivalKind::Poisson, ArrivalKind::Burst, ArrivalKind::Closed] {
-        for sched in [SchedKind::Fcfs, SchedKind::Srb, SchedKind::Priority] {
+    for kind in ArrivalKind::ALL {
+        for sched in SchedKind::ALL {
             let report = run(kind, sched, 11, 24 << 10);
             assert_eq!(report.arrival, kind);
             assert_eq!(report.sched, sched);
@@ -86,13 +84,6 @@ fn every_arrival_process_times_every_scheduler_completes() {
             assert!(report.kv_reserved_peak_bytes <= report.capacity_bytes, "{kind}/{sched}");
         }
     }
-}
-
-#[test]
-fn round_robin_and_trace_also_complete() {
-    let report = run(ArrivalKind::Trace, SchedKind::RoundRobin, 5, 24 << 10);
-    assert_eq!(report.completed + report.rejected(), report.submitted);
-    assert!(report.completed > 0);
 }
 
 #[test]
@@ -127,8 +118,8 @@ fn parallel_decode_is_bit_identical_to_serial() {
         };
         serve(engine_with_threads(threads), workload(kind, 11, 18), config)
     };
-    for kind in [ArrivalKind::Poisson, ArrivalKind::Burst] {
-        for sched in [SchedKind::Fcfs, SchedKind::Srb, SchedKind::Priority] {
+    for kind in ArrivalKind::ALL {
+        for sched in SchedKind::ALL {
             let serial = run_with_threads(1, kind, sched);
             for threads in [2, 8] {
                 let parallel = run_with_threads(threads, kind, sched);
@@ -196,36 +187,16 @@ fn oversized_requests_are_rejected_not_wedged() {
 #[test]
 fn queue_depth_limit_rejects_overflow() {
     let config = ClusterConfig {
-        // Tiny queue + tiny capacity: a burst must overflow it.
+        // Tiny queue + tiny capacity: a dense arrival stream must
+        // overflow it.
         per_shard_capacity_bytes: 13 << 10,
         max_queue_depth: 2,
         sched: SchedKind::Fcfs,
         ..ClusterConfig::default()
     };
-    let report = serve(engine(), workload(ArrivalKind::Burst, 17, 18), config);
-    assert!(report.rejected_queue_full > 0, "burst must overflow a depth-2 queue");
+    let report = serve(engine(), Workload::poisson(17, 4.0, 18, RequestMix::default()), config);
+    assert!(report.rejected_queue_full > 0, "dense arrivals must overflow a depth-2 queue");
     assert_eq!(report.completed + report.rejected(), report.submitted);
-}
-
-#[test]
-fn closed_loop_drains_even_when_requests_are_rejected() {
-    // Regression: a rejected request must still free its closed-loop user
-    // (otherwise the workload never exhausts and the run spins to the
-    // max_ticks safety valve). Capacity below the largest request forces
-    // never-fits rejections under closed-loop arrivals.
-    let mix = RequestMix::default();
-    let max_est = (mix.prompt_len.1 + mix.max_new_tokens.1) as u64 * engine().kv_bytes_per_token();
-    let config = ClusterConfig {
-        per_shard_capacity_bytes: max_est / 2,
-        max_queue_depth: 64,
-        sched: SchedKind::Fcfs,
-        ..ClusterConfig::default()
-    };
-    let report = serve(engine(), Workload::closed_loop(41, 3, 6.0, 18, mix), config);
-    assert_eq!(report.submitted, 18, "every closed-loop request must eventually arrive");
-    assert!(report.rejected_never_fits > 0, "tiny capacity must reject some requests");
-    assert_eq!(report.completed + report.rejected(), report.submitted);
-    assert!(report.ticks < ClusterConfig::default().max_ticks, "run must drain, not hit the valve");
 }
 
 #[test]
@@ -513,7 +484,7 @@ fn spill_tier_admits_more_than_drop_on_evict_at_equal_cache_bytes() {
 
 #[test]
 fn report_display_shows_latency_table() {
-    let text = run(ArrivalKind::Poisson, SchedKind::Srb, 3, 20 << 10).to_string();
+    let text = run(ArrivalKind::Poisson, SchedKind::Priority, 3, 20 << 10).to_string();
     for needle in ["ttft", "p50", "p95", "p99", "queue depth", "preemptions", "rejected", "swap traffic"] {
         assert!(text.contains(needle), "report must mention {needle:?}:\n{text}");
     }
