@@ -85,4 +85,20 @@ mod tests {
         let d = transformer_distortion(&cfg, &tokens, PolicyKind::Full, 1);
         assert!(d.abs() < 1e-9, "distortion {d}");
     }
+
+    #[test]
+    fn distortion_bits_are_pinned_per_policy() {
+        // Exact f64 bits on one fixed input: any change to how the two
+        // sequences are driven (or to the forward pass under them) shows
+        // here before it moves a benchmark row.
+        let cfg = ModelConfig::tiny();
+        let tokens: Vec<usize> = (0..40).map(|i| (i * 7 + 3) % cfg.vocab_size).collect();
+        let bits: Vec<u64> = PolicyKind::ALL
+            .iter()
+            .map(|&kind| transformer_distortion(&cfg, &tokens, kind, 12).to_bits())
+            .collect();
+        // Full, SlidingWindow, H2o, Voting: 0.0, 0.3305574086784540,
+        // 0.2669983810578250, 0.0223693736178123.
+        assert_eq!(bits, [0, 4599626412808101288, 4598481435155668106, 4582104754380564156]);
+    }
 }
