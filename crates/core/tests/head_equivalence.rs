@@ -243,12 +243,16 @@ fn recorded_prefix_observations_replay_onto_the_full_forward_reference() {
                     engine.step();
                 }
                 assert_eq!(
-                    engine.prefix_cache_stats().insertions,
+                    engine.prefix_cache().expect("prefix cache enabled").stats().insertions,
                     1,
                     "the cold prompt must have been recorded"
                 );
                 let hit = engine.submit(request(5, 12)).expect("valid request");
-                assert_eq!(engine.prefix_cache_stats().shared_tokens, 20, "the second prompt must hit");
+                assert_eq!(
+                    engine.prefix_cache().expect("prefix cache enabled").stats().shared_tokens,
+                    20,
+                    "the second prompt must hit"
+                );
                 let report = engine.run_to_completion();
                 for (session, (suffix, seed)) in [(cold, (7, 11)), (hit, (5, 12))] {
                     let got =

@@ -66,7 +66,7 @@ fn run(mut engine: Engine, requests: Vec<Request>, stage1: usize) -> (Vec<Reques
     while engine.active_sessions() > 0 {
         engine.step();
     }
-    let hits = engine.prefix_cache_stats().hits;
+    let hits = engine.prefix_cache().map_or(0, |cache| cache.stats().hits);
     let reports = sessions.into_iter().map(|s| engine.take_report(s).expect("finished session")).collect();
     (reports, hits)
 }

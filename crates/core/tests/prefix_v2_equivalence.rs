@@ -88,7 +88,7 @@ fn run(mut engine: Engine, requests: Vec<Request>, stage1: usize) -> (Vec<Reques
         engine.advance_prefix_clock(tick);
         engine.step();
     }
-    let hits = engine.prefix_cache_stats().hits;
+    let hits = engine.prefix_cache().map_or(0, |cache| cache.stats().hits);
     let reports = sessions.into_iter().map(|s| engine.take_report(s).expect("finished session")).collect();
     (reports, hits)
 }
@@ -185,12 +185,12 @@ proptest! {
                 reference.match_len(&prompt),
                 "request {}: match estimate diverged from v1 (seed {})", i, seed
             );
-            let before = engine.prefix_cache_stats();
+            let before = engine.prefix_cache().expect("prefix cache enabled").stats();
             let expected = reference.submit(&prompt);
             // Instant prefill: the lookup and any insertion happen
             // synchronously inside submit.
             engine.submit(request).expect("valid request");
-            let after = engine.prefix_cache_stats();
+            let after = engine.prefix_cache().expect("prefix cache enabled").stats();
             let actual = RefDecision {
                 matched: (after.shared_tokens - before.shared_tokens) as usize,
                 inserted: after.insertions > before.insertions,
@@ -209,7 +209,7 @@ proptest! {
         while engine.active_sessions() > 0 {
             engine.step();
         }
-        let stats = engine.prefix_cache_stats();
+        let stats = engine.prefix_cache().expect("prefix cache enabled").stats();
         prop_assert_eq!(
             (stats.evictions, stats.spills, stats.fills, stats.expiries, stats.host_entries),
             (0, 0, 0, 0, 0),

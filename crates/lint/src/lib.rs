@@ -21,6 +21,7 @@
 //! | `coordinator-only-tracing` | invariant #8 — no trace emission inside `thread::scope` workers |
 //! | `crate-hygiene` | audit surface — `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` |
 //! | `unwrap-ratchet` | invariant #6 — panic surface may shrink, never grow |
+//! | `pub-surface` | public items per crate may shrink, never grow |
 //! | `allow-hygiene` | escape hatches must be known, explained and live |
 //!
 //! Escape hatch: `// lint:allow(rule-name): reason` on (or directly
@@ -41,7 +42,7 @@ use std::fs;
 use std::path::Path;
 
 use ratchet::{Ratchet, RatchetOutcome, RATCHET_FILE};
-use rules::{lint_source, PanicCounts, Violation};
+use rules::{lint_source, RatchetCounts, Violation};
 use workspace::{discover, FileContext};
 
 /// The result of linting the whole workspace.
@@ -54,8 +55,8 @@ pub struct WorkspaceLint {
     pub improvements: Vec<String>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Measured per-crate panic-surface counts (the ratchet input).
-    pub counts: BTreeMap<String, PanicCounts>,
+    /// Measured per-crate ratchet counts (the ratchet input).
+    pub counts: BTreeMap<String, RatchetCounts>,
 }
 
 impl WorkspaceLint {
@@ -66,7 +67,7 @@ impl WorkspaceLint {
 }
 
 /// Lint every workspace source file under `root` and compare the
-/// panic-surface counts against the committed `lint-ratchet.toml` (a
+/// ratchet counts against the committed `lint-ratchet.toml` (a
 /// missing baseline file fails the pass — the ratchet only ratchets if
 /// it is committed).
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceLint> {
@@ -147,18 +148,13 @@ pub fn to_json(lint: &WorkspaceLint) -> String {
         ));
     }
     s.push_str(if lint.violations.is_empty() { "],\n" } else { "\n  ],\n" });
-    s.push_str("  \"panic_surface\": {");
+    s.push_str("  \"ratchet\": {");
     for (i, (name, c)) in lint.counts.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "\n    {}: {{\"unwrap\": {}, \"expect\": {}, \"index\": {}}}",
-            json_str(name),
-            c.unwrap,
-            c.expect,
-            c.index
-        ));
+        let fields: Vec<String> = c.entries().iter().map(|(key, n)| format!("\"{key}\": {n}")).collect();
+        s.push_str(&format!("\n    {}: {{{}}}", json_str(name), fields.join(", ")));
     }
     s.push_str(if lint.counts.is_empty() { "}\n" } else { "\n  }\n" });
     s.push_str("}\n");

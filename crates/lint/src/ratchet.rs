@@ -1,5 +1,5 @@
-//! The `lint-ratchet.toml` baseline: per-crate panic-surface counts that
-//! may shrink but never grow.
+//! The `lint-ratchet.toml` baseline: per-crate panic-surface and
+//! public-surface counts that may shrink but never grow.
 //!
 //! The file is a hand-rolled TOML subset (sections + integer keys +
 //! comments) so the linter stays zero-dependency. Serialization is
@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::rules::{PanicCounts, Violation, UNWRAP_RATCHET};
+use crate::rules::{RatchetCounts, Violation, PUB_SURFACE, UNWRAP_RATCHET};
 
 /// File name of the committed baseline, at the workspace root.
 pub const RATCHET_FILE: &str = "lint-ratchet.toml";
@@ -16,20 +16,20 @@ pub const RATCHET_FILE: &str = "lint-ratchet.toml";
 /// Per-crate baseline, keyed by package name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ratchet {
-    /// Crate → allowed panic-surface counts.
-    pub crates: BTreeMap<String, PanicCounts>,
+    /// Crate → allowed counts.
+    pub crates: BTreeMap<String, RatchetCounts>,
 }
 
 impl Ratchet {
     /// Build a baseline from freshly-measured counts.
-    pub fn from_counts(counts: &BTreeMap<String, PanicCounts>) -> Self {
+    pub fn from_counts(counts: &BTreeMap<String, RatchetCounts>) -> Self {
         Ratchet { crates: counts.clone() }
     }
 
     /// Parse the committed baseline. Unknown keys and malformed lines are
     /// errors: a baseline that silently drops entries would un-ratchet.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut crates: BTreeMap<String, PanicCounts> = BTreeMap::new();
+        let mut crates: BTreeMap<String, RatchetCounts> = BTreeMap::new();
         let mut current: Option<String> = None;
         for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -41,7 +41,7 @@ impl Ratchet {
                 if crates.contains_key(&name) {
                     return Err(format!("line {}: duplicate crate section `{name}`", n + 1));
                 }
-                crates.insert(name.clone(), PanicCounts::default());
+                crates.insert(name.clone(), RatchetCounts::default());
                 current = Some(name);
                 continue;
             }
@@ -56,12 +56,11 @@ impl Ratchet {
                 .parse()
                 .map_err(|_| format!("line {}: `{}` is not an integer", n + 1, value.trim()))?;
             let entry = crates.get_mut(crate_name).unwrap();
-            match key.trim() {
-                "unwrap" => entry.unwrap = value,
-                "expect" => entry.expect = value,
-                "index" => entry.index = value,
-                other => return Err(format!("line {}: unknown key `{other}`", n + 1)),
-            }
+            let key = key.trim();
+            let Some(slot) = entry.get_mut(key) else {
+                return Err(format!("line {}: unknown key `{key}`", n + 1));
+            };
+            *slot = value;
         }
         Ok(Ratchet { crates })
     }
@@ -69,16 +68,18 @@ impl Ratchet {
     /// Canonical serialization (the exact bytes `--write-ratchet` emits).
     pub fn serialize(&self) -> String {
         let mut out = String::from(
-            "# Panic-surface ratchet: per-library-crate counts of `.unwrap()`,\n\
-             # `.expect(` and panicking `x[i]` indexing in non-test code.\n\
+            "# Ratchet: per-library-crate counts, in non-test code, of the panic\n\
+             # surface (`.unwrap()`, `.expect(` and panicking `x[i]` indexing)\n\
+             # and of the public surface (`pub_items`: pub fn, struct, enum,\n\
+             # trait, type, const, static and mod).\n\
              # Counts may shrink but never grow. Regenerate after a genuine\n\
              # reduction with: cargo run -p veda-lint -- --write-ratchet\n",
         );
         for (name, c) in &self.crates {
-            out.push_str(&format!(
-                "\n[{name}]\nunwrap = {}\nexpect = {}\nindex = {}\n",
-                c.unwrap, c.expect, c.index
-            ));
+            out.push_str(&format!("\n[{name}]\n"));
+            for (key, n) in c.entries() {
+                out.push_str(&format!("{key} = {n}\n"));
+            }
         }
         out
     }
@@ -86,43 +87,55 @@ impl Ratchet {
     /// Compare measured counts against the baseline. Returns ratchet
     /// violations (growth, or a crate missing from the baseline) and
     /// improvement notes (shrinkage worth re-baselining).
-    pub fn compare(&self, measured: &BTreeMap<String, PanicCounts>) -> RatchetOutcome {
+    pub fn compare(&self, measured: &BTreeMap<String, RatchetCounts>) -> RatchetOutcome {
         let mut violations = Vec::new();
         let mut improvements = Vec::new();
         for (name, now) in measured {
             let base = self.crates.get(name).copied();
             let Some(base) = base else {
-                if now.total() > 0 {
+                if now.total() + now.pub_items > 0 {
                     violations.push(Violation {
                         rule: UNWRAP_RATCHET,
                         path: name.clone(),
                         line: 0,
                         message: format!(
-                            "crate `{name}` has {} panic sites but no baseline in \
-                             {RATCHET_FILE}; add it with --write-ratchet and review \
-                             the count in the diff",
-                            now.total()
+                            "crate `{name}` has {} panic sites and {} public items but \
+                             no baseline in {RATCHET_FILE}; add it with --write-ratchet \
+                             and review the counts in the diff",
+                            now.total(),
+                            now.pub_items
                         ),
                         suggestion: None,
                     });
                 }
                 continue;
             };
-            for (kind, now_n, base_n) in [
-                ("unwrap", now.unwrap, base.unwrap),
-                ("expect", now.expect, base.expect),
-                ("index", now.index, base.index),
-            ] {
+            for ((kind, now_n), (_, base_n)) in now.entries().into_iter().zip(base.entries()) {
                 if now_n > base_n {
+                    let (rule, message) = if kind == "pub_items" {
+                        (
+                            PUB_SURFACE,
+                            format!(
+                                "crate `{name}` grew its public surface: {now_n} items vs. \
+                                 baseline {base_n} — narrow the new item's visibility, or \
+                                 justify it in CHANGES.md and re-baseline with --write-ratchet",
+                            ),
+                        )
+                    } else {
+                        (
+                            UNWRAP_RATCHET,
+                            format!(
+                                "crate `{name}` grew its `{kind}` panic surface: {now_n} \
+                                 sites vs. baseline {base_n} — handle the error instead, \
+                                 or justify and re-baseline with --write-ratchet",
+                            ),
+                        )
+                    };
                     violations.push(Violation {
-                        rule: UNWRAP_RATCHET,
+                        rule,
                         path: name.clone(),
                         line: 0,
-                        message: format!(
-                            "crate `{name}` grew its `{kind}` panic surface: {now_n} \
-                             sites vs. baseline {base_n} — handle the error instead, \
-                             or justify and re-baseline with --write-ratchet",
-                        ),
+                        message,
                         suggestion: None,
                     });
                 } else if now_n < base_n {
@@ -148,8 +161,8 @@ pub struct RatchetOutcome {
 mod tests {
     use super::*;
 
-    fn counts(u: u64, e: u64, i: u64) -> PanicCounts {
-        PanicCounts { unwrap: u, expect: e, index: i }
+    fn counts(u: u64, e: u64, i: u64) -> RatchetCounts {
+        RatchetCounts { unwrap: u, expect: e, index: i, pub_items: 0 }
     }
 
     #[test]
@@ -176,6 +189,24 @@ mod tests {
         let out = ratchet.compare(&grown);
         assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
         assert!(out.violations[0].message.contains("unwrap"));
+        assert_eq!(out.improvements.len(), 1);
+    }
+
+    #[test]
+    fn pub_item_growth_fails_under_its_own_rule() {
+        let base = RatchetCounts { pub_items: 10, ..counts(0, 1, 0) };
+        let ratchet = Ratchet::from_counts(&BTreeMap::from([("a".to_string(), base)]));
+        let text = ratchet.serialize();
+        assert!(text.contains("\npub_items = 10\n"), "{text}");
+        assert_eq!(Ratchet::parse(&text).unwrap(), ratchet);
+
+        let grown = BTreeMap::from([("a".to_string(), RatchetCounts { pub_items: 11, ..base })]);
+        let out = ratchet.compare(&grown);
+        assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
+        assert_eq!(out.violations[0].rule, PUB_SURFACE);
+        let shrunk = BTreeMap::from([("a".to_string(), RatchetCounts { pub_items: 9, ..base })]);
+        let out = ratchet.compare(&shrunk);
+        assert!(out.violations.is_empty());
         assert_eq!(out.improvements.len(), 1);
     }
 

@@ -22,6 +22,8 @@ pub const COORDINATOR_ONLY_TRACING: &str = "coordinator-only-tracing";
 pub const CRATE_HYGIENE: &str = "crate-hygiene";
 /// Rule R6: per-crate panic-surface ratchet.
 pub const UNWRAP_RATCHET: &str = "unwrap-ratchet";
+/// Rule R7: per-crate public-surface ratchet.
+pub const PUB_SURFACE: &str = "pub-surface";
 /// Meta rule: every allow must be known, explained, and live.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 
@@ -36,7 +38,7 @@ pub struct RuleInfo {
     pub rationale: &'static str,
 }
 
-/// All rules the pass knows, in R1..R6 + meta order.
+/// All rules the pass knows, in R1..R7 + meta order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: NO_HASH_COLLECTIONS,
@@ -81,6 +83,14 @@ pub const RULES: &[RuleInfo] = &[
                     crate may shrink but never grow past lint-ratchet.toml.",
     },
     RuleInfo {
+        name: PUB_SURFACE,
+        invariant: "all (every public item earns its keep)",
+        rationale: "The public items (pub fn/struct/enum/trait/type/const/\
+                    static/mod, not pub(crate), fields or re-exports) per \
+                    library crate may shrink but never grow past \
+                    lint-ratchet.toml.",
+    },
+    RuleInfo {
         name: ALLOW_HYGIENE,
         invariant: "all (escape-hatch accountability)",
         rationale: "lint:allow directives must name a real rule, carry a \
@@ -121,28 +131,55 @@ pub struct Suggestion {
     pub after: String,
 }
 
-/// Panic-surface counts for one file or one crate (the ratchet unit).
+/// What the ratchet counts in one file or one crate's non-test library
+/// code: the panic surface and the public surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PanicCounts {
+pub struct RatchetCounts {
     /// `.unwrap()` calls.
     pub unwrap: u64,
     /// `.expect(...)` calls.
     pub expect: u64,
     /// Panicking index expressions `x[i]`.
     pub index: u64,
+    /// Public items: `pub` directly before `fn`, `struct`, `enum`,
+    /// `trait`, `type`, `const`, `static` or `mod`. Restricted visibility
+    /// (`pub(crate)`), fields and `pub use` re-exports do not count.
+    pub pub_items: u64,
 }
 
-impl PanicCounts {
+impl RatchetCounts {
     /// Element-wise accumulate.
-    pub fn add(&mut self, other: PanicCounts) {
+    pub fn add(&mut self, other: RatchetCounts) {
         self.unwrap += other.unwrap;
         self.expect += other.expect;
         self.index += other.index;
+        self.pub_items += other.pub_items;
     }
 
     /// Total panic sites.
     pub fn total(&self) -> u64 {
         self.unwrap + self.expect + self.index
+    }
+
+    /// The count stored under ratchet key `key`.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut u64> {
+        match key {
+            "unwrap" => Some(&mut self.unwrap),
+            "expect" => Some(&mut self.expect),
+            "index" => Some(&mut self.index),
+            "pub_items" => Some(&mut self.pub_items),
+            _ => None,
+        }
+    }
+
+    /// Every ratchet key with its count, in `lint-ratchet.toml` order.
+    pub fn entries(&self) -> [(&'static str, u64); 4] {
+        [
+            ("unwrap", self.unwrap),
+            ("expect", self.expect),
+            ("index", self.index),
+            ("pub_items", self.pub_items),
+        ]
     }
 }
 
@@ -151,9 +188,9 @@ impl PanicCounts {
 pub struct FileLint {
     /// Violations, already filtered through `lint:allow` directives.
     pub violations: Vec<Violation>,
-    /// Panic-surface counts (only populated for non-test library code —
-    /// the ratchet's scope).
-    pub counts: PanicCounts,
+    /// Ratchet counts (only populated for non-test library code — the
+    /// ratchet's scope).
+    pub counts: RatchetCounts,
 }
 
 /// Keywords that can precede `[` without forming an index expression.
@@ -162,6 +199,9 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "where", "unsafe", "dyn", "impl", "for", "while", "loop", "use", "pub", "fn", "struct", "enum", "const",
     "static", "type", "yield", "await", "async",
 ];
+
+/// Item keywords that make a directly preceding `pub` a public item.
+const PUB_ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
 
 /// Identifiers whose appearance inside a worker region means
 /// trace machinery crossed into a worker.
@@ -182,7 +222,7 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
     let in_test = |idx: usize| test_regions.iter().any(|&(a, b)| idx >= a && idx <= b);
 
     let mut raw: Vec<Violation> = Vec::new();
-    let mut counts = PanicCounts::default();
+    let mut counts = RatchetCounts::default();
 
     let library = ctx.role == FileRole::Library;
 
@@ -319,8 +359,8 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
         }
     }
 
-    // R6 panic-surface counting: non-test library code (the ratchet
-    // comparison itself happens at workspace level).
+    // R6 panic-surface and R7 public-surface counting: non-test library
+    // code (the ratchet comparison itself happens at workspace level).
     if library {
         for (i, t) in tokens.iter().enumerate() {
             if in_test(i) {
@@ -341,6 +381,14 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                 }
                 TokenKind::Punct('[') if i > 0 && is_index_base(&tokens[i - 1]) => {
                     counts.index += 1;
+                }
+                TokenKind::Ident if t.text == "pub" => {
+                    let item = tokens.get(i + 1).is_some_and(|n| {
+                        n.kind == TokenKind::Ident && PUB_ITEM_KEYWORDS.contains(&n.text.as_str())
+                    });
+                    if item {
+                        counts.pub_items += 1;
+                    }
                 }
                 _ => {}
             }
@@ -363,8 +411,12 @@ fn is_index_base(prev: &Token) -> bool {
 }
 
 /// Token-index ranges covered by `#[cfg(test)]` items (usually
-/// `mod tests { … }`).
+/// `mod tests { … }`), or the whole file when it opens with
+/// `#![cfg(test)]` (an out-of-line `mod tests;`).
 fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+    if has_inner_attr(tokens, "cfg(test)") {
+        return vec![(0, tokens.len().saturating_sub(1))];
+    }
     let mut regions = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -740,7 +792,20 @@ mod tests {
     fn panic_surface_counts_unwrap_expect_index() {
         let src = "fn f(v: &[u32], i: usize) -> u32 {\n  let a = v.first().unwrap();\n  let b: u32 = \"1\".parse().expect(\"x\");\n  v[i] + a + b\n}\n";
         let lint = lint_source(src, &lib_ctx());
-        assert_eq!(lint.counts, PanicCounts { unwrap: 1, expect: 1, index: 1 });
+        assert_eq!(lint.counts, RatchetCounts { unwrap: 1, expect: 1, index: 1, pub_items: 0 });
+    }
+
+    #[test]
+    fn pub_items_count_public_items_only() {
+        let src = "pub fn a() {}\npub(crate) fn b() {}\npub struct S {\n  pub field: u32,\n}\n\
+                   impl S {\n  pub fn method(&self) {}\n  pub const C: u32 = 1;\n}\n\
+                   pub use std::fmt;\npub mod m {}\n\
+                   #[cfg(test)]\nmod tests {\n  pub fn helper() {}\n}\n";
+        // `a`, `S`, `method`, `C` and `m`; not the `pub(crate)` fn, the
+        // field, the re-export or the test helper.
+        assert_eq!(lint_source(src, &lib_ctx()).counts.pub_items, 5);
+        let out_of_line = "//! Tests.\n#![cfg(test)]\npub fn helper() { Some(1).unwrap(); }\n";
+        assert_eq!(lint_source(out_of_line, &lib_ctx()).counts, RatchetCounts::default());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::path::Path;
 
 use veda_lint::lint_str;
-use veda_lint::rules::{self, lint_source, PanicCounts};
+use veda_lint::rules::{self, lint_source, RatchetCounts};
 use veda_lint::workspace::FileContext;
 
 /// The rules with a three-way fixture set.
@@ -77,10 +77,11 @@ fn allowed_fixtures_are_silenced_without_meta_violations() {
 fn ratchet_fixture_counts_each_panic_kind_once() {
     let ctx = FileContext::synthetic_library("veda-fixture");
     let lint = lint_source(&fixture(rules::UNWRAP_RATCHET, "violate.rs"), &ctx);
-    assert_eq!(lint.counts, PanicCounts { unwrap: 1, expect: 1, index: 1 });
+    assert_eq!(lint.counts, RatchetCounts { unwrap: 1, expect: 1, index: 1, pub_items: 1 });
 
     let lint = lint_source(&fixture(rules::UNWRAP_RATCHET, "clean.rs"), &ctx);
-    assert_eq!(lint.counts, PanicCounts::default(), "test-module unwraps must not count");
+    let pub_fn_only = RatchetCounts { pub_items: 1, ..RatchetCounts::default() };
+    assert_eq!(lint.counts, pub_fn_only, "test-module unwraps must not count");
 }
 
 #[test]

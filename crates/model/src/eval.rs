@@ -9,26 +9,27 @@ use veda_eviction::PolicyKind;
 /// sequence — a direct measurement of how much an eviction policy distorts
 /// the *actual transformer* outputs.
 ///
-/// Both models consume the same token stream. The policy observes the
-/// pruned model's layer-0 attention scores and evicts synchronously across
-/// layers, matching VEDA's layer-wise voting engine.
+/// Two sequences of one model consume the same token stream. The policy
+/// observes the pruned sequence's layer-0 attention scores and evicts
+/// synchronously across layers, matching VEDA's layer-wise voting engine.
 pub fn transformer_distortion(
     model_config: &crate::config::ModelConfig,
     tokens: &[usize],
     policy: PolicyKind,
     cache_budget: usize,
 ) -> f64 {
-    let mut oracle = TransformerModel::new(model_config.clone());
-    let mut pruned = TransformerModel::new(model_config.clone());
+    let model = TransformerModel::new(model_config.clone());
+    let (mut oracle, mut pruned) = (model.new_state(), model.new_state());
     let mut p = policy.build();
     let mut kl_sum = 0.0f64;
     let mut count = 0usize;
 
     for (pos, &tok) in tokens.iter().enumerate() {
-        let full = oracle.forward_token(tok, pos);
-        let cut = pruned.forward_token(tok, pos);
+        let full = model.forward_in(&mut oracle, tok, pos);
+        let cut = model.forward_in(&mut pruned, tok, pos);
 
-        // Drive the policy with the pruned model's first-layer observation.
+        // Drive the policy with the pruned sequence's first-layer
+        // observation.
         p.on_append();
         p.observe(cut.scores.layer(0));
         if pruned.cache_len() > cache_budget {

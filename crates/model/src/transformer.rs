@@ -197,12 +197,12 @@ impl<'a, F: FnMut(usize, usize, ScoreView<'_>)> RowRun<'a, F> {
 
 /// A runnable decoder-only transformer with synthetic structured weights.
 ///
-/// The struct holds the config, a handle to its weights and one built-in
-/// [`SequenceState`] so the classic single-sequence API
-/// ([`TransformerModel::forward_token`], [`TransformerModel::prefill`], …)
-/// keeps working. Serving engines that decode many sequences against the
-/// model allocate extra states via [`TransformerModel::new_state`] and
-/// drive them through [`TransformerModel::forward_in`].
+/// The struct holds the config and a handle to its weights, and no
+/// sequence: every sequence is a [`SequenceState`] its caller owns
+/// ([`TransformerModel::new_state`]) and advances against the shared
+/// weights — one token through [`TransformerModel::forward_in`], a prompt
+/// through [`TransformerModel::prefill`], a serving engine's mixed batch
+/// through [`TransformerModel::forward_batch`].
 ///
 /// The weights are immutable and shared across models: every live model
 /// of one [`ModelConfig`] — clones, a cluster's shards, an engine beside
@@ -212,13 +212,11 @@ impl<'a, F: FnMut(usize, usize, ScoreView<'_>)> RowRun<'a, F> {
 ///
 /// ```
 /// use veda_model::{ModelConfig, TransformerModel};
-/// let mut m = TransformerModel::new(ModelConfig::tiny());
-/// let out = m.forward_token(1, 0);
-/// assert_eq!(out.logits.len(), m.config().vocab_size);
-///
+/// let m = TransformerModel::new(ModelConfig::tiny());
 /// // Two independent sequences against the same weights:
 /// let (mut a, mut b) = (m.new_state(), m.new_state());
-/// m.forward_in(&mut a, 1, 0);
+/// let out = m.forward_in(&mut a, 1, 0);
+/// assert_eq!(out.logits.len(), m.config().vocab_size);
 /// m.forward_in(&mut b, 2, 0);
 /// assert_eq!(a.cache_len(), 1);
 /// ```
@@ -226,7 +224,6 @@ impl<'a, F: FnMut(usize, usize, ScoreView<'_>)> RowRun<'a, F> {
 pub struct TransformerModel {
     config: ModelConfig,
     weights: Arc<ModelWeights>,
-    state: SequenceState,
     eps: f32,
 }
 
@@ -240,8 +237,7 @@ impl TransformerModel {
     pub fn new(config: ModelConfig) -> Self {
         config.validate().expect("valid model config");
         let weights = ModelWeights::interned(&config);
-        let state = SequenceState::new(config.n_layers);
-        Self { config, weights, state, eps: veda_tensor::norm::DEFAULT_EPS }
+        Self { config, weights, eps: veda_tensor::norm::DEFAULT_EPS }
     }
 
     /// The model configuration.
@@ -252,52 +248,6 @@ impl TransformerModel {
     /// Creates a fresh per-sequence state sized for this model.
     pub fn new_state(&self) -> SequenceState {
         SequenceState::new(self.config.n_layers)
-    }
-
-    /// The built-in sequence's per-layer KV caches (read-only).
-    pub fn caches(&self) -> &[LayerKvCache] {
-        self.state.caches()
-    }
-
-    /// Current cache length of the built-in sequence.
-    pub fn cache_len(&self) -> usize {
-        self.state.cache_len()
-    }
-
-    /// Evicts cache slot `slot` in layer `layer` of the built-in sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of bounds.
-    pub fn evict(&mut self, layer: usize, slot: usize) {
-        self.state.evict(layer, slot);
-    }
-
-    /// Evicts the same slot in every layer (layer-synchronous eviction).
-    pub fn evict_all_layers(&mut self, slot: usize) {
-        self.state.evict_all_layers(slot);
-    }
-
-    /// Clears the built-in sequence's caches (new sequence).
-    pub fn reset(&mut self) {
-        self.state.clear();
-    }
-
-    /// Runs one token of the built-in sequence through all layers,
-    /// returning logits and the attention observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is outside the vocabulary.
-    pub fn forward_token(&mut self, token: usize, position: usize) -> StepOutput {
-        // Validate before the take below: a panic must not leave the
-        // built-in state swapped out (a recovered caller would silently
-        // continue on an empty cache).
-        self.assert_in_vocabulary(&[token]);
-        let mut state = std::mem::take(&mut self.state);
-        let out = self.forward_in(&mut state, token, position);
-        self.state = state;
-        out
     }
 
     /// Panics on the first of `tokens` outside the vocabulary.
@@ -562,9 +512,9 @@ impl TransformerModel {
         }
     }
 
-    /// Prefills a prompt from position 0 of the built-in sequence as one
+    /// Prefills a prompt from position 0 of `state` as one
     /// [`TransformerModel::forward_batch`], returning the output of the
-    /// final prompt token. The *cycle model* keeps VEDA's prefill — a GEMM
+    /// final prompt token (`None` for an empty prompt). The *cycle model* keeps VEDA's prefill — a GEMM
     /// realized as successive GEMVs on the accelerator; the host simulator
     /// batches the rows so its weights stream once per block, and produces
     /// the same bits either way.
@@ -572,11 +522,8 @@ impl TransformerModel {
     /// # Panics
     ///
     /// Panics if a token is outside the vocabulary.
-    pub fn prefill(&mut self, prompt: &[usize]) -> Option<StepOutput> {
+    pub fn prefill(&self, state: &mut SequenceState, prompt: &[usize]) -> Option<StepOutput> {
         let last = prompt.len().checked_sub(1)?;
-        // Validate before the take below, as `forward_token` does.
-        self.assert_in_vocabulary(prompt);
-        let mut state = std::mem::take(&mut self.state);
         let (mut scratch, mut scores) = (ForwardScratch::new(), ScoreBuffer::new());
         // Only the last row's observations are returned.
         let observe = |row, _layer, view: ScoreView<'_>| {
@@ -584,25 +531,25 @@ impl TransformerModel {
                 scores.push_layer(view);
             }
         };
-        let run = RowRun::new(&mut state, prompt, 0, &mut scratch, observe);
+        let run = RowRun::new(state, prompt, 0, &mut scratch, observe);
         self.forward_batch(&mut [run], &mut BatchScratch::new());
-        self.state = state;
         self.lm_head(&mut scratch);
         Some(StepOutput { logits: scratch.logits, scores })
     }
 
-    /// Greedy generation of `n` tokens after `prompt`. Returns the
-    /// generated token ids.
-    pub fn generate_greedy(&mut self, prompt: &[usize], n: usize) -> Vec<usize> {
+    /// Greedy generation of `n` tokens after `prompt`, on a sequence of
+    /// its own. Returns the generated token ids.
+    pub fn generate_greedy(&self, prompt: &[usize], n: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(n);
-        let Some(mut step) = self.prefill(prompt) else {
+        let mut state = self.new_state();
+        let Some(mut step) = self.prefill(&mut state, prompt) else {
             return out;
         };
         for position in prompt.len()..prompt.len() + n {
             let next =
                 veda_tensor::stats::argmax(&step.logits).expect("the LM head yields vocab_size logits");
             out.push(next);
-            step = self.forward_token(next, position);
+            step = self.forward_in(&mut state, next, position);
         }
         out
     }
@@ -620,8 +567,8 @@ mod tests {
 
     #[test]
     fn forward_produces_finite_logits() {
-        let mut m = TransformerModel::new(ModelConfig::tiny());
-        let out = m.forward_token(5, 0);
+        let m = TransformerModel::new(ModelConfig::tiny());
+        let out = m.forward_in(&mut m.new_state(), 5, 0);
         assert_eq!(out.logits.len(), 64);
         assert!(out.logits.iter().all(|v| v.is_finite()));
     }
@@ -629,9 +576,10 @@ mod tests {
     #[test]
     fn layer_scores_cover_all_layers_and_heads() {
         let cfg = ModelConfig::tiny();
-        let mut m = TransformerModel::new(cfg.clone());
-        m.forward_token(1, 0);
-        let out = m.forward_token(2, 1);
+        let m = TransformerModel::new(cfg.clone());
+        let mut st = m.new_state();
+        m.forward_in(&mut st, 1, 0);
+        let out = m.forward_in(&mut st, 2, 1);
         assert_eq!(out.scores.n_layers(), cfg.n_layers);
         assert_eq!(out.scores.layer(0).n_heads(), cfg.n_heads);
         assert_eq!(out.scores.layer(0).len(), 2);
@@ -639,40 +587,45 @@ mod tests {
 
     #[test]
     fn caches_grow_in_lockstep() {
-        let mut m = TransformerModel::new(ModelConfig::tiny());
+        let m = TransformerModel::new(ModelConfig::tiny());
+        let mut st = m.new_state();
         for pos in 0..4 {
-            m.forward_token(pos + 1, pos);
+            m.forward_in(&mut st, pos + 1, pos);
         }
-        assert_eq!(m.cache_len(), 4);
-        assert!(m.caches().iter().all(|c| c.len() == 4));
+        assert_eq!(st.cache_len(), 4);
+        assert!(st.caches().iter().all(|c| c.len() == 4));
     }
 
     #[test]
     fn evict_all_layers_shrinks_every_cache() {
-        let mut m = TransformerModel::new(ModelConfig::tiny());
+        let m = TransformerModel::new(ModelConfig::tiny());
+        let mut st = m.new_state();
         for pos in 0..4 {
-            m.forward_token(1, pos);
+            m.forward_in(&mut st, 1, pos);
         }
-        m.evict_all_layers(1);
-        assert!(m.caches().iter().all(|c| c.len() == 3));
-        assert!(m.caches().iter().all(|c| c.positions() == [0, 2, 3]));
+        st.evict_all_layers(1);
+        assert!(st.caches().iter().all(|c| c.len() == 3));
+        assert!(st.caches().iter().all(|c| c.positions() == [0, 2, 3]));
     }
 
     #[test]
     fn generation_is_deterministic() {
         let prompt = [1usize, 5, 9, 2];
-        let mut a = TransformerModel::new(ModelConfig::tiny());
-        let mut b = TransformerModel::new(ModelConfig::tiny());
+        let a = TransformerModel::new(ModelConfig::tiny());
+        let b = TransformerModel::new(ModelConfig::tiny());
         assert_eq!(a.generate_greedy(&prompt, 8), b.generate_greedy(&prompt, 8));
+        // The model keeps no sequence between calls.
+        assert_eq!(a.generate_greedy(&prompt, 8), a.generate_greedy(&prompt, 8));
     }
 
     #[test]
     fn reset_allows_fresh_sequence() {
-        let mut m = TransformerModel::new(ModelConfig::tiny());
-        m.forward_token(1, 0);
-        m.reset();
-        assert_eq!(m.cache_len(), 0);
-        let out = m.forward_token(1, 0);
+        let m = TransformerModel::new(ModelConfig::tiny());
+        let mut st = m.new_state();
+        m.forward_in(&mut st, 1, 0);
+        st.clear();
+        assert_eq!(st.cache_len(), 0);
+        let out = m.forward_in(&mut st, 1, 0);
         assert_eq!(out.scores.layer(0).len(), 1);
     }
 
@@ -685,20 +638,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside vocabulary")]
     fn out_of_vocab_token_panics() {
-        let mut m = TransformerModel::new(ModelConfig::tiny());
-        m.forward_token(10_000, 0);
+        let m = TransformerModel::new(ModelConfig::tiny());
+        m.forward_in(&mut m.new_state(), 10_000, 0);
     }
 
     #[test]
     fn recovered_out_of_vocab_panic_leaves_cache_intact() {
-        let mut m = TransformerModel::new(ModelConfig::tiny());
-        m.forward_token(1, 0);
-        m.forward_token(2, 1);
+        let m = TransformerModel::new(ModelConfig::tiny());
+        let mut st = m.new_state();
+        m.forward_in(&mut st, 1, 0);
+        m.forward_in(&mut st, 2, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.forward_token(10_000, 2);
+            m.forward_in(&mut st, 10_000, 2);
         }));
         assert!(result.is_err());
-        assert_eq!(m.cache_len(), 2, "panic must not wipe the built-in sequence state");
+        assert_eq!(st.cache_len(), 2, "a rejected token must not touch the sequence state");
     }
 
     #[test]
@@ -709,12 +663,13 @@ mod tests {
         let tokens_a = [1usize, 5, 9, 2];
         let tokens_b = [3usize, 7, 7, 7];
 
-        let mut solo = TransformerModel::new(ModelConfig::tiny());
+        let solo = TransformerModel::new(ModelConfig::tiny());
+        let mut st = solo.new_state();
         let solo_a: Vec<Vec<f32>> =
-            tokens_a.iter().enumerate().map(|(p, &t)| solo.forward_token(t, p).logits).collect();
-        solo.reset();
+            tokens_a.iter().enumerate().map(|(p, &t)| solo.forward_in(&mut st, t, p).logits).collect();
+        st.clear();
         let solo_b: Vec<Vec<f32>> =
-            tokens_b.iter().enumerate().map(|(p, &t)| solo.forward_token(t, p).logits).collect();
+            tokens_b.iter().enumerate().map(|(p, &t)| solo.forward_in(&mut st, t, p).logits).collect();
 
         let shared = TransformerModel::new(ModelConfig::tiny());
         let mut state_a = shared.new_state();

@@ -565,7 +565,7 @@ fn one_row_calls_are_the_batch_of_one() {
     // prompt through `prefill`, through `forward_body` per token and
     // through one run agree on caches, last-row scores and logits.
     let cfg = config(8, 4);
-    let mut model = TransformerModel::new(cfg.clone());
+    let model = TransformerModel::new(cfg.clone());
     let prompt = tokens(&mut seeded(3), FORWARD_BLOCK_ROWS + 3, cfg.vocab_size);
 
     let mut state = model.new_state();
@@ -574,9 +574,10 @@ fn one_row_calls_are_the_batch_of_one() {
         model.forward_with_scratch(&mut state, token, position, &mut scratch);
     }
 
-    let out = model.prefill(&prompt).expect("non-empty prompt");
+    let mut prefilled = model.new_state();
+    let out = model.prefill(&mut prefilled, &prompt).expect("non-empty prompt");
     assert_eq!(bits(&out.logits), bits(scratch.logits()));
     assert_eq!(&out.scores, scratch.scores());
-    assert_eq!(cache_bits(model.caches()), cache_bits(state.caches()));
-    assert!(model.prefill(&[]).is_none());
+    assert_eq!(cache_bits(prefilled.caches()), cache_bits(state.caches()));
+    assert!(model.prefill(&mut model.new_state(), &[]).is_none());
 }

@@ -71,7 +71,7 @@ fn weight_bytes(config: &ModelConfig) -> usize {
 
 const PROMPT: [usize; 4] = [1, 5, 9, 2];
 
-fn greedy(model: &mut TransformerModel) -> Vec<usize> {
+fn greedy(model: &TransformerModel) -> Vec<usize> {
     model.generate_greedy(&PROMPT, 8)
 }
 
@@ -80,47 +80,47 @@ fn a_live_config_is_synthesized_once_and_again_after_its_last_model_drops() {
     let config = ModelConfig { seed: 101, ..ModelConfig::small() };
     let full = weight_bytes(&config);
 
-    let (mut first, first_bytes) = allocated(|| TransformerModel::new(config.clone()));
+    let (first, first_bytes) = allocated(|| TransformerModel::new(config.clone()));
     assert!(first_bytes >= full, "the first build synthesizes: {first_bytes} bytes < {full}");
-    let (mut second, second_bytes) = allocated(|| TransformerModel::new(config.clone()));
+    let (second, second_bytes) = allocated(|| TransformerModel::new(config.clone()));
     assert!(
         second_bytes * 100 < first_bytes,
         "a second build of a live config shares: {second_bytes} bytes vs {first_bytes}"
     );
-    let reference = greedy(&mut first);
-    assert_eq!(greedy(&mut second), reference);
+    let reference = greedy(&first);
+    assert_eq!(greedy(&second), reference);
 
     drop((first, second));
-    let (mut rebuilt, rebuilt_bytes) = allocated(|| TransformerModel::new(config.clone()));
+    let (rebuilt, rebuilt_bytes) = allocated(|| TransformerModel::new(config.clone()));
     assert!(rebuilt_bytes >= full, "a dead config synthesizes again: {rebuilt_bytes} bytes < {full}");
-    assert_eq!(greedy(&mut rebuilt), reference, "a rebuild gives bit-identical output");
+    assert_eq!(greedy(&rebuilt), reference, "a rebuild gives bit-identical output");
 }
 
 #[test]
 fn configs_that_differ_only_in_seed_do_not_share() {
     let config = ModelConfig { seed: 102, ..ModelConfig::tiny() };
     let other = ModelConfig { seed: 103, ..config.clone() };
-    let mut model = TransformerModel::new(config);
-    let (mut reseeded, bytes) = allocated(|| TransformerModel::new(other.clone()));
+    let model = TransformerModel::new(config);
+    let (reseeded, bytes) = allocated(|| TransformerModel::new(other.clone()));
     assert!(bytes >= weight_bytes(&other), "another seed synthesizes its own set: {bytes} bytes");
-    assert_ne!(greedy(&mut model), greedy(&mut reseeded), "the seeds' weights differ");
+    assert_ne!(greedy(&model), greedy(&reseeded), "the seeds' weights differ");
 }
 
 #[test]
 fn a_clone_shares_the_weights_and_keeps_them_alive() {
     let config = ModelConfig { seed: 104, ..ModelConfig::tiny() };
     let full = weight_bytes(&config);
-    let mut model = TransformerModel::new(config.clone());
-    let (mut clone, clone_bytes) = allocated(|| model.clone());
+    let model = TransformerModel::new(config.clone());
+    let (clone, clone_bytes) = allocated(|| model.clone());
     assert!(clone_bytes * 10 < full, "a clone copies no weights: {clone_bytes} bytes vs {full}");
-    let reference = greedy(&mut model);
-    assert_eq!(greedy(&mut clone), reference);
+    let reference = greedy(&model);
+    assert_eq!(greedy(&clone), reference);
 
     // With the original gone, the clone alone keeps the set live.
     drop(model);
-    let (mut rebuilt, rebuilt_bytes) = allocated(|| TransformerModel::new(config.clone()));
+    let (rebuilt, rebuilt_bytes) = allocated(|| TransformerModel::new(config.clone()));
     assert!(rebuilt_bytes * 10 < full, "the clone's set is shared: {rebuilt_bytes} bytes vs {full}");
-    assert_eq!(greedy(&mut rebuilt), reference);
+    assert_eq!(greedy(&rebuilt), reference);
     drop(clone);
 }
 
@@ -133,19 +133,17 @@ fn four_threads_building_one_config_at_once_agree_bit_for_bit() {
             .map(|_| {
                 s.spawn(|| {
                     start.wait();
-                    let mut model = TransformerModel::new(config.clone());
-                    let logits = model.forward_token(3, 0).logits;
-                    model.reset();
-                    (greedy(&mut model), logits)
+                    let model = TransformerModel::new(config.clone());
+                    let logits = model.forward_in(&mut model.new_state(), 3, 0).logits;
+                    (greedy(&model), logits)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("builder thread")).collect()
     });
-    let mut alone = TransformerModel::new(config);
-    let logits = alone.forward_token(3, 0).logits;
-    alone.reset();
-    let reference = (greedy(&mut alone), logits);
+    let alone = TransformerModel::new(config);
+    let logits = alone.forward_in(&mut alone.new_state(), 3, 0).logits;
+    let reference = (greedy(&alone), logits);
     for (thread, output) in outputs.iter().enumerate() {
         assert_eq!(output, &reference, "thread {thread}");
     }

@@ -40,10 +40,10 @@
 //!    exactly as without the cache.
 //!
 //! The cache's own resident bytes are charged too: the server subtracts
-//! [`veda::Engine::prefix_cache_bytes`] from the headroom admissions
+//! [`veda::PrefixCache::resident_bytes`] from the headroom admissions
 //! and swap-ins fit into, so cached prefixes are never free capacity.
 //! A request whose matched entry was spilled to the host tier also
-//! charges its fill cost ([`veda::Engine::prefix_fill_bytes`]) against
+//! charges its fill cost ([`veda::PrefixCache::fill_bytes`]) against
 //! headroom — promotion copies the entry back into device memory, and
 //! an admission that ignored those bytes could be bankrupted by its own
 //! fill traffic. With churn enabled,

@@ -64,7 +64,7 @@
 
 use std::collections::VecDeque;
 
-use veda::{Engine, PrefixPin, PrefixTransferKind, Request, Session, StepWork, TokenEvent};
+use veda::{Engine, PrefixCache, PrefixPin, PrefixTransferKind, Request, Session, StepWork, TokenEvent};
 use veda_mem::{HostLink, HostLinkConfig, SwapDirection, TransferKind};
 use veda_telemetry::{SinkHandle, TraceEvent, TraceEventKind, Tracer};
 
@@ -335,7 +335,7 @@ impl Shard {
     /// entry counted once). Subtracted from admission headroom so cached
     /// prefixes are never free capacity (see `veda_serving::admission`).
     pub(crate) fn prefix_overhead(&self) -> u64 {
-        self.engine.prefix_cache_bytes()
+        self.engine.prefix_cache().map_or(0, PrefixCache::resident_bytes)
     }
 
     /// Screens one arrival into the queue or a rejection, stamped on its
@@ -418,7 +418,7 @@ impl Shard {
             // Device-resident KV = session-owned bytes plus the prefix
             // cache's entries (each counted once).
             self.kv_resident_peak =
-                self.kv_resident_peak.max(tick.kv_bytes_resident + self.engine.prefix_cache_bytes());
+                self.kv_resident_peak.max(tick.kv_bytes_resident + self.prefix_overhead());
             for event in &tick.events {
                 self.observe(event, now, records);
             }
@@ -653,8 +653,11 @@ impl Shard {
             // host-tier fill would promote back into device memory for
             // this prompt (otherwise a discounted accept could be
             // bankrupted by its own fill traffic).
-            let fill_bytes =
-                self.queue.get(pick).map_or(0, |e| self.engine.prefix_fill_bytes(&e.request.prompt));
+            let fill_bytes = self
+                .queue
+                .get(pick)
+                .zip(self.engine.prefix_cache())
+                .map_or(0, |(e, cache)| cache.fill_bytes(&e.request.prompt));
             let needed = incoming.est_bytes.saturating_add(self.prefix_overhead()).saturating_add(fill_bytes);
             while !self.admission.would_fit(needed) {
                 let victims = self.running_views();
@@ -809,26 +812,24 @@ impl Shard {
         ticks: u64,
         records: Vec<RequestRecord>,
     ) -> ServingReport {
-        // Safety valve: a truncated run still drains the engine so the
-        // batched accounting is complete and well-formed. Requests still
-        // queued release their admission pins (they will never submit).
+        // Safety valve: a run truncated at `max_ticks` ends its unfinished
+        // work where it stands. Requests still queued release their
+        // admission pins (they will never submit), and sessions still on
+        // the engine are discarded, not decoded to the end: their records
+        // stay unfinished, so they add no token, no cycle and no
+        // `Finished` trace event to the report.
         for mut entry in std::mem::take(&mut self.queue) {
             if let Some(pin) = entry.prefix_pin.take() {
                 self.engine.unpin_prefix(pin);
             }
         }
-        let swapping: Vec<SwapInEntry> = std::mem::take(&mut self.swapping);
-        for swap in swapping {
-            self.engine.resume(swap.entry.session).expect("swapping entry tracks the engine");
+        let running = std::mem::take(&mut self.running);
+        let paused = std::mem::take(&mut self.paused);
+        let swapping = std::mem::take(&mut self.swapping);
+        for entry in running.into_iter().chain(paused).chain(swapping.into_iter().map(|s| s.entry)) {
+            self.engine.discard(entry.session);
         }
-        let paused: Vec<SessionEntry> = std::mem::take(&mut self.paused);
-        for entry in paused {
-            self.engine.resume(entry.session).expect("paused entry tracks the engine");
-        }
-        let engine = self.engine.run_to_completion();
-        // Drain-time harvests can spill under byte pressure; bill the
-        // traffic so the link counters below are complete.
-        self.charge_prefix_traffic();
+        let engine = self.engine.drain_report();
         ServingReport {
             shard_id: self.id,
             arrival,

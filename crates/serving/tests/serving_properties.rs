@@ -137,7 +137,7 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
         );
         // Entry conservation: insertions = resident (either tier) +
         // evictions + expiries; spills/fills are tier moves, net zero.
-        let stats = shard.engine().prefix_cache_stats();
+        let stats = shard.engine().prefix_cache().expect("prefix cache enabled").stats();
         prop_assert!(
             stats.entries_conserved(),
             "cache entry conservation broke at tick {}: {:?} (seed {})",
@@ -161,7 +161,7 @@ fn check_churn_soundness(seed: u64, rate: f64, capacity_bytes: u64, max_kb: u64,
 
     // Lookup conservation: every admission performs exactly one cache
     // lookup, and expiry/spill churn must not mint or lose lookups.
-    let stats = shard.engine().prefix_cache_stats();
+    let stats = shard.engine().prefix_cache().expect("prefix cache enabled").stats();
     let report = cluster.run().shards.remove(0);
     prop_assert_eq!(
         stats.hits + stats.misses,

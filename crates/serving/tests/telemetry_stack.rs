@@ -129,6 +129,30 @@ fn chrome_export_is_valid_and_complete() {
 }
 
 #[test]
+fn a_run_cut_at_max_ticks_finishes_only_what_completed() {
+    // The safety valve ends a run with sessions still on the engines.
+    // They stay unfinished: no `finished` instant, no engine report.
+    let (handle, recorder) = SinkHandle::recording();
+    let config = ClusterConfig {
+        shards: 2,
+        per_shard_capacity_bytes: 13 << 10,
+        max_queue_depth: 16,
+        max_ticks: 40,
+        trace: Some(handle),
+        ..ClusterConfig::default()
+    };
+    let engines = (0..2).map(|_| engine(1)).collect();
+    let report = Cluster::new(engines, workload(77, 0.6, 12), config).run();
+    let events = recorder.lock().expect("recorder lock").take_events();
+    let admitted: usize = report.shards.iter().map(|s| s.admitted).sum();
+    assert!(report.completed() < admitted, "the cut must leave admitted sessions unfinished");
+    let finished = events.iter().filter(|e| matches!(e.kind, TraceEventKind::Finished { .. })).count();
+    assert_eq!(finished, report.completed(), "one finished event per completed request");
+    let engine_requests: usize = report.shards.iter().map(|s| s.engine.requests.len()).sum();
+    assert_eq!(engine_requests, report.completed(), "the engines report only completed requests");
+}
+
+#[test]
 fn zero_completion_run_exports_cleanly() {
     // Capacity so small nothing ever fits: every request is rejected,
     // no waterfall exists, and the exporter still writes valid JSON.

@@ -14,11 +14,12 @@ fn pe_array_computes_real_attention_scores() {
     // Run the functional transformer, then recompute one head's q×Kᵀ on
     // the PE-array model and compare against the reference kernel.
     let cfg = ModelConfig::tiny();
-    let mut model = TransformerModel::new(cfg.clone());
+    let model = TransformerModel::new(cfg.clone());
+    let mut state = model.new_state();
     for pos in 0..12 {
-        model.forward_token((pos * 7) % cfg.vocab_size, pos);
+        model.forward_in(&mut state, (pos * 7) % cfg.vocab_size, pos);
     }
-    let cache = &model.caches()[0];
+    let cache = &state.caches()[0];
     let dh = cfg.head_dim();
     // Head 0 slice of the keys.
     let mut keys_h = veda_tensor::Matrix::zeros(cache.len(), dh);
@@ -39,10 +40,11 @@ fn pe_array_computes_real_attention_scores() {
 #[test]
 fn element_serial_softmax_matches_reference_on_real_scores() {
     let cfg = ModelConfig::tiny();
-    let mut model = TransformerModel::new(cfg.clone());
-    let mut out = model.forward_token(1, 0);
+    let model = TransformerModel::new(cfg.clone());
+    let mut state = model.new_state();
+    let mut out = model.forward_in(&mut state, 1, 0);
     for pos in 1..16 {
-        out = model.forward_token((pos * 3) % cfg.vocab_size, pos);
+        out = model.forward_in(&mut state, (pos * 3) % cfg.vocab_size, pos);
     }
     // Re-normalize one head's raw-ish scores through the SFU model.
     let scores = out.scores.layer(0).head(0);
@@ -63,13 +65,14 @@ fn voting_engine_tracks_software_policy_on_transformer_scores() {
     // engine (FP16 score ingest) and the software policy fed the same
     // FP16-quantized scores must agree on every eviction.
     let cfg = ModelConfig::tiny();
-    let mut model = TransformerModel::new(cfg.clone());
+    let model = TransformerModel::new(cfg.clone());
+    let mut state = model.new_state();
     let mut engine = VotingEngine::new(64, VotingConfig::with_reserved_len(2));
     let mut sw = VotingPolicy::new(VotingConfig::with_reserved_len(2));
     let budget = 10;
 
     for pos in 0..40 {
-        let out = model.forward_token((pos * 5 + 1) % cfg.vocab_size, pos);
+        let out = model.forward_in(&mut state, (pos * 5 + 1) % cfg.vocab_size, pos);
         engine.on_append().expect("capacity");
         sw.on_append();
         // Layer 0, averaged across heads (Section V aggregation).
@@ -79,14 +82,14 @@ fn voting_engine_tracks_software_policy_on_transformer_scores() {
         sw.observe(veda_eviction::ScoreView::single(&quantized));
         assert_eq!(engine.policy().vote_counts(), sw.vote_counts(), "desync at pos {pos}");
 
-        if model.cache_len() > budget {
-            let len = model.cache_len();
+        if state.cache_len() > budget {
+            let len = state.cache_len();
             let hw_victim = engine.evict(len);
             let sw_victim = sw.select_victim(len);
             assert_eq!(hw_victim, sw_victim, "victim mismatch at pos {pos}");
             if let Some(slot) = sw_victim {
                 sw.on_evict(slot);
-                model.evict_all_layers(slot);
+                state.evict_all_layers(slot);
             }
         }
     }
@@ -96,12 +99,13 @@ fn voting_engine_tracks_software_policy_on_transformer_scores() {
 #[test]
 fn outer_product_attention_matches_reference_on_real_values() {
     let cfg = ModelConfig::tiny();
-    let mut model = TransformerModel::new(cfg.clone());
-    let mut out = model.forward_token(2, 0);
+    let model = TransformerModel::new(cfg.clone());
+    let mut state = model.new_state();
+    let mut out = model.forward_in(&mut state, 2, 0);
     for pos in 1..10 {
-        out = model.forward_token((pos * 9) % cfg.vocab_size, pos);
+        out = model.forward_in(&mut state, (pos * 9) % cfg.vocab_size, pos);
     }
-    let cache = &model.caches()[1];
+    let cache = &state.caches()[1];
     let dh = cfg.head_dim();
     let mut values_h = veda_tensor::Matrix::zeros(cache.len(), dh);
     for r in 0..cache.len() {

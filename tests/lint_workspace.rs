@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use veda_lint::ratchet::{Ratchet, RATCHET_FILE};
-use veda_lint::rules::{self, PanicCounts};
+use veda_lint::rules::{self, RatchetCounts};
 use veda_lint::workspace::FileContext;
 use veda_lint::{lint_files, lint_str, lint_workspace};
 
@@ -55,7 +55,7 @@ fn committed_ratchet_baseline_round_trips_byte_identical() {
 fn injected_hash_map_in_library_code_fails() {
     // Take a real library file, append a HashMap use, and lint it under
     // its real context: the pass must fail.
-    let engine = workspace_root().join("crates/core/src/engine.rs");
+    let engine = workspace_root().join("crates/core/src/engine/mod.rs");
     let mut source = std::fs::read_to_string(engine).expect("engine source");
     source.push_str("\n/// Injected for the lint test.\npub fn injected() -> std::collections::HashMap<u32, u32> {\n    std::collections::HashMap::new()\n}\n");
     let ctx = FileContext::synthetic_library("veda");
@@ -65,8 +65,8 @@ fn injected_hash_map_in_library_code_fails() {
         "injected HashMap not caught: {violations:?}"
     );
     // The un-injected file is clean — the injection is what fails.
-    let original =
-        std::fs::read_to_string(workspace_root().join("crates/core/src/engine.rs")).expect("engine source");
+    let original = std::fs::read_to_string(workspace_root().join("crates/core/src/engine/mod.rs"))
+        .expect("engine source");
     assert!(lint_str(&original, &ctx).is_empty());
 }
 
@@ -100,7 +100,7 @@ fn injected_unwrap_growth_fails_the_ratchet() {
     let measured = lint_files(workspace_root()).expect("measure");
     assert!(baseline.compare(&measured.counts).violations.is_empty(), "tree must start clean");
 
-    let mut grown: BTreeMap<String, PanicCounts> = measured.counts.clone();
+    let mut grown: BTreeMap<String, RatchetCounts> = measured.counts.clone();
     let entry = grown.get_mut("veda").expect("core crate is ratcheted");
     entry.unwrap += 1;
     let outcome = baseline.compare(&grown);
@@ -108,7 +108,7 @@ fn injected_unwrap_growth_fails_the_ratchet() {
     assert!(outcome.violations[0].message.contains("grew"));
 
     // Shrinkage is an improvement note, not a violation.
-    let mut shrunk: BTreeMap<String, PanicCounts> = measured.counts.clone();
+    let mut shrunk: BTreeMap<String, RatchetCounts> = measured.counts.clone();
     if let Some(e) = shrunk.values_mut().find(|c| c.index > 0) {
         e.index -= 1;
     }
