@@ -514,10 +514,10 @@ impl TransformerModel {
 
     /// Prefills a prompt from position 0 of `state` as one
     /// [`TransformerModel::forward_batch`], returning the output of the
-    /// final prompt token (`None` for an empty prompt). The *cycle model* keeps VEDA's prefill — a GEMM
-    /// realized as successive GEMVs on the accelerator; the host simulator
-    /// batches the rows so its weights stream once per block, and produces
-    /// the same bits either way.
+    /// final prompt token (`None` for an empty prompt). The *cycle model*
+    /// keeps VEDA's prefill — a GEMM realized as successive GEMVs on the
+    /// accelerator; the host simulator batches the rows so its weights
+    /// stream once per block, and produces the same bits either way.
     ///
     /// # Panics
     ///

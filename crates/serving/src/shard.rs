@@ -812,23 +812,12 @@ impl Shard {
         ticks: u64,
         records: Vec<RequestRecord>,
     ) -> ServingReport {
-        // Safety valve: a run truncated at `max_ticks` ends its unfinished
-        // work where it stands. Requests still queued release their
-        // admission pins (they will never submit), and sessions still on
-        // the engine are discarded, not decoded to the end: their records
-        // stay unfinished, so they add no token, no cycle and no
-        // `Finished` trace event to the report.
-        for mut entry in std::mem::take(&mut self.queue) {
-            if let Some(pin) = entry.prefix_pin.take() {
-                self.engine.unpin_prefix(pin);
-            }
-        }
-        let running = std::mem::take(&mut self.running);
-        let paused = std::mem::take(&mut self.paused);
-        let swapping = std::mem::take(&mut self.swapping);
-        for entry in running.into_iter().chain(paused).chain(swapping.into_iter().map(|s| s.entry)) {
-            self.engine.discard(entry.session);
-        }
+        // Safety valve: a run truncated at `max_ticks` drops its unfinished
+        // work as a crash would — queued requests release their admission
+        // pins, and sessions still on the engine are discarded rather than
+        // decoded to the end. Their records stay unfinished, so they add no
+        // token, cycle or `Finished` trace event to the report.
+        self.fail();
         let engine = self.engine.drain_report();
         ServingReport {
             shard_id: self.id,
