@@ -382,13 +382,13 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                 TokenKind::Punct('[') if i > 0 && is_index_base(&tokens[i - 1]) => {
                     counts.index += 1;
                 }
-                TokenKind::Ident if t.text == "pub" => {
-                    let item = tokens.get(i + 1).is_some_and(|n| {
-                        n.kind == TokenKind::Ident && PUB_ITEM_KEYWORDS.contains(&n.text.as_str())
-                    });
-                    if item {
-                        counts.pub_items += 1;
-                    }
+                TokenKind::Ident
+                    if t.text == "pub"
+                        && tokens
+                            .get(i + 1)
+                            .is_some_and(|n| PUB_ITEM_KEYWORDS.contains(&n.text.as_str())) =>
+                {
+                    counts.pub_items += 1;
                 }
                 _ => {}
             }
