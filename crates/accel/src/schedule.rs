@@ -11,7 +11,7 @@
 use crate::arch::{ArchConfig, DataflowVariant};
 use crate::attention::{chunked_prefill_attention_cycles, decode_attention_cycles};
 use crate::report::CycleReport;
-use veda_mem::{AccessPattern, HbmConfig, HbmModel};
+use veda_mem::{AccessPattern, HbmConfig};
 
 /// One prefilling sequence's share of a mixed tick: `tokens` consecutive
 /// prompt tokens appended to a cache already holding `start_len` entries
@@ -99,7 +99,7 @@ impl LlamaShape {
 pub struct DecodeScheduler {
     arch: ArchConfig,
     shape: LlamaShape,
-    hbm: HbmModel,
+    hbm: HbmConfig,
     variant: DataflowVariant,
 }
 
@@ -115,7 +115,7 @@ impl DecodeScheduler {
         arch.validate().expect("valid architecture");
         assert_eq!(arch.head_dim, shape.head_dim(), "architecture/model head_dim mismatch");
         assert_eq!(arch.n_heads, shape.n_heads, "architecture/model head count mismatch");
-        Self { arch, shape, hbm: HbmModel::new(hbm), variant }
+        Self { arch, shape, hbm, variant }
     }
 
     /// VEDA on Llama-2 7B with the paper's 256 GB/s HBM.

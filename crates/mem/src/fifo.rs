@@ -1,4 +1,4 @@
-//! Depth-bounded FIFO with occupancy statistics.
+//! Depth-bounded FIFO.
 //!
 //! Models the hardware FIFOs of VEDA: the 4096×16-bit s' FIFO of the voting
 //! engine and the 32×16-bit tile FIFO of the SFU (Table I). Push on a full
@@ -20,7 +20,7 @@ impl std::fmt::Display for FifoFullError {
 
 impl std::error::Error for FifoFullError {}
 
-/// A bounded FIFO tracking high-water occupancy and total throughput.
+/// A bounded FIFO.
 ///
 /// ```
 /// use veda_mem::Fifo;
@@ -35,8 +35,6 @@ impl std::error::Error for FifoFullError {}
 pub struct Fifo<T> {
     depth: usize,
     items: std::collections::VecDeque<T>,
-    high_water: usize,
-    total_pushed: u64,
 }
 
 impl<T> Fifo<T> {
@@ -47,27 +45,7 @@ impl<T> Fifo<T> {
     /// Panics if `depth == 0`.
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "fifo depth must be positive");
-        Self {
-            depth,
-            items: std::collections::VecDeque::with_capacity(depth),
-            high_water: 0,
-            total_pushed: 0,
-        }
-    }
-
-    /// Configured depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        Self { depth, items: std::collections::VecDeque::with_capacity(depth) }
     }
 
     /// True when at capacity.
@@ -85,8 +63,6 @@ impl<T> Fifo<T> {
             return Err(FifoFullError { depth: self.depth });
         }
         self.items.push_back(item);
-        self.total_pushed += 1;
-        self.high_water = self.high_water.max(self.items.len());
         Ok(())
     }
 
@@ -95,22 +71,7 @@ impl<T> Fifo<T> {
         self.items.pop_front()
     }
 
-    /// Peeks at the oldest item without removing it.
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Maximum occupancy ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Total number of items ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Empties the FIFO, keeping statistics.
+    /// Empties the FIFO.
     pub fn clear(&mut self) {
         self.items.clear();
     }
@@ -136,39 +97,18 @@ mod tests {
     fn full_push_is_rejected() {
         let mut f = Fifo::new(1);
         f.push('a').unwrap();
+        assert!(f.is_full());
         assert_eq!(f.push('b'), Err(FifoFullError { depth: 1 }));
     }
 
     #[test]
-    fn high_water_and_throughput() {
-        let mut f = Fifo::new(8);
-        for i in 0..5 {
-            f.push(i).unwrap();
-        }
-        f.pop();
-        f.pop();
-        f.push(9).unwrap();
-        assert_eq!(f.high_water(), 5);
-        assert_eq!(f.total_pushed(), 6);
-        assert_eq!(f.len(), 4);
-    }
-
-    #[test]
-    fn clear_keeps_stats() {
+    fn clear_empties() {
         let mut f = Fifo::new(2);
         f.push(1).unwrap();
+        f.push(2).unwrap();
         f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.total_pushed(), 1);
-        assert_eq!(f.high_water(), 1);
-    }
-
-    #[test]
-    fn front_peeks() {
-        let mut f = Fifo::new(2);
-        f.push(7).unwrap();
-        assert_eq!(f.front(), Some(&7));
-        assert_eq!(f.len(), 1);
+        assert!(!f.is_full());
+        assert_eq!(f.pop(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and (b) the penalty for irregular access — the reason VEDA stores K and V
 //! uniformly in `(l, d)` format instead of transposing.
 //!
-//! The model charges each transfer in accelerator-clock cycles:
+//! [`HbmConfig::cost`] charges each transfer in accelerator-clock cycles:
 //!
 //! * **data cycles** — `ceil(fetched_bytes / (bytes_per_cycle × eff))`,
 //!   where strided patterns fetch whole bursts per element and thus inflate
@@ -84,65 +84,33 @@ impl HbmConfig {
         assert!(gb_per_s > 0.0 && clock_ghz > 0.0, "bandwidth and clock must be positive");
         Self { bytes_per_cycle: gb_per_s / clock_ghz, ..Self::default() }
     }
-}
 
-/// Stateful HBM model: accumulates cycles and bytes across transfers.
-#[derive(Debug, Clone)]
-pub struct HbmModel {
-    config: HbmConfig,
-    total_cycles: u64,
-    useful_bytes: u64,
-    fetched_bytes: u64,
-    transfers: u64,
-}
-
-impl HbmModel {
-    /// Creates a model with the given configuration.
-    pub fn new(config: HbmConfig) -> Self {
-        Self { config, total_cycles: 0, useful_bytes: 0, fetched_bytes: 0, transfers: 0 }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HbmConfig {
-        &self.config
-    }
-
-    /// Charges one transfer of `bytes` useful bytes with `pattern`,
-    /// returning the cycles it takes. State is accumulated.
-    pub fn transfer(&mut self, bytes: usize, pattern: AccessPattern) -> u64 {
-        let cycles = self.cost(bytes, pattern);
-        self.total_cycles += cycles;
-        self.useful_bytes += bytes as u64;
-        self.fetched_bytes += self.fetched_bytes_for(bytes, pattern);
-        self.transfers += 1;
-        cycles
-    }
-
-    /// Pure cost query (no state change): cycles for a transfer.
+    /// Cycles for one transfer of `bytes` useful bytes walked with
+    /// `pattern`.
     pub fn cost(&self, bytes: usize, pattern: AccessPattern) -> u64 {
         if bytes == 0 {
             return 0;
         }
-        let fetched = self.fetched_bytes_for(bytes, pattern);
-        let data_cycles = (fetched as f64 / (self.config.bytes_per_cycle * self.config.sequential_efficiency))
-            .ceil() as u64;
+        let fetched = self.fetched_bytes(bytes, pattern);
+        let data_cycles =
+            (fetched as f64 / (self.bytes_per_cycle * self.sequential_efficiency)).ceil() as u64;
         let rows = self.rows_opened(bytes, pattern);
-        let row_cycles = (rows * self.config.row_activate_cycles).div_ceil(self.config.banks.max(1));
+        let row_cycles = (rows * self.row_activate_cycles).div_ceil(self.banks.max(1));
         data_cycles + row_cycles
     }
 
     /// Number of DRAM rows a transfer opens.
-    pub fn rows_opened(&self, bytes: usize, pattern: AccessPattern) -> u64 {
+    fn rows_opened(&self, bytes: usize, pattern: AccessPattern) -> u64 {
         if bytes == 0 {
             return 0;
         }
         match pattern {
-            AccessPattern::Sequential => (bytes as u64).div_ceil(self.config.row_bytes as u64),
+            AccessPattern::Sequential => (bytes as u64).div_ceil(self.row_bytes as u64),
             AccessPattern::Strided { stride_bytes, elem_bytes } => {
                 let elements = (bytes as u64).div_ceil(elem_bytes.max(1) as u64);
-                if stride_bytes <= self.config.row_bytes {
+                if stride_bytes <= self.row_bytes {
                     // Several strided elements still land in one row.
-                    let elems_per_row = (self.config.row_bytes / stride_bytes.max(1)).max(1) as u64;
+                    let elems_per_row = (self.row_bytes / stride_bytes.max(1)).max(1) as u64;
                     elements.div_ceil(elems_per_row)
                 } else {
                     // Every element opens a new row.
@@ -152,8 +120,9 @@ impl HbmModel {
         }
     }
 
-    fn fetched_bytes_for(&self, bytes: usize, pattern: AccessPattern) -> u64 {
-        let burst = self.config.burst_bytes as u64;
+    /// Bytes a transfer actually fetches (≥ `bytes`: burst waste).
+    fn fetched_bytes(&self, bytes: usize, pattern: AccessPattern) -> u64 {
+        let burst = self.burst_bytes as u64;
         match pattern {
             AccessPattern::Sequential => (bytes as u64).div_ceil(burst) * burst,
             AccessPattern::Strided { stride_bytes, elem_bytes } => {
@@ -169,43 +138,6 @@ impl HbmModel {
             }
         }
     }
-
-    /// Total cycles charged so far.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
-    /// Useful (requested) bytes moved so far.
-    pub fn useful_bytes(&self) -> u64 {
-        self.useful_bytes
-    }
-
-    /// Bytes actually fetched (≥ useful due to burst waste).
-    pub fn fetched_bytes(&self) -> u64 {
-        self.fetched_bytes
-    }
-
-    /// Number of transfers charged.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Achieved bandwidth utilization: useful bytes per cycle over peak.
-    pub fn utilization(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            (self.useful_bytes as f64 / self.total_cycles as f64) / self.config.bytes_per_cycle
-        }
-    }
-
-    /// Resets the accumulated counters, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.total_cycles = 0;
-        self.useful_bytes = 0;
-        self.fetched_bytes = 0;
-        self.transfers = 0;
-    }
 }
 
 #[cfg(test)]
@@ -219,8 +151,7 @@ mod tests {
 
     #[test]
     fn sequential_cost_tracks_bandwidth() {
-        let hbm = HbmModel::new(HbmConfig::default());
-        let c = hbm.cost(256 * 1024, AccessPattern::Sequential);
+        let c = HbmConfig::default().cost(256 * 1024, AccessPattern::Sequential);
         let data = (256.0_f64 * 1024.0 / (256.0 * 0.9)).ceil() as u64;
         let rows = (256u64 * 1024 / 2048) * 28 / 16;
         assert_eq!(c, data + rows);
@@ -228,7 +159,7 @@ mod tests {
 
     #[test]
     fn zero_bytes_cost_nothing() {
-        let hbm = HbmModel::new(HbmConfig::default());
+        let hbm = HbmConfig::default();
         assert_eq!(hbm.cost(0, AccessPattern::Sequential), 0);
         assert_eq!(hbm.rows_opened(0, AccessPattern::Sequential), 0);
     }
@@ -237,7 +168,7 @@ mod tests {
     fn strided_wide_stride_is_much_slower() {
         // Reading a (4096, 128)-FP16 matrix column-wise: one 2-byte element
         // per 256-byte row stride => whole burst per element.
-        let hbm = HbmModel::new(HbmConfig::default());
+        let hbm = HbmConfig::default();
         let useful = 4096 * 2;
         let seq = hbm.cost(useful, AccessPattern::Sequential);
         let strided = hbm.cost(useful, fp16_column(256));
@@ -246,37 +177,16 @@ mod tests {
 
     #[test]
     fn beyond_row_stride_pays_activation_per_element() {
-        let hbm = HbmModel::new(HbmConfig::default());
-        let rows = hbm.rows_opened(1024 * 2, fp16_column(8192));
+        let rows = HbmConfig::default().rows_opened(1024 * 2, fp16_column(8192));
         assert_eq!(rows, 1024);
     }
 
     #[test]
     fn narrow_stride_close_to_sequential() {
-        let hbm = HbmModel::new(HbmConfig::default());
+        let hbm = HbmConfig::default();
         let seq = hbm.cost(64 * 1024, AccessPattern::Sequential);
         let strided = hbm.cost(64 * 1024, AccessPattern::Strided { stride_bytes: 4, elem_bytes: 2 });
         assert!(strided <= seq * 2, "strided {strided} vs seq {seq}");
-    }
-
-    #[test]
-    fn state_accumulates() {
-        let mut hbm = HbmModel::new(HbmConfig::default());
-        let a = hbm.transfer(4096, AccessPattern::Sequential);
-        let b = hbm.transfer(4096, AccessPattern::Sequential);
-        assert_eq!(hbm.total_cycles(), a + b);
-        assert_eq!(hbm.useful_bytes(), 8192);
-        assert_eq!(hbm.transfers(), 2);
-        hbm.reset();
-        assert_eq!(hbm.total_cycles(), 0);
-    }
-
-    #[test]
-    fn utilization_below_one_and_positive() {
-        let mut hbm = HbmModel::new(HbmConfig::default());
-        hbm.transfer(1 << 20, AccessPattern::Sequential);
-        let u = hbm.utilization();
-        assert!(u > 0.5 && u <= 1.0, "utilization {u}");
     }
 
     #[test]
@@ -293,17 +203,15 @@ mod tests {
 
     #[test]
     fn fetched_at_least_useful() {
-        let mut hbm = HbmModel::new(HbmConfig::default());
-        hbm.transfer(100, AccessPattern::Sequential);
-        hbm.transfer(100, fp16_column(512));
-        assert!(hbm.fetched_bytes() >= hbm.useful_bytes());
+        let hbm = HbmConfig::default();
+        assert!(hbm.fetched_bytes(100, AccessPattern::Sequential) >= 100);
+        assert!(hbm.fetched_bytes(100, fp16_column(512)) >= 100);
     }
 
     #[test]
     fn strided_fetch_inflation_is_burst_per_element() {
-        let hbm = HbmModel::new(HbmConfig::default());
         // 100 useful bytes of 2-byte elements at 512-byte stride:
         // 50 elements × 64-byte bursts = 3200 fetched bytes.
-        assert_eq!(hbm.fetched_bytes_for(100, fp16_column(512)), 3200);
+        assert_eq!(HbmConfig::default().fetched_bytes(100, fp16_column(512)), 3200);
     }
 }

@@ -5,9 +5,9 @@
 //! link is an order of magnitude slower than HBM (PCIe 4.0 x16 sustains
 //! ~26 GB/s against the paper's 256 GB/s HBM), so swap traffic is the cost
 //! that admission control and scheduling policies trade against queueing
-//! delay. The model mirrors [`crate::HbmModel`]: a configuration in
-//! accelerator-clock units plus a stateful accumulator with per-direction
-//! counters.
+//! delay. The model is a configuration in accelerator-clock units plus
+//! the one ledger a serving report reads: bytes per transfer kind and
+//! direction, and cycles per transfer kind.
 
 /// Direction of a host-link transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,7 +111,7 @@ impl HostLinkConfig {
 
     /// Rejects a link whose sustained bandwidth is not a finite positive
     /// number: a zero, negative or non-finite `bytes_per_cycle`, or an
-    /// `efficiency` outside `(0, 1]`, would make [`HostLink::cost`]
+    /// `efficiency` outside `(0, 1]`, would make a transfer's cost
     /// saturate to `u64::MAX` (and overflow when the setup cycles are
     /// added) or collapse to the setup cycles alone (NaN casts to 0).
     ///
@@ -130,15 +130,15 @@ impl HostLinkConfig {
     }
 }
 
-/// Stateful host-link model: accumulates traffic per transfer kind and
-/// direction.
+/// Stateful host-link model: a ledger of the traffic charged per
+/// transfer kind.
 #[derive(Debug, Clone)]
 pub struct HostLink {
     config: HostLinkConfig,
-    /// Indexed `[kind][direction]`.
+    /// Bytes moved, indexed `[kind][direction]`.
     bytes: [[u64; 2]; 4],
-    cycles: [[u64; 2]; 4],
-    transfers: [[u64; 2]; 4],
+    /// Cycles charged, indexed `[kind]`.
+    cycles: [u64; 4],
     /// Transient bandwidth multiplier in (0, 1]; `1.0` means healthy.
     degradation: f64,
 }
@@ -146,15 +146,10 @@ pub struct HostLink {
 impl HostLink {
     /// Creates a model with the given configuration.
     pub fn new(config: HostLinkConfig) -> Self {
-        Self { config, bytes: [[0; 2]; 4], cycles: [[0; 2]; 4], transfers: [[0; 2]; 4], degradation: 1.0 }
+        Self { config, bytes: [[0; 2]; 4], cycles: [0; 4], degradation: 1.0 }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &HostLinkConfig {
-        &self.config
-    }
-
-    /// Sets the transient bandwidth multiplier applied by [`HostLink::cost`]
+    /// Sets the transient bandwidth multiplier applied to every transfer
     /// — the fault plane's link-degradation hook. A fraction of `0.25`
     /// means transfers see a quarter of the configured sustained bandwidth
     /// (setup latency is unaffected); `1.0` restores the healthy link.
@@ -188,9 +183,9 @@ impl HostLink {
         }
     }
 
-    /// Pure cost query (no state change): cycles to move `bytes` one way
-    /// at the link's current (possibly degraded) sustained bandwidth.
-    pub fn cost(&self, bytes: u64) -> u64 {
+    /// Cycles to move `bytes` one way at the link's current (possibly
+    /// degraded) sustained bandwidth.
+    fn cost(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
@@ -204,42 +199,14 @@ impl HostLink {
         self.config.setup_cycles + data
     }
 
-    /// Charges one *swap* transfer of `bytes` in `direction`, returning
-    /// its cycles. State is accumulated. Shorthand for
-    /// [`HostLink::transfer_tagged`] with [`TransferKind::Swap`] — the
-    /// only kind that existed before cross-shard migration, so existing
-    /// callers keep their accounting unchanged.
-    pub fn transfer(&mut self, bytes: u64, direction: SwapDirection) -> u64 {
-        self.transfer_tagged(bytes, direction, TransferKind::Swap)
-    }
-
     /// Charges one transfer of `bytes` in `direction`, attributed to
     /// `kind`, returning its cycles. State is accumulated.
     pub fn transfer_tagged(&mut self, bytes: u64, direction: SwapDirection, kind: TransferKind) -> u64 {
         let cycles = self.cost(bytes);
         let k = Self::kidx(kind);
-        let i = Self::idx(direction);
-        self.bytes[k][i] += bytes;
-        self.cycles[k][i] += cycles;
-        if bytes > 0 {
-            self.transfers[k][i] += 1;
-        }
+        self.bytes[k][Self::idx(direction)] += bytes;
+        self.cycles[k] += cycles;
         cycles
-    }
-
-    /// Bytes moved in `direction` so far (all kinds).
-    pub fn bytes(&self, direction: SwapDirection) -> u64 {
-        self.bytes.iter().map(|row| row[Self::idx(direction)]).sum()
-    }
-
-    /// Cycles charged in `direction` so far (all kinds).
-    pub fn cycles(&self, direction: SwapDirection) -> u64 {
-        self.cycles.iter().map(|row| row[Self::idx(direction)]).sum()
-    }
-
-    /// Transfers charged in `direction` so far (all kinds).
-    pub fn transfers(&self, direction: SwapDirection) -> u64 {
-        self.transfers.iter().map(|row| row[Self::idx(direction)]).sum()
     }
 
     /// Bytes moved so far for `kind` in `direction`.
@@ -247,41 +214,9 @@ impl HostLink {
         self.bytes[Self::kidx(kind)][Self::idx(direction)]
     }
 
-    /// Cycles charged so far for `kind` in `direction`.
-    pub fn tagged_cycles(&self, kind: TransferKind, direction: SwapDirection) -> u64 {
-        self.cycles[Self::kidx(kind)][Self::idx(direction)]
-    }
-
-    /// Transfers charged so far for `kind` in `direction`.
-    pub fn tagged_transfers(&self, kind: TransferKind, direction: SwapDirection) -> u64 {
-        self.transfers[Self::kidx(kind)][Self::idx(direction)]
-    }
-
-    /// Total bytes moved so far for `kind`, both directions.
-    pub fn kind_total_bytes(&self, kind: TransferKind) -> u64 {
-        self.bytes[Self::kidx(kind)].iter().sum()
-    }
-
     /// Total cycles charged so far for `kind`, both directions.
     pub fn kind_total_cycles(&self, kind: TransferKind) -> u64 {
-        self.cycles[Self::kidx(kind)].iter().sum()
-    }
-
-    /// Total bytes moved in both directions (all kinds).
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().flatten().sum()
-    }
-
-    /// Total cycles charged in both directions (all kinds).
-    pub fn total_cycles(&self) -> u64 {
-        self.cycles.iter().flatten().sum()
-    }
-
-    /// Resets the accumulated counters, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.bytes = [[0; 2]; 4];
-        self.cycles = [[0; 2]; 4];
-        self.transfers = [[0; 2]; 4];
+        self.cycles[Self::kidx(kind)]
     }
 }
 
@@ -306,25 +241,20 @@ mod tests {
     #[test]
     fn directions_accumulate_separately() {
         let mut link = HostLink::new(HostLinkConfig::default());
-        let out = link.transfer(4096, SwapDirection::Out);
-        let back = link.transfer(4096, SwapDirection::In);
+        let out = link.transfer_tagged(4096, SwapDirection::Out, TransferKind::Swap);
+        let back = link.transfer_tagged(4096, SwapDirection::In, TransferKind::Swap);
         assert_eq!(out, back, "symmetric link");
-        assert_eq!(link.bytes(SwapDirection::Out), 4096);
-        assert_eq!(link.bytes(SwapDirection::In), 4096);
-        assert_eq!(link.transfers(SwapDirection::Out), 1);
-        assert_eq!(link.total_bytes(), 8192);
-        assert_eq!(link.total_cycles(), out + back);
-        link.reset();
-        assert_eq!(link.total_bytes(), 0);
+        assert_eq!(link.tagged_bytes(TransferKind::Swap, SwapDirection::Out), 4096);
+        assert_eq!(link.tagged_bytes(TransferKind::Swap, SwapDirection::In), 4096);
+        assert_eq!(link.kind_total_cycles(TransferKind::Swap), out + back);
     }
 
     #[test]
     fn swap_is_much_slower_than_hbm_stream() {
-        use crate::{AccessPattern, HbmConfig, HbmModel};
+        use crate::{AccessPattern, HbmConfig};
         let link = HostLink::new(HostLinkConfig::default());
-        let hbm = HbmModel::new(HbmConfig::default());
         let bytes = 8 << 20;
-        assert!(link.cost(bytes as u64) > 5 * hbm.cost(bytes, AccessPattern::Sequential));
+        assert!(link.cost(bytes as u64) > 5 * HbmConfig::default().cost(bytes, AccessPattern::Sequential));
     }
 
     #[test]
@@ -354,33 +284,24 @@ mod tests {
         let mut link = HostLink::new(HostLinkConfig::default());
         let spill = link.transfer_tagged(2000, SwapDirection::Out, TransferKind::PrefixSpill);
         let fill = link.transfer_tagged(2000, SwapDirection::In, TransferKind::PrefixFill);
-        link.transfer(500, SwapDirection::Out);
+        link.transfer_tagged(500, SwapDirection::Out, TransferKind::Swap);
         assert_eq!(link.tagged_bytes(TransferKind::PrefixSpill, SwapDirection::Out), 2000);
         assert_eq!(link.tagged_bytes(TransferKind::PrefixFill, SwapDirection::In), 2000);
         assert_eq!(link.tagged_bytes(TransferKind::Swap, SwapDirection::Out), 500);
-        assert_eq!(link.bytes(SwapDirection::Out), 2500, "per-direction view sums all four kinds");
         assert_eq!(link.kind_total_cycles(TransferKind::PrefixSpill), spill);
         assert_eq!(link.kind_total_cycles(TransferKind::PrefixFill), fill);
-        assert_eq!(link.tagged_transfers(TransferKind::PrefixFill, SwapDirection::In), 1);
-        link.reset();
-        assert_eq!(link.kind_total_bytes(TransferKind::PrefixSpill), 0);
     }
 
     #[test]
-    fn kinds_accumulate_separately_and_sum_per_direction() {
+    fn kinds_accumulate_separately() {
         let mut link = HostLink::new(HostLinkConfig::default());
-        let swap = link.transfer(1000, SwapDirection::Out);
+        let swap = link.transfer_tagged(1000, SwapDirection::Out, TransferKind::Swap);
         let mig = link.transfer_tagged(3000, SwapDirection::Out, TransferKind::Migration);
         assert_eq!(link.tagged_bytes(TransferKind::Swap, SwapDirection::Out), 1000);
         assert_eq!(link.tagged_bytes(TransferKind::Migration, SwapDirection::Out), 3000);
         assert_eq!(link.tagged_bytes(TransferKind::Migration, SwapDirection::In), 0);
-        assert_eq!(link.bytes(SwapDirection::Out), 4000, "per-direction view sums the kinds");
-        assert_eq!(link.kind_total_bytes(TransferKind::Migration), 3000);
         assert_eq!(link.kind_total_cycles(TransferKind::Swap), swap);
-        assert_eq!(link.tagged_transfers(TransferKind::Migration, SwapDirection::Out), 1);
-        assert_eq!(link.total_cycles(), swap + mig);
-        link.reset();
-        assert_eq!(link.kind_total_bytes(TransferKind::Migration), 0);
+        assert_eq!(link.kind_total_cycles(TransferKind::Migration), mig);
     }
 
     #[test]
@@ -401,13 +322,5 @@ mod tests {
     #[should_panic(expected = "degradation fraction")]
     fn degradation_rejects_zero() {
         HostLink::new(HostLinkConfig::default()).set_degradation(0.0);
-    }
-
-    #[test]
-    fn untagged_transfer_is_swap_traffic() {
-        let mut link = HostLink::new(HostLinkConfig::default());
-        link.transfer(4096, SwapDirection::In);
-        assert_eq!(link.tagged_bytes(TransferKind::Swap, SwapDirection::In), 4096);
-        assert_eq!(link.kind_total_bytes(TransferKind::Migration), 0);
     }
 }

@@ -6,15 +6,16 @@
 //! on-chip SRAM/FIFO costs from CACTI. This crate provides the equivalent
 //! simulation substrates, built from scratch:
 //!
-//! * [`HbmModel`] — a burst/row-buffer-level off-chip memory model with
-//!   per-pattern efficiency (sequential streams hit the open row; strided
-//!   "transpose-style" access pays row activation and wasted burst bytes —
-//!   the *memory access irregularity* of Section I).
-//! * [`Fifo`] — a depth-bounded FIFO with occupancy statistics, modelling
-//!   the s' FIFO of the voting engine and the SFU tile FIFO.
+//! * [`HbmConfig::cost`] — a burst/row-buffer-level off-chip memory cost
+//!   with per-pattern efficiency (sequential streams hit the open row;
+//!   strided "transpose-style" access pays row activation and wasted burst
+//!   bytes — the *memory access irregularity* of Section I).
+//! * [`Fifo`] — a depth-bounded FIFO, modelling the s' FIFO of the voting
+//!   engine and the SFU tile FIFO.
 //! * [`HostLink`] — a PCIe-style device↔host link for KV cache
 //!   swap-out/swap-in when a serving layer preempts sessions under HBM
-//!   capacity pressure ([`HbmConfig::capacity_bytes`]).
+//!   capacity pressure ([`HbmConfig::capacity_bytes`]), with the ledger of
+//!   bytes and cycles per [`TransferKind`] that a serving report reads.
 //!
 //! ## Capacity is the serving constraint
 //!
@@ -34,12 +35,12 @@
 //! ## Example
 //!
 //! ```
-//! use veda_mem::{AccessPattern, HbmConfig, HbmModel};
+//! use veda_mem::{AccessPattern, HbmConfig};
 //!
-//! let mut hbm = HbmModel::new(HbmConfig::default());
+//! let hbm = HbmConfig::default();
 //! // Streaming 1 MiB sequentially is far cheaper than the same bytes strided.
-//! let seq = hbm.transfer(1 << 20, AccessPattern::Sequential);
-//! let strided = hbm.transfer(1 << 20, AccessPattern::Strided { stride_bytes: 256, elem_bytes: 2 });
+//! let seq = hbm.cost(1 << 20, AccessPattern::Sequential);
+//! let strided = hbm.cost(1 << 20, AccessPattern::Strided { stride_bytes: 256, elem_bytes: 2 });
 //! assert!(strided > seq);
 //! ```
 
@@ -53,5 +54,5 @@ pub mod hbm;
 pub mod hostlink;
 
 pub use fifo::Fifo;
-pub use hbm::{AccessPattern, HbmConfig, HbmModel};
+pub use hbm::{AccessPattern, HbmConfig};
 pub use hostlink::{HostLink, HostLinkConfig, SwapDirection, TransferKind};

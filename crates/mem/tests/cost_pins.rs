@@ -3,11 +3,11 @@
 //! here unchanged: the accelerator cycle model and every serving report
 //! are built from them.
 
-use veda_mem::{AccessPattern, HbmConfig, HbmModel, HostLink, HostLinkConfig, SwapDirection, TransferKind};
+use veda_mem::{AccessPattern, HbmConfig, HostLink, HostLinkConfig, SwapDirection, TransferKind};
 
 /// Cycles the default HBM charges for one transfer.
 fn cost(bytes: usize, pattern: AccessPattern) -> u64 {
-    HbmModel::new(HbmConfig::default()).cost(bytes, pattern)
+    HbmConfig::default().cost(bytes, pattern)
 }
 
 fn strided(stride_bytes: usize, elem_bytes: usize) -> AccessPattern {
