@@ -22,7 +22,7 @@ impl DataflowVariant {
         [DataflowVariant::Baseline, DataflowVariant::Flexible, DataflowVariant::FlexibleElementSerial];
 
     /// Label used in reports ("Baseline", "Baseline+F", "Baseline+F+E").
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DataflowVariant::Baseline => "Baseline",
             DataflowVariant::Flexible => "Baseline+F",
@@ -31,12 +31,12 @@ impl DataflowVariant {
     }
 
     /// Whether the flexible-product dataflow is enabled.
-    pub fn flexible(self) -> bool {
+    pub(crate) fn flexible(self) -> bool {
         !matches!(self, DataflowVariant::Baseline)
     }
 
     /// Whether element-serial scheduling is enabled.
-    pub fn element_serial(self) -> bool {
+    pub(crate) fn element_serial(self) -> bool {
         matches!(self, DataflowVariant::FlexibleElementSerial)
     }
 }
@@ -217,7 +217,7 @@ impl ArchConfig {
     /// * outer product: `k` inputs, each `ceil(n / macs)` cycles.
     ///
     /// Both reduce to `time_dim × ceil(spatial_dim / macs)`.
-    pub fn flexible_gemv_cycles(&self, time_dim: usize, spatial_dim: usize) -> u64 {
+    pub(crate) fn flexible_gemv_cycles(&self, time_dim: usize, spatial_dim: usize) -> u64 {
         (time_dim as u64) * (spatial_dim as u64).div_ceil(self.macs() as u64)
     }
 

@@ -47,7 +47,7 @@ impl PeArray {
     /// # Panics
     ///
     /// Panics if `rows` or `cols` is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "array dimensions must be positive");
         let pes = (0..rows * cols)
             .map(|i| {
@@ -68,13 +68,8 @@ impl PeArray {
     }
 
     /// Number of PEs (spatial capacity per cycle).
-    pub fn spatial_capacity(&self) -> usize {
+    pub(crate) fn spatial_capacity(&self) -> usize {
         self.rows * self.cols
-    }
-
-    /// Current configuration.
-    pub fn mode(&self) -> ArrayMode {
-        self.mode
     }
 
     /// Reconfigures every PE's 2-bit mode control (one-cycle broadcast in
@@ -257,9 +252,9 @@ mod tests {
     fn reconfiguration_switches_pe_modes() {
         let mut arr = PeArray::veda_tile();
         arr.configure(ArrayMode::InnerProduct);
-        assert_eq!(arr.mode(), ArrayMode::InnerProduct);
+        assert_eq!(arr.mode, ArrayMode::InnerProduct);
         arr.configure(ArrayMode::OuterProduct);
-        assert_eq!(arr.mode(), ArrayMode::OuterProduct);
+        assert_eq!(arr.mode, ArrayMode::OuterProduct);
     }
 
     #[test]

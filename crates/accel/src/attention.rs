@@ -81,7 +81,7 @@ pub fn prefill_attention_cycles_per_head(arch: &ArchConfig, variant: DataflowVar
 /// fixed GEMM kernel computes full `start_len + tokens` rows. Within the
 /// chunk the softmax of row `i` overlaps with row `i+1`'s GEMVs in *all*
 /// variants (rows are independent); only the per-row drain differs.
-pub fn chunked_prefill_attention_cycles_per_head(
+pub(crate) fn chunked_prefill_attention_cycles_per_head(
     arch: &ArchConfig,
     variant: DataflowVariant,
     start_len: usize,
@@ -115,7 +115,7 @@ pub fn chunked_prefill_attention_cycles_per_head(
 
 /// Cycles of a full chunked-prefill chunk (all heads); see
 /// [`chunked_prefill_attention_cycles_per_head`].
-pub fn chunked_prefill_attention_cycles(
+pub(crate) fn chunked_prefill_attention_cycles(
     arch: &ArchConfig,
     variant: DataflowVariant,
     start_len: usize,

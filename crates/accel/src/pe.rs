@@ -4,13 +4,13 @@
 //! register, a multiplier, and an adder whose operands are selected by a
 //! 2-bit mode control:
 //!
-//! * [`PeMode::AccumulateLocal`] — outer-product mode: the adder sums the
+//! * `PeMode::AccumulateLocal` — outer-product mode: the adder sums the
 //!   local product into the accumulation register;
-//! * [`PeMode::TransmitPartial`] — inner-product mode: the adder combines
+//! * `PeMode::TransmitPartial` — inner-product mode: the adder combines
 //!   products/partial sums for the tree (type-A PEs add their own product
 //!   to a transmitted operand; type-B PEs add two transmitted operands);
-//! * [`PeMode::Clear`] — zeroes the accumulation register;
-//! * [`PeMode::Disable`] — the PE holds state and produces nothing.
+//! * `PeMode::Clear` — zeroes the accumulation register;
+//! * `PeMode::Disable` — the PE holds state and produces nothing.
 //!
 //! Arithmetic is FP16-rounded after every multiply and add, matching the
 //! hardware datapath.
@@ -60,7 +60,7 @@ impl PeMode {
 
 /// Whether the PE's adder can take both operands from other PEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PeKind {
+pub(crate) enum PeKind {
     /// One adder input is the local product (odd tree positions 1,3,5,7).
     TypeA,
     /// Both adder inputs come from other PEs (positions 2,4,6,8; the dotted
@@ -70,7 +70,7 @@ pub enum PeKind {
 
 /// One processing element.
 #[derive(Debug, Clone)]
-pub struct Pe {
+pub(crate) struct Pe {
     kind: PeKind,
     mode: PeMode,
     input_reg: f32,
@@ -80,33 +80,23 @@ pub struct Pe {
 
 impl Pe {
     /// Creates a PE of the given kind, disabled, with cleared registers.
-    pub fn new(kind: PeKind) -> Self {
+    pub(crate) fn new(kind: PeKind) -> Self {
         Self { kind, mode: PeMode::Disable, input_reg: 0.0, weight_reg: 0.0, acc_reg: 0.0 }
     }
 
-    /// The PE kind (tree wiring role).
-    pub fn kind(&self) -> PeKind {
-        self.kind
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> PeMode {
-        self.mode
-    }
-
     /// Sets the 2-bit mode control.
-    pub fn set_mode(&mut self, mode: PeMode) {
+    pub(crate) fn set_mode(&mut self, mode: PeMode) {
         self.mode = mode;
     }
 
     /// Loads the input and weight registers (FP16-rounded).
-    pub fn load(&mut self, input: f32, weight: f32) {
+    pub(crate) fn load(&mut self, input: f32, weight: f32) {
         self.input_reg = quantize_f32(input);
         self.weight_reg = quantize_f32(weight);
     }
 
     /// The local product `input × weight`, FP16-rounded.
-    pub fn product(&self) -> f32 {
+    pub(crate) fn product(&self) -> f32 {
         quantize_f32(self.input_reg * self.weight_reg)
     }
 
@@ -118,7 +108,7 @@ impl Pe {
     ///   transmitted2`).
     /// * `Clear`: zeroes the accumulator, returns `None`.
     /// * `Disable`: returns `None`.
-    pub fn step(&mut self, transmitted: f32, transmitted2: f32) -> Option<f32> {
+    pub(crate) fn step(&mut self, transmitted: f32, transmitted2: f32) -> Option<f32> {
         match self.mode {
             PeMode::AccumulateLocal => {
                 self.acc_reg = quantize_f32(self.acc_reg + self.product());
@@ -137,7 +127,7 @@ impl Pe {
     }
 
     /// Reads the accumulation register.
-    pub fn acc(&self) -> f32 {
+    pub(crate) fn acc(&self) -> f32 {
         self.acc_reg
     }
 }
@@ -145,6 +135,17 @@ impl Pe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn outer_mode_accumulates_locally() {
+        let mut pe = Pe::new(PeKind::TypeA);
+        pe.set_mode(PeMode::AccumulateLocal);
+        pe.load(2.0, 3.0);
+        pe.step(0.0, 0.0);
+        pe.load(1.0, 4.0);
+        pe.step(0.0, 0.0);
+        assert_eq!(pe.acc(), 10.0);
+    }
 
     #[test]
     fn mode_encoding_round_trips() {
@@ -157,17 +158,6 @@ mod tests {
     #[should_panic(expected = "2-bit field")]
     fn decode_rejects_wide_values() {
         PeMode::decode(4);
-    }
-
-    #[test]
-    fn outer_mode_accumulates_locally() {
-        let mut pe = Pe::new(PeKind::TypeA);
-        pe.set_mode(PeMode::AccumulateLocal);
-        pe.load(2.0, 3.0);
-        pe.step(0.0, 0.0);
-        pe.load(1.0, 4.0);
-        pe.step(0.0, 0.0);
-        assert_eq!(pe.acc(), 10.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl CycleReport {
 
     /// Adds a component whose compute and memory overlap: the critical
     /// path grows by `max(compute, memory)`.
-    pub fn add_overlapped(&mut self, name: &'static str, compute: u64, memory: u64) {
+    pub(crate) fn add_overlapped(&mut self, name: &'static str, compute: u64, memory: u64) {
         self.compute_cycles += compute;
         self.memory_cycles += memory;
         let contribution = compute.max(memory);
@@ -37,7 +37,7 @@ impl CycleReport {
     }
 
     /// Adds serial (non-overlappable) SFU cycles to the critical path.
-    pub fn add_exposed_sfu(&mut self, name: &'static str, cycles: u64) {
+    pub(crate) fn add_exposed_sfu(&mut self, name: &'static str, cycles: u64) {
         self.exposed_sfu_cycles += cycles;
         self.total_cycles += cycles;
         self.components.push((name, cycles));
@@ -71,7 +71,7 @@ impl CycleReport {
     }
 
     /// Wall-clock seconds at `clock_ghz`.
-    pub fn seconds(&self, clock_ghz: f64) -> f64 {
+    pub(crate) fn seconds(&self, clock_ghz: f64) -> f64 {
         self.total_cycles as f64 / (clock_ghz * 1e9)
     }
 }

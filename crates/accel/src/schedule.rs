@@ -50,7 +50,7 @@ impl LlamaShape {
     }
 
     /// Head dimension.
-    pub fn head_dim(&self) -> usize {
+    pub(crate) fn head_dim(&self) -> usize {
         self.d_model / self.n_heads
     }
 
@@ -68,7 +68,7 @@ impl LlamaShape {
     /// token's K/V pair. The single source of the KV byte layout — the
     /// all-layer and chunk variants below, and the scheduler's per-layer
     /// attention costing, all derive from it.
-    pub fn layer_kv_bytes(&self, l: usize) -> u64 {
+    pub(crate) fn layer_kv_bytes(&self, l: usize) -> u64 {
         let d = self.d_model as u64;
         2 * (l as u64) * d * 2 + 2 * d * 2
     }
@@ -77,7 +77,7 @@ impl LlamaShape {
     /// chunked-prefill chunk of `tokens` prompt tokens appended to a
     /// cache of `start_len` entries: each row reads the cache at its own
     /// (growing) length and writes its K/V pair, summed token-serially.
-    pub fn layer_prefill_kv_bytes(&self, start_len: usize, tokens: usize) -> u64 {
+    pub(crate) fn layer_prefill_kv_bytes(&self, start_len: usize, tokens: usize) -> u64 {
         (0..tokens).map(|i| self.layer_kv_bytes(start_len + i)).sum()
     }
 
@@ -88,7 +88,7 @@ impl LlamaShape {
     }
 
     /// KV cache bytes streamed by a chunked-prefill chunk across all
-    /// layers (see [`LlamaShape::layer_prefill_kv_bytes`]).
+    /// layers (see `LlamaShape::layer_prefill_kv_bytes`).
     pub fn prefill_kv_bytes(&self, start_len: usize, tokens: usize) -> u64 {
         self.n_layers as u64 * self.layer_prefill_kv_bytes(start_len, tokens)
     }
@@ -126,16 +126,6 @@ impl DecodeScheduler {
             HbmConfig::default(),
             DataflowVariant::FlexibleElementSerial,
         )
-    }
-
-    /// The architecture.
-    pub fn arch(&self) -> &ArchConfig {
-        &self.arch
-    }
-
-    /// The model shape.
-    pub fn shape(&self) -> &LlamaShape {
-        &self.shape
     }
 
     /// Cycles of a batched linear GEMV `(1,k)×(k,n)` applied to `tokens`
@@ -242,13 +232,6 @@ impl DecodeScheduler {
         report
     }
 
-    /// Batched decode throughput in tokens/second: one tick advances every
-    /// sequence, so the tick produces `cache_lens.len()` tokens.
-    pub fn batched_tokens_per_second(&self, cache_lens: &[usize]) -> f64 {
-        let report = self.decode_batch(cache_lens);
-        cache_lens.len() as f64 / report.seconds(self.arch.clock_ghz)
-    }
-
     /// Decode throughput in tokens/second at cache length `l`.
     pub fn tokens_per_second(&self, l: usize) -> f64 {
         let report = self.decode_token(l);
@@ -342,7 +325,9 @@ mod tests {
         assert!(tick > single, "a batch tick cannot be cheaper than one sequence");
         assert!(tick < 8 * single * 9 / 10, "batching saved too little: {tick} vs 8×{single}");
         // Per-token throughput improves accordingly.
-        assert!(sched.batched_tokens_per_second(&lens) > 1.2 * sched.tokens_per_second(512));
+        let batched_tokens_per_second =
+            lens.len() as f64 / sched.decode_batch(&lens).seconds(sched.arch.clock_ghz);
+        assert!(batched_tokens_per_second > 1.2 * sched.tokens_per_second(512));
         // A wider array relieves the compute bound and unlocks more of the
         // bandwidth amortization.
         let mut wide_arch = ArchConfig::veda();

@@ -56,26 +56,6 @@ impl SoftmaxUnit {
         self.staged.push(x);
     }
 
-    /// Number of elements pushed so far.
-    pub fn len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
-    /// Running maximum (reduction state).
-    pub fn running_max(&self) -> f32 {
-        self.reduction.max()
-    }
-
-    /// Running exponent sum (reduction state).
-    pub fn running_exp_sum(&self) -> f32 {
-        self.reduction.exp_sum()
-    }
-
     /// Completes the reduction and drains normalized probabilities
     /// (the element-serial normalization stage), resetting the unit.
     pub fn finish(&mut self) -> Vec<f32> {
@@ -158,7 +138,7 @@ mod tests {
         let mut sm = SoftmaxUnit::new(SfuConfig::default());
         sm.push(1.0);
         sm.finish();
-        assert!(sm.is_empty());
+        assert!(sm.staged.is_empty());
         sm.push(5.0);
         let p = sm.finish();
         assert_eq!(p, vec![1.0]);
@@ -169,8 +149,8 @@ mod tests {
         let mut sm = SoftmaxUnit::new(SfuConfig::default());
         sm.push(1.0);
         sm.push(3.0);
-        assert_eq!(sm.running_max(), 3.0);
-        assert!(sm.running_exp_sum() > 1.0);
+        assert_eq!(sm.reduction.max(), 3.0);
+        assert!(sm.reduction.exp_sum() > 1.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl std::fmt::Display for VoteCapacityError {
 
 impl std::error::Error for VoteCapacityError {}
 
-/// Why [`VotingEngine::try_new`] refused to build an engine.
+/// Why `VotingEngine::try_new` refused to build an engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VotingEngineError {
     /// The vote buffer needs at least one entry.
@@ -76,7 +76,7 @@ pub struct VotingEngine {
 impl VotingEngine {
     /// Creates an engine with `capacity` vote-buffer entries (4096 in
     /// Table I) and the given algorithm configuration, panicking where
-    /// [`VotingEngine::try_new`] returns an error.
+    /// `VotingEngine::try_new` returns an error.
     ///
     /// # Panics
     ///
@@ -95,7 +95,7 @@ impl VotingEngine {
     /// exceeds the 12-bit index range (4096 entries), or `config` fails
     /// [`VotingConfig::validate`] (a non-finite or negative coefficient
     /// would make every round fall back to the minimum vote).
-    pub fn try_new(capacity: usize, config: VotingConfig) -> Result<Self, VotingEngineError> {
+    pub(crate) fn try_new(capacity: usize, config: VotingConfig) -> Result<Self, VotingEngineError> {
         if capacity == 0 {
             return Err(VotingEngineError::ZeroCapacity);
         }
@@ -113,7 +113,7 @@ impl VotingEngine {
     }
 
     /// The engine with the paper's capacity and defaults.
-    pub fn veda() -> Self {
+    pub(crate) fn veda() -> Self {
         Self::new(4096, VotingConfig::default())
     }
 

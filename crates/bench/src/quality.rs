@@ -225,7 +225,7 @@ pub struct OfflineOracle {
 impl OfflineOracle {
     /// Runs the recording pass over `sample` and returns the oracle ready
     /// to be driven under a budget.
-    pub fn record(substrate: &Substrate, sample: &[usize]) -> Self {
+    pub(crate) fn record(substrate: &Substrate, sample: &[usize]) -> Self {
         let heads = &substrate.lm.config().heads;
         let mut oracle = Self {
             head_weights: heads.iter().map(|h| h.predict_weight).collect(),

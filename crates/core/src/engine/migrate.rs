@@ -34,11 +34,6 @@ impl MigratedSession {
     pub fn generated_tokens(&self) -> usize {
         self.inner.generated.len()
     }
-
-    /// The source engine's model geometry (what [`Engine::adopt`] checks).
-    pub fn model_config(&self) -> &ModelConfig {
-        &self.config
-    }
 }
 
 impl std::fmt::Debug for MigratedSession {

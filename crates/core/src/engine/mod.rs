@@ -10,7 +10,7 @@
 //!
 //! **Submission is two-phase.** `submit` only validates the request,
 //! reserves the session's peak KV footprint
-//! ([`Request::reserve_resident_tokens`]) and enqueues it in the
+//! (`Request::reserve_resident_tokens`) and enqueues it in the
 //! `Prefilling` phase; the prompt is consumed *on the clock* by
 //! subsequent [`Engine::step`] ticks, up to
 //! [`EngineBuilder::prefill_chunk`] prompt tokens per tick
@@ -273,19 +273,6 @@ impl Engine {
         self.decode_threads
     }
 
-    /// Prompt tokens one tick may consume per prefilling session —
-    /// `usize::MAX` means instant prefill at submit (see
-    /// [`EngineBuilder::prefill_chunk`]).
-    pub fn prefill_chunk(&self) -> usize {
-        self.prefill_chunk
-    }
-
-    /// Per-tick token budget shared across phases (see
-    /// [`EngineBuilder::tick_token_budget`]).
-    pub fn tick_token_budget(&self) -> usize {
-        self.tick_token_budget
-    }
-
     /// The lifecycle phase of `session`: `Prefilling`/`Decoding` for
     /// in-flight sessions (active or paused), `Finished` once its report
     /// is available, `None` for unknown sessions (or after the report was
@@ -531,7 +518,7 @@ impl Engine {
     }
 
     /// Admits a request: validates it, reserves its KV storage
-    /// ([`Request::reserve_resident_tokens`]) and enqueues the session in
+    /// (`Request::reserve_resident_tokens`) and enqueues the session in
     /// the [`SessionPhase::Prefilling`] phase. With the default instant
     /// prefill (`prefill_chunk = usize::MAX`) the whole prompt is
     /// additionally consumed here, synchronously and off the clock —

@@ -165,7 +165,7 @@ impl Request {
     /// evicts, so the full prompt length is always reached). Reserving
     /// this up front means neither prefill nor steady-state decode ever
     /// reallocates KV storage.
-    pub fn reserve_resident_tokens(&self) -> usize {
+    pub(crate) fn reserve_resident_tokens(&self) -> usize {
         let unbounded_peak = self.peak_resident_tokens() + 1;
         let resident_cap = self.budget.resolve(self.prompt.len());
         let capped_peak = resident_cap.saturating_add(2).max(self.prompt.len() + 2);
@@ -191,13 +191,6 @@ impl Request {
 /// Handle of one submitted request within an [`Engine`](super::Engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Session(pub(super) usize);
-
-impl Session {
-    /// The numeric session id (submission order).
-    pub fn id(self) -> usize {
-        self.0
-    }
-}
 
 impl std::fmt::Display for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -277,7 +270,7 @@ impl TokenEvent {
     }
 
     /// Whether this event retired its session this tick.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         match *self {
             TokenEvent::Generated { finished, .. } | TokenEvent::PrefillProgress { finished, .. } => finished,
         }

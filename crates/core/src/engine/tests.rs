@@ -467,8 +467,8 @@ fn zero_token_request_retires_at_end_of_chunked_prefill() {
 #[test]
 fn prefill_chunk_and_tick_budget_clamp_to_at_least_one() {
     let engine = EngineBuilder::new().prefill_chunk(0).tick_token_budget(0).build().unwrap();
-    assert_eq!(engine.prefill_chunk(), 1);
-    assert_eq!(engine.tick_token_budget(), 1);
+    assert_eq!(engine.prefill_chunk, 1);
+    assert_eq!(engine.tick_token_budget, 1);
 }
 
 #[test]

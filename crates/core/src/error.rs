@@ -18,18 +18,6 @@ pub enum BuildError {
     InvalidRequest(String),
 }
 
-impl BuildError {
-    /// The detail message, without the variant prefix.
-    pub fn detail(&self) -> &str {
-        match self {
-            BuildError::InvalidModel(s)
-            | BuildError::InvalidArch(s)
-            | BuildError::InvalidBudget(s)
-            | BuildError::InvalidRequest(s) => s,
-        }
-    }
-}
-
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -53,7 +41,7 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("budget"), "{msg}");
         assert!(msg.contains("positive"), "{msg}");
-        assert_eq!(e.detail(), "fixed budget must be positive");
+        assert!(msg.ends_with(": fixed budget must be positive"), "{msg}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! 1. [`Engine::submit`] validates a [`Request`] (prompt, token limit,
 //!    stop tokens, [`veda_eviction::PolicyKind`], [`Budget`]), reserves
-//!    its peak KV footprint ([`Request::reserve_resident_tokens`]) and
+//!    its peak KV footprint (`Request::reserve_resident_tokens`) and
 //!    enqueues the [`Session`] in the [`SessionPhase::Prefilling`] phase.
 //! 2. Each [`Engine::step`] is one *mixed batched tick*: every decoding
 //!    session advances by one token **and** every prefilling session

@@ -48,7 +48,7 @@
 //!   *promotes* it back (a `PrefixFill` transfer whose latency the
 //!   serving layer serializes onto the engine clock exactly like a
 //!   session swap-in).
-//! * **TTL expiry.** [`PrefixCache::advance_clock`] runs on the
+//! * **TTL expiry.** `PrefixCache::advance_clock` runs on the
 //!   coordinator each virtual tick; unpinned entries (either tier) idle
 //!   for [`PrefixCacheConfig::ttl_ticks`] or longer are expired and
 //!   dropped. The clock is the serving layer's virtual tick counter, so
@@ -58,7 +58,7 @@
 //!   request's reservation by its shared prefix must be guaranteed the
 //!   share still exists at submit time. v2 makes that explicit with
 //!   per-entry reference counts: a serving layer pins the matched entry
-//!   when it takes the discount ([`PrefixCache::pin`]), and every hit
+//!   when it takes the discount (`PrefixCache::pin`), and every hit
 //!   session holds a *seed pin* on its entry from submit to retirement.
 //!   Pinned entries are immune to eviction, spilling *and* expiry, in
 //!   both tiers, so a granted reservation can never be invalidated. A
@@ -85,7 +85,7 @@
 //! [`SequenceState::seed_from`]) instead of owning a private copy, and
 //! serving layers charge [`PrefixCache::resident_bytes`] against device
 //! capacity so cached prefixes are never free memory. Host-tier bytes
-//! ([`PrefixCache::host_bytes`]) live in host RAM and are accounted
+//! (`PrefixCache::host_bytes`) live in host RAM and are accounted
 //! separately.
 //!
 //! ```
@@ -140,7 +140,7 @@ pub struct PrefixCacheConfig {
     /// entirely, restoring v1's insert-only behaviour.
     pub max_bytes: u64,
     /// Idle ticks after which an unpinned entry (either tier) expires.
-    /// The clock advances via [`PrefixCache::advance_clock`] — virtual
+    /// The clock advances via `PrefixCache::advance_clock` — virtual
     /// ticks, never wall time. `u64::MAX` (the default) means entries
     /// never expire.
     pub ttl_ticks: u64,
@@ -251,9 +251,9 @@ fn entry_bytes(entry: &PrefixEntry) -> u64 {
 }
 
 /// A held admission pin on one cached entry, returned by
-/// [`PrefixCache::pin`]. The serving layer keeps it while a discounted
+/// `PrefixCache::pin`. The serving layer keeps it while a discounted
 /// reservation is outstanding and releases it with
-/// [`PrefixCache::unpin`]; while held, the entry cannot be evicted,
+/// `PrefixCache::unpin`; while held, the entry cannot be evicted,
 /// spilled or expired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixPin {
@@ -262,11 +262,6 @@ pub struct PrefixPin {
 }
 
 impl PrefixPin {
-    /// Stable id of the pinned entry.
-    pub fn entry_id(&self) -> u64 {
-        self.entry
-    }
-
     /// Token-exact match length the pin was taken against. The entry
     /// cannot leave while pinned, so a later lookup is guaranteed to
     /// match at least this many tokens.
@@ -298,7 +293,7 @@ pub struct PrefixTransfer {
     pub kind: PrefixTransferKind,
 }
 
-/// One TTL expiry, returned by [`PrefixCache::advance_clock`] so the
+/// One TTL expiry, returned by `PrefixCache::advance_clock` so the
 /// engine can stamp a trace event per expired entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixExpiry {
@@ -378,18 +373,14 @@ impl PrefixCache {
         }
     }
 
-    /// The configuration (minimum match length clamped to at least 1).
-    pub fn config(&self) -> &PrefixCacheConfig {
-        &self.config
-    }
-
     /// Number of cached prefixes in the device tier.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the cache holds no entries in either tier.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.host.is_empty()
     }
 
@@ -403,14 +394,8 @@ impl PrefixCache {
     /// FP16 bytes parked in the host-memory spill tier (host RAM — not
     /// charged against device capacity, but promotions pay to bring them
     /// back).
-    pub fn host_bytes(&self) -> u64 {
+    pub(crate) fn host_bytes(&self) -> u64 {
         self.host.iter().map(entry_bytes).sum()
-    }
-
-    /// The cache's virtual clock (last value passed to
-    /// [`PrefixCache::advance_clock`]).
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Aggregate counters.
@@ -484,7 +469,7 @@ impl PrefixCache {
     /// [`PrefixPin::matched`] tokens stays valid until
     /// [`PrefixCache::unpin`]. Does not count a hit or promote — the
     /// submit-time lookup does that.
-    pub fn pin(&mut self, prompt: &[usize]) -> Option<PrefixPin> {
+    pub(crate) fn pin(&mut self, prompt: &[usize]) -> Option<PrefixPin> {
         let (matched, id, _) = self.best_match(prompt)?;
         let now = self.now;
         if let Some(entry) = self.entry_mut(id) {
@@ -496,7 +481,7 @@ impl PrefixCache {
 
     /// Releases a pin taken by [`PrefixCache::pin`]. The entry's LRU
     /// clock is touched (it was in use until now).
-    pub fn unpin(&mut self, pin: PrefixPin) {
+    pub(crate) fn unpin(&mut self, pin: PrefixPin) {
         self.unpin_entry(pin.entry);
     }
 
@@ -689,7 +674,7 @@ impl PrefixCache {
     /// one [`PrefixExpiry`] per dropped entry, in deterministic order
     /// (device tier in entry order, then host tier), so the engine can
     /// stamp a trace event for each.
-    pub fn advance_clock(&mut self, now: u64) -> Vec<PrefixExpiry> {
+    pub(crate) fn advance_clock(&mut self, now: u64) -> Vec<PrefixExpiry> {
         self.now = self.now.max(now);
         let ttl = self.config.ttl_ticks;
         if ttl == u64::MAX {
@@ -720,7 +705,7 @@ impl PrefixCache {
     /// they happened. The owning serving layer charges them against its
     /// host link; a standalone engine may simply discard them (the
     /// *decision* record is what determinism tests compare).
-    pub fn take_transfers(&mut self) -> Vec<PrefixTransfer> {
+    pub(crate) fn take_transfers(&mut self) -> Vec<PrefixTransfer> {
         std::mem::take(&mut self.pending)
     }
 }

@@ -33,14 +33,14 @@ impl EnergyModel {
 
     /// Average total power in watts while decoding at `tokens_per_second`
     /// with `hbm_bytes` per token.
-    pub fn average_power_w(&self, tokens_per_second: f64, hbm_bytes: u64) -> f64 {
+    pub(crate) fn average_power_w(&self, tokens_per_second: f64, hbm_bytes: u64) -> f64 {
         let core_w = self.core_power_mw / 1000.0;
         let hbm_w = tokens_per_second * hbm_bytes as f64 * self.hbm_pj_per_byte * 1e-12;
         core_w + hbm_w
     }
 
     /// Tokens per joule at the given operating point.
-    pub fn tokens_per_joule(&self, tokens_per_second: f64, hbm_bytes: u64) -> f64 {
+    pub(crate) fn tokens_per_joule(&self, tokens_per_second: f64, hbm_bytes: u64) -> f64 {
         tokens_per_second / self.average_power_w(tokens_per_second, hbm_bytes)
     }
 }

@@ -28,7 +28,7 @@ pub struct GpuModel {
 impl GpuModel {
     /// NVIDIA GeForce RTX 4090 (public specifications), with a measured
     /// single-batch decode efficiency of 0.7.
-    pub fn rtx4090() -> Self {
+    pub(crate) fn rtx4090() -> Self {
         Self {
             name: "RTX 4090",
             bandwidth_gb_s: 1008.0,
@@ -44,7 +44,7 @@ impl GpuModel {
     /// # Panics
     ///
     /// Panics if `bytes_per_token` is zero.
-    pub fn decode_tokens_per_second(&self, bytes_per_token: u64) -> f64 {
+    pub(crate) fn decode_tokens_per_second(&self, bytes_per_token: u64) -> f64 {
         assert!(bytes_per_token > 0, "bytes per token must be positive");
         let bandwidth_arm = self.decode_efficiency * self.bandwidth_gb_s * 1e9 / bytes_per_token as f64;
         // Compute arm: 2 FLOPs per streamed FP16 weight byte pair.
@@ -54,7 +54,7 @@ impl GpuModel {
     }
 
     /// Energy efficiency in tokens per joule at decode.
-    pub fn tokens_per_joule(&self, bytes_per_token: u64) -> f64 {
+    pub(crate) fn tokens_per_joule(&self, bytes_per_token: u64) -> f64 {
         self.decode_tokens_per_second(bytes_per_token) / self.power_w
     }
 }

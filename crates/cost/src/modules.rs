@@ -19,12 +19,12 @@ pub struct ModuleCost {
 
 impl ModuleCost {
     /// Component-wise sum.
-    pub fn plus(self, other: ModuleCost) -> ModuleCost {
+    pub(crate) fn plus(self, other: ModuleCost) -> ModuleCost {
         ModuleCost { area_mm2: self.area_mm2 + other.area_mm2, power_mw: self.power_mw + other.power_mw }
     }
 
     /// Scales both area and power by a factor.
-    pub fn scaled(self, factor: f64) -> ModuleCost {
+    pub(crate) fn scaled(self, factor: f64) -> ModuleCost {
         ModuleCost { area_mm2: self.area_mm2 * factor, power_mw: self.power_mw * factor }
     }
 }
@@ -76,20 +76,20 @@ impl Default for UnitCosts {
 
 impl UnitCosts {
     /// PE array cost for an architecture.
-    pub fn pe_array(&self, arch: &ArchConfig) -> ModuleCost {
+    pub(crate) fn pe_array(&self, arch: &ArchConfig) -> ModuleCost {
         self.pe.scaled(arch.macs() as f64)
     }
 
     /// Voting engine cost: the s' FIFO (capacity × 16 bit), the vote-count
     /// buffer (capacity × 16 bit), and the fixed comparator/threshold
     /// logic.
-    pub fn voting_engine(&self, arch: &ArchConfig) -> ModuleCost {
+    pub(crate) fn voting_engine(&self, arch: &ArchConfig) -> ModuleCost {
         let storage_kb = 2.0 * (arch.vote_capacity as f64 * 2.0) / 1024.0;
         self.fifo_per_kb.scaled(storage_kb).plus(self.voting_logic)
     }
 
     /// Special Function Unit cost from its resource inventory.
-    pub fn sfu(&self, arch: &ArchConfig) -> ModuleCost {
+    pub(crate) fn sfu(&self, arch: &ArchConfig) -> ModuleCost {
         let s = &arch.sfu;
         let fifo_kb = (s.fifo_depth as f64 * 2.0) / 1024.0;
         self.exp_unit
@@ -102,17 +102,17 @@ impl UnitCosts {
     }
 
     /// On-chip buffer cost.
-    pub fn sram(&self, arch: &ArchConfig) -> ModuleCost {
+    pub(crate) fn sram(&self, arch: &ArchConfig) -> ModuleCost {
         self.sram_per_kb.scaled(arch.sram_bytes as f64 / 1024.0)
     }
 
     /// Scheduler cost (fixed control logic).
-    pub fn schedule(&self, _arch: &ArchConfig) -> ModuleCost {
+    pub(crate) fn schedule(&self, _arch: &ArchConfig) -> ModuleCost {
         self.scheduler
     }
 
     /// Total chip cost.
-    pub fn total(&self, arch: &ArchConfig) -> ModuleCost {
+    pub(crate) fn total(&self, arch: &ArchConfig) -> ModuleCost {
         self.pe_array(arch)
             .plus(self.voting_engine(arch))
             .plus(self.sfu(arch))

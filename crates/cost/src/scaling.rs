@@ -1,11 +1,10 @@
 //! DeepScaleTool-style technology scaling.
 //!
 //! The paper normalizes comparisons across nodes ("it remains true after
-//! technology scaling \[13\]"). This module provides per-node area and
-//! energy factors relative to 28 nm, interpolating the published
-//! deep-submicron scaling data: area scales roughly with the square of the
-//! drawn dimension (with a derating below 28 nm, irrelevant here), and
-//! energy per operation improves more slowly than area.
+//! technology scaling \[13\]"). This module provides per-node energy
+//! factors relative to 28 nm, interpolating the published deep-submicron
+//! scaling data: energy per operation improves more slowly than the
+//! square-law area shrink.
 
 /// A supported technology node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,7 +21,7 @@ pub enum TechNode {
 
 impl TechNode {
     /// The node's drawn dimension in nm.
-    pub fn nanometers(self) -> f64 {
+    pub(crate) fn nanometers(self) -> f64 {
         match self {
             TechNode::N55 => 55.0,
             TechNode::N40 => 40.0,
@@ -31,41 +30,18 @@ impl TechNode {
         }
     }
 
-    /// Parses from a nanometer figure.
-    pub fn from_nanometers(nm: u32) -> Option<TechNode> {
-        match nm {
-            55 => Some(TechNode::N55),
-            40 => Some(TechNode::N40),
-            28 => Some(TechNode::N28),
-            16 => Some(TechNode::N16),
-            _ => None,
-        }
-    }
-
-    /// Area factor relative to 28 nm (> 1 for older nodes): the classical
-    /// (node/28)² dense-logic scaling.
-    pub fn area_factor_vs_28(self) -> f64 {
-        let r = self.nanometers() / 28.0;
-        r * r
-    }
-
     /// Energy-per-op factor relative to 28 nm (> 1 for older nodes):
     /// sub-quadratic — DeepScaleTool reports roughly linear-to-1.5-power
     /// improvement; we use `(node/28)^1.4`.
-    pub fn energy_factor_vs_28(self) -> f64 {
+    pub(crate) fn energy_factor_vs_28(self) -> f64 {
         (self.nanometers() / 28.0).powf(1.4)
     }
-}
-
-/// Scales an area measured at `from` to its 28 nm equivalent.
-pub fn area_to_28nm(area_mm2: f64, from: TechNode) -> f64 {
-    area_mm2 / from.area_factor_vs_28()
 }
 
 /// Scales an energy-efficiency (GOPS/W) measured at `from` to its 28 nm
 /// equivalent (efficiency improves at newer nodes, so older-node numbers
 /// scale *up*).
-pub fn efficiency_to_28nm(gops_per_w: f64, from: TechNode) -> f64 {
+pub(crate) fn efficiency_to_28nm(gops_per_w: f64, from: TechNode) -> f64 {
     gops_per_w * from.energy_factor_vs_28()
 }
 
@@ -75,34 +51,19 @@ mod tests {
 
     #[test]
     fn factors_are_identity_at_28() {
-        assert!((TechNode::N28.area_factor_vs_28() - 1.0).abs() < 1e-12);
         assert!((TechNode::N28.energy_factor_vs_28() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn older_nodes_are_bigger_and_hungrier() {
-        assert!(TechNode::N55.area_factor_vs_28() > TechNode::N40.area_factor_vs_28());
-        assert!(TechNode::N40.area_factor_vs_28() > 1.0);
-        assert!(TechNode::N55.energy_factor_vs_28() > 1.0);
-    }
-
-    #[test]
-    fn area_scaling_is_quadratic() {
-        // 55 nm -> 28 nm shrinks area by (55/28)² ≈ 3.86.
-        let scaled = area_to_28nm(16.9, TechNode::N55);
-        assert!((scaled - 16.9 / 3.858).abs() < 0.05, "scaled {scaled}");
+        assert!(TechNode::N55.nanometers() > TechNode::N40.nanometers());
+        assert!(TechNode::N55.energy_factor_vs_28() > TechNode::N40.energy_factor_vs_28());
+        assert!(TechNode::N40.energy_factor_vs_28() > 1.0);
     }
 
     #[test]
     fn efficiency_scaling_helps_older_designs() {
         let e = efficiency_to_28nm(192.0, TechNode::N55);
         assert!(e > 192.0 && e < 192.0 * 3.0, "efficiency {e}");
-    }
-
-    #[test]
-    fn node_parsing() {
-        assert_eq!(TechNode::from_nanometers(40), Some(TechNode::N40));
-        assert_eq!(TechNode::from_nanometers(12), None);
-        assert_eq!(TechNode::N16.nanometers(), 16.0);
     }
 }

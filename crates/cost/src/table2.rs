@@ -28,7 +28,7 @@ pub struct AcceleratorRow {
 
 impl AcceleratorRow {
     /// Energy efficiency scaled to 28 nm for a fair comparison.
-    pub fn efficiency_at_28nm(&self) -> f64 {
+    pub(crate) fn efficiency_at_28nm(&self) -> f64 {
         efficiency_to_28nm(self.efficiency_gops_w, self.node)
     }
 }

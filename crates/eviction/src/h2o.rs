@@ -54,17 +54,19 @@ impl H2oPolicy {
 
     /// Creates an H2O policy with an explicit recent-window exemption
     /// (0 = pure accumulation, the Fig. 2 (a) strawman).
-    pub fn with_recent_window(recent_window: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_recent_window(recent_window: usize) -> Self {
         Self { accumulated: Vec::new(), recent_window: Some(recent_window) }
     }
 
     /// The recent-window exemption for a given cache length.
-    pub fn recent_window(&self, cache_len: usize) -> usize {
+    pub(crate) fn recent_window(&self, cache_len: usize) -> usize {
         self.recent_window.unwrap_or(cache_len / 2)
     }
 
     /// The per-slot accumulated attention scores (the "importance vector").
-    pub fn importance(&self) -> &[f32] {
+    #[cfg(test)]
+    pub(crate) fn importance(&self) -> &[f32] {
         &self.accumulated
     }
 }

@@ -22,7 +22,8 @@ use crate::score::ScoreView;
 
 /// Per-head post-softmax attention scores of one token over the cache in
 /// the legacy nested representation (hot paths use [`ScoreView`]).
-pub type HeadScores = [Vec<f32>];
+#[cfg(test)]
+pub(crate) type HeadScores = [Vec<f32>];
 
 /// A KV cache eviction strategy.
 ///
@@ -194,7 +195,8 @@ impl std::str::FromStr for PolicyKind {
 /// # Panics
 ///
 /// Panics if head slices disagree in length.
-pub fn average_heads(scores: &HeadScores) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn average_heads(scores: &HeadScores) -> Vec<f32> {
     let Some(first) = scores.first() else {
         return Vec::new();
     };

@@ -94,7 +94,7 @@ impl<'a> ScoreView<'a> {
     /// [`crate::policy::average_heads`] on the nested representation.
     ///
     /// `out` is left empty when the view has no heads.
-    pub fn average_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn average_into(&self, out: &mut Vec<f32>) {
         out.clear();
         if self.n_heads == 0 {
             return;
@@ -111,7 +111,7 @@ impl<'a> ScoreView<'a> {
         }
     }
 
-    /// Allocating convenience form of [`ScoreView::average_into`].
+    /// Allocating convenience form of `ScoreView::average_into`.
     pub fn average(&self) -> Vec<f32> {
         let mut out = Vec::new();
         self.average_into(&mut out);

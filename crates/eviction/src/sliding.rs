@@ -29,11 +29,6 @@ impl SlidingWindowPolicy {
     pub fn new(sink_len: usize) -> Self {
         Self { sink_len, len: 0 }
     }
-
-    /// The attention-sink length.
-    pub fn sink_len(&self) -> usize {
-        self.sink_len
-    }
 }
 
 impl EvictionPolicy for SlidingWindowPolicy {

@@ -12,14 +12,9 @@ pub struct EvictionStats {
 }
 
 impl EvictionStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records that `victim_token` was evicted while generating
     /// `current_token`.
-    pub fn record_eviction(&mut self, current_token: usize, victim_token: usize) {
+    pub(crate) fn record_eviction(&mut self, current_token: usize, victim_token: usize) {
         let age = current_token.saturating_sub(victim_token);
         self.evictions += 1;
         self.total_age += age as u64;
@@ -28,37 +23,17 @@ impl EvictionStats {
     }
 
     /// Records that the policy declined to evict while over budget.
-    pub fn record_refusal(&mut self) {
+    pub(crate) fn record_refusal(&mut self) {
         self.refusals += 1;
     }
 
-    /// Number of evictions performed.
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    /// Number of times the policy refused to pick a victim.
-    pub fn refusals(&self) -> usize {
-        self.refusals
-    }
-
     /// Mean age (in tokens) of evicted entries; 0 when none were evicted.
-    pub fn mean_age(&self) -> f64 {
+    pub(crate) fn mean_age(&self) -> f64 {
         if self.evictions == 0 {
             0.0
         } else {
             self.total_age as f64 / self.evictions as f64
         }
-    }
-
-    /// Youngest eviction age seen.
-    pub fn min_age(&self) -> Option<usize> {
-        self.min_age
-    }
-
-    /// Oldest eviction age seen.
-    pub fn max_age(&self) -> Option<usize> {
-        self.max_age
     }
 }
 
@@ -82,25 +57,23 @@ mod tests {
 
     #[test]
     fn records_ages() {
-        let mut s = EvictionStats::new();
+        let mut s = EvictionStats::default();
         s.record_eviction(10, 2); // age 8
         s.record_eviction(10, 6); // age 4
-        assert_eq!(s.evictions(), 2);
         assert_eq!(s.mean_age(), 6.0);
-        assert_eq!(s.min_age(), Some(4));
-        assert_eq!(s.max_age(), Some(8));
+        assert_eq!(s.to_string(), "2 evictions (mean age 6.0, min Some(4), max Some(8)), 0 refusals");
     }
 
     #[test]
     fn empty_stats_are_benign() {
-        let s = EvictionStats::new();
+        let s = EvictionStats::default();
         assert_eq!(s.mean_age(), 0.0);
-        assert_eq!(s.min_age(), None);
+        assert_eq!(s.to_string(), "0 evictions (mean age 0.0, min None, max None), 0 refusals");
     }
 
     #[test]
     fn display_is_informative() {
-        let mut s = EvictionStats::new();
+        let mut s = EvictionStats::default();
         s.record_eviction(5, 1);
         s.record_refusal();
         let out = s.to_string();

@@ -186,19 +186,9 @@ impl VotingPolicy {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &VotingConfig {
-        &self.config
-    }
-
     /// Current vote counts per cache slot (diagnostic / hardware mirror).
     pub fn vote_counts(&self) -> &[u16] {
         &self.votes
-    }
-
-    /// Number of observations processed.
-    pub fn steps_observed(&self) -> usize {
-        self.steps_observed
     }
 
     /// Vote statistics since construction or the last
@@ -440,7 +430,6 @@ mod tests {
         assert_eq!(p.stats().rounds, 1);
         p.reset();
         assert_eq!(p.tracked_len(), 0);
-        assert_eq!(p.steps_observed(), 0);
         assert_eq!(p.stats(), VoteStats::default());
     }
 

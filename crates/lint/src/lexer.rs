@@ -45,12 +45,12 @@ pub struct Token {
 
 impl Token {
     /// Is this an identifier with exactly this text?
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == s
     }
 
     /// Is this a punctuation token with this character?
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct(c)
     }
 }

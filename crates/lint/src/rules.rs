@@ -23,7 +23,7 @@ pub const CRATE_HYGIENE: &str = "crate-hygiene";
 /// Rule R6: per-crate panic-surface ratchet.
 pub const UNWRAP_RATCHET: &str = "unwrap-ratchet";
 /// Rule R7: per-crate public-surface ratchet.
-pub const PUB_SURFACE: &str = "pub-surface";
+pub(crate) const PUB_SURFACE: &str = "pub-surface";
 /// Meta rule: every allow must be known, explained, and live.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 
@@ -99,7 +99,7 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Does `name` name a rule this pass knows?
-pub fn is_known_rule(name: &str) -> bool {
+pub(crate) fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
 }
 

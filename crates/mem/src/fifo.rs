@@ -48,6 +48,21 @@ impl<T> Fifo<T> {
         Self { depth, items: std::collections::VecDeque::with_capacity(depth) }
     }
 
+    /// Configured depth.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Current occupancy.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
     /// True when at capacity.
     pub fn is_full(&self) -> bool {
         self.items.len() == self.depth
@@ -69,6 +84,11 @@ impl<T> Fifo<T> {
     /// Pops the oldest item, if any.
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
+    }
+
+    /// Peeks at the oldest item without removing it.
+    pub fn front(&self) -> Option<&T> {
+        self.items.front()
     }
 
     /// Empties the FIFO.
@@ -107,8 +127,16 @@ mod tests {
         f.push(1).unwrap();
         f.push(2).unwrap();
         f.clear();
-        assert!(!f.is_full());
+        assert!(f.is_empty());
         assert_eq!(f.pop(), None);
+    }
+
+    #[test]
+    fn front_peeks() {
+        let mut f = Fifo::new(2);
+        f.push(7).unwrap();
+        assert_eq!(f.front(), Some(&7));
+        assert_eq!(f.len(), 1);
     }
 
     #[test]

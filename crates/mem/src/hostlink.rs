@@ -20,7 +20,7 @@ pub enum SwapDirection {
 
 impl SwapDirection {
     /// Stable label.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SwapDirection::Out => "swap_out",
             SwapDirection::In => "swap_in",
@@ -59,7 +59,7 @@ pub enum TransferKind {
 
 impl TransferKind {
     /// Stable label.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TransferKind::Swap => "swap",
             TransferKind::Migration => "migration",

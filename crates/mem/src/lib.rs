@@ -51,7 +51,7 @@
 
 pub mod fifo;
 pub mod hbm;
-pub mod hostlink;
+pub(crate) mod hostlink;
 
 pub use fifo::Fifo;
 pub use hbm::{AccessPattern, HbmConfig};

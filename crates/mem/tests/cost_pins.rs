@@ -54,11 +54,12 @@ fn host_link_tagged_ledger_is_pinned() {
     use TransferKind::{Migration, PrefixFill, PrefixSpill, Swap};
 
     let mut link = HostLink::new(HostLinkConfig::default());
-    let mut charged = Vec::new();
-    charged.push(link.transfer_tagged(4096, Out, Swap));
-    charged.push(link.transfer_tagged(3000, Out, Migration));
-    charged.push(link.transfer_tagged(2000, Out, PrefixSpill));
-    charged.push(link.transfer_tagged(0, Out, Swap));
+    let mut charged = vec![
+        link.transfer_tagged(4096, Out, Swap),
+        link.transfer_tagged(3000, Out, Migration),
+        link.transfer_tagged(2000, Out, PrefixSpill),
+        link.transfer_tagged(0, Out, Swap),
+    ];
     // A degraded window: a quarter of the sustained bandwidth.
     link.set_degradation(0.25);
     assert_eq!(link.degradation(), 0.25);

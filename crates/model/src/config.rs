@@ -8,7 +8,7 @@ use veda_tensor::activation::Activation;
 /// use veda_model::ModelConfig;
 /// let cfg = ModelConfig::tiny();
 /// assert_eq!(cfg.head_dim() * cfg.n_heads, cfg.d_model);
-/// assert!(ModelConfig::llama2_7b().params() > 6_000_000_000);
+/// assert!(cfg.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
@@ -45,7 +45,8 @@ impl ModelConfig {
 
     /// Llama-2 7B geometry (used by the cycle model; never materialized as
     /// tensors in this workspace).
-    pub fn llama2_7b() -> Self {
+    #[cfg(test)]
+    pub(crate) fn llama2_7b() -> Self {
         Self {
             vocab_size: 32000,
             d_model: 4096,

@@ -102,7 +102,7 @@ impl CorpusConfig {
     /// slice rank is left outside the `entities_per_topic` entity ranks,
     /// `zipf_exponent` is not finite and > 0, or a probability is not
     /// finite and in `[0, 1]`.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n_topics == 0 {
             return Err("topics must be non-degenerate: n_topics = 0, expected > 0".into());
         }
@@ -171,7 +171,7 @@ impl Corpus {
     ///
     /// # Panics
     ///
-    /// Panics with [`CorpusConfig::validate`]'s message if `config` is
+    /// Panics with `CorpusConfig::validate`'s message if `config` is
     /// invalid.
     pub fn new(config: CorpusConfig) -> Self {
         match Self::build(config) {
@@ -214,7 +214,7 @@ impl Corpus {
     }
 
     /// Whether a token belongs to the global slice.
-    pub fn is_global(&self, token: usize) -> bool {
+    pub(crate) fn is_global(&self, token: usize) -> bool {
         (1..=self.global_len()).contains(&token)
     }
 

@@ -61,7 +61,7 @@ impl LayerKvCache {
 
     /// Removes the resident entry at cache slot `slot`. Evicting inside a
     /// shared prefix span first privatizes it (see the
-    /// [module docs](self)).
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -139,7 +139,7 @@ impl LayerKvCache {
     /// Seeds an empty cache with the first `rows` resident rows of
     /// `source`, marking them as a shared span: the bytes stay resident in
     /// `source` (a prefix-cache entry) and this cache references them, so
-    /// they are excluded from [`LayerKvCache::fp16_bytes`] until an
+    /// they are excluded from `LayerKvCache::fp16_bytes` until an
     /// eviction privatizes the span. The row values are copied so the
     /// attention kernels see one contiguous `(l, d)` matrix — the sharing
     /// is an HBM-residency accounting model, not a pointer graph.
@@ -170,33 +170,34 @@ impl LayerKvCache {
     /// copy becomes a residency root of its own — e.g. a prefix-cache
     /// entry built from a session that itself started from a shorter
     /// cached prefix.
-    pub fn clear_shared_marker(&mut self) {
+    pub(crate) fn clear_shared_marker(&mut self) {
         self.shared_len = 0;
     }
 
     /// Bytes this cache *privately owns* in FP16 off-chip storage —
     /// excludes the shared prefix span, whose bytes are resident once in
     /// the prefix-cache entry they came from.
-    pub fn fp16_bytes(&self) -> usize {
+    pub(crate) fn fp16_bytes(&self) -> usize {
         let owned_rows = self.len() - self.shared_len;
         veda_tensor::fp16::fp16_bytes(owned_rows * self.keys.cols() * 2)
     }
 
     /// FP16 bytes of the shared prefix span this cache references (0 when
     /// nothing is shared).
-    pub fn shared_fp16_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shared_fp16_bytes(&self) -> usize {
         veda_tensor::fp16::fp16_bytes(self.shared_len * self.keys.cols() * 2)
     }
 
     /// Total FP16 bytes of all resident rows, owned and shared — what the
     /// attention kernels stream per decode step regardless of who owns the
     /// bytes.
-    pub fn total_fp16_bytes(&self) -> usize {
+    pub(crate) fn total_fp16_bytes(&self) -> usize {
         veda_tensor::fp16::fp16_bytes(self.keys.as_slice().len() + self.values.as_slice().len())
     }
 
     /// Clears all residents.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.keys = Matrix::default();
         self.values = Matrix::default();
         self.positions.clear();

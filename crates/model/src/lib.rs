@@ -5,9 +5,9 @@
 //! The paper evaluates on Llama-2 7B; this crate provides the equivalent
 //! *functional* substrate built from scratch:
 //!
-//! * [`ModelConfig`] — model geometry, including a [`ModelConfig::llama2_7b`]
-//!   preset used by the cycle model (no tensors are allocated for it) and
-//!   small presets that run end-to-end on a CPU in seconds.
+//! * [`ModelConfig`] — model geometry: small presets that run end-to-end
+//!   on a CPU in seconds (the cycle model's Llama-2 7B geometry is
+//!   `veda_accel::LlamaShape`, which allocates no tensors).
 //! * [`TransformerModel`] — embedding, RoPE, multi-head attention with a
 //!   pluggable KV cache, SwiGLU-free FFN, RMSNorm, tied LM head; prefill +
 //!   autoregressive decode. Weights are synthetic but *structured*
@@ -40,11 +40,11 @@ pub mod config;
 pub mod corpus;
 pub mod eval;
 pub mod induction;
-pub mod kvcache;
+pub(crate) mod kvcache;
 pub mod rope;
 pub mod scratch;
 pub mod trace;
-pub mod transformer;
+pub(crate) mod transformer;
 pub mod weights;
 
 pub use config::ModelConfig;

@@ -68,7 +68,8 @@ pub(crate) fn apply_rope_table(x: &mut [f32], table: &[(f32, f32)]) {
 }
 
 /// Returns a rotated copy (convenience for tests and tracing).
-pub fn roped(x: &[f32], position: usize, theta: f32) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn roped(x: &[f32], position: usize, theta: f32) -> Vec<f32> {
     let mut out = x.to_vec();
     apply_rope(&mut out, position, theta);
     out

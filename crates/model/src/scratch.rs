@@ -37,18 +37,14 @@ pub struct ScoreBuffer {
 
 impl ScoreBuffer {
     /// Creates an empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of layers recorded in the current step.
-    pub fn n_layers(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_layers(&self) -> usize {
         self.ends.len()
-    }
-
-    /// Heads per layer.
-    pub fn n_heads(&self) -> usize {
-        self.n_heads
     }
 
     /// The flat head-major score block of layer `l` as a [`ScoreView`]
@@ -193,7 +189,7 @@ impl ForwardScratch {
     /// model geometry. `seq_hint` pre-sizes the score buffer for an
     /// expected resident cache length (0 for a sequence that streams its
     /// observations instead of reading [`ForwardScratch::scores`]).
-    pub fn for_config(config: &crate::config::ModelConfig, seq_hint: usize) -> Self {
+    pub(crate) fn for_config(config: &crate::config::ModelConfig, seq_hint: usize) -> Self {
         Self {
             rows: BatchScratch::new(),
             normed: Vec::with_capacity(config.d_model),

@@ -18,7 +18,7 @@ pub struct AttentionTrace {
 
 impl AttentionTrace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -27,7 +27,7 @@ impl AttentionTrace {
     /// # Panics
     ///
     /// Panics if score lengths are not `steps_so_far + 1`.
-    pub fn push_step(&mut self, head_scores: Vec<Vec<f32>>) {
+    pub(crate) fn push_step(&mut self, head_scores: Vec<Vec<f32>>) {
         let expected = self.steps.len() + 1;
         for h in &head_scores {
             assert_eq!(h.len(), expected, "trace step has wrong score length");
@@ -36,17 +36,14 @@ impl AttentionTrace {
     }
 
     /// Number of recorded steps.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.steps.len()
     }
 
-    /// True when no steps are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// Per-head scores of step `i`.
-    pub fn step(&self, i: usize) -> &[Vec<f32>] {
+    #[cfg(test)]
+    pub(crate) fn step(&self, i: usize) -> &[Vec<f32>] {
         &self.steps[i]
     }
 

@@ -12,7 +12,6 @@ use crate::weights::ModelWeights;
 use veda_eviction::ScoreView;
 use veda_tensor::norm::{rmsnorm_extend, rmsnorm_into};
 use veda_tensor::ops::{gemm_inner_into, gemm_outer_into, gemv_inner_into};
-use veda_tensor::softmax::log_softmax;
 
 /// Rows [`TransformerModel::forward_batch`] carries through the layers at
 /// a time. Past a few dozen rows a weight block is already read from L1
@@ -46,7 +45,7 @@ pub struct SequenceState {
 
 impl SequenceState {
     /// Creates empty per-layer caches for `n_layers` layers.
-    pub fn new(n_layers: usize) -> Self {
+    pub(crate) fn new(n_layers: usize) -> Self {
         Self { caches: (0..n_layers).map(|_| LayerKvCache::new()).collect() }
     }
 
@@ -128,7 +127,7 @@ impl SequenceState {
     }
 
     /// Converts all shared spans into privately owned rows (see
-    /// [`LayerKvCache::clear_shared_marker`]).
+    /// `LayerKvCache::clear_shared_marker`).
     pub fn clear_shared_marker(&mut self) {
         for cache in &mut self.caches {
             cache.clear_shared_marker();
@@ -144,7 +143,8 @@ impl SequenceState {
 
     /// FP16 bytes of the shared prefix spans this sequence references
     /// across all layers (0 when nothing is shared).
-    pub fn shared_fp16_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shared_fp16_bytes(&self) -> usize {
         self.caches.iter().map(LayerKvCache::shared_fp16_bytes).sum()
     }
 
@@ -486,11 +486,11 @@ impl TransformerModel {
     ///
     /// Panics if the scratch has not been through a forward pass of this
     /// model.
-    pub fn lm_head(&self, scratch: &mut ForwardScratch) {
+    pub(crate) fn lm_head(&self, scratch: &mut ForwardScratch) {
         gemv_inner_into(&scratch.normed, &self.weights.embedding, &mut scratch.logits);
     }
 
-    /// [`TransformerModel::lm_head`] of every sequence in `scratches` as
+    /// `TransformerModel::lm_head` of every sequence in `scratches` as
     /// **one** batched inner-product GEMM: the embedding streams once for
     /// all of them, and each scratch's logits are bit-identical to its
     /// own `lm_head` call's. Allocation-free once `head` is warm.
@@ -556,8 +556,9 @@ impl TransformerModel {
 
     /// Negative log-likelihood of `target` under the logits of the last
     /// step (convenience for evaluation).
-    pub fn nll(logits: &[f32], target: usize) -> f32 {
-        -log_softmax(logits)[target]
+    #[cfg(test)]
+    pub(crate) fn nll(logits: &[f32], target: usize) -> f32 {
+        -veda_tensor::softmax::log_softmax(logits)[target]
     }
 }
 

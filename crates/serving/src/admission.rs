@@ -17,7 +17,7 @@
 //! matches a cached prefix references the shared span instead of owning
 //! it — those bytes are resident **once**, in the cache entry — so the
 //! server reserves only the *unshared* peak
-//! ([`AdmissionController::estimate_unshared_bytes`]). Two conditions
+//! (`AdmissionController::estimate_unshared_bytes`). Two conditions
 //! make the discount sound under the v2 churn-capable cache:
 //!
 //! 1. **The match cannot shrink.** Under LRU eviction, TTL expiry and
@@ -75,7 +75,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Stable label.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RejectReason::NeverFits => "never_fits",
             RejectReason::QueueFull => "queue_full",
@@ -117,23 +117,18 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// Creates a controller with nothing admitted.
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new(config: AdmissionConfig) -> Self {
         Self { config, reserved: 0 }
     }
 
     /// The configuration.
-    pub fn config(&self) -> &AdmissionConfig {
+    pub(crate) fn config(&self) -> &AdmissionConfig {
         &self.config
     }
 
     /// Bytes currently reserved by admitted sessions.
-    pub fn reserved_bytes(&self) -> u64 {
+    pub(crate) fn reserved_bytes(&self) -> u64 {
         self.reserved
-    }
-
-    /// Unreserved capacity.
-    pub fn headroom_bytes(&self) -> u64 {
-        self.config.capacity_bytes.saturating_sub(self.reserved)
     }
 
     /// Conservative peak resident-token count of a request — delegates to
@@ -141,13 +136,13 @@ impl AdmissionController {
     /// reservation math shared with the engine's submit-time KV
     /// pre-allocation, so the two accountings cannot drift (see the
     /// [module docs](self) for why the cache budget is ignored).
-    pub fn peak_resident_tokens(request: &Request) -> usize {
+    pub(crate) fn peak_resident_tokens(request: &Request) -> usize {
         request.peak_resident_tokens()
     }
 
     /// Peak KV bytes of a request given the engine's per-token KV cost
     /// ([`veda::Engine::kv_bytes_per_token`]).
-    pub fn estimate_bytes(request: &Request, kv_bytes_per_token: u64) -> u64 {
+    pub(crate) fn estimate_bytes(request: &Request, kv_bytes_per_token: u64) -> u64 {
         Self::peak_resident_tokens(request) as u64 * kv_bytes_per_token
     }
 
@@ -157,14 +152,18 @@ impl AdmissionController {
     /// resident in the cache entry, not the session (see the
     /// [module docs](self)). With `shared_tokens = 0` this is exactly
     /// [`AdmissionController::estimate_bytes`].
-    pub fn estimate_unshared_bytes(request: &Request, shared_tokens: usize, kv_bytes_per_token: u64) -> u64 {
+    pub(crate) fn estimate_unshared_bytes(
+        request: &Request,
+        shared_tokens: usize,
+        kv_bytes_per_token: u64,
+    ) -> u64 {
         Self::peak_resident_tokens(request).saturating_sub(shared_tokens) as u64 * kv_bytes_per_token
     }
 
     /// Screens an arrival: `Err` rejects it outright, `Ok` means it may
     /// wait in the queue (whether it is admitted *now* is the scheduler's
     /// call via [`AdmissionController::would_fit`]).
-    pub fn screen(&self, est_bytes: u64, queue_depth: usize) -> Result<(), RejectReason> {
+    pub(crate) fn screen(&self, est_bytes: u64, queue_depth: usize) -> Result<(), RejectReason> {
         if est_bytes > self.config.capacity_bytes {
             Err(RejectReason::NeverFits)
         } else if queue_depth >= self.config.max_queue_depth {
@@ -175,18 +174,18 @@ impl AdmissionController {
     }
 
     /// Whether reserving `est_bytes` more would stay within capacity.
-    pub fn would_fit(&self, est_bytes: u64) -> bool {
+    pub(crate) fn would_fit(&self, est_bytes: u64) -> bool {
         self.reserved + est_bytes <= self.config.capacity_bytes
     }
 
     /// Reserves an admitted session's peak bytes.
-    pub fn reserve(&mut self, est_bytes: u64) {
+    pub(crate) fn reserve(&mut self, est_bytes: u64) {
         self.reserved += est_bytes;
         debug_assert!(self.reserved <= self.config.capacity_bytes, "over-reserved device memory");
     }
 
     /// Releases a finished (or swapped-out) session's reservation.
-    pub fn release(&mut self, est_bytes: u64) {
+    pub(crate) fn release(&mut self, est_bytes: u64) {
         debug_assert!(est_bytes <= self.reserved, "releasing more than reserved");
         self.reserved = self.reserved.saturating_sub(est_bytes);
     }
@@ -194,7 +193,7 @@ impl AdmissionController {
     /// Drops every reservation at once — the fail-stop path: a crashed
     /// shard's sessions are discarded wholesale, so its admission state
     /// resets with them.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.reserved = 0;
     }
 }
@@ -230,7 +229,6 @@ mod tests {
         assert!(ac.would_fit(1000));
         ac.reserve(600);
         assert_eq!(ac.reserved_bytes(), 600);
-        assert_eq!(ac.headroom_bytes(), 400);
         assert!(ac.would_fit(400));
         assert!(!ac.would_fit(401));
         ac.release(600);

@@ -348,11 +348,6 @@ impl Cluster {
         self.faults.retries
     }
 
-    /// Deadline violations that tore an attempt down so far.
-    pub fn timeouts(&self) -> u64 {
-        self.faults.timeouts
-    }
-
     /// Current per-shard health, indexed by shard.
     pub fn health(&self) -> &[ShardHealth] {
         &self.faults.health
@@ -867,7 +862,7 @@ impl ClusterReport {
     }
 
     /// Requests admitted cluster-wide.
-    pub fn admitted(&self) -> usize {
+    pub(crate) fn admitted(&self) -> usize {
         self.shards.iter().map(|s| s.admitted).sum()
     }
 
@@ -920,7 +915,7 @@ impl ClusterReport {
     }
 
     /// Latency waterfalls of every completed request on every shard.
-    pub fn waterfalls(&self) -> Vec<StageWaterfall> {
+    pub(crate) fn waterfalls(&self) -> Vec<StageWaterfall> {
         self.shards.iter().flat_map(ServingReport::waterfalls).collect()
     }
 
@@ -962,7 +957,7 @@ impl ClusterReport {
     }
 
     /// Cluster-wide prefix-cache lookups.
-    pub fn prefix_lookups(&self) -> u64 {
+    pub(crate) fn prefix_lookups(&self) -> u64 {
         self.shards.iter().map(|s| s.engine.prefix.hits + s.engine.prefix.misses).sum()
     }
 
@@ -997,11 +992,6 @@ impl ClusterReport {
     /// Cluster-wide bytes promoted host → device by prefix caches.
     pub fn prefix_fill_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.prefix_fill_bytes).sum()
-    }
-
-    /// Largest per-shard reserved-KV peak, in bytes.
-    pub fn kv_reserved_peak_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.kv_reserved_peak_bytes).max().unwrap_or(0)
     }
 }
 

@@ -63,12 +63,12 @@ pub enum ShardHealth {
 
 impl ShardHealth {
     /// Whether the router may send new work here.
-    pub fn routable(self) -> bool {
+    pub(crate) fn routable(self) -> bool {
         matches!(self, ShardHealth::Alive)
     }
 
     /// Stable lowercase label.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ShardHealth::Alive => "alive",
             ShardHealth::Draining => "draining",
@@ -132,7 +132,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Ticks the `attempt`-th retry (1-based) waits before re-routing.
-    pub fn backoff(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff(&self, attempt: u32) -> u64 {
         // Cap the shift so a pathological max_attempts cannot overflow;
         // 2^32 ticks is already far beyond any run's horizon.
         self.backoff_base.saturating_mul(1u64 << attempt.saturating_sub(1).min(32))
@@ -149,11 +149,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether the plan schedules nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.degradations.is_empty()
-    }
-
     /// Parses the `--fault-plan` spec language: `;`-separated clauses,
     /// each either
     ///
@@ -228,7 +223,7 @@ impl FaultPlan {
     /// range, recovery after crash, degradation windows well-formed,
     /// bandwidth fractions in `(0, 1]`, and no two crash windows of the
     /// same shard overlapping (one failure mode per shard at a time).
-    pub fn validate(&self, shards: usize) -> Result<(), ServeError> {
+    pub(crate) fn validate(&self, shards: usize) -> Result<(), ServeError> {
         let bad = |why: String| Err(ServeError::InvalidFaultPlan(why));
         for c in &self.crashes {
             if c.shard >= shards {
@@ -347,17 +342,6 @@ pub struct FaultConfig {
     pub shed_watermark: Option<f64>,
 }
 
-impl FaultConfig {
-    /// Whether this configuration can never act (the invariant-#9
-    /// equivalence class of "no fault plane").
-    pub fn is_noop(&self) -> bool {
-        self.plan.is_empty()
-            && self.ttft_deadline.is_none()
-            && self.e2e_deadline.is_none()
-            && self.shed_watermark.is_none()
-    }
-}
-
 /// A request displaced from a shard (crash or deadline teardown),
 /// waiting to be retried or dead-lettered. Carries everything needed to
 /// re-enter admission from the prompt.
@@ -437,7 +421,7 @@ mod tests {
             vec![LinkDegradation { shard: 0, from: 100, until: 200, bandwidth_fraction: 0.25 }]
         );
         assert!(plan.validate(2).is_ok());
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }
 
     #[test]
@@ -523,14 +507,5 @@ mod tests {
         assert_eq!(p.backoff(3), 16);
         let extreme = RetryPolicy { max_attempts: u32::MAX, backoff_base: u64::MAX };
         assert_eq!(extreme.backoff(u32::MAX), u64::MAX, "saturates instead of overflowing");
-    }
-
-    #[test]
-    fn default_config_is_the_noop_plane() {
-        assert!(FaultConfig::default().is_noop());
-        let c = FaultConfig { ttft_deadline: Some(100), ..FaultConfig::default() };
-        assert!(!c.is_noop());
-        let c = FaultConfig { plan: FaultPlan::parse("crash@1:shard=0").unwrap(), ..FaultConfig::default() };
-        assert!(!c.is_noop());
     }
 }

@@ -74,7 +74,7 @@
 //!   request's typed lifecycle [`TraceEvent`]s; [`chrome_trace_json`]
 //!   renders them as a Perfetto-loadable Chrome trace, [`ServingReport::stages`] splits
 //!   each request's latency into a [`StageWaterfall`] (stages sum
-//!   exactly to e2e), and [`ServingReport::metrics`] folds a run into a
+//!   exactly to e2e), and `ServingReport::metrics` folds a run into a
 //!   deterministic [`MetricsRegistry`]. Observation-only: no sink means
 //!   a byte-identical run, and the trace bytes themselves are
 //!   thread-invariant (determinism invariant #8).

@@ -105,15 +105,6 @@ impl RequestRecord {
         self.lost_at = Some(now);
     }
 
-    /// Whether the request reached a terminal state: finished, rejected,
-    /// shed, or dead-lettered.
-    pub fn is_terminal(&self) -> bool {
-        self.finished.is_some()
-            || self.rejected.is_some()
-            || self.shed.is_some()
-            || self.dead_letter.is_some()
-    }
-
     /// Time to first token in ticks (`first_token − submitted`).
     pub fn ttft(&self) -> Option<u64> {
         Some(self.first_token? - self.submitted)
@@ -125,7 +116,7 @@ impl RequestRecord {
     }
 
     /// Mean time per output token after the first, in ticks.
-    pub fn tpot(&self) -> Option<f64> {
+    pub(crate) fn tpot(&self) -> Option<f64> {
         let span = self.finished? - self.first_token?;
         if self.generated_tokens > 1 {
             Some(span as f64 / (self.generated_tokens - 1) as f64)
@@ -181,7 +172,7 @@ impl LatencySummary {
     /// Routes through [`veda_telemetry::summarize`] — the workspace's
     /// single nearest-rank percentile implementation, total by
     /// construction (no caller can panic on a zero-completion run).
-    pub fn of(values: Vec<u64>) -> Option<Self> {
+    pub(crate) fn of(values: Vec<u64>) -> Option<Self> {
         let s = summarize(values)?;
         Some(Self { p50: s.p50, p95: s.p95, p99: s.p99, max: s.max })
     }
@@ -204,7 +195,7 @@ pub struct StageSummaries {
 
 impl StageSummaries {
     /// Summarizes each stage column of `waterfalls`; `None` when empty.
-    pub fn of(waterfalls: &[StageWaterfall]) -> Option<Self> {
+    pub(crate) fn of(waterfalls: &[StageWaterfall]) -> Option<Self> {
         if waterfalls.is_empty() {
             return None;
         }
@@ -295,36 +286,23 @@ impl ServingReport {
 
     /// Requests homed here that were dead-lettered (retry budget
     /// exhausted).
-    pub fn dead_lettered(&self) -> usize {
+    pub(crate) fn dead_lettered(&self) -> usize {
         self.records.iter().filter(|r| r.dead_letter.is_some()).count()
     }
 
     /// Requests homed here that the load-shedder dropped.
-    pub fn shed(&self) -> usize {
+    pub(crate) fn shed(&self) -> usize {
         self.records.iter().filter(|r| r.shed.is_some()).count()
     }
 
     /// Retries consumed by requests homed here.
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.records.iter().map(|r| r.retries as u64).sum()
     }
 
     /// Deadline violations observed by requests homed here.
-    pub fn timeouts(&self) -> u64 {
+    pub(crate) fn timeouts(&self) -> u64 {
         self.records.iter().map(|r| r.timeouts as u64).sum()
-    }
-
-    /// Recovery-latency summary (ticks between a loss and the retry's
-    /// re-admission) over requests homed here that recovered at least
-    /// once; `None` when nothing was ever lost and re-admitted.
-    pub fn recovery(&self) -> Option<LatencySummary> {
-        LatencySummary::of(
-            self.records
-                .iter()
-                .filter(|r| r.recovery_wait_ticks > 0)
-                .map(|r| r.recovery_wait_ticks)
-                .collect(),
-        )
     }
 
     /// TTFT summary over completed requests.
@@ -338,12 +316,12 @@ impl ServingReport {
     }
 
     /// Queueing delay (admitted − submitted) summary.
-    pub fn queueing_delay(&self) -> Option<LatencySummary> {
+    pub(crate) fn queueing_delay(&self) -> Option<LatencySummary> {
         LatencySummary::of(self.records.iter().filter_map(|r| Some(r.admitted? - r.submitted)).collect())
     }
 
     /// Mean time per output token across completed requests, in ticks.
-    pub fn tpot_mean(&self) -> Option<f64> {
+    pub(crate) fn tpot_mean(&self) -> Option<f64> {
         let tpots: Vec<f64> = self.records.iter().filter_map(RequestRecord::tpot).collect();
         if tpots.is_empty() {
             None
@@ -357,7 +335,7 @@ impl ServingReport {
     /// (0 when the engine's prefix cache is disabled). A hit means the
     /// prompt shared a cached prefix: its session skipped that span's
     /// prefill and reserved only unshared KV bytes at admission.
-    pub fn prefix_hit_rate(&self) -> f64 {
+    pub(crate) fn prefix_hit_rate(&self) -> f64 {
         self.engine.prefix.hit_rate()
     }
 
@@ -374,7 +352,7 @@ impl ServingReport {
     }
 
     /// Mean sampled queue depth.
-    pub fn queue_depth_mean(&self) -> f64 {
+    pub(crate) fn queue_depth_mean(&self) -> f64 {
         if self.queue_depth.is_empty() {
             0.0
         } else {
@@ -383,7 +361,7 @@ impl ServingReport {
     }
 
     /// Latency waterfalls of all completed requests, in arrival order.
-    pub fn waterfalls(&self) -> Vec<StageWaterfall> {
+    pub(crate) fn waterfalls(&self) -> Vec<StageWaterfall> {
         self.records.iter().filter_map(RequestRecord::waterfall).collect()
     }
 
@@ -397,7 +375,7 @@ impl ServingReport {
     /// pressure gauges, and log2-bucket latency histograms (overall and
     /// per waterfall stage). Deterministic: same report, same registry,
     /// same [`MetricsRegistry::to_json`] bytes.
-    pub fn metrics(&self) -> MetricsRegistry {
+    pub(crate) fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         m.counter_add("requests_submitted", self.submitted as u64);
         m.counter_add("requests_admitted", self.admitted as u64);

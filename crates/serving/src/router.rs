@@ -65,7 +65,7 @@ impl RouterKind {
     pub const ALL: [RouterKind; 2] = [RouterKind::RoundRobin, RouterKind::PrefixAffinity];
 
     /// Stable lowercase name (the `--router` flag vocabulary).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RouterKind::RoundRobin => "round_robin",
             RouterKind::PrefixAffinity => "prefix_affinity",

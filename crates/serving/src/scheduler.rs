@@ -54,7 +54,7 @@ impl SchedKind {
     pub const ALL: [SchedKind; 2] = [SchedKind::Fcfs, SchedKind::Priority];
 
     /// Stable identifier.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SchedKind::Fcfs => "fcfs",
             SchedKind::Priority => "priority",

@@ -275,18 +275,18 @@ impl Shard {
     }
 
     /// Requests rejected by this shard so far.
-    pub fn rejected(&self) -> usize {
+    pub(crate) fn rejected(&self) -> usize {
         self.rejected_never_fits + self.rejected_queue_full + self.rejected_invalid
     }
 
     /// Sessions currently queued, prefilling/decoding, preempted, or
     /// swapping in on this shard — migrated-in sessions included.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.queue.len() + self.running.len() + self.paused.len() + self.swapping.len()
     }
 
     /// Requests currently waiting in this shard's admission queue.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 

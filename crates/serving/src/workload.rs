@@ -38,7 +38,7 @@ impl ArrivalKind {
     pub const ALL: [ArrivalKind; 2] = [ArrivalKind::Poisson, ArrivalKind::Trace];
 
     /// Stable identifier.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ArrivalKind::Poisson => "poisson",
             ArrivalKind::Trace => "trace",
@@ -131,13 +131,13 @@ impl RequestMix {
     /// workload RNG, so every arrival process generates the identical
     /// prefix for a group — the property that makes prompts actually
     /// shareable).
-    pub fn group_prefix(&self, group: usize) -> Vec<usize> {
+    pub(crate) fn group_prefix(&self, group: usize) -> Vec<usize> {
         (0..self.shared_prefix_len).map(|j| (group * 31 + j * 7 + 1) % (self.vocab_size - 1) + 1).collect()
     }
 
     /// Samples the `index`-th request of a workload. With
     /// [`RequestMix::shared_prefix_len`] set, the prompt is the arrival's
-    /// group prefix ([`RequestMix::group_prefix`], groups rotating by
+    /// group prefix (`RequestMix::group_prefix`, groups rotating by
     /// index) followed by a random private suffix; otherwise the whole
     /// prompt is random. The disabled path draws exactly the RNG stream
     /// it always did, so existing seeded workloads are unchanged.
@@ -184,7 +184,6 @@ pub struct Workload {
     kind: ArrivalKind,
     /// Arrivals not yet taken, sorted by tick.
     scheduled: VecDeque<(u64, ServingRequest)>,
-    emitted: usize,
 }
 
 impl Workload {
@@ -204,7 +203,7 @@ impl Workload {
             let request = mix.sample(&mut rng, i);
             scheduled.push_back((tick, request));
         }
-        Self { kind: ArrivalKind::Poisson, scheduled, emitted: 0 }
+        Self { kind: ArrivalKind::Poisson, scheduled }
     }
 
     /// Deterministic replay of an explicit `(tick, request)` trace.
@@ -212,11 +211,11 @@ impl Workload {
     pub fn trace(arrivals: Vec<(u64, ServingRequest)>) -> Self {
         let mut arrivals = arrivals;
         arrivals.sort_by_key(|(tick, _)| *tick);
-        Self { kind: ArrivalKind::Trace, scheduled: arrivals.into(), emitted: 0 }
+        Self { kind: ArrivalKind::Trace, scheduled: arrivals.into() }
     }
 
     /// The arrival process family.
-    pub fn kind(&self) -> ArrivalKind {
+    pub(crate) fn kind(&self) -> ArrivalKind {
         self.kind
     }
 
@@ -227,13 +226,12 @@ impl Workload {
         while self.scheduled.front().is_some_and(|(tick, _)| *tick <= now) {
             out.push(self.scheduled.pop_front().expect("checked non-empty").1);
         }
-        self.emitted += out.len();
         out
     }
 
     /// Whether every request this workload will ever produce has been
     /// taken.
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.scheduled.is_empty()
     }
 
@@ -241,11 +239,6 @@ impl Workload {
     /// fast-forward idle servers).
     pub fn next_arrival_tick(&self) -> Option<u64> {
         self.scheduled.front().map(|(tick, _)| *tick)
-    }
-
-    /// Requests produced so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
     }
 }
 
@@ -304,7 +297,6 @@ mod tests {
         assert_eq!(w.take_arrivals(5), vec![r0]);
         assert_eq!(w.take_arrivals(9), vec![r1]);
         assert!(w.exhausted());
-        assert_eq!(w.emitted(), 2);
     }
 
     #[test]

@@ -238,16 +238,6 @@ pub struct RecordingSink {
 }
 
 impl RecordingSink {
-    /// A fresh, empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// All events recorded so far, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
     /// Drain the recorded events, leaving the sink empty.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
@@ -269,15 +259,10 @@ impl TraceSink for RecordingSink {
 pub struct SinkHandle(Arc<Mutex<dyn TraceSink>>);
 
 impl SinkHandle {
-    /// Wrap any sink in a shareable handle.
-    pub fn new(sink: impl TraceSink + 'static) -> Self {
-        Self(Arc::new(Mutex::new(sink)))
-    }
-
     /// A handle backed by a [`RecordingSink`], plus the shared buffer so
     /// the caller can read the events back after the run.
     pub fn recording() -> (Self, Arc<Mutex<RecordingSink>>) {
-        let buffer = Arc::new(Mutex::new(RecordingSink::new()));
+        let buffer = Arc::new(Mutex::new(RecordingSink::default()));
         let erased: Arc<Mutex<dyn TraceSink>> = buffer.clone();
         (Self(erased), buffer)
     }
@@ -315,16 +300,6 @@ impl Tracer {
         self.now = now;
     }
 
-    /// The virtual tick currently stamped onto events.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The shard id stamped onto events.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
     /// Emit one event at the current tick.
     pub fn emit(&self, cycles: u64, request: u64, kind: TraceEventKind) {
         self.sink.record(TraceEvent { tick: self.now, cycles, shard: self.shard, request, kind });
@@ -342,13 +317,13 @@ mod tests {
         tracer.emit(10, 1, TraceEventKind::Queued);
         tracer.set_now(5);
         tracer.emit(20, 1, TraceEventKind::Admitted { est_bytes: 64 });
-        let events = buffer.lock().unwrap().events().to_vec();
+        let events = buffer.lock().unwrap().take_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].tick, 0);
         assert_eq!(events[0].shard, 3);
         assert_eq!(events[1].tick, 5);
         assert_eq!(events[1].cycles, 20);
-        assert_eq!(events[1].kind.label(), "admitted");
+        assert_eq!(events[1].kind, TraceEventKind::Admitted { est_bytes: 64 });
     }
 
     #[test]

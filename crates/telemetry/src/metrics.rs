@@ -52,7 +52,7 @@ pub fn summarize(mut values: Vec<u64>) -> Option<SampleSummary> {
 }
 
 /// Number of log2 buckets: one for zero plus one per bit width of `u64`.
-pub const LOG2_BUCKETS: usize = 65;
+pub(crate) const LOG2_BUCKETS: usize = 65;
 
 /// A fixed-size histogram with power-of-two bucket boundaries.
 ///
@@ -78,20 +78,15 @@ impl Default for Log2Histogram {
 }
 
 impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Bucket index a value lands in: 0 for zero, else the bit width.
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
     /// Inclusive-exclusive `[lo, hi)` bounds of bucket `index`
     /// (bucket 0 is the singleton `[0, 1)`; the last bucket's upper
     /// bound saturates at `u64::MAX`).
-    pub fn bucket_bounds(index: usize) -> (u64, u64) {
+    pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
         assert!(index < LOG2_BUCKETS, "bucket index out of range");
         if index == 0 {
             (0, 1)
@@ -103,7 +98,7 @@ impl Log2Histogram {
     }
 
     /// Record one observation.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
         self.sum += value;
@@ -111,53 +106,18 @@ impl Log2Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Smallest observation, `None` when empty.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation, `None` when empty.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean observation, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Bucket-resolution percentile estimate: the upper bound of the
-    /// bucket holding the nearest-rank sample (clamped to the observed
-    /// max). `None` when empty. Exact to a factor of two; use
-    /// [`nearest_rank`] on raw samples when exactness matters.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let (_, hi) = Self::bucket_bounds(i);
-                return Some(hi.saturating_sub(1).min(self.max).max(self.min));
-            }
-        }
-        Some(self.max)
-    }
-
     /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
+    pub(crate) fn merge(&mut self, other: &Log2Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -168,7 +128,7 @@ impl Log2Histogram {
     }
 
     /// Deterministic JSON object: exact stats plus the non-empty buckets.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -225,26 +185,6 @@ impl MetricsRegistry {
     /// Record one observation into the named histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
         self.histograms.entry(name.to_string()).or_default().record(value);
-    }
-
-    /// The named counter's value (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any observation landed in it.
-    pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Fold another registry into this one (counters add, gauges
@@ -341,25 +281,20 @@ mod tests {
 
     #[test]
     fn histogram_tracks_exact_stats() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         assert_eq!(h.min(), None);
-        assert_eq!(h.percentile(0.5), None);
         for v in [0u64, 1, 3, 8, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1012);
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 1012);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1000));
-        // p50 sample is 3 → bucket [2,4) → upper-bound estimate 3.
-        assert_eq!(h.percentile(0.5), Some(3));
-        // p99 sample is 1000 → bucket [512,2048) → clamped to max.
-        assert_eq!(h.percentile(0.99), Some(1000));
-        let mut other = Log2Histogram::new();
+        let mut other = Log2Histogram::default();
         other.record(2);
         h.merge(&other);
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1014);
+        assert_eq!(h.count, 6);
+        assert_eq!(h.sum, 1014);
     }
 
     #[test]
@@ -378,8 +313,8 @@ mod tests {
         let a = json.find("a_first").unwrap();
         let b = json.find("b_second").unwrap();
         assert!(a < b);
-        assert_eq!(m.counter("a_first"), 2);
-        assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.histogram("lat").unwrap().count(), 2);
+        assert_eq!(m.counters["a_first"], 2);
+        assert!(!m.counters.contains_key("missing"));
+        assert_eq!(m.histograms["lat"].count, 2);
     }
 }

@@ -24,11 +24,9 @@ pub struct StageWaterfall {
 }
 
 impl StageWaterfall {
-    /// Stage names in waterfall order, matching the struct fields.
-    pub const STAGES: [&'static str; 5] = ["queueing", "prefill", "decode", "swap_wait", "migration_wait"];
-
-    /// The stage durations in [`StageWaterfall::STAGES`] order.
-    pub fn stages(&self) -> [u64; 5] {
+    /// The stage durations in field order: queueing, prefill, decode,
+    /// swap wait, migration wait.
+    pub(crate) fn stages(&self) -> [u64; 5] {
         [self.queueing, self.prefill, self.decode, self.swap_wait, self.migration_wait]
     }
 
@@ -46,7 +44,6 @@ mod tests {
     fn stages_sum_to_e2e() {
         let w = StageWaterfall { queueing: 3, prefill: 5, decode: 20, swap_wait: 4, migration_wait: 2 };
         assert_eq!(w.e2e(), 34);
-        assert_eq!(w.stages().len(), StageWaterfall::STAGES.len());
         assert_eq!(StageWaterfall::default().e2e(), 0);
     }
 }

@@ -18,23 +18,8 @@
 pub struct F16(u16);
 
 impl F16 {
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0);
-    /// One.
-    pub const ONE: F16 = F16(0x3C00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
-    /// Negative infinity.
-    pub const NEG_INFINITY: F16 = F16(0xFC00);
-    /// Largest finite value (65504).
-    pub const MAX: F16 = F16(0x7BFF);
-    /// Smallest positive normal value (2⁻¹⁴).
-    pub const MIN_POSITIVE: F16 = F16(0x0400);
-
-    /// Constructs from a raw bit pattern.
-    pub const fn from_bits(bits: u16) -> Self {
-        F16(bits)
-    }
 
     /// Raw bit pattern.
     pub const fn to_bits(self) -> u16 {
@@ -120,16 +105,6 @@ impl F16 {
         };
         f32::from_bits(bits)
     }
-
-    /// True if the value is NaN.
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x3FF) != 0
-    }
-
-    /// True if the value is ±∞.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
 }
 
 impl From<F16> for f32 {
@@ -148,13 +123,6 @@ impl std::fmt::Display for F16 {
 /// one trip through the accelerator datapath.
 pub fn quantize_f32(x: f32) -> f32 {
     F16::from_f32(x).to_f32()
-}
-
-/// Quantizes a slice through the FP16 grid in place.
-pub fn quantize_slice(xs: &mut [f32]) {
-    for v in xs.iter_mut() {
-        *v = quantize_f32(*v);
-    }
 }
 
 /// Number of bytes a slice occupies when stored as FP16 (KV-cache traffic
@@ -185,24 +153,25 @@ mod tests {
 
     #[test]
     fn constants_have_expected_values() {
-        assert_eq!(F16::ZERO.to_f32(), 0.0);
-        assert_eq!(F16::ONE.to_f32(), 1.0);
-        assert_eq!(F16::MAX.to_f32(), 65504.0);
-        assert_eq!(F16::MIN_POSITIVE.to_f32(), (2.0_f32).powi(-14));
-        assert!(F16::INFINITY.is_infinite());
-        assert!(F16::NEG_INFINITY.is_infinite());
+        // Zero, one, the largest finite value and the smallest normal.
+        for (bits, value) in [(0x0000, 0.0), (0x3C00, 1.0), (0x7BFF, 65504.0), (0x0400, (2.0_f32).powi(-14))]
+        {
+            assert_eq!(F16(bits).to_f32(), value);
+            assert_eq!(F16::from_f32(value).to_bits(), bits);
+        }
+        assert_eq!(F16::INFINITY.to_f32(), f32::INFINITY);
+        assert_eq!(F16(0xFC00).to_f32(), f32::NEG_INFINITY);
     }
 
     #[test]
     fn overflow_goes_to_infinity() {
         assert_eq!(F16::from_f32(70000.0), F16::INFINITY);
-        assert_eq!(F16::from_f32(-70000.0), F16::NEG_INFINITY);
+        assert_eq!(F16::from_f32(-70000.0), F16(0xFC00));
         assert_eq!(F16::from_f32(f32::INFINITY), F16::INFINITY);
     }
 
     #[test]
     fn nan_propagates() {
-        assert!(F16::from_f32(f32::NAN).is_nan());
         assert!(F16::from_f32(f32::NAN).to_f32().is_nan());
     }
 
@@ -246,14 +215,5 @@ mod tests {
     #[test]
     fn bytes_accounting() {
         assert_eq!(fp16_bytes(4096), 8192);
-    }
-
-    #[test]
-    fn quantize_slice_in_place() {
-        let mut xs = vec![0.1, 0.2, 0.3];
-        quantize_slice(&mut xs);
-        for v in &xs {
-            assert_eq!(*v, quantize_f32(*v)); // idempotent
-        }
     }
 }

@@ -58,15 +58,6 @@ impl Matrix {
         Self { rows: n_rows, cols: n_cols, data }
     }
 
-    /// Creates an identity matrix of size `n × n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -100,18 +91,6 @@ impl Matrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         assert!(i < self.rows, "row index {i} out of bounds ({} rows)", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a fresh vector (columns are strided in
-    /// row-major storage; this is the access pattern the paper calls
-    /// *memory access irregularity*).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    pub fn col(&self, j: usize) -> Vec<f32> {
-        assert!(j < self.cols, "col index {j} out of bounds ({} cols)", self.cols);
-        (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
     }
 
     /// Appends a row to the bottom of the matrix (used by the growing KV
@@ -245,19 +224,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Iterator over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -325,7 +294,7 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::identity(2);
+        let i = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         assert_eq!(m.matmul(&i).unwrap(), m);
         assert_eq!(i.matmul(&m).unwrap(), m);
     }
@@ -417,7 +386,7 @@ mod tests {
     #[test]
     fn col_extracts_strided_elements() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        assert_eq!(m.col(1), vec![2.0, 4.0, 6.0]);
+        assert_eq!(m.transposed().row(1), &[2.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -425,12 +394,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let rows: Vec<&[f32]> = m.iter_rows().collect();
         assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

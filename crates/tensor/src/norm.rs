@@ -124,11 +124,6 @@ impl StreamingMoments {
         self.count += 1;
     }
 
-    /// Number of elements pushed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Mean of the pushed elements (0 when empty).
     pub fn mean(&self) -> f32 {
         if self.count == 0 {
@@ -151,7 +146,7 @@ impl StreamingMoments {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f32 {
+    pub(crate) fn std_dev(&self) -> f32 {
         self.variance().sqrt()
     }
 
@@ -229,7 +224,6 @@ mod tests {
         let var = xs.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
         assert!((m.mean() - mean).abs() < 1e-6);
         assert!((m.variance() - var).abs() < 1e-5);
-        assert_eq!(m.count(), xs.len());
     }
 
     #[test]

@@ -60,26 +60,6 @@ pub fn norm2(x: &[f32]) -> f32 {
     x.iter().map(|v| v * v).sum::<f32>().sqrt()
 }
 
-/// Element-wise addition, returning a fresh vector.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "add: length mismatch {} vs {}", a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-/// Element-wise product (Hadamard), returning a fresh vector.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn hadamard(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "hadamard: length mismatch {} vs {}", a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).collect()
-}
-
 /// Inner-product GEMV against the **rows** of `m`: `out[i] = q · m.row(i)`.
 ///
 /// This computes `q × mᵀ` — exactly the attention-score kernel
@@ -586,12 +566,6 @@ mod tests {
     #[test]
     fn norm2_of_pythagorean_triple() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn hadamard_and_add() {
-        assert_eq!(hadamard(&[1.0, 2.0], &[3.0, 4.0]), vec![3.0, 8.0]);
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
     }
 
     #[test]

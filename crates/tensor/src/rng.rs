@@ -63,7 +63,7 @@ const SKIP_COST: f64 = 0.1;
 
 /// One part of a [`fill_normal_parts`] fill: a buffer and the standard
 /// deviation of its draws.
-pub type NormalPart<'a> = (&'a mut [f32], f32);
+pub(crate) type NormalPart<'a> = (&'a mut [f32], f32);
 
 /// Fills every part with i.i.d. `N(0, std²)` draws as if the parts were one
 /// buffer: element `k` of their concatenation is the `k`-th

@@ -109,11 +109,6 @@ impl OnlineSoftmax {
         self.exp_sum
     }
 
-    /// Number of elements pushed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Normalizes one element with the final statistics:
     /// `exp(x − max) / exp_sum`.
     ///
@@ -135,23 +130,6 @@ impl OnlineSoftmax {
 impl Default for OnlineSoftmax {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Applies softmax row-wise to a causal score matrix: row `i` only attends to
-/// positions `0..=i`; entries above the diagonal are forced to exactly zero
-/// probability (the `−∞` mask of the paper's Step 2).
-pub fn causal_softmax_rows(scores: &mut crate::Matrix) {
-    let n = scores.rows();
-    for i in 0..n {
-        let cols = scores.cols();
-        let row = scores.row_mut(i);
-        let valid = (i + 1).min(cols);
-        let sm = softmax(&row[..valid]);
-        row[..valid].copy_from_slice(&sm);
-        for v in row[valid..].iter_mut() {
-            *v = 0.0;
-        }
     }
 }
 
@@ -238,19 +216,5 @@ mod tests {
         }
         let manual: f32 = xs.iter().map(|&x| (x - 5.0).exp()).sum();
         assert!((os.exp_sum() - manual).abs() < 1e-6);
-    }
-
-    #[test]
-    fn causal_softmax_rows_zeroes_upper_triangle() {
-        let mut m = crate::Matrix::from_rows(&[&[1.0, 9.0, 9.0], &[1.0, 1.0, 9.0], &[1.0, 1.0, 1.0]]);
-        causal_softmax_rows(&mut m);
-        assert!((m[(0, 0)] - 1.0).abs() < 1e-6);
-        assert_eq!(m[(0, 1)], 0.0);
-        assert_eq!(m[(0, 2)], 0.0);
-        assert_eq!(m[(1, 2)], 0.0);
-        for i in 0..3 {
-            let s: f32 = m.row(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-6, "row {i} sums to {s}");
-        }
     }
 }

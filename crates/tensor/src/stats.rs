@@ -73,34 +73,6 @@ pub fn argmin(xs: &[f32]) -> Option<usize> {
     Some(best)
 }
 
-/// Geometric mean via the log domain (for perplexity aggregation).
-/// Returns 0 for empty input.
-///
-/// # Panics
-///
-/// Panics if any element is non-positive.
-pub fn geometric_mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f32 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geometric_mean requires positive values, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f32).exp()
-}
-
-/// Fraction of elements strictly below `threshold`.
-pub fn fraction_below(xs: &[f32], threshold: f32) -> f32 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().filter(|&&x| x < threshold).count() as f32 / xs.len() as f32
-}
-
 /// The `q`-th quantile (0 ≤ q ≤ 1) by linear interpolation on the sorted
 /// copy. `None` for empty input.
 ///
@@ -160,18 +132,6 @@ mod tests {
     fn argmax_first_on_ties() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some(1));
         assert_eq!(argmin(&[1.0, 0.0, 0.0, 2.0]), Some(1));
-    }
-
-    #[test]
-    fn geometric_mean_known() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-5);
-        assert_eq!(geometric_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn fraction_below_counts_strictly() {
-        assert!((fraction_below(&[1.0, 2.0, 3.0, 4.0], 3.0) - 0.5).abs() < 1e-6);
-        assert_eq!(fraction_below(&[], 1.0), 0.0);
     }
 
     #[test]
