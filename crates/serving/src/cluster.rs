@@ -71,7 +71,9 @@ use veda_telemetry::{MetricsRegistry, SinkHandle, StageWaterfall, TraceEvent, Tr
 use crate::admission::AdmissionConfig;
 use crate::error::ServeError;
 use crate::faults::{FaultConfig, FaultRuntime, LostWork, RetryEntry, ShardHealth};
-use crate::report::{LatencySummary, RequestRecord, ServingReport, StageSummaries};
+use crate::report::{
+    mean_queue_depth, mean_tpot, LatencySummary, RequestRecord, ServingReport, StageSummaries,
+};
 use crate::router::RouterKind;
 use crate::scheduler::SchedKind;
 use crate::shard::{SessionEntry, Shard, SwapInEntry, WaitKind};
@@ -926,8 +928,10 @@ impl ClusterReport {
     }
 
     /// Folds the run into one [`MetricsRegistry`]: every shard's
-    /// registry merged (counters add, histograms merge), plus the
-    /// cluster-plane counters that only exist between shards.
+    /// registry merged (counters add, histograms merge), the cluster-plane
+    /// counters that only exist between shards, and the three gauges
+    /// (`prefix_hit_rate`, `queue_depth_mean`, `tpot_mean_ticks`)
+    /// computed over the whole cluster.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         for shard in &self.shards {
@@ -947,6 +951,16 @@ impl ClusterReport {
         m.counter_add("cluster_shard_ticks", self.shard_ticks);
         for (i, n) in self.routed.iter().enumerate() {
             m.counter_add(&format!("cluster_routed_shard_{i}"), *n as u64);
+        }
+        // Gauges do not add up across shards (`merge` keeps the last
+        // shard's value), so set them from the whole cluster.
+        m.set_gauge("prefix_hit_rate", self.prefix_hit_rate());
+        m.set_gauge(
+            "queue_depth_mean",
+            mean_queue_depth(self.shards.iter().map(|s| s.queue_depth.as_slice())),
+        );
+        if let Some(tpot) = mean_tpot(self.shards.iter().flat_map(|s| &s.records)) {
+            m.set_gauge("tpot_mean_ticks", tpot);
         }
         m
     }

@@ -322,13 +322,7 @@ impl ServingReport {
 
     /// Mean time per output token across completed requests, in ticks.
     pub(crate) fn tpot_mean(&self) -> Option<f64> {
-        let tpots: Vec<f64> = self.records.iter().filter_map(RequestRecord::tpot).collect();
-        if tpots.is_empty() {
-            None
-        } else {
-            // lint:allow(float-reduction): f64 report aggregate in arrival-order record sequence, off the decode path
-            Some(tpots.iter().sum::<f64>() / tpots.len() as f64)
-        }
+        mean_tpot(&self.records)
     }
 
     /// Prefix-cache hit rate over all submitted prompts, in `[0, 1]`
@@ -353,11 +347,7 @@ impl ServingReport {
 
     /// Mean sampled queue depth.
     pub(crate) fn queue_depth_mean(&self) -> f64 {
-        if self.queue_depth.is_empty() {
-            0.0
-        } else {
-            self.queue_depth.iter().sum::<usize>() as f64 / self.queue_depth.len() as f64
-        }
+        mean_queue_depth([self.queue_depth.as_slice()])
     }
 
     /// Latency waterfalls of all completed requests, in arrival order.
@@ -528,6 +518,31 @@ impl std::fmt::Display for ServingReport {
             None => writeln!(f, "  time per output token  : n/a")?,
         }
         Ok(())
+    }
+}
+
+/// Mean time per output token over the completed requests among
+/// `records`, in ticks, summed in iteration order; `None` when no request
+/// generated two tokens.
+pub(crate) fn mean_tpot<'a>(records: impl IntoIterator<Item = &'a RequestRecord>) -> Option<f64> {
+    let tpots: Vec<f64> = records.into_iter().filter_map(RequestRecord::tpot).collect();
+    if tpots.is_empty() {
+        None
+    } else {
+        // lint:allow(float-reduction): f64 report aggregate in record order, off the decode path
+        Some(tpots.iter().sum::<f64>() / tpots.len() as f64)
+    }
+}
+
+/// Mean over every queue-depth sample of every series (0 without samples).
+pub(crate) fn mean_queue_depth<'a>(series: impl IntoIterator<Item = &'a [usize]>) -> f64 {
+    let (sum, count) = series
+        .into_iter()
+        .fold((0, 0), |(sum, count), depths| (sum + depths.iter().sum::<usize>(), count + depths.len()));
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
     }
 }
 

@@ -310,3 +310,56 @@ fn cluster_report_display_shows_the_cluster_plane() {
         assert!(text.contains(needle), "cluster report must mention {needle:?}:\n{text}");
     }
 }
+
+/// The number `MetricsRegistry::to_json` printed for gauge `name`.
+fn gauge(json: &str, name: &str) -> String {
+    let key = format!("\"{name}\": ");
+    let start = json.find(&key).unwrap_or_else(|| panic!("gauge {name} missing from {json}")) + key.len();
+    json[start..].split([',', '\n']).next().expect("a value follows the key").to_string()
+}
+
+#[test]
+fn cluster_metrics_gauges_cover_every_shard() {
+    // Round-robin scatters three prefix groups over two shards, so the
+    // shards end with different hit rates, queue depths and TPOTs: a
+    // gauge taken from one shard cannot pass for the cluster's.
+    let mix =
+        RequestMix { shared_prefix_len: 16, prefix_groups: 3, prompt_len: (4, 12), ..RequestMix::default() };
+    let engines = (0..2)
+        .map(|_| {
+            EngineBuilder::new()
+                .model(ModelConfig::tiny())
+                .prefill_chunk(4)
+                .prefix_cache(PrefixCacheConfig {
+                    min_match_tokens: 8,
+                    max_entries: 32,
+                    ..PrefixCacheConfig::default()
+                })
+                .build()
+                .expect("valid config")
+        })
+        .collect();
+    let workload = Workload::poisson(7, 0.5, 40, mix);
+    let report =
+        Cluster::new(engines, workload, cluster_config(2, RouterKind::RoundRobin, 1 << 20, SchedKind::Fcfs))
+            .run();
+    let shard_rates: Vec<f64> = report.shards.iter().map(|s| s.engine.prefix.hit_rate()).collect();
+    assert_ne!(shard_rates[0], shard_rates[1], "the shards must disagree for this test to discriminate");
+
+    let json = report.metrics().to_json();
+    assert_eq!(gauge(&json, "prefix_hit_rate"), format!("{:.6}", report.prefix_hit_rate()));
+
+    let depths: Vec<usize> = report.shards.iter().flat_map(|s| s.queue_depth.iter().copied()).collect();
+    let depth_mean = depths.iter().sum::<usize>() as f64 / depths.len() as f64;
+    assert_eq!(gauge(&json, "queue_depth_mean"), format!("{depth_mean:.6}"));
+
+    let tpots: Vec<f64> = report
+        .shards
+        .iter()
+        .flat_map(|s| &s.records)
+        .filter(|r| r.generated_tokens > 1)
+        .filter_map(|r| Some((r.finished? - r.first_token?) as f64 / (r.generated_tokens - 1) as f64))
+        .collect();
+    let tpot_mean = tpots.iter().sum::<f64>() / tpots.len() as f64;
+    assert_eq!(gauge(&json, "tpot_mean_ticks"), format!("{tpot_mean:.6}"));
+}
