@@ -351,20 +351,41 @@ impl Shard {
     /// the session past a discounted reservation).
     pub(crate) fn accept(&mut self, arrival: ServingRequest, record: &mut RequestRecord, now: u64) {
         let ServingRequest { request, priority } = arrival;
-        let global_arrival = record.arrival;
-        let discount_sound = request.never_evicts();
-        let prefix_pin = if discount_sound { self.engine.pin_prefix(&request.prompt) } else { None };
+        let valid = self.validate(&request);
+        if let Err((reason, _)) = self.screen_into_queue(record.arrival, request, priority, valid, now) {
+            self.emit(now, record.arrival as u64, TraceEventKind::Rejected { reason: reason.as_str() });
+            record.rejected = Some(reason);
+            match reason {
+                RejectReason::NeverFits => self.rejected_never_fits += 1,
+                RejectReason::QueueFull => self.rejected_queue_full += 1,
+                RejectReason::Invalid => self.rejected_invalid += 1,
+            }
+        }
+    }
+
+    /// The screening [`Shard::accept`] and [`Shard::requeue`] share: pin
+    /// the prompt's cached prefix when the discount is sound, estimate the
+    /// reservation, screen it after `valid` (the request's own check;
+    /// `Ok` for a retry), then queue the request. On a rejection the pin
+    /// is released and the request handed back with the reason.
+    fn screen_into_queue(
+        &mut self,
+        arrival: usize,
+        request: Request,
+        priority: u8,
+        valid: Result<(), RejectReason>,
+        now: u64,
+    ) -> Result<(), (RejectReason, Request)> {
+        let prefix_pin = if request.never_evicts() { self.engine.pin_prefix(&request.prompt) } else { None };
         let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
         let est_bytes =
             AdmissionController::estimate_unshared_bytes(&request, shared_tokens, self.kv_bytes_per_token);
         let full_bytes = AdmissionController::estimate_bytes(&request, self.kv_bytes_per_token);
-        let screened =
-            self.validate(&request).and_then(|()| self.admission.screen(est_bytes, self.queue.len()));
-        match screened {
+        match valid.and_then(|()| self.admission.screen(est_bytes, self.queue.len())) {
             Ok(()) => {
-                self.emit(now, global_arrival as u64, TraceEventKind::Queued);
+                self.emit(now, arrival as u64, TraceEventKind::Queued);
                 self.queue.push_back(QueuedEntry {
-                    arrival: global_arrival,
+                    arrival,
                     submitted: now,
                     request,
                     priority,
@@ -372,18 +393,13 @@ impl Shard {
                     full_bytes,
                     prefix_pin,
                 });
+                Ok(())
             }
             Err(reason) => {
                 if let Some(pin) = prefix_pin {
                     self.engine.unpin_prefix(pin);
                 }
-                self.emit(now, global_arrival as u64, TraceEventKind::Rejected { reason: reason.as_str() });
-                record.rejected = Some(reason);
-                match reason {
-                    RejectReason::NeverFits => self.rejected_never_fits += 1,
-                    RejectReason::QueueFull => self.rejected_queue_full += 1,
-                    RejectReason::Invalid => self.rejected_invalid += 1,
-                }
+                Err((reason, request))
             }
         }
     }
@@ -452,11 +468,8 @@ impl Shard {
     /// makes re-prefilling recovered requests cheap.
     pub(crate) fn fail(&mut self) -> Vec<LostWork> {
         let mut lost = Vec::new();
-        for mut entry in std::mem::take(&mut self.queue) {
-            if let Some(pin) = entry.prefix_pin.take() {
-                self.engine.unpin_prefix(pin);
-            }
-            lost.push(LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request });
+        for entry in std::mem::take(&mut self.queue) {
+            lost.push(self.release_queued(entry));
         }
         let running: Vec<SessionEntry> = std::mem::take(&mut self.running);
         let paused: Vec<SessionEntry> = std::mem::take(&mut self.paused);
@@ -474,36 +487,9 @@ impl Shard {
     /// screening and queueing happen here). On screening failure the
     /// work is handed back for another retry or a dead letter.
     pub(crate) fn requeue(&mut self, work: LostWork, now: u64) -> Result<(), (RejectReason, LostWork)> {
-        let discount_sound = work.request.never_evicts();
-        let prefix_pin = if discount_sound { self.engine.pin_prefix(&work.request.prompt) } else { None };
-        let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
-        let est_bytes = AdmissionController::estimate_unshared_bytes(
-            &work.request,
-            shared_tokens,
-            self.kv_bytes_per_token,
-        );
-        let full_bytes = AdmissionController::estimate_bytes(&work.request, self.kv_bytes_per_token);
-        match self.admission.screen(est_bytes, self.queue.len()) {
-            Ok(()) => {
-                self.emit(now, work.arrival as u64, TraceEventKind::Queued);
-                self.queue.push_back(QueuedEntry {
-                    arrival: work.arrival,
-                    submitted: now,
-                    request: work.request,
-                    priority: work.priority,
-                    est_bytes,
-                    full_bytes,
-                    prefix_pin,
-                });
-                Ok(())
-            }
-            Err(reason) => {
-                if let Some(pin) = prefix_pin {
-                    self.engine.unpin_prefix(pin);
-                }
-                Err((reason, work))
-            }
-        }
+        let LostWork { arrival, priority, request } = work;
+        self.screen_into_queue(arrival, request, priority, Ok(()), now)
+            .map_err(|(reason, request)| (reason, LostWork { arrival, priority, request }))
     }
 
     /// Tears down one in-flight attempt that missed its `deadline`
@@ -518,13 +504,10 @@ impl Shard {
         deadline: &'static str,
         now: u64,
     ) -> Option<LostWork> {
-        let work = if let Some(mut e) =
+        let work = if let Some(e) =
             self.queue.iter().position(|e| e.arrival == arrival).and_then(|pos| self.queue.remove(pos))
         {
-            if let Some(pin) = e.prefix_pin.take() {
-                self.engine.unpin_prefix(pin);
-            }
-            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
+            self.release_queued(e)
         } else if let Some(pos) = self.running.iter().position(|e| e.arrival == arrival) {
             let e = self.running.remove(pos);
             self.engine.discard(e.session).expect("running entry tracks the engine");
@@ -549,13 +532,20 @@ impl Shard {
     /// Removes one queued entry by arrival id (the load-shedder's
     /// removal path; queued entries hold no reservation, but a
     /// discounted one holds a prefix pin, released here).
-    pub(crate) fn remove_queued(&mut self, arrival: usize) -> Option<QueuedEntry> {
+    pub(crate) fn remove_queued(&mut self, arrival: usize) -> Option<LostWork> {
         let pos = self.queue.iter().position(|e| e.arrival == arrival)?;
-        let mut entry = self.queue.remove(pos)?;
+        let entry = self.queue.remove(pos)?;
+        Some(self.release_queued(entry))
+    }
+
+    /// The one exit of a queued entry that leaves the shard (crash,
+    /// deadline, shed): releases its admission pin on the prefix entry,
+    /// if it took one, and returns its work.
+    fn release_queued(&mut self, mut entry: QueuedEntry) -> LostWork {
         if let Some(pin) = entry.prefix_pin.take() {
             self.engine.unpin_prefix(pin);
         }
-        Some(entry)
+        LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request }
     }
 
     /// Re-admits swapped-in sessions whose host-link transfer has
