@@ -52,6 +52,22 @@ fn committed_ratchet_baseline_round_trips_byte_identical() {
 }
 
 #[test]
+fn committed_ratchet_has_no_stale_slack() {
+    // A count the live tree has already beaten must be locked in: slack
+    // left in the baseline could later be spent without anyone noticing.
+    let text = std::fs::read_to_string(workspace_root().join(RATCHET_FILE)).expect("baseline");
+    let baseline = Ratchet::parse(&text).expect("baseline parses");
+    let measured = lint_files(workspace_root()).expect("measure");
+    let outcome = baseline.compare(&measured.counts);
+    assert!(
+        outcome.improvements.is_empty(),
+        "lint-ratchet.toml is above the live counts; re-baseline with \
+         `cargo run -p veda-lint -- --write-ratchet`:\n{}",
+        outcome.improvements.join("\n")
+    );
+}
+
+#[test]
 fn injected_hash_map_in_library_code_fails() {
     // Take a real library file, append a HashMap use, and lint it under
     // its real context: the pass must fail.
