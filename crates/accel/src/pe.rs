@@ -4,13 +4,13 @@
 //! register, a multiplier, and an adder whose operands are selected by a
 //! 2-bit mode control:
 //!
-//! * `PeMode::AccumulateLocal` — outer-product mode: the adder sums the
+//! * [`PeMode::AccumulateLocal`] — outer-product mode: the adder sums the
 //!   local product into the accumulation register;
-//! * `PeMode::TransmitPartial` — inner-product mode: the adder combines
+//! * [`PeMode::TransmitPartial`] — inner-product mode: the adder combines
 //!   products/partial sums for the tree (type-A PEs add their own product
 //!   to a transmitted operand; type-B PEs add two transmitted operands);
-//! * `PeMode::Clear` — zeroes the accumulation register;
-//! * `PeMode::Disable` — the PE holds state and produces nothing.
+//! * [`PeMode::Clear`] — zeroes the accumulation register;
+//! * [`PeMode::Disable`] — the PE holds state and produces nothing.
 //!
 //! Arithmetic is FP16-rounded after every multiply and add, matching the
 //! hardware datapath.

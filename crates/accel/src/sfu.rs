@@ -33,8 +33,8 @@ pub struct SoftmaxUnit {
     reduction: OnlineSoftmax,
     /// Staged elements awaiting normalization. Hardware stages one tile in
     /// the 32-word FIFO while the vote engine's big FIFO holds the rest;
-    /// the model stages the full vector and tracks the high-water mark of
-    /// the tile FIFO separately.
+    /// the model stages the full vector and keeps the tile FIFO beside
+    /// it, bounded at the tile depth.
     staged: Vec<f32>,
     tile_fifo: Fifo<f32>,
 }
