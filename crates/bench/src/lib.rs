@@ -25,7 +25,7 @@ pub mod quality;
 
 pub use quality::{
     calibrated_policy, calibration_grid, fig8_left, render_quality, render_sweep, select_voting, Arm,
-    OfflineOracle, Quality, QualityPoint, QualityScale, SampleSet, Substrate, SweepPoint, CALIBRATED_VOTING,
+    Quality, QualityPoint, QualityScale, SampleSet, Substrate, SweepPoint, CALIBRATED_VOTING,
     CALIBRATION_CACHES,
 };
 use veda_accel::arch::{ArchConfig, DataflowVariant};

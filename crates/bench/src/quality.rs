@@ -99,7 +99,7 @@ pub enum Arm {
     Kind(PolicyKind),
     /// Voting with an explicit configuration.
     Voting(VotingConfig),
-    /// The two-pass offline bound ([`OfflineOracle`]).
+    /// The two-pass offline bound (`OfflineOracle`).
     Oracle,
 }
 
@@ -206,7 +206,7 @@ impl EvictionPolicy for Tally<'_> {
 /// outdated continuation, which is also why accumulated attention (H2O)
 /// is the worst policy on this substrate.
 #[derive(Debug, Clone)]
-pub struct OfflineOracle {
+pub(crate) struct OfflineOracle {
     head_weights: Vec<f32>,
     /// `rows[i][p]`: while recording, the weighted attention of step `i`
     /// on position `p`; afterwards its influence.

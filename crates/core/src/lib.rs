@@ -175,8 +175,7 @@ pub use engine::{
 };
 pub use error::BuildError;
 pub use prefix::{
-    PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixExpiry, PrefixPin, PrefixTransfer,
-    PrefixTransferKind,
+    PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixPin, PrefixTransfer, PrefixTransferKind,
 };
 
 // Re-export the workspace crates under one roof for downstream users.

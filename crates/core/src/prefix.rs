@@ -296,7 +296,7 @@ pub struct PrefixTransfer {
 /// One TTL expiry, returned by `PrefixCache::advance_clock` so the
 /// engine can stamp a trace event per expired entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixExpiry {
+pub(crate) struct PrefixExpiry {
     /// Stable id of the expired entry.
     pub entry: u64,
     /// FP16 bytes the entry freed.

@@ -12,7 +12,7 @@
 
 /// A bandwidth-roofline GPU model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GpuModel {
+pub(crate) struct GpuModel {
     /// Marketing name.
     pub name: &'static str,
     /// Memory bandwidth in GB/s.

@@ -43,8 +43,7 @@ pub mod table1;
 pub mod table2;
 
 pub use energy::EnergyModel;
-pub use gpu::GpuModel;
-pub use modules::{ModuleCost, UnitCosts};
+pub use modules::ModuleCost;
 pub use scaling::TechNode;
 pub use table1::{table1, Table1};
 pub use table2::{table2, Table2};

@@ -31,7 +31,7 @@ impl ModuleCost {
 
 /// Calibrated unit costs at 28 nm / 1 GHz / FP16.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnitCosts {
+pub(crate) struct UnitCosts {
     /// One reconfigurable PE (FP16 multiplier + adder + registers + mode
     /// logic). Calibrated: 128 PEs = 0.493 mm² / 175.64 mW.
     pub pe: ModuleCost,

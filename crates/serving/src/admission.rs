@@ -110,7 +110,7 @@ impl Default for AdmissionConfig {
 
 /// Byte-accounting admission controller (see the [module docs](self)).
 #[derive(Debug, Clone)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     config: AdmissionConfig,
     reserved: u64,
 }

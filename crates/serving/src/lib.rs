@@ -21,12 +21,12 @@
 //!   fixed at construction: open-loop Poisson over a configurable
 //!   [`RequestMix`] of policies, budgets, prompt lengths and priorities,
 //!   or deterministic trace replay.
-//! * [`AdmissionController`] — accounts each admitted session's peak KV
-//!   bytes (from [`veda::Request::peak_resident_tokens`], the same helper
-//!   the engine's KV pre-allocation derives from) against the HBM
-//!   capacity ([`veda_mem::HbmConfig::capacity_bytes`]); requests that
-//!   cannot fit now wait in a bounded queue, requests that can never fit
-//!   are rejected. With the engine's shared-prefix cache enabled
+//! * Admission control ([`AdmissionConfig`]) — accounts each admitted
+//!   session's peak KV bytes (from [`veda::Request::peak_resident_tokens`],
+//!   the same helper the engine's KV pre-allocation derives from) against
+//!   the HBM capacity ([`veda_mem::HbmConfig::capacity_bytes`]);
+//!   requests that cannot fit now wait in a bounded queue, requests that
+//!   can never fit are rejected. With the engine's shared-prefix cache enabled
 //!   ([`veda::EngineBuilder::prefix_cache`]), a known-prefix request that
 //!   can never evict ([`veda::Request::never_evicts`]) reserves only its
 //!   *unshared* peak — the shared span is resident once, in the cache
@@ -117,7 +117,7 @@ pub mod shard;
 mod stepping;
 pub mod workload;
 
-pub use admission::{AdmissionConfig, AdmissionController, RejectReason};
+pub use admission::{AdmissionConfig, RejectReason};
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, MigrationConfig};
 pub use error::ServeError;
 pub use faults::{FaultConfig, FaultPlan, LinkDegradation, RetryPolicy, ShardCrash, ShardHealth};

@@ -1,4 +1,4 @@
-//! One serving shard: a full [`Engine`] + [`AdmissionController`] +
+//! One serving shard: a full [`Engine`] + `AdmissionController` +
 //! queue/swap machinery — one member of a [`crate::Cluster`].
 //!
 //! A shard owns everything below the arrival stream: screening, the wait
