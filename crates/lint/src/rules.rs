@@ -149,7 +149,7 @@ pub struct RatchetCounts {
 
 impl RatchetCounts {
     /// Element-wise accumulate.
-    pub fn add(&mut self, other: RatchetCounts) {
+    pub(crate) fn add(&mut self, other: RatchetCounts) {
         self.unwrap += other.unwrap;
         self.expect += other.expect;
         self.index += other.index;
@@ -157,12 +157,12 @@ impl RatchetCounts {
     }
 
     /// Total panic sites.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.unwrap + self.expect + self.index
     }
 
     /// The count stored under ratchet key `key`.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut u64> {
+    pub(crate) fn get_mut(&mut self, key: &str) -> Option<&mut u64> {
         match key {
             "unwrap" => Some(&mut self.unwrap),
             "expect" => Some(&mut self.expect),
@@ -173,7 +173,7 @@ impl RatchetCounts {
     }
 
     /// Every ratchet key with its count, in `lint-ratchet.toml` order.
-    pub fn entries(&self) -> [(&'static str, u64); 4] {
+    pub(crate) fn entries(&self) -> [(&'static str, u64); 4] {
         [
             ("unwrap", self.unwrap),
             ("expect", self.expect),
