@@ -2,14 +2,14 @@
 //!
 //! Analytic area / power / energy models for the VEDA reproduction:
 //!
-//! * `modules` — per-module area and power models (PE array, voting
+//! * [`modules`] — per-module area and power models (PE array, voting
 //!   engine, SFU, scheduler, on-chip SRAM), with unit costs calibrated so
 //!   the paper's exact configuration reproduces Table I. The SRAM/FIFO
 //!   curves play the role CACTI plays in the paper.
 //! * [`table1`](mod@table1) — the Table I generator (per-module breakdown + totals),
 //!   including the paper's two hardware claims as checkable predicates
 //!   (SFU < 3 % of area, voting engine ≈ 6.5 % overhead).
-//! * `scaling` — DeepScaleTool-style technology scaling between nodes,
+//! * [`scaling`] — DeepScaleTool-style technology scaling between nodes,
 //!   used to normalize the related-accelerator comparison.
 //! * [`gpu`] — a roofline model of the NVIDIA RTX 4090 for the end-to-end
 //!   comparison (decode is bandwidth-bound; single-batch efficiency is an
@@ -37,8 +37,8 @@
 
 pub mod energy;
 pub mod gpu;
-pub(crate) mod modules;
-pub(crate) mod scaling;
+pub mod modules;
+pub mod scaling;
 pub mod table1;
 pub mod table2;
 

@@ -51,7 +51,7 @@
 
 pub mod fifo;
 pub mod hbm;
-pub(crate) mod hostlink;
+pub mod hostlink;
 
 pub use fifo::Fifo;
 pub use hbm::{AccessPattern, HbmConfig};

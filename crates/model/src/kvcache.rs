@@ -10,7 +10,7 @@
 //! A cache seeded from a prefix-cache entry ([`LayerKvCache::seed_from`])
 //! marks its leading rows as a **shared span**: the bytes are resident in
 //! HBM once, inside the cache entry, and this sequence merely references
-//! them, so [`LayerKvCache::fp16_bytes`] (the *privately owned* footprint)
+//! them, so `LayerKvCache::fp16_bytes` (the *privately owned* footprint)
 //! excludes them. The span is copy-on-evict: the first eviction that
 //! targets a slot inside it privatizes the whole span (models deep-copying
 //! the referenced rows before mutating them), flipping its bytes into the

@@ -40,11 +40,11 @@ pub mod config;
 pub mod corpus;
 pub mod eval;
 pub mod induction;
-pub(crate) mod kvcache;
+pub mod kvcache;
 pub mod rope;
 pub mod scratch;
 pub mod trace;
-pub(crate) mod transformer;
+pub mod transformer;
 pub mod weights;
 
 pub use config::ModelConfig;
