@@ -342,7 +342,7 @@ impl StepWork {
                 outcomes.extend(ctx.run_slice(slice, plans, scratch));
             }
             for handle in handles {
-                outcomes.extend(handle.join().expect("decode worker panicked"));
+                outcomes.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
         });
         self.outcomes = Some(outcomes);

@@ -306,6 +306,28 @@ fn decode_threads_clamp_to_at_least_one() {
     assert_eq!(engine.decode_threads(), 1);
 }
 
+#[test]
+fn a_decode_worker_panic_keeps_its_payload_and_the_sessions() {
+    let mut engine = EngineBuilder::new()
+        .model(ModelConfig::tiny())
+        .decode_threads(2)
+        .prefill_chunk(4)
+        .build()
+        .expect("valid config");
+    let sessions = [
+        engine.submit(Request::new(prompt(), 4)).unwrap(),
+        engine.submit(Request::new(prompt(), 4)).unwrap(),
+    ];
+    // Two 4-token chunks split into slices [1, 1]: the second session's
+    // first chunk runs on the scoped worker.
+    engine.active[1].prompt[0] = ModelConfig::tiny().vocab_size;
+    let panic =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step())).expect_err("bad token");
+    let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(message.contains("outside vocabulary"), "{message:?}");
+    assert!(sessions.iter().all(|&s| engine.is_active(s)), "the sessions went back to the engine");
+}
+
 fn chunked_engine(chunk: usize) -> Engine {
     EngineBuilder::new().model(ModelConfig::tiny()).prefill_chunk(chunk).build().expect("valid config")
 }

@@ -23,79 +23,87 @@
 //!   shard's sessions do not move when it changes thread (the engine
 //!   keeps them in place across ticks), so a change costs only the cache
 //!   misses of the data its forward pass reads.
-//! * **Hand-off.** A waiting side spins a bounded number of iterations,
-//!   yielding its core on each, then parks. A tick's compute phase is
-//!   tens of microseconds, so a worker between two ticks is normally
-//!   still spinning when the next plan arrives; an idle cluster parks it.
-//! * **Panics.** A worker catches a compute phase's panic and hands it
-//!   back; the calling thread re-raises it once every worker is collected.
+//! * **Hand-off.** Each worker has two `std::sync::mpsc` channels: its
+//!   works go out on one and come back computed on the other. A waiting
+//!   side polls its channel a bounded number of times, yielding its core
+//!   on each, then blocks in `recv`. A tick's compute phase is tens of
+//!   microseconds, so a worker between two ticks is normally still
+//!   polling when the next plan arrives; an idle cluster blocks it.
+//!   Dropping the pool closes the job channels, which ends the workers.
+//! * **Panics.** A compute phase's panic, on a worker or on the calling
+//!   thread, is caught; the calling thread re-raises the first once every
+//!   worker has handed its works back, so the pool is ready for the next
+//!   tick.
 
 use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle, Thread};
+use std::sync::mpsc::{self, Receiver, RecvError, Sender, TryRecvError};
+use std::thread::{self, JoinHandle};
 
 use veda::StepWork;
 
-/// Iterations a waiting side spins before it parks its thread, each one
-/// a `yield_now`. Counted in iterations because the library reads no
-/// clock: at ≈ 0.35 µs per yield on an otherwise idle core this is
+/// Times a waiting side polls its channel before it blocks, yielding its
+/// core after each empty poll. Counted in polls because the library reads
+/// no clock: at ≈ 0.35 µs per yield on an otherwise idle core this is
 /// ≈ 0.35 ms, a few cluster ticks of the serving workloads, so a worker
-/// waiting for the next tick's plan is not parked (waking a parked thread
-/// costs more than a tick's hand-off should), while a cluster with
-/// nothing to step parks it soon. Yielding instead of a busy spin hint
+/// waiting for the next tick's plan does not block (waking a blocked
+/// thread costs more than a tick's hand-off should), while a cluster with
+/// nothing to step blocks it soon. Yielding instead of a busy spin hint
 /// matters when threads outnumber cores — two clusters stepping at once
-/// — because the spinner then hands its core to the thread it waits for;
+/// — because the poller then hands its core to the thread it waits for;
 /// a busy spin made two concurrent 4-shard clusters ≈ 7× slower on two
 /// cores.
 const SPIN_LIMIT: u32 = 1 << 10;
 
-/// Slot states. A slot starts `DONE` (nothing outstanding). The job
-/// itself sits behind its mutex; the state only says whose turn it is.
-/// The caller's `Release` store of `READY` pairs with the worker's
-/// `Acquire` load, and the worker's `AcqRel` exchange to `DONE` with the
-/// caller's `Acquire` load, so each side sees the other's job once its
-/// turn comes.
-const READY: u8 = 0;
-const DONE: u8 = 1;
-const EXIT: u8 = 2;
-
-/// What crosses between the calling thread and one worker.
-#[derive(Default)]
-struct Job {
-    /// `(shard, work)` pairs: planned on the way out, computed on the way
-    /// back.
-    works: Vec<(usize, StepWork)>,
-    /// A compute phase's panic, for the calling thread to re-raise.
-    panic: Option<Box<dyn Any + Send>>,
-    /// The thread to wake once the works are computed.
-    caller: Option<Thread>,
+/// What the pool computes: a shard's planned engine tick ([`StepWork`]),
+/// or a stand-in in the pool's tests.
+pub(crate) trait Work: Send + 'static {
+    /// The host cost of computing the work, to the first order.
+    fn rows(&self) -> usize;
+    /// Computes the work in place.
+    fn compute(&mut self);
 }
 
-/// One worker's mailbox: the job, and the state that says whose turn it
-/// is (`READY`: the worker's; `DONE`: the caller's; `EXIT`: stop).
-struct Slot {
-    state: AtomicU8,
-    job: Mutex<Job>,
+impl Work for StepWork {
+    fn rows(&self) -> usize {
+        StepWork::rows(self)
+    }
+
+    fn compute(&mut self) {
+        StepWork::compute(self);
+    }
 }
 
-struct Worker {
-    slot: Arc<Slot>,
+/// `(shard, work)` pairs: planned on the way out, computed on the way
+/// back.
+type Batch<W> = Vec<(usize, W)>;
+
+/// A compute phase's panic payload.
+type Panic = Box<dyn Any + Send>;
+
+struct Worker<W> {
+    jobs: Sender<Batch<W>>,
+    /// The worker's computed batches, each with its compute phase's panic.
+    done: Receiver<(Batch<W>, Option<Panic>)>,
     handle: JoinHandle<()>,
 }
 
 /// The cluster's persistent step workers (see the [module docs](self)).
-#[derive(Default)]
-pub(crate) struct StepPool {
+pub(crate) struct StepPool<W = StepWork> {
     /// Thread count to use instead of `available_parallelism`.
     threads: Option<usize>,
-    workers: Vec<Worker>,
+    workers: Vec<Worker<W>>,
     spawned: bool,
 }
 
-impl StepPool {
+impl<W> Default for StepPool<W> {
+    fn default() -> Self {
+        Self { threads: None, workers: Vec::new(), spawned: false }
+    }
+}
+
+impl<W: Work> StepPool<W> {
     /// A pool that steps on `threads` threads (the caller's included)
     /// instead of one per available core.
     #[cfg(test)]
@@ -111,11 +119,11 @@ impl StepPool {
 
     /// Computes every planned work of `works` (indexed by shard) and puts
     /// it back in place. The works are dealt heaviest first (by
-    /// [`StepWork::rows`], ties to the lower shard) to the thread with the
+    /// [`Work::rows`], ties to the lower shard) to the thread with the
     /// fewest rows so far (ties to the lower thread; thread 0 is the
     /// caller), so a tick with one stepping shard never leaves the calling
     /// thread.
-    pub(crate) fn compute(&mut self, works: &mut [Option<StepWork>]) {
+    pub(crate) fn compute(&mut self, works: &mut [Option<W>]) {
         if !self.spawned && works.iter().flatten().count() >= 2 {
             self.spawn(works.len());
         }
@@ -137,31 +145,28 @@ impl StepPool {
                 *owner = thread;
             }
         }
+        let mut busy = Vec::with_capacity(self.workers.len());
         for (t, worker) in self.workers.iter().enumerate() {
-            let mut job = lock(&worker.slot.job);
             let theirs = works.iter_mut().zip(&owner).enumerate().filter(|(_, (_, &thread))| thread == t + 1);
-            job.works.extend(theirs.filter_map(|(shard, (work, _))| Some((shard, work.take()?))));
-            if job.works.is_empty() {
+            let batch: Batch<W> =
+                theirs.filter_map(|(shard, (work, _))| Some((shard, work.take()?))).collect();
+            if batch.is_empty() {
                 continue;
             }
-            job.caller = Some(thread::current());
-            drop(job);
-            worker.slot.state.store(READY, Ordering::Release);
-            worker.handle.thread().unpark();
-        }
-        for work in works.iter_mut().flatten() {
-            work.compute();
-        }
-        let mut panicked = None;
-        for worker in &self.workers {
-            wait(&worker.slot.state, |state| state == DONE);
-            let mut job = lock(&worker.slot.job);
-            for (shard, work) in job.works.drain(..) {
-                if let Some(place) = works.get_mut(shard) {
-                    *place = Some(work);
-                }
+            match worker.jobs.send(batch) {
+                Ok(()) => busy.push(worker),
+                // A worker that is gone leaves its works to the caller.
+                Err(mpsc::SendError(batch)) => restore(works, batch),
             }
-            panicked = panicked.or(job.panic.take());
+        }
+        let mut panicked = compute_all(works.iter_mut().flatten());
+        for worker in busy {
+            // A worker catches its works' panics, so it answers every
+            // batch it takes while the pool lives.
+            if let Ok((batch, panic)) = recv(&worker.done) {
+                restore(works, batch);
+                panicked = panicked.or(panic);
+            }
         }
         if let Some(payload) = panicked {
             panic::resume_unwind(payload);
@@ -177,85 +182,214 @@ impl StepPool {
             .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
             .min(shards);
         for t in 1..threads {
-            let slot = Arc::new(Slot { state: AtomicU8::new(DONE), job: Mutex::default() });
-            let mailbox = Arc::clone(&slot);
-            let spawned = thread::Builder::new().name(format!("veda-step-{t}")).spawn(move || loop {
-                if wait(&mailbox.state, |state| state != DONE) == EXIT {
-                    break;
-                }
-                let mut job = std::mem::take(&mut *lock(&mailbox.job));
-                let computed = panic::catch_unwind(AssertUnwindSafe(|| {
-                    for (_, work) in &mut job.works {
-                        work.compute();
+            let (jobs, inbox) = mpsc::channel::<Batch<W>>();
+            let (outbox, done) = mpsc::channel();
+            let spawned = thread::Builder::new().name(format!("veda-step-{t}")).spawn(move || {
+                while let Ok(mut batch) = recv(&inbox) {
+                    let panicked = compute_all(batch.iter_mut().map(|(_, work)| work));
+                    if outbox.send((batch, panicked)).is_err() {
+                        break;
                     }
-                }));
-                job.panic = computed.err();
-                let caller = job.caller.take();
-                *lock(&mailbox.job) = job;
-                if mailbox.state.compare_exchange(READY, DONE, Ordering::AcqRel, Ordering::Acquire).is_err() {
-                    break;
-                }
-                if let Some(caller) = caller {
-                    caller.unpark();
                 }
             });
             match spawned {
-                Ok(handle) => self.workers.push(Worker { slot, handle }),
+                Ok(handle) => self.workers.push(Worker { jobs, done, handle }),
                 Err(_) => break,
             }
         }
     }
 }
 
-impl Drop for StepPool {
+impl<W> Drop for StepPool<W> {
     fn drop(&mut self) {
-        for worker in &self.workers {
-            worker.slot.state.store(EXIT, Ordering::Release);
-            worker.handle.thread().unpark();
-        }
-        for worker in self.workers.drain(..) {
-            // A worker never panics outside its caught compute phase.
-            let _ = worker.handle.join();
+        for Worker { jobs, handle, .. } in self.workers.drain(..) {
+            // Closing its job channel ends the worker's loop; a worker
+            // never panics outside its caught compute phase.
+            drop(jobs);
+            let _ = handle.join();
         }
     }
 }
 
-/// Spins (yielding the core on each turn), then parks, until `state`
-/// satisfies `until`; returns the state it saw. The thread that changes `state` unparks the waiter afterwards,
-/// and a park returns at once if that unpark came first, so no wake-up
-/// is lost.
-fn wait(state: &AtomicU8, until: impl Fn(u8) -> bool) -> u8 {
-    let mut spins = 0;
-    loop {
-        let seen = state.load(Ordering::Acquire);
-        if until(seen) {
-            return seen;
-        }
-        if spins < SPIN_LIMIT {
-            spins += 1;
-            thread::yield_now();
-        } else {
-            thread::park();
+/// Computes `works` in turn. A panic stops the run: its payload is
+/// returned, and the works after it stay uncomputed.
+fn compute_all<'a, W: Work>(works: impl Iterator<Item = &'a mut W>) -> Option<Panic> {
+    panic::catch_unwind(AssertUnwindSafe(|| works.for_each(W::compute))).err()
+}
+
+/// Puts each computed work of `batch` back in its shard's place.
+fn restore<W>(works: &mut [Option<W>], batch: Batch<W>) {
+    for (shard, work) in batch {
+        if let Some(place) = works.get_mut(shard) {
+            *place = Some(work);
         }
     }
 }
 
-/// Locks a job. A job's lock is never held across a compute phase, so a
-/// poisoned lock still holds consistent data.
-fn lock(job: &Mutex<Job>) -> MutexGuard<'_, Job> {
-    job.lock().unwrap_or_else(PoisonError::into_inner)
+/// The next message on `channel`: polls it up to [`SPIN_LIMIT`] times,
+/// yielding the core after each empty poll, then blocks. An error once
+/// the other side has hung up and nothing is left to take.
+fn recv<T>(channel: &Receiver<T>) -> Result<T, RecvError> {
+    for _ in 0..SPIN_LIMIT {
+        match channel.try_recv() {
+            Err(TryRecvError::Empty) => thread::yield_now(),
+            received => return received.map_err(|_| RecvError),
+        }
+    }
+    channel.recv()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
+
     use veda::{EngineBuilder, PrefixCacheConfig, Request};
     use veda_eviction::PolicyKind;
     use veda_model::ModelConfig;
 
+    use super::{StepPool, Work};
     use crate::{
         Cluster, ClusterConfig, ClusterReport, FaultConfig, FaultPlan, MigrationConfig, RouterKind,
         SchedKind, ServingRequest, SinkHandle, TraceEvent, Workload,
     };
+
+    /// A stand-in work: it remembers its shard and the threads that
+    /// computed it, and panics with its shard in the message if asked to.
+    #[derive(Debug)]
+    struct Fake {
+        shard: usize,
+        rows: usize,
+        panics: bool,
+        computed_on: Vec<ThreadId>,
+    }
+
+    impl Work for Fake {
+        fn rows(&self) -> usize {
+            self.rows
+        }
+
+        fn compute(&mut self) {
+            self.computed_on.push(thread::current().id());
+            if self.panics {
+                panic!("fake work {} panicked", self.shard);
+            }
+        }
+    }
+
+    /// One tick's works: shard `s` is idle where `rows[s]` is `None` and
+    /// planned with that many rows otherwise.
+    fn plan(rows: &[Option<usize>]) -> Vec<Option<Fake>> {
+        let fake = |(shard, rows): (usize, &Option<usize>)| {
+            Some(Fake { shard, rows: (*rows)?, panics: false, computed_on: Vec::new() })
+        };
+        rows.iter().enumerate().map(fake).collect()
+    }
+
+    /// Asserts that every planned work came back to its own slot computed
+    /// exactly once and that every idle slot stayed idle; returns the
+    /// threads that computed the works.
+    fn check(rows: &[Option<usize>], works: &[Option<Fake>]) -> HashSet<ThreadId> {
+        assert_eq!(works.len(), rows.len());
+        let mut threads = HashSet::new();
+        for (shard, (rows, work)) in rows.iter().zip(works).enumerate() {
+            match (rows, work) {
+                (None, None) => {}
+                (Some(_), Some(work)) => {
+                    assert_eq!(work.shard, shard, "a work came back to another shard's slot");
+                    assert_eq!(work.computed_on.len(), 1, "shard {shard}: computed {:?}", work.computed_on);
+                    threads.extend(&work.computed_on);
+                }
+                _ => panic!("shard {shard}: planned {rows:?}, got back {work:?}"),
+            }
+        }
+        threads
+    }
+
+    /// Every planned work is computed exactly once and comes back to its
+    /// own slot, idle shards stay idle, and each tick uses as many threads
+    /// as it has works, up to the pool's, the caller's always among them.
+    #[test]
+    fn pool_computes_every_work_once_in_its_own_slot() {
+        let ticks: [&[Option<usize>]; 6] = [
+            &[None, None, Some(4), None, None, None],
+            &[None; 6],
+            &[Some(3), None, Some(1), Some(2), None, Some(5)],
+            &[Some(1); 6],
+            &[Some(7), Some(2), None, None, Some(9), None],
+            &[None, Some(1), None, None, None, None],
+        ];
+        for threads in 1..=4 {
+            let mut pool = StepPool::with_threads(threads);
+            for (tick, rows) in ticks.into_iter().enumerate() {
+                let mut works = plan(rows);
+                pool.compute(&mut works);
+                let used = check(rows, &works);
+                let planned = rows.iter().flatten().count();
+                // Spawned at the first tick on which two shards step.
+                assert_eq!(pool.workers(), if tick < 2 { 0 } else { threads - 1 }, "tick {tick}");
+                assert_eq!(used.len(), planned.min(threads), "{threads} threads, tick {tick}");
+                assert!(planned == 0 || used.contains(&thread::current().id()), "tick {tick}");
+            }
+        }
+    }
+
+    /// A panic in a compute phase — on a worker or on the caller — is
+    /// re-raised on the caller with its own payload, once, after every
+    /// worker has handed its works back; the next tick is clean.
+    #[test]
+    fn a_compute_panic_is_re_raised_once_after_every_work_is_back() {
+        // At four threads these rows deal shard `s` to thread `s`.
+        let rows = [Some(4), Some(3), Some(2), Some(1)];
+        let mut pool = StepPool::with_threads(4);
+        for panicking in [&[2][..], &[1, 3], &[0], &[0, 2]] {
+            let mut works = plan(&rows);
+            for work in works.iter_mut().flatten().filter(|work| panicking.contains(&work.shard)) {
+                work.panics = true;
+            }
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| pool.compute(&mut works)))
+                .expect_err("a work panicked");
+            // The caller's panic first, then the workers' in thread order.
+            let first = format!("fake work {} panicked", panicking[0]);
+            assert_eq!(payload.downcast_ref::<String>(), Some(&first));
+            assert_eq!(check(&rows, &works).len(), 4);
+
+            let mut works = plan(&rows);
+            pool.compute(&mut works);
+            assert_eq!(check(&rows, &works).len(), 4, "after panics in {panicking:?}");
+        }
+    }
+
+    /// Dropping the pool joins every worker, whether the last tick
+    /// panicked or not and whether the workers still poll or already
+    /// block.
+    #[test]
+    fn the_pool_drops_without_hanging() {
+        for (panics, idle) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (dropped, done) = mpsc::channel();
+            thread::spawn(move || {
+                let rows = [Some(2), Some(1), Some(1)];
+                let mut pool = StepPool::with_threads(3);
+                let mut works = plan(&rows);
+                for work in works.iter_mut().flatten().skip(1) {
+                    work.panics = panics;
+                }
+                let ticked = panic::catch_unwind(AssertUnwindSafe(|| pool.compute(&mut works)));
+                assert_eq!((ticked.is_err(), pool.workers()), (panics, 2));
+                if idle {
+                    // Long past the polls: the workers block in `recv`.
+                    thread::sleep(Duration::from_millis(50));
+                }
+                drop(pool);
+                dropped.send(()).expect("the test waits");
+            });
+            let outcome = done.recv_timeout(Duration::from_secs(30));
+            assert_eq!(outcome, Ok(()), "panicking tick: {panics}, idle workers: {idle}");
+        }
+    }
 
     /// One cell of the matrix: which planes are on.
     #[derive(Debug, Clone, Copy)]
