@@ -109,10 +109,10 @@ impl DecodeScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the architecture is invalid or the head geometry
-    /// disagrees with the architecture's attention model.
+    /// Panics if the architecture or the HBM configuration is invalid, or
+    /// the head geometry disagrees with the architecture's attention model.
     pub fn new(arch: ArchConfig, shape: LlamaShape, hbm: HbmConfig, variant: DataflowVariant) -> Self {
-        arch.validate().expect("valid architecture");
+        arch.validate().and_then(|()| hbm.validate()).expect("valid architecture and HBM configuration");
         assert_eq!(arch.head_dim, shape.head_dim(), "architecture/model head_dim mismatch");
         assert_eq!(arch.n_heads, shape.n_heads, "architecture/model head count mismatch");
         Self { arch, shape, hbm, variant }
@@ -142,23 +142,10 @@ impl DecodeScheduler {
         report.add_overlapped(name, compute, memory);
     }
 
-    /// Full decode step of a single sequence at cache length `l`.
-    ///
-    /// Identical to `decode_batch(&[l])`.
+    /// Full decode step of a single sequence at cache length `l`: a
+    /// one-sequence [`DecodeScheduler::mixed_batch`] with no prefill.
     pub fn decode_token(&self, l: usize) -> CycleReport {
-        self.decode_batch(&[l])
-    }
-
-    /// One batched decode tick: every sequence in the batch advances by one
-    /// token. Equivalent to [`DecodeScheduler::mixed_batch`] with no
-    /// prefill chunks (and costed identically).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_lens` is empty.
-    pub fn decode_batch(&self, cache_lens: &[usize]) -> CycleReport {
-        assert!(!cache_lens.is_empty(), "decode batch must be non-empty");
-        self.mixed_batch(&[], cache_lens)
+        self.mixed_batch(&[], &[l])
     }
 
     /// One *mixed* tick: every decode sequence advances by one token
@@ -172,10 +159,6 @@ impl DecodeScheduler {
     /// per-row normalizations. The LM head runs for decode rows and for
     /// chunks that complete their prompt (their logits seed the first
     /// decode step); mid-prompt chunks skip it.
-    ///
-    /// With `prefill` empty this is exactly the pre-chunking
-    /// `decode_batch` costing — the byte-identity the engine's
-    /// instant-prefill compatibility mode relies on.
     ///
     /// # Panics
     ///
@@ -309,7 +292,7 @@ mod tests {
     #[test]
     fn single_sequence_batch_equals_decode_token() {
         let sched = DecodeScheduler::veda_llama7b();
-        assert_eq!(sched.decode_token(512), sched.decode_batch(&[512]));
+        assert_eq!(sched.decode_token(512), sched.mixed_batch(&[], &[512]));
     }
 
     #[test]
@@ -320,13 +303,13 @@ mod tests {
         // compute-bound once the batch multiplies the GEMV work.
         let sched = DecodeScheduler::veda_llama7b();
         let lens = [512usize; 8];
-        let tick = sched.decode_batch(&lens).total_cycles;
+        let tick = sched.mixed_batch(&[], &lens).total_cycles;
         let single = sched.decode_token(512).total_cycles;
         assert!(tick > single, "a batch tick cannot be cheaper than one sequence");
         assert!(tick < 8 * single * 9 / 10, "batching saved too little: {tick} vs 8×{single}");
         // Per-token throughput improves accordingly.
         let batched_tokens_per_second =
-            lens.len() as f64 / sched.decode_batch(&lens).seconds(sched.arch.clock_ghz);
+            lens.len() as f64 / sched.mixed_batch(&[], &lens).seconds(sched.arch.clock_ghz);
         assert!(batched_tokens_per_second > 1.2 * sched.tokens_per_second(512));
         // A wider array relieves the compute bound and unlocks more of the
         // bandwidth amortization.
@@ -338,7 +321,7 @@ mod tests {
             HbmConfig::default(),
             DataflowVariant::FlexibleElementSerial,
         );
-        let wide_tick = wide.decode_batch(&lens).total_cycles;
+        let wide_tick = wide.mixed_batch(&[], &lens).total_cycles;
         let wide_single = wide.decode_token(512).total_cycles;
         assert!(
             wide_tick < 8 * wide_single / 2,
@@ -349,29 +332,38 @@ mod tests {
     #[test]
     fn mixed_length_batch_charges_each_sequence_its_own_attention() {
         let sched = DecodeScheduler::veda_llama7b();
-        let short = sched.decode_batch(&[128, 128]).total_cycles;
-        let mixed = sched.decode_batch(&[128, 4096]).total_cycles;
+        let short = sched.mixed_batch(&[], &[128, 128]).total_cycles;
+        let mixed = sched.mixed_batch(&[], &[128, 4096]).total_cycles;
         assert!(mixed > short, "longer cache in the batch must cost more");
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_batch_panics() {
-        DecodeScheduler::veda_llama7b().decode_batch(&[]);
+        DecodeScheduler::veda_llama7b().mixed_batch(&[], &[]);
     }
 
     #[test]
-    fn mixed_batch_with_no_prefill_is_exactly_decode_batch() {
+    fn mixed_batch_with_no_prefill_has_the_decode_layout() {
         let sched = DecodeScheduler::veda_llama7b();
         for lens in [vec![512], vec![128, 4096], vec![64; 8]] {
-            assert_eq!(sched.mixed_batch(&[], &lens), sched.decode_batch(&lens));
+            let names: Vec<_> = sched.mixed_batch(&[], &lens).components.iter().map(|c| c.0).collect();
+            assert_eq!(names.iter().filter(|&&n| n == "attention").count(), 32 * lens.len());
+            assert_eq!(names.len(), 32 * (5 + lens.len()) + 1, "{names:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sequential_efficiency")]
+    fn nan_hbm_efficiency_rejected() {
+        let hbm = HbmConfig { sequential_efficiency: f64::NAN, ..HbmConfig::default() };
+        DecodeScheduler::new(ArchConfig::veda(), LlamaShape::llama2_7b(), hbm, DataflowVariant::Baseline);
     }
 
     #[test]
     fn prefill_chunks_make_the_tick_dearer() {
         let sched = DecodeScheduler::veda_llama7b();
-        let decode_only = sched.decode_batch(&[512, 512]).total_cycles;
+        let decode_only = sched.mixed_batch(&[], &[512, 512]).total_cycles;
         let chunk = PrefillChunk { start_len: 0, tokens: 64, completes_prompt: false };
         let mixed = sched.mixed_batch(&[chunk], &[512, 512]).total_cycles;
         assert!(mixed > decode_only, "a prefill chunk must add work: {mixed} vs {decode_only}");
@@ -390,8 +382,7 @@ mod tests {
         let chunk = PrefillChunk { start_len: 0, tokens: 8, completes_prompt: false };
         let sched = DecodeScheduler::veda_llama7b();
         let mixed = sched.mixed_batch(&[chunk], &[512]).total_cycles;
-        let separate =
-            sched.mixed_batch(&[chunk], &[]).total_cycles + sched.decode_batch(&[512]).total_cycles;
+        let separate = sched.mixed_batch(&[chunk], &[]).total_cycles + sched.decode_token(512).total_cycles;
         assert!(mixed < separate, "one weight stream must beat two: {mixed} vs {separate}");
 
         let mut wide_arch = ArchConfig::veda();
@@ -403,7 +394,7 @@ mod tests {
             DataflowVariant::FlexibleElementSerial,
         );
         let mixed = wide.mixed_batch(&[chunk], &[512]).total_cycles;
-        let separate = wide.mixed_batch(&[chunk], &[]).total_cycles + wide.decode_batch(&[512]).total_cycles;
+        let separate = wide.mixed_batch(&[chunk], &[]).total_cycles + wide.decode_token(512).total_cycles;
         assert!(mixed < separate * 3 / 4, "wide array should amortize better: {mixed} vs {separate}");
     }
 

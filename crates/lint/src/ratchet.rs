@@ -85,10 +85,21 @@ impl Ratchet {
     }
 
     /// Compare measured counts against the baseline. Returns ratchet
-    /// violations (growth, or a crate missing from the baseline) and
-    /// improvement notes (shrinkage worth re-baselining).
+    /// violations (growth, or a crate missing from or stale in the
+    /// baseline) and improvement notes (shrinkage worth re-baselining).
     pub fn compare(&self, measured: &BTreeMap<String, RatchetCounts>) -> RatchetOutcome {
-        let mut violations = Vec::new();
+        let stale = self.crates.keys().filter(|name| !measured.contains_key(*name));
+        let mut violations: Vec<Violation> = stale
+            .map(|name| Violation {
+                rule: UNWRAP_RATCHET,
+                path: RATCHET_FILE.into(),
+                line: 0,
+                message: format!(
+                    "section `[{name}]` names no workspace crate; remove it with --write-ratchet"
+                ),
+                suggestion: None,
+            })
+            .collect();
         let mut improvements = Vec::new();
         for (name, now) in measured {
             let base = self.crates.get(name).copied();
@@ -220,6 +231,14 @@ mod tests {
         m.insert("clean-crate".to_string(), counts(0, 0, 0));
         let out = ratchet.compare(&m);
         assert_eq!(out.violations.len(), 1, "zero-site crates need no baseline");
+    }
+
+    #[test]
+    fn section_naming_no_crate_fails() {
+        let ratchet = Ratchet::from_counts(&BTreeMap::from([("gone".to_string(), counts(0, 0, 0))]));
+        let out = ratchet.compare(&BTreeMap::new());
+        assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
+        assert!(out.violations[0].message.contains("`[gone]`"), "{}", out.violations[0].message);
     }
 
     #[test]

@@ -256,10 +256,9 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
     }
 
     // R2 no-wall-clock: everywhere except the measurement scope (the
-    // bench crate, bench targets, examples) and the shims (the criterion
-    // shim *is* the timer).
+    // bench crate, bench targets, examples).
     let wall_clock_exempt =
-        ctx.is_bench_crate || ctx.is_shim || matches!(ctx.role, FileRole::Example | FileRole::BenchTarget);
+        ctx.is_bench_crate || matches!(ctx.role, FileRole::Example | FileRole::BenchTarget);
     if !wall_clock_exempt {
         for t in tokens.iter() {
             if t.kind == TokenKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
@@ -735,6 +734,8 @@ mod tests {
         let mut bench = lib_ctx();
         bench.is_bench_crate = true;
         assert!(rules_fired(src, &bench).is_empty());
+        let shim = FileContext { is_shim: true, ..lib_ctx() };
+        assert_eq!(rules_fired(src, &shim), vec![NO_WALL_CLOCK]);
     }
 
     #[test]

@@ -29,8 +29,7 @@ pub struct FileContext {
     /// Compilation role (see [`FileRole`]).
     pub role: FileRole,
     /// Under `shims/` — offline registry stand-ins are exempt from crate
-    /// hygiene (they mirror external APIs, docs and all) and from the
-    /// wall-clock rule (the criterion shim *is* the timer).
+    /// hygiene (they mirror external APIs, docs and all).
     pub is_shim: bool,
     /// In the measurement scope (`crates/bench`) where wall-clock reads
     /// are the point.

@@ -85,6 +85,23 @@ impl HbmConfig {
         Self { bytes_per_cycle: gb_per_s / clock_ghz, ..Self::default() }
     }
 
+    /// Rejects a config whose transfer cost is not a cycle count: a bad
+    /// bandwidth or efficiency saturates (then overflows) or zeroes the
+    /// data cycles, and `burst_bytes` and `row_bytes` are divisors.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        check_bandwidth(self.bytes_per_cycle, "sequential_efficiency", self.sequential_efficiency)?;
+        for (field, divisor) in [("burst_bytes", self.burst_bytes), ("row_bytes", self.row_bytes)] {
+            if divisor == 0 {
+                return Err(format!("{field} must be positive"));
+            }
+        }
+        Ok(())
+    }
+
     /// Cycles for one transfer of `bytes` useful bytes walked with
     /// `pattern`.
     pub fn cost(&self, bytes: usize, pattern: AccessPattern) -> u64 {
@@ -101,9 +118,6 @@ impl HbmConfig {
 
     /// Number of DRAM rows a transfer opens.
     fn rows_opened(&self, bytes: usize, pattern: AccessPattern) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
         match pattern {
             AccessPattern::Sequential => (bytes as u64).div_ceil(self.row_bytes as u64),
             AccessPattern::Strided { stride_bytes, elem_bytes } => {
@@ -138,6 +152,19 @@ impl HbmConfig {
             }
         }
     }
+}
+
+/// Rejects a `bytes_per_cycle` that is not finite and positive, and an
+/// efficiency derating (named `field`) outside `(0, 1]`.
+pub(crate) fn check_bandwidth(bytes_per_cycle: f64, field: &str, efficiency: f64) -> Result<(), String> {
+    // Written so NaN fails too: every comparison with NaN is false.
+    if !(bytes_per_cycle.is_finite() && bytes_per_cycle > 0.0) {
+        return Err(format!("bytes_per_cycle must be finite and positive, got {bytes_per_cycle}"));
+    }
+    if !(efficiency > 0.0 && efficiency <= 1.0) {
+        return Err(format!("{field} must lie in (0, 1], got {efficiency}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -199,6 +226,36 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn with_bandwidth_rejects_zero() {
         HbmConfig::with_bandwidth(0.0, 1.0);
+    }
+
+    fn rejected(cfg: HbmConfig, field: &str) -> bool {
+        cfg.validate().is_err_and(|err| err.starts_with(field))
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_or_non_positive_bandwidth() {
+        for bytes_per_cycle in [0.0, -256.0, f64::NAN, f64::INFINITY] {
+            assert!(rejected(HbmConfig { bytes_per_cycle, ..Default::default() }, "bytes_per_cycle"));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_efficiency_outside_unit_interval() {
+        for sequential_efficiency in [0.0, 1.5, f64::NAN] {
+            let cfg = HbmConfig { sequential_efficiency, ..Default::default() };
+            assert!(rejected(cfg, "sequential_efficiency"));
+        }
+        assert!(HbmConfig { sequential_efficiency: 1.0, ..Default::default() }.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_zero_burst_bytes() {
+        assert!(rejected(HbmConfig { burst_bytes: 0, ..Default::default() }, "burst_bytes"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_row_bytes() {
+        assert!(rejected(HbmConfig { row_bytes: 0, ..Default::default() }, "row_bytes"));
     }
 
     #[test]

@@ -119,14 +119,7 @@ impl HostLinkConfig {
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        // Written so NaN fails too: every comparison with NaN is false.
-        if !(self.bytes_per_cycle.is_finite() && self.bytes_per_cycle > 0.0) {
-            return Err(format!("bytes_per_cycle must be finite and positive, got {}", self.bytes_per_cycle));
-        }
-        if !(self.efficiency > 0.0 && self.efficiency <= 1.0) {
-            return Err(format!("efficiency must lie in (0, 1], got {}", self.efficiency));
-        }
-        Ok(())
+        crate::hbm::check_bandwidth(self.bytes_per_cycle, "efficiency", self.efficiency)
     }
 }
 
