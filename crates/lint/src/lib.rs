@@ -10,8 +10,8 @@
 //!
 //! The pass is offline and zero-dependency: its own lightweight Rust
 //! lexer ([`lexer`] — comment-, string- and attribute-aware), its own
-//! TOML subset for the ratchet baseline ([`ratchet`]) and its own JSON
-//! writer for `--json` output. Rules ([`rules::RULES`]):
+//! TOML subset for the ratchet baseline ([`ratchet`]). Rules
+//! ([`rules::RULES`]):
 //!
 //! | rule | guards |
 //! |---|---|
@@ -85,7 +85,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceLint> {
                 path: RATCHET_FILE.into(),
                 line: 0,
                 message: format!("unparseable baseline: {err}"),
-                suggestion: None,
             }),
         },
         Err(_) => out.violations.push(Violation {
@@ -96,7 +95,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceLint> {
                 "missing {RATCHET_FILE} at the workspace root; generate it with \
                  `cargo run -p veda-lint -- --write-ratchet` and commit it"
             ),
-            suggestion: None,
         }),
     }
     sort_violations(&mut out.violations);
@@ -126,80 +124,4 @@ pub fn lint_str(source: &str, ctx: &FileContext) -> Vec<Violation> {
 
 fn sort_violations(violations: &mut [Violation]) {
     violations.sort_by(|a, b| a.path.cmp(&b.path).then(a.line.cmp(&b.line)).then(a.rule.cmp(b.rule)));
-}
-
-/// Render violations as a JSON document (stable field order; the
-/// linter's own writer, no serde).
-pub fn to_json(lint: &WorkspaceLint) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"files_scanned\": {},\n", lint.files_scanned));
-    s.push_str(&format!("  \"clean\": {},\n", lint.is_clean()));
-    s.push_str("  \"violations\": [");
-    for (i, v) in lint.violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}}}",
-            json_str(v.rule),
-            json_str(&v.path),
-            v.line,
-            json_str(&v.message)
-        ));
-    }
-    s.push_str(if lint.violations.is_empty() { "],\n" } else { "\n  ],\n" });
-    s.push_str("  \"ratchet\": {");
-    for (i, (name, c)) in lint.counts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let fields: Vec<String> = c.entries().iter().map(|(key, n)| format!("\"{key}\": {n}")).collect();
-        s.push_str(&format!("\n    {}: {{{}}}", json_str(name), fields.join(", ")));
-    }
-    s.push_str(if lint.counts.is_empty() { "}\n" } else { "\n  }\n" });
-    s.push_str("}\n");
-    s
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let lint = WorkspaceLint {
-            violations: vec![Violation {
-                rule: rules::NO_WALL_CLOCK,
-                path: "a \"b\"".into(),
-                line: 3,
-                message: "tab\there".into(),
-                suggestion: None,
-            }],
-            improvements: Vec::new(),
-            files_scanned: 1,
-            counts: BTreeMap::new(),
-        };
-        let json = to_json(&lint);
-        assert!(json.contains("\\\"b\\\""));
-        assert!(json.contains("tab\\there"));
-        assert!(json.contains("\"clean\": false"));
-    }
 }

@@ -1,13 +1,10 @@
 //! `veda-lint`: the determinism linter CLI.
 //!
 //! ```text
-//! veda-lint [--root PATH] [--json] [--fix] [--write-ratchet] [--quiet]
+//! veda-lint [--root PATH] [--write-ratchet]
 //! ```
 //!
-//! * default: human-readable report, exit 1 on any violation;
-//! * `--json`: machine-readable report on stdout;
-//! * `--fix`: print unified-diff *suggestions* for the mechanical rules
-//!   (collection swaps, hygiene headers) — nothing is modified;
+//! * default: one line per violation, exit 1 on any;
 //! * `--write-ratchet`: measure the live tree and rewrite
 //!   `lint-ratchet.toml` (review the diff before committing);
 //! * `--root PATH`: workspace root (default: walk up from the cwd).
@@ -21,25 +18,19 @@ use std::process::ExitCode;
 use veda_lint::ratchet::{Ratchet, RATCHET_FILE};
 use veda_lint::rules::RULES;
 use veda_lint::workspace::find_root;
-use veda_lint::{lint_files, lint_workspace, to_json};
+use veda_lint::{lint_files, lint_workspace};
 
 struct Args {
     root: Option<PathBuf>,
-    json: bool,
-    fix: bool,
     write_ratchet: bool,
-    quiet: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { root: None, json: false, fix: false, write_ratchet: false, quiet: false };
+    let mut args = Args { root: None, write_ratchet: false };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => args.json = true,
-            "--fix" => args.fix = true,
             "--write-ratchet" => args.write_ratchet = true,
-            "--quiet" | "-q" => args.quiet = true,
             "--root" => {
                 let v = it.next().ok_or("--root needs a path")?;
                 args.root = Some(PathBuf::from(v));
@@ -57,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
 fn print_help() {
     println!(
         "veda-lint: workspace determinism linter\n\n\
-         USAGE: veda-lint [--root PATH] [--json] [--fix] [--write-ratchet] [--quiet]\n\n\
+         USAGE: veda-lint [--root PATH] [--write-ratchet]\n\n\
          Enforces the determinism invariants at the source level. Rules:"
     );
     for rule in RULES {
@@ -99,14 +90,12 @@ fn main() -> ExitCode {
             eprintln!("veda-lint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        if !args.quiet {
-            println!(
-                "wrote {} ({} crates, {} files scanned) — review the diff before committing",
-                path.display(),
-                lint.counts.len(),
-                lint.files_scanned
-            );
-        }
+        println!(
+            "wrote {} ({} crates, {} files scanned) — review the diff before committing",
+            path.display(),
+            lint.counts.len(),
+            lint.files_scanned
+        );
         return ExitCode::SUCCESS;
     }
 
@@ -118,34 +107,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.json {
-        print!("{}", to_json(&lint));
-        return if lint.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    if args.fix {
-        let mut suggested = 0usize;
-        for v in &lint.violations {
-            let Some(s) = &v.suggestion else { continue };
-            suggested += 1;
-            println!("--- {}:{}", v.path, s.line);
-            println!("+++ {}:{} (suggested)", v.path, s.line);
-            if let Some(before) = &s.before {
-                println!("-{before}");
-            }
-            println!("+{}", s.after);
-        }
-        if !args.quiet {
-            eprintln!(
-                "{} mechanical suggestion(s) printed (nothing was modified); \
-                 {} violation(s) total",
-                suggested,
-                lint.violations.len()
-            );
-        }
-        return if lint.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
     for v in &lint.violations {
         if v.line > 0 {
             println!("{}:{}: [{}] {}", v.path, v.line, v.rule, v.message);
@@ -153,25 +114,18 @@ fn main() -> ExitCode {
             println!("{}: [{}] {}", v.path, v.rule, v.message);
         }
     }
-    if !args.quiet {
-        for note in &lint.improvements {
-            eprintln!("note: {note}");
-        }
-        if lint.is_clean() {
-            eprintln!(
-                "veda-lint: clean — {} files, {} crates ratcheted",
-                lint.files_scanned,
-                lint.counts.len()
-            );
-        } else {
-            eprintln!(
-                "veda-lint: {} violation(s) across {} files (run with --fix for \
-                 mechanical suggestions; see docs/ARCHITECTURE.md \
-                 \"Statically enforced invariants\")",
-                lint.violations.len(),
-                lint.files_scanned
-            );
-        }
+    for note in &lint.improvements {
+        eprintln!("note: {note}");
+    }
+    if lint.is_clean() {
+        eprintln!("veda-lint: clean — {} files, {} crates ratcheted", lint.files_scanned, lint.counts.len());
+    } else {
+        eprintln!(
+            "veda-lint: {} violation(s) across {} files (see docs/ARCHITECTURE.md \
+             \"Statically enforced invariants\")",
+            lint.violations.len(),
+            lint.files_scanned
+        );
     }
     if lint.is_clean() {
         ExitCode::SUCCESS

@@ -97,7 +97,6 @@ impl Ratchet {
                 message: format!(
                     "section `[{name}]` names no workspace crate; remove it with --write-ratchet"
                 ),
-                suggestion: None,
             })
             .collect();
         let mut improvements = Vec::new();
@@ -116,7 +115,6 @@ impl Ratchet {
                             now.total(),
                             now.pub_items
                         ),
-                        suggestion: None,
                     });
                 }
                 continue;
@@ -142,13 +140,7 @@ impl Ratchet {
                             ),
                         )
                     };
-                    violations.push(Violation {
-                        rule,
-                        path: name.clone(),
-                        line: 0,
-                        message,
-                        suggestion: None,
-                    });
+                    violations.push(Violation { rule, path: name.clone(), line: 0, message });
                 } else if now_n < base_n {
                     improvements
                         .push(format!("{name}: {kind} shrank {base_n} → {now_n} (re-baseline to lock in)"));

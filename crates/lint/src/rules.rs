@@ -28,7 +28,7 @@ pub(crate) const PUB_SURFACE: &str = "pub-surface";
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 
 /// Static description of one rule: name, the invariant it guards, and a
-/// one-line rationale (shown in `--json` output and the docs table).
+/// one-line rationale (the table in `docs/ARCHITECTURE.md` mirrors it).
 pub struct RuleInfo {
     /// Kebab-case rule name (what `lint:allow(...)` takes).
     pub name: &'static str,
@@ -114,21 +114,6 @@ pub struct Violation {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// Machine-applicable single-line replacement, when the fix is
-    /// mechanical (R1 collection swaps; R5 header insertion).
-    pub suggestion: Option<Suggestion>,
-}
-
-/// A mechanical fix suggestion rendered by `veda-lint --fix` as a diff.
-#[derive(Debug, Clone)]
-pub struct Suggestion {
-    /// 1-indexed line to replace (or insert before, when `before` is
-    /// `None`).
-    pub line: u32,
-    /// The current line text (`None` = pure insertion).
-    pub before: Option<String>,
-    /// The replacement (or inserted) line text.
-    pub after: String,
 }
 
 /// What the ratchet counts in one file or one crate's non-test library
@@ -205,7 +190,7 @@ const PUB_ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "c
 
 /// Identifiers whose appearance inside a worker region means
 /// trace machinery crossed into a worker.
-const TRACE_TOKENS: &[&str] = &["Tracer", "TraceSink", "TraceEvent", "SinkHandle", "RecordingSink", "tracer"];
+const TRACE_TOKENS: &[&str] = &["Tracer", "TraceEvent", "SinkHandle", "RecordingSink", "tracer"];
 
 /// Method names that emit trace events (flagged inside worker regions
 /// when called, i.e. preceded by `.`).
@@ -249,7 +234,6 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                          (invariants #1/#2); use `{}`",
                         t.text, to
                     ),
-                    suggestion: suggest_line_swap(source, t.line),
                 });
             }
         }
@@ -271,7 +255,6 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                          never reach the virtual-clock planes (invariant #1)",
                         t.text
                     ),
-                    suggestion: None,
                 });
             }
         }
@@ -301,7 +284,6 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                      kernel (e.g. `stats::sum`) or justify with lint:allow",
                     t.text
                 ),
-                suggestion: None,
             });
         }
     }
@@ -329,7 +311,6 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                              thread-invariant (invariant #8)",
                             t.text
                         ),
-                        suggestion: None,
                     });
                 }
             }
@@ -348,11 +329,6 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> FileLint {
                     path: ctx.path.clone(),
                     line: 0,
                     message: format!("library crate root is missing `{attr}`"),
-                    suggestion: Some(Suggestion {
-                        line: first_code_line(tokens),
-                        before: None,
-                        after: attr.to_string(),
-                    }),
                 });
             }
         }
@@ -596,27 +572,6 @@ fn has_inner_attr(tokens: &[Token], frag: &str) -> bool {
     false
 }
 
-/// First line holding a non-doc token — where R5's insertion suggestion
-/// points.
-fn first_code_line(tokens: &[Token]) -> u32 {
-    tokens.first().map_or(1, |t| t.line)
-}
-
-/// Build an R1 fix suggestion by swapping the collection names on the
-/// violating line.
-fn suggest_line_swap(source: &str, line: u32) -> Option<Suggestion> {
-    let before = source.lines().nth(line as usize - 1)?;
-    let after = before
-        .replace("HashMap", "BTreeMap")
-        .replace("HashSet", "BTreeSet")
-        .replace("hash_map", "btree_map")
-        .replace("hash_set", "btree_set");
-    if after == before {
-        return None;
-    }
-    Some(Suggestion { line, before: Some(before.to_string()), after })
-}
-
 /// Filter `raw` through the file's allow directives and audit the
 /// directives themselves (`allow-hygiene`).
 fn apply_allows(raw: Vec<Violation>, lexed: &Lexed, ctx: &FileContext) -> Vec<Violation> {
@@ -658,7 +613,6 @@ fn audit_allow(allow: &AllowDirective, used: bool, ctx: &FileContext, out: &mut 
             message: "malformed lint:allow directive: expected \
                       `lint:allow(rule-name): reason`"
                 .into(),
-            suggestion: None,
         });
         return;
     }
@@ -669,7 +623,6 @@ fn audit_allow(allow: &AllowDirective, used: bool, ctx: &FileContext, out: &mut 
                 path: ctx.path.clone(),
                 line: allow.line,
                 message: format!("lint:allow names unknown rule `{rule}`"),
-                suggestion: None,
             });
         }
     }
@@ -681,7 +634,6 @@ fn audit_allow(allow: &AllowDirective, used: bool, ctx: &FileContext, out: &mut 
             message: "lint:allow without a reason: every escape hatch must \
                       say why (`lint:allow(rule): reason`)"
                 .into(),
-            suggestion: None,
         });
     }
     if !used && allow.rules.iter().all(|r| is_known_rule(r)) {
@@ -694,7 +646,6 @@ fn audit_allow(allow: &AllowDirective, used: bool, ctx: &FileContext, out: &mut 
                  next line — remove it",
                 allow.rules.join(", ")
             ),
-            suggestion: None,
         });
     }
 }
@@ -712,13 +663,8 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_in_library_fires_r1_with_suggestion() {
-        let lint = lint_source("use std::collections::HashMap;\n", &lib_ctx());
-        assert_eq!(lint.violations.len(), 1);
-        let v = &lint.violations[0];
-        assert_eq!(v.rule, NO_HASH_COLLECTIONS);
-        let s = v.suggestion.as_ref().unwrap();
-        assert_eq!(s.after, "use std::collections::BTreeMap;");
+    fn hashmap_in_library_fires_r1() {
+        assert_eq!(rules_fired("use std::collections::HashMap;\n", &lib_ctx()), vec![NO_HASH_COLLECTIONS]);
     }
 
     #[test]

@@ -102,25 +102,13 @@ fn allow_hygiene_fixture_flags_unknown_unexplained_and_stale() {
 }
 
 #[test]
-fn fix_suggestions_rewrite_hash_collections_mechanically() {
-    let violations = lint_str(
-        &fixture(rules::NO_HASH_COLLECTIONS, "violate.rs"),
-        &context_for(rules::NO_HASH_COLLECTIONS),
-    );
-    let with_fix: Vec<_> = violations.iter().filter_map(|v| v.suggestion.as_ref()).collect();
-    assert!(!with_fix.is_empty(), "R1 must carry mechanical suggestions");
-    for s in with_fix {
-        assert!(s.after.contains("BTreeMap"), "{s:?}");
-        assert!(!s.after.contains("HashMap"), "{s:?}");
-    }
-}
-
-#[test]
-fn crate_hygiene_suggestions_insert_both_headers() {
+fn crate_hygiene_fixture_reports_both_headers_missing() {
     let violations =
         lint_str(&fixture(rules::CRATE_HYGIENE, "violate.rs"), &context_for(rules::CRATE_HYGIENE));
-    let suggested: Vec<_> =
-        violations.iter().filter_map(|v| v.suggestion.as_ref().map(|s| s.after.clone())).collect();
-    assert!(suggested.contains(&"#![forbid(unsafe_code)]".to_string()), "{suggested:?}");
-    assert!(suggested.contains(&"#![deny(missing_docs)]".to_string()), "{suggested:?}");
+    for header in ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"] {
+        assert!(
+            violations.iter().any(|v| v.message.contains(header)),
+            "{header} not reported: {violations:?}"
+        );
+    }
 }

@@ -64,9 +64,11 @@
 //! always present and every fault step no-ops identically on an empty
 //! plan.
 
+use std::collections::BTreeMap;
+
 use veda::Engine;
 use veda_mem::{HostLinkConfig, SwapDirection, TransferKind};
-use veda_telemetry::{MetricsRegistry, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind};
+use veda_telemetry::{log2_histogram, Json, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind};
 
 use crate::admission::AdmissionConfig;
 use crate::error::ServeError;
@@ -927,42 +929,102 @@ impl ClusterReport {
         StageSummaries::of(&self.waterfalls())
     }
 
-    /// Folds the run into one [`MetricsRegistry`]: every shard's
-    /// registry merged (counters add, histograms merge), the cluster-plane
-    /// counters that only exist between shards, and the three gauges
-    /// (`prefix_hit_rate`, `queue_depth_mean`, `tpot_mean_ticks`)
-    /// computed over the whole cluster.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        for shard in &self.shards {
-            m.merge(&shard.metrics());
+    /// The run's metrics document: `counters` summed over the shards plus
+    /// the cluster-plane counters that only exist between shards, three
+    /// `gauges` (`prefix_hit_rate`, `queue_depth_mean`, `tpot_mean_ticks`)
+    /// computed over the whole cluster, and log2-bucket latency
+    /// `histograms` (overall and per waterfall stage) of every shard's
+    /// completed requests together. Each section's keys are sorted;
+    /// `tpot_mean_ticks` and a histogram with no samples are left out.
+    pub fn metrics(&self) -> Json {
+        let sum = |f: fn(&ServingReport) -> u64| self.shards.iter().map(f).sum::<u64>();
+        let routed = self
+            .routed
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (format!("cluster_routed_shard_{i}"), Json::U64(n as u64)));
+        let counters = [
+            ("requests_submitted", sum(|s| s.submitted as u64)),
+            ("requests_admitted", sum(|s| s.admitted as u64)),
+            ("requests_completed", sum(|s| s.completed as u64)),
+            ("rejected_never_fits", sum(|s| s.rejected_never_fits as u64)),
+            ("rejected_queue_full", sum(|s| s.rejected_queue_full as u64)),
+            ("rejected_invalid", sum(|s| s.rejected_invalid as u64)),
+            ("preemptions", sum(|s| s.preemptions)),
+            ("resumes", sum(|s| s.resumes)),
+            ("swap_out_bytes", sum(|s| s.swap_out_bytes)),
+            ("swap_in_bytes", sum(|s| s.swap_in_bytes)),
+            ("swap_link_cycles", sum(|s| s.swap_cycles)),
+            ("swap_wait_ticks", sum(|s| s.swap_wait_ticks)),
+            ("requests_dead_lettered", sum(|s| s.dead_lettered() as u64)),
+            ("requests_shed", sum(|s| s.shed() as u64)),
+            ("request_retries", sum(ServingReport::retries)),
+            ("request_timeouts", sum(ServingReport::timeouts)),
+            ("ticks", sum(|s| s.ticks)),
+            ("decode_ticks", sum(|s| s.decode_ticks)),
+            ("generated_tokens", sum(|s| s.engine.total_tokens as u64)),
+            ("prefill_tokens", sum(|s| s.engine.prefill_tokens as u64)),
+            ("prefix_cache_hits", sum(|s| s.engine.prefix.hits)),
+            ("prefix_saved_tokens", sum(ServingReport::prefix_saved_tokens)),
+            ("prefix_evictions", sum(|s| s.engine.prefix.evictions)),
+            ("prefix_expiries", sum(|s| s.engine.prefix.expiries)),
+            ("prefix_spills", sum(|s| s.engine.prefix.spills)),
+            ("prefix_fills", sum(|s| s.engine.prefix.fills)),
+            ("prefix_spill_bytes", sum(|s| s.prefix_spill_bytes)),
+            ("prefix_fill_bytes", sum(|s| s.prefix_fill_bytes)),
+            ("prefix_transfer_cycles", sum(|s| s.prefix_transfer_cycles)),
+            ("kv_resident_peak_bytes", sum(|s| s.kv_resident_peak_bytes)),
+            ("kv_reserved_peak_bytes", sum(|s| s.kv_reserved_peak_bytes)),
+            ("capacity_bytes", sum(|s| s.capacity_bytes)),
+            ("cluster_migrations", self.migrations),
+            ("cluster_migration_bytes", self.migration_bytes),
+            ("cluster_migration_link_cycles", self.migration_cycles),
+            ("cluster_shard_downs", self.shard_downs),
+            ("cluster_shard_ups", self.shard_ups),
+            ("cluster_lost_sessions", self.lost_sessions),
+            ("cluster_retries", self.retries),
+            ("cluster_timeouts", self.timeouts),
+            ("cluster_dead_letters", self.dead_letters),
+            ("cluster_shed", self.shed),
+            ("cluster_alive_shard_ticks", self.alive_shard_ticks),
+            ("cluster_shard_ticks", self.shard_ticks),
+        ]
+        .map(|(name, n)| (name.to_string(), Json::U64(n)))
+        .into_iter()
+        .chain(routed);
+
+        let records = || self.shards.iter().flat_map(|s| &s.records);
+        let queue_depth = mean_queue_depth(self.shards.iter().map(|s| s.queue_depth.as_slice()));
+        let gauges = [
+            ("prefix_hit_rate", Some(self.prefix_hit_rate())),
+            ("queue_depth_mean", Some(queue_depth)),
+            ("tpot_mean_ticks", mean_tpot(records())),
+        ]
+        .into_iter()
+        .filter_map(|(name, x)| Some((name.to_string(), Json::F64(x?))));
+
+        let waterfalls = self.waterfalls();
+        let stage = |f: fn(&StageWaterfall) -> u64| log2_histogram(waterfalls.iter().map(f));
+        let histograms = [
+            ("ttft_ticks", log2_histogram(records().filter_map(RequestRecord::ttft))),
+            ("e2e_ticks", log2_histogram(records().filter_map(RequestRecord::e2e))),
+            ("stage_queueing_ticks", stage(|w| w.queueing)),
+            ("stage_prefill_ticks", stage(|w| w.prefill)),
+            ("stage_decode_ticks", stage(|w| w.decode)),
+            ("stage_swap_wait_ticks", stage(|w| w.swap_wait)),
+            ("stage_migration_wait_ticks", stage(|w| w.migration_wait)),
+        ]
+        .into_iter()
+        .filter_map(|(name, h)| Some((name.to_string(), h?)));
+
+        fn sorted(fields: impl Iterator<Item = (String, Json)>) -> Json {
+            Json::Obj(fields.collect::<BTreeMap<_, _>>().into_iter().collect())
         }
-        m.counter_add("cluster_migrations", self.migrations);
-        m.counter_add("cluster_migration_bytes", self.migration_bytes);
-        m.counter_add("cluster_migration_link_cycles", self.migration_cycles);
-        m.counter_add("cluster_shard_downs", self.shard_downs);
-        m.counter_add("cluster_shard_ups", self.shard_ups);
-        m.counter_add("cluster_lost_sessions", self.lost_sessions);
-        m.counter_add("cluster_retries", self.retries);
-        m.counter_add("cluster_timeouts", self.timeouts);
-        m.counter_add("cluster_dead_letters", self.dead_letters);
-        m.counter_add("cluster_shed", self.shed);
-        m.counter_add("cluster_alive_shard_ticks", self.alive_shard_ticks);
-        m.counter_add("cluster_shard_ticks", self.shard_ticks);
-        for (i, n) in self.routed.iter().enumerate() {
-            m.counter_add(&format!("cluster_routed_shard_{i}"), *n as u64);
-        }
-        // Gauges do not add up across shards (`merge` keeps the last
-        // shard's value), so set them from the whole cluster.
-        m.set_gauge("prefix_hit_rate", self.prefix_hit_rate());
-        m.set_gauge(
-            "queue_depth_mean",
-            mean_queue_depth(self.shards.iter().map(|s| s.queue_depth.as_slice())),
-        );
-        if let Some(tpot) = mean_tpot(self.shards.iter().flat_map(|s| &s.records)) {
-            m.set_gauge("tpot_mean_ticks", tpot);
-        }
-        m
+        Json::obj([
+            ("counters", sorted(counters)),
+            ("gauges", sorted(gauges)),
+            ("histograms", sorted(histograms)),
+        ])
     }
 
     /// Cluster-wide prefix-cache hits.

@@ -70,12 +70,12 @@
 //!   misconfiguration surfaces as a typed [`ServeError`] through
 //!   [`Cluster::try_new`].
 //! * **Observability** ([`veda_telemetry`], re-exported here) — an
-//!   optional [`TraceSink`] ([`ClusterConfig::trace`]) receives every
+//!   optional [`SinkHandle`] ([`ClusterConfig::trace`]) records every
 //!   request's typed lifecycle [`TraceEvent`]s; [`chrome_trace_json`]
 //!   renders them as a Perfetto-loadable Chrome trace, [`ServingReport::stages`] splits
 //!   each request's latency into a [`StageWaterfall`] (stages sum
-//!   exactly to e2e), and `ServingReport::metrics` folds a run into a
-//!   deterministic [`MetricsRegistry`]. Observation-only: no sink means
+//!   exactly to e2e), and [`ClusterReport::metrics`] folds a run into a
+//!   deterministic [`Json`] metrics document. Observation-only: no sink means
 //!   a byte-identical run, and the trace bytes themselves are
 //!   thread-invariant (determinism invariant #8).
 //!
@@ -129,7 +129,6 @@ pub use router::{ParseRouterKindError, RouterKind};
 pub use scheduler::{ParseSchedKindError, SchedKind, MAX_PREEMPTIONS};
 pub use shard::Shard;
 pub use veda_telemetry::{
-    chrome_trace_json, MetricsRegistry, RecordingSink, SinkHandle, StageWaterfall, TraceEvent,
-    TraceEventKind, TraceSink,
+    chrome_trace_json, Json, RecordingSink, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind,
 };
 pub use workload::{ArrivalKind, ParseArrivalKindError, RequestMix, ServingRequest, Workload};

@@ -1,7 +1,7 @@
 //! Per-request timing records and aggregate serving metrics.
 
 use veda::{EngineReport, Session};
-use veda_telemetry::{summarize, MetricsRegistry, StageWaterfall};
+use veda_telemetry::{summarize, StageWaterfall};
 
 use crate::admission::RejectReason;
 use crate::scheduler::SchedKind;
@@ -359,67 +359,6 @@ impl ServingReport {
     /// zero-completion run.
     pub fn stages(&self) -> Option<StageSummaries> {
         StageSummaries::of(&self.waterfalls())
-    }
-
-    /// Folds the run into a [`MetricsRegistry`]: lifecycle counters,
-    /// pressure gauges, and log2-bucket latency histograms (overall and
-    /// per waterfall stage). Deterministic: same report, same registry,
-    /// same [`MetricsRegistry::to_json`] bytes.
-    pub(crate) fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("requests_submitted", self.submitted as u64);
-        m.counter_add("requests_admitted", self.admitted as u64);
-        m.counter_add("requests_completed", self.completed as u64);
-        m.counter_add("rejected_never_fits", self.rejected_never_fits as u64);
-        m.counter_add("rejected_queue_full", self.rejected_queue_full as u64);
-        m.counter_add("rejected_invalid", self.rejected_invalid as u64);
-        m.counter_add("preemptions", self.preemptions);
-        m.counter_add("resumes", self.resumes);
-        m.counter_add("swap_out_bytes", self.swap_out_bytes);
-        m.counter_add("swap_in_bytes", self.swap_in_bytes);
-        m.counter_add("swap_link_cycles", self.swap_cycles);
-        m.counter_add("swap_wait_ticks", self.swap_wait_ticks);
-        m.counter_add("requests_dead_lettered", self.dead_lettered() as u64);
-        m.counter_add("requests_shed", self.shed() as u64);
-        m.counter_add("request_retries", self.retries());
-        m.counter_add("request_timeouts", self.timeouts());
-        m.counter_add("ticks", self.ticks);
-        m.counter_add("decode_ticks", self.decode_ticks);
-        m.counter_add("generated_tokens", self.engine.total_tokens as u64);
-        m.counter_add("prefill_tokens", self.engine.prefill_tokens as u64);
-        m.counter_add("prefix_cache_hits", self.engine.prefix.hits);
-        m.counter_add("prefix_saved_tokens", self.prefix_saved_tokens());
-        m.counter_add("prefix_evictions", self.engine.prefix.evictions);
-        m.counter_add("prefix_expiries", self.engine.prefix.expiries);
-        m.counter_add("prefix_spills", self.engine.prefix.spills);
-        m.counter_add("prefix_fills", self.engine.prefix.fills);
-        m.counter_add("prefix_spill_bytes", self.prefix_spill_bytes);
-        m.counter_add("prefix_fill_bytes", self.prefix_fill_bytes);
-        m.counter_add("prefix_transfer_cycles", self.prefix_transfer_cycles);
-        m.counter_add("kv_resident_peak_bytes", self.kv_resident_peak_bytes);
-        m.counter_add("kv_reserved_peak_bytes", self.kv_reserved_peak_bytes);
-        m.counter_add("capacity_bytes", self.capacity_bytes);
-        m.set_gauge("queue_depth_mean", self.queue_depth_mean());
-        m.set_gauge("prefix_hit_rate", self.prefix_hit_rate());
-        if let Some(tpot) = self.tpot_mean() {
-            m.set_gauge("tpot_mean_ticks", tpot);
-        }
-        for r in &self.records {
-            if let Some(v) = r.ttft() {
-                m.observe("ttft_ticks", v);
-            }
-            if let Some(v) = r.e2e() {
-                m.observe("e2e_ticks", v);
-            }
-            if let Some(w) = r.waterfall() {
-                m.observe("stage_queueing_ticks", w.queueing);
-                m.observe("stage_prefill_ticks", w.prefill);
-                m.observe("stage_decode_ticks", w.decode);
-                m.observe("stage_swap_wait_ticks", w.swap_wait);
-                m.observe("stage_migration_wait_ticks", w.migration_wait);
-            }
-        }
-        m
     }
 }
 

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use veda::{EngineBuilder, PrefixCacheConfig, Request};
 use veda_model::ModelConfig;
 use veda_serving::{
-    ArrivalKind, Cluster, ClusterConfig, ClusterReport, MigrationConfig, RequestMix, RouterKind, SchedKind,
-    ServingReport, ServingRequest, Workload,
+    ArrivalKind, Cluster, ClusterConfig, ClusterReport, Json, MigrationConfig, RequestMix, RouterKind,
+    SchedKind, ServingReport, ServingRequest, Workload,
 };
 
 fn engine() -> veda::Engine {
@@ -311,13 +311,6 @@ fn cluster_report_display_shows_the_cluster_plane() {
     }
 }
 
-/// The number `MetricsRegistry::to_json` printed for gauge `name`.
-fn gauge(json: &str, name: &str) -> String {
-    let key = format!("\"{name}\": ");
-    let start = json.find(&key).unwrap_or_else(|| panic!("gauge {name} missing from {json}")) + key.len();
-    json[start..].split([',', '\n']).next().expect("a value follows the key").to_string()
-}
-
 #[test]
 fn cluster_metrics_gauges_cover_every_shard() {
     // Round-robin scatters three prefix groups over two shards, so the
@@ -346,12 +339,13 @@ fn cluster_metrics_gauges_cover_every_shard() {
     let shard_rates: Vec<f64> = report.shards.iter().map(|s| s.engine.prefix.hit_rate()).collect();
     assert_ne!(shard_rates[0], shard_rates[1], "the shards must disagree for this test to discriminate");
 
-    let json = report.metrics().to_json();
-    assert_eq!(gauge(&json, "prefix_hit_rate"), format!("{:.6}", report.prefix_hit_rate()));
+    let doc = Json::parse(&report.metrics().to_string()).expect("the metrics document parses");
+    let gauge = |name: &str| doc.get("gauges").and_then(|g| g.get(name)).cloned();
+    assert_eq!(gauge("prefix_hit_rate"), Some(Json::F64(report.prefix_hit_rate())));
 
     let depths: Vec<usize> = report.shards.iter().flat_map(|s| s.queue_depth.iter().copied()).collect();
     let depth_mean = depths.iter().sum::<usize>() as f64 / depths.len() as f64;
-    assert_eq!(gauge(&json, "queue_depth_mean"), format!("{depth_mean:.6}"));
+    assert_eq!(gauge("queue_depth_mean"), Some(Json::F64(depth_mean)));
 
     let tpots: Vec<f64> = report
         .shards
@@ -361,5 +355,5 @@ fn cluster_metrics_gauges_cover_every_shard() {
         .filter_map(|r| Some((r.finished? - r.first_token?) as f64 / (r.generated_tokens - 1) as f64))
         .collect();
     let tpot_mean = tpots.iter().sum::<f64>() / tpots.len() as f64;
-    assert_eq!(gauge(&json, "tpot_mean_ticks"), format!("{tpot_mean:.6}"));
+    assert_eq!(gauge("tpot_mean_ticks"), Some(Json::F64(tpot_mean)));
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use veda::EngineBuilder;
 use veda_model::ModelConfig;
 use veda_serving::{
-    chrome_trace_json, Cluster, ClusterConfig, MigrationConfig, RecordingSink, RequestMix, RouterKind,
+    chrome_trace_json, Cluster, ClusterConfig, Json, MigrationConfig, RecordingSink, RequestMix, RouterKind,
     SchedKind, ServingReport, SinkHandle, TraceEvent, TraceEventKind, Workload,
 };
 
@@ -121,7 +121,7 @@ fn cluster_trace_bytes_identical_across_thread_counts() {
 fn chrome_export_is_valid_and_complete() {
     let (report, events) = run_cluster_trace(19, 2, 14, 1, true);
     let json = chrome_trace_json(&events);
-    veda_telemetry::json::validate(&json).expect("chrome trace must be valid JSON");
+    Json::parse(&json).expect("chrome trace must be valid JSON");
     let tracks = json.matches("\"process_name\"").count();
     assert_eq!(tracks, 2, "one process-name metadata record per shard");
     let finished = events.iter().filter(|e| matches!(e.kind, TraceEventKind::Finished { .. })).count();
@@ -159,7 +159,7 @@ fn zero_completion_run_exports_cleanly() {
     let (report, events) = run_one_shard(5, 0.5, 6, 0, SchedKind::Fcfs, 1, true);
     assert_eq!(report.completed, 0);
     assert!(report.stages().is_none(), "no stages on a zero-completion run");
-    veda_telemetry::json::validate(&chrome_trace_json(&events)).expect("valid JSON");
+    Json::parse(&chrome_trace_json(&events)).expect("valid JSON");
     let submitted = events.iter().filter(|e| matches!(e.kind, TraceEventKind::Submitted { .. })).count();
     assert_eq!(submitted, report.submitted);
 }

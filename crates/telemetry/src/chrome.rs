@@ -4,7 +4,10 @@
 //! request (`tid` = request id), duration spans (`"ph":"B"`/`"E"`) for
 //! the lifecycle stages (queued → prefill → decode, interrupted by
 //! swap-wait / migration-wait spans), and instants for point events
-//! (submitted, rejected, swap-out, prefill chunks, finished).
+//! (submitted, rejected, swap-out, prefill chunks, finished). The
+//! events that belong to no request — a shard going down or up, a
+//! prefix-cache entry expiring — are process-scoped instants on their
+//! shard, with no thread lane.
 //! Timestamps are the virtual tick rendered as microseconds, so one
 //! tick = 1µs on the Perfetto timeline. A migrated request's wait span
 //! closes on the source shard and its resumed stage opens on the
@@ -17,6 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::event::{TraceEvent, TraceEventKind};
+use crate::json::Json;
 
 /// An open duration span on some request's track.
 struct Open {
@@ -24,35 +28,51 @@ struct Open {
     pid: u32,
 }
 
-fn begin(parts: &mut Vec<String>, stage: &str, pid: u32, tid: u64, ts: u64, cycles: u64) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"name\": \"{stage}\", \"cat\": \"request\", \"ph\": \"B\", \"ts\": {ts}, \
-         \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"cycles\": {cycles}}}}}"
-    );
-    parts.push(s);
-    stage.to_string()
+/// Append one event of the `traceEvents` array, one line each.
+fn push(out: &mut String, event: Json) {
+    let _ = writeln!(out, "  {event},");
 }
 
-fn end(parts: &mut Vec<String>, stage: &str, pid: u32, tid: u64, ts: u64) {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"name\": \"{stage}\", \"cat\": \"request\", \"ph\": \"E\", \"ts\": {ts}, \
-         \"pid\": {pid}, \"tid\": {tid}}}"
-    );
-    parts.push(s);
+/// Where an event lands: shard `pid`, request `tid`, tick `ts`.
+type At = (u32, u64, u64);
+
+/// An event on request `tid`'s lane of shard `pid`: a span edge (`B`,
+/// `E`) or an instant (`i`, thread-scoped).
+fn lane(out: &mut String, name: &str, ph: &str, (pid, tid, ts): At, args: Option<Json>) {
+    let fields = [("name", name.into()), ("cat", "request".into()), ("ph", ph.into())]
+        .into_iter()
+        .chain((ph == "i").then(|| ("s", "t".into())))
+        .chain([("ts", ts.into()), ("pid", pid.into()), ("tid", tid.into())])
+        .chain(args.map(|args| ("args", args)));
+    push(out, Json::obj(fields));
 }
 
-fn instant(parts: &mut Vec<String>, name: &str, pid: u32, tid: u64, ts: u64, args: &str) {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"name\": \"{name}\", \"cat\": \"request\", \"ph\": \"i\", \"s\": \"t\", \
-         \"ts\": {ts}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{{args}}}}}"
+fn begin(out: &mut String, stage: &str, at: At, cycles: u64) {
+    lane(out, stage, "B", at, Some(Json::obj([("cycles", cycles.into())])));
+}
+
+fn end(out: &mut String, stage: &str, at: At) {
+    lane(out, stage, "E", at, None);
+}
+
+fn instant<const N: usize>(out: &mut String, name: &str, at: At, args: [(&str, Json); N]) {
+    lane(out, name, "i", at, Some(Json::obj(args)));
+}
+
+/// An instant on shard `pid` as a whole.
+fn process_instant(out: &mut String, name: &str, pid: u32, ts: u64, args: [(&str, Json); 1]) {
+    push(
+        out,
+        Json::obj([
+            ("name", name.into()),
+            ("cat", "shard".into()),
+            ("ph", "i".into()),
+            ("s", "p".into()),
+            ("ts", ts.into()),
+            ("pid", pid.into()),
+            ("args", Json::obj(args)),
+        ]),
     );
-    parts.push(s);
 }
 
 /// Render an event stream as a complete Chrome trace-event JSON
@@ -60,7 +80,7 @@ fn instant(parts: &mut Vec<String>, name: &str, pid: u32, tid: u64, ts: u64, arg
 /// strings. Spans left open by a truncated run are closed at the
 /// largest observed timestamp so the file always loads.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut parts: Vec<String> = Vec::new();
+    let mut body = String::new();
     let mut open: BTreeMap<u64, Open> = BTreeMap::new();
     let mut resume: BTreeMap<u64, &'static str> = BTreeMap::new();
     let mut shards: BTreeSet<u32> = BTreeSet::new();
@@ -68,9 +88,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut max_ts = 0u64;
 
     // Close the request's open span, remembering its stage for resume.
-    let close = |parts: &mut Vec<String>, open: &mut BTreeMap<u64, Open>, req: u64, ts: u64| {
+    let close = |body: &mut String, open: &mut BTreeMap<u64, Open>, req: u64, ts: u64| {
         if let Some(o) = open.remove(&req) {
-            end(parts, o.stage, o.pid, req, ts);
+            end(body, o.stage, (o.pid, req, ts));
             o.stage
         } else {
             "decode"
@@ -79,38 +99,40 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 
     for ev in events {
         let (ts, pid, req, cyc) = (ev.tick, ev.shard, ev.request, ev.cycles);
+        let at = (pid, req, ts);
         shards.insert(pid);
-        tracks.insert((pid, req));
         max_ts = max_ts.max(ts);
+        let body = &mut body;
         match ev.kind {
             TraceEventKind::Submitted { prompt_tokens, max_new_tokens, priority } => {
-                let args = format!(
-                    "\"prompt_tokens\": {prompt_tokens}, \"max_new_tokens\": {max_new_tokens}, \
-                     \"priority\": {priority}"
-                );
-                instant(&mut parts, "submitted", pid, req, ts, &args);
+                let args = [
+                    ("prompt_tokens", prompt_tokens.into()),
+                    ("max_new_tokens", max_new_tokens.into()),
+                    ("priority", priority.into()),
+                ];
+                instant(body, "submitted", at, args);
             }
             TraceEventKind::Queued => {
-                begin(&mut parts, "queued", pid, req, ts, cyc);
+                begin(body, "queued", at, cyc);
                 open.insert(req, Open { stage: "queued", pid });
             }
             TraceEventKind::Admitted { est_bytes } => {
-                close(&mut parts, &mut open, req, ts);
-                instant(&mut parts, "admitted", pid, req, ts, &format!("\"est_bytes\": {est_bytes}"));
-                begin(&mut parts, "prefill", pid, req, ts, cyc);
+                close(body, &mut open, req, ts);
+                instant(body, "admitted", at, [("est_bytes", est_bytes.into())]);
+                begin(body, "prefill", at, cyc);
                 open.insert(req, Open { stage: "prefill", pid });
             }
             TraceEventKind::Rejected { reason } => {
-                close(&mut parts, &mut open, req, ts);
-                instant(&mut parts, "rejected", pid, req, ts, &format!("\"reason\": \"{reason}\""));
+                close(body, &mut open, req, ts);
+                instant(body, "rejected", at, [("reason", reason.into())]);
             }
             TraceEventKind::PrefillChunk { tokens, remaining } => {
-                let args = format!("\"tokens\": {tokens}, \"remaining\": {remaining}");
-                instant(&mut parts, "prefill chunk", pid, req, ts, &args);
+                let args = [("tokens", tokens.into()), ("remaining", remaining.into())];
+                instant(body, "prefill chunk", at, args);
             }
             TraceEventKind::FirstToken => {
-                close(&mut parts, &mut open, req, ts);
-                begin(&mut parts, "decode", pid, req, ts, cyc);
+                close(body, &mut open, req, ts);
+                begin(body, "decode", at, cyc);
                 open.insert(req, Open { stage: "decode", pid });
             }
             TraceEventKind::DecodeTick { .. } => {
@@ -118,43 +140,42 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 // decode span plus Finished's token count carry the story.
             }
             TraceEventKind::Preempted => {
-                let was = close(&mut parts, &mut open, req, ts);
+                let was = close(body, &mut open, req, ts);
                 resume.insert(req, was);
-                begin(&mut parts, "swap wait", pid, req, ts, cyc);
+                begin(body, "swap wait", at, cyc);
                 open.insert(req, Open { stage: "swap wait", pid });
             }
             TraceEventKind::SwapOutStart { bytes } => {
-                instant(&mut parts, "swap out", pid, req, ts, &format!("\"bytes\": {bytes}"));
+                instant(body, "swap out", at, [("bytes", bytes.into())]);
             }
             TraceEventKind::SwapInComplete { wait_ticks } => {
-                close(&mut parts, &mut open, req, ts);
-                instant(&mut parts, "swap in", pid, req, ts, &format!("\"wait_ticks\": {wait_ticks}"));
+                close(body, &mut open, req, ts);
+                instant(body, "swap in", at, [("wait_ticks", wait_ticks.into())]);
                 let stage = resume.remove(&req).unwrap_or("decode");
-                begin(&mut parts, stage, pid, req, ts, cyc);
+                begin(body, stage, at, cyc);
                 open.insert(req, Open { stage, pid });
             }
             TraceEventKind::MigrationStart { to_shard, bytes } => {
-                let was = close(&mut parts, &mut open, req, ts);
+                let was = close(body, &mut open, req, ts);
                 resume.insert(req, was);
-                let args = format!("\"to_shard\": {to_shard}, \"bytes\": {bytes}");
-                instant(&mut parts, "migration out", pid, req, ts, &args);
-                begin(&mut parts, "migration wait", pid, req, ts, cyc);
+                let args = [("to_shard", to_shard.into()), ("bytes", bytes.into())];
+                instant(body, "migration out", at, args);
+                begin(body, "migration wait", at, cyc);
                 open.insert(req, Open { stage: "migration wait", pid });
             }
             TraceEventKind::MigrationLand { from_shard, wait_ticks } => {
                 // The wait span closes on the *source* pid it opened on;
                 // the resumed stage opens on the destination pid.
-                close(&mut parts, &mut open, req, ts);
-                let args = format!("\"from_shard\": {from_shard}, \"wait_ticks\": {wait_ticks}");
-                instant(&mut parts, "migration land", pid, req, ts, &args);
+                close(body, &mut open, req, ts);
+                let args = [("from_shard", from_shard.into()), ("wait_ticks", wait_ticks.into())];
+                instant(body, "migration land", at, args);
                 let stage = resume.remove(&req).unwrap_or("decode");
-                begin(&mut parts, stage, pid, req, ts, cyc);
+                begin(body, stage, at, cyc);
                 open.insert(req, Open { stage, pid });
             }
             TraceEventKind::Finished { generated_tokens } => {
-                close(&mut parts, &mut open, req, ts);
-                let args = format!("\"generated_tokens\": {generated_tokens}");
-                instant(&mut parts, "finished", pid, req, ts, &args);
+                close(body, &mut open, req, ts);
+                instant(body, "finished", at, [("generated_tokens", generated_tokens.into())]);
             }
             TraceEventKind::Paused
             | TraceEventKind::Resumed
@@ -163,86 +184,84 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 // Engine-internal; the serving-level events above already
                 // draw the corresponding spans.
             }
+            // `req` carries a shard id or a cache entry id for the next
+            // three, not a request: they skip the lane bookkeeping below.
             TraceEventKind::ShardDown { lost } => {
-                // Cluster-plane event: `req` carries the shard id, so it
-                // lands on a dedicated per-shard track.
-                instant(&mut parts, "shard down", pid, req, ts, &format!("\"lost\": {lost}"));
+                process_instant(body, "shard down", pid, ts, [("lost", lost.into())]);
+                continue;
             }
             TraceEventKind::ShardUp { down_ticks } => {
-                instant(&mut parts, "shard up", pid, req, ts, &format!("\"down_ticks\": {down_ticks}"));
+                process_instant(body, "shard up", pid, ts, [("down_ticks", down_ticks.into())]);
+                continue;
+            }
+            TraceEventKind::PrefixExpired { bytes } => {
+                process_instant(body, "prefix expired", pid, ts, [("bytes", bytes.into())]);
+                continue;
             }
             TraceEventKind::TimedOut { deadline } => {
-                close(&mut parts, &mut open, req, ts);
+                close(body, &mut open, req, ts);
                 resume.remove(&req);
-                instant(&mut parts, "timed out", pid, req, ts, &format!("\"deadline\": \"{deadline}\""));
+                instant(body, "timed out", at, [("deadline", deadline.into())]);
             }
             TraceEventKind::Retried { attempt } => {
                 // The lost attempt's span ends here (a timeout already
                 // closed it); the retry's `Queued` opens the next one.
-                close(&mut parts, &mut open, req, ts);
+                close(body, &mut open, req, ts);
                 resume.remove(&req);
-                instant(&mut parts, "retried", pid, req, ts, &format!("\"attempt\": {attempt}"));
+                instant(body, "retried", at, [("attempt", attempt.into())]);
             }
             TraceEventKind::Shed => {
-                close(&mut parts, &mut open, req, ts);
+                close(body, &mut open, req, ts);
                 resume.remove(&req);
-                instant(&mut parts, "shed", pid, req, ts, "");
+                instant(body, "shed", at, []);
             }
             TraceEventKind::DeadLetter { attempts } => {
-                close(&mut parts, &mut open, req, ts);
+                close(body, &mut open, req, ts);
                 resume.remove(&req);
-                instant(&mut parts, "dead letter", pid, req, ts, &format!("\"attempts\": {attempts}"));
+                instant(body, "dead letter", at, [("attempts", attempts.into())]);
             }
             TraceEventKind::Recovered { recovery_ticks } => {
-                let args = format!("\"recovery_ticks\": {recovery_ticks}");
-                instant(&mut parts, "recovered", pid, req, ts, &args);
+                instant(body, "recovered", at, [("recovery_ticks", recovery_ticks.into())]);
             }
             TraceEventKind::PrefixSpill { bytes } => {
-                instant(&mut parts, "prefix spill", pid, req, ts, &format!("\"bytes\": {bytes}"));
+                instant(body, "prefix spill", at, [("bytes", bytes.into())]);
             }
             TraceEventKind::PrefixFill { bytes } => {
-                instant(&mut parts, "prefix fill", pid, req, ts, &format!("\"bytes\": {bytes}"));
-            }
-            TraceEventKind::PrefixExpired { bytes } => {
-                // `req` carries the cache entry id, not a request id; the
-                // instant still lands on a per-id track on the shard.
-                instant(&mut parts, "prefix expired", pid, req, ts, &format!("\"bytes\": {bytes}"));
+                instant(body, "prefix fill", at, [("bytes", bytes.into())]);
             }
         }
+        tracks.insert((pid, req));
     }
 
     // A truncated run can leave spans open; close them so the file loads.
     for (req, o) in &open {
-        end(&mut parts, o.stage, o.pid, *req, max_ts);
-    }
-
-    let mut meta: Vec<String> = Vec::new();
-    for &pid in &shards {
-        meta.push(format!(
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \
-             \"args\": {{\"name\": \"shard {pid}\"}}}}"
-        ));
-        meta.push(format!(
-            "{{\"name\": \"process_sort_index\", \"ph\": \"M\", \"pid\": {pid}, \
-             \"args\": {{\"sort_index\": {pid}}}}}"
-        ));
-    }
-    for &(pid, tid) in &tracks {
-        meta.push(format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"args\": {{\"name\": \"request {tid}\"}}}}"
-        ));
+        end(&mut body, o.stage, (o.pid, *req, max_ts));
     }
 
     let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
-    for part in meta.iter().chain(parts.iter()) {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(part);
+    for &pid in &shards {
+        let meta = |name: &str, args: Json| {
+            Json::obj([("name", name.into()), ("ph", "M".into()), ("pid", pid.into()), ("args", args)])
+        };
+        push(&mut out, meta("process_name", Json::obj([("name", Json::Str(format!("shard {pid}")))])));
+        push(&mut out, meta("process_sort_index", Json::obj([("sort_index", pid.into())])));
+    }
+    for &(pid, tid) in &tracks {
+        push(
+            &mut out,
+            Json::obj([
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", pid.into()),
+                ("tid", tid.into()),
+                ("args", Json::obj([("name", Json::Str(format!("request {tid}")))])),
+            ]),
+        );
+    }
+    out.push_str(&body);
+    // The last event takes no comma.
+    if let Some(len) = out.strip_suffix(",\n").map(str::len) {
+        out.truncate(len);
     }
     out.push_str("\n]}\n");
     out
@@ -272,7 +291,7 @@ mod tests {
             ev(11, 1, 7, TraceEventKind::Finished { generated_tokens: 4 }),
         ];
         let json = chrome_trace_json(&events);
-        crate::json::validate(&json).expect("chrome trace must parse");
+        Json::parse(&json).expect("chrome trace must parse");
         // Determinism: same events, same bytes.
         assert_eq!(json, chrome_trace_json(&events));
         // One process track per shard seen.
@@ -306,7 +325,7 @@ mod tests {
             ev(9, 0, 4, TraceEventKind::Finished { generated_tokens: 2 }),
         ];
         let json = chrome_trace_json(&events);
-        crate::json::validate(&json).expect("must parse");
+        Json::parse(&json).expect("must parse");
         // queued, prefill, decode; then queued and prefill again.
         assert_eq!(json.matches("\"ph\": \"B\"").count(), 5);
         assert_eq!(json.matches("\"ph\": \"E\"").count(), 5);
@@ -325,14 +344,39 @@ mod tests {
             ev(5, 0, 2, TraceEventKind::Admitted { est_bytes: 64 }),
         ];
         let json = chrome_trace_json(&events);
-        crate::json::validate(&json).expect("must parse");
+        Json::parse(&json).expect("must parse");
         assert_eq!(json.matches("\"ph\": \"B\"").count(), json.matches("\"ph\": \"E\"").count());
+    }
+
+    #[test]
+    fn shard_and_cache_events_get_no_request_lane() {
+        // The cluster stamps `ShardDown`/`ShardUp` with the shard id and
+        // the engine stamps `PrefixExpired` with the cache entry id, in
+        // the request field: the ids 0 and 5 are no requests.
+        let events = vec![
+            ev(1, 0, 3, TraceEventKind::Queued),
+            ev(2, 0, 0, TraceEventKind::ShardDown { lost: 1 }),
+            ev(4, 0, 5, TraceEventKind::PrefixExpired { bytes: 64 }),
+            ev(9, 0, 0, TraceEventKind::ShardUp { down_ticks: 7 }),
+        ];
+        let doc = Json::parse(&chrome_trace_json(&events)).expect("must parse");
+        let Some(Json::Arr(trace)) = doc.get("traceEvents") else { panic!("no traceEvents in {doc}") };
+        let named =
+            |name: &'static str| trace.iter().filter(move |e| e.get("name") == Some(&Json::from(name)));
+        let lanes: Vec<_> = named("thread_name").filter_map(|e| e.get("args")?.get("name")).collect();
+        assert_eq!(lanes, [&Json::from("request 3")]);
+        for name in ["shard down", "prefix expired", "shard up"] {
+            let event = named(name).next().unwrap_or_else(|| panic!("no {name:?} in {doc}"));
+            assert_eq!(event.get("s"), Some(&Json::from("p")), "{event}");
+            assert_eq!(event.get("pid"), Some(&Json::U64(0)), "{event}");
+            assert_eq!(event.get("tid"), None, "{event}");
+        }
     }
 
     #[test]
     fn empty_stream_is_still_a_valid_trace() {
         let json = chrome_trace_json(&[]);
-        crate::json::validate(&json).expect("must parse");
+        Json::parse(&json).expect("must parse");
         assert!(json.contains("traceEvents"));
     }
 }

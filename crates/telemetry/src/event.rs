@@ -1,4 +1,4 @@
-//! Typed lifecycle events, the sink trait they flow into, and the
+//! Typed lifecycle events, the sink they flow into, and the
 //! engine-side [`Tracer`] that stamps them.
 
 use std::fmt;
@@ -217,18 +217,12 @@ pub struct TraceEvent {
     pub shard: u32,
     /// Request id: the global arrival index at the serving layer, so
     /// one request keeps one id across shards, swaps, and migrations.
+    /// Three kinds belong to no request and carry another id here:
+    /// `ShardDown` and `ShardUp` the shard id, `PrefixExpired` the cache
+    /// entry's id.
     pub request: u64,
     /// What happened.
     pub kind: TraceEventKind,
-}
-
-/// Receives trace events. Implementations must be `Send` so a sink can
-/// be shared across shards, but all emission happens on the coordinator
-/// thread — implementations never see concurrent calls within one
-/// simulation.
-pub trait TraceSink: Send {
-    /// Record one event. Called in deterministic order.
-    fn record(&mut self, event: &TraceEvent);
 }
 
 /// A sink that buffers every event in arrival order.
@@ -244,32 +238,26 @@ impl RecordingSink {
     }
 }
 
-impl TraceSink for RecordingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.push(*event);
-    }
-}
-
-/// A cloneable, shareable handle to a sink. Configs hold this so one
-/// sink can observe every shard of a cluster; the `Mutex` is only a
-/// sharing formality — emission is single-threaded by construction: a
-/// cluster emits only from the thread that ticks it (engine commits
-/// included), and its step workers compute without emitting.
+/// A cloneable, shareable handle to a [`RecordingSink`]. Configs hold
+/// this so one sink can observe every shard of a cluster; the `Mutex` is
+/// only a sharing formality — emission is single-threaded by
+/// construction: a cluster emits only from the thread that ticks it
+/// (engine commits included), and its step workers compute without
+/// emitting, so events arrive in a deterministic order.
 #[derive(Clone)]
-pub struct SinkHandle(Arc<Mutex<dyn TraceSink>>);
+pub struct SinkHandle(Arc<Mutex<RecordingSink>>);
 
 impl SinkHandle {
-    /// A handle backed by a [`RecordingSink`], plus the shared buffer so
-    /// the caller can read the events back after the run.
+    /// A handle backed by a fresh [`RecordingSink`], plus the shared
+    /// buffer so the caller can read the events back after the run.
     pub fn recording() -> (Self, Arc<Mutex<RecordingSink>>) {
         let buffer = Arc::new(Mutex::new(RecordingSink::default()));
-        let erased: Arc<Mutex<dyn TraceSink>> = buffer.clone();
-        (Self(erased), buffer)
+        (Self(buffer.clone()), buffer)
     }
 
-    /// Deliver one event to the underlying sink.
+    /// Append one event to the sink.
     pub fn record(&self, event: TraceEvent) {
-        self.0.lock().expect("trace sink poisoned").record(&event);
+        self.0.lock().expect("trace sink poisoned").events.push(event);
     }
 }
 

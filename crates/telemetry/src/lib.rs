@@ -1,7 +1,7 @@
 //! Deterministic tracing + metrics plane for the VEDA serving stack.
 //!
 //! Every layer of the stack — `Engine`, `Shard`, `Cluster` —
-//! can emit typed [`TraceEvent`]s into an installed [`TraceSink`]. The
+//! can emit typed [`TraceEvent`]s into an installed [`SinkHandle`]. The
 //! plane is strictly observation-only:
 //!
 //! * **Zero-cost when absent.** With no sink installed nothing is
@@ -17,8 +17,10 @@
 //!
 //! On top of the raw event stream the crate provides:
 //!
-//! * [`MetricsRegistry`] — counters, gauges, and fixed [`Log2Histogram`]
-//!   buckets with a deterministic JSON rendering.
+//! * [`Json`] — the workspace's one JSON value type: a writer whose
+//!   integers print exactly, and a parser.
+//! * [`log2_histogram`] — the power-of-two bucket histograms of the
+//!   serving metrics document.
 //! * [`nearest_rank`] / [`summarize`] — the single, total (never
 //!   panicking) nearest-rank percentile implementation shared by every
 //!   report type in the workspace.
@@ -39,6 +41,7 @@ mod metrics;
 mod waterfall;
 
 pub use chrome::chrome_trace_json;
-pub use event::{RecordingSink, SinkHandle, TraceEvent, TraceEventKind, TraceSink, Tracer};
-pub use metrics::{nearest_rank, summarize, Log2Histogram, MetricsRegistry, SampleSummary};
+pub use event::{RecordingSink, SinkHandle, TraceEvent, TraceEventKind, Tracer};
+pub use json::Json;
+pub use metrics::{log2_histogram, nearest_rank, summarize, SampleSummary};
 pub use waterfall::StageWaterfall;

@@ -38,7 +38,7 @@ use veda_accel::DataflowVariant;
 use veda_eviction::PolicyKind;
 use veda_model::ModelConfig;
 use veda_serving::{
-    chrome_trace_json, ArrivalKind, Cluster, ClusterConfig, FaultConfig, FaultPlan, MigrationConfig,
+    chrome_trace_json, ArrivalKind, Cluster, ClusterConfig, FaultConfig, FaultPlan, Json, MigrationConfig,
     RecordingSink, RequestMix, RetryPolicy, RouterKind, SchedKind, ShardHealth, SinkHandle, Workload,
 };
 
@@ -75,7 +75,7 @@ struct Args {
     /// Write a Chrome-trace-event JSON (Perfetto-loadable) of every
     /// request's lifecycle to this path.
     trace_out: Option<String>,
-    /// Write the run's metrics registry as JSON to this path.
+    /// Write the run's metrics document as JSON to this path.
     metrics_out: Option<String>,
     /// Fault-plan spec (`crash@T:shard=N[:recover=T2][:drain=D]` /
     /// `degrade@T1-T2:shard=N:bw=F`, `;`-separated).
@@ -198,7 +198,7 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
                      \x20                   cross-shard KV migration when a shard runs hot)\n\
                      \x20                  [--trace-out PATH]   (Chrome-trace-event JSON, one track\n\
                      \x20                   per shard — load it in Perfetto / chrome://tracing)\n\
-                     \x20                  [--metrics-out PATH] (metrics registry as JSON)\n\
+                     \x20                  [--metrics-out PATH] (metrics document as JSON)\n\
                      \x20                  [--fault-plan SPEC]  (seeded fault schedule, `;`-separated:\n\
                      \x20                   crash@T:shard=N[:recover=T2][:drain=D] fail-stops shard N,\n\
                      \x20                   degrade@T1-T2:shard=N:bw=F scales its host link)\n\
@@ -290,7 +290,7 @@ fn make_sink(wanted: bool) -> (Option<SinkHandle>, Option<Arc<Mutex<RecordingSin
 fn write_observability(
     args: &Args,
     recorder: Option<Arc<Mutex<RecordingSink>>>,
-    metrics_json: String,
+    metrics: Json,
 ) -> Result<(), Box<dyn std::error::Error>> {
     if let (Some(path), Some(recorder)) = (&args.trace_out, recorder) {
         let events = recorder.lock().expect("recorder lock").take_events();
@@ -298,7 +298,7 @@ fn write_observability(
         println!("trace: {} events -> {path} (load in Perfetto / chrome://tracing)", events.len());
     }
     if let Some(path) = &args.metrics_out {
-        std::fs::write(path, metrics_json)?;
+        std::fs::write(path, format!("{metrics:#}\n"))?;
         println!("metrics: -> {path}");
     }
     Ok(())
@@ -420,7 +420,7 @@ fn run_cluster(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("(ticks are batched mixed prefill/decode steps of the virtual clock;");
     println!(" per-request tok/s in the engine reports are single-sequence equivalents)");
-    write_observability(args, recorder, report.metrics().to_json())?;
+    write_observability(args, recorder, report.metrics())?;
     Ok(())
 }
 
