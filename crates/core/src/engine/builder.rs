@@ -134,9 +134,14 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError::InvalidModel`] / [`BuildError::InvalidArch`]
-    /// when the configuration is inconsistent.
+    /// when the configuration is inconsistent, and
+    /// [`BuildError::InvalidPrefixCache`] for a prefix cache that could
+    /// never serve a hit.
     pub fn build(self) -> Result<Engine, BuildError> {
         self.model.validate().map_err(BuildError::InvalidModel)?;
+        if let Some(config) = &self.prefix_cache {
+            config.validate().map_err(BuildError::InvalidPrefixCache)?;
+        }
 
         // Architecture shaped to the model's attention geometry; everything
         // else stays at VEDA defaults.

@@ -409,6 +409,22 @@ impl Engine {
         }
     }
 
+    /// Reclaims idle prefix-cache bytes for a serving layer that cannot
+    /// fit work otherwise, one step per call: a trim of the LRU unpinned
+    /// entry's never-served tail, else the LRU unpinned entry whole
+    /// (spilled or dropped). Pinned entries are never touched, so no
+    /// admission discount or seeded session loses its shared span. A
+    /// spill lands in [`Engine::take_prefix_transfers`] and in the trace,
+    /// stamped with `trace_id` (the request the bytes were freed for).
+    /// Returns `false` when the cache is disabled or every entry is
+    /// pinned.
+    pub fn reclaim_prefix(&mut self, trace_id: u64) -> bool {
+        let Some(cache) = self.prefix_cache.as_mut() else { return false };
+        let reclaimed = cache.reclaim_one();
+        self.drain_prefix_traffic(trace_id);
+        reclaimed
+    }
+
     /// Drains the spill/fill transfers the prefix cache generated since
     /// the last call (submit-time promotions, capacity-pressure spills).
     /// Serving layers charge each one to their host link — tagged

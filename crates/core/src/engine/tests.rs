@@ -34,6 +34,50 @@ fn builder_rejects_bad_model() {
     assert!(rejected(no_theta));
 }
 
+/// Whether the builder refuses `config` as a prefix cache, naming `field`.
+fn rejects_prefix_cache(config: PrefixCacheConfig, field: &str) -> bool {
+    match EngineBuilder::new().prefix_cache(config).build() {
+        Err(BuildError::InvalidPrefixCache(detail)) => detail.contains(field),
+        _ => false,
+    }
+}
+
+#[test]
+fn builder_rejects_a_prefix_cache_without_entry_slots() {
+    assert!(rejects_prefix_cache(
+        PrefixCacheConfig { max_entries: 0, ..PrefixCacheConfig::default() },
+        "max_entries"
+    ));
+    assert!(EngineBuilder::new()
+        .prefix_cache(PrefixCacheConfig { max_entries: 1, ..PrefixCacheConfig::default() })
+        .build()
+        .is_ok());
+}
+
+#[test]
+fn builder_rejects_a_prefix_cache_without_byte_room() {
+    assert!(rejects_prefix_cache(
+        PrefixCacheConfig { max_bytes: 0, ..PrefixCacheConfig::default() },
+        "max_bytes"
+    ));
+    assert!(EngineBuilder::new()
+        .prefix_cache(PrefixCacheConfig { max_bytes: 1, ..PrefixCacheConfig::default() })
+        .build()
+        .is_ok());
+}
+
+#[test]
+fn builder_rejects_a_prefix_cache_that_expires_on_insert() {
+    assert!(rejects_prefix_cache(
+        PrefixCacheConfig { ttl_ticks: 0, ..PrefixCacheConfig::default() },
+        "ttl_ticks"
+    ));
+    assert!(EngineBuilder::new()
+        .prefix_cache(PrefixCacheConfig { ttl_ticks: 1, ..PrefixCacheConfig::default() })
+        .build()
+        .is_ok());
+}
+
 #[test]
 fn submit_rejects_bad_requests() {
     let mut engine = engine();

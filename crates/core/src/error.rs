@@ -16,6 +16,9 @@ pub enum BuildError {
     /// A submitted request is unusable (empty prompt, out-of-vocabulary
     /// tokens, …).
     InvalidRequest(String),
+    /// The prefix-cache configuration admits no entry, or expires every
+    /// entry before it can serve a hit.
+    InvalidPrefixCache(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -25,6 +28,7 @@ impl std::fmt::Display for BuildError {
             BuildError::InvalidArch(s) => write!(f, "invalid architecture configuration: {s}"),
             BuildError::InvalidBudget(s) => write!(f, "invalid cache budget: {s}"),
             BuildError::InvalidRequest(s) => write!(f, "invalid request: {s}"),
+            BuildError::InvalidPrefixCache(s) => write!(f, "invalid prefix cache: {s}"),
         }
     }
 }

@@ -166,7 +166,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod error;
+mod error;
 pub mod prefix;
 
 pub use engine::{

@@ -66,10 +66,21 @@
 //!   overshoot `max_bytes` — the byte bound is a policy target, not a
 //!   physical wall, and soundness wins the conflict.
 //!
-//! With the default churn knobs (`max_bytes = u64::MAX`, no TTL, spill
-//! off) none of this machinery can fire and the cache is byte-identical
-//! to the v1 insert-only cache — determinism invariant #10, pinned by
-//! `tests/prefix_v2_equivalence.rs`.
+//! * **Trims and reclaim.** Each entry records the longest match it has
+//!   served (through a lookup or a pin). A serving layer that cannot
+//!   admit work calls `PrefixCache::reclaim_one` (through
+//!   `Engine::reclaim_prefix`): it cuts the LRU unpinned entry's rows
+//!   past that match — the inserting session's private prompt tail,
+//!   which no prompt has matched — and, when no entry has such a tail,
+//!   evicts the LRU unpinned entry as byte pressure would. A trim is
+//!   dropped, never spilled: the tail is a copy of one session's rows.
+//!
+//! For an engine used on its own, the default churn knobs
+//! (`max_bytes = u64::MAX`, no TTL, spill off) leave none of this
+//! machinery reachable, and the cache is byte-identical to the v1
+//! insert-only cache — determinism invariant #10, pinned by
+//! `tests/prefix_v2_equivalence.rs`. Under a serving shard, admission
+//! pressure can still trim or spill entries whatever the knobs say.
 //!
 //! [`PrefixCacheConfig::max_entries`] remains a hard structural bound on
 //! the *index*: insertions are skipped (never evicted for) once the
@@ -160,6 +171,25 @@ impl Default for PrefixCacheConfig {
     }
 }
 
+impl PrefixCacheConfig {
+    /// Rejects a configuration under which the cache could never serve a
+    /// hit: no entry slot (`max_entries == 0`), no byte room
+    /// (`max_bytes == 0`), or entries that expire on the tick they are
+    /// inserted (`ttl_ticks == 0`).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.max_entries == 0 {
+            return Err("max_entries must be at least 1".into());
+        }
+        if self.max_bytes == 0 {
+            return Err("max_bytes must be at least 1".into());
+        }
+        if self.ttl_ticks == 0 {
+            return Err("ttl_ticks must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
 /// Aggregate counters of one [`PrefixCache`] (reported on
 /// [`crate::EngineReport`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,6 +226,12 @@ pub struct PrefixCacheStats {
     pub spill_bytes: u64,
     /// FP16 bytes moved host → device by promotions.
     pub fill_bytes: u64,
+    /// Unpinned device entries cut back to the longest match they had
+    /// served, under admission pressure (`PrefixCache::reclaim_one`).
+    pub trims: u64,
+    /// FP16 bytes trims freed from the device tier (no host-link
+    /// traffic: a trimmed tail is dropped, never spilled).
+    pub trimmed_bytes: u64,
 }
 
 impl PrefixCacheStats {
@@ -237,6 +273,10 @@ struct PrefixEntry {
     observations: Vec<ScoreBuffer>,
     /// Times this entry served a hit.
     hits: u64,
+    /// Longest match this entry has served through a lookup or been
+    /// pinned at. Rows past it are the inserting session's private
+    /// prompt tail, which no prompt has matched yet; a trim cuts them.
+    served: usize,
     /// Outstanding pins: queued admission discounts plus live seeded
     /// sessions. A pinned entry is immune to eviction, spilling and
     /// expiry.
@@ -347,6 +387,8 @@ pub struct PrefixCache {
     expiries: u64,
     spill_bytes: u64,
     fill_bytes: u64,
+    trims: u64,
+    trimmed_bytes: u64,
 }
 
 impl PrefixCache {
@@ -370,6 +412,8 @@ impl PrefixCache {
             expiries: 0,
             spill_bytes: 0,
             fill_bytes: 0,
+            trims: 0,
+            trimmed_bytes: 0,
         }
     }
 
@@ -415,6 +459,8 @@ impl PrefixCache {
             expiries: self.expiries,
             spill_bytes: self.spill_bytes,
             fill_bytes: self.fill_bytes,
+            trims: self.trims,
+            trimmed_bytes: self.trimmed_bytes,
         }
     }
 
@@ -474,6 +520,7 @@ impl PrefixCache {
         let now = self.now;
         if let Some(entry) = self.entry_mut(id) {
             entry.pins += 1;
+            entry.served = entry.served.max(matched);
             entry.last_used = now;
         }
         Some(PrefixPin { entry: id, matched })
@@ -519,6 +566,7 @@ impl PrefixCache {
                 let entry = self.entries.iter_mut().find(|e| e.id == id)?;
                 entry.hits += 1;
                 entry.pins += 1;
+                entry.served = entry.served.max(matched);
                 entry.last_used = now;
                 Some(PrefixHit { matched, entry: id, state: &entry.state, observations: &entry.observations })
             }
@@ -579,6 +627,39 @@ impl PrefixCache {
         } else {
             self.evictions += 1;
         }
+        true
+    }
+
+    /// Frees device bytes for a serving layer that cannot otherwise
+    /// admit work, one step per call. The step first **trims** the
+    /// least-recently-used unpinned entry that has served a hit and
+    /// still holds rows past its longest served match: its tokens, KV
+    /// rows and observations are cut to that match. The cut tail was a
+    /// copy of the inserting session's private rows, so a trim is
+    /// dropped, never spilled, and moves nothing over the host link.
+    /// Only when no entry can be trimmed does the step evict the LRU
+    /// unpinned entry whole (spilled or dropped, as under byte
+    /// pressure). Pinned entries are never touched. Returns `false`
+    /// when there was nothing to reclaim.
+    pub(crate) fn reclaim_one(&mut self) -> bool {
+        let min = self.config.min_match_tokens;
+        let trimmable = self
+            .entries
+            .iter_mut()
+            .filter(|e| e.pins == 0 && e.served >= min && e.tokens.len() > e.served)
+            .min_by_key(|e| (e.last_used, e.id));
+        let Some(entry) = trimmable else {
+            return self.evict_one();
+        };
+        let before = entry_bytes(entry);
+        let tail: Vec<usize> = (entry.served..entry.tokens.len()).collect();
+        for layer in 0..entry.state.n_layers() {
+            entry.state.evict_many(layer, &tail);
+        }
+        entry.tokens.truncate(entry.served);
+        entry.observations.truncate(entry.served);
+        self.trims += 1;
+        self.trimmed_bytes += before - entry_bytes(entry);
         true
     }
 
@@ -662,6 +743,7 @@ impl PrefixCache {
             state,
             observations,
             hits: 0,
+            served: 0,
             pins: 0,
             last_used: self.now,
         });
@@ -964,6 +1046,145 @@ mod tests {
         // from the release, not the insert.
         assert!(c.advance_clock(102).is_empty());
         assert_eq!(c.advance_clock(103).len(), 1);
+    }
+
+    fn churny(max_bytes: u64, spill: bool) -> PrefixCache {
+        PrefixCache::new(PrefixCacheConfig {
+            min_match_tokens: 2,
+            max_entries: 8,
+            max_bytes,
+            ttl_ticks: u64::MAX,
+            spill,
+        })
+    }
+
+    /// Every KV row (as raw bits), position and observation a hit of
+    /// `matched` tokens on `state`/`observations` would seed.
+    fn seed_bits(
+        state: &SequenceState,
+        observations: &[ScoreBuffer],
+        matched: usize,
+    ) -> (Vec<u32>, Vec<usize>, Vec<ScoreBuffer>) {
+        let mut bits = Vec::new();
+        let mut positions = Vec::new();
+        for layer in state.caches() {
+            for row in 0..matched {
+                bits.extend(layer.keys().row(row).iter().chain(layer.values().row(row)).map(|x| x.to_bits()));
+            }
+            positions.extend(layer.positions().iter().take(matched));
+        }
+        (bits, positions, observations.iter().take(matched).cloned().collect())
+    }
+
+    /// Serves `prompt` once and releases the seed pin, so the entry has
+    /// `served` = the match and stays unpinned.
+    fn serve(c: &mut PrefixCache, prompt: &[usize]) -> usize {
+        let hit = c.lookup(prompt).expect("hit");
+        let (matched, entry) = (hit.matched, hit.entry);
+        c.unpin_entry(entry);
+        matched
+    }
+
+    #[test]
+    fn a_trimmed_entry_serves_bit_identical_hits() {
+        let model = TransformerModel::new(ModelConfig::tiny());
+        let mut c = churny(u64::MAX, true);
+        assert!(fill_cache(&mut c, &model, &[1, 2, 3, 4, 5, 6, 7, 8]));
+        let prompt = [1, 2, 3, 4, 9, 9];
+        assert_eq!(serve(&mut c, &prompt), 4);
+        let before = {
+            let hit = c.lookup(&prompt).expect("hit");
+            let (bits, entry) = (seed_bits(hit.state, hit.observations, hit.matched), hit.entry);
+            c.unpin_entry(entry);
+            bits
+        };
+        let full_bytes = c.resident_bytes();
+
+        assert!(c.reclaim_one());
+        let stats = c.stats();
+        assert_eq!((stats.trims, stats.entries, stats.evictions, stats.spills), (1, 1, 0, 0));
+        assert_eq!(stats.trimmed_bytes, full_bytes / 2, "half the rows were a never-served tail");
+        assert_eq!(c.resident_bytes(), full_bytes - stats.trimmed_bytes);
+        assert!(c.take_transfers().is_empty(), "a trim moves nothing over the host link");
+        assert!(stats.entries_conserved(), "a trim neither adds nor removes an entry");
+
+        let hit = c.lookup(&prompt).expect("the trimmed entry still hits");
+        assert_eq!(hit.matched, 4);
+        assert_eq!(seed_bits(hit.state, hit.observations, hit.matched), before);
+        assert_eq!(hit.state.cache_len(), 4);
+        assert_eq!(hit.observations.len(), 4);
+        // …and equal to rows recorded afresh for the served span alone.
+        let (fresh, fresh_obs) = materialize(&model, &[1, 2, 3, 4]);
+        assert_eq!(seed_bits(&fresh, &fresh_obs, 4), before);
+    }
+
+    #[test]
+    fn a_trim_keeps_the_served_span_and_spares_pinned_entries() {
+        let model = TransformerModel::new(ModelConfig::tiny());
+        let mut c = churny(u64::MAX, false);
+        assert!(fill_cache(&mut c, &model, &[1, 2, 3, 4, 5, 6, 7, 8]));
+        assert!(fill_cache(&mut c, &model, &[20, 21, 22, 23, 24, 25, 26, 27]));
+        // The older entry is pinned at 5 tokens; the newer one served 3
+        // and 6 tokens, so its longest served match is 6.
+        let pin = c.pin(&[1, 2, 3, 4, 5, 9]).expect("pin");
+        assert_eq!(serve(&mut c, &[20, 21, 22, 9]), 3);
+        assert_eq!(serve(&mut c, &[20, 21, 22, 23, 24, 25, 9]), 6);
+
+        assert!(c.reclaim_one());
+        let tokens: Vec<Vec<usize>> = c.entries.iter().map(|e| e.tokens.clone()).collect();
+        assert_eq!(tokens, [vec![1, 2, 3, 4, 5, 6, 7, 8], vec![20, 21, 22, 23, 24, 25]]);
+        assert_eq!(c.entries.iter().map(|e| e.observations.len()).collect::<Vec<_>>(), [8, 6]);
+        assert_eq!(c.match_len(&[20, 21, 22, 23, 24, 25, 9]), 6, "never below the served match");
+
+        // Nothing is left to trim: the next step evicts the one unpinned
+        // entry whole, and then only the pinned entry remains.
+        assert!(c.reclaim_one());
+        assert_eq!((c.stats().trims, c.stats().evictions), (1, 1));
+        assert!(!c.reclaim_one(), "a pinned entry is never reclaimed");
+        assert_eq!(c.entries[0].tokens.len(), 8, "the pinned entry kept its tail");
+        c.unpin(pin);
+        assert!(c.reclaim_one(), "unpinned, its tail past the pinned match is trimmed");
+        assert_eq!(c.entries[0].tokens, [1, 2, 3, 4, 5]);
+        assert!(c.stats().entries_conserved());
+    }
+
+    #[test]
+    fn reclaim_falls_back_to_lru_spill_or_drop_then_stops_at_pins() {
+        let model = TransformerModel::new(ModelConfig::tiny());
+        for spill in [false, true] {
+            let mut c = churny(u64::MAX, spill);
+            assert!(fill_cache(&mut c, &model, &[1, 2, 3, 4]));
+            c.advance_clock(1);
+            assert!(fill_cache(&mut c, &model, &[7, 8, 9, 10]));
+            c.advance_clock(2);
+            assert!(fill_cache(&mut c, &model, &[11, 12, 13, 14]));
+            let pin = c.pin(&[11, 12, 13, 14, 15]).expect("pin");
+            let entry_bytes = c.resident_bytes() / 3;
+
+            // No entry has served a hit, so there is no tail to trim:
+            // the LRU unpinned entries leave whole, oldest first.
+            assert!(c.reclaim_one());
+            assert_eq!(c.match_len(&[1, 2, 3, 4, 5]), if spill { 4 } else { 0 }, "spill {spill}");
+            assert!(c.entries.iter().all(|e| e.tokens != [1, 2, 3, 4]));
+            assert!(c.reclaim_one());
+            assert!(!c.reclaim_one(), "only the pinned entry is left");
+            let stats = c.stats();
+            assert_eq!(stats.entries, 1);
+            assert_eq!(stats.trims, 0);
+            let transfers = c.take_transfers();
+            if spill {
+                assert_eq!((stats.spills, stats.host_entries, stats.evictions), (2, 2, 0));
+                assert_eq!(
+                    transfers.iter().map(|t| (t.kind, t.bytes)).collect::<Vec<_>>(),
+                    [(PrefixTransferKind::Spill, entry_bytes), (PrefixTransferKind::Spill, entry_bytes)]
+                );
+            } else {
+                assert_eq!((stats.evictions, stats.host_entries), (2, 0));
+                assert!(transfers.is_empty());
+            }
+            assert!(stats.entries_conserved());
+            c.unpin(pin);
+        }
     }
 
     #[test]

@@ -27,15 +27,13 @@ pub(crate) const PUB_SURFACE: &str = "pub-surface";
 /// Meta rule: every allow must be known, explained, and live.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 
-/// Static description of one rule: name, the invariant it guards, and a
-/// one-line rationale (the table in `docs/ARCHITECTURE.md` mirrors it).
+/// Static description of one rule: its name and the invariant it guards
+/// (the table in `docs/ARCHITECTURE.md` gives each rule's rationale).
 pub struct RuleInfo {
     /// Kebab-case rule name (what `lint:allow(...)` takes).
     pub name: &'static str,
     /// Determinism invariant(s) in `docs/ARCHITECTURE.md` it guards.
     pub invariant: &'static str,
-    /// Why the rule exists.
-    pub rationale: &'static str,
 }
 
 /// All rules the pass knows, in R1..R7 + meta order.
@@ -43,59 +41,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: NO_HASH_COLLECTIONS,
         invariant: "#1 same seed ⇒ same bytes, #2 thread-count invariance",
-        rationale: "HashMap/HashSet iteration order is randomized per process; \
-                    any iteration that reaches an output makes bytes run-dependent. \
-                    Use BTreeMap/BTreeSet.",
     },
-    RuleInfo {
-        name: NO_WALL_CLOCK,
-        invariant: "#1 same seed ⇒ same bytes",
-        rationale: "Instant/SystemTime reads leak host speed into behavior; \
-                    the serving stack runs on a virtual clock. Only crates/bench, \
-                    benches/ and examples/ may time the host.",
-    },
-    RuleInfo {
-        name: FLOAT_REDUCTION,
-        invariant: "#2 thread-count invariance (f32 summation order)",
-        rationale: "Float sums/folds are order-sensitive; keeping them inside \
-                    veda-tensor's kernels centralizes the summation-order \
-                    discipline the bit-identity pins depend on.",
-    },
-    RuleInfo {
-        name: COORDINATOR_ONLY_TRACING,
-        invariant: "#8 trace neutrality and trace determinism",
-        rationale: "Trace events emitted inside worker threads (thread::scope, \
-                    thread::spawn, Builder::spawn) would \
-                    interleave by scheduler whim; all emission happens on the \
-                    coordinator so trace bytes are thread-invariant.",
-    },
-    RuleInfo {
-        name: CRATE_HYGIENE,
-        invariant: "all (the audit surface itself)",
-        rationale: "Library crates must carry #![forbid(unsafe_code)] and \
-                    #![deny(missing_docs)]: no unchecked aliasing under the \
-                    determinism pins, no undocumented public surface.",
-    },
-    RuleInfo {
-        name: UNWRAP_RATCHET,
-        invariant: "#6 accounting conservation (panics erase in-flight state)",
-        rationale: "The panic surface (.unwrap/.expect/indexing) per library \
-                    crate may shrink but never grow past lint-ratchet.toml.",
-    },
-    RuleInfo {
-        name: PUB_SURFACE,
-        invariant: "all (every public item earns its keep)",
-        rationale: "The public items (pub fn/struct/enum/trait/type/const/\
-                    static/mod, not pub(crate), fields or re-exports) per \
-                    library crate may shrink but never grow past \
-                    lint-ratchet.toml.",
-    },
-    RuleInfo {
-        name: ALLOW_HYGIENE,
-        invariant: "all (escape-hatch accountability)",
-        rationale: "lint:allow directives must name a real rule, carry a \
-                    reason, and actually suppress something.",
-    },
+    RuleInfo { name: NO_WALL_CLOCK, invariant: "#1 same seed ⇒ same bytes" },
+    RuleInfo { name: FLOAT_REDUCTION, invariant: "#2 thread-count invariance (f32 summation order)" },
+    RuleInfo { name: COORDINATOR_ONLY_TRACING, invariant: "#8 trace neutrality and trace determinism" },
+    RuleInfo { name: CRATE_HYGIENE, invariant: "all (the audit surface itself)" },
+    RuleInfo { name: UNWRAP_RATCHET, invariant: "#6 accounting conservation (panics erase in-flight state)" },
+    RuleInfo { name: PUB_SURFACE, invariant: "all (every public item earns its keep)" },
+    RuleInfo { name: ALLOW_HYGIENE, invariant: "all (escape-hatch accountability)" },
 ];
 
 /// Does `name` name a rule this pass knows?

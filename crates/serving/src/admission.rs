@@ -30,7 +30,13 @@
 //!    the submit has taken its own per-session seed pin (held until
 //!    the session retires), so the entry is covered for the request's
 //!    whole lifetime. Every queue-exit path — rejection, shed,
-//!    timeout, crash — releases the pin too.
+//!    timeout, crash — releases the pin too. The shard's admission
+//!    reclaim step ([`veda::Engine::reclaim_prefix`]) trims, spills and
+//!    drops only unpinned entries, so it cannot shrink a pinned match
+//!    either. The one path that takes a pin away before the submit,
+//!    the revocation on a shard nothing else can free, returns the
+//!    request's reservation estimate to its full peak in the same step:
+//!    a request without a pin never carries a discount.
 //! 2. **The span cannot be privatized.** An eviction *inside* a shared
 //!    span deep-copies it (the session then owns those bytes), which
 //!    would push the session past a discounted reservation — so the
@@ -46,13 +52,13 @@
 //! charges its fill cost ([`veda::PrefixCache::fill_bytes`]) against
 //! headroom — promotion copies the entry back into device memory, and
 //! an admission that ignored those bytes could be bankrupted by its own
-//! fill traffic. With churn enabled,
-//! [`veda::PrefixCacheConfig::max_bytes`] bounds the cache's device
-//! overhead by construction (cold entries are evicted or spilled); with
-//! the unbounded default, entries are effectively insert-only and
-//! deployments should size `max_bytes` well below `capacity_bytes`
-//! minus the largest single-request peak — otherwise the monotone cache
-//! overhead can crowd out admissions for good. This is what lets a
+//! fill traffic. Idle cache bytes are not lost capacity, though: a
+//! candidate that does not fit first reclaims unpinned entries (their
+//! never-served tails, then whole entries in LRU order) before any
+//! running session is preempted for it, so cache overhead can delay an
+//! admission but never crowd it out for good.
+//! [`veda::PrefixCacheConfig::max_bytes`] still bounds the overhead a
+//! burst of insertions can build up between admissions. This is what lets a
 //! shared-prefix workload admit strictly more sessions under the same
 //! capacity — pinned by the serving-stack tests — without moving bytes
 //! off the books.

@@ -181,6 +181,9 @@ pub struct Cluster {
     /// Per-shard reserved-KV-bytes series, sampled after each executed
     /// tick.
     reserved_series: Vec<Vec<u64>>,
+    /// Highest sum over the shards of device-resident KV bytes, sampled
+    /// after each executed tick beside `reserved_series`.
+    resident_peak: u64,
     /// Trace sink for cluster-plane events (migration starts); each shard
     /// holds its own clone for shard-plane events.
     trace: Option<SinkHandle>,
@@ -280,6 +283,7 @@ impl Cluster {
             migration_bytes: 0,
             migration_cycles: 0,
             reserved_series: vec![Vec::new(); n],
+            resident_peak: 0,
             trace: config.trace,
             faults: FaultRuntime::new(faults, n),
             steppers: StepPool::default(),
@@ -421,6 +425,7 @@ impl Cluster {
         for (i, shard) in self.shards.iter().enumerate() {
             self.reserved_series[i].push(shard.reserved_bytes());
         }
+        self.resident_peak = self.resident_peak.max(self.shards.iter().map(|s| s.kv_resident_now).sum());
         self.faults.shard_ticks += self.shards.len() as u64;
         self.faults.alive_shard_ticks +=
             self.faults.health.iter().filter(|h| **h != ShardHealth::Down).count() as u64;
@@ -771,6 +776,7 @@ impl Cluster {
             migration_bytes: self.migration_bytes,
             migration_cycles: self.migration_cycles,
             kv_reserved_series: self.reserved_series,
+            kv_resident_peak_bytes: self.resident_peak,
             shard_downs: self.faults.shard_downs,
             shard_ups: self.faults.shard_ups,
             lost_sessions: self.faults.lost_sessions,
@@ -831,6 +837,11 @@ pub struct ClusterReport {
     /// Per-shard reserved-KV-bytes series, sampled after each executed
     /// tick, indexed by shard.
     pub kv_reserved_series: Vec<Vec<u64>>,
+    /// Highest device-resident KV bytes summed over the shards on any
+    /// one tick — the cluster's simultaneous peak, which the sum of each
+    /// shard's own peak can overstate when shards peak on different
+    /// ticks.
+    pub kv_resident_peak_bytes: u64,
     /// Fail-stop shard crashes executed by the fault plan.
     pub shard_downs: u64,
     /// Shard recoveries executed by the fault plan.
@@ -966,6 +977,8 @@ impl ClusterReport {
             ("prefill_tokens", sum(|s| s.engine.prefill_tokens as u64)),
             ("prefix_cache_hits", sum(|s| s.engine.prefix.hits)),
             ("prefix_saved_tokens", sum(ServingReport::prefix_saved_tokens)),
+            ("prefix_trims", sum(|s| s.engine.prefix.trims)),
+            ("prefix_trimmed_bytes", sum(|s| s.engine.prefix.trimmed_bytes)),
             ("prefix_evictions", sum(|s| s.engine.prefix.evictions)),
             ("prefix_expiries", sum(|s| s.engine.prefix.expiries)),
             ("prefix_spills", sum(|s| s.engine.prefix.spills)),
@@ -973,8 +986,8 @@ impl ClusterReport {
             ("prefix_spill_bytes", sum(|s| s.prefix_spill_bytes)),
             ("prefix_fill_bytes", sum(|s| s.prefix_fill_bytes)),
             ("prefix_transfer_cycles", sum(|s| s.prefix_transfer_cycles)),
-            ("kv_resident_peak_bytes", sum(|s| s.kv_resident_peak_bytes)),
-            ("kv_reserved_peak_bytes", sum(|s| s.kv_reserved_peak_bytes)),
+            ("kv_resident_peak_bytes", self.kv_resident_peak_bytes),
+            ("kv_reserved_peak_bytes", self.kv_reserved_peak_bytes()),
             ("capacity_bytes", sum(|s| s.capacity_bytes)),
             ("cluster_migrations", self.migrations),
             ("cluster_migration_bytes", self.migration_bytes),
@@ -1025,6 +1038,16 @@ impl ClusterReport {
             ("gauges", sorted(gauges)),
             ("histograms", sorted(histograms)),
         ])
+    }
+
+    /// Highest KV bytes reserved summed over the shards on any one tick
+    /// (the simultaneous peak of [`ClusterReport::kv_reserved_series`]).
+    fn kv_reserved_peak_bytes(&self) -> u64 {
+        let ticks = self.kv_reserved_series.iter().map(Vec::len).max().unwrap_or(0);
+        (0..ticks)
+            .map(|t| self.kv_reserved_series.iter().filter_map(|series| series.get(t)).sum::<u64>())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Cluster-wide prefix-cache hits.
@@ -1119,10 +1142,12 @@ impl std::fmt::Display for ClusterReport {
             )?;
         }
         let (evictions, expiries, spills, fills) = self.prefix_churn();
-        if evictions + expiries + spills + fills > 0 {
+        let trims: u64 = self.shards.iter().map(|s| s.engine.prefix.trims).sum();
+        if evictions + expiries + spills + fills + trims > 0 {
             writeln!(
                 f,
-                "  prefix churn           : {} evicted, {} expired, {} spilled ({} B), {} filled ({} B)",
+                "  prefix churn           : {} trimmed, {} evicted, {} expired, {} spilled ({} B), {} filled ({} B)",
+                trims,
                 evictions,
                 expiries,
                 spills,

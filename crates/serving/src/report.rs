@@ -422,10 +422,12 @@ impl std::fmt::Display for ServingReport {
             )?;
         }
         let p = &self.engine.prefix;
-        if p.evictions + p.expiries + p.spills + p.fills > 0 {
+        if p.evictions + p.expiries + p.spills + p.fills + p.trims > 0 {
             writeln!(
                 f,
-                "  prefix churn           : {} evicted, {} expired, {} spilled ({} B), {} filled ({} B), {} link cycles, {} host entries ({} B)",
+                "  prefix churn           : {} trimmed ({} B), {} evicted, {} expired, {} spilled ({} B), {} filled ({} B), {} link cycles, {} host entries ({} B)",
+                p.trims,
+                p.trimmed_bytes,
                 p.evictions,
                 p.expiries,
                 p.spills,

@@ -35,12 +35,15 @@
 //!    re-enters the batch at least one tick after its swap-in starts,
 //!    later for large KV states or slow links.
 //! 3. **Swap-in start**: preempted sessions whose reservation fits again
-//!    re-reserve their bytes and begin their swap-in transfer.
+//!    — after reclaiming idle prefix-cache bytes if needed — re-reserve
+//!    their bytes and begin their swap-in transfer.
 //! 4. **Admission**: the scheduling policy repeatedly names the next
 //!    queued candidate; each is admitted if its peak reservation fits,
-//!    after preempting victims (swap-out) if the policy offers any. The
-//!    first candidate that still does not fit blocks the queue — no
-//!    backfill, so a policy's ordering is exactly what runs. Admission
+//!    after reclaiming idle prefix-cache bytes (never-served tails
+//!    first, then whole LRU entries) and then preempting victims
+//!    (swap-out) if the policy offers any. The first candidate that
+//!    still does not fit blocks the queue — no backfill, so a policy's
+//!    ordering is exactly what runs. Admission
 //!    calls [`veda::Engine::submit`], which only validates, reserves KV
 //!    and enqueues the session in its `Prefilling` phase — with a finite
 //!    [`veda::EngineBuilder::prefill_chunk`] the prompt is then consumed
@@ -196,6 +199,10 @@ pub struct Shard {
     pub(crate) decode_ticks: u64,
     pub(crate) kv_resident_peak: u64,
     pub(crate) kv_reserved_peak: u64,
+    /// Device-resident KV bytes after this tick's step: session-owned
+    /// bytes plus the prefix cache's entries. The cluster sums it over
+    /// its shards once per tick.
+    pub(crate) kv_resident_now: u64,
     /// Observation-only trace sink shared with the engine's tracer
     /// (`None` = telemetry off, zero cost, byte-identical behavior).
     pub(crate) trace: Option<SinkHandle>,
@@ -235,6 +242,7 @@ impl Shard {
             decode_ticks: 0,
             kv_resident_peak: 0,
             kv_reserved_peak: 0,
+            kv_resident_now: 0,
             trace: None,
         }
     }
@@ -353,13 +361,18 @@ impl Shard {
         let ServingRequest { request, priority } = arrival;
         let valid = self.validate(&request);
         if let Err((reason, _)) = self.screen_into_queue(record.arrival, request, priority, valid, now) {
-            self.emit(now, record.arrival as u64, TraceEventKind::Rejected { reason: reason.as_str() });
-            record.rejected = Some(reason);
-            match reason {
-                RejectReason::NeverFits => self.rejected_never_fits += 1,
-                RejectReason::QueueFull => self.rejected_queue_full += 1,
-                RejectReason::Invalid => self.rejected_invalid += 1,
-            }
+            self.reject(record, reason, now);
+        }
+    }
+
+    /// Turns the request of `record` away for `reason` (terminal).
+    fn reject(&mut self, record: &mut RequestRecord, reason: RejectReason, now: u64) {
+        self.emit(now, record.arrival as u64, TraceEventKind::Rejected { reason: reason.as_str() });
+        record.rejected = Some(reason);
+        match reason {
+            RejectReason::NeverFits => self.rejected_never_fits += 1,
+            RejectReason::QueueFull => self.rejected_queue_full += 1,
+            RejectReason::Invalid => self.rejected_invalid += 1,
         }
     }
 
@@ -427,14 +440,15 @@ impl Shard {
     /// cycle/peak/queue-depth accounting — on the cluster's thread.
     pub(crate) fn commit_step(&mut self, work: Option<StepWork>, now: u64, records: &mut [RequestRecord]) {
         let mut stepped_cycles = 0;
+        self.kv_resident_now = self.prefix_overhead();
         if let Some(work) = work {
             let tick = self.engine.commit_step(work);
             self.decode_ticks += 1;
             stepped_cycles = tick.batch_cycles;
             // Device-resident KV = session-owned bytes plus the prefix
             // cache's entries (each counted once).
-            self.kv_resident_peak =
-                self.kv_resident_peak.max(tick.kv_bytes_resident + self.prefix_overhead());
+            self.kv_resident_now = tick.kv_bytes_resident + self.prefix_overhead();
+            self.kv_resident_peak = self.kv_resident_peak.max(self.kv_resident_now);
             for event in &tick.events {
                 self.observe(event, now, records);
             }
@@ -582,15 +596,18 @@ impl Shard {
     }
 
     /// Starts swapping preempted sessions back in while their
-    /// reservations fit, oldest preemption first. The reservation is
+    /// reservations fit, oldest preemption first, reclaiming idle
+    /// prefix-cache bytes for each one that does not. The reservation is
     /// taken and the host-link transfer charged immediately (the space
     /// must be held for the DMA), but the session only rejoins the batch
     /// once the transfer's cycles have elapsed — swap latency is
     /// serialized into the clock, not instantaneous.
     fn start_swap_ins(&mut self) {
         let mut i = 0;
-        while i < self.paused.len() {
-            if self.admission.would_fit(self.paused[i].est_bytes.saturating_add(self.prefix_overhead())) {
+        while let Some(paused) = self.paused.get(i) {
+            let (arrival, est_bytes) = (paused.arrival, paused.est_bytes);
+            let needed = |s: &Self| est_bytes.saturating_add(s.prefix_overhead());
+            if self.reclaim_prefix_until_fits(arrival, needed) {
                 let entry = self.paused.remove(i);
                 let bytes =
                     self.engine.session_kv_bytes(entry.session).expect("paused entry tracks the engine");
@@ -643,23 +660,81 @@ impl Shard {
             // host-tier fill would promote back into device memory for
             // this prompt (otherwise a discounted accept could be
             // bankrupted by its own fill traffic).
-            let fill_bytes = self
-                .queue
-                .get(pick)
-                .zip(self.engine.prefix_cache())
-                .map_or(0, |(e, cache)| cache.fill_bytes(&e.request.prompt));
-            let needed = incoming.est_bytes.saturating_add(self.prefix_overhead()).saturating_add(fill_bytes);
+            let needed = |s: &Self| {
+                let fill_bytes = s
+                    .queue
+                    .get(pick)
+                    .zip(s.engine.prefix_cache())
+                    .map_or(0, |(e, cache)| cache.fill_bytes(&e.request.prompt));
+                incoming.est_bytes.saturating_add(s.prefix_overhead()).saturating_add(fill_bytes)
+            };
+            // Idle prefix bytes go first, before any running session is
+            // preempted for the candidate.
+            self.reclaim_prefix_until_fits(incoming.arrival, needed);
+            let needed = needed(self);
             while !self.admission.would_fit(needed) {
                 let victims = self.running_views();
                 let Some(victim) = self.sched.preemption_victim(&incoming, &victims) else { break };
                 self.preempt(victim, now, records);
             }
             if !self.admission.would_fit(needed) {
+                // Nothing running or swapping in will free a byte, so
+                // only the pins queued requests hold can be in the way.
+                if self.running.is_empty()
+                    && self.swapping.is_empty()
+                    && self.revoke_queued_pins(now, records)
+                {
+                    continue;
+                }
                 break;
             }
             let entry = self.queue.remove(pick).expect("pick indexes the queue");
             self.admit(entry, now, records, homes);
         }
+    }
+
+    /// Releases the admission pin of every queued request that holds
+    /// one, returning its reservation estimate to its full peak; a
+    /// request whose full peak exceeds capacity is rejected as
+    /// [`RejectReason::NeverFits`], since only the share let it in.
+    /// Admission calls this when its candidate does not fit a shard on
+    /// which nothing runs or swaps in: pins held by waiting requests can
+    /// then keep the candidate out for good, as no completion will ever
+    /// free their bytes. Returns whether any pin was released.
+    fn revoke_queued_pins(&mut self, now: u64, records: &mut [RequestRecord]) -> bool {
+        let mut revoked = false;
+        for mut entry in std::mem::take(&mut self.queue) {
+            if let Some(pin) = entry.prefix_pin.take() {
+                self.engine.unpin_prefix(pin);
+                entry.est_bytes = entry.full_bytes;
+                revoked = true;
+                if let (Err(reason), Some(record)) =
+                    (self.admission.screen(entry.full_bytes, 0), records.get_mut(entry.arrival))
+                {
+                    self.reject(record, reason, now);
+                    continue;
+                }
+            }
+            self.queue.push_back(entry);
+        }
+        revoked
+    }
+
+    /// Reclaims idle prefix-cache bytes ([`Engine::reclaim_prefix`]:
+    /// never-served tails first, then whole LRU entries) until
+    /// `needed(self)` fits the admission headroom or only pinned entries
+    /// are left, and bills the spills to the host link. `needed` is
+    /// recomputed after every step, since both the cache's resident
+    /// bytes and a queued prompt's fill bytes move with it. Returns
+    /// whether it fits.
+    fn reclaim_prefix_until_fits(&mut self, arrival: usize, needed: impl Fn(&Self) -> u64) -> bool {
+        let mut fits = self.admission.would_fit(needed(self));
+        while !fits && self.engine.reclaim_prefix(arrival as u64) {
+            fits = self.admission.would_fit(needed(self));
+        }
+        // Reclaiming only trims, spills and drops: no fill to serialize.
+        self.charge_prefix_traffic();
+        fits
     }
 
     /// Pauses the running session at `index` and swaps its KV state out.

@@ -357,3 +357,41 @@ fn cluster_metrics_gauges_cover_every_shard() {
     let tpot_mean = tpots.iter().sum::<f64>() / tpots.len() as f64;
     assert_eq!(gauge("tpot_mean_ticks"), Some(Json::F64(tpot_mean)));
 }
+
+#[test]
+fn cluster_kv_peaks_are_simultaneous_not_summed_shard_peaks() {
+    // Round-robin puts one request on each shard, the second arriving
+    // long after the first has finished: each shard peaks on its own
+    // tick, so the sum of the shard peaks is twice what the cluster ever
+    // held at once.
+    let request = |i: usize| {
+        let prompt: Vec<usize> = (0..12).map(|j| (i + 3 * j) % 50 + 1).collect();
+        ServingRequest { request: Request::new(prompt, 6), priority: 0 }
+    };
+    let workload = Workload::trace(vec![(0, request(0)), (200, request(1))]);
+    let report = Cluster::new(
+        engines(2),
+        workload,
+        cluster_config(2, RouterKind::RoundRobin, 1 << 20, SchedKind::Fcfs),
+    )
+    .run();
+    assert_eq!(report.completed(), 2);
+
+    let reserved_sum: u64 = report.shards.iter().map(|s| s.kv_reserved_peak_bytes).sum();
+    let reserved_max = report.shards.iter().map(|s| s.kv_reserved_peak_bytes).max().unwrap_or(0);
+    let resident_sum: u64 = report.shards.iter().map(|s| s.kv_resident_peak_bytes).sum();
+    let resident_max = report.shards.iter().map(|s| s.kv_resident_peak_bytes).max().unwrap_or(0);
+    assert!(reserved_max > 0 && resident_max > 0);
+    let simultaneous_reserved = (0..report.kv_reserved_series[0].len())
+        .map(|t| report.kv_reserved_series.iter().map(|series| series[t]).sum::<u64>())
+        .max()
+        .unwrap_or(0);
+    assert_eq!(simultaneous_reserved, reserved_max, "the two shards never hold a reservation at once");
+    assert_eq!(report.kv_resident_peak_bytes, resident_max, "nor any resident bytes");
+
+    let doc = Json::parse(&report.metrics().to_string()).expect("the metrics document parses");
+    let counter = |name: &str| doc.get("counters").and_then(|c| c.get(name)).cloned();
+    assert_eq!(counter("kv_reserved_peak_bytes"), Some(Json::U64(simultaneous_reserved)));
+    assert_eq!(counter("kv_resident_peak_bytes"), Some(Json::U64(report.kv_resident_peak_bytes)));
+    assert!(simultaneous_reserved < reserved_sum && report.kv_resident_peak_bytes < resident_sum);
+}
