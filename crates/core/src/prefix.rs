@@ -377,18 +377,9 @@ pub struct PrefixCache {
     now: u64,
     /// Host-link traffic produced by churn, drained by the serving layer.
     pending: Vec<PrefixTransfer>,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    shared_tokens: u64,
-    evictions: u64,
-    spills: u64,
-    fills: u64,
-    expiries: u64,
-    spill_bytes: u64,
-    fill_bytes: u64,
-    trims: u64,
-    trimmed_bytes: u64,
+    /// The running counters; [`PrefixCache::stats`] fills in the four
+    /// derived fields (entry counts and bytes per tier) on read.
+    stats: PrefixCacheStats,
 }
 
 impl PrefixCache {
@@ -402,18 +393,7 @@ impl PrefixCache {
             next_id: 0,
             now: 0,
             pending: Vec::new(),
-            hits: 0,
-            misses: 0,
-            insertions: 0,
-            shared_tokens: 0,
-            evictions: 0,
-            spills: 0,
-            fills: 0,
-            expiries: 0,
-            spill_bytes: 0,
-            fill_bytes: 0,
-            trims: 0,
-            trimmed_bytes: 0,
+            stats: PrefixCacheStats::default(),
         }
     }
 
@@ -449,18 +429,7 @@ impl PrefixCache {
             resident_bytes: self.resident_bytes(),
             host_entries: self.host.len(),
             host_bytes: self.host_bytes(),
-            hits: self.hits,
-            misses: self.misses,
-            insertions: self.insertions,
-            shared_tokens: self.shared_tokens,
-            evictions: self.evictions,
-            spills: self.spills,
-            fills: self.fills,
-            expiries: self.expiries,
-            spill_bytes: self.spill_bytes,
-            fill_bytes: self.fill_bytes,
-            trims: self.trims,
-            trimmed_bytes: self.trimmed_bytes,
+            ..self.stats
         }
     }
 
@@ -557,8 +526,8 @@ impl PrefixCache {
         let best = self.best_match(prompt);
         match best {
             Some((matched, id, in_host)) => {
-                self.hits += 1;
-                self.shared_tokens += matched as u64;
+                self.stats.hits += 1;
+                self.stats.shared_tokens += matched as u64;
                 if in_host {
                     self.promote(id);
                 }
@@ -571,7 +540,7 @@ impl PrefixCache {
                 Some(PrefixHit { matched, entry: id, state: &entry.state, observations: &entry.observations })
             }
             None => {
-                self.misses += 1;
+                self.stats.misses += 1;
                 None
             }
         }
@@ -598,8 +567,8 @@ impl PrefixCache {
                 break;
             }
         }
-        self.fills += 1;
-        self.fill_bytes += bytes;
+        self.stats.fills += 1;
+        self.stats.fill_bytes += bytes;
         self.pending.push(PrefixTransfer { entry: entry.id, bytes, kind: PrefixTransferKind::Fill });
         self.entries.push(entry);
     }
@@ -620,12 +589,12 @@ impl PrefixCache {
         let entry = self.entries.remove(index);
         let bytes = entry_bytes(&entry);
         if self.config.spill {
-            self.spills += 1;
-            self.spill_bytes += bytes;
+            self.stats.spills += 1;
+            self.stats.spill_bytes += bytes;
             self.pending.push(PrefixTransfer { entry: entry.id, bytes, kind: PrefixTransferKind::Spill });
             self.host.push(entry);
         } else {
-            self.evictions += 1;
+            self.stats.evictions += 1;
         }
         true
     }
@@ -658,8 +627,8 @@ impl PrefixCache {
         }
         entry.tokens.truncate(entry.served);
         entry.observations.truncate(entry.served);
-        self.trims += 1;
-        self.trimmed_bytes += before - entry_bytes(entry);
+        self.stats.trims += 1;
+        self.stats.trimmed_bytes += before - entry_bytes(entry);
         true
     }
 
@@ -734,7 +703,7 @@ impl PrefixCache {
         if !self.wants(&tokens, bytes) || !self.make_room(bytes) {
             return false;
         }
-        self.insertions += 1;
+        self.stats.insertions += 1;
         let id = self.next_id;
         self.next_id += 1;
         self.entries.push(PrefixEntry {
@@ -778,7 +747,7 @@ impl PrefixCache {
             }
             !dead
         });
-        self.expiries += expired.len() as u64;
+        self.stats.expiries += expired.len() as u64;
         expired
     }
 

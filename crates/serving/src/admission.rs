@@ -9,7 +9,11 @@
 //! a guaranteed ceiling, while `prompt + generated` is. Reserving peaks
 //! makes the core serving invariant — admitted KV bytes never exceed
 //! capacity — hold unconditionally, at the cost of admitting slightly
-//! fewer sessions than a tighter estimate would.
+//! fewer sessions than a tighter estimate would. The controller keeps no
+//! reservation state: a shard sums the peaks of its running and
+//! swapping-in requests from its request table
+//! ([`crate::Shard::reserved_bytes`]), so reserved bytes equal the
+//! admitted reservations by construction.
 //!
 //! ## Shared-prefix discount
 //!
@@ -118,13 +122,12 @@ impl Default for AdmissionConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct AdmissionController {
     config: AdmissionConfig,
-    reserved: u64,
 }
 
 impl AdmissionController {
-    /// Creates a controller with nothing admitted.
+    /// Creates a controller over `config`.
     pub(crate) fn new(config: AdmissionConfig) -> Self {
-        Self { config, reserved: 0 }
+        Self { config }
     }
 
     /// The configuration.
@@ -132,24 +135,14 @@ impl AdmissionController {
         &self.config
     }
 
-    /// Bytes currently reserved by admitted sessions.
-    pub(crate) fn reserved_bytes(&self) -> u64 {
-        self.reserved
-    }
-
-    /// Conservative peak resident-token count of a request — delegates to
+    /// Peak KV bytes of a request given the engine's per-token KV cost
+    /// ([`veda::Engine::kv_bytes_per_token`]). The token count is
     /// [`Request::peak_resident_tokens`], the single source of the
     /// reservation math shared with the engine's submit-time KV
     /// pre-allocation, so the two accountings cannot drift (see the
     /// [module docs](self) for why the cache budget is ignored).
-    pub(crate) fn peak_resident_tokens(request: &Request) -> usize {
-        request.peak_resident_tokens()
-    }
-
-    /// Peak KV bytes of a request given the engine's per-token KV cost
-    /// ([`veda::Engine::kv_bytes_per_token`]).
     pub(crate) fn estimate_bytes(request: &Request, kv_bytes_per_token: u64) -> u64 {
-        Self::peak_resident_tokens(request) as u64 * kv_bytes_per_token
+        request.peak_resident_tokens() as u64 * kv_bytes_per_token
     }
 
     /// Peak KV bytes a request will *privately own*, given that
@@ -163,7 +156,7 @@ impl AdmissionController {
         shared_tokens: usize,
         kv_bytes_per_token: u64,
     ) -> u64 {
-        Self::peak_resident_tokens(request).saturating_sub(shared_tokens) as u64 * kv_bytes_per_token
+        request.peak_resident_tokens().saturating_sub(shared_tokens) as u64 * kv_bytes_per_token
     }
 
     /// Screens an arrival: `Err` rejects it outright, `Ok` means it may
@@ -179,28 +172,10 @@ impl AdmissionController {
         }
     }
 
-    /// Whether reserving `est_bytes` more would stay within capacity.
-    pub(crate) fn would_fit(&self, est_bytes: u64) -> bool {
-        self.reserved + est_bytes <= self.config.capacity_bytes
-    }
-
-    /// Reserves an admitted session's peak bytes.
-    pub(crate) fn reserve(&mut self, est_bytes: u64) {
-        self.reserved += est_bytes;
-        debug_assert!(self.reserved <= self.config.capacity_bytes, "over-reserved device memory");
-    }
-
-    /// Releases a finished (or swapped-out) session's reservation.
-    pub(crate) fn release(&mut self, est_bytes: u64) {
-        debug_assert!(est_bytes <= self.reserved, "releasing more than reserved");
-        self.reserved = self.reserved.saturating_sub(est_bytes);
-    }
-
-    /// Drops every reservation at once — the fail-stop path: a crashed
-    /// shard's sessions are discarded wholesale, so its admission state
-    /// resets with them.
-    pub(crate) fn reset(&mut self) {
-        self.reserved = 0;
+    /// Whether reserving `est_bytes` on top of `reserved` stays within
+    /// capacity.
+    pub(crate) fn would_fit(&self, reserved: u64, est_bytes: u64) -> bool {
+        reserved + est_bytes <= self.config.capacity_bytes
     }
 }
 
@@ -215,7 +190,7 @@ mod tests {
 
     #[test]
     fn peak_covers_prompt_and_generation() {
-        assert_eq!(AdmissionController::peak_resident_tokens(&request(16, 8)), 24);
+        assert_eq!(request(16, 8).peak_resident_tokens(), 24);
         assert_eq!(AdmissionController::estimate_bytes(&request(16, 8), 256), 24 * 256);
     }
 
@@ -230,18 +205,12 @@ mod tests {
     }
 
     #[test]
-    fn reserve_release_cycle() {
-        let mut ac = AdmissionController::new(AdmissionConfig { capacity_bytes: 1000, max_queue_depth: 4 });
-        assert!(ac.would_fit(1000));
-        ac.reserve(600);
-        assert_eq!(ac.reserved_bytes(), 600);
-        assert!(ac.would_fit(400));
-        assert!(!ac.would_fit(401));
-        ac.release(600);
-        assert_eq!(ac.reserved_bytes(), 0);
-        ac.reserve(300);
-        ac.reset();
-        assert_eq!(ac.reserved_bytes(), 0, "reset drops every reservation");
+    fn would_fit_counts_the_reserved_bytes() {
+        let ac = AdmissionController::new(AdmissionConfig { capacity_bytes: 1000, max_queue_depth: 4 });
+        assert!(ac.would_fit(0, 1000));
+        assert!(ac.would_fit(600, 400));
+        assert!(!ac.would_fit(600, 401));
+        assert!(!ac.would_fit(1000, 1));
     }
 
     #[test]

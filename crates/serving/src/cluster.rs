@@ -67,8 +67,8 @@
 use std::collections::BTreeMap;
 
 use veda::Engine;
-use veda_mem::{HostLinkConfig, SwapDirection, TransferKind};
-use veda_telemetry::{log2_histogram, Json, SinkHandle, StageWaterfall, TraceEvent, TraceEventKind};
+use veda_mem::HostLinkConfig;
+use veda_telemetry::{log2_histogram, Json, SinkHandle, StageWaterfall, TraceEventKind};
 
 use crate::admission::AdmissionConfig;
 use crate::error::ServeError;
@@ -78,7 +78,7 @@ use crate::report::{
 };
 use crate::router::RouterKind;
 use crate::scheduler::SchedKind;
-use crate::shard::{SessionEntry, Shard, SwapInEntry, WaitKind};
+use crate::shard::Shard;
 use crate::stepping::StepPool;
 use crate::workload::{ServingRequest, Workload};
 
@@ -184,9 +184,6 @@ pub struct Cluster {
     /// Highest sum over the shards of device-resident KV bytes, sampled
     /// after each executed tick beside `reserved_series`.
     resident_peak: u64,
-    /// Trace sink for cluster-plane events (migration starts); each shard
-    /// holds its own clone for shard-plane events.
-    trace: Option<SinkHandle>,
     /// The fault plane's live state — always present; a cluster without
     /// a configured plane runs the no-op default (invariant #9).
     faults: FaultRuntime,
@@ -284,7 +281,6 @@ impl Cluster {
             migration_cycles: 0,
             reserved_series: vec![Vec::new(); n],
             resident_peak: 0,
-            trace: config.trace,
             faults: FaultRuntime::new(faults, n),
             steppers: StepPool::default(),
         })
@@ -372,22 +368,10 @@ impl Cluster {
         self.drain_retries();
         for arrival in self.workload.take_arrivals(self.now) {
             let global = self.records.len();
-            let routable = self.faults.health.iter().any(|h| h.routable());
-            let home = if routable {
-                let views: Vec<_> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| s.view(&arrival.request.prompt, self.faults.health[i]))
-                    .collect();
-                let pick = self.router.route(&mut self.router_cursor, &views);
-                assert!(self.faults.health[pick].routable(), "router picked an unroutable shard");
-                pick
-            } else {
-                // Every shard is down or draining: the arrival cannot be
-                // routed anywhere, so its home is a deterministic shard.
-                global % self.shards.len()
-            };
+            let routed = self.route(&arrival.request.prompt);
+            // When every shard is down or draining the arrival cannot be
+            // routed anywhere, so its home is a deterministic shard.
+            let home = routed.unwrap_or(global % self.shards.len());
             self.records.push(RequestRecord::new(global, arrival.priority, self.now));
             self.homes.push(home);
             self.shards[home].emit(
@@ -399,8 +383,7 @@ impl Cluster {
                     priority: arrival.priority as u32,
                 },
             );
-            if routable {
-                self.routed[home] += 1;
+            if routed.is_some() {
                 self.shards[home].accept(arrival, &mut self.records[global], self.now);
             } else {
                 // Park it as a retry attempt (bounded, so a cluster that
@@ -413,9 +396,7 @@ impl Cluster {
         for shard in &mut self.shards {
             shard.begin_tick(self.now, &mut self.records, &self.homes);
         }
-        if self.migration.is_some() {
-            self.migrate();
-        }
+        self.migrate();
         let mut works: Vec<_> = self.shards.iter_mut().map(|shard| shard.engine.plan_step()).collect();
         self.steppers.compute(&mut works);
         for (shard, work) in self.shards.iter_mut().zip(works) {
@@ -455,6 +436,20 @@ impl Cluster {
         }
     }
 
+    /// Routes one prompt: the router's pick among the routable shards,
+    /// counted in `routed`, or `None` when no shard is routable.
+    fn route(&mut self, prompt: &[usize]) -> Option<usize> {
+        if !self.faults.health.iter().any(|h| h.routable()) {
+            return None;
+        }
+        let views: Vec<_> =
+            self.shards.iter().zip(&self.faults.health).map(|(s, &health)| s.view(prompt, health)).collect();
+        let pick = self.router.route(&mut self.router_cursor, &views);
+        assert!(self.faults.health[pick].routable(), "router picked an unroutable shard");
+        self.routed[pick] += 1;
+        Some(pick)
+    }
+
     /// Applies the fault plan's scheduled health and link transitions for
     /// this tick: newly-down shards fail (their work re-enters through
     /// the retry queue), recovered shards rejoin rotation, and each
@@ -467,9 +462,7 @@ impl Cluster {
             let is_down = health == ShardHealth::Down;
             self.faults.health[s] = health;
             if is_down && !was_down {
-                let sessions = (self.shards[s].running.len()
-                    + self.shards[s].paused.len()
-                    + self.shards[s].swapping.len()) as u64;
+                let sessions = self.shards[s].sessions() as u64;
                 let lost = self.shards[s].fail();
                 self.faults.shard_downs += 1;
                 self.faults.lost_sessions += sessions;
@@ -524,19 +517,10 @@ impl Cluster {
     /// Routes one ready retry to a shard queue, or hands it back to the
     /// retry/dead-letter path when nothing can take it.
     fn place_retry(&mut self, work: LostWork) {
-        if !self.faults.health.iter().any(|h| h.routable()) {
+        let Some(pick) = self.route(&work.request.prompt) else {
             self.retry_or_dead_letter(work);
             return;
-        }
-        let views: Vec<_> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.view(&work.request.prompt, self.faults.health[i]))
-            .collect();
-        let pick = self.router.route(&mut self.router_cursor, &views);
-        assert!(self.faults.health[pick].routable(), "router picked an unroutable shard");
-        self.routed[pick] += 1;
+        };
         if let Err((_reason, work)) = self.shards[pick].requeue(work, self.now) {
             self.retry_or_dead_letter(work);
         }
@@ -585,18 +569,18 @@ impl Cluster {
         let Some(watermark) = self.faults.config.shed_watermark else { return };
         let slots = self.shards.len() * self.shards[0].admission.config().max_queue_depth;
         let threshold = (watermark * slots as f64) as usize;
-        loop {
-            let depth: usize = self.shards.iter().map(Shard::queue_len).sum();
-            if depth <= threshold {
-                break;
-            }
-            let (_, std::cmp::Reverse(arrival), shard) = self
+        while self.shards.iter().map(Shard::queue_len).sum::<usize>() > threshold {
+            let Some((_, std::cmp::Reverse(arrival), shard)) = self
                 .shards
                 .iter()
-                .flat_map(|s| s.queue.iter().map(move |e| (e.priority, std::cmp::Reverse(e.arrival), s.id)))
+                .filter_map(|s| s.shed_candidate().map(|(priority, arrival)| (priority, arrival, s.id)))
                 .min()
-                .expect("queue depth above threshold implies a non-empty queue");
-            self.shards[shard].remove_queued(arrival).expect("victim was just seen in this queue");
+            else {
+                break;
+            };
+            if self.shards[shard].remove_queued(arrival).is_none() {
+                break;
+            }
             let record = &mut self.records[arrival];
             record.shed = Some(self.now);
             record.lost_at = None;
@@ -615,50 +599,29 @@ impl Cluster {
         if ttft.is_none() && e2e.is_none() {
             return;
         }
-        let now = self.now;
-        // Phase 1: scan immutably, in shard order, collecting violations.
-        let mut violations: Vec<(usize, usize, &'static str)> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let entries = shard
-                .queue
-                .iter()
-                .map(|e| (e.arrival, e.submitted))
-                .chain(shard.running.iter().map(|e| (e.arrival, e.submitted)))
-                .chain(shard.paused.iter().map(|e| (e.arrival, e.submitted)))
-                .chain(shard.swapping.iter().map(|s| (s.entry.arrival, s.entry.submitted)));
-            for (arrival, submitted) in entries {
-                let record = &self.records[arrival];
-                // e2e subsumes ttft: a request past both deadlines is
-                // one timeout, labeled with the stricter violation.
-                if e2e.is_some_and(|d| now >= submitted + d) && record.finished.is_none() {
-                    violations.push((si, arrival, "e2e"));
-                } else if ttft.is_some_and(|d| now >= submitted + d) && record.first_token.is_none() {
-                    violations.push((si, arrival, "ttft"));
-                }
+        // Shard by shard, each in its stage order: a teardown touches
+        // only its own shard's table and its own request's record.
+        for shard in 0..self.shards.len() {
+            while let Some(work) = self.shards[shard].take_timed_out(&self.records, ttft, e2e, self.now) {
+                self.records[work.arrival].timeouts += 1;
+                self.faults.timeouts += 1;
+                self.retry_or_dead_letter(work);
             }
-        }
-        // Phase 2: tear down in the order collected (deterministic).
-        for (si, arrival, deadline) in violations {
-            let Some(work) = self.shards[si].remove_timed_out(arrival, deadline, now) else {
-                continue;
-            };
-            self.records[work.arrival].timeouts += 1;
-            self.faults.timeouts += 1;
-            self.retry_or_dead_letter(work);
         }
     }
 
     /// Moves up to [`MigrationConfig::max_per_tick`] sessions from hot
-    /// shards to cold ones. A migration pauses the victim on its source,
-    /// extracts its KV state (privatizing any shared-prefix span — the
-    /// payload is the session's complete state), pays the transfer on
-    /// both host links, and parks the session in the target's swap-in
-    /// set until the transfer's cycles elapse.
+    /// shards to cold ones ([`Shard::migrate_to`]); a no-op without a
+    /// [`MigrationConfig`].
     fn migrate(&mut self) {
-        let cfg = self.migration.expect("caller checked");
+        let Some(cfg) = self.migration else { return };
         for _ in 0..cfg.max_per_tick {
             let Some((src, tgt)) = self.pick_migration(&cfg) else { break };
-            self.execute_migration(src, tgt);
+            let (source, target) = two_shards(&mut self.shards, src, tgt);
+            let Some((bytes, cycles)) = source.migrate_to(target, self.now) else { break };
+            self.migrations += 1;
+            self.migration_bytes += bytes;
+            self.migration_cycles += cycles;
         }
     }
 
@@ -673,80 +636,30 @@ impl Cluster {
         // (max_by_key keeps the last max, so reverse the index in the
         // key). A Draining shard may still migrate sessions *away* —
         // that is the point of the drain window — but a Down shard has
-        // nothing to offer (its running set is empty).
-        let src = self
+        // nothing to offer (nothing runs on it). `need` is the source
+        // victim's full (undiscounted) payload.
+        let (src, need) = self
             .shards
             .iter()
-            .filter(|s| !s.running.is_empty() && hot(s))
-            .max_by_key(|s| (s.reserved_bytes(), std::cmp::Reverse(s.id)))?
-            .id;
-        // Victim: the largest running session (frees the most source
-        // bytes per transfer); ties go to the oldest arrival.
-        let victim = self.shards[src]
-            .running
-            .iter()
-            .max_by_key(|e| (e.full_bytes, std::cmp::Reverse(e.arrival)))
-            .expect("source has running sessions");
-        let need = victim.full_bytes;
-        // Coldest *routable* shard that can land the full (undiscounted)
-        // payload and stay under the cold-side threshold — down and
-        // draining shards receive no landings.
+            .filter_map(|s| Some((s, s.migration_bytes()?)))
+            .filter(|(s, _)| hot(s))
+            .max_by_key(|(s, _)| (s.reserved_bytes(), std::cmp::Reverse(s.id)))
+            .map(|(s, need)| (s.id, need))?;
+        // Coldest *routable* shard that can land the payload and stay
+        // under the cold-side threshold — down and draining shards
+        // receive no landings.
         let tgt = self
             .shards
             .iter()
             .filter(|s| s.id != src && self.faults.health[s.id].routable())
             .filter(|s| {
                 let cold_cap = (cfg.cold_fraction * s.capacity_bytes() as f64) as u64;
-                s.admission.would_fit(need.saturating_add(s.prefix_overhead()))
+                s.fits(need.saturating_add(s.prefix_overhead()))
                     && s.reserved_bytes().saturating_add(need) <= cold_cap
             })
             .min_by_key(|s| (s.reserved_bytes(), s.queue_len(), s.id))?
             .id;
         Some((src, tgt))
-    }
-
-    /// Executes one migration of the source's chosen victim to `tgt`.
-    fn execute_migration(&mut self, src: usize, tgt: usize) {
-        let (source, target) = two_shards(&mut self.shards, src, tgt);
-        let victim_index = source
-            .running
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, e)| (e.full_bytes, std::cmp::Reverse(e.arrival)))
-            .map(|(i, _)| i)
-            .expect("pick_migration found a victim");
-        let entry = source.running.remove(victim_index);
-        source.engine.pause(entry.session).expect("running entry tracks the engine");
-        let migrated = source.engine.extract(entry.session).expect("just paused");
-        // Extraction privatized any shared-prefix span, so the payload —
-        // and the target-side reservation — is the full session state.
-        let payload = migrated.kv_bytes();
-        if let Some(sink) = &self.trace {
-            sink.record(TraceEvent {
-                tick: self.now,
-                cycles: source.elapsed_cycles,
-                shard: src as u32,
-                request: entry.arrival as u64,
-                kind: TraceEventKind::MigrationStart { to_shard: tgt as u32, bytes: payload },
-            });
-        }
-        source.admission.release(entry.est_bytes);
-        let out_cycles = source.link.transfer_tagged(payload, SwapDirection::Out, TransferKind::Migration);
-        let in_cycles = target.link.transfer_tagged(payload, SwapDirection::In, TransferKind::Migration);
-        let session = target.engine.adopt(migrated).expect("cluster shards share one model geometry");
-        target.admission.reserve(entry.full_bytes);
-        target.swapping.push(SwapInEntry {
-            entry: SessionEntry {
-                session,
-                est_bytes: entry.full_bytes,
-                wait_since: Some((WaitKind::Migration { from: src }, self.now)),
-                ..entry
-            },
-            ready_at: target.elapsed_cycles + in_cycles,
-        });
-        self.migrations += 1;
-        self.migration_bytes += payload;
-        self.migration_cycles += out_cycles + in_cycles;
     }
 
     /// Runs the workload to completion (or the `max_ticks` safety valve)

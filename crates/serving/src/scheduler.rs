@@ -3,7 +3,7 @@
 //!
 //! Each [`SchedKind`] is a small, stateless, deterministic decision
 //! function over read-only views of the queue and the running set; the
-//! [`crate::Shard`] owns all state transitions (reserve/release, swap,
+//! [`crate::Shard`] owns all state transitions (stage changes, swap,
 //! pause/resume), so a policy bug cannot corrupt accounting. The
 //! preemptive policy bounds the times any one session may be preempted
 //! ([`MAX_PREEMPTIONS`]) so a stream of high-priority requests cannot

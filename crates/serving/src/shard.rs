@@ -1,5 +1,5 @@
-//! One serving shard: a full [`Engine`] + `AdmissionController` +
-//! queue/swap machinery — one member of a [`crate::Cluster`].
+//! One serving shard: a full [`Engine`] + `AdmissionController` + one
+//! request table — one member of a [`crate::Cluster`].
 //!
 //! A shard owns everything below the arrival stream: screening, the wait
 //! queue, scheduler-driven admission, preemption and swap-in
@@ -35,8 +35,8 @@
 //!    re-enters the batch at least one tick after its swap-in starts,
 //!    later for large KV states or slow links.
 //! 3. **Swap-in start**: preempted sessions whose reservation fits again
-//!    — after reclaiming idle prefix-cache bytes if needed — re-reserve
-//!    their bytes and begin their swap-in transfer.
+//!    — after reclaiming idle prefix-cache bytes if needed — begin their
+//!    swap-in transfer, holding their reservation again from here on.
 //! 4. **Admission**: the scheduling policy repeatedly names the next
 //!    queued candidate; each is admitted if its peak reservation fits,
 //!    after reclaiming idle prefix-cache bytes (never-served tails
@@ -52,7 +52,7 @@
 //! 5. **Step** (`commit_step`): the engine advances every decoding
 //!    session one token and every prefilling session one prompt chunk;
 //!    first-token and completion ticks are recorded per request, and
-//!    completions release their reservations. The step is the engine's
+//!    completed requests leave the table, their reservations with them. The step is the engine's
 //!    three phases ([`Engine::step`]): the cluster has the engine plan
 //!    its tick, computes the planned [`StepWork`] on one of its step
 //!    threads, and `commit_step` hands the work back to the engine and
@@ -60,12 +60,22 @@
 //!    order. A shard itself never leaves that thread; only its work
 //!    does.
 //!
+//! ## The request table
+//!
+//! A shard holds every request in one table, and each entry's stage
+//! says what it holds: `Queued` (maybe an admission pin), `Running`,
+//! `SwappedOut` or `SwappingIn` (an engine session). Reservations are
+//! held exactly in `Running` and `SwappingIn`, and
+//! [`Shard::reserved_bytes`] sums them — no counter is kept in step. A
+//! stage transition moves the entry to the table's end, so each stage
+//! keeps its entry order; every exit (completion, crash, deadline, shed,
+//! migration, the `max_ticks` valve) goes through one `take`. The crash
+//! hand-back and the deadline scan walk the stages in that order.
+//!
 //! Idle spans cost nothing to simulate: a tick that steps no session
 //! while swap-ins are in flight jumps the shard's cycle counter to the
 //! earliest swap-in completion, and when no shard holds work the cluster
 //! fast-forwards the clock to the next arrival.
-
-use std::collections::VecDeque;
 
 use veda::{Engine, PrefixCache, PrefixPin, PrefixTransferKind, Request, Session, StepWork, TokenEvent};
 use veda_mem::{HostLink, HostLinkConfig, SwapDirection, TransferKind};
@@ -79,7 +89,7 @@ use crate::workload::{ArrivalKind, ServingRequest};
 
 /// Why an admitted session spent ticks off the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WaitKind {
+enum WaitKind {
     /// Preempted and swapped out to the host.
     Swap,
     /// In flight between shards (cross-shard migration).
@@ -107,65 +117,75 @@ fn apply_wait(record: &mut RequestRecord, kind: WaitKind, from: u64, to: u64) {
     }
 }
 
-/// A request waiting for admission. Fresh arrivals queue on the shard
-/// they were routed to; retried requests can land on any shard.
+/// What a request on a shard holds, by its stage (see the
+/// [module docs](self)). A reservation is held exactly in `Running` and
+/// `SwappingIn`.
 #[derive(Debug)]
-pub(crate) struct QueuedEntry {
+enum Stage {
+    /// Waiting for admission, with the admission pin on the prefix entry
+    /// whose match discounted `est_bytes`, if any: it keeps churn from
+    /// shrinking the match until the submit takes its own seed pin.
+    Queued { pin: Option<PrefixPin> },
+    /// Prefilling or decoding in the engine's batch.
+    Running { session: Session },
+    /// Preempted at tick `since`; its KV state is on the host.
+    SwappedOut { session: Session, since: u64 },
+    /// KV state crossing the host link (a swap-in, a host-tier prefix
+    /// fill or a migration landing): rejoins the batch once the cycle
+    /// clock reaches `ready_at`, ending its `wait` begun at tick `since`.
+    SwappingIn { session: Session, ready_at: u64, since: u64, wait: WaitKind },
+}
+
+impl Stage {
+    fn holds_reservation(&self) -> bool {
+        matches!(self, Stage::Running { .. } | Stage::SwappingIn { .. })
+    }
+
+    /// The engine session of an admitted request.
+    fn session(&self) -> Option<Session> {
+        match *self {
+            Stage::Queued { .. } => None,
+            Stage::Running { session }
+            | Stage::SwappedOut { session, .. }
+            | Stage::SwappingIn { session, .. } => Some(session),
+        }
+    }
+
+    /// The stage's place, 0 to 3, in the walks that cross stages.
+    fn rank(&self) -> usize {
+        match self {
+            Stage::Queued { .. } => 0,
+            Stage::Running { .. } => 1,
+            Stage::SwappedOut { .. } => 2,
+            Stage::SwappingIn { .. } => 3,
+        }
+    }
+}
+
+/// One request on a shard. Fresh arrivals enter on the shard they were
+/// routed to; retried and migrated requests can land on any shard.
+#[derive(Debug)]
+struct Entry {
     /// Global arrival index: the request's trace id and its row in the
     /// cluster's record table.
-    pub(crate) arrival: usize,
+    arrival: usize,
     /// Tick this *attempt* entered the serving plane: the original
     /// submission for a first attempt, the requeue tick for a retry.
     /// Deadlines and scheduler ordering run against this epoch; the
     /// record keeps the original submission tick for latency metrics.
-    pub(crate) submitted: u64,
-    pub(crate) request: Request,
-    pub(crate) priority: u8,
+    submitted: u64,
+    /// The original request, kept so a crash or deadline teardown can
+    /// re-queue an admitted session from its prompt.
+    request: Request,
+    priority: u8,
     /// Reserved peak KV bytes (shared-prefix discounted when sound).
-    pub(crate) est_bytes: u64,
+    est_bytes: u64,
     /// Undiscounted peak KV bytes — what a migration target must
     /// reserve, since extraction privatizes any shared span.
-    pub(crate) full_bytes: u64,
-    /// The admission pin on the prefix entry whose match discounted
-    /// `est_bytes` (None when the discount was unsound or nothing
-    /// matched). Held while the entry waits so churn cannot shrink the
-    /// match under the discounted reservation; released after the
-    /// submit takes its own seed pin, and on every queue-exit path.
-    pub(crate) prefix_pin: Option<PrefixPin>,
-}
-
-/// An admitted session — in the `running` set it is prefilling/decoding,
-/// in the `paused` set its KV state lives on the host until resumed, in
-/// the `swapping` set its KV state is in flight back over the host link.
-#[derive(Debug)]
-pub(crate) struct SessionEntry {
-    /// Global arrival index (see [`QueuedEntry::arrival`]).
-    pub(crate) arrival: usize,
-    /// This attempt's epoch tick (see [`QueuedEntry::submitted`]).
-    pub(crate) submitted: u64,
-    /// The original request, kept so a crash or deadline teardown can
-    /// re-queue the session from its prompt.
-    pub(crate) request: Request,
-    pub(crate) session: Session,
-    pub(crate) priority: u8,
-    pub(crate) est_bytes: u64,
-    pub(crate) full_bytes: u64,
+    full_bytes: u64,
     /// Preemption count (mirrors the record, for scheduler views).
-    pub(crate) preemptions: u32,
-    /// When the session is off the device (paused or swapping), the wait
-    /// kind and the tick the wait began; folded into the record's stage
-    /// accounting when the session rejoins the batch.
-    pub(crate) wait_since: Option<(WaitKind, u64)>,
-}
-
-/// A session whose KV state is moving in over the host link (swap-in or
-/// migration); it rejoins the batch once the shard's cycle clock reaches
-/// `ready_at`.
-#[derive(Debug)]
-pub(crate) struct SwapInEntry {
-    pub(crate) entry: SessionEntry,
-    /// Engine-cycle timestamp at which the transfer completes.
-    pub(crate) ready_at: u64,
+    preemptions: u32,
+    stage: Stage,
 }
 
 /// One serving shard (see the [module docs](self)). The
@@ -184,10 +204,10 @@ pub struct Shard {
     /// Engine cycles elapsed so far (sum of executed tick batch cycles)
     /// — the clock swap-in completions are timed against.
     pub(crate) elapsed_cycles: u64,
-    pub(crate) queue: VecDeque<QueuedEntry>,
-    pub(crate) running: Vec<SessionEntry>,
-    pub(crate) paused: Vec<SessionEntry>,
-    pub(crate) swapping: Vec<SwapInEntry>,
+    /// Every request on this shard, whatever its stage. A stage
+    /// transition moves the entry to the end, so each stage's entries
+    /// stay in the order in which they entered it.
+    requests: Vec<Entry>,
     pub(crate) queue_depth: Vec<usize>,
     pub(crate) admitted: usize,
     pub(crate) rejected_never_fits: usize,
@@ -227,10 +247,7 @@ impl Shard {
             link: HostLink::new(host_link),
             kv_bytes_per_token,
             elapsed_cycles: 0,
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            paused: Vec::new(),
-            swapping: Vec::new(),
+            requests: Vec::new(),
             queue_depth: Vec::new(),
             admitted: 0,
             rejected_never_fits: 0,
@@ -287,20 +304,35 @@ impl Shard {
         self.rejected_never_fits + self.rejected_queue_full + self.rejected_invalid
     }
 
-    /// Sessions currently queued, prefilling/decoding, preempted, or
-    /// swapping in on this shard — migrated-in sessions included.
+    /// Requests on this shard, whatever their stage.
     pub(crate) fn in_flight(&self) -> usize {
-        self.queue.len() + self.running.len() + self.paused.len() + self.swapping.len()
+        self.requests.len()
+    }
+
+    /// Entries whose stage satisfies `f`.
+    fn count(&self, f: impl Fn(&Stage) -> bool) -> usize {
+        self.requests.iter().filter(|e| f(&e.stage)).count()
     }
 
     /// Requests currently waiting in this shard's admission queue.
     pub(crate) fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.count(|s| matches!(s, Stage::Queued { .. }))
     }
 
-    /// KV bytes currently reserved by this shard's admission control.
+    /// Admitted sessions on this shard, in any stage.
+    pub(crate) fn sessions(&self) -> usize {
+        self.count(|s| s.session().is_some())
+    }
+
+    /// KV bytes reserved on this shard: the sum of the peak estimates of
+    /// the requests whose stage holds a reservation.
     pub fn reserved_bytes(&self) -> u64 {
-        self.admission.reserved_bytes()
+        self.requests.iter().filter(|e| e.stage.holds_reservation()).map(|e| e.est_bytes).sum()
+    }
+
+    /// Whether reserving `bytes` more would stay within capacity.
+    pub(crate) fn fits(&self, bytes: u64) -> bool {
+        self.admission.would_fit(self.reserved_bytes(), bytes)
     }
 
     /// This shard's configured device KV capacity.
@@ -317,8 +349,8 @@ impl Shard {
     ) -> crate::router::ShardView {
         crate::router::ShardView {
             shard: self.id,
-            reserved_bytes: self.admission.reserved_bytes(),
-            queue_depth: self.queue.len(),
+            reserved_bytes: self.reserved_bytes(),
+            queue_depth: self.queue_len(),
             prefix_match_tokens: self.engine.prefix_match_len(prompt),
             health,
         }
@@ -389,27 +421,28 @@ impl Shard {
         valid: Result<(), RejectReason>,
         now: u64,
     ) -> Result<(), (RejectReason, Request)> {
-        let prefix_pin = if request.never_evicts() { self.engine.pin_prefix(&request.prompt) } else { None };
-        let shared_tokens = prefix_pin.as_ref().map_or(0, PrefixPin::matched);
+        let pin = if request.never_evicts() { self.engine.pin_prefix(&request.prompt) } else { None };
+        let shared_tokens = pin.as_ref().map_or(0, PrefixPin::matched);
         let est_bytes =
             AdmissionController::estimate_unshared_bytes(&request, shared_tokens, self.kv_bytes_per_token);
         let full_bytes = AdmissionController::estimate_bytes(&request, self.kv_bytes_per_token);
-        match valid.and_then(|()| self.admission.screen(est_bytes, self.queue.len())) {
+        match valid.and_then(|()| self.admission.screen(est_bytes, self.queue_len())) {
             Ok(()) => {
                 self.emit(now, arrival as u64, TraceEventKind::Queued);
-                self.queue.push_back(QueuedEntry {
+                self.requests.push(Entry {
                     arrival,
                     submitted: now,
                     request,
                     priority,
                     est_bytes,
                     full_bytes,
-                    prefix_pin,
+                    preemptions: 0,
+                    stage: Stage::Queued { pin },
                 });
                 Ok(())
             }
             Err(reason) => {
-                if let Some(pin) = prefix_pin {
+                if let Some(pin) = pin {
                     self.engine.unpin_prefix(pin);
                 }
                 Err((reason, request))
@@ -459,40 +492,94 @@ impl Shard {
             self.charge_prefix_traffic();
         }
         self.elapsed_cycles += stepped_cycles;
-        self.swap_wait_ticks += self.swapping.len() as u64;
-        if stepped_cycles == 0 && !self.swapping.is_empty() {
-            // Nothing decoded this tick but swap-ins are in flight:
+        let swapping_in = self.requests.iter().filter_map(|e| match e.stage {
+            Stage::SwappingIn { ready_at, .. } => Some(ready_at),
+            _ => None,
+        });
+        self.swap_wait_ticks += swapping_in.clone().count() as u64;
+        if stepped_cycles == 0 {
+            // Nothing decoded this tick but swap-ins may be in flight:
             // fast-forward the cycle clock to the earliest completion so
             // the run cannot stall on an otherwise idle engine.
-            let earliest = self.swapping.iter().map(|s| s.ready_at).min().expect("non-empty");
-            self.elapsed_cycles = self.elapsed_cycles.max(earliest);
+            if let Some(earliest) = swapping_in.min() {
+                self.elapsed_cycles = self.elapsed_cycles.max(earliest);
+            }
         }
-        self.kv_reserved_peak = self.kv_reserved_peak.max(self.admission.reserved_bytes());
-        self.queue_depth.push(self.queue.len());
+        self.kv_reserved_peak = self.kv_reserved_peak.max(self.reserved_bytes());
+        self.queue_depth.push(self.queue_len());
+        debug_assert!(
+            self.engine.active_sessions() == self.count(|s| matches!(s, Stage::Running { .. }))
+                && self.engine.paused_sessions()
+                    == self.count(|s| matches!(s, Stage::SwappedOut { .. } | Stage::SwappingIn { .. }))
+                && self.reserved_bytes() <= self.capacity_bytes(),
+            "shard {}'s request table disagrees with its engine or over-reserves",
+            self.id
+        );
+    }
+
+    /// The first entry at or after index `from` for which `f` returns a
+    /// value, with its index.
+    fn next_from<T>(&self, from: usize, f: impl Fn(&Entry) -> Option<T>) -> Option<(usize, T)> {
+        self.requests.iter().enumerate().skip(from).find_map(|(i, e)| Some((i, f(e)?)))
+    }
+
+    /// The same in stage order — every queued entry, then every running,
+    /// swapped-out and swapping-in one, each stage in table order.
+    fn first_in_stage_order<T>(&self, f: impl Fn(&Entry) -> Option<T>) -> Option<(usize, T)> {
+        (0..4).find_map(|rank| self.next_from(0, |e| if e.stage.rank() == rank { f(e) } else { None }))
+    }
+
+    /// Moves the entry at `index` into `stage` at the table's end and
+    /// returns the stage it left.
+    fn enter(&mut self, index: usize, stage: Stage) -> Stage {
+        let mut entry = self.requests.remove(index);
+        let left = std::mem::replace(&mut entry.stage, stage);
+        self.requests.push(entry);
+        left
+    }
+
+    /// Removes the entry at `index`, the one exit from the table: its
+    /// reservation leaves with it and a queued entry's pin is released.
+    /// The caller settles an admitted entry's session: retired already
+    /// (completion), discarded ([`Shard::abandon`]) or extracted
+    /// (migration).
+    fn take(&mut self, index: usize) -> Entry {
+        let mut entry = self.requests.remove(index);
+        if let Stage::Queued { pin } = &mut entry.stage {
+            if let Some(pin) = pin.take() {
+                self.engine.unpin_prefix(pin);
+            }
+        }
+        entry
+    }
+
+    /// Takes the entry at `index` off the shard for good — crash,
+    /// deadline, shed or the `max_ticks` valve: an admitted session is
+    /// discarded (KV freed, no finished report, partial token stream
+    /// lost). Returns the work for a retry or a dead letter.
+    fn abandon(&mut self, index: usize) -> LostWork {
+        let entry = self.take(index);
+        if let Some(session) = entry.stage.session() {
+            self.engine.discard(session).expect("an admitted entry tracks the engine");
+        }
+        LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request }
     }
 
     /// Fail-stop: every queued request is orphaned and every admitted
     /// session is discarded — KV freed, no finished report, partial
-    /// token streams lost — and the shard's admission state resets with
-    /// them. Returns the displaced work (queue first, then running,
-    /// paused and swapping sessions, all in entry order) for the cluster
-    /// to retry or dead-letter. The engine's prefix cache, link traffic
-    /// counters and elapsed cycles survive the crash: cache entries own
-    /// their bytes independently of sessions, which is exactly what
-    /// makes re-prefilling recovered requests cheap.
+    /// token streams lost — and the shard's reservations leave with
+    /// them. Returns the displaced work in stage order (queued, then
+    /// running, swapped-out and swapping-in sessions, each stage in the
+    /// order it was entered) for the cluster to retry or dead-letter.
+    /// The engine's prefix cache, link traffic counters and elapsed
+    /// cycles survive the crash: cache entries own their bytes
+    /// independently of sessions, which is exactly what makes
+    /// re-prefilling recovered requests cheap.
     pub(crate) fn fail(&mut self) -> Vec<LostWork> {
-        let mut lost = Vec::new();
-        for entry in std::mem::take(&mut self.queue) {
-            lost.push(self.release_queued(entry));
+        let mut lost = Vec::with_capacity(self.requests.len());
+        while let Some((index, ())) = self.first_in_stage_order(|_| Some(())) {
+            lost.push(self.abandon(index));
         }
-        let running: Vec<SessionEntry> = std::mem::take(&mut self.running);
-        let paused: Vec<SessionEntry> = std::mem::take(&mut self.paused);
-        let swapping: Vec<SwapInEntry> = std::mem::take(&mut self.swapping);
-        for entry in running.into_iter().chain(paused).chain(swapping.into_iter().map(|s| s.entry)) {
-            self.engine.discard(entry.session).expect("in-flight entry tracks the engine");
-            lost.push(LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request });
-        }
-        self.admission.reset();
         lost
     }
 
@@ -506,92 +593,130 @@ impl Shard {
             .map_err(|(reason, request)| (reason, LostWork { arrival, priority, request }))
     }
 
-    /// Tears down one in-flight attempt that missed its `deadline`
-    /// (searched across the queue and the running/paused/swapping sets),
+    /// Tears down the first attempt, in stage order, that has missed its
+    /// TTFT or e2e deadline (`ttft`/`e2e` ticks after its attempt epoch),
     /// emitting `TimedOut` and returning the work for a retry or a dead
-    /// letter. Reservations are released where they are actually held:
-    /// running and swapping entries hold one, queued and paused entries
-    /// do not.
-    pub(crate) fn remove_timed_out(
+    /// letter. An attempt past both deadlines is one timeout, labeled
+    /// with the stricter e2e violation.
+    pub(crate) fn take_timed_out(
         &mut self,
-        arrival: usize,
-        deadline: &'static str,
+        records: &[RequestRecord],
+        ttft: Option<u64>,
+        e2e: Option<u64>,
         now: u64,
     ) -> Option<LostWork> {
-        let work = if let Some(e) =
-            self.queue.iter().position(|e| e.arrival == arrival).and_then(|pos| self.queue.remove(pos))
-        {
-            self.release_queued(e)
-        } else if let Some(pos) = self.running.iter().position(|e| e.arrival == arrival) {
-            let e = self.running.remove(pos);
-            self.engine.discard(e.session).expect("running entry tracks the engine");
-            self.admission.release(e.est_bytes);
-            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
-        } else if let Some(pos) = self.paused.iter().position(|e| e.arrival == arrival) {
-            let e = self.paused.remove(pos);
-            self.engine.discard(e.session).expect("paused entry tracks the engine");
-            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
-        } else if let Some(pos) = self.swapping.iter().position(|e| e.entry.arrival == arrival) {
-            let e = self.swapping.remove(pos).entry;
-            self.engine.discard(e.session).expect("swapping entry tracks the engine");
-            self.admission.release(e.est_bytes);
-            LostWork { arrival: e.arrival, priority: e.priority, request: e.request }
-        } else {
-            return None;
-        };
+        let (index, deadline) = self.first_in_stage_order(|e| {
+            let record = records.get(e.arrival)?;
+            if e2e.is_some_and(|d| now >= e.submitted + d) && record.finished.is_none() {
+                Some("e2e")
+            } else if ttft.is_some_and(|d| now >= e.submitted + d) && record.first_token.is_none() {
+                Some("ttft")
+            } else {
+                None
+            }
+        })?;
+        let work = self.abandon(index);
         self.emit(now, work.arrival as u64, TraceEventKind::TimedOut { deadline });
         Some(work)
     }
 
-    /// Removes one queued entry by arrival id (the load-shedder's
-    /// removal path; queued entries hold no reservation, but a
-    /// discounted one holds a prefix pin, released here).
-    pub(crate) fn remove_queued(&mut self, arrival: usize) -> Option<LostWork> {
-        let pos = self.queue.iter().position(|e| e.arrival == arrival)?;
-        let entry = self.queue.remove(pos)?;
-        Some(self.release_queued(entry))
+    /// The load-shedder's pick on this shard: the queued request of the
+    /// lowest priority tier, newest arrival first within it.
+    pub(crate) fn shed_candidate(&self) -> Option<(u8, std::cmp::Reverse<usize>)> {
+        self.requests
+            .iter()
+            .filter(|e| matches!(e.stage, Stage::Queued { .. }))
+            .map(|e| (e.priority, std::cmp::Reverse(e.arrival)))
+            .min()
     }
 
-    /// The one exit of a queued entry that leaves the shard (crash,
-    /// deadline, shed): releases its admission pin on the prefix entry,
-    /// if it took one, and returns its work.
-    fn release_queued(&mut self, mut entry: QueuedEntry) -> LostWork {
-        if let Some(pin) = entry.prefix_pin.take() {
-            self.engine.unpin_prefix(pin);
-        }
-        LostWork { arrival: entry.arrival, priority: entry.priority, request: entry.request }
+    /// Removes one queued entry by arrival id (the load-shedder's
+    /// removal path; its admission pin, if any, is released).
+    pub(crate) fn remove_queued(&mut self, arrival: usize) -> Option<LostWork> {
+        let index = self
+            .requests
+            .iter()
+            .position(|e| e.arrival == arrival && matches!(e.stage, Stage::Queued { .. }))?;
+        Some(self.abandon(index))
+    }
+
+    /// Index of the session a migration would move off this shard: the
+    /// largest running one (it frees the most source bytes per
+    /// transfer), ties to the oldest arrival.
+    fn migration_victim(&self) -> Option<usize> {
+        self.requests
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e.stage, Stage::Running { .. }))
+            .max_by_key(|(_, e)| (e.full_bytes, std::cmp::Reverse(e.arrival)))
+            .map(|(i, _)| i)
+    }
+
+    /// The bytes a target must reserve to land this shard's migration
+    /// victim — its full, undiscounted peak — or `None` with nothing
+    /// running.
+    pub(crate) fn migration_bytes(&self) -> Option<u64> {
+        self.requests.get(self.migration_victim()?).map(|e| e.full_bytes)
+    }
+
+    /// Moves this shard's migration victim to `target`: pauses and
+    /// extracts it (privatizing any shared-prefix span, so the payload is
+    /// the session's complete state), pays the transfer on both host
+    /// links, and parks it on `target` swapping in until the transfer's
+    /// cycles elapse, reserving its full payload there. Returns the
+    /// payload bytes and the cycles of both transfers.
+    pub(crate) fn migrate_to(&mut self, target: &mut Shard, now: u64) -> Option<(u64, u64)> {
+        let index = self.migration_victim()?;
+        let session = self.requests.get(index)?.stage.session()?;
+        self.engine.pause(session)?;
+        let state = self.engine.extract(session)?;
+        let entry = self.take(index);
+        let bytes = state.kv_bytes();
+        self.emit(
+            now,
+            entry.arrival as u64,
+            TraceEventKind::MigrationStart { to_shard: target.id as u32, bytes },
+        );
+        let out_cycles = self.link.transfer_tagged(bytes, SwapDirection::Out, TransferKind::Migration);
+        let in_cycles = target.link.transfer_tagged(bytes, SwapDirection::In, TransferKind::Migration);
+        let session = target.engine.adopt(state).expect("cluster shards share one model geometry");
+        let (ready_at, wait) = (target.elapsed_cycles + in_cycles, WaitKind::Migration { from: self.id });
+        target.requests.push(Entry {
+            est_bytes: entry.full_bytes,
+            stage: Stage::SwappingIn { session, ready_at, since: now, wait },
+            ..entry
+        });
+        Some((bytes, out_cycles + in_cycles))
     }
 
     /// Re-admits swapped-in sessions whose host-link transfer has
     /// completed (its cycles have elapsed on the shard's cycle clock),
-    /// oldest swap first. The session's bytes were re-reserved and the
+    /// oldest swap first. The session's bytes were reserved and the
     /// transfer charged when the swap *started*
     /// ([`Shard::start_swap_ins`]) or when the migration landed; this is
     /// where the latency finally releases the session into the batch.
     fn complete_swap_ins(&mut self, now: u64, records: &mut [RequestRecord]) {
-        let mut i = 0;
-        while i < self.swapping.len() {
-            if self.swapping[i].ready_at <= self.elapsed_cycles {
-                let SwapInEntry { mut entry, .. } = self.swapping.remove(i);
-                self.engine.resume(entry.session).expect("swapping entry tracks the engine");
-                if let Some((kind, from)) = entry.wait_since.take() {
-                    // The off-device wait ends here: fold `[from, now)`
-                    // into the record's stage accounting and emit the
-                    // matching rejoin event.
-                    apply_wait(&mut records[entry.arrival], kind, from, now);
-                    let wait_ticks = now.saturating_sub(from);
-                    let rejoin = match kind {
-                        WaitKind::Swap => TraceEventKind::SwapInComplete { wait_ticks },
-                        WaitKind::Migration { from: src } => {
-                            TraceEventKind::MigrationLand { from_shard: src as u32, wait_ticks }
-                        }
-                    };
-                    self.emit(now, entry.arrival as u64, rejoin);
-                }
-                self.running.push(entry);
-            } else {
-                i += 1;
+        let elapsed = self.elapsed_cycles;
+        while let Some((i, (arrival, session, since, wait))) = self.next_from(0, |e| match e.stage {
+            Stage::SwappingIn { session, ready_at, since, wait } if ready_at <= elapsed => {
+                Some((e.arrival, session, since, wait))
             }
+            _ => None,
+        }) {
+            self.engine.resume(session).expect("a swapping-in entry tracks the engine");
+            // The off-device wait ends here: fold `[since, now)` into the
+            // record's stage accounting and emit the matching rejoin
+            // event.
+            apply_wait(&mut records[arrival], wait, since, now);
+            let wait_ticks = now.saturating_sub(since);
+            let rejoin = match wait {
+                WaitKind::Swap => TraceEventKind::SwapInComplete { wait_ticks },
+                WaitKind::Migration { from } => {
+                    TraceEventKind::MigrationLand { from_shard: from as u32, wait_ticks }
+                }
+            };
+            self.emit(now, arrival as u64, rejoin);
+            self.enter(i, Stage::Running { session });
         }
     }
 
@@ -603,67 +728,55 @@ impl Shard {
     /// once the transfer's cycles have elapsed — swap latency is
     /// serialized into the clock, not instantaneous.
     fn start_swap_ins(&mut self) {
-        let mut i = 0;
-        while let Some(paused) = self.paused.get(i) {
-            let (arrival, est_bytes) = (paused.arrival, paused.est_bytes);
-            let needed = |s: &Self| est_bytes.saturating_add(s.prefix_overhead());
-            if self.reclaim_prefix_until_fits(arrival, needed) {
-                let entry = self.paused.remove(i);
+        let mut from = 0;
+        while let Some((i, (arrival, est_bytes, session, since))) = self.next_from(from, |e| match e.stage {
+            Stage::SwappedOut { session, since } => Some((e.arrival, e.est_bytes, session, since)),
+            _ => None,
+        }) {
+            from = i + 1;
+            if self.reclaim_prefix_until_fits(arrival, |s| est_bytes.saturating_add(s.prefix_overhead())) {
                 let bytes =
-                    self.engine.session_kv_bytes(entry.session).expect("paused entry tracks the engine");
+                    self.engine.session_kv_bytes(session).expect("a swapped-out entry tracks the engine");
                 let cycles = self.link.transfer_tagged(bytes, SwapDirection::In, TransferKind::Swap);
-                self.admission.reserve(entry.est_bytes);
                 self.resumes += 1;
-                self.swapping.push(SwapInEntry { entry, ready_at: self.elapsed_cycles + cycles });
-            } else {
-                i += 1;
+                let ready_at = self.elapsed_cycles + cycles;
+                self.enter(i, Stage::SwappingIn { session, ready_at, since, wait: WaitKind::Swap });
+                from = i;
             }
         }
-    }
-
-    fn queued_view(entry: &QueuedEntry) -> QueuedView {
-        QueuedView {
-            arrival: entry.arrival,
-            // Scheduler ordering runs on the attempt epoch: a retried
-            // request competes from its requeue tick, not its original
-            // submission (it already consumed its place in line once).
-            submitted: entry.submitted,
-            priority: entry.priority,
-            est_bytes: entry.est_bytes,
-        }
-    }
-
-    fn running_views(&self) -> Vec<RunningView> {
-        self.running
-            .iter()
-            .map(|entry| RunningView {
-                arrival: entry.arrival,
-                priority: entry.priority,
-                remaining_tokens: self
-                    .engine
-                    .session_remaining_tokens(entry.session)
-                    .expect("running entry tracks the engine"),
-                preemptions: entry.preemptions,
-            })
-            .collect()
     }
 
     /// Admits scheduler-ordered candidates until one does not fit (even
     /// after any preemption the policy offers).
     fn admit_from_queue(&mut self, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
-        while !self.queue.is_empty() {
-            let views: Vec<QueuedView> = self.queue.iter().map(Self::queued_view).collect();
-            let Some(pick) = self.sched.next_candidate(&views) else { break };
-            let incoming = views[pick];
+        loop {
+            let views: Vec<QueuedView> = self
+                .requests
+                .iter()
+                .filter(|e| matches!(e.stage, Stage::Queued { .. }))
+                .map(|e| QueuedView {
+                    arrival: e.arrival,
+                    // Scheduler ordering runs on the attempt epoch: a
+                    // retried request competes from its requeue tick, not
+                    // its original submission (it already consumed its
+                    // place in line once).
+                    submitted: e.submitted,
+                    priority: e.priority,
+                    est_bytes: e.est_bytes,
+                })
+                .collect();
+            let Some(&incoming) = self.sched.next_candidate(&views).and_then(|pick| views.get(pick)) else {
+                break;
+            };
+            let candidate = |s: &Self| s.requests.iter().position(|e| e.arrival == incoming.arrival);
             // Admission must fit the reservation *and* the prefix cache's
             // own resident bytes inside capacity — including the bytes a
             // host-tier fill would promote back into device memory for
             // this prompt (otherwise a discounted accept could be
             // bankrupted by its own fill traffic).
             let needed = |s: &Self| {
-                let fill_bytes = s
-                    .queue
-                    .get(pick)
+                let fill_bytes = candidate(s)
+                    .and_then(|i| s.requests.get(i))
                     .zip(s.engine.prefix_cache())
                     .map_or(0, |(e, cache)| cache.fill_bytes(&e.request.prompt));
                 incoming.est_bytes.saturating_add(s.prefix_overhead()).saturating_add(fill_bytes)
@@ -672,25 +785,44 @@ impl Shard {
             // preempted for the candidate.
             self.reclaim_prefix_until_fits(incoming.arrival, needed);
             let needed = needed(self);
-            while !self.admission.would_fit(needed) {
+            while !self.fits(needed) {
                 let victims = self.running_views();
-                let Some(victim) = self.sched.preemption_victim(&incoming, &victims) else { break };
-                self.preempt(victim, now, records);
+                let Some(victim) =
+                    self.sched.preemption_victim(&incoming, &victims).and_then(|i| victims.get(i))
+                else {
+                    break;
+                };
+                self.preempt(victim.arrival, now, records);
             }
-            if !self.admission.would_fit(needed) {
+            if !self.fits(needed) {
                 // Nothing running or swapping in will free a byte, so
                 // only the pins queued requests hold can be in the way.
-                if self.running.is_empty()
-                    && self.swapping.is_empty()
-                    && self.revoke_queued_pins(now, records)
-                {
+                if self.count(Stage::holds_reservation) == 0 && self.revoke_queued_pins(now, records) {
                     continue;
                 }
                 break;
             }
-            let entry = self.queue.remove(pick).expect("pick indexes the queue");
-            self.admit(entry, now, records, homes);
+            let Some(index) = candidate(self) else { break };
+            self.admit(index, now, records, homes);
         }
+    }
+
+    fn running_views(&self) -> Vec<RunningView> {
+        self.requests
+            .iter()
+            .filter_map(|e| match e.stage {
+                Stage::Running { session } => Some(RunningView {
+                    arrival: e.arrival,
+                    priority: e.priority,
+                    remaining_tokens: self
+                        .engine
+                        .session_remaining_tokens(session)
+                        .expect("a running entry tracks the engine"),
+                    preemptions: e.preemptions,
+                }),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Releases the admission pin of every queued request that holds
@@ -702,20 +834,23 @@ impl Shard {
     /// then keep the candidate out for good, as no completion will ever
     /// free their bytes. Returns whether any pin was released.
     fn revoke_queued_pins(&mut self, now: u64, records: &mut [RequestRecord]) -> bool {
-        let mut revoked = false;
-        for mut entry in std::mem::take(&mut self.queue) {
-            if let Some(pin) = entry.prefix_pin.take() {
-                self.engine.unpin_prefix(pin);
-                entry.est_bytes = entry.full_bytes;
-                revoked = true;
-                if let (Err(reason), Some(record)) =
-                    (self.admission.screen(entry.full_bytes, 0), records.get_mut(entry.arrival))
-                {
-                    self.reject(record, reason, now);
-                    continue;
-                }
+        let (mut revoked, mut from) = (false, 0);
+        while let Some((i, pin)) = self.next_from(from, |e| match e.stage {
+            Stage::Queued { pin } => pin,
+            _ => None,
+        }) {
+            (revoked, from) = (true, i + 1);
+            self.engine.unpin_prefix(pin);
+            let Some(entry) = self.requests.get_mut(i) else { break };
+            entry.stage = Stage::Queued { pin: None };
+            entry.est_bytes = entry.full_bytes;
+            if let (Err(reason), Some(record)) =
+                (self.admission.screen(entry.full_bytes, 0), records.get_mut(entry.arrival))
+            {
+                self.reject(record, reason, now);
+                self.take(i);
+                from = i;
             }
-            self.queue.push_back(entry);
         }
         revoked
     }
@@ -728,55 +863,49 @@ impl Shard {
     /// bytes and a queued prompt's fill bytes move with it. Returns
     /// whether it fits.
     fn reclaim_prefix_until_fits(&mut self, arrival: usize, needed: impl Fn(&Self) -> u64) -> bool {
-        let mut fits = self.admission.would_fit(needed(self));
+        let mut fits = self.fits(needed(self));
         while !fits && self.engine.reclaim_prefix(arrival as u64) {
-            fits = self.admission.would_fit(needed(self));
+            fits = self.fits(needed(self));
         }
         // Reclaiming only trims, spills and drops: no fill to serialize.
         self.charge_prefix_traffic();
         fits
     }
 
-    /// Pauses the running session at `index` and swaps its KV state out.
-    fn preempt(&mut self, index: usize, now: u64, records: &mut [RequestRecord]) {
-        let mut entry = self.running.remove(index);
-        let bytes = self.engine.pause(entry.session).expect("running entry tracks the engine");
-        self.link.transfer_tagged(bytes, SwapDirection::Out, TransferKind::Swap);
-        self.admission.release(entry.est_bytes);
+    /// Pauses the running session of request `arrival` and swaps its KV
+    /// state out.
+    fn preempt(&mut self, arrival: usize, now: u64, records: &mut [RequestRecord]) {
+        let Some((index, entry)) = self.requests.iter_mut().enumerate().find(|(_, e)| e.arrival == arrival)
+        else {
+            return;
+        };
+        let Stage::Running { session } = entry.stage else { return };
         entry.preemptions += 1;
-        entry.wait_since = Some((WaitKind::Swap, now));
-        records[entry.arrival].preemptions += 1;
+        let bytes = self.engine.pause(session).expect("a running entry tracks the engine");
+        self.link.transfer_tagged(bytes, SwapDirection::Out, TransferKind::Swap);
+        self.enter(index, Stage::SwappedOut { session, since: now });
+        records[arrival].preemptions += 1;
         self.preemptions += 1;
-        self.emit(now, entry.arrival as u64, TraceEventKind::Preempted);
-        self.emit(now, entry.arrival as u64, TraceEventKind::SwapOutStart { bytes });
-        self.paused.push(entry);
+        self.emit(now, arrival as u64, TraceEventKind::Preempted);
+        self.emit(now, arrival as u64, TraceEventKind::SwapOutStart { bytes });
     }
 
-    /// Submits a queued request into the engine. The engine only
-    /// validates, reserves KV and enqueues the session in its
+    /// Submits the queued request at `index` into the engine. The engine
+    /// only validates, reserves KV and enqueues the session in its
     /// `Prefilling` phase; with a finite
     /// [`veda::EngineBuilder::prefill_chunk`] the prompt is consumed by
     /// subsequent on-clock ticks (instant prefill consumes it here,
     /// synchronously, as the pre-chunking stack did). The record's
     /// `session` handle is set only on the request's home shard, so a
     /// report looks it up in the engine that reports it.
-    fn admit(&mut self, mut entry: QueuedEntry, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
-        let request = entry.request.clone();
-        let arrival = entry.arrival;
+    fn admit(&mut self, index: usize, now: u64, records: &mut [RequestRecord], homes: &[usize]) {
+        let Some(entry) = self.requests.get(index) else { return };
+        let (arrival, est_bytes, request) = (entry.arrival, entry.est_bytes, entry.request.clone());
         // The engine stamps this request's global arrival index onto its
         // trace events, so the request keeps one id across shards.
-        self.emit(now, arrival as u64, TraceEventKind::Admitted { est_bytes: entry.est_bytes });
+        self.emit(now, arrival as u64, TraceEventKind::Admitted { est_bytes });
         self.engine.set_next_trace_id(arrival as u64);
-        let session = self.engine.submit(entry.request).expect("accept() validated the request");
-        self.admission.reserve(entry.est_bytes);
-        // The submit took its own seed pin on the matched entry (held
-        // until the session retires), so the admission pin can hand off
-        // now: the submit-time match is at least the pinned match, so
-        // the session's privately owned bytes fit the discounted
-        // reservation.
-        if let Some(pin) = entry.prefix_pin.take() {
-            self.engine.unpin_prefix(pin);
-        }
+        let session = self.engine.submit(request).expect("accept() validated the request");
         // A host-tier hit promoted its entry during submit; the fill
         // bytes must cross the host link before the session's shared
         // span is device-resident, so the session waits out the
@@ -794,27 +923,23 @@ impl Shard {
             self.emit(now, arrival as u64, TraceEventKind::Recovered { recovery_ticks });
         }
         debug_assert!(self.engine.is_active(session), "validated requests have max_new_tokens >= 1");
-        let mut session_entry = SessionEntry {
-            arrival,
-            submitted: entry.submitted,
-            request,
-            session,
-            priority: entry.priority,
-            est_bytes: entry.est_bytes,
-            full_bytes: entry.full_bytes,
-            preemptions: 0,
-            wait_since: None,
-        };
-        if fill_cycles > 0 {
+        let stage = if fill_cycles > 0 {
             // Park the session until the fill's cycles elapse on the
             // shard clock — the same serialization path as a swap-in
             // (its wait is accounted as swap wait).
             assert!(self.engine.pause(session).is_some(), "a just-submitted session is always pausable");
-            session_entry.wait_since = Some((WaitKind::Swap, now));
-            self.swapping
-                .push(SwapInEntry { entry: session_entry, ready_at: self.elapsed_cycles + fill_cycles });
+            let ready_at = self.elapsed_cycles + fill_cycles;
+            Stage::SwappingIn { session, ready_at, since: now, wait: WaitKind::Swap }
         } else {
-            self.running.push(session_entry);
+            Stage::Running { session }
+        };
+        // The submit took its own seed pin on the matched entry (held
+        // until the session retires), so the admission pin can hand off
+        // now: the submit-time match is at least the pinned match, so
+        // the session's privately owned bytes fit the discounted
+        // reservation.
+        if let Stage::Queued { pin: Some(pin) } = self.enter(index, stage) {
+            self.engine.unpin_prefix(pin);
         }
     }
 
@@ -850,22 +975,19 @@ impl Shard {
         let TokenEvent::Generated { session, finished, .. } = *event else {
             return;
         };
-        let index = self
-            .running
-            .iter()
-            .position(|r| r.session == session)
+        let (index, arrival) = self
+            .next_from(0, |e| {
+                matches!(e.stage, Stage::Running { session: s } if s == session).then_some(e.arrival)
+            })
             .expect("every stepped session has a running entry");
-        let record = &mut records[self.running[index].arrival];
+        let record = &mut records[arrival];
         record.generated_tokens += 1;
         if record.first_token.is_none() {
             record.first_token = Some(now);
         }
         if finished {
             record.finished = Some(now);
-        }
-        if finished {
-            let entry = self.running.remove(index);
-            self.admission.release(entry.est_bytes);
+            self.take(index);
         }
     }
 
@@ -918,12 +1040,6 @@ impl Shard {
 
 impl std::fmt::Debug for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("id", &self.id)
-            .field("queued", &self.queue.len())
-            .field("running", &self.running.len())
-            .field("paused", &self.paused.len())
-            .field("swapping", &self.swapping.len())
-            .finish()
+        f.debug_struct("Shard").field("id", &self.id).field("requests", &self.requests.len()).finish()
     }
 }

@@ -12,6 +12,9 @@
 //!   shard counts, deadlines and shedding, every tick satisfies
 //!   `submitted = completed + rejected + dead-lettered + shed +
 //!   in-flight`, and every run drains.
+//! * **crash hand-back order** — a crashed shard returns its work
+//!   queued first, then running, then preempted, each in the order it
+//!   entered its stage (retry routing follows this order).
 //! * **rejoin determinism** — a recovered shard re-enters rotation at
 //!   its scheduled tick and receives traffic again, identically across
 //!   repeated runs.
@@ -598,4 +601,67 @@ proptest! {
             &label
         );
     }
+}
+
+#[test]
+fn a_crash_hands_back_queued_then_running_then_preempted_work() {
+    // Shard 1 crashes at the start of a tick on which it holds queued,
+    // running and preempted (swapped-out) requests and no swap-in is in
+    // flight — the trace has no swap-in-start event to replay one from.
+    // The crash must hand its work back queued first, then running, then
+    // preempted, each group in the order its requests entered that stage.
+    let crash_at = 10;
+    let (handle, recorder) = SinkHandle::recording();
+    let config = ClusterConfig {
+        shards: 2,
+        per_shard_capacity_bytes: 24 << 10,
+        max_queue_depth: 12,
+        router: RouterKind::RoundRobin,
+        sched: SchedKind::Priority,
+        trace: Some(handle),
+        faults: Some(FaultConfig {
+            plan: FaultPlan::parse(&format!("crash@{crash_at}:shard=1:recover=40")).expect("valid plan"),
+            ..FaultConfig::default()
+        }),
+        ..ClusterConfig::default()
+    };
+    let engines = (0..2).map(|_| engine(1)).collect();
+    let report = Cluster::new(engines, workload(1, 2.5, 24), config).run();
+    let events = recorder.lock().expect("recorder lock").take_events();
+    assert_eq!(report.shard_downs, 1);
+
+    // Replay shard 1's trace up to the crash: each request's stage, and
+    // the order in which it entered that stage.
+    let (mut queued, mut running, mut preempted) = (Vec::new(), Vec::new(), Vec::new());
+    for event in events.iter().filter(|e| e.shard == 1 && e.tick < crash_at) {
+        let request = event.request;
+        let leave = |stage: &mut Vec<u64>| stage.retain(|&r| r != request);
+        match event.kind {
+            TraceEventKind::Queued => queued.push(request),
+            TraceEventKind::Admitted { .. } => {
+                leave(&mut queued);
+                running.push(request);
+            }
+            TraceEventKind::Preempted => {
+                leave(&mut running);
+                preempted.push(request);
+            }
+            TraceEventKind::SwapInComplete { .. } => {
+                leave(&mut preempted);
+                running.push(request);
+            }
+            TraceEventKind::Finished { .. } => leave(&mut running),
+            _ => {}
+        }
+    }
+    assert!(
+        !queued.is_empty() && running.len() >= 2 && preempted.len() >= 2,
+        "the crash tick must catch every stage: queued {queued:?}, running {running:?}, preempted {preempted:?}"
+    );
+    let retried: Vec<u64> = events
+        .iter()
+        .filter(|e| e.tick == crash_at && matches!(e.kind, TraceEventKind::Retried { .. }))
+        .map(|e| e.request)
+        .collect();
+    assert_eq!(retried, [queued, running, preempted].concat(), "crash hand-back order");
 }
