@@ -2,65 +2,90 @@
 //! (the Fig. 8 center ablation) and of the voting-eviction speedup
 //! (Fig. 8 right).
 //!
-//! Per decode token at cache length `l`, head dimension `d`, the model
-//! charges, per head:
+//! One function prices everything: one head's attention for one query
+//! row over `k` keys. A decode step at cache length `l` is one row with
+//! `k = l`; row `i` of a prefill chunk appended after `start_len` cached
+//! entries has `k = start_len + i + 1` under the flexible variants and
+//! `k = start_len + tokens` on the baseline, whose fixed GEMM kernel
+//! computes full rows. Per row and head the model charges:
 //!
 //! | component | Baseline | +F | +F+E |
 //! |---|---|---|---|
-//! | `q×Kᵀ` | `l·ceil(d/P)` | `l·ceil(d/P)` | `l·ceil(d/P)` |
-//! | softmax | fill + `l/ω` blocking | fill + `l/ω` blocking | O(1) drain |
-//! | `s'×V` | `ceil(l/P)·P·ceil(d/P)·γ` | `l·ceil(d/P)` | `l·ceil(d/P)` |
-//! | V upkeep | `d/8` | — | — |
+//! | `q×Kᵀ` | `k·ceil(d/P)` | `k·ceil(d/P)` | `k·ceil(d/P)` |
+//! | softmax | drain + `σ·blocking(k)` | drain + `σ·blocking(k)` | drain |
+//! | `s'×V` | `ceil(k/P)·P·ceil(d/P)·γ` | `k·ceil(d/P)` | `k·ceil(d/P)` |
+//! | V upkeep | `τ` | — | — |
 //!
-//! `P` = MACs, `γ` = the baseline's V-gather slowdown, `ω` = the residual
-//! softmax throughput after cross-head overlap, "fill" = the blocking
-//! softmax pipeline latency. See [`crate::arch::BaselineCalibration`] for
-//! the constants and their justification. The baseline additionally pads
-//! `l` to whole `P`-chunks (fixed epoch granularity) in `s'×V` — the
+//! `P` = [`ArchConfig::macs`]: the analytic model counts VEDA's ×2 lanes
+//! as one 128-wide array, while the functional model
+//! ([`crate::pipeline::AttentionPipeline`]) is one 64-PE tile. The drain
+//! (`element_serial_drain_cycles`, 40) and `blocking(k)` (`blocking_cycles`,
+//! `k` on Table I's 2 EXP + 2 DIV units) are derived from the
+//! [`SfuConfig`](crate::arch::SfuConfig); `γ` (gather slowdown, 2), `τ` (transposed-V
+//! upkeep, 16) and `σ` (the share of the blocking softmax that does not
+//! hide behind the next head's or row's GEMVs, 0.5) are the three fitted
+//! constants of [`crate::arch::BaselineCalibration`]. The baseline also
+//! pads `k` to whole `P`-chunks (fixed epoch granularity) in `s'×V` — the
 //! "k = 256 → 257 doubles the epochs" pathology of Section I.
+//!
+//! A decode step is priced at `l` keys although its byte model
+//! (`LlamaShape::layer_kv_bytes(l)`: `l` reads plus the new token's
+//! write) implies `l + 1`, as a chunk row has; `docs/FIDELITY.md` records
+//! this as a known modelling difference.
 
 use crate::arch::{ArchConfig, DataflowVariant};
 
-/// Cycles of one head's attention at cache length `l` for a decode step.
-pub fn decode_attention_cycles_per_head(arch: &ArchConfig, variant: DataflowVariant, l: usize) -> u64 {
-    if l == 0 {
+/// Cycles of one head's attention for one query row over `keys` keys —
+/// the single per-row cost behind every decode step and prefill chunk.
+fn row_cycles(arch: &ArchConfig, variant: DataflowVariant, keys: usize) -> u64 {
+    if keys == 0 {
         return 0;
     }
-    let d = arch.head_dim;
-    let p = arch.macs();
     let cal = &arch.calibration;
-    let chunks_d = (d as u64).div_ceil(p as u64);
+    let k = keys as u64;
+    let p = arch.macs() as u64;
+    let chunks_d = (arch.head_dim as u64).div_ceil(p);
 
     // q × Kᵀ: identical in all variants (the fixed tree also fits d).
-    let qk = l as u64 * chunks_d;
+    let qk = k * chunks_d;
 
-    // softmax.
+    // softmax: the drain always; the blocking schedule also exposes the
+    // share of its passes that the next GEMVs do not hide.
+    let drain = arch.sfu.element_serial_drain_cycles();
     let softmax = if variant.element_serial() {
-        cal.element_serial_drain
+        drain
     } else {
-        cal.softmax_fill_cycles + (l as u64).div_ceil(cal.softmax_residual_throughput.max(1))
+        drain + (arch.sfu.blocking_cycles(keys) as f64 * cal.softmax_exposed_share).round() as u64
     };
 
-    // s' × V.
-    let sv = if variant.flexible() {
-        l as u64 * chunks_d
+    // s' × V (the flexible array streams it like q × Kᵀ), and the
+    // baseline's transposed-V upkeep.
+    let (sv, upkeep) = if variant.flexible() {
+        (qk, 0)
     } else {
-        // Fixed inner product over k = l: epochs of P with padding, plus the
-        // half-rate V gather path.
-        let padded = (l as u64).div_ceil(p as u64) * p as u64;
-        ((padded * chunks_d) as f64 * cal.gather_slowdown).round() as u64
+        // Fixed inner product: epochs of P with padding, plus the half-rate
+        // V gather path.
+        let padded = k.div_ceil(p) * p;
+        (
+            ((padded * chunks_d) as f64 * cal.gather_slowdown).round() as u64,
+            cal.transpose_maintenance_per_head,
+        )
     };
-
-    // Transposed-V maintenance (baseline only).
-    let upkeep = if variant.flexible() { 0 } else { cal.transpose_maintenance_per_head };
 
     qk + softmax + sv + upkeep
 }
 
+/// Cycles of one head's attention at cache length `l` for a decode step:
+/// one row over `l` keys, so exactly a 1-row chunk after `l - 1` entries.
+pub fn decode_attention_cycles_per_head(arch: &ArchConfig, variant: DataflowVariant, l: usize) -> u64 {
+    row_cycles(arch, variant, l)
+}
+
 /// Cycles of a full decode-step attention (all heads) at cache length `l`.
 ///
-/// Softmax fill/drain is paid once per head but overlaps across heads are
-/// already folded into the calibration constants, so heads simply sum.
+/// Heads run one after another and their costs sum; the part of each
+/// blocking softmax that overlaps the next head's GEMVs is already left
+/// out by `softmax_exposed_share`.
 pub fn decode_attention_cycles(arch: &ArchConfig, variant: DataflowVariant, l: usize) -> u64 {
     arch.n_heads as u64 * decode_attention_cycles_per_head(arch, variant, l)
 }
@@ -76,41 +101,19 @@ pub fn prefill_attention_cycles_per_head(arch: &ArchConfig, variant: DataflowVar
 
 /// Cycles of one head's attention for a *chunked-prefill* chunk: `tokens`
 /// consecutive prompt rows appended to a cache already holding
-/// `start_len` entries. Row `i` of the chunk attends causally to
-/// `start_len + i + 1` keys under the flexible variants; the baseline's
-/// fixed GEMM kernel computes full `start_len + tokens` rows. Within the
-/// chunk the softmax of row `i` overlaps with row `i+1`'s GEMVs in *all*
-/// variants (rows are independent); only the per-row drain differs.
+/// `start_len` entries, each priced as one row over its keys (see the
+/// module table).
 pub(crate) fn chunked_prefill_attention_cycles_per_head(
     arch: &ArchConfig,
     variant: DataflowVariant,
     start_len: usize,
     tokens: usize,
 ) -> u64 {
-    let mut total = 0u64;
-    let d = arch.head_dim;
-    let p = arch.macs();
-    let chunks_d = (d as u64).div_ceil(p as u64);
-    for i in 0..tokens {
-        let effective_l = if variant.flexible() { start_len + i + 1 } else { start_len + tokens };
-        let qk = effective_l as u64 * chunks_d;
-        let sv = if variant.flexible() {
-            effective_l as u64 * chunks_d
-        } else {
-            let padded = (effective_l as u64).div_ceil(p as u64) * p as u64;
-            ((padded * chunks_d) as f64 * arch.calibration.gather_slowdown).round() as u64
-        };
-        let drain = if variant.element_serial() {
-            arch.calibration.element_serial_drain
-        } else {
-            arch.calibration.softmax_fill_cycles / 4 // pipelined across rows
-        };
-        total += qk + sv + drain;
-    }
-    if !variant.flexible() {
-        total += tokens as u64 * arch.calibration.transpose_maintenance_per_head;
-    }
-    total
+    (0..tokens)
+        .map(|i| {
+            row_cycles(arch, variant, if variant.flexible() { start_len + i + 1 } else { start_len + tokens })
+        })
+        .sum()
 }
 
 /// Cycles of a full chunked-prefill chunk (all heads); see
@@ -280,6 +283,43 @@ mod tests {
         let base = prefill_attention_cycles_per_head(&a, DataflowVariant::Baseline, 512);
         // Flexible computes ~l²/2 + l²/2 = l²; baseline ~l² + 2l² (gather).
         assert!(base as f64 / flex as f64 > 1.8, "prefill ratio {}", base as f64 / flex as f64);
+    }
+
+    #[test]
+    fn one_row_chunk_is_a_decode_step() {
+        let a = arch();
+        for variant in DataflowVariant::ALL {
+            for l in 1..4096 {
+                assert_eq!(
+                    chunked_prefill_attention_cycles_per_head(&a, variant, l - 1, 1),
+                    decode_attention_cycles_per_head(&a, variant, l),
+                    "{variant} at l {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn element_serial_cycles_are_pinned() {
+        // Every benchmark workload runs +F+E, where a row costs
+        // `2·keys·ceil(d/P) + drain`; the virtual-time metrics rest on
+        // these exact numbers.
+        let v = DataflowVariant::FlexibleElementSerial;
+        for (d, decode, chunks) in
+            [(128, [42, 552, 554, 8232], [6720, 17296]), (129, [44, 1064, 1068, 16424], [10880, 33952])]
+        {
+            let a = ArchConfig { head_dim: d, ..arch() };
+            for (l, want) in [1, 256, 257, 4096].into_iter().zip(decode) {
+                assert_eq!(decode_attention_cycles_per_head(&a, v, l), want, "decode d {d} l {l}");
+            }
+            for ((start, tokens), want) in [(0, 64), (512, 16)].into_iter().zip(chunks) {
+                assert_eq!(
+                    chunked_prefill_attention_cycles_per_head(&a, v, start, tokens),
+                    want,
+                    "chunk d {d} ({start}, {tokens})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! `s'` — exactly the dataflow of Fig. 6 (c) and Fig. 7. Results are
 //! FP16-faithful and differentially tested against the `veda-tensor`
 //! reference kernels, which is how this workspace "cross-validates the
-//! performance model with RTL simulations" (Section VI) without RTL.
+//! performance model with RTL simulations" (Section VI) without RTL. Its
+//! cycles are cross-checked too: on an array of one lane, PE cycles plus
+//! the SFU drain equal the analytic +F+E decode cost of
+//! [`crate::attention`] for any cache length, head size and tile shape.
 
 use crate::arch::SfuConfig;
 use crate::array::{ArrayMode, PeArray};
@@ -132,6 +135,9 @@ impl AttentionPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::{ArchConfig, DataflowVariant};
+    use crate::attention::decode_attention_cycles_per_head;
+    use proptest::prelude::*;
     use veda_tensor::ops::max_abs_diff;
 
     fn random_kv(l: usize, d: usize, seed: u64) -> (Vec<f32>, Matrix, Matrix) {
@@ -182,6 +188,30 @@ mod tests {
         assert_eq!(step.pe_cycles, 50 + 50);
         // Voting engine busy cycles 2l + 8 (hidden behind the 2l compute).
         assert_eq!(step.vote_cycles, 2 * 50 + 8);
+    }
+
+    proptest! {
+        #[test]
+        fn functional_cycles_match_the_analytic_decode_cost(
+            l in 1usize..48,
+            d in 1usize..160,
+            rows in 1usize..9,
+            cols in 1usize..9,
+        ) {
+            // The analytic `P` is the whole array, `pe_rows · pe_cols ·
+            // pe_lanes`; one lane makes it the functional tile.
+            let arch = ArchConfig { pe_rows: rows, pe_cols: cols, pe_lanes: 1, head_dim: d, ..ArchConfig::veda() };
+            let (q, k, v) = random_kv(l, d, (l * d) as u64);
+            let mut pipe = AttentionPipeline::new(PeArray::new(rows, cols), arch.sfu, VotingEngine::veda());
+            for _ in 0..l {
+                pipe.engine_mut().on_append().unwrap();
+            }
+            let step = pipe.attention_step(&q, &k, &v, 1.0);
+            prop_assert_eq!(
+                step.pe_cycles + arch.sfu.element_serial_drain_cycles(),
+                decode_attention_cycles_per_head(&arch, DataflowVariant::FlexibleElementSerial, l)
+            );
+        }
     }
 
     #[test]

@@ -197,15 +197,15 @@ impl DecodeScheduler {
             self.linear(&mut report, "ffn_gate_up", d, 2 * f, tokens);
             self.linear(&mut report, "ffn_down", f, d, tokens);
 
-            // Layernorm/RMSnorm per input row: O(1) drain under
-            // element-serial scheduling; a blocking
-            // reduction+normalization otherwise.
-            if self.variant.element_serial() {
-                report.add_exposed_sfu("norm", tokens * 2 * self.arch.calibration.element_serial_drain);
+            // Two layernorms/RMSnorms per input row: the O(1) drain under
+            // element-serial scheduling; a blocking reduction+normalization
+            // over `d` otherwise.
+            let per_norm = if self.variant.element_serial() {
+                self.arch.sfu.element_serial_drain_cycles()
             } else {
-                let per_norm = (d as u64).div_ceil(2) * 2; // reduce + normalize at 2/cycle
-                report.add_exposed_sfu("norm", tokens * 2 * per_norm);
-            }
+                self.arch.sfu.blocking_cycles(d)
+            };
+            report.add_exposed_sfu("norm", tokens * 2 * per_norm);
         }
         // No sequence needs logits this tick (all chunks are mid-prompt):
         // the LM head neither computes nor streams its weights.

@@ -9,7 +9,10 @@
 //! tile sits in a small FIFO. The normalization unit produces the
 //! element-serial *input* stream of the outer-product array. With a PE
 //! array consuming/producing one element per cycle, a single SFU removes
-//! the nonlinear-operator latency — the O(N) → O(1) claim.
+//! the nonlinear-operator latency — the O(N) → O(1) claim. The cycle
+//! cost of each schedule depends on the SFU resources alone, so it lives
+//! on [`SfuConfig`]: [`SfuConfig::blocking_cycles`] and
+//! [`SfuConfig::element_serial_drain_cycles`].
 
 use crate::arch::SfuConfig;
 use veda_mem::Fifo;
@@ -29,7 +32,6 @@ use veda_tensor::OnlineSoftmax;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoftmaxUnit {
-    config: SfuConfig,
     reduction: OnlineSoftmax,
     /// Staged elements awaiting normalization. Hardware stages one tile in
     /// the 32-word FIFO while the vote engine's big FIFO holds the rest;
@@ -43,7 +45,7 @@ impl SoftmaxUnit {
     /// Creates a softmax unit with the given SFU resources.
     pub fn new(config: SfuConfig) -> Self {
         let depth = config.fifo_depth.max(1);
-        Self { config, reduction: OnlineSoftmax::new(), staged: Vec::new(), tile_fifo: Fifo::new(depth) }
+        Self { reduction: OnlineSoftmax::new(), staged: Vec::new(), tile_fifo: Fifo::new(depth) }
     }
 
     /// Feeds one element from the serial array output (reduction stage).
@@ -64,21 +66,6 @@ impl SoftmaxUnit {
         self.staged.clear();
         self.tile_fifo.clear();
         out
-    }
-
-    /// Cycles the *blocking* (non-element-serial) schedule would spend on a
-    /// softmax of `len` elements: one reduction pass plus one normalization
-    /// pass, each limited by the EXP/DIV unit counts.
-    pub fn blocking_cycles(&self, len: usize) -> u64 {
-        let reduce = (len as u64).div_ceil(self.config.exp_units.max(1) as u64);
-        let normalize = (len as u64).div_ceil(self.config.div_units.max(1) as u64);
-        reduce + normalize
-    }
-
-    /// The O(1) cycles the element-serial schedule exposes: draining the
-    /// tile FIFO plus the final exponent-sum update.
-    pub fn element_serial_drain_cycles(&self) -> u64 {
-        self.config.fifo_depth as u64 + 8
     }
 }
 
@@ -155,19 +142,16 @@ mod tests {
 
     #[test]
     fn blocking_cycles_scale_with_length() {
-        let sm = SoftmaxUnit::new(SfuConfig::default());
         // 2 EXP + 2 DIV: 1000 elements => 500 + 500 cycles.
-        assert_eq!(sm.blocking_cycles(1000), 1000);
-        assert_eq!(sm.blocking_cycles(0), 0);
+        assert_eq!(SfuConfig::default().blocking_cycles(1000), 1000);
+        assert_eq!(SfuConfig::default().blocking_cycles(0), 0);
     }
 
     #[test]
     fn element_serial_drain_is_constant() {
-        let sm = SoftmaxUnit::new(SfuConfig::default());
-        let d = sm.element_serial_drain_cycles();
-        assert_eq!(d, 40);
-        // O(1): independent of any length.
-        assert_eq!(sm.element_serial_drain_cycles(), d);
+        // O(1): `fifo_depth` + 8 = 40 on Table I, whatever the length.
+        assert_eq!(SfuConfig::default().element_serial_drain_cycles(), 40);
+        assert_eq!(SfuConfig { fifo_depth: 16, ..SfuConfig::default() }.element_serial_drain_cycles(), 24);
     }
 
     #[test]
