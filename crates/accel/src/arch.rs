@@ -128,20 +128,18 @@ impl Default for SfuConfig {
 
 /// The fitted constants of the baseline/ablation timing model.
 ///
-/// The paper leaves the baseline's internals unspecified, so these three
+/// The paper leaves the baseline's internals unspecified, so these two
 /// numbers are fitted, not derived: they place the model in the reported
 /// latency band of Fig. 8 (centre). Everything else the attention model
 /// charges is derived from the array and the [`SfuConfig`] (the
-/// element-serial drain is [`SfuConfig::element_serial_drain_cycles`]).
-/// `docs/FIDELITY.md` lists each constant with the pin it was fitted to.
+/// element-serial drain is [`SfuConfig::element_serial_drain_cycles`],
+/// the baseline's transposed-V upkeep `head_dim` elements through an
+/// 8-wide serializer). `docs/FIDELITY.md` lists each constant with the pin
+/// it was fitted to.
 ///
 /// * `gather_slowdown` — the fixed inner-product engine reads V column-wise
 ///   (or maintains a transposed copy through a compromised path); modelled
 ///   as the `s'×V` kernel running at half the MAC throughput.
-/// * `transpose_maintenance_per_head` — cycles per token per head to keep
-///   the transposed V layout up to date (d elements through an 8-wide
-///   serializer: 16 at `d` 128, but a constant that does not scale
-///   with `d`).
 /// * `softmax_exposed_share` — the share of a blocking softmax
 ///   ([`SfuConfig::blocking_cycles`]) that does *not* hide behind the next
 ///   head's or the next row's GEMVs. A blocking softmax exposes the drain
@@ -151,8 +149,6 @@ pub struct BaselineCalibration {
     /// Throughput divisor on `s'×V` in the baseline (V-gather path); at
     /// least 1.
     pub gather_slowdown: f64,
-    /// Per-token per-head cycles to maintain the transposed V copy.
-    pub transpose_maintenance_per_head: u64,
     /// Share of the blocking softmax left exposed after overlap, in
     /// `[0, 1]`.
     pub softmax_exposed_share: f64,
@@ -160,7 +156,7 @@ pub struct BaselineCalibration {
 
 impl Default for BaselineCalibration {
     fn default() -> Self {
-        Self { gather_slowdown: 2.0, transpose_maintenance_per_head: 16, softmax_exposed_share: 0.5 }
+        Self { gather_slowdown: 2.0, softmax_exposed_share: 0.5 }
     }
 }
 

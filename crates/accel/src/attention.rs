@@ -14,17 +14,18 @@
 //! | `q×Kᵀ` | `k·ceil(d/P)` | `k·ceil(d/P)` | `k·ceil(d/P)` |
 //! | softmax | drain + `σ·blocking(k)` | drain + `σ·blocking(k)` | drain |
 //! | `s'×V` | `ceil(k/P)·P·ceil(d/P)·γ` | `k·ceil(d/P)` | `k·ceil(d/P)` |
-//! | V upkeep | `τ` | — | — |
+//! | V upkeep | `ceil(d/8)` | — | — |
 //!
 //! `P` = [`ArchConfig::macs`]: the analytic model counts VEDA's ×2 lanes
 //! as one 128-wide array, while the functional model
 //! ([`crate::pipeline::AttentionPipeline`]) is one 64-PE tile. The drain
 //! (`element_serial_drain_cycles`, 40) and `blocking(k)` (`blocking_cycles`,
 //! `k` on Table I's 2 EXP + 2 DIV units) are derived from the
-//! [`SfuConfig`](crate::arch::SfuConfig); `γ` (gather slowdown, 2), `τ` (transposed-V
-//! upkeep, 16) and `σ` (the share of the blocking softmax that does not
-//! hide behind the next head's or row's GEMVs, 0.5) are the three fitted
-//! constants of [`crate::arch::BaselineCalibration`]. The baseline also
+//! [`SfuConfig`](crate::arch::SfuConfig), and the baseline's transposed-V
+//! upkeep is the row's `d` values through an 8-wide serializer; `γ`
+//! (gather slowdown, 2) and `σ` (the share of the blocking softmax that
+//! does not hide behind the next head's or row's GEMVs, 0.5) are the two
+//! fitted constants of [`crate::arch::BaselineCalibration`]. The baseline also
 //! pads `k` to whole `P`-chunks (fixed epoch granularity) in `s'×V` — the
 //! "k = 256 → 257 doubles the epochs" pathology of Section I.
 //!
@@ -34,6 +35,10 @@
 //! this as a known modelling difference.
 
 use crate::arch::{ArchConfig, DataflowVariant};
+
+/// Width of the serializer that writes a new row into the baseline's
+/// transposed V copy, in values per cycle.
+const TRANSPOSE_SERIALIZER_WIDTH: u64 = 8;
 
 /// Cycles of one head's attention for one query row over `keys` keys —
 /// the single per-row cost behind every decode step and prefill chunk.
@@ -68,7 +73,7 @@ fn row_cycles(arch: &ArchConfig, variant: DataflowVariant, keys: usize) -> u64 {
         let padded = k.div_ceil(p) * p;
         (
             ((padded * chunks_d) as f64 * cal.gather_slowdown).round() as u64,
-            cal.transpose_maintenance_per_head,
+            (arch.head_dim as u64).div_ceil(TRANSPOSE_SERIALIZER_WIDTH),
         )
     };
 
@@ -172,6 +177,19 @@ mod tests {
 
     fn arch() -> ArchConfig {
         ArchConfig::veda()
+    }
+
+    #[test]
+    fn baseline_transpose_upkeep_scales_with_head_dim() {
+        // At γ = 1 and a whole number of 128-key epochs the baseline's
+        // `s'×V` costs what the flexible one does, so the two differ by the
+        // upkeep alone: `ceil(d / 8)` cycles per row and head.
+        for (head_dim, upkeep) in [(64, 8), (128, 16), (129, 17)] {
+            let mut a = ArchConfig { head_dim, ..arch() };
+            a.calibration.gather_slowdown = 1.0;
+            let per_head = |v| decode_attention_cycles_per_head(&a, v, 256);
+            assert_eq!(per_head(DataflowVariant::Baseline) - per_head(DataflowVariant::Flexible), upkeep);
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 ///
 /// `total_cycles` is the critical-path time; compute and memory overlap
 /// under double buffering, so `total = Σ max(compute_i, memory_i) + exposed
-/// SFU` across components.
+/// SFU` across components. `hbm_bytes` are the bytes `memory_cycles`
+/// stream, the traffic the energy model charges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleReport {
     /// PE-array busy cycles.
@@ -16,7 +17,10 @@ pub struct CycleReport {
     pub exposed_sfu_cycles: u64,
     /// Critical-path cycles.
     pub total_cycles: u64,
-    /// Named component contributions to the critical path.
+    /// Bytes streamed from HBM.
+    pub hbm_bytes: u64,
+    /// Contributions to the critical path, one total per component name,
+    /// in the order the names were first charged.
     pub components: Vec<(&'static str, u64)>,
 }
 
@@ -33,14 +37,34 @@ impl CycleReport {
         self.memory_cycles += memory;
         let contribution = compute.max(memory);
         self.total_cycles += contribution;
-        self.components.push((name, contribution));
+        self.add_component(name, contribution);
     }
 
     /// Adds serial (non-overlappable) SFU cycles to the critical path.
     pub(crate) fn add_exposed_sfu(&mut self, name: &'static str, cycles: u64) {
         self.exposed_sfu_cycles += cycles;
         self.total_cycles += cycles;
-        self.components.push((name, cycles));
+        self.add_component(name, cycles);
+    }
+
+    /// Adds `cycles` to the entry of `name`, opening it if there is none.
+    fn add_component(&mut self, name: &'static str, cycles: u64) {
+        match self.components.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, total)) => *total += cycles,
+            None => self.components.push((name, cycles)),
+        }
+    }
+
+    /// Turns the report into `times` copies of itself run one after
+    /// another (a stack of identical layers): every count scales, and
+    /// each component's `max(compute, memory)` with it.
+    pub(crate) fn repeat(&mut self, times: u64) {
+        let Self { compute_cycles, memory_cycles, exposed_sfu_cycles, total_cycles, hbm_bytes, components } =
+            self;
+        let counts = [compute_cycles, memory_cycles, exposed_sfu_cycles, total_cycles, hbm_bytes];
+        for count in counts.into_iter().chain(components.iter_mut().map(|(_, cycles)| cycles)) {
+            *count *= times;
+        }
     }
 
     /// Merges another report (sequential composition).
@@ -49,7 +73,10 @@ impl CycleReport {
         self.memory_cycles += other.memory_cycles;
         self.exposed_sfu_cycles += other.exposed_sfu_cycles;
         self.total_cycles += other.total_cycles;
-        self.components.extend(other.components.iter().copied());
+        self.hbm_bytes += other.hbm_bytes;
+        for &(name, cycles) in &other.components {
+            self.add_component(name, cycles);
+        }
     }
 
     /// PE utilization: compute cycles over total.
@@ -68,11 +95,6 @@ impl CycleReport {
         } else {
             self.memory_cycles as f64 / self.total_cycles as f64
         }
-    }
-
-    /// Wall-clock seconds at `clock_ghz`.
-    pub(crate) fn seconds(&self, clock_ghz: f64) -> f64 {
-        self.total_cycles as f64 / (clock_ghz * 1e9)
     }
 }
 
@@ -99,9 +121,12 @@ mod tests {
         let mut r = CycleReport::new();
         r.add_overlapped("qkv", 100, 400);
         r.add_overlapped("attn", 300, 100);
-        assert_eq!(r.total_cycles, 400 + 300);
-        assert_eq!(r.compute_cycles, 400);
-        assert_eq!(r.memory_cycles, 500);
+        r.add_overlapped("qkv", 50, 20);
+        assert_eq!(r.total_cycles, 400 + 300 + 50);
+        assert_eq!(r.compute_cycles, 450);
+        assert_eq!(r.memory_cycles, 520);
+        // One total per name, in first-charged order.
+        assert_eq!(r.components, [("qkv", 450), ("attn", 300)]);
     }
 
     #[test]
@@ -119,9 +144,28 @@ mod tests {
         a.add_overlapped("x", 10, 5);
         let mut b = CycleReport::new();
         b.add_overlapped("y", 20, 30);
+        b.add_overlapped("x", 4, 1);
+        b.hbm_bytes = 64;
         a.merge(&b);
-        assert_eq!(a.total_cycles, 40);
-        assert_eq!(a.components.len(), 2);
+        assert_eq!(a.total_cycles, 44);
+        assert_eq!(a.hbm_bytes, 64);
+        assert_eq!(a.components, [("x", 14), ("y", 30)]);
+    }
+
+    #[test]
+    fn repeat_equals_charging_every_copy() {
+        let mut once = CycleReport::new();
+        let mut each = CycleReport::new();
+        for _ in 0..3 {
+            each.add_overlapped("gemv", 100, 250);
+            each.add_exposed_sfu("norm", 7);
+        }
+        once.add_overlapped("gemv", 100, 250);
+        once.add_exposed_sfu("norm", 7);
+        once.hbm_bytes = 64;
+        each.hbm_bytes = 3 * 64;
+        once.repeat(3);
+        assert_eq!(once, each);
     }
 
     #[test]
@@ -131,14 +175,6 @@ mod tests {
         assert!((r.pe_utilization() - 0.5).abs() < 1e-9);
         assert!((r.memory_boundedness() - 1.0).abs() < 1e-9);
         assert_eq!(CycleReport::new().pe_utilization(), 0.0);
-    }
-
-    #[test]
-    fn seconds_at_clock() {
-        let mut r = CycleReport::new();
-        r.add_overlapped("m", 1_000_000_000, 0);
-        assert!((r.seconds(1.0) - 1.0).abs() < 1e-9);
-        assert!((r.seconds(2.0) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! End-to-end decode scheduling: maps a full Llama-shaped decoder layer
-//! stack onto the PE array, SFU and HBM, producing per-token cycle reports.
+//! End-to-end decode scheduling: maps a Llama-shaped decoder layer stack
+//! onto the PE array, SFU and HBM, producing per-tick cycle reports.
 //!
 //! In the generation phase every linear layer is a GEMV whose weights
 //! stream from HBM exactly once (no reuse across a single token), so each
 //! component's time is `max(compute, memory)` under double buffering —
 //! decode is memory-bound, which the report's `memory_boundedness` makes
 //! visible. The attention process adds the KV cache stream and the
-//! variant-dependent kernel cycles from [`crate::attention`].
+//! variant-dependent kernel cycles from [`crate::attention`]. Every layer
+//! does the same work, so one layer is priced and charged `n_layers`
+//! times; the report carries the HBM bytes it charged, which is all the
+//! energy model needs besides the cycles.
 
 use crate::arch::{ArchConfig, DataflowVariant};
 use crate::attention::{chunked_prefill_attention_cycles, decode_attention_cycles};
 use crate::report::CycleReport;
-use veda_mem::{AccessPattern, HbmConfig};
+use veda_mem::HbmConfig;
 
 /// One prefilling sequence's share of a mixed tick: `tokens` consecutive
 /// prompt tokens appended to a cache already holding `start_len` entries
@@ -128,18 +131,24 @@ impl DecodeScheduler {
         )
     }
 
-    /// Cycles of a batched linear GEMV `(1,k)×(k,n)` applied to `tokens`
+    /// Charges a component whose `compute` cycles overlap streaming
+    /// `bytes` from HBM.
+    fn stream(&self, report: &mut CycleReport, name: &'static str, compute: u64, bytes: u64) {
+        report.add_overlapped(name, compute, self.hbm.cost(bytes));
+        report.hbm_bytes += bytes;
+    }
+
+    /// Charges a batched linear GEMV `(1,k)×(k,n)` applied to `tokens`
     /// input rows (one per decode sequence, plus every prompt token of the
     /// tick's prefill chunks): compute runs once per row, chunked on the
-    /// array, but the weights stream from HBM **once** for the whole batch
-    /// — the bandwidth amortization that makes batched decode pay and that
-    /// chunked prefill piggybacks on.
+    /// array, but the FP16 weights stream from HBM **once** for the whole
+    /// batch — the bandwidth amortization that makes batched decode pay
+    /// and that chunked prefill piggybacks on.
     fn linear(&self, report: &mut CycleReport, name: &'static str, k: usize, n: usize, tokens: u64) {
         // Outer-product mapping: k temporal, n spatial (weights stream row
         // by row in (k, n) layout — sequential).
         let compute = tokens * self.arch.flexible_gemv_cycles(k, n);
-        let memory = self.hbm.cost(k * n * 2, AccessPattern::Sequential);
-        report.add_overlapped(name, compute, memory);
+        self.stream(report, name, compute, (k * n * 2) as u64);
     }
 
     /// Full decode step of a single sequence at cache length `l`: a
@@ -158,7 +167,10 @@ impl DecodeScheduler {
     /// token-serially at its growing cache lengths, as are the
     /// per-row normalizations. The LM head runs for decode rows and for
     /// chunks that complete their prompt (their logits seed the first
-    /// decode step); mid-prompt chunks skip it.
+    /// decode step); mid-prompt chunks skip it. The report's `hbm_bytes`
+    /// are the weight and KV bytes the tick streamed — the
+    /// [`LlamaShape`] byte helpers' sum, less the LM head's weights on a
+    /// tick that skips it.
     ///
     /// # Panics
     ///
@@ -174,39 +186,35 @@ impl DecodeScheduler {
         let f = self.shape.ffn_hidden;
         let mut report = CycleReport::new();
 
-        for _ in 0..self.shape.n_layers {
-            self.linear(&mut report, "qkv", d, 3 * d, tokens);
-
-            // Attention kernels + KV stream, per sequence: each sequence's
-            // compute overlaps with its own cache stream.
-            for &l in cache_lens {
-                let attn_compute = decode_attention_cycles(&self.arch, self.variant, l);
-                let kv_bytes = self.shape.layer_kv_bytes(l);
-                let attn_memory = self.hbm.cost(kv_bytes as usize, AccessPattern::Sequential);
-                report.add_overlapped("attention", attn_compute, attn_memory);
-            }
-            for chunk in prefill {
-                let attn_compute =
-                    chunked_prefill_attention_cycles(&self.arch, self.variant, chunk.start_len, chunk.tokens);
-                let kv_bytes = self.shape.layer_prefill_kv_bytes(chunk.start_len, chunk.tokens);
-                let attn_memory = self.hbm.cost(kv_bytes as usize, AccessPattern::Sequential);
-                report.add_overlapped("prefill_attention", attn_compute, attn_memory);
-            }
-
-            self.linear(&mut report, "proj", d, d, tokens);
-            self.linear(&mut report, "ffn_gate_up", d, 2 * f, tokens);
-            self.linear(&mut report, "ffn_down", f, d, tokens);
-
-            // Two layernorms/RMSnorms per input row: the O(1) drain under
-            // element-serial scheduling; a blocking reduction+normalization
-            // over `d` otherwise.
-            let per_norm = if self.variant.element_serial() {
-                self.arch.sfu.element_serial_drain_cycles()
-            } else {
-                self.arch.sfu.blocking_cycles(d)
-            };
-            report.add_exposed_sfu("norm", tokens * 2 * per_norm);
+        // One layer, priced once: every layer does the same work.
+        self.linear(&mut report, "qkv", d, 3 * d, tokens);
+        // Attention kernels + KV stream, per sequence: each sequence's
+        // compute overlaps with its own cache stream.
+        for &l in cache_lens {
+            let compute = decode_attention_cycles(&self.arch, self.variant, l);
+            self.stream(&mut report, "attention", compute, self.shape.layer_kv_bytes(l));
         }
+        for chunk in prefill {
+            let compute =
+                chunked_prefill_attention_cycles(&self.arch, self.variant, chunk.start_len, chunk.tokens);
+            let bytes = self.shape.layer_prefill_kv_bytes(chunk.start_len, chunk.tokens);
+            self.stream(&mut report, "prefill_attention", compute, bytes);
+        }
+        self.linear(&mut report, "proj", d, d, tokens);
+        self.linear(&mut report, "ffn_gate_up", d, 2 * f, tokens);
+        self.linear(&mut report, "ffn_down", f, d, tokens);
+
+        // Two layernorms/RMSnorms per input row: the O(1) drain under
+        // element-serial scheduling; a blocking reduction+normalization
+        // over `d` otherwise.
+        let per_norm = if self.variant.element_serial() {
+            self.arch.sfu.element_serial_drain_cycles()
+        } else {
+            self.arch.sfu.blocking_cycles(d)
+        };
+        report.add_exposed_sfu("norm", tokens * 2 * per_norm);
+        report.repeat(self.shape.n_layers as u64);
+
         // No sequence needs logits this tick (all chunks are mid-prompt):
         // the LM head neither computes nor streams its weights.
         if lm_rows > 0 {
@@ -214,17 +222,16 @@ impl DecodeScheduler {
         }
         report
     }
-
-    /// Decode throughput in tokens/second at cache length `l`.
-    pub fn tokens_per_second(&self, l: usize) -> f64 {
-        let report = self.decode_token(l);
-        1.0 / report.seconds(self.arch.clock_ghz)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode throughput in tokens/second at the paper's 1 GHz clock.
+    fn tokens_per_second(sched: &DecodeScheduler, l: usize) -> f64 {
+        1e9 / sched.decode_token(l).total_cycles as f64
+    }
 
     #[test]
     fn llama7b_weight_stream_is_about_13gb() {
@@ -245,14 +252,14 @@ mod tests {
         // Paper: one VEDA sustains 18.6 tokens/s on Llama-2 7B with
         // 256 GB/s HBM. A bandwidth-bound model must land in that range.
         let sched = DecodeScheduler::veda_llama7b();
-        let tps = sched.tokens_per_second(512);
+        let tps = tokens_per_second(&sched, 512);
         assert!((12.0..25.0).contains(&tps), "tokens/s {tps}");
     }
 
     #[test]
     fn throughput_drops_as_cache_grows() {
         let sched = DecodeScheduler::veda_llama7b();
-        assert!(sched.tokens_per_second(128) > sched.tokens_per_second(4096));
+        assert!(tokens_per_second(&sched, 128) > tokens_per_second(&sched, 4096));
     }
 
     #[test]
@@ -281,12 +288,23 @@ mod tests {
         DecodeScheduler::new(arch, LlamaShape::llama2_7b(), HbmConfig::default(), DataflowVariant::Baseline);
     }
 
+    /// The component names of a report, in order.
+    fn names(report: &CycleReport) -> Vec<&'static str> {
+        report.components.iter().map(|c| c.0).collect()
+    }
+
     #[test]
     fn report_components_cover_all_layers() {
+        // One total per term, each covering all 32 layers: the norm term
+        // is 32 layers × 2 norms × the 40-cycle element-serial drain.
         let sched = DecodeScheduler::veda_llama7b();
         let report = sched.decode_token(16);
-        // 6 components per layer × 32 layers + lm_head.
-        assert_eq!(report.components.len(), 6 * 32 + 1);
+        assert_eq!(
+            names(&report),
+            ["qkv", "attention", "proj", "ffn_gate_up", "ffn_down", "norm", "lm_head"]
+        );
+        assert_eq!(report.components.iter().find(|c| c.0 == "norm"), Some(&("norm", 32 * 2 * 40)));
+        assert_eq!(report.components.iter().map(|c| c.1).sum::<u64>(), report.total_cycles);
     }
 
     #[test]
@@ -308,9 +326,8 @@ mod tests {
         assert!(tick > single, "a batch tick cannot be cheaper than one sequence");
         assert!(tick < 8 * single * 9 / 10, "batching saved too little: {tick} vs 8×{single}");
         // Per-token throughput improves accordingly.
-        let batched_tokens_per_second =
-            lens.len() as f64 / sched.mixed_batch(&[], &lens).seconds(sched.arch.clock_ghz);
-        assert!(batched_tokens_per_second > 1.2 * sched.tokens_per_second(512));
+        let batched_tokens_per_second = lens.len() as f64 * 1e9 / tick as f64;
+        assert!(batched_tokens_per_second > 1.2 * tokens_per_second(&sched, 512));
         // A wider array relieves the compute bound and unlocks more of the
         // bandwidth amortization.
         let mut wide_arch = ArchConfig::veda();
@@ -345,12 +362,60 @@ mod tests {
 
     #[test]
     fn mixed_batch_with_no_prefill_has_the_decode_layout() {
+        // Any number of decode sequences share one `attention` total, and a
+        // tick without chunks has no `prefill_attention` term.
         let sched = DecodeScheduler::veda_llama7b();
+        let decode = sched.decode_token(512);
         for lens in [vec![512], vec![128, 4096], vec![64; 8]] {
-            let names: Vec<_> = sched.mixed_batch(&[], &lens).components.iter().map(|c| c.0).collect();
-            assert_eq!(names.iter().filter(|&&n| n == "attention").count(), 32 * lens.len());
-            assert_eq!(names.len(), 32 * (5 + lens.len()) + 1, "{names:?}");
+            assert_eq!(names(&sched.mixed_batch(&[], &lens)), names(&decode));
         }
+        let chunk = PrefillChunk { start_len: 0, tokens: 4, completes_prompt: false };
+        assert_eq!(
+            names(&sched.mixed_batch(&[chunk], &[512])),
+            ["qkv", "attention", "prefill_attention", "proj", "ffn_gate_up", "ffn_down", "norm", "lm_head"]
+        );
+    }
+
+    #[test]
+    fn hbm_bytes_are_the_shape_byte_model() {
+        let sched = DecodeScheduler::veda_llama7b();
+        let s = sched.shape;
+        let mid = PrefillChunk { start_len: 0, tokens: 16, completes_prompt: false };
+        let last = PrefillChunk { start_len: 200, tokens: 7, completes_prompt: true };
+        for (chunks, lens) in
+            [(vec![], vec![512]), (vec![mid], vec![128, 4096, 513]), (vec![mid, last], vec![])]
+        {
+            let expected = s.weight_bytes_per_token()
+                + lens.iter().map(|&l| s.kv_bytes_per_token(l)).sum::<u64>()
+                + chunks.iter().map(|c| s.prefill_kv_bytes(c.start_len, c.tokens)).sum::<u64>();
+            assert_eq!(sched.mixed_batch(&chunks, &lens).hbm_bytes, expected, "{chunks:?} {lens:?}");
+        }
+        // A tick where every chunk is mid-prompt skips the LM head's weights.
+        let lm_head_bytes = 2 * s.d_model as u64 * s.vocab_size as u64;
+        let expected = s.weight_bytes_per_token() - lm_head_bytes + s.prefill_kv_bytes(0, 16);
+        assert_eq!(sched.mixed_batch(&[mid], &[]).hbm_bytes, expected);
+    }
+
+    #[test]
+    fn llama7b_cycles_are_pinned() {
+        // Captured from a schedule that charged each of the 32 layers in turn.
+        let sched = DecodeScheduler::veda_llama7b();
+        let mid = PrefillChunk { start_len: 0, tokens: 16, completes_prompt: false };
+        let last = PrefillChunk { start_len: 200, tokens: 7, completes_prompt: true };
+        assert_eq!(sched.decode_token(512).total_cycles, 70_044_306);
+        assert_eq!(sched.mixed_batch(&[mid], &[128, 4096, 513]).total_cycles, 978_246_304);
+        assert_eq!(sched.mixed_batch(&[mid, last], &[]).total_cycles, 1_169_901_010);
+        assert_eq!(sched.mixed_batch(&[mid], &[]).total_cycles, 810_475_520);
+        let r = sched.mixed_batch(&[mid, last], &[64, 1000]);
+        let cycles = [r.total_cycles, r.compute_cycles, r.memory_cycles, r.exposed_sfu_cycles];
+        assert_eq!(cycles, [1_275_707_296, 1_274_322_944, 75_807_602, 64_000]);
+        let baseline = DecodeScheduler::new(
+            ArchConfig::veda(),
+            LlamaShape::llama2_7b(),
+            HbmConfig::default(),
+            DataflowVariant::Baseline,
+        );
+        assert_eq!(baseline.mixed_batch(&[last], &[300]).total_cycles, 416_500_736);
     }
 
     #[test]

@@ -158,15 +158,13 @@ impl EngineBuilder {
             vocab_size: self.model.vocab_size,
         };
         let scheduler = DecodeScheduler::new(arch.clone(), shape, HbmConfig::default(), self.variant);
-        let energy = EnergyModel::for_arch(&arch);
 
         Ok(Engine {
+            energy: EnergyModel::for_arch(&arch),
             ctx: Arc::new(StepContext {
                 model: TransformerModel::new(self.model),
                 arch,
-                energy,
                 variant: self.variant,
-                shape,
             }),
             scheduler,
             decode_threads: self.decode_threads.max(1),
@@ -174,7 +172,7 @@ impl EngineBuilder {
             tick_token_budget: self.tick_token_budget.max(1),
             prefix_cache: self.prefix_cache.map(PrefixCache::new),
             prefix_transfers: Vec::new(),
-            solo_cycles_by_len: BTreeMap::new(),
+            solo_cost_by_len: BTreeMap::new(),
             scratch: WorkerScratch::default(),
             worker_scratch: Vec::new(),
             active: Vec::new(),

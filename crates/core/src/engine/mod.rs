@@ -97,6 +97,7 @@ use std::sync::Arc;
 
 use veda_accel::arch::{ArchConfig, DataflowVariant};
 use veda_accel::schedule::DecodeScheduler;
+use veda_cost::EnergyModel;
 use veda_eviction::{EvictionPolicy, PolicyKind};
 use veda_model::{ForwardScratch, ModelConfig, ScoreBuffer, SequenceState};
 use veda_telemetry::{TraceEventKind, Tracer};
@@ -116,7 +117,7 @@ pub use migrate::MigratedSession;
 pub use report::{EngineReport, EngineTick, RequestOutcome, RequestReport};
 pub use request::{Budget, Request, Session, SessionPhase, TokenEvent};
 pub use step::StepWork;
-use step::{Plan, StepContext, WorkerScratch};
+use step::{Plan, SoloCost, StepContext, WorkerScratch};
 
 /// State of one in-flight session. Everything a decode worker touches
 /// during the fan-out lives here, in the worker's own [`WorkerScratch`]
@@ -200,9 +201,11 @@ fn replay_observations(session: &mut ActiveSession, observations: &[ScoreBuffer]
 
 /// The long-lived serving engine (see the [module docs](self)).
 pub struct Engine {
-    /// The model and cost models, shared with the tick's [`StepWork`].
+    /// The model and attention cycle model, shared with the tick's
+    /// [`StepWork`].
     ctx: Arc<StepContext>,
     scheduler: DecodeScheduler,
+    energy: EnergyModel,
     /// Worker threads one [`Engine::step`] fans sessions across (≥ 1).
     decode_threads: usize,
     /// Prompt tokens one tick may consume per prefilling session
@@ -223,7 +226,7 @@ pub struct Engine {
     /// resolved on the coordinator before any fan-out (capped sessions
     /// share a handful of lengths in steady state). Ordered so iteration
     /// (should any future reader walk it) can never depend on hash seed.
-    solo_cycles_by_len: BTreeMap<usize, u64>,
+    solo_cost_by_len: BTreeMap<usize, SoloCost>,
     /// Buffers of the work done on the calling thread: a tick's first
     /// slice and instant prefill at submit.
     scratch: WorkerScratch,

@@ -6,8 +6,7 @@ use std::sync::Arc;
 
 use veda_accel::arch::{ArchConfig, DataflowVariant};
 use veda_accel::attention::decode_attention_cycles;
-use veda_accel::schedule::{LlamaShape, PrefillChunk};
-use veda_cost::EnergyModel;
+use veda_accel::schedule::PrefillChunk;
 use veda_eviction::ScoreView;
 use veda_model::{BatchScratch, ForwardScratch, HeadScratch, RowRun, ScoreBuffer, TransformerModel};
 use veda_telemetry::TraceEventKind;
@@ -18,8 +17,9 @@ use super::{ActiveSession, Engine, EngineTick, TokenEvent};
 /// fan-out so workers touch only their own session.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Plan {
-    /// Advance one generated token (pre-resolved cost inputs).
-    Decode { l_before: usize, solo_cycles: u64 },
+    /// Advance one generated token at cache length `l_before`, costing
+    /// what the same step of the session run alone costs.
+    Decode { l_before: usize, solo: SoloCost },
     /// Consume `tokens` prompt tokens.
     Prefill { tokens: usize },
     /// No work this tick (the tick token budget starved this prefilling
@@ -36,6 +36,14 @@ impl Plan {
             Plan::Wait => 0,
         }
     }
+}
+
+/// Cycles and energy of one single-sequence decode step, the per-request
+/// accounting of a decode row.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SoloCost {
+    pub(super) cycles: u64,
+    pub(super) energy_mj: f64,
 }
 
 /// Lengths of the contiguous slices (at most `workers`, none empty) a
@@ -72,17 +80,15 @@ pub(super) struct WorkerScratch {
 }
 
 /// What every slice of a tick reads and nothing writes: the model and the
-/// cost models. The engine and its in-flight [`StepWork`] share it through
-/// an `Arc`, and every worker borrows it during the fan-out
-/// (`TransformerModel` is `Sync`; the cycle and energy models are pure);
+/// attention cycle model. The engine and its in-flight [`StepWork`] share
+/// it through an `Arc`, and every worker borrows it during the fan-out
+/// (`TransformerModel` is `Sync`; the cycle model is pure);
 /// all mutation happens inside each worker's own [`ActiveSession`]s and
 /// [`WorkerScratch`].
 pub(super) struct StepContext {
     pub(super) model: TransformerModel,
     pub(super) arch: ArchConfig,
-    pub(super) energy: EnergyModel,
     pub(super) variant: DataflowVariant,
-    pub(super) shape: LlamaShape,
 }
 
 impl StepContext {
@@ -165,8 +171,8 @@ impl StepContext {
     /// returns its event (`None` for [`Plan::Wait`]), whose post-forward
     /// fields [`StepContext::complete`] fills in. A decode row picks its
     /// token — greedy argmax over the previous step's logits — and books
-    /// its single-sequence cost from the pre-resolved `solo_cycles`; a
-    /// prefill chunk needs nothing before its rows run.
+    /// its pre-resolved single-sequence cost; a prefill chunk needs
+    /// nothing before its rows run.
     fn begin(&self, session: &mut ActiveSession, plan: Plan) -> Option<TokenEvent> {
         match plan {
             Plan::Wait => None,
@@ -180,7 +186,7 @@ impl StepContext {
                     finished: remaining == 0 && session.max_new_tokens == 0,
                 })
             }
-            Plan::Decode { l_before, solo_cycles } => {
+            Plan::Decode { l_before, solo } => {
                 // Every forward pass empties the logits and only a head
                 // over it refills them, so logits that exist belong to the
                 // session's immediately preceding forward pass.
@@ -194,10 +200,8 @@ impl StepContext {
 
                 let attention_cycles = decode_attention_cycles(&self.arch, self.variant, l_before);
                 session.attention_cycles.push(attention_cycles);
-                session.total_cycles += solo_cycles;
-                let solo_bytes =
-                    self.shape.weight_bytes_per_token() + self.shape.kv_bytes_per_token(l_before);
-                session.total_energy_mj += self.energy.token_energy_mj(solo_cycles, solo_bytes);
+                session.total_cycles += solo.cycles;
+                session.total_energy_mj += solo.energy_mj;
 
                 let finished =
                     session.generated.len() >= session.max_new_tokens || session.stop_tokens.contains(&token);
@@ -430,12 +434,15 @@ impl Engine {
             if session.is_decoding() {
                 let l = session.costed_len();
                 decode_lens.push(l);
-                let scheduler = &self.scheduler;
-                let solo_cycles = *self
-                    .solo_cycles_by_len
-                    .entry(l)
-                    .or_insert_with(|| scheduler.decode_token(l).total_cycles);
-                plans.push(Plan::Decode { l_before: l, solo_cycles });
+                let (scheduler, energy) = (&self.scheduler, &self.energy);
+                let solo = *self.solo_cost_by_len.entry(l).or_insert_with(|| {
+                    let step = scheduler.decode_token(l);
+                    SoloCost {
+                        cycles: step.total_cycles,
+                        energy_mj: energy.token_energy_mj(step.total_cycles, step.hbm_bytes),
+                    }
+                });
+                plans.push(Plan::Decode { l_before: l, solo });
             } else {
                 let remaining = session.prompt.len() - session.prefilled;
                 let take = remaining.min(self.prefill_chunk).min(prefill_budget);
@@ -460,11 +467,7 @@ impl Engine {
         // Cost the mixed batch: weights stream once per tick across both
         // phases.
         let batch_report = self.scheduler.mixed_batch(&chunks, &decode_lens);
-        let shape = self.ctx.shape;
-        let batch_bytes = shape.weight_bytes_per_token()
-            + decode_lens.iter().map(|&l| shape.kv_bytes_per_token(l)).sum::<u64>()
-            + chunks.iter().map(|c| shape.prefill_kv_bytes(c.start_len, c.tokens)).sum::<u64>();
-        let batch_energy_mj = self.ctx.energy.token_energy_mj(batch_report.total_cycles, batch_bytes);
+        let batch_energy_mj = self.energy.token_energy_mj(batch_report.total_cycles, batch_report.hbm_bytes);
 
         Some(StepWork {
             ctx: Arc::clone(&self.ctx),
@@ -583,7 +586,7 @@ mod tests {
 
     #[test]
     fn worker_slices_balance_planned_tokens_not_session_counts() {
-        let decode = Plan::Decode { l_before: 1, solo_cycles: 1 };
+        let decode = Plan::Decode { l_before: 1, solo: SoloCost { cycles: 1, energy_mj: 1.0 } };
         let chunk = Plan::Prefill { tokens: 32 };
         // Two chunks ahead of eight decode rows: an even split would give
         // one worker both chunks.

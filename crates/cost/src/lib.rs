@@ -23,12 +23,17 @@
 //! [`EnergyModel::token_energy_mj`](energy::EnergyModel::token_energy_mj)
 //! charges compute cycles plus the **bytes actually streamed** from HBM
 //! for the step: the weight stream and the full resident KV span the
-//! token attends over. Byte *residency* optimizations upstream (the
-//! engine's shared-prefix KV reuse, which keeps a common span in memory
-//! once) therefore do not change decode energy — every decode step
-//! still reads the whole span — they save prefill work and capacity,
-//! which this crate's models see as fewer prefill chunks costed and
-//! more concurrent sessions, respectively.
+//! token attends over. Both numbers come from one
+//! `veda_accel::CycleReport`, whose `hbm_bytes` are the bytes the cycle
+//! model charged HBM for, so time and traffic are counted in one place:
+//! [`table2`](mod@table2) reads its throughput and bytes from one
+//! `decode_token(512)` report, and the serving engine prices every tick
+//! from its `mixed_batch` report. Byte *residency* optimizations upstream
+//! (the engine's shared-prefix KV reuse, which keeps a common span in
+//! memory once) therefore do not change decode energy — every decode
+//! step still reads the whole span — they save prefill work and
+//! capacity, which this crate's models see as fewer prefill chunks
+//! costed and more concurrent sessions, respectively.
 
 // Every public item in the cost models is documented; rustdoc enforces
 // it so the API surface cannot silently rot.

@@ -147,16 +147,17 @@ pub fn table2(arch: &ArchConfig) -> Table2 {
         },
     ];
 
-    // End-to-end decode comparison on Llama-2 7B.
-    let shape = LlamaShape::llama2_7b();
-    let sched = DecodeScheduler::new(
+    // End-to-end decode comparison on Llama-2 7B: one decode step at cache
+    // length 512 gives both the time and the bytes streamed.
+    let step = DecodeScheduler::new(
         arch.clone(),
-        shape,
+        LlamaShape::llama2_7b(),
         HbmConfig::default(),
         DataflowVariant::FlexibleElementSerial,
-    );
-    let veda_tps = sched.tokens_per_second(512);
-    let bytes_per_token = shape.weight_bytes_per_token() + shape.kv_bytes_per_token(512);
+    )
+    .decode_token(512);
+    let veda_tps = arch.clock_ghz * 1e9 / step.total_cycles as f64;
+    let bytes_per_token = step.hbm_bytes;
     let gpu = GpuModel::rtx4090();
     let gpu_tps = gpu.decode_tokens_per_second(bytes_per_token);
 

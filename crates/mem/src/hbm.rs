@@ -1,36 +1,19 @@
 //! Burst/row-buffer-level HBM model (Ramulator substitute).
 //!
 //! The generation phase of LLM inference is memory-bound: every decode step
-//! streams the weights and the KV cache once. What the cycle model needs
-//! from the memory substrate is therefore (a) sustained sequential bandwidth
-//! and (b) the penalty for irregular access — the reason VEDA stores K and V
-//! uniformly in `(l, d)` format instead of transposing.
+//! streams the weights and the KV cache once, and both are stored so that
+//! they stream sequentially (VEDA keeps K and V uniformly in `(l, d)`
+//! format instead of transposing). What the cycle model needs from the
+//! memory substrate is therefore the sustained sequential bandwidth.
 //!
-//! [`HbmConfig::cost`] charges each transfer in accelerator-clock cycles:
+//! [`HbmConfig::cost`] charges each stream in accelerator-clock cycles:
 //!
 //! * **data cycles** — `ceil(fetched_bytes / (bytes_per_cycle × eff))`,
-//!   where strided patterns fetch whole bursts per element and thus inflate
-//!   fetched bytes far beyond the useful payload;
-//! * **row cycles** — each opened DRAM row costs an activation; activations
-//!   across `banks` proceed in parallel, so their contribution is divided by
-//!   the bank count. Sequential streams open one row per `row_bytes`;
-//!   wide-strided gathers open (up to) one row per element.
-
-/// How a transfer walks the address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessPattern {
-    /// Dense unit-stride stream (the `(l, d)` KV layout, weight streaming).
-    Sequential,
-    /// Fixed-stride gather, e.g. reading a column of a row-major matrix
-    /// whose rows are `stride_bytes` long (the transpose access the paper
-    /// eliminates). Each useful element is `elem_bytes` long.
-    Strided {
-        /// Distance in bytes between consecutive useful elements.
-        stride_bytes: usize,
-        /// Size of each useful element in bytes (2 for one FP16 value).
-        elem_bytes: usize,
-    },
-}
+//!   where the fetched bytes are the useful bytes rounded up to whole
+//!   bursts;
+//! * **row cycles** — one activation per `row_bytes` opened; activations
+//!   across `banks` proceed in parallel, so their contribution is divided
+//!   by the bank count.
 
 /// HBM configuration.
 ///
@@ -102,55 +85,14 @@ impl HbmConfig {
         Ok(())
     }
 
-    /// Cycles for one transfer of `bytes` useful bytes walked with
-    /// `pattern`.
-    pub fn cost(&self, bytes: usize, pattern: AccessPattern) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let fetched = self.fetched_bytes(bytes, pattern);
+    /// Cycles to stream `bytes` bytes sequentially.
+    pub fn cost(&self, bytes: u64) -> u64 {
+        let burst = self.burst_bytes as u64;
+        let fetched = bytes.div_ceil(burst) * burst;
         let data_cycles =
             (fetched as f64 / (self.bytes_per_cycle * self.sequential_efficiency)).ceil() as u64;
-        let rows = self.rows_opened(bytes, pattern);
-        let row_cycles = (rows * self.row_activate_cycles).div_ceil(self.banks.max(1));
-        data_cycles + row_cycles
-    }
-
-    /// Number of DRAM rows a transfer opens.
-    fn rows_opened(&self, bytes: usize, pattern: AccessPattern) -> u64 {
-        match pattern {
-            AccessPattern::Sequential => (bytes as u64).div_ceil(self.row_bytes as u64),
-            AccessPattern::Strided { stride_bytes, elem_bytes } => {
-                let elements = (bytes as u64).div_ceil(elem_bytes.max(1) as u64);
-                if stride_bytes <= self.row_bytes {
-                    // Several strided elements still land in one row.
-                    let elems_per_row = (self.row_bytes / stride_bytes.max(1)).max(1) as u64;
-                    elements.div_ceil(elems_per_row)
-                } else {
-                    // Every element opens a new row.
-                    elements
-                }
-            }
-        }
-    }
-
-    /// Bytes a transfer actually fetches (≥ `bytes`: burst waste).
-    fn fetched_bytes(&self, bytes: usize, pattern: AccessPattern) -> u64 {
-        let burst = self.burst_bytes as u64;
-        match pattern {
-            AccessPattern::Sequential => (bytes as u64).div_ceil(burst) * burst,
-            AccessPattern::Strided { stride_bytes, elem_bytes } => {
-                let elem = elem_bytes.max(1) as u64;
-                let elements = (bytes as u64).div_ceil(elem);
-                if stride_bytes as u64 <= burst {
-                    // Dense enough that bursts are mostly useful.
-                    (bytes as u64).div_ceil(burst) * burst
-                } else {
-                    // One whole burst fetched per useful element.
-                    elements * elem.div_ceil(burst).max(1) * burst
-                }
-            }
-        }
+        let rows = bytes.div_ceil(self.row_bytes as u64);
+        data_cycles + (rows * self.row_activate_cycles).div_ceil(self.banks.max(1))
     }
 }
 
@@ -171,14 +113,9 @@ pub(crate) fn check_bandwidth(bytes_per_cycle: f64, field: &str, efficiency: f64
 mod tests {
     use super::*;
 
-    /// Transpose-style access: one FP16 every `stride` bytes.
-    fn fp16_column(stride: usize) -> AccessPattern {
-        AccessPattern::Strided { stride_bytes: stride, elem_bytes: 2 }
-    }
-
     #[test]
     fn sequential_cost_tracks_bandwidth() {
-        let c = HbmConfig::default().cost(256 * 1024, AccessPattern::Sequential);
+        let c = HbmConfig::default().cost(256 * 1024);
         let data = (256.0_f64 * 1024.0 / (256.0 * 0.9)).ceil() as u64;
         let rows = (256u64 * 1024 / 2048) * 28 / 16;
         assert_eq!(c, data + rows);
@@ -186,34 +123,7 @@ mod tests {
 
     #[test]
     fn zero_bytes_cost_nothing() {
-        let hbm = HbmConfig::default();
-        assert_eq!(hbm.cost(0, AccessPattern::Sequential), 0);
-        assert_eq!(hbm.rows_opened(0, AccessPattern::Sequential), 0);
-    }
-
-    #[test]
-    fn strided_wide_stride_is_much_slower() {
-        // Reading a (4096, 128)-FP16 matrix column-wise: one 2-byte element
-        // per 256-byte row stride => whole burst per element.
-        let hbm = HbmConfig::default();
-        let useful = 4096 * 2;
-        let seq = hbm.cost(useful, AccessPattern::Sequential);
-        let strided = hbm.cost(useful, fp16_column(256));
-        assert!(strided > 10 * seq, "strided {strided} vs seq {seq}");
-    }
-
-    #[test]
-    fn beyond_row_stride_pays_activation_per_element() {
-        let rows = HbmConfig::default().rows_opened(1024 * 2, fp16_column(8192));
-        assert_eq!(rows, 1024);
-    }
-
-    #[test]
-    fn narrow_stride_close_to_sequential() {
-        let hbm = HbmConfig::default();
-        let seq = hbm.cost(64 * 1024, AccessPattern::Sequential);
-        let strided = hbm.cost(64 * 1024, AccessPattern::Strided { stride_bytes: 4, elem_bytes: 2 });
-        assert!(strided <= seq * 2, "strided {strided} vs seq {seq}");
+        assert_eq!(HbmConfig::default().cost(0), 0);
     }
 
     #[test]
@@ -260,15 +170,14 @@ mod tests {
 
     #[test]
     fn fetched_at_least_useful() {
-        let hbm = HbmConfig::default();
-        assert!(hbm.fetched_bytes(100, AccessPattern::Sequential) >= 100);
-        assert!(hbm.fetched_bytes(100, fp16_column(512)) >= 100);
-    }
-
-    #[test]
-    fn strided_fetch_inflation_is_burst_per_element() {
-        // 100 useful bytes of 2-byte elements at 512-byte stride:
-        // 50 elements × 64-byte bursts = 3200 fetched bytes.
-        assert_eq!(HbmConfig::default().fetched_bytes(100, fp16_column(512)), 3200);
+        // At one byte per cycle and free activations a stream costs its
+        // fetched bytes: whole 64-byte bursts.
+        let hbm = HbmConfig {
+            bytes_per_cycle: 1.0,
+            sequential_efficiency: 1.0,
+            row_activate_cycles: 0,
+            ..Default::default()
+        };
+        assert_eq!([100, 128, 129].map(|bytes| hbm.cost(bytes)), [128, 128, 192]);
     }
 }

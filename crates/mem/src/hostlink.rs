@@ -244,10 +244,10 @@ mod tests {
 
     #[test]
     fn swap_is_much_slower_than_hbm_stream() {
-        use crate::{AccessPattern, HbmConfig};
+        use crate::HbmConfig;
         let link = HostLink::new(HostLinkConfig::default());
         let bytes = 8 << 20;
-        assert!(link.cost(bytes as u64) > 5 * HbmConfig::default().cost(bytes, AccessPattern::Sequential));
+        assert!(link.cost(bytes) > 5 * HbmConfig::default().cost(bytes));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! simulation substrates, built from scratch:
 //!
 //! * [`HbmConfig::cost`] — a burst/row-buffer-level off-chip memory cost
-//!   with per-pattern efficiency (sequential streams hit the open row;
-//!   strided "transpose-style" access pays row activation and wasted burst
-//!   bytes — the *memory access irregularity* of Section I).
+//!   of a sequential stream: whole bursts at the derated bandwidth plus one
+//!   row activation per row opened. Weights and the `(l, d)` KV layout
+//!   both stream sequentially; the baseline's transpose penalty (the
+//!   *memory access irregularity* of Section I) is on-chip, in the
+//!   accelerator's attention model.
 //! * [`Fifo`] — a depth-bounded FIFO, modelling the s' FIFO of the voting
 //!   engine and the SFU tile FIFO.
 //! * [`HostLink`] — a PCIe-style device↔host link for KV cache
@@ -35,13 +37,14 @@
 //! ## Example
 //!
 //! ```
-//! use veda_mem::{AccessPattern, HbmConfig};
+//! use veda_mem::HbmConfig;
 //!
 //! let hbm = HbmConfig::default();
-//! // Streaming 1 MiB sequentially is far cheaper than the same bytes strided.
-//! let seq = hbm.cost(1 << 20, AccessPattern::Sequential);
-//! let strided = hbm.cost(1 << 20, AccessPattern::Strided { stride_bytes: 256, elem_bytes: 2 });
-//! assert!(strided > seq);
+//! // 1 MiB at 256 B/cycle derated to 90 %, plus 512 row activations
+//! // spread over 16 banks.
+//! assert_eq!(hbm.cost(1 << 20), 4552 + 896);
+//! // Twice the bandwidth roughly halves the data cycles.
+//! assert!(HbmConfig::with_bandwidth(512.0, 1.0).cost(1 << 20) < 3500);
 //! ```
 
 // Every public item in the memory substrates is documented; rustdoc
@@ -54,5 +57,5 @@ pub mod hbm;
 pub mod hostlink;
 
 pub use fifo::Fifo;
-pub use hbm::{AccessPattern, HbmConfig};
+pub use hbm::HbmConfig;
 pub use hostlink::{HostLink, HostLinkConfig, SwapDirection, TransferKind};

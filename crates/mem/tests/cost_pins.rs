@@ -3,16 +3,7 @@
 //! here unchanged: the accelerator cycle model and every serving report
 //! are built from them.
 
-use veda_mem::{AccessPattern, HbmConfig, HostLink, HostLinkConfig, SwapDirection, TransferKind};
-
-/// Cycles the default HBM charges for one transfer.
-fn cost(bytes: usize, pattern: AccessPattern) -> u64 {
-    HbmConfig::default().cost(bytes, pattern)
-}
-
-fn strided(stride_bytes: usize, elem_bytes: usize) -> AccessPattern {
-    AccessPattern::Strided { stride_bytes, elem_bytes }
-}
+use veda_mem::{HbmConfig, HostLink, HostLinkConfig, SwapDirection, TransferKind};
 
 #[test]
 fn sequential_cost_cycles_are_pinned() {
@@ -27,24 +18,7 @@ fn sequential_cost_cycles_are_pinned() {
         (13 << 20, 70813),
     ];
     for (bytes, cycles) in pins {
-        assert_eq!(cost(bytes, AccessPattern::Sequential), cycles, "sequential {bytes} B");
-    }
-}
-
-#[test]
-fn strided_cost_cycles_are_pinned() {
-    // (useful bytes, stride, element bytes, cycles): a stride within one
-    // burst, within one row, and beyond a row, plus wide elements.
-    let pins = [
-        (100, 512, 2, 37),
-        (4096 * 2, 4, 2, 50),
-        (4096 * 2, 64, 2, 260),
-        (4096 * 2, 256, 2, 2034),
-        (1024 * 2, 8192, 2, 2077),
-        (64 * 1024, 4096, 128, 1181),
-    ];
-    for (bytes, stride, elem, cycles) in pins {
-        assert_eq!(cost(bytes, strided(stride, elem)), cycles, "strided {bytes} B at stride {stride}");
+        assert_eq!(HbmConfig::default().cost(bytes), cycles, "sequential {bytes} B");
     }
 }
 
