@@ -7,7 +7,7 @@
 //! prints what its threshold did (`VoteStats`).
 fn main() {
     use veda_bench::CALIBRATED_VOTING;
-    use veda_eviction::{EvictionPolicy, PolicyKind, VotingPolicy};
+    use veda_eviction::{CacheSimulator, EvictionPolicy, PolicyKind, VotingPolicy};
     use veda_model::*;
     let policies: Vec<PolicyKind> = std::env::args()
         .skip(1)
@@ -38,7 +38,9 @@ fn main() {
         let mut other = veda_bench::calibrated_policy(kind);
         let p: &mut dyn EvictionPolicy =
             if kind == PolicyKind::Voting { &mut voting } else { other.as_mut() };
-        let (eval, residents) = lm.evaluate_sample_with_residents(&sample, 128, p, &corpus);
+        let mut sim = CacheSimulator::new(p, 128);
+        let eval = lm.evaluate_in(&sample, &mut sim, &corpus);
+        let residents = sim.resident();
         let recent = residents.iter().filter(|&&r| r + 200 >= n).count();
         let stale = residents.iter().filter(|&&r| r + 600 < n).count();
         let entities = residents.iter().filter(|&&r| corpus.is_entity(sample[r])).count();

@@ -5,7 +5,9 @@
 //! `docs/FIDELITY.md` carries the numbers these produce and says which of
 //! the paper's claims they reproduce.
 
-use veda_eviction::{EvictionPolicy, PolicyKind, ScoreView, VoteStats, VotingConfig, VotingPolicy};
+use veda_eviction::{
+    CacheSimulator, EvictionPolicy, PolicyKind, ScoreView, VoteStats, VotingConfig, VotingPolicy,
+};
 use veda_model::{Corpus, CorpusConfig, InductionConfig, InductionLm};
 
 /// Attention-sink length of the Streaming-LLM baseline
@@ -67,28 +69,28 @@ impl SampleSet {
 /// Scale of a quality experiment (trade fidelity for runtime).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityScale {
-    /// Number of corpus samples.
-    pub samples: u64,
-    /// Tokens per sample (the "maximum sequence length").
-    pub sample_len: usize,
+    /// The corpus samples scored.
+    pub samples: SampleSet,
     /// Cache sizes to sweep.
     pub cache_sizes: &'static [usize],
 }
 
 impl QualityScale {
-    /// Fast scale for CI / default binary runs: 8 samples × 1536 tokens.
+    /// Fast scale for CI / default binary runs: the calibration samples
+    /// 0–7 × 1536 tokens.
     pub fn quick() -> Self {
-        Self { samples: 8, sample_len: 1536, cache_sizes: &[96, 128, 256, 512, 1024] }
+        Self { samples: SampleSet::IN_SAMPLE, cache_sizes: &[96, 128, 256, 512, 1024] }
     }
 
-    /// Paper scale: 1000 samples × 4096 tokens, cache 128..4096.
+    /// Paper scale: 1000 held-out samples (from index 1000, past every
+    /// calibration sample) × 4096 tokens, cache 128..2048. The paper's
+    /// 4096 is left out: on 4096-token samples it never evicts, so it
+    /// would repeat the full-cache row.
     pub fn paper() -> Self {
-        Self { samples: 1000, sample_len: 4096, cache_sizes: &[128, 256, 512, 1024, 2048, 4096] }
-    }
-
-    /// The samples this scale scores (from index 0).
-    pub fn sample_set(&self) -> SampleSet {
-        SampleSet { first: 0, count: self.samples, len: self.sample_len }
+        Self {
+            samples: SampleSet { first: 1000, count: 1000, len: 4096 },
+            cache_sizes: &[128, 256, 512, 1024, 2048],
+        }
     }
 }
 
@@ -130,49 +132,6 @@ impl Quality {
     /// Share of evictions that differ from the oldest evictable slot.
     pub fn non_oldest_share(&self) -> f64 {
         self.non_oldest as f64 / self.evictions.max(1) as f64
-    }
-}
-
-/// Counts the victims of `inner` that are not slot `oldest`.
-struct Tally<'a> {
-    inner: &'a mut dyn EvictionPolicy,
-    oldest: usize,
-    non_oldest: u64,
-}
-
-impl EvictionPolicy for Tally<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_append(&mut self) {
-        self.inner.on_append();
-    }
-
-    fn observe(&mut self, scores: ScoreView<'_>) {
-        self.inner.observe(scores);
-    }
-
-    fn reads_scores(&self) -> bool {
-        self.inner.reads_scores()
-    }
-
-    fn select_victim(&mut self, cache_len: usize) -> Option<usize> {
-        let victim = self.inner.select_victim(cache_len);
-        self.non_oldest += u64::from(victim.is_some_and(|slot| slot != self.oldest));
-        victim
-    }
-
-    fn on_evict(&mut self, idx: usize) {
-        self.inner.on_evict(idx);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    fn tracked_len(&self) -> usize {
-        self.inner.tracked_len()
     }
 }
 
@@ -384,6 +343,8 @@ impl Substrate {
         quality
     }
 
+    /// Scores one sample into `quality`; `oldest` is the slot a
+    /// sink-plus-recency window would evict under this policy.
     fn score_sample(
         &self,
         sample: &[usize],
@@ -392,12 +353,12 @@ impl Substrate {
         oldest: usize,
         quality: &mut Quality,
     ) {
-        let mut tally = Tally { inner: policy, oldest, non_oldest: 0 };
-        let eval = self.lm.evaluate_sample(sample, cache, &mut tally, &self.corpus);
+        let mut sim = CacheSimulator::new(policy, cache);
+        let eval = self.lm.evaluate_in(sample, &mut sim, &self.corpus);
         quality.total_nll += eval.total_nll;
         quality.tokens += eval.tokens as u64;
         quality.evictions += eval.evictions as u64;
-        quality.non_oldest += tally.non_oldest;
+        quality.non_oldest += (eval.evictions - sim.stats().evictions_at(oldest)) as u64;
     }
 
     /// Scores every `(samples, cache, arm)` point, in input order. The
@@ -546,7 +507,7 @@ pub fn fig8_left(scale: QualityScale) -> Vec<QualityPoint> {
         })
         .collect();
     let jobs: Vec<_> =
-        points.iter().map(|&(cache, policy)| (scale.sample_set(), cache, Arm::Kind(policy))).collect();
+        points.iter().map(|&(cache, policy)| (scale.samples, cache, Arm::Kind(policy))).collect();
     let scored = points.into_iter().zip(Substrate::default().score_all(&jobs));
     scored.map(|((cache_size, policy), quality)| QualityPoint { policy, cache_size, quality }).collect()
 }

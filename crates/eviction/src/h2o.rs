@@ -123,7 +123,7 @@ mod tests {
         for _ in 0..2 {
             p.on_append();
         }
-        crate::score::observe_heads(&mut p, &[vec![0.6, 0.4], vec![0.2, 0.8]]);
+        p.observe(ScoreView::new(&[0.6, 0.4, 0.2, 0.8], 2));
         p.observe(ScoreView::single(&[0.5, 0.5]));
         assert!((p.importance()[0] - 1.3).abs() < 1e-6);
         assert!((p.importance()[1] - 1.7).abs() < 1e-6);

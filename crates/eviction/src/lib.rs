@@ -52,9 +52,9 @@ pub mod voting;
 
 pub use full::FullCachePolicy;
 pub use h2o::H2oPolicy;
-pub use manager::{CacheSimulator, SimulatedStep};
+pub use manager::CacheSimulator;
 pub use policy::{EvictionPolicy, ParsePolicyKindError, PolicyKind};
-pub use score::{observe_heads, observe_heads_into, ScoreView};
+pub use score::ScoreView;
 pub use sliding::SlidingWindowPolicy;
 pub use stats::EvictionStats;
 pub use voting::{VoteStats, VotingConfig, VotingPolicy};

@@ -8,15 +8,17 @@
 //! 1. [`EvictionPolicy::on_append`] — a new kv vector was appended; the
 //!    policy extends its per-position state by one slot.
 //! 2. [`EvictionPolicy::observe`] — the post-softmax attention scores of the
-//!    current token over *all* cache positions (one `Vec<f32>` per head, all
-//!    of length equal to the current cache length).
+//!    current token over *all* cache positions (a [`ScoreView`]: one slice
+//!    per head, each as long as the current cache).
 //! 3. If the cache exceeds its budget: [`EvictionPolicy::select_victim`]
 //!    returns the slot to evict, and the owner then calls
 //!    [`EvictionPolicy::on_evict`] so the policy compacts its state.
 //!
-//! Positions are *current cache slots* (0 = oldest resident entry), not
-//! absolute token indices: after an eviction every later slot shifts down by
-//! one, mirroring how the hardware vote-count buffer is compacted.
+//! [`crate::CacheSimulator`] runs this sequence for every offline
+//! evaluation. Positions are *current cache slots* (0 = oldest resident
+//! entry), not absolute token indices: after an eviction every later slot
+//! shifts down by one, mirroring how the hardware vote-count buffer is
+//! compacted.
 
 use crate::score::ScoreView;
 

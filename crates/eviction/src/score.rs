@@ -1,12 +1,11 @@
 //! Flat, borrowed attention-score observations.
 //!
 //! The functional model produces per-head post-softmax attention scores for
-//! every layer of every decode step. Historically these travelled as
-//! `Vec<Vec<f32>>` (one allocation per head per layer per token); the
-//! decode hot path now keeps all scores of one step in a *single* flat
-//! buffer and hands policies a [`ScoreView`] — a borrowed `(n_heads × len)`
-//! window into it. Policies consume slices, nothing is copied, and
-//! steady-state decode performs no per-observation heap allocation.
+//! every layer of every decode step. All scores of one step live in a
+//! *single* flat buffer, and policies are handed a [`ScoreView`] — a
+//! borrowed `(n_heads × len)` window into it. Policies consume slices,
+//! nothing is copied, and steady-state decode performs no per-observation
+//! heap allocation. It is the only observation format.
 //!
 //! Layout: head-major, `data[h * len .. (h + 1) * len]` is head `h`'s
 //! score vector over the resident cache slots.
@@ -119,40 +118,9 @@ impl<'a> ScoreView<'a> {
     }
 }
 
-/// Flattens nested per-head score vectors into `buf` (reusing its
-/// allocation) and feeds them to a policy — the bridge for callers that
-/// still hold `Vec<Vec<f32>>` observations (`CacheSimulator`, trace
-/// tooling). Hot paths should build a flat buffer
-/// directly and call [`crate::EvictionPolicy::observe`].
-///
-/// # Panics
-///
-/// Panics if the head vectors disagree in length.
-pub fn observe_heads_into(policy: &mut dyn crate::EvictionPolicy, heads: &[Vec<f32>], buf: &mut Vec<f32>) {
-    let len = heads.first().map_or(0, Vec::len);
-    buf.clear();
-    buf.reserve(len * heads.len());
-    for head in heads {
-        assert_eq!(head.len(), len, "observe_heads: ragged head scores");
-        buf.extend_from_slice(head);
-    }
-    policy.observe(ScoreView::new(buf, heads.len()));
-}
-
-/// Allocating convenience form of [`observe_heads_into`] (tests, one-off
-/// diagnostics).
-///
-/// # Panics
-///
-/// Panics if the head vectors disagree in length.
-pub fn observe_heads(policy: &mut dyn crate::EvictionPolicy, heads: &[Vec<f32>]) {
-    observe_heads_into(policy, heads, &mut Vec::new());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EvictionPolicy;
 
     #[test]
     fn view_splits_flat_buffer_into_heads() {
@@ -204,15 +172,5 @@ mod tests {
     #[should_panic(expected = "do not split")]
     fn ragged_flat_buffer_panics() {
         ScoreView::new(&[1.0, 2.0, 3.0], 2);
-    }
-
-    #[test]
-    fn observe_heads_flattens_for_policies() {
-        let mut p = crate::H2oPolicy::new();
-        p.on_append();
-        p.on_append();
-        observe_heads(&mut p, &[vec![0.6, 0.4], vec![0.2, 0.8]]);
-        assert!((p.importance()[0] - 0.8).abs() < 1e-6);
-        assert!((p.importance()[1] - 1.2).abs() < 1e-6);
     }
 }

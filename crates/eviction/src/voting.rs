@@ -303,7 +303,7 @@ mod tests {
     use super::*;
 
     fn drive(policy: &mut VotingPolicy, heads: &[Vec<f32>]) {
-        crate::score::observe_heads(policy, heads);
+        policy.observe(ScoreView::new(&heads.concat(), heads.len()));
     }
 
     #[test]

@@ -105,15 +105,22 @@ fn assert_stats_conserved(stats: VoteStats) {
     assert!(stats.votes_cast <= stats.votable, "{stats:?}: a slot gets at most one vote per round");
 }
 
-/// Random softmax-like score vectors (positive, sum to 1) per head.
-fn random_scores(rng: &mut rand::rngs::StdRng, heads: usize, len: usize) -> Vec<Vec<f32>> {
+/// Random softmax-like score vectors (positive, sum to 1) per head,
+/// head-major in one flat buffer.
+fn random_scores(rng: &mut rand::rngs::StdRng, heads: usize, len: usize) -> Vec<f32> {
     (0..heads)
-        .map(|_| {
+        .flat_map(|_| {
             let raw: Vec<f32> = (0..len).map(|_| rng.gen_range(0.01f32..1.0)).collect();
             let sum: f32 = raw.iter().sum();
-            raw.into_iter().map(|x| x / sum).collect()
+            raw.into_iter().map(move |x| x / sum)
         })
         .collect()
+}
+
+/// Steps `sim` once with random scores of `heads` heads over its cache.
+fn step_random(sim: &mut CacheSimulator<'_>, rng: &mut rand::rngs::StdRng, heads: usize) {
+    let scores = random_scores(rng, heads, sim.resident().len() + 1);
+    sim.step(Some(ScoreView::new(&scores, heads)));
 }
 
 proptest! {
@@ -127,10 +134,10 @@ proptest! {
     ) {
         let kind = PolicyKind::ALL[kind_idx];
         let mut rng = veda_tensor::rng::seeded(seed);
-        let mut sim = CacheSimulator::new(kind.build(), budget);
-        for t in 0..tokens {
-            let len = sim.resident().len() + 1;
-            sim.step(t, &random_scores(&mut rng, heads, len));
+        let mut policy = kind.build();
+        let mut sim = CacheSimulator::new(policy.as_mut(), budget);
+        for _ in 0..tokens {
+            step_random(&mut sim, &mut rng, heads);
             match kind {
                 // Evicting policies may refuse only when everything is
                 // protected (sink/reserved); the cache can then exceed the
@@ -153,10 +160,10 @@ proptest! {
     ) {
         let kind = PolicyKind::ALL[kind_idx];
         let mut rng = veda_tensor::rng::seeded(seed);
-        let mut sim = CacheSimulator::new(kind.build(), budget);
-        for t in 0..tokens {
-            let len = sim.resident().len() + 1;
-            sim.step(t, &random_scores(&mut rng, 2, len));
+        let mut policy = kind.build();
+        let mut sim = CacheSimulator::new(policy.as_mut(), budget);
+        for _ in 0..tokens {
+            step_random(&mut sim, &mut rng, 2);
             let r = sim.resident();
             prop_assert!(r.windows(2).all(|w| w[0] < w[1]), "{kind}: resident not sorted: {r:?}");
         }
@@ -176,13 +183,10 @@ proptest! {
         // so no such property is asserted for them.)
         let budget = sink + extra;
         let mut rng = veda_tensor::rng::seeded(seed);
-        let mut sim = CacheSimulator::new(
-            Box::new(veda_eviction::SlidingWindowPolicy::new(sink)),
-            budget,
-        );
+        let mut window = veda_eviction::SlidingWindowPolicy::new(sink);
+        let mut sim = CacheSimulator::new(&mut window, budget);
         for t in 0..tokens {
-            let len = sim.resident().len() + 1;
-            sim.step(t, &random_scores(&mut rng, 1, len));
+            step_random(&mut sim, &mut rng, 1);
             prop_assert_eq!(*sim.resident().last().unwrap(), t);
         }
     }
@@ -197,10 +201,10 @@ proptest! {
         let kind = PolicyKind::ALL[kind_idx];
         let run = || {
             let mut rng = veda_tensor::rng::seeded(seed);
-            let mut sim = CacheSimulator::new(kind.build(), budget);
-            for t in 0..tokens {
-                let len = sim.resident().len() + 1;
-                sim.step(t, &random_scores(&mut rng, 2, len));
+            let mut policy = kind.build();
+            let mut sim = CacheSimulator::new(policy.as_mut(), budget);
+            for _ in 0..tokens {
+                step_random(&mut sim, &mut rng, 2);
             }
             sim.resident().to_vec()
         };
@@ -284,15 +288,13 @@ proptest! {
         seed in 0u64..100,
     ) {
         let mut rng = veda_tensor::rng::seeded(seed);
-        let mut sim = CacheSimulator::new(
-            Box::new(VotingPolicy::new(VotingConfig::with_reserved_len(1))),
-            budget,
-        );
-        for t in 0..tokens {
-            let len = sim.resident().len() + 1;
-            sim.step(t, &random_scores(&mut rng, 2, len));
+        let mut policy = VotingPolicy::new(VotingConfig::with_reserved_len(1));
+        let mut sim = CacheSimulator::new(&mut policy, budget);
+        for _ in 0..tokens {
+            step_random(&mut sim, &mut rng, 2);
         }
         prop_assert!(sim.resident().len() <= budget);
+        prop_assert_eq!(sim.resident().len(), budget.min(tokens));
     }
 }
 
@@ -325,27 +327,25 @@ fn steady_state_voting_observe_allocates_nothing() {
     const BUDGET: usize = 64;
     const HEADS: usize = 4;
     let mut rng = veda_tensor::rng::seeded(11);
-    let rows: Vec<f32> = random_scores(&mut rng, HEADS, BUDGET + 1).concat();
+    let rows: Vec<f32> = random_scores(&mut rng, HEADS, BUDGET + 1);
     for per_head_votes in [false, true] {
         let mut policy =
             VotingPolicy::new(VotingConfig { per_head_votes, ..VotingConfig::with_reserved_len(4) });
-        let step = |policy: &mut VotingPolicy| {
-            policy.on_append();
-            let len = policy.tracked_len();
-            policy.observe(ScoreView::new(&rows[..HEADS * len], HEADS));
-            if len > BUDGET {
-                let victim = policy.select_victim(len).expect("slots beyond the reserved prefix");
-                policy.on_evict(victim);
-            }
+        let mut sim = CacheSimulator::new(&mut policy, BUDGET);
+        let mut step = || {
+            let len = sim.resident().len() + 1;
+            let victim = sim.step(Some(ScoreView::new(&rows[..HEADS * len], HEADS)));
+            assert_eq!(victim.is_some(), len > BUDGET, "slots beyond the reserved prefix");
         };
         // Warm-up: fill to the budget and evict a few times, so the vote
-        // buffer and the head-average scratch reach their final capacity.
+        // buffer, the head-average scratch and the drive's resident set and
+        // per-slot counts reach their final capacity.
         for _ in 0..BUDGET + 8 {
-            step(&mut policy);
+            step();
         }
         let before = ALLOCATIONS.with(Cell::get);
         for _ in 0..200 {
-            step(&mut policy);
+            step();
         }
         let allocated = ALLOCATIONS.with(Cell::get) - before;
         assert_eq!(allocated, 0, "per_head_votes {per_head_votes}: {allocated} allocations in steady state");

@@ -2,16 +2,22 @@
 //! on the synthetic corpus goes through `veda_bench::Substrate::score`.)
 
 use crate::transformer::TransformerModel;
-use veda_eviction::PolicyKind;
+use veda_eviction::{CacheSimulator, PolicyKind};
 
 /// Mean KL divergence (in nats) between the pruned-cache transformer's
 /// next-token distribution and the full-cache oracle, over one generated
 /// sequence — a direct measurement of how much an eviction policy distorts
 /// the *actual transformer* outputs.
 ///
-/// Two sequences of one model consume the same token stream. The policy
-/// observes the pruned sequence's layer-0 attention scores and evicts
-/// synchronously across layers, matching VEDA's layer-wise voting engine.
+/// Two sequences of one model consume the same token stream. One policy,
+/// driven through `veda_eviction::CacheSimulator`, observes the pruned
+/// sequence's layer-0 attention scores, and every victim it picks is
+/// evicted from all layers at once. That is not VEDA's layer-wise voting
+/// engine, which the serving engine models: there each layer runs its own
+/// policy on its own scores and evicts from its own cache. Moving this
+/// metric onto `forward_batch`'s per-(row, layer) observer, one policy per
+/// layer (the rest of ROADMAP item 1 (a)), closes the difference;
+/// `docs/FIDELITY.md` lists it as a known modelling difference.
 pub fn transformer_distortion(
     model_config: &crate::config::ModelConfig,
     tokens: &[usize],
@@ -20,23 +26,16 @@ pub fn transformer_distortion(
 ) -> f64 {
     let model = TransformerModel::new(model_config.clone());
     let (mut oracle, mut pruned) = (model.new_state(), model.new_state());
-    let mut p = policy.build();
+    let mut policy = policy.build();
+    let mut sim = CacheSimulator::new(policy.as_mut(), cache_budget);
     let mut kl_sum = 0.0f64;
     let mut count = 0usize;
 
     for (pos, &tok) in tokens.iter().enumerate() {
         let full = model.forward_in(&mut oracle, tok, pos);
         let cut = model.forward_in(&mut pruned, tok, pos);
-
-        // Drive the policy with the pruned sequence's first-layer
-        // observation.
-        p.on_append();
-        p.observe(cut.scores.layer(0));
-        if pruned.cache_len() > cache_budget {
-            if let Some(slot) = p.select_victim(pruned.cache_len()) {
-                pruned.evict_all_layers(slot);
-                p.on_evict(slot);
-            }
+        if let Some(slot) = sim.step(Some(cut.scores.layer(0))) {
+            pruned.evict_all_layers(slot);
         }
 
         // KL(full || pruned) over next-token distributions.

@@ -22,7 +22,7 @@
 //! the paper describes (heavy hitters, sinks, recency, outliers).
 
 use crate::corpus::Corpus;
-use veda_eviction::{EvictionPolicy, ScoreView};
+use veda_eviction::{CacheSimulator, EvictionPolicy, ScoreView};
 use veda_tensor::softmax::softmax_in_place;
 
 /// One pseudo-head's score parameterization.
@@ -350,9 +350,6 @@ impl InductionLm {
 
     /// Evaluates one token sample under a cache `budget` and an eviction
     /// `policy`, returning accumulated NLL statistics.
-    ///
-    /// The policy is driven through the standard protocol (append →
-    /// observe → evict) with per-head score observations.
     pub fn evaluate_sample(
         &self,
         tokens: &[usize],
@@ -360,31 +357,28 @@ impl InductionLm {
         policy: &mut dyn EvictionPolicy,
         corpus: &Corpus,
     ) -> SampleEval {
-        self.evaluate_sample_with_residents(tokens, budget, policy, corpus).0
+        self.evaluate_in(tokens, &mut CacheSimulator::new(policy, budget), corpus)
     }
 
-    /// Like [`InductionLm::evaluate_sample`], additionally returning the
-    /// absolute positions resident at the end (diagnostics for policy
-    /// behaviour analysis).
+    /// Evaluates one token sample through `sim`, which is reset first:
+    /// the offline drive appends each token, hands its policy the
+    /// per-head scores of the cache and evicts if over budget, and the
+    /// model drops the entry of the slot it reports. The caller keeps
+    /// `sim` for what it says afterwards: the resident positions and the
+    /// eviction statistics.
     ///
     /// Each step scores the cache twice: once for the policy to observe,
     /// then — after any eviction — once more to predict the next token.
     /// When the policy does not read scores
-    /// ([`EvictionPolicy::reads_scores`]) the first pass only advances the
+    /// ([`CacheSimulator::reads_scores`]) the first pass only advances the
     /// noise stream past its draws, and the last token, which has nothing to
     /// predict, gets no second pass.
-    pub fn evaluate_sample_with_residents(
-        &self,
-        tokens: &[usize],
-        budget: usize,
-        policy: &mut dyn EvictionPolicy,
-        corpus: &Corpus,
-    ) -> (SampleEval, Vec<usize>) {
-        policy.reset();
+    pub fn evaluate_in(&self, tokens: &[usize], sim: &mut CacheSimulator<'_>, corpus: &Corpus) -> SampleEval {
+        sim.reset();
         let mut rng =
             veda_tensor::rng::seeded(self.config.noise_seed ^ (tokens.len() as u64).wrapping_mul(0x9E37));
         let heads = &self.config.heads;
-        let reads_scores = policy.reads_scores();
+        let reads_scores = sim.reads_scores();
         // lint:allow(float-reduction): head-count-bounded sum in fixed config order, once per sample
         let total: f32 = heads.iter().map(|h| h.predict_weight).sum();
         let weights: Vec<f32> = heads.iter().map(|h| h.predict_weight / total.max(1e-9)).collect();
@@ -401,21 +395,16 @@ impl InductionLm {
                 }
             }
             entries.push(Entry { position: pos, key_token: tok, value_token: None });
-            policy.on_append();
-            if reads_scores {
+            let observed = if reads_scores {
                 self.score_pass(&entries, tok, pos, &mut rng, &mut scores);
-                policy.observe(ScoreView::new(&scores, heads.len()));
+                Some(ScoreView::new(&scores, heads.len()))
             } else {
                 veda_tensor::rng::skip_standard_normal(&mut rng, heads.len() * entries.len());
-            }
-
-            // Evict if over budget.
-            if entries.len() > budget {
-                if let Some(slot) = policy.select_victim(entries.len()) {
-                    entries.remove(slot);
-                    policy.on_evict(slot);
-                    eval.evictions += 1;
-                }
+                None
+            };
+            if let Some(slot) = sim.step(observed) {
+                entries.remove(slot);
+                eval.evictions += 1;
             }
 
             // Predict the next token from the cache as it now stands.
@@ -432,7 +421,7 @@ impl InductionLm {
             eval.total_nll += -p.ln();
             eval.tokens += 1;
         }
-        (eval, entries.iter().map(|e| e.position).collect())
+        eval
     }
 }
 
@@ -494,6 +483,36 @@ mod tests {
         let a = lm.evaluate_sample(&sample, 64, &mut PolicyKind::Voting.build(), &corpus);
         let b = lm.evaluate_sample(&sample, 64, &mut PolicyKind::Voting.build(), &corpus);
         assert_eq!(a.total_nll, b.total_nll);
+    }
+
+    #[test]
+    fn nll_bits_and_evictions_are_pinned_per_policy() {
+        // Exact f64 bits on one held-out sample at cache 128, the
+        // unit-level twin of `eval::tests::distortion_bits_are_pinned_per_policy`:
+        // any change to how a policy is driven over the substrate shows
+        // here before it moves `evict_quality`.
+        let corpus = Corpus::new(CorpusConfig::default());
+        let lm = InductionLm::new(InductionConfig::default(), &corpus);
+        let sample = corpus.sample(1000, 512);
+        let scored: Vec<(u64, usize)> = PolicyKind::ALL
+            .iter()
+            .map(|&kind| {
+                let eval = lm.evaluate_sample(&sample, 128, kind.build().as_mut(), &corpus);
+                (eval.total_nll.to_bits(), eval.evictions)
+            })
+            .collect();
+        // Full, SlidingWindow, H2o, Voting: total_nll 1318.8860037109425,
+        // 1773.8446421129054, 1663.6294335714688, 1617.165035697385.
+        let pinned = [
+            (4653515337433516680, 0),
+            (4655516266685837059, 384),
+            (4655031535072440794, 384),
+            (4654827182489480132, 384),
+        ];
+        assert_eq!(scored, pinned);
+        // A zero budget is accepted and evicts on every step.
+        let eval = lm.evaluate_sample(&sample[..64], 0, PolicyKind::H2o.build().as_mut(), &corpus);
+        assert_eq!((eval.total_nll.to_bits(), eval.evictions), (4648660345888051175, 64));
     }
 
     #[test]

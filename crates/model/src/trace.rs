@@ -7,32 +7,33 @@
 //! the fast path for policy unit tests and ablations.
 
 use rand::Rng;
+use veda_eviction::ScoreView;
 use veda_tensor::softmax::softmax;
 
-/// A recorded attention trace: `steps[i][h][j]` is head `h`'s score from
-/// token `i` to absolute position `j ≤ i`.
-#[derive(Debug, Clone, Default)]
+/// A recorded attention trace: step `i` is a [`ScoreView`] of every
+/// head's score from token `i` to the absolute positions `0..=i`.
+#[derive(Debug, Clone)]
 pub struct AttentionTrace {
-    steps: Vec<Vec<Vec<f32>>>,
+    heads: usize,
+    /// One flat head-major buffer per step.
+    steps: Vec<Vec<f32>>,
 }
 
 impl AttentionTrace {
-    /// Creates an empty trace.
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// Creates an empty trace of `heads` heads.
+    pub(crate) fn new(heads: usize) -> Self {
+        Self { heads, steps: Vec::new() }
     }
 
-    /// Appends one step's per-head scores.
+    /// Appends one step's scores, head-major.
     ///
     /// # Panics
     ///
-    /// Panics if score lengths are not `steps_so_far + 1`.
-    pub(crate) fn push_step(&mut self, head_scores: Vec<Vec<f32>>) {
-        let expected = self.steps.len() + 1;
-        for h in &head_scores {
-            assert_eq!(h.len(), expected, "trace step has wrong score length");
-        }
-        self.steps.push(head_scores);
+    /// Panics if each head's scores are not `steps_so_far + 1` long.
+    pub(crate) fn push_step(&mut self, scores: Vec<f32>) {
+        let expected = self.heads * (self.steps.len() + 1);
+        assert_eq!(scores.len(), expected, "trace step has wrong score length");
+        self.steps.push(scores);
     }
 
     /// Number of recorded steps.
@@ -41,15 +42,15 @@ impl AttentionTrace {
         self.steps.len()
     }
 
-    /// Per-head scores of step `i`.
+    /// The scores of step `i`.
     #[cfg(test)]
-    pub(crate) fn step(&self, i: usize) -> &[Vec<f32>] {
-        &self.steps[i]
+    pub(crate) fn step(&self, i: usize) -> ScoreView<'_> {
+        ScoreView::new(&self.steps[i], self.heads)
     }
 
-    /// Iterates over steps.
-    pub fn iter(&self) -> impl Iterator<Item = &Vec<Vec<f32>>> {
-        self.steps.iter()
+    /// Iterates over the steps.
+    pub fn iter(&self) -> impl Iterator<Item = ScoreView<'_>> {
+        self.steps.iter().map(|step| ScoreView::new(step, self.heads))
     }
 
     /// Measures attention sparsity: the average (over steps ≥ `skip` and
@@ -60,12 +61,12 @@ impl AttentionTrace {
     pub fn sparsity(&self, mass: f32, skip: usize) -> f32 {
         let mut total = 0.0;
         let mut count = 0usize;
-        for step in self.steps.iter().skip(skip) {
-            for head in step {
+        for step in self.iter().skip(skip) {
+            for head in step.heads() {
                 if head.len() < 4 {
                     continue;
                 }
-                let mut sorted = head.clone();
+                let mut sorted = head.to_vec();
                 sorted.sort_by(|a, b| b.partial_cmp(a).expect("no NaN scores"));
                 let mut acc = 0.0;
                 let mut needed = 0usize;
@@ -136,9 +137,9 @@ impl SyntheticTraceConfig {
     pub fn generate(&self) -> AttentionTrace {
         let mut rng = veda_tensor::rng::seeded(self.seed);
         let heavy: Vec<bool> = (0..self.steps).map(|_| rng.gen::<f32>() < self.heavy_fraction).collect();
-        let mut trace = AttentionTrace::new();
+        let mut trace = AttentionTrace::new(self.heads);
         for i in 0..self.steps {
-            let mut heads = Vec::with_capacity(self.heads);
+            let mut scores = Vec::with_capacity(self.heads * (i + 1));
             for _ in 0..self.heads {
                 let mut logits: Vec<f32> = (0..=i)
                     .map(|j| {
@@ -157,9 +158,9 @@ impl SyntheticTraceConfig {
                     let j = rng.gen_range(0..=i);
                     logits[j] += self.outlier_gain;
                 }
-                heads.push(softmax(&logits));
+                scores.extend(softmax(&logits));
             }
-            trace.push_step(heads);
+            trace.push_step(scores);
         }
         trace
     }
@@ -174,15 +175,15 @@ mod tests {
         let cfg = SyntheticTraceConfig { steps: 32, heads: 2, ..SyntheticTraceConfig::default() };
         let t = cfg.generate();
         assert_eq!(t.len(), 32);
-        assert_eq!(t.step(10).len(), 2);
-        assert_eq!(t.step(10)[0].len(), 11);
+        assert_eq!(t.step(10).n_heads(), 2);
+        assert_eq!(t.step(10).len(), 11);
     }
 
     #[test]
     fn scores_are_distributions() {
         let t = SyntheticTraceConfig { steps: 64, ..SyntheticTraceConfig::default() }.generate();
         for step in t.iter() {
-            for head in step {
+            for head in step.heads() {
                 let sum: f32 = head.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-4);
             }
@@ -195,7 +196,7 @@ mod tests {
         let mut sink = 0.0;
         let mut n = 0;
         for step in t.iter().skip(32) {
-            for head in step {
+            for head in step.heads() {
                 sink += head[0] * head.len() as f32; // ratio to uniform
                 n += 1;
             }
@@ -216,18 +217,18 @@ mod tests {
         let cfg = SyntheticTraceConfig { steps: 16, ..SyntheticTraceConfig::default() };
         let a = cfg.generate();
         let b = cfg.generate();
-        assert_eq!(a.step(15), b.step(15));
+        assert_eq!(a.step(15).as_flat(), b.step(15).as_flat());
     }
 
     #[test]
     #[should_panic(expected = "wrong score length")]
     fn push_step_validates_length() {
-        let mut t = AttentionTrace::new();
-        t.push_step(vec![vec![0.5, 0.5]]);
+        let mut t = AttentionTrace::new(1);
+        t.push_step(vec![0.5, 0.5]);
     }
 
     #[test]
     fn sparsity_of_empty_trace_is_zero() {
-        assert_eq!(AttentionTrace::new().sparsity(0.9, 0), 0.0);
+        assert_eq!(AttentionTrace::new(4).sparsity(0.9, 0), 0.0);
     }
 }

@@ -3,12 +3,13 @@
 //! that does not read scores. Neither may change a bit of what a sample
 //! scores:
 //!
-//! * against the pre-change step loop, kept verbatim below as a test-local
+//! * against the pre-change step loop, kept below as a test-local
 //!   reference (one `standard_normal` per (head, entry), a `Vec<Vec<f32>>`
-//!   per pass, every pass computed for every policy): `total_nll` bits,
-//!   token and eviction counts and the final resident positions, for every
-//!   policy kind, budgets from 1 to beyond the sample and samples of 0 to
-//!   300 tokens;
+//!   per pass, every pass computed for every policy, and its own append →
+//!   observe → evict bookkeeping in place of the offline drive):
+//!   `total_nll` bits, token and eviction counts and the final resident
+//!   positions, for every policy kind, budgets from 1 to beyond the sample
+//!   and samples of 0 to 300 tokens;
 //! * `reads_scores()` is pinned for every built-in policy, also through a
 //!   double box, since the skip depends on it;
 //! * a steady-state step allocates nothing: a 1 536-token sample allocates
@@ -18,7 +19,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use veda_eviction::{EvictionPolicy, PolicyKind, SlidingWindowPolicy, VotingConfig, VotingPolicy};
+use veda_eviction::{
+    CacheSimulator, EvictionPolicy, PolicyKind, ScoreView, SlidingWindowPolicy, VotingConfig, VotingPolicy,
+};
+use veda_model::induction::SampleEval;
 use veda_model::{Corpus, CorpusConfig, InductionConfig, InductionLm};
 use veda_tensor::softmax::softmax;
 
@@ -66,7 +70,8 @@ const CALIBRATED_VOTING: VotingConfig =
     VotingConfig { a: 2.0, b: 0.0, reserved_len: 1, per_head_votes: false };
 
 // ---------------------------------------------------------------------------
-// The pre-change `InductionLm`, verbatim apart from its name.
+// The pre-change `InductionLm`, verbatim apart from its name and from
+// handing each observation to the policy as a flat `ScoreView`.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -235,7 +240,9 @@ impl ReferenceLm {
             entries.push(Entry { position: pos, key_token: tok, value_token: None });
             policy.on_append();
             let scores = self.head_scores(&entries, tok, pos, &mut rng);
-            veda_eviction::observe_heads_into(policy, &scores, &mut flat_scores);
+            flat_scores.clear();
+            flat_scores.extend(scores.iter().flatten());
+            policy.observe(ScoreView::new(&flat_scores, scores.len()));
 
             if entries.len() > budget {
                 if let Some(slot) = policy.select_victim(entries.len()) {
@@ -287,6 +294,19 @@ fn benchmark_arm(kind: PolicyKind) -> Box<dyn EvictionPolicy> {
     }
 }
 
+/// `lm`'s score of `sample` and the positions resident at its end.
+fn evaluate_with_residents(
+    lm: &InductionLm,
+    sample: &[usize],
+    budget: usize,
+    policy: &mut dyn EvictionPolicy,
+    corpus: &Corpus,
+) -> (SampleEval, Vec<usize>) {
+    let mut sim = CacheSimulator::new(policy, budget);
+    let eval = lm.evaluate_in(sample, &mut sim, corpus);
+    (eval, sim.resident().to_vec())
+}
+
 fn assert_equivalent(config: &InductionConfig, corpus: &Corpus, lengths: &[usize], budgets: &[usize]) {
     let lm = InductionLm::new(config.clone(), corpus);
     let reference = ReferenceLm::new(config.clone(), corpus);
@@ -296,7 +316,7 @@ fn assert_equivalent(config: &InductionConfig, corpus: &Corpus, lengths: &[usize
             let fresh = policies(budget).into_iter().zip(policies(budget));
             for ((label, mut policy), (_, mut twin)) in fresh {
                 let (got, got_residents) =
-                    lm.evaluate_sample_with_residents(&sample, budget, policy.as_mut(), corpus);
+                    evaluate_with_residents(&lm, &sample, budget, policy.as_mut(), corpus);
                 let (want, want_residents) =
                     reference.evaluate_sample_with_residents(&sample, budget, twin.as_mut(), corpus);
                 let case = format!("{label}, budget {budget}, {len} tokens");
@@ -331,7 +351,7 @@ fn the_benchmark_arms_score_the_same_bits_on_the_default_substrate() {
     let sample = corpus.sample(1000, 1536);
     for kind in [PolicyKind::Voting, PolicyKind::H2o, PolicyKind::SlidingWindow] {
         let (got, got_residents) =
-            lm.evaluate_sample_with_residents(&sample, 128, benchmark_arm(kind).as_mut(), &corpus);
+            evaluate_with_residents(&lm, &sample, 128, benchmark_arm(kind).as_mut(), &corpus);
         let (want, want_residents) =
             reference.evaluate_sample_with_residents(&sample, 128, benchmark_arm(kind).as_mut(), &corpus);
         assert_eq!(got.total_nll.to_bits(), want.0.to_bits(), "{kind}: total_nll");

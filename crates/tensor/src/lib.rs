@@ -47,7 +47,7 @@
 //! of its own prefix and drops what the tile computed past it. Masking
 //! happens at the store, never inside a sum, so each stored score is
 //! still `dot` of its query and key spans; a decode row is one lane
-//! over every key row ([`ops::gemv_inner_span_into`] is that call).
+//! over every key row.
 //!
 //! The outer-product corollary: **block the reduction index only in
 //! ascending order through one accumulator per output.** An outer product

@@ -256,30 +256,6 @@ fn next_tile<'a>(rows: &mut impl Iterator<Item = &'a [f32]>) -> [&'a [f32]; INNE
     })
 }
 
-/// Inner-product GEMV against one **column span** of the rows of `m`:
-/// `out[i] = q · m.row(i)[col..col + q.len()]`, written into a pre-sized
-/// `out` of `m.rows()` elements. With `m = K` in `(l, d)` format and the
-/// span one head's columns this is that head's `q × Kᵀ` for one query —
-/// the one-lane call of [`gemm_inner_span_into`] over every row.
-///
-/// # Panics
-///
-/// Panics if the span exceeds the matrix width or `out.len() != m.rows()`.
-///
-/// ```
-/// use veda_tensor::{Matrix, ops::gemv_inner_span_into};
-/// let k = Matrix::from_rows(&[&[9.0, 1.0, 0.0], &[9.0, 0.5, 0.5]]);
-/// let mut s = [0.0; 2];
-/// gemv_inner_span_into(&[2.0, 4.0], &k, 1, &mut s);
-/// assert_eq!(s, [2.0, 3.0]);
-/// ```
-pub fn gemv_inner_span_into(q: &[f32], m: &Matrix, col: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), m.rows(), "gemv_inner: out length {} vs matrix rows {}", out.len(), m.rows());
-    // One lane is its own lane-major form, so the pack buffer stays unused
-    // (and `Vec::new` does not allocate).
-    gemm_inner_span_into(&mut [(q, out)], m, col, &mut Vec::new());
-}
-
 /// Inner-product GEMM against one **column span** of the leading rows of
 /// `m`, one causal prefix per lane: for each lane `(q, out)`,
 /// `out[i] = q · m.row(i)[col..col + q.len()]` for `i < out.len()`. With

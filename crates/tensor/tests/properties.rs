@@ -46,8 +46,10 @@ fn assert_gemm_matches_dot(xs: &[f32], m: &Matrix, pack: &mut Vec<f32>, out: &mu
 fn assert_span_kernels_match_dot_and_axpy(q: &[f32], s: &[f32], m: &Matrix, col: usize) {
     let width = q.len();
     let what = format!("{} rows, columns {col}..{} of {}", m.rows(), col + width, m.cols());
-    let mut scores = vec![7.0; m.rows()]; // stale content must be overwritten
-    ops::gemv_inner_span_into(q, m, col, &mut scores);
+    // A decode row: one lane over every row. Stale content must be
+    // overwritten, and one lane never touches the pack buffer.
+    let mut scores = vec![7.0; m.rows()];
+    ops::gemm_inner_span_into(&mut [(q, &mut scores[..])], m, col, &mut Vec::new());
     let want: Vec<f32> = (0..m.rows()).map(|row| ops::dot(q, &m.row(row)[col..col + width])).collect();
     assert_same_bits(&scores, &want, &format!("inner span, {what}"));
 

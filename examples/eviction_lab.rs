@@ -6,8 +6,26 @@
 //! cargo run --release --example eviction_lab
 //! ```
 
-use veda_eviction::{CacheSimulator, PolicyKind};
+use veda_eviction::{CacheSimulator, PolicyKind, ScoreView};
 use veda_model::SyntheticTraceConfig;
+
+/// Projects `step`, token `token`'s scores over *every* earlier position,
+/// onto the resident positions plus the token itself, renormalising each
+/// head to sum to one: softmax over the surviving keys only.
+fn project(step: ScoreView<'_>, resident: &[usize], token: usize, out: &mut Vec<f32>) {
+    out.clear();
+    for head in step.heads() {
+        let start = out.len();
+        out.extend(resident.iter().chain([&token]).map(|&position| head[position]));
+        let kept = &mut out[start..];
+        let sum = veda_tensor::stats::sum(kept);
+        if sum > 0.0 {
+            for v in kept {
+                *v /= sum;
+            }
+        }
+    }
+}
 
 fn main() {
     // A 256-step trace with a strong sink, 6 % heavy hitters, recency
@@ -20,9 +38,12 @@ fn main() {
 
     let budget = 48;
     for kind in [PolicyKind::SlidingWindow, PolicyKind::H2o, PolicyKind::Voting] {
-        let mut sim = CacheSimulator::new(kind.build(), budget);
-        for (i, step) in trace.iter().enumerate() {
-            sim.step_from_full_scores(i, step);
+        let mut policy = kind.build();
+        let mut sim = CacheSimulator::new(policy.as_mut(), budget);
+        let mut projected = Vec::new();
+        for (token, step) in trace.iter().enumerate() {
+            project(step, sim.resident(), token, &mut projected);
+            sim.step(Some(ScoreView::new(&projected, step.n_heads())));
         }
         let resident = sim.resident();
         let old = resident.iter().filter(|&&p| p < 128).count();

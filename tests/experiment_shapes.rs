@@ -65,7 +65,8 @@ fn fig8_left_voting_beats_h2o_and_improves_with_cache() {
     // algorithmic claim (voting-based eviction beats accumulated-attention
     // eviction) must hold at every cache size, and perplexity must shrink
     // as the cache grows.
-    let scale = veda_bench::QualityScale { samples: 2, sample_len: 1024, cache_sizes: &[96, 192, 384] };
+    let samples = SampleSet { first: 0, count: 2, len: 1024 };
+    let scale = veda_bench::QualityScale { samples, cache_sizes: &[96, 192, 384] };
     let points = veda_bench::fig8_left(scale);
     let get = |k: PolicyKind, c: usize| {
         points.iter().find(|p| p.policy == k && p.cache_size == c).unwrap().quality.perplexity()
